@@ -35,6 +35,8 @@ on unsafe rules), which the differential and property test suites pin.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .ast import Aggregate, Constant, Rule, Variable
@@ -48,6 +50,9 @@ __all__ = [
     "InternPool",
     "ColumnarRelation",
     "ColumnarZSet",
+    "RulePlan",
+    "compile_rule_plan",
+    "run_rule_plan",
     "eval_rule_columnar",
 ]
 
@@ -445,14 +450,23 @@ _ARITH: dict[str, Callable[[object, object], object]] = {
 _SCAN, _FILTER, _BIND, _NEG, _UNRESOLVED = 0, 1, 2, 3, 4
 
 
-class _RulePlan:
+class RulePlan:
     """A compiled (rule, order, Δ-position) step program."""
 
-    __slots__ = ("steps", "emit")
+    __slots__ = ("steps", "emit", "reads")
 
     def __init__(self, steps: list[tuple], emit: tuple) -> None:
         self.steps = tuple(steps)
         self.emit = emit
+        #: predicates the plan reads from the database — every scan
+        #: outside the Δ-restricted occurrence plus every negation
+        #: probe. A caller need materialise no other relation; the
+        #: Δ-restricted scan reads ``delta_overrides`` instead.
+        self.reads: frozenset[str] = frozenset(
+            step[1]
+            for step in self.steps
+            if (step[0] == _SCAN and not step[2]) or step[0] == _NEG
+        )
 
 
 def _value_fn(term, slots: dict[str, int]):
@@ -516,7 +530,7 @@ def _ground_fn(terms, slots: dict[str, int]):
 
 def _compile_rule(
     rule: Rule, order: tuple[int, ...] | None, delta_at: int | None
-) -> _RulePlan:
+) -> RulePlan:
     """Statically schedule the deferral fixpoint ``join_body`` runs.
 
     Binding order is fixed per (rule, order, Δ-position), so each
@@ -631,26 +645,40 @@ def _compile_rule(
         )
         is_agg = tuple(isinstance(t, Aggregate) for t in terms)
         emit = ("agg", agg.op, slots[agg.var.name], group, is_agg)
-    return _RulePlan(steps, emit)
+    return RulePlan(steps, emit)
 
 
-#: (rule, order, Δ-position) → compiled plan. Pool-independent: plans
-#: hold value-space constants and slot indices only, so two services
-#: with separate InternPools share compiled plans safely.
-_RULE_PLANS: dict[tuple, _RulePlan] = {}
+#: (rule, order, Δ-position) → compiled plan, least recently used
+#: first. Pool-independent: plans hold value-space constants and slot
+#: indices only, so two services with separate InternPools share
+#: compiled plans safely. Serves :func:`eval_rule_columnar` (from-scratch
+#: evaluation, probes) and plan construction; work units hold their
+#: plans directly and never come here per execution.
+_RULE_PLANS: OrderedDict[tuple, RulePlan] = OrderedDict()
 _RULE_PLAN_CAP = 4096
+_RULE_PLANS_LOCK = threading.Lock()
 
 
-def _plan_for(
+def compile_rule_plan(
     rule: Rule, order: tuple[int, ...] | None, delta_at: int | None
-) -> _RulePlan:
+) -> RulePlan:
+    """The memoised step program of ``(rule, order, Δ-position)``.
+
+    Past the cap the least recently used plan is evicted — never the
+    whole memo, so a plan in steady use is not recompiled because other
+    programs passed through.
+    """
     key = (rule, order, delta_at)
-    plan = _RULE_PLANS.get(key)
-    if plan is None:
-        if len(_RULE_PLANS) >= _RULE_PLAN_CAP:
-            _RULE_PLANS.clear()
-        plan = _compile_rule(rule, order, delta_at)
-        _RULE_PLANS[key] = plan
+    with _RULE_PLANS_LOCK:
+        plan = _RULE_PLANS.get(key)
+        if plan is not None:
+            _RULE_PLANS.move_to_end(key)
+            return plan
+    plan = _compile_rule(rule, order, delta_at)
+    with _RULE_PLANS_LOCK:
+        plan = _RULE_PLANS.setdefault(key, plan)
+        while len(_RULE_PLANS) > _RULE_PLAN_CAP:
+            _RULE_PLANS.popitem(last=False)
     return plan
 
 
@@ -787,9 +815,23 @@ def eval_rule_columnar(
     incrementally afterwards). ``delta_overrides`` relations get a
     mirror of their own, keyed to ``pool``.
     """
-    plan = _plan_for(
+    plan = compile_rule_plan(
         rule, order, delta_at if delta_overrides is not None else None
     )
+    return run_rule_plan(plan, db, pool, delta_overrides)
+
+
+def run_rule_plan(
+    plan: RulePlan,
+    db: "Database",
+    pool: InternPool,
+    delta_overrides=None,
+) -> set:
+    """Run a compiled step program; ``db`` need hold only ``plan.reads``.
+
+    The Δ-restricted scan of a plan compiled with a Δ-position reads
+    ``delta_overrides`` and nothing else.
+    """
     values = pool.table.values
     rows: list = [()]
     for step in plan.steps:

@@ -47,6 +47,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..dag.builder import DagBuilder
+from ..dag.graph import Dag
+from ..dag.levels import compute_levels
 from ..tasks.model import ExecutionModel
 from ..tasks.trace import JobTrace
 from .ast import Program
@@ -62,6 +64,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "compile_update",
     "build_compiled_update",
+    "RoundStructure",
+    "structure_key",
+    "build_round_structure",
+    "stamp_update",
     "CompiledUpdate",
     "live_edb_predicates",
     "with_program_schema",
@@ -123,7 +129,8 @@ class CompiledUpdate:
     k)`` tuple. Together with ``program`` and the two EDB snapshots it
     lets :mod:`repro.datalog.units` rebuild every node as a *runnable*
     unit of work, so a compiled round can be executed for real instead
-    of simulated.
+    of simulated. ``structure`` is the static half ``trace`` was stamped
+    onto; rounds with equal :func:`structure_key` may share it.
     """
 
     trace: JobTrace
@@ -134,7 +141,11 @@ class CompiledUpdate:
     program: Program
     edb_old: Database
     edb_new: Database
-    node_keys: list
+    structure: "RoundStructure"
+
+    @property
+    def node_keys(self) -> list:
+        return self.structure.node_keys
 
 
 def _cumulative_states(
@@ -233,40 +244,65 @@ def compile_update(
     )
 
 
-def build_compiled_update(
-    program: Program,
-    edb_old: Database,
-    edb_new: Database,
-    db_old: Database,
-    db_new: Database,
-    ev_old: EvaluationTrace,
-    ev_new: EvaluationTrace,
-    touched: set[str],
-    work_per_derivation: float = 1e-3,
-    name: str = "datalog-update",
-    states_old: dict[tuple, frozenset] | None = None,
-    states_new: dict[tuple, frozenset] | None = None,
-) -> CompiledUpdate:
-    """Unroll two recorded materializations into a schedulable trace.
+_NO_FACTS: frozenset = frozenset()
 
-    The back half of :func:`compile_update`, exposed separately so the
-    plan cache — which reuses the previous round's *new* side as this
-    round's *old* side instead of re-evaluating it — builds its traces
-    through the exact same code path. ``states_old``/``states_new``
-    accept precomputed :func:`_cumulative_states` tables (the cache
-    carries them across rounds); when omitted they are computed here.
+
+@dataclass
+class RoundStructure:
+    """The static half of a compiled round: ``G`` and what follows from it.
+
+    A function of the program and of :func:`structure_key` — how many
+    iterations each stratum unrolls to — never of the facts. Rounds
+    that agree on both share one ``RoundStructure`` (the plan cache
+    keeps them by that key), and :func:`stamp_update` writes one
+    round's change flags, work and initial tasks onto it.
     """
-    if ev_old.strata != ev_new.strata:  # pragma: no cover - depgraph is static
-        raise AssertionError("stratification must not depend on the data")
 
+    program: Program
+    dag: Dag
+    #: builder key of DAG node ``i`` (see :class:`CompiledUpdate`)
+    node_keys: list
+    key_to_id: dict
+    is_task: np.ndarray
+    models: np.ndarray
+    levels: np.ndarray
+    #: source node of every dense edge index
+    edge_sources: np.ndarray
+
+
+def structure_key(
+    ev_old: EvaluationTrace, ev_new: EvaluationTrace
+) -> tuple[int, ...]:
+    """What, besides the program, decides a round's DAG structure: how
+    many iterations each stratum unrolls to.
+
+    The rule instances of an iteration follow from the program — every
+    rule of the stratum at iteration 0, one instance per positive
+    occurrence of a recursive stratum predicate afterwards — and the
+    evaluator records no other (a Δ predicate is always a stratum-local
+    head, and a stratum is one SCC, so it is recursive whenever a Δ rule
+    exists); :func:`stamp_update` checks that. Read off the two
+    evaluation traces without walking a rule body, so a cache can look
+    a structure up before deciding to build it.
+    """
+    return tuple(
+        max(len(its_old), len(its_new))
+        for its_old, its_new in zip(ev_old.iterations, ev_new.iterations)
+    )
+
+
+def build_round_structure(
+    program: Program, n_iters: tuple[int, ...]
+) -> RoundStructure:
+    """Unroll the program's dataflow into the static DAG ``G``.
+
+    ``n_iters`` is the :func:`structure_key` of the round: iterations
+    per stratum, in stratification order.
+    """
     depgraph = DependencyGraph(program)
     strata = depgraph.stratify()
     rules = program.proper_rules
     recursive = depgraph.recursive_predicates()
-    if states_old is None:
-        states_old = _cumulative_states(program, ev_old, edb_old)
-    if states_new is None:
-        states_new = _cumulative_states(program, ev_new, edb_new)
 
     stratum_of: dict[str, int] = {}
     for si, comp in enumerate(strata):
@@ -277,12 +313,6 @@ def build_compiled_update(
     edb_preds = sorted(program.edb_predicates())
     for p in edb_preds:
         b.node(("edb", p), f"edb:{p}")
-
-    n_iters = [
-        max(len(ev_old.iterations[si]), len(ev_new.iterations[si]))
-        for si in range(len(strata))
-    ]
-
     edb_set = set(edb_preds)
 
     def out_node(p: str) -> int:
@@ -293,23 +323,6 @@ def build_compiled_update(
         last = n_iters[si] - 1
         return b.node(("pred", p, si, last), f"{p}@{si}.{last}")
 
-    changed: dict[int, bool] = {}
-
-    def mark(node_id: int, is_changed: bool) -> None:
-        changed[node_id] = changed.get(node_id, False) or is_changed
-
-    # EDB nodes change iff their relation actually changed (deleting an
-    # absent fact, or re-inserting a present one, changes nothing)
-    for p in edb_preds:
-        old_rel = edb_old.relations.get(p)
-        new_rel = edb_new.relations.get(p)
-        old_facts = set(old_rel) if old_rel is not None else set()
-        new_facts = set(new_rel) if new_rel is not None else set()
-        mark(b.node(("edb", p)), old_facts != new_facts)
-
-    work: dict[int, float] = {}
-    task_nodes: set[int] = set()
-
     for si, stratum in enumerate(strata):
         stratum_set = set(stratum)
         stratum_rules = [
@@ -317,59 +330,36 @@ def build_compiled_update(
             if r.head.predicate in stratum_set
         ]
         for k in range(n_iters[si]):
-            rec_old = (
-                ev_old.iterations[si][k]
-                if k < len(ev_old.iterations[si])
-                else {}
-            )
-            rec_new = (
-                ev_new.iterations[si][k]
-                if k < len(ev_new.iterations[si])
-                else {}
-            )
             # predicate-state nodes after iteration k, with pass-through
             # (EDB predicates keep their single source node instead)
             for p in stratum:
                 if p in edb_set:
                     continue
                 node = b.node(("pred", p, si, k), f"{p}@{si}.{k}")
-                # past a materialization's fixpoint, state stays at its last
-                ko = min(k, len(ev_old.iterations[si]) - 1)
-                kn = min(k, len(ev_new.iterations[si]) - 1)
-                old = states_old.get((p, si, ko), states_old.get((p, si, -1)))
-                new = states_new.get((p, si, kn), states_new.get((p, si, -1)))
-                mark(node, old != new)
                 if k > 0:
                     b.add_edge(b.node(("pred", p, si, k - 1)), node)
 
-            # task nodes
-            keys = set(rec_old) | set(rec_new)
+            # task nodes: every rule of the stratum at iteration 0, then
+            # one instance per Δ-restricted recursive occurrence
             if k == 0:
-                keys |= {(ri, None) for ri, _ in stratum_rules}
+                keys: list[tuple[int, int | None]] = [
+                    (ri, None) for ri, _ in stratum_rules
+                ]
             else:
-                for ri, rule in stratum_rules:
-                    for pos, lit in enumerate(rule.body):
-                        if (
-                            lit.atom is not None
-                            and not lit.negated
-                            and lit.atom.predicate in stratum_set
-                            and lit.atom.predicate in recursive
-                        ):
-                            keys.add((ri, pos))
-            for ri, pos in sorted(
-                keys, key=lambda t: (t[0], -1 if t[1] is None else t[1])
-            ):
+                keys = [
+                    (ri, pos)
+                    for ri, rule in stratum_rules
+                    for pos, lit in enumerate(rule.body)
+                    if lit.atom is not None
+                    and not lit.negated
+                    and lit.atom.predicate in stratum_set
+                    and lit.atom.predicate in recursive
+                ]
+            for ri, pos in keys:
                 rule = rules[ri]
                 tnode = b.node(
                     ("task", si, k, ri, pos), f"r{ri}@{si}.{k}" +
                     (f".d{pos}" if pos is not None else ""),
-                )
-                task_nodes.add(tnode)
-                out_old = frozenset(rec_old.get((ri, pos), frozenset()))
-                out_new = frozenset(rec_new.get((ri, pos), frozenset()))
-                mark(tnode, out_old != out_new)
-                work[tnode] = work_per_derivation * (
-                    1 + max(len(out_old), len(out_new))
                 )
                 # inputs
                 for lit in rule.body:
@@ -387,39 +377,122 @@ def build_compiled_update(
                 b.add_edge(tnode, b.node(("pred", rule.head.predicate, si, k)))
 
     dag = b.build()
-    n = dag.n_nodes
-    work_arr = np.zeros(n, dtype=np.float64)
-    is_task = np.zeros(n, dtype=bool)
-    for t in task_nodes:
-        work_arr[t] = work.get(t, work_per_derivation)
-        is_task[t] = True
-
-    changed_arr = np.zeros(n, dtype=bool)
-    for nid, flag in changed.items():
-        changed_arr[nid] = flag
-    changed_edges = changed_arr[dag.edge_array()[:, 0]]
-
-    initial = np.array(
-        sorted(b.id_of(("edb", p)) for p in touched), dtype=np.int64
+    node_keys = b.keys()
+    is_task = np.array(
+        [key[0] == "task" for key in node_keys], dtype=bool  # type: ignore[index]
     )
-    models = np.full(n, ExecutionModel.SEQUENTIAL, dtype=np.int8)
-
-    trace = JobTrace(
+    return RoundStructure(
+        program=program,
         dag=dag,
-        work=work_arr,
-        span=work_arr.copy(),
-        models=models,
+        node_keys=node_keys,
+        key_to_id={key: nid for nid, key in enumerate(node_keys)},
         is_task=is_task,
+        models=np.full(dag.n_nodes, ExecutionModel.SEQUENTIAL, dtype=np.int8),
+        levels=compute_levels(dag),
+        edge_sources=np.ascontiguousarray(dag.edge_array()[:, 0]),
+    )
+
+
+def _relation_changed(old: Database, new: Database, pred: str) -> bool:
+    """Whether ``pred`` holds different facts in the two databases."""
+    old_rel = old.relations.get(pred)
+    new_rel = new.relations.get(pred)
+    old_facts = set(old_rel) if old_rel is not None else set()
+    new_facts = set(new_rel) if new_rel is not None else set()
+    return old_facts != new_facts
+
+
+def stamp_update(
+    structure: RoundStructure,
+    edb_old: Database,
+    edb_new: Database,
+    db_old: Database,
+    db_new: Database,
+    ev_old: EvaluationTrace,
+    ev_new: EvaluationTrace,
+    touched: set[str],
+    work_per_derivation: float = 1e-3,
+    name: str = "datalog-update",
+    states_old: dict[tuple, frozenset] | None = None,
+    states_new: dict[tuple, frozenset] | None = None,
+) -> CompiledUpdate:
+    """Stamp one round's update onto ``structure``.
+
+    Computes what differs between the two recorded materializations —
+    per-node change flags (hence per-edge flags), task work, the initial
+    tasks — and wraps them with the shared ``G`` into a
+    :class:`~repro.tasks.trace.JobTrace`. ``structure`` must be the one
+    :func:`structure_key` of these two traces selects.
+    """
+    if ev_old.strata != ev_new.strata:  # pragma: no cover - depgraph is static
+        raise AssertionError("stratification must not depend on the data")
+    program = structure.program
+    rules = program.proper_rules
+    if states_old is None:
+        states_old = _cumulative_states(program, ev_old, edb_old)
+    if states_new is None:
+        states_new = _cumulative_states(program, ev_new, edb_new)
+
+    node_keys = structure.node_keys
+    n = len(node_keys)
+    changed = np.zeros(n, dtype=bool)
+    work = np.zeros(n, dtype=np.float64)
+    its_old, its_new = ev_old.iterations, ev_new.iterations
+    covered = 0
+    for nid, key in enumerate(node_keys):
+        kind = key[0]
+        if kind == "task":
+            _, si, k, ri, pos = key
+            rec_old = its_old[si][k] if k < len(its_old[si]) else {}
+            rec_new = its_new[si][k] if k < len(its_new[si]) else {}
+            out_old = rec_old.get((ri, pos), _NO_FACTS)
+            out_new = rec_new.get((ri, pos), _NO_FACTS)
+            covered += ((ri, pos) in rec_old) + ((ri, pos) in rec_new)
+            changed[nid] = out_old != out_new
+            work[nid] = work_per_derivation * (
+                1 + max(len(out_old), len(out_new))
+            )
+        elif kind == "pred":
+            _, p, si, k = key
+            # past a materialization's fixpoint, state stays at its last
+            ko = min(k, len(its_old[si]) - 1)
+            kn = min(k, len(its_new[si]) - 1)
+            old = states_old.get((p, si, ko), states_old.get((p, si, -1)))
+            new = states_new.get((p, si, kn), states_new.get((p, si, -1)))
+            changed[nid] = old != new
+        else:
+            # an EDB node changes iff its relation actually changed
+            # (deleting an absent fact, or re-inserting a present one,
+            # changes nothing)
+            changed[nid] = _relation_changed(edb_old, edb_new, key[1])
+
+    if covered != ev_old.total_tasks() + ev_new.total_tasks():
+        raise ValueError(
+            "an evaluation trace records a rule instance the structure "
+            "has no task node for; build the structure from "
+            "structure_key() of these two traces"
+        )
+    initial = np.array(
+        sorted(structure.key_to_id[("edb", p)] for p in touched),
+        dtype=np.int64,
+    )
+    trace = JobTrace(
+        dag=structure.dag,
+        work=work,
+        span=work.copy(),
+        models=structure.models,
+        is_task=structure.is_task,
         initial_tasks=initial,
-        changed_edges=changed_edges,
+        changed_edges=changed[structure.edge_sources],
         name=name,
         metadata={
             "generator": "datalog.compile_update",
             "n_rules": len(rules),
-            "n_strata": len(strata),
+            "n_strata": len(ev_new.strata),
             "work_per_derivation": work_per_derivation,
         },
     )
+    trace.seed_levels(structure.levels)
     return CompiledUpdate(
         trace=trace,
         db_old=db_old,
@@ -429,5 +502,41 @@ def build_compiled_update(
         program=program,
         edb_old=edb_old,
         edb_new=edb_new,
-        node_keys=b.keys(),
+        structure=structure,
+    )
+
+
+def build_compiled_update(
+    program: Program,
+    edb_old: Database,
+    edb_new: Database,
+    db_old: Database,
+    db_new: Database,
+    ev_old: EvaluationTrace,
+    ev_new: EvaluationTrace,
+    touched: set[str],
+    work_per_derivation: float = 1e-3,
+    name: str = "datalog-update",
+    states_old: dict[tuple, frozenset] | None = None,
+    states_new: dict[tuple, frozenset] | None = None,
+) -> CompiledUpdate:
+    """Unroll two recorded materializations into a schedulable trace.
+
+    The back half of :func:`compile_update`: :func:`build_round_structure`
+    followed by :func:`stamp_update`. The plan cache — which reuses the
+    previous round's *new* side as this round's *old* side instead of
+    re-evaluating it, and keeps structures across rounds — calls the two
+    halves itself, so its traces come from the exact same code.
+    ``states_old``/``states_new`` accept precomputed
+    :func:`_cumulative_states` tables (the cache carries them across
+    rounds); when omitted they are computed here.
+    """
+    return stamp_update(
+        build_round_structure(program, structure_key(ev_old, ev_new)),
+        edb_old, edb_new, db_old, db_new, ev_old, ev_new,
+        touched=touched,
+        work_per_derivation=work_per_derivation,
+        name=name,
+        states_old=states_old,
+        states_new=states_new,
     )

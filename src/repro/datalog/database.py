@@ -49,6 +49,19 @@ class Relation:
     def __contains__(self, t: Tuple_) -> bool:
         return t in self._tuples
 
+    def holds_exactly(self, facts: "set | frozenset") -> bool:
+        """Whether this relation's tuples are exactly ``facts``.
+
+        A set comparison on the relation's own storage: no copy, and a
+        size mismatch answers without looking at a tuple.
+        """
+        return self._tuples == facts
+
+    def diff_count(self, facts: "set | frozenset") -> int:
+        """How many tuples are in exactly one of this relation and
+        ``facts``."""
+        return len(self._tuples ^ facts)
+
     def add(self, t: Tuple_) -> bool:
         """Insert; returns True if the tuple is new."""
         if len(t) != self.arity:

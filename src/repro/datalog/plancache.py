@@ -10,10 +10,14 @@ module caches everything that survives a round:
 * :class:`CompiledProgramCache` — the front door. ``compile()``
   reuses the committed previous round's new side (database, evaluation
   trace, cumulative predicate states) as this round's old side,
-  skipping one of the two evaluations; ``plan()`` patches the prior
-  round's bound plan in place when the DAG structure is unchanged,
-  instead of rebuilding closures and wiring; ``commit()`` promotes the
-  staged round after the service has verified it.
+  skipping one of the two evaluations, and stamps the round onto the
+  cached :class:`~repro.datalog.compiler.RoundStructure` (``Dag``,
+  levels, node keys) when one with the same structure key exists,
+  instead of walking every rule body into a new DAG; ``plan()`` patches
+  that structure's bound plan in place, instead of rebuilding closures
+  and wiring — and with the plan comes the scheduler memo holding the
+  interval lists of that DAG; ``commit()`` promotes the staged round
+  after the service has verified it.
 * :class:`RelationIndexCache` — a value-addressed store of
   :class:`~repro.datalog.database.Relation` objects keyed by
   ``(predicate, fact set)``. Joins build hash indexes lazily on these
@@ -60,10 +64,13 @@ from .ast import Program
 from .columnar import ColumnarZSet, InternPool
 from .compiler import (
     CompiledUpdate,
+    RoundStructure,
     _cumulative_states,
     _usable_analysis,
-    build_compiled_update,
+    build_round_structure,
     live_edb_predicates,
+    stamp_update,
+    structure_key,
     with_program_schema,
 )
 from .database import Database, Relation
@@ -98,8 +105,11 @@ class RelationIndexCache:
     O(|delta|).
 
     Published relations must never be mutated by callers (lazy index
-    growth excepted); derivation always works on a private clone and
-    publishes it atomically under the cache lock. Because entries are
+    growth excepted); a miss builds or derives a private relation
+    *outside* the cache lock and publishes it under the lock — when two
+    lanes miss on one value at once, the first to publish wins and the
+    other adopts its object, so every caller sees one relation per
+    value and the counters stay exact. Because entries are
     immutable, a failed round cannot corrupt the store — entries staged
     for it are simply superfluous and age out of the LRU.
     """
@@ -151,25 +161,42 @@ class RelationIndexCache:
             base = None
             if derive_from is not None and derive_from != facts:
                 base = self._entries.get((pred, derive_from))
-            if base is not None:
-                rel = base.copy_indexed()
-                if delta_ops is not None:
-                    for t, w in delta_ops:
-                        if w > 0:
-                            rel.add(t)
-                        else:
-                            rel.discard(t)
-                    self.weighted_derives += 1
-                else:
-                    for t in derive_from - facts:  # type: ignore[operator]
-                        rel.discard(t)
-                    for t in facts - derive_from:  # type: ignore[operator]
+
+        # build or derive outside the lock: an O(|relation|) loop here
+        # must not stall another lane's hit. ``base`` is published,
+        # hence immutable but for lazy index growth, which
+        # ``copy_indexed`` snapshots.
+        if base is not None:
+            rel = base.copy_indexed()
+            if delta_ops is not None:
+                for t, w in delta_ops:
+                    if w > 0:
                         rel.add(t)
-                self.derives += 1
+                    else:
+                        rel.discard(t)
             else:
-                rel = Relation(pred, arity)
-                for t in facts:
+                for t in derive_from - facts:  # type: ignore[operator]
+                    rel.discard(t)
+                for t in facts - derive_from:  # type: ignore[operator]
                     rel.add(t)
+        else:
+            rel = Relation(pred, arity)
+            for t in facts:
+                rel.add(t)
+
+        with self._lock:
+            first = self._entries.get(key)
+            if first is not None:
+                # another lane published this value while we built it:
+                # first writer wins, ours is dropped uncounted
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return first
+            if base is not None:
+                self.derives += 1
+                if delta_ops is not None:
+                    self.weighted_derives += 1
+            else:
                 self.builds += 1
             self._entries[key] = rel
             while len(self._entries) > self.max_entries:
@@ -205,6 +232,20 @@ class _Side:
     pruned: frozenset[int] = field(default_factory=frozenset)
 
 
+@dataclass
+class _RoundSkeleton:
+    """What every round with one DAG structure shares.
+
+    ``plan`` is bound on the first :meth:`CompiledProgramCache.plan` for
+    the structure and restamped afterwards; it carries its
+    :class:`PlanSkeleton` (``plan.skeleton``) and the scheduler memo
+    (``plan.sched_memo``), so evicting the entry drops all four together.
+    """
+
+    structure: RoundStructure
+    plan: ExecutionPlan | None = None
+
+
 def _edb_schema(edb: Database) -> frozenset:
     return frozenset((p, rel.arity) for p, rel in edb.relations.items())
 
@@ -232,11 +273,14 @@ class CompiledProgramCache:
 
     ``compile`` reuses the committed baseline as the old side when
     ``edb_old`` matches it (a *hit* — one semi-naive evaluation saved);
-    otherwise it evaluates both sides cold (a *miss*). ``plan``
-    re-stamps the cached bound plan in place whenever the new round's
-    DAG structure (``node_keys``) matches a cached skeleton; task join
-    inputs are served from the shared :class:`RelationIndexCache` so
-    their hash indexes survive across rounds.
+    otherwise it evaluates both sides cold (a *miss*). Either way the
+    round is stamped onto the cached skeleton of its structure — keyed
+    by program fingerprint and :func:`~repro.datalog.compiler
+    .structure_key`, known before any rule body is walked — and only a
+    structure not seen before (or evicted) builds a new ``Dag``. ``plan``
+    re-stamps that skeleton's bound plan in place; task join inputs are
+    served from the shared :class:`RelationIndexCache` so their hash
+    indexes survive across rounds.
 
     A program whose structural fingerprint differs from the cached one,
     or an ``edb_old`` whose schema (predicate → arity) differs from the
@@ -278,17 +322,19 @@ class CompiledProgramCache:
         self._sink = sink
         self._max_plans = max_plans
         self.relations = RelationIndexCache(relation_cache_size)
-        self._plans: OrderedDict[
-            tuple, tuple[PlanSkeleton, ExecutionPlan]
-        ] = OrderedDict()
+        #: (program fingerprint, structure key) → skeleton, LRU
+        self._skeletons: OrderedDict[tuple, _RoundSkeleton] = OrderedDict()
         self._prev: _Side | None = None
         self._staged: _Side | None = None
         self._staged_cu_id: int | None = None
         self._staged_states_old: dict[tuple, frozenset] | None = None
         self._staged_zdelta: ZSetDelta | None = None
+        self._staged_skeleton: _RoundSkeleton | None = None
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        #: rounds whose structure was not cached: a ``Dag`` was built
+        self.structure_builds = 0
         self.plan_patches = 0
         self.plan_binds = 0
         self.rollbacks = 0
@@ -306,14 +352,18 @@ class CompiledProgramCache:
         if self._sink.enabled:
             self._sink.add_to_current(f"plancache.{name}", n)
 
-    def _invalidate(self) -> None:
-        self._plans.clear()
-        self.relations.clear()
-        self._prev = None
+    def _clear_staged(self) -> None:
         self._staged = None
         self._staged_cu_id = None
         self._staged_states_old = None
         self._staged_zdelta = None
+        self._staged_skeleton = None
+
+    def _invalidate(self) -> None:
+        self._skeletons.clear()
+        self.relations.clear()
+        self._prev = None
+        self._clear_staged()
         self._run_programs = {frozenset(): self._program}
         self.invalidations += 1
         self._count("invalidations")
@@ -472,8 +522,9 @@ class CompiledProgramCache:
         )
         states_new = _cumulative_states(run_program, ev_new, edb_new)
 
-        cu = build_compiled_update(
-            run_program,
+        entry = self._skeleton_for(run_program, ev_old, ev_new)
+        cu = stamp_update(
+            entry.structure,
             edb_old,
             edb_new,
             db_old,
@@ -490,7 +541,43 @@ class CompiledProgramCache:
         self._staged_cu_id = id(cu)
         self._staged_states_old = states_old
         self._staged_zdelta = zdelta
+        self._staged_skeleton = entry
         return cu
+
+    def _skeleton_for(
+        self,
+        program: Program,
+        ev_old: EvaluationTrace,
+        ev_new: EvaluationTrace,
+        structure: RoundStructure | None = None,
+    ) -> _RoundSkeleton:
+        """The cached skeleton of a round's structure, built on a miss.
+
+        ``structure`` is the one a compile outside this cache already
+        built for the round; it is adopted on a miss instead of
+        building another.
+        """
+        # the fingerprint keeps differently pruned programs apart:
+        # their iteration counts can coincide while their rules differ
+        fp = (
+            self._fingerprint
+            if program is self._program
+            else repr(program)
+        )
+        n_iters = structure_key(ev_old, ev_new)
+        key = (fp, n_iters)
+        entry = self._skeletons.get(key)
+        if entry is not None:
+            self._skeletons.move_to_end(key)
+            return entry
+        if structure is None:
+            structure = build_round_structure(program, n_iters)
+            self.structure_builds += 1
+            self._count("structure_builds")
+        entry = self._skeletons[key] = _RoundSkeleton(structure)
+        while len(self._skeletons) > self._max_plans:
+            self._skeletons.popitem(last=False)
+        return entry
 
     def plan(self, cu: CompiledUpdate) -> ExecutionPlan:
         """A bound plan for ``cu`` — patched in place when possible.
@@ -501,20 +588,15 @@ class CompiledProgramCache:
         staged = self._staged_cu_id == id(cu)
         states_old = self._staged_states_old if staged else None
         zdelta = self._staged_zdelta if staged else None
-        # the fingerprint disambiguates structurally different pruned
-        # programs whose node keys happen to coincide (rule indices
-        # shift when rules are pruned)
-        fp = (
-            self._fingerprint
-            if cu.program is self._program
-            else repr(cu.program)
-        )
-        sig = (fp, tuple(cu.node_keys))
-        cached = self._plans.get(sig)
-        if cached is not None:
-            skeleton, plan = cached
-            skeleton.patch(plan, cu, states_old, zdelta=zdelta)
-            self._plans.move_to_end(sig)
+        entry = self._staged_skeleton if staged else None
+        if entry is None:
+            entry = self._skeleton_for(
+                cu.program, cu.eval_old, cu.eval_new, cu.structure
+            )
+        plan = entry.plan
+        if plan is not None:
+            assert plan.skeleton is not None
+            plan.skeleton.patch(plan, cu, states_old, zdelta=zdelta)
             self.plan_patches += 1
             self._count("plan_patches")
             return plan
@@ -524,12 +606,9 @@ class CompiledProgramCache:
             else None
         )
         skeleton = PlanSkeleton(cu, join_orders=join_orders, pool=self.pool)
-        plan = skeleton.bind(
+        plan = entry.plan = skeleton.bind(
             cu, states_old, relation_factory=self.relations.get
         )
-        self._plans[sig] = (skeleton, plan)
-        while len(self._plans) > self._max_plans:
-            self._plans.popitem(last=False)
         self.plan_binds += 1
         self._count("plan_binds")
         return plan
@@ -547,10 +626,7 @@ class CompiledProgramCache:
             )
         self._prev = self._staged
         self._schema = _edb_schema(self._staged.edb)
-        self._staged = None
-        self._staged_cu_id = None
-        self._staged_states_old = None
-        self._staged_zdelta = None
+        self._clear_staged()
 
     def rollback(self) -> None:
         """Discard the staged round (failed execution/verification).
@@ -562,10 +638,7 @@ class CompiledProgramCache:
         if self._staged is not None:
             self.rollbacks += 1
             self._count("rollbacks")
-        self._staged = None
-        self._staged_cu_id = None
-        self._staged_states_old = None
-        self._staged_zdelta = None
+        self._clear_staged()
 
     def stats(self) -> dict:
         """Counter snapshot (also exported via the metrics registry)."""
@@ -573,6 +646,7 @@ class CompiledProgramCache:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
+            "structure_builds": self.structure_builds,
             "plan_patches": self.plan_patches,
             "plan_binds": self.plan_binds,
             "rollbacks": self.rollbacks,

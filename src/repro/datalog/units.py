@@ -21,8 +21,10 @@ rounds:
 * :class:`PlanSkeleton` holds everything that depends only on the
   *structure* of the compiled DAG (``node_keys``) and the program: node
   wiring (which value-store slots each unit reads), writer lists,
-  Δ-occurrence slots, arities. Building it walks every rule body once
-  per task node — the expensive part of plan construction.
+  Δ-occurrence slots, arities, and per task its compiled rule plan and
+  *read set* — the predicates the rule scans outside its Δ-restricted
+  occurrence. Building it walks every rule body once per task node —
+  the expensive part of plan construction.
 * :meth:`PlanSkeleton.bind` stamps one round's *data* onto the skeleton
   — per-node old values, EDB baselines — producing an
   :class:`ExecutionPlan`. :meth:`PlanSkeleton.patch` restamps an
@@ -48,7 +50,13 @@ from typing import Callable
 
 import numpy as np
 
-from .columnar import InternPool, eval_rule_columnar
+from .columnar import (
+    ColumnarRelation,
+    InternPool,
+    RulePlan,
+    compile_rule_plan,
+    run_rule_plan,
+)
 from .compiler import CompiledUpdate, _cumulative_states
 from .database import Database, Relation
 from .depgraph import DependencyGraph
@@ -161,6 +169,10 @@ class ExecutionPlan:
     ctx: RoundCtx | None = None
     #: the static wiring this plan was bound from (enables patching)
     skeleton: "PlanSkeleton | None" = None
+    #: scheduler pre-computation over this plan's DAG (interval lists),
+    #: handed to ``Scheduler.prepare`` through ``SchedulerContext.memo``
+    #: and kept for as long as the plan is restamped rather than rebuilt
+    sched_memo: dict = field(default_factory=dict)
 
     def new_store(self) -> ValueStore:
         """A fresh value store for one execution of this plan."""
@@ -214,7 +226,11 @@ class _TaskWiring:
     k: int
     ri: int
     pos: int | None
-    #: body predicate → feeding node id (None: read ctx.baseline)
+    #: the rule's compiled step program (None under row storage)
+    plan: RulePlan | None
+    #: read set: every predicate the rule scans or negates outside its
+    #: Δ-restricted occurrence → feeding node id (None: ctx.baseline).
+    #: Only these are materialised as relations when the unit runs.
     sources: dict[str, int | None]
     dq: str | None
     delta_cur: int | None
@@ -279,11 +295,7 @@ class PlanSkeleton:
             for p, rel in db.relations.items():
                 self.arity_of.setdefault(p, rel.arity)
 
-        self.key_to_id = {
-            key: nid
-            for nid, key in enumerate(self.node_keys)
-            if key is not None
-        }
+        self.key_to_id = cu.structure.key_to_id
 
         # writer tasks per predicate-state node, from the task keys
         writers: dict[tuple[str, int, int], list[int]] = {}
@@ -325,8 +337,9 @@ class PlanSkeleton:
 
         EDB nodes read only the round baseline; predicate-state nodes
         read their predecessor state plus their writer tasks; task nodes
-        read their wired sources and Δ-window states. The process
-        executor serializes exactly these values into each dispatch.
+        read their read set's sources and the two Δ-window states. The
+        process executor serializes exactly these values into each
+        dispatch.
         """
         deps = self._input_nodes.get(nid)
         if deps is not None:
@@ -358,16 +371,21 @@ class PlanSkeleton:
     ) -> _TaskWiring:
         rule = self.rules[ri]
         stratum_set = set(self.strata[si])
+        if self.pool is not None:
+            plan = compile_rule_plan(rule, self.join_orders.get(ri), pos)
+            reads = plan.reads
+        else:
+            plan = None
+            reads = frozenset(
+                lit.atom.predicate
+                for i, lit in enumerate(rule.body)
+                if lit.atom is not None and i != pos
+            )
 
-        # where each body predicate's input value comes from: a node id,
+        # where each read predicate's input value comes from: a node id,
         # or the ctx baseline for stratum-local predicates at k == 0
         sources: dict[str, int | None] = {}
-        for lit in rule.body:
-            if lit.atom is None:
-                continue
-            q = lit.atom.predicate
-            if q in sources:
-                continue
+        for q in sorted(reads):
             if q in stratum_set and q not in self.edb_set:
                 sources[q] = (
                     self.key_to_id[("pred", q, si, k - 1)] if k > 0 else None
@@ -386,7 +404,7 @@ class PlanSkeleton:
             delta_cur = delta_prev = None
 
         return _TaskWiring(
-            si=si, k=k, ri=ri, pos=pos, sources=sources,
+            si=si, k=k, ri=ri, pos=pos, plan=plan, sources=sources,
             dq=dq, delta_cur=delta_cur, delta_prev=delta_prev,
         )
 
@@ -473,48 +491,49 @@ class PlanSkeleton:
 
         wiring = self.task_wiring[nid]
         rule = self.rules[wiring.ri]
+        rule_plan = wiring.plan
         arity_of = self.arity_of
         pos, dq = wiring.pos, wiring.dq
-        sources = wiring.sources
+        sources = tuple(wiring.sources.items())
         delta_cur, delta_prev = wiring.delta_cur, wiring.delta_prev
         order = self.join_orders.get(wiring.ri)
 
         def run_task(values: ValueStore) -> frozenset:
+            overrides = None
+            if pos is not None:
+                older = (
+                    values[delta_prev]
+                    if delta_prev is not None
+                    else ctx.baseline[dq]
+                )
+                delta_facts = values[delta_cur] - older
+                if not delta_facts:
+                    return frozenset()
+                # the Δ relation, built in the layout the join scans
+                if rule_plan is not None:
+                    delta_rel = ColumnarRelation.from_facts(
+                        ctx.pool, dq, arity_of[dq], delta_facts
+                    )
+                else:
+                    delta_rel = _fresh_relation(dq, arity_of[dq], delta_facts)
+                overrides = {dq: delta_rel}
             db = Database()
-            for q, src in sources.items():
+            for q, src in sources:
                 facts = (
                     values[src] if src is not None else ctx.baseline[q]
                 )
                 db.relations[q] = ctx.rel(q, arity_of[q], facts)
-            pool = ctx.pool
-            if pos is None:
-                if pool is not None:
-                    return frozenset(
-                        eval_rule_columnar(rule, db, pool, order=order)
-                    )
-                return frozenset(eval_rule(rule, db, order=order))
-            older = (
-                values[delta_prev]
-                if delta_prev is not None
-                else ctx.baseline[dq]
-            )
-            delta_facts = values[delta_cur] - older
-            if not delta_facts:
-                return frozenset()
-            delta_rel = _fresh_relation(dq, arity_of[dq], delta_facts)
-            if pool is not None:
+            if rule_plan is not None:
                 return frozenset(
-                    eval_rule_columnar(
-                        rule, db, pool,
-                        delta_overrides={dq: delta_rel}, delta_at=pos,
-                        order=order,
-                    )
+                    run_rule_plan(rule_plan, db, ctx.pool, overrides)
                 )
+            if pos is None:
+                return frozenset(eval_rule(rule, db, order=order))
             return frozenset(
                 instantiate_head(rule.head, subst)
                 for subst in join_body(
                     rule.body, db,
-                    delta_overrides={dq: delta_rel}, delta_at=pos,
+                    delta_overrides=overrides, delta_at=pos,
                     order=order,
                 )
             )

@@ -395,7 +395,8 @@ class RoundExecutor:
         scheduler.bind_oracle(oracle)
         scheduler.bind_sink(sink)
         ctx = SchedulerContext(
-            trace=trace, processors=workers, oracle=oracle
+            trace=trace, processors=workers, oracle=oracle,
+            memo=plan.sched_memo,
         )
         t_prep = perf_counter()
         with sink.span("prepare", "phase", args={"sched": scheduler.name}):

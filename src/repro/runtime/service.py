@@ -73,7 +73,7 @@ from ..datalog.database import Database
 from ..datalog.incremental import Delta, IncrementalEngine, merge_deltas
 from ..datalog.plancache import CompiledProgramCache
 from ..datalog.zset import effective_zdelta
-from ..datalog.units import build_execution_plan
+from ..datalog.units import ExecutionPlan, ValueStore, build_execution_plan
 from ..obs import NULL_SINK, TraceSink
 from ..obs.metrics import MetricsRegistry
 from ..schedulers.base import Scheduler
@@ -182,15 +182,38 @@ class RoundReport:
     materialization_ok: bool = True
 
 
-def _facts_delta(old: Database, new: Database) -> int:
-    """Net facts inserted plus deleted between two materializations."""
-    od, nd = old.as_dict(), new.as_dict()
-    total = 0
-    for pred in od.keys() | nd.keys():
-        a = od.get(pred, frozenset())
-        b = nd.get(pred, frozenset())
-        total += len(a ^ b)
-    return total
+def _round_diffs(
+    plan: ExecutionPlan, values: ValueStore, check: bool
+) -> tuple[int, int]:
+    """``(diverging, changed)`` fact counts of one executed round.
+
+    ``diverging`` — counted only when ``check`` — is how many facts the
+    executed units' final values differ by from the from-scratch
+    ``db_new``: 0 iff the runtime materialization *is* the from-scratch
+    one. ``changed`` is facts inserted plus deleted between ``db_old``
+    and ``db_new``. Both come from one pass, relation by relation, over
+    sets the round already holds — each final node's value, its old
+    value, ``db_new``'s own storage — so no database is assembled and no
+    relation copied; :meth:`ExecutionPlan.materialization` stays the
+    assembler for callers that want the database itself.
+    """
+    cu = plan.compiled
+    diverging = changed = 0
+    for pred, rel in cu.db_new.relations.items():
+        node = plan.final_nodes.get(pred)
+        if node is not None:
+            got, old = values[node], plan.old_values[node]
+        else:
+            # never mentioned by the program: carried through from the
+            # EDB untouched
+            got = frozenset(cu.edb_new.relations.get(pred, ()))
+            old = frozenset(cu.db_old.relations.get(pred, ()))
+        same = not check or rel.holds_exactly(got)
+        if not same:
+            diverging += rel.diff_count(got)
+        if not (same and got is old):
+            changed += rel.diff_count(old)
+    return diverging, changed
 
 
 class UpdateStreamService:
@@ -877,23 +900,22 @@ class UpdateStreamService:
             with sink.span("verify", "phase"):
                 artifacts: RoundArtifacts | None = None
                 report: VerificationReport | None = None
-                mat_ok = True
                 if outcome is not None:
                     artifacts = record_round(outcome, cu.trace)
-                if self.verify:
-                    if artifacts is not None:
-                        report = artifacts.check()
-                        if self.strict and not report.ok:
-                            raise RoundVerificationError(
-                                self._rounds_run, report
-                            )
-                    mat = plan.materialization(values)
-                    mat_ok = mat.as_dict() == cu.db_new.as_dict()
-                    if not mat_ok and self.strict:
-                        raise MaterializationDivergenceError(
-                            self._rounds_run,
-                            f"{_facts_delta(mat, cu.db_new)} facts differ",
+                if self.verify and artifacts is not None:
+                    report = artifacts.check()
+                    if self.strict and not report.ok:
+                        raise RoundVerificationError(
+                            self._rounds_run, report
                         )
+                diverging, changed_facts = _round_diffs(
+                    plan, values, check=self.verify
+                )
+                mat_ok = diverging == 0
+                if not mat_ok and self.strict:
+                    raise MaterializationDivergenceError(
+                        self._rounds_run, f"{diverging} facts differ"
+                    )
             if self.maintenance is not None:
                 # shadow oracle: replay the effective delta through the
                 # configured maintenance strategy and insist it lands on
@@ -941,7 +963,7 @@ class UpdateStreamService:
                 n_nodes=cu.trace.dag.n_nodes,
                 n_active=cu.trace.n_active,
                 tasks_executed=tasks_executed,
-                changed_facts=_facts_delta(cu.db_old, cu.db_new),
+                changed_facts=changed_facts,
                 latency_s=perf_counter() - t_round,
                 compile_s=compile_s,
                 execute_s=execute_s,

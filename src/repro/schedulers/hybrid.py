@@ -65,7 +65,8 @@ class HybridScheduler(Scheduler):
         self._undispatched = 0
         self._lb_ops = 0
         self._n_queued = 0
-        # LogicBlox side
+        # LogicBlox side (its interval lists live in ctx.memo: built
+        # once per Dag when the driver keeps the memo across rounds)
         self._lbx.reset_counters()
         self._lbx.prepare(ctx)
         self._dispatched = set()

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +60,65 @@ from ..dag.intervals import IntervalIndex
 from .base import Scheduler, SchedulerContext
 
 __all__ = ["LogicBloxScheduler"]
+
+
+@dataclass(frozen=True, eq=False)
+class _AncestorIntervals:
+    """The interval lists of one ``Dag``, flattened for vectorized scans.
+
+    A function of ``dag`` alone and read-only once built, so
+    :meth:`LogicBloxScheduler.prepare` keeps it in
+    ``SchedulerContext.memo`` and every later ``prepare`` over the same
+    ``Dag`` object reuses it.
+    """
+
+    dag: Dag
+    #: node → its slice ``offsets[u]:offsets[u + 1]`` of ``lo``/``hi``
+    offsets: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    #: node → postorder key in the reversed DAG
+    key_of: np.ndarray
+    #: node → interval-list length
+    counts: np.ndarray
+    #: Σ interval-list lengths
+    total: int
+    memory_cells: int
+
+    _MEMO_KEY = "logicblox.ancestor_intervals"
+
+    @classmethod
+    def of(cls, ctx: SchedulerContext) -> "_AncestorIntervals":
+        dag = ctx.dag
+        cached = ctx.memo.get(cls._MEMO_KEY)
+        if cached is not None and cached.dag is dag:
+            return cached
+        rev = Dag(dag.n_nodes, dag.edge_array()[:, ::-1], validate=False)
+        index = IntervalIndex(rev)
+        n = dag.n_nodes
+        counts = index.list_lengths()
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        total = int(offsets[-1])
+        flat = (
+            np.concatenate([index.interval_array(u) for u in range(n)])
+            if total
+            else np.empty((0, 2), dtype=np.int64)
+        )
+        built = cls(
+            dag=dag,
+            offsets=offsets,
+            lo=np.ascontiguousarray(flat[:, 0]),
+            hi=np.ascontiguousarray(flat[:, 1]),
+            key_of=np.array(
+                [index.postorder(u) for u in range(n)], dtype=np.int64
+            ),
+            counts=counts,
+            total=total,
+            memory_cells=index.memory_cells,
+        )
+        ctx.memo[cls._MEMO_KEY] = built
+        return built
 
 
 class LogicBloxScheduler(Scheduler):
@@ -83,27 +143,17 @@ class LogicBloxScheduler(Scheduler):
     # ------------------------------------------------------------------
     def prepare(self, ctx: SchedulerContext) -> None:
         dag = ctx.dag
-        rev = Dag(dag.n_nodes, dag.edge_array()[:, ::-1], validate=False)
-        index = IntervalIndex(rev)
+        ivl = _AncestorIntervals.of(ctx)
         n = dag.n_nodes
-        counts = index.list_lengths()
-        self._ivl_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._ivl_offsets[1:])
-        total = int(self._ivl_offsets[-1])
-        flat = (
-            np.concatenate([index.interval_array(u) for u in range(n)])
-            if total
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        self._ivl_lo = np.ascontiguousarray(flat[:, 0])
-        self._ivl_hi = np.ascontiguousarray(flat[:, 1])
-        self._key_of = np.array(
-            [index.postorder(u) for u in range(n)], dtype=np.int64
-        )
-        self._n_ivl = counts
+        self._ivl_offsets = ivl.offsets
+        self._ivl_lo = ivl.lo
+        self._ivl_hi = ivl.hi
+        self._key_of = ivl.key_of
+        self._n_ivl = ivl.counts
 
-        self.precompute_ops = dag.n_nodes + dag.n_edges + total
-        self.precompute_memory_cells = index.memory_cells
+        # the modelled cost of building the lists, reused or not
+        self.precompute_ops = dag.n_nodes + dag.n_edges + ivl.total
+        self.precompute_memory_cells = ivl.memory_cells
 
         self._n = n
         self._oracle = ctx.oracle

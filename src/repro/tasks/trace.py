@@ -127,6 +127,20 @@ class JobTrace:
             self._levels = compute_levels(self.dag)
         return self._levels
 
+    def seed_levels(self, levels: np.ndarray) -> None:
+        """Install precomputed longest-path levels of ``dag``.
+
+        For a builder that stamps many traces onto one DAG (the Datalog
+        compiler does, one a round) and computed the levels once. The
+        array is shared, not copied; treat it as read-only.
+        """
+        if levels.shape != (self.dag.n_nodes,):
+            raise ValueError(
+                f"levels must have shape ({self.dag.n_nodes},), "
+                f"got {levels.shape}"
+            )
+        self._levels = levels
+
     @property
     def n_levels(self) -> int:
         """The ``L`` of Table I."""

@@ -25,6 +25,7 @@ from repro.datalog import (
     eval_rule_columnar,
     parse_rule,
 )
+import repro.datalog.columnar as columnar
 from repro.datalog.database import Relation
 from repro.datalog.unify import eval_rule
 
@@ -200,3 +201,21 @@ def test_eval_rule_columnar_matches_per_tuple(
     ) == eval_rule(
         rule, db, delta_overrides=overrides, delta_at=delta_at
     )
+
+
+def test_rule_plan_in_use_survives_the_memo_cap(monkeypatch):
+    """Past its cap the compiled-plan memo drops the least recently
+    used entry, not everything: a plan looked up between the others is
+    still the same object after many more rules than the cap passed."""
+    monkeypatch.setattr(columnar, "_RULE_PLAN_CAP", 4)
+    monkeypatch.setattr(columnar, "_RULE_PLANS", type(columnar._RULE_PLANS)())
+    hot = parse_rule("p(X, Z) :- p(X, Y), e(Y, Z).")
+    plan = columnar.compile_rule_plan(hot, None, 0)
+    assert plan.reads == {"e"}
+    for i in range(12):
+        other = parse_rule(f"q{i}(X) :- e(X, Y), f(Y, {i}).")
+        assert columnar.compile_rule_plan(other, None, None).reads == {
+            "e", "f",
+        }
+        assert columnar.compile_rule_plan(hot, None, 0) is plan
+        assert len(columnar._RULE_PLANS) <= 4

@@ -15,11 +15,14 @@ Two layers of evidence:
 """
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.datalog.plancache as plancache
+import repro.schedulers.logicblox as logicblox
 from repro.datalog import (
     CompiledProgramCache,
     Database,
@@ -27,9 +30,11 @@ from repro.datalog import (
     compile_update,
     parse_program,
 )
+from repro.datalog.plancache import RelationIndexCache
 from repro.datalog.units import build_execution_plan
 from repro.runtime.executor import RoundExecutor
 from repro.schedulers import scheduler_registry
+from repro.sim import simulate
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -234,3 +239,136 @@ def test_edb_schema_change_invalidates():
     other.relation("weight", 3)  # new predicate: schema differs
     cache.compile(program, other, Delta().insert("edge", (5, 6)))
     assert cache.invalidations == 1
+
+
+# ----------------------------------------------------------------------
+# what a round rebuilds and what it restamps
+# ----------------------------------------------------------------------
+def _chain_rounds(cache, program, depth, rounds):
+    """Serve ``rounds`` rounds over a ``depth``-edge chain, each hanging
+    a new leaf off the middle (every ``path@k`` past it is a fact set
+    never seen before); relation-cache builds + derives of each round."""
+    edb = _edb({(i, i + 1) for i in range(depth)})
+    built = []
+    for i in range(rounds):
+        delta = Delta().insert("edge", (depth // 2, depth + 5 + i))
+        before = cache.relations.builds + cache.relations.derives
+        cu = cache.compile(program, edb, delta)
+        plan = cache.plan(cu)
+        values, _ = plan.execute_serial()
+        assert plan.materialization(values).as_dict() == cu.db_new.as_dict()
+        cache.commit(cu)
+        edb = cu.edb_new
+        built.append(
+            cache.relations.builds + cache.relations.derives - before
+        )
+    return built
+
+
+def test_relation_builds_per_round_do_not_grow_with_depth():
+    """A Δ-restricted rule never scans its own predicate, so a round
+    indexes the changed EDB relation and nothing per iteration: the
+    per-round build count on a 30-deep chain is the 10-deep one's."""
+    program = parse_program(TC)
+    per_depth = {}
+    for depth in (10, 30):
+        cache = CompiledProgramCache(program)
+        per_depth[depth] = _chain_rounds(cache, program, depth, rounds=5)[1:]
+    assert per_depth[30] == per_depth[10]
+    assert max(per_depth[30]) <= 2
+
+
+def test_same_structure_rounds_share_dag_plan_and_scheduler_memo():
+    """Two same-structure rounds restamp one skeleton — one ``Dag``, one
+    bound plan, one set of interval lists — and still report the
+    modelled pre-computation cost of a cold round; a round that unrolls
+    further gets a skeleton of its own."""
+    program = parse_program(TC)
+    cache = CompiledProgramCache(program)
+    sched = scheduler_registry()["hybrid"]()
+    edb = _edb({(i, i + 1) for i in range(6)})
+    toggles = [
+        Delta().insert("edge", (2, 50)),
+        Delta().delete("edge", (2, 50)),
+        Delta().insert("edge", (2, 50)),
+    ]
+    seen = []
+    for delta in toggles:
+        cu = cache.compile(program, edb, delta)
+        plan = cache.plan(cu)
+        out = RoundExecutor(plan, sched, workers=2).run()
+        cold = RoundExecutor(
+            build_execution_plan(compile_update(program, edb, delta)),
+            scheduler_registry()["hybrid"](),
+            workers=2,
+        ).run()
+        assert out.precompute_ops == cold.precompute_ops > 0
+        assert out.precompute_memory_cells == cold.precompute_memory_cells
+        (intervals,) = plan.sched_memo.values()
+        seen.append((cu.trace.dag, plan, plan.sched_memo, intervals))
+        cache.commit(cu)
+        edb = cu.edb_new
+    # rounds 1 and 2 toggle the same edge: one structure throughout
+    for later in seen[1:]:
+        assert all(a is b for a, b in zip(seen[0], later))
+    assert cache.structure_builds == 1 and cache.plan_binds == 1
+
+    # extending the chain adds an iteration: a new structure
+    cu = cache.compile(program, edb, Delta().insert("edge", (6, 7)))
+    plan = cache.plan(cu)
+    assert cu.trace.dag is not seen[0][0]
+    assert plan is not seen[0][1] and plan.sched_memo is not seen[0][2]
+    assert cache.structure_builds == 2 and cache.plan_binds == 2
+
+
+def test_simulator_gets_no_scheduler_memo(monkeypatch):
+    """``simulate`` hands every run a fresh memo: two runs over one
+    trace build the interval index twice, as the paper's accounting of
+    pre-computation per run assumes."""
+    built = []
+    real = logicblox.IntervalIndex
+
+    def counting(dag):
+        built.append(dag)
+        return real(dag)
+
+    monkeypatch.setattr(logicblox, "IntervalIndex", counting)
+    program = parse_program(TC)
+    cu = compile_update(
+        program, _edb({(0, 1), (1, 2)}), Delta().insert("edge", (2, 3))
+    )
+    sched = scheduler_registry()["logicblox"]()
+    first = simulate(cu.trace, sched, processors=2)
+    second = simulate(cu.trace, sched, processors=2)
+    assert len(built) == 2
+    assert first.precompute_ops == second.precompute_ops
+
+
+def test_relation_cache_builds_outside_the_lock(monkeypatch):
+    """Two lanes missing on one value build concurrently — neither
+    holds the lock while it loops over the facts — and the first to
+    publish wins: one object for both callers, one counted build."""
+    both_building = threading.Barrier(2, timeout=10)
+
+    class Rendezvous(plancache.Relation):
+        def __init__(self, name, arity):
+            super().__init__(name, arity)
+            both_building.wait()
+
+    monkeypatch.setattr(plancache, "Relation", Rendezvous)
+    cache = RelationIndexCache()
+    facts = frozenset((i, i + 1) for i in range(50))
+    got = []
+
+    def lane():
+        got.append(cache.get("edge", 2, facts))
+
+    lanes = [threading.Thread(target=lane) for _ in range(2)]
+    for t in lanes:
+        t.start()
+    for t in lanes:
+        t.join(timeout=20)
+    assert not any(t.is_alive() for t in lanes)
+    assert len(got) == 2 and got[0] is got[1]
+    assert set(got[0]) == facts
+    assert cache.builds == 1 and cache.hits == 1 and len(cache) == 1

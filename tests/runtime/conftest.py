@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.datalog import Database, Delta
 from repro.workloads.datalog_workloads import compile_workload
 
 WORKLOADS = (
@@ -19,3 +22,93 @@ WORKLOADS = (
 def compiled_workloads():
     """One compiled update per workload, shared across the suite."""
     return {name: compile_workload(name) for name in WORKLOADS}
+
+
+#: Rule shapes that stress a task unit's *read set* — the predicates it
+#: materialises beside its Δ-restricted occurrence. All over ``e/2``,
+#: ``src/1``, ``blocked/1`` and ``flag/1``.
+READ_SET_SHAPES = {
+    # the same predicate at the Δ position and at a non-Δ position
+    "nonlinear": """
+        p(X, Y) :- e(X, Y).
+        p(X, Z) :- p(X, Y), p(Y, Z).
+    """,
+    # the Δ predicate of each rule is the *other* rule's head
+    "mutual": """
+        odd(X, Y) :- e(X, Y).
+        even(X, Z) :- odd(X, Y), e(Y, Z).
+        odd(X, Z) :- even(X, Y), e(Y, Z).
+    """,
+    # negation of a lower-stratum predicate, inside a Δ rule and outside
+    "negation": """
+        r(X) :- src(X).
+        r(Y) :- r(X), e(X, Y), !blocked(Y).
+        n(X) :- e(X, Y).
+        n(Y) :- e(X, Y).
+        unreached(X) :- n(X), !r(X).
+    """,
+    # a body atom of constants only: read, but binds nothing
+    "constants": """
+        p(X, Y) :- e(X, Y), flag(1).
+        p(X, Z) :- p(X, Y), e(Y, Z), flag(1).
+    """,
+    # an aggregate head over a recursive predicate
+    "aggregate": """
+        p(X, Y) :- e(X, Y).
+        p(X, Z) :- p(X, Y), e(Y, Z).
+        fanout(X, count(Y)) :- p(X, Y).
+    """,
+}
+
+
+def read_set_edb() -> Database:
+    """The initial EDB the read-set shapes run over."""
+    db = Database()
+    db.relation("e", 2)
+    db.relation("src", 1)
+    db.relation("blocked", 1)
+    db.relation("flag", 1)
+    for t in [(0, 1), (1, 2), (2, 3), (3, 1), (4, 5)]:
+        db.add_fact("e", t)
+    db.add_fact("src", (0,))
+    db.add_fact("blocked", (5,))
+    db.add_fact("flag", (1,))
+    return db
+
+
+def read_set_stream(program, seed: int = 11, rounds: int = 6) -> list[Delta]:
+    """Alternating insert and delete rounds over ``program``'s EDB.
+
+    Even rounds insert, odd rounds delete what an earlier round
+    inserted or the initial EDB held, so both Δ directions cross every
+    shape; ``flag`` and ``blocked`` toggle along the way. Predicates
+    the program never mentions are left alone.
+    """
+    rng = random.Random(seed)
+    edges = [(0, 1), (1, 2), (2, 3), (3, 1), (4, 5)]
+    mentioned = program.predicates()
+    deltas = []
+    for i in range(rounds):
+        ops = []
+        if i % 2 == 0:
+            for _ in range(3):
+                t = (rng.randint(0, 6), rng.randint(0, 6))
+                ops.append(("insert", "e", t))
+                edges.append(t)
+            ops.append(("insert", "blocked", (rng.randint(0, 6),)))
+            ops.append(("insert", "src", (rng.randint(0, 6),)))
+            if i % 4 == 0:
+                ops.append(("insert", "flag", (1,)))
+        else:
+            for _ in range(2):
+                t = edges.pop(rng.randrange(len(edges)))
+                ops.append(("delete", "e", t))
+            ops.append(("delete", "blocked", (5,)))
+            if i % 4 == 1:
+                ops.append(("delete", "flag", (1,)))
+        d = Delta()
+        for op, pred, fact in ops:
+            if pred in mentioned:
+                getattr(d, op)(pred, fact)
+        deltas.append(d)
+    return deltas

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datalog import parse_program, seminaive_evaluate
 from repro.runtime import (
     UpdateStreamService,
     live_workload,
@@ -21,6 +22,8 @@ from repro.runtime import (
     process_backend_available,
 )
 from repro.schedulers import scheduler_registry
+
+from .conftest import READ_SET_SHAPES, read_set_edb, read_set_stream
 
 REGISTRY = scheduler_registry()
 ALL_SCHEDULERS = sorted(REGISTRY)
@@ -163,3 +166,44 @@ def test_cache_on_off_columnar_agree():
     cold = serve("tc", "bursty", plan_cache=False)
     warm = serve("tc", "bursty", plan_cache=True)
     assert cold == warm
+
+
+def serve_shape(shape, *, storage, executor="thread", plan_cache=True):
+    """Serve one read-set shape's stream; canonical materialization."""
+    program = parse_program(READ_SET_SHAPES[shape])
+    svc = UpdateStreamService(
+        program,
+        read_set_edb(),
+        REGISTRY["hybrid"](),
+        workers=3,
+        plan_cache=plan_cache,
+        executor=executor,
+        storage=storage,
+    )
+    for delta in read_set_stream(program):
+        svc.submit(delta)
+        rep = svc.run_round()
+        assert rep is None or rep.materialization_ok
+    scratch, _ = seminaive_evaluate(program, svc.database())
+    return canonical_bytes(svc.materialization()), canonical_bytes(scratch)
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cache", "cold"])
+@pytest.mark.parametrize("shape", sorted(READ_SET_SHAPES))
+def test_read_set_shapes_columnar_vs_row(shape, cache):
+    """Units that materialise only their read set serve every
+    adversarial shape to the from-scratch bytes, whichever the storage
+    and whether or not relations come from the cross-round cache."""
+    row, scratch = serve_shape(shape, storage="row", plan_cache=cache)
+    col, _ = serve_shape(shape, storage="columnar", plan_cache=cache)
+    assert row == col == scratch
+
+
+@needs_fork
+@pytest.mark.parametrize("shape", sorted(READ_SET_SHAPES))
+def test_read_set_shapes_process_vs_thread(shape):
+    """The process backend ships exactly a node's ``input_nodes`` —
+    now the read set plus the Δ window — and must still agree."""
+    thread, scratch = serve_shape(shape, storage="columnar")
+    proc, _ = serve_shape(shape, storage="columnar", executor="process")
+    assert thread == proc == scratch

@@ -12,6 +12,7 @@ import pytest
 from repro.datalog import Delta, seminaive_evaluate
 from repro.runtime import (
     BackpressureError,
+    MaterializationDivergenceError,
     UpdateStreamService,
     live_workload,
     make_stream,
@@ -165,3 +166,53 @@ def test_metrics_json_shape():
     assert round0["scheduler"] == "Hybrid"
     assert round0["latency_s"] > 0
     assert round0["tasks_executed"] >= 0
+
+
+def test_changed_facts_is_the_old_to_new_materialization_diff():
+    """``changed_facts`` — now read off the executed final values —
+    is still |db_old Δ db_new|, on rounds that change facts and on
+    rounds that leave whole relations alone."""
+    wl, svc = make_service("retail")
+    seen = 0
+    for batches in make_stream(wl, "mixed", rounds=6):
+        for delta in batches:
+            svc.submit(delta)
+        rep = svc.run_round()
+        if rep is None or rep.compiled is None:
+            continue
+        old, new = rep.compiled.db_old.as_dict(), rep.compiled.db_new.as_dict()
+        expected = sum(
+            len(old.get(p, set()) ^ new.get(p, set()))
+            for p in old.keys() | new.keys()
+        )
+        assert rep.metrics.changed_facts == expected
+        seen += expected
+    assert seen > 0
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_diverging_unit_output_is_caught_relation_by_relation(strict):
+    """A unit that drops a fact makes the round's final values differ
+    from from-scratch evaluation: strict raises with the fact count,
+    non-strict reports ``materialization_ok=False``."""
+    wl, svc = make_service("tc", scheduler="levelbased", strict=strict)
+    real_plan = svc.plan_cache.plan
+
+    def lossy_plan(cu):
+        plan = real_plan(cu)
+        node = plan.final_nodes["path"]
+        unit = plan.units[node]
+        run = unit.run
+        unit.run = lambda values: frozenset(sorted(run(values))[1:])
+        return plan
+
+    svc.plan_cache.plan = lossy_plan
+    svc.submit(wl.random_batch(2))
+    if strict:
+        with pytest.raises(
+            MaterializationDivergenceError, match="1 facts differ"
+        ):
+            svc.run_round()
+    else:
+        rep = svc.run_round()
+        assert rep is not None and not rep.materialization_ok
