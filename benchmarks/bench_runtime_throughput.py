@@ -18,12 +18,7 @@ import pytest
 from conftest import run_once
 
 from repro.analysis import render_table
-from repro.runtime import (
-    UpdateStreamService,
-    live_workload,
-    make_stream,
-    process_backend_available,
-)
+from repro.runtime import UpdateStreamService, live_workload, make_stream
 from repro.schedulers import scheduler_registry
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_runtime.json"
@@ -33,18 +28,14 @@ WORKERS = 4
 SEED = 17
 
 
-def serve_stream(
-    sched_name: str, executor: str = "thread", storage: str = "columnar"
-):
+def serve_stream(sched_name: str):
     wl = live_workload("retail", seed=SEED)
     svc = UpdateStreamService(
         wl.program,
         wl.edb,
         scheduler_registry()[sched_name](),
         workers=WORKERS,
-        executor=executor,
-        storage=storage,
-        name=f"bench:{sched_name}:{storage}/{executor}",
+        name=f"bench:{sched_name}",
     )
     for batches in make_stream(wl, "bursty", rounds=ROUNDS):
         for delta in batches:
@@ -54,30 +45,14 @@ def serve_stream(
     return svc.metrics
 
 
-#: executor × storage cells benched on one scheduler (hybrid) to put
-#: the backend choice on the same retail/bursty stream as the
-#: scheduler sweep; the process cell is skipped off-linux
-BACKEND_CELLS = [
-    ("thread", "row"),
-    ("thread", "columnar"),
-] + ([("process", "columnar")] if process_backend_available() else [])
-
-
 def test_runtime_throughput(benchmark, emit):
     def run():
-        logs = {
+        return {
             name: serve_stream(name)
             for name in sorted(scheduler_registry())
         }
-        cells = {
-            f"{storage}/{executor}": serve_stream(
-                "hybrid", executor=executor, storage=storage
-            )
-            for executor, storage in BACKEND_CELLS
-        }
-        return logs, cells
 
-    logs, cells = run_once(benchmark, run)
+    logs = run_once(benchmark, run)
 
     rows = []
     payload = {
@@ -110,25 +85,6 @@ def test_runtime_throughput(benchmark, emit):
             ),
         }
 
-    payload["backends"] = {}
-    backend_rows = []
-    for cell_name, log in cells.items():
-        pcts = log.latency_percentiles((50.0, 99.0))
-        backend_rows.append(
-            [
-                cell_name,
-                f"{log.rounds_per_second():.1f}",
-                f"{pcts['p50'] * 1e3:.2f}",
-                f"{pcts['p99'] * 1e3:.2f}",
-            ]
-        )
-        payload["backends"][cell_name] = {
-            "scheduler": "hybrid",
-            "rounds_per_sec": round(log.rounds_per_second(), 3),
-            "p50_latency_ms": round(pcts["p50"] * 1e3, 3),
-            "p99_latency_ms": round(pcts["p99"] * 1e3, 3),
-        }
-
     text = render_table(
         ["scheduler", "rounds/s", "p50 ms", "p99 ms"],
         rows,
@@ -136,17 +92,11 @@ def test_runtime_throughput(benchmark, emit):
             f"runtime throughput — retail/bursty, {ROUNDS} rounds, "
             f"{WORKERS} workers (verification on)"
         ),
-    ) + "\n\n" + render_table(
-        ["storage/executor", "rounds/s", "p50 ms", "p99 ms"],
-        backend_rows,
-        title="backend matrix — hybrid scheduler, same stream",
     )
     emit("runtime_throughput", text)
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
     for name, stats in payload["schedulers"].items():
-        assert stats["rounds_per_sec"] > 0, name
-    for name, stats in payload["backends"].items():
         assert stats["rounds_per_sec"] > 0, name
 
 

@@ -257,15 +257,8 @@ def cmd_serve(args) -> int:
         UpdateStreamService,
         live_workload,
         make_stream,
-        process_backend_available,
     )
     from .sim.faults import DeadlineExceededError
-
-    if args.executor == "process" and not process_backend_available():
-        raise SystemExit(
-            "serve: --executor process needs fork-capable multiprocessing "
-            "(unavailable on this platform); use --executor thread"
-        )
 
     try:
         wl = live_workload(args.program, seed=args.seed)
@@ -295,8 +288,6 @@ def cmd_serve(args) -> int:
         chaos=chaos,
         shed_policy=args.shed_policy,
         maintenance=args.maintenance,
-        executor=args.executor,
-        storage=args.storage,
     )
     try:
         stream = make_stream(
@@ -306,8 +297,7 @@ def cmd_serve(args) -> int:
         raise SystemExit(f"serve: {exc}") from None
     print(
         f"serving {wl.name} ({args.stream} stream) under "
-        f"{scheduler.name}, {args.workers} workers "
-        f"({args.executor} executor, {args.storage} storage)"
+        f"{scheduler.name}, {args.workers} workers"
         + (
             f", {args.maintenance} maintenance oracle"
             if args.maintenance is not None
@@ -721,16 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of stream ticks to serve")
     p.add_argument("-w", "--workers", type=int, default=4,
                    help="executor worker-pool width")
-    p.add_argument(
-        "--executor", default="thread", choices=("thread", "process"),
-        help="unit executor backend: GIL-sharing threads (default) or "
-             "forked worker processes with diff-shipping hand-off",
-    )
-    p.add_argument(
-        "--storage", default="columnar", choices=("row", "columnar"),
-        help="Z-set payload layout: interned columnar indexes with "
-             "vectorized joins (default) or plain row tuples",
-    )
     p.add_argument("--batch-size", type=int, default=2,
                    help="update operations per generated batch")
     p.add_argument("--capacity", type=int, default=64,

@@ -22,7 +22,6 @@ from .bf import (
 )
 from .columnar import (
     ColumnarRelation,
-    ColumnarZSet,
     InternPool,
     InternTable,
     eval_rule_columnar,
@@ -76,7 +75,6 @@ __all__ = [
     "InternTable",
     "InternPool",
     "ColumnarRelation",
-    "ColumnarZSet",
     "eval_rule_columnar",
     "IncrementalEngine",
     "BackwardForwardEngine",

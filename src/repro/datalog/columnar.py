@@ -19,10 +19,7 @@ differential-Datalog interpreters cited in PAPERS.md:
   assignments, negation probes, head projection/aggregation) and runs
   the whole binding *batch* through each step — a vectorized hash join:
   build once on the interned key columns, probe in bulk, no per-tuple
-  dict copies;
-* :class:`ColumnarZSet` is the interned twin of
-  :class:`~repro.datalog.zset.ZSetDelta`: the same pointwise weight
-  algebra over id-rows, convertible losslessly in both directions.
+  dict copies.
 
 The step programs are compiled from the same deferral fixpoint
 :func:`~repro.datalog.unify.join_body` runs dynamically — variable
@@ -43,13 +40,11 @@ from .ast import Aggregate, Constant, Rule, Variable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .database import Database
-    from .zset import ZSetDelta
 
 __all__ = [
     "InternTable",
     "InternPool",
     "ColumnarRelation",
-    "ColumnarZSet",
     "RulePlan",
     "compile_rule_plan",
     "run_rule_plan",
@@ -279,150 +274,6 @@ class ColumnarRelation:
             f"ColumnarRelation({self.name}/{self.arity}, "
             f"{len(self.rows)} rows)"
         )
-
-
-# ----------------------------------------------------------------------
-# columnar Z-sets
-# ----------------------------------------------------------------------
-class ColumnarZSet:
-    """A weighted delta over interned id-rows.
-
-    Same pointwise algebra as :class:`~repro.datalog.zset.ZSetDelta`
-    (weight-zero entries vanish eagerly), but keyed by id-rows so the
-    payload is a set of small-int column tuples. Converts losslessly to
-    and from the dict form; the property suite pins add/negate/merge
-    equivalence against the value-space algebra.
-    """
-
-    __slots__ = ("pool", "weights")
-
-    def __init__(self, pool: InternPool) -> None:
-        self.pool = pool
-        self.weights: dict[str, dict[tuple, int]] = {}
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_zdelta(
-        cls, pool: InternPool, zdelta: "ZSetDelta"
-    ) -> "ColumnarZSet":
-        out = cls(pool)
-        intern_fact = pool.intern_fact
-        for pred, facts in zdelta.weights.items():
-            out.weights[pred] = {
-                intern_fact(pred, f): w for f, w in facts.items()
-            }
-        return out
-
-    def to_zdelta(self) -> "ZSetDelta":
-        from .zset import ZSetDelta
-
-        extern_row = self.pool.extern_row
-        out = ZSetDelta()
-        for pred, rows in self.weights.items():
-            if rows:
-                out.weights[pred] = {
-                    extern_row(r): w for r, w in rows.items()
-                }
-        return out
-
-    # ------------------------------------------------------------------
-    def add_row(self, pred: str, row: tuple, weight: int = 1) -> "ColumnarZSet":
-        """Add ``weight`` to ``(pred, row)``; zero entries vanish."""
-        if weight == 0:
-            return self
-        rows = self.weights.setdefault(pred, {})
-        w = rows.get(row, 0) + weight
-        if w == 0:
-            del rows[row]
-            if not rows:
-                del self.weights[pred]
-        else:
-            rows[row] = w
-        return self
-
-    def add(self, pred: str, fact: tuple, weight: int = 1) -> "ColumnarZSet":
-        """Value-space add — interns the fact, then :meth:`add_row`."""
-        return self.add_row(pred, self.pool.intern_fact(pred, fact), weight)
-
-    def insert(self, pred: str, fact: tuple) -> "ColumnarZSet":
-        return self.add(pred, fact, 1)
-
-    def delete(self, pred: str, fact: tuple) -> "ColumnarZSet":
-        return self.add(pred, fact, -1)
-
-    def merge(self, other: "ColumnarZSet") -> "ColumnarZSet":
-        if other.pool is not self.pool:
-            raise ValueError("cannot merge ColumnarZSets from different pools")
-        for pred, rows in other.weights.items():
-            for row, w in rows.items():
-                self.add_row(pred, row, w)
-        return self
-
-    def __add__(self, other: "ColumnarZSet") -> "ColumnarZSet":
-        return self.copy().merge(other)
-
-    def __neg__(self) -> "ColumnarZSet":
-        out = ColumnarZSet(self.pool)
-        for pred, rows in self.weights.items():
-            out.weights[pred] = {r: -w for r, w in rows.items()}
-        return out
-
-    def copy(self) -> "ColumnarZSet":
-        out = ColumnarZSet(self.pool)
-        out.weights = {p: dict(rows) for p, rows in self.weights.items()}
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ColumnarZSet):
-            return NotImplemented
-        if other.pool is self.pool:
-            return self.weights == other.weights
-        return self.to_zdelta() == other.to_zdelta()
-
-    # ------------------------------------------------------------------
-    def weight(self, pred: str, fact: tuple) -> int:
-        """Weight of one value-space fact (0 when absent)."""
-        memo = self.pool._fact_rows.get(pred)
-        row = memo.get(fact) if memo is not None else None
-        if row is None:
-            return 0
-        return self.weights.get(pred, {}).get(row, 0)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.weights
-
-    def op_count(self) -> int:
-        return sum(
-            abs(w) for rows in self.weights.values() for w in rows.values()
-        )
-
-    def touched_predicates(self) -> set[str]:
-        return set(self.weights)
-
-    def relation(self, pred: str, sign: int = 1) -> ColumnarRelation:
-        """One sign's rows for ``pred`` as an indexable delta relation."""
-        rows = self.weights.get(pred, {})
-        side = {
-            r for r, w in rows.items() if (w > 0 if sign > 0 else w < 0)
-        }
-        arity = len(next(iter(side))) if side else 0
-        out = ColumnarRelation(pred, arity, self.pool)
-        out.rows = side
-        return out
-
-    def apply_to(self, crel: ColumnarRelation) -> int:
-        """Patch a columnar relation in place; returns rows changed."""
-        changed = 0
-        for row, w in self.weights.get(crel.name, {}).items():
-            if w > 0:
-                changed += crel.add_row(row)
-            else:
-                changed += crel.discard_row(row)
-        return changed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ColumnarZSet({self.to_zdelta()!r})"
 
 
 # ----------------------------------------------------------------------

@@ -208,7 +208,6 @@ def compile_update(
     zdelta = effective_zdelta(edb_old, delta)
     edb_new = apply_zdelta(edb_old, zdelta)
     run_program = program
-    touched = zdelta.touched_predicates()
     analysis = _usable_analysis(program, analysis)
     if analysis is not None:
         dead = analysis.prunable_rules(
@@ -224,10 +223,6 @@ def compile_update(
             )
             edb_old = with_program_schema(edb_old, program)
             edb_new = with_program_schema(edb_new, program)
-            # a delta may touch a predicate only dead rules read; the
-            # pruned DAG has no node for it (the augmented EDB still
-            # carries its facts through the materialization)
-            touched = touched & run_program.edb_predicates()
     db_old, ev_old = seminaive_evaluate(run_program, edb_old, record=True)
     db_new, ev_new = seminaive_evaluate(run_program, edb_new, record=True)
     return build_compiled_update(
@@ -238,7 +233,7 @@ def compile_update(
         db_new,
         ev_old,
         ev_new,
-        touched=touched,
+        touched=zdelta.touched_predicates(),
         work_per_derivation=work_per_derivation,
         name=name,
     )
@@ -422,7 +417,10 @@ def stamp_update(
     per-node change flags (hence per-edge flags), task work, the initial
     tasks — and wraps them with the shared ``G`` into a
     :class:`~repro.tasks.trace.JobTrace`. ``structure`` must be the one
-    :func:`structure_key` of these two traces selects.
+    :func:`structure_key` of these two traces selects. ``touched`` may
+    name predicates ``G`` has no EDB node for — read only by pruned dead
+    rules, or mentioned by no rule at all; they activate nothing (the
+    EDB still carries their facts through the materialization).
     """
     if ev_old.strata != ev_new.strata:  # pragma: no cover - depgraph is static
         raise AssertionError("stratification must not depend on the data")
@@ -473,7 +471,11 @@ def stamp_update(
             "structure_key() of these two traces"
         )
     initial = np.array(
-        sorted(structure.key_to_id[("edb", p)] for p in touched),
+        sorted(
+            structure.key_to_id[("edb", p)]
+            for p in touched
+            if ("edb", p) in structure.key_to_id
+        ),
         dtype=np.int64,
     )
     trace = JobTrace(

@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_SINK, TraceSink
 from .ast import Program
-from .columnar import ColumnarZSet, InternPool
+from .columnar import InternPool
 from .compiler import (
     CompiledUpdate,
     RoundStructure,
@@ -96,9 +96,9 @@ class RelationIndexCache:
     delta through :meth:`Relation.add`/:meth:`Relation.discard`, which
     maintain every index in O(|delta|).
 
-    Under columnar storage each cached relation also carries its
-    interned columnar mirror: derivation clones the mirror (rows and
-    columnar indexes) along with the row indexes, and the weighted
+    Each cached relation also carries its interned columnar mirror:
+    derivation clones the mirror (rows and columnar indexes) along with
+    the row indexes, and the weighted
     ``delta_ops`` maintain both through :meth:`Relation.add`/
     :meth:`Relation.discard` — so the batch joins of round ``N+1``
     probe the columnar indexes round ``N`` built, updated in
@@ -295,19 +295,11 @@ class CompiledProgramCache:
         max_plans: int = 8,
         relation_cache_size: int = 256,
         analysis: "ProgramAnalysis | None" = None,
-        storage: str = "columnar",
     ) -> None:
-        if storage not in ("row", "columnar"):
-            raise ValueError(
-                f"unknown storage {storage!r}; choose 'row' or 'columnar'"
-            )
-        self.storage = storage
-        #: shared intern pool under columnar storage (None for row);
-        #: survives invalidation — interned values stay valid across
-        #: program edits, only the relations keyed on them are dropped
-        self.pool: InternPool | None = (
-            InternPool() if storage == "columnar" else None
-        )
+        #: shared intern pool; survives invalidation — interned values
+        #: stay valid across program edits, only the relations keyed on
+        #: them are dropped
+        self.pool = InternPool()
         self._program = program
         self._fingerprint = repr(program)
         self._analysis = _usable_analysis(program, analysis)
@@ -342,8 +334,6 @@ class CompiledProgramCache:
         #: (insert-of-present, delete-of-absent, coalesced pairs) and
         #: therefore skipped all downstream compile/index work
         self.cancelled_ops = 0
-        #: weighted ops interned into the columnar delta (0 for row)
-        self.interned_ops = 0
 
     # ------------------------------------------------------------------
     def _count(self, name: str, n: int = 1) -> None:
@@ -454,15 +444,6 @@ class CompiledProgramCache:
             self.cancelled_ops += cancelled
             self._count("cancelled_ops", cancelled)
         edb_new = apply_zdelta(edb_old, zdelta)
-        touched = zdelta.touched_predicates()
-        if self.pool is not None and not zdelta.is_empty:
-            # intern the surviving weighted ops up front: any constant
-            # the round introduces gets its id (and per-predicate row
-            # memo) before evaluation or index derivation touches it
-            czset = ColumnarZSet.from_zdelta(self.pool, zdelta)
-            ops = czset.op_count()
-            self.interned_ops += ops
-            self._count("interned_ops", ops)
 
         # static-analysis pruning: drop rules that provably cannot fire
         # against either EDB snapshot; augment both snapshots with the
@@ -487,7 +468,6 @@ class CompiledProgramCache:
         if dead:
             edb_old = with_program_schema(edb_old, self._program)
             edb_new = with_program_schema(edb_new, self._program)
-            touched = touched & run_program.edb_predicates()
 
         prev = self._prev
         if (
@@ -531,7 +511,7 @@ class CompiledProgramCache:
             db_new,
             ev_old,
             ev_new,
-            touched=touched,
+            touched=zdelta.touched_predicates(),
             work_per_derivation=work_per_derivation,
             name=name,
             states_old=states_old,
@@ -642,7 +622,7 @@ class CompiledProgramCache:
 
     def stats(self) -> dict:
         """Counter snapshot (also exported via the metrics registry)."""
-        out = {
+        return {
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
@@ -651,10 +631,6 @@ class CompiledProgramCache:
             "plan_binds": self.plan_binds,
             "rollbacks": self.rollbacks,
             "cancelled_ops": self.cancelled_ops,
-            "storage": self.storage,
-            "interned_ops": self.interned_ops,
             "relations": self.relations.stats(),
+            "pool": self.pool.stats(),
         }
-        if self.pool is not None:
-            out["pool"] = self.pool.stats()
-        return out

@@ -226,7 +226,8 @@ class _TaskWiring:
     k: int
     ri: int
     pos: int | None
-    #: the rule's compiled step program (None under row storage)
+    #: the rule's compiled step program (None for a row plan,
+    #: ``pool=None`` — the degraded fallback and the test oracle)
     plan: RulePlan | None
     #: read set: every predicate the rule scans or negates outside its
     #: Δ-restricted occurrence → feeding node id (None: ctx.baseline).
@@ -257,9 +258,6 @@ class PlanSkeleton:
         #: intern pool stamped into every bound plan's RoundCtx; None
         #: keeps the row (dict-substitution) join path
         self.pool = pool
-        #: node → input node ids, derived lazily from the wiring (the
-        #: process executor ships exactly these values per dispatch)
-        self._input_nodes: dict[int, tuple[int, ...]] = {}
         #: proper-rule index → body evaluation order (analyzer hint);
         #: rules without an entry evaluate in textual order
         self.join_orders: dict[int, tuple[int, ...]] = dict(
@@ -331,40 +329,6 @@ class PlanSkeleton:
             return self.key_to_id[("edb", p)]
         si = self.stratum_of[p]
         return self.key_to_id[("pred", p, si, self.n_iters[si] - 1)]
-
-    def input_nodes(self, nid: int) -> tuple[int, ...]:
-        """The node ids whose values ``nid``'s unit closure reads.
-
-        EDB nodes read only the round baseline; predicate-state nodes
-        read their predecessor state plus their writer tasks; task nodes
-        read their read set's sources and the two Δ-window states. The
-        process executor serializes exactly these values into each
-        dispatch.
-        """
-        deps = self._input_nodes.get(nid)
-        if deps is not None:
-            return deps
-        key = self.node_keys[nid]
-        if key[0] == "edb":
-            deps = ()
-        elif key[0] == "pred":
-            _, p, si, k = key
-            prev = (
-                (self.key_to_id[("pred", p, si, k - 1)],) if k > 0 else ()
-            )
-            deps = prev + tuple(self.writers.get((p, si, k), ()))
-        else:
-            w = self.task_wiring[nid]
-            seen: list[int] = []
-            for src in w.sources.values():
-                if src is not None and src not in seen:
-                    seen.append(src)
-            for extra in (w.delta_cur, w.delta_prev):
-                if extra is not None and extra not in seen:
-                    seen.append(extra)
-            deps = tuple(seen)
-        self._input_nodes[nid] = deps
-        return deps
 
     def _wire_task(
         self, si: int, k: int, ri: int, pos: int | None

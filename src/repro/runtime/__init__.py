@@ -6,10 +6,10 @@ compiled (:mod:`repro.datalog.compiler`), rebuilt as runnable units
 (:mod:`repro.datalog.units`), and then driven by any registered
 :class:`~repro.schedulers.base.Scheduler` over a thread pool — with
 per-node output diffs, not precompiled flags, deciding activation.
+There is one runtime cell: a healthy round runs columnar batch joins on
+worker threads, a degraded round runs the row evaluator serially.
 
 * :mod:`~repro.runtime.executor` — the concurrent round executor.
-* :mod:`~repro.runtime.procpool` — forked process lanes: the
-  GIL-escaping ``"process"`` executor backend.
 * :mod:`~repro.runtime.recorder` — wall-clock rounds as
   :class:`~repro.sim.result.SimulationResult` schedules, so
   :mod:`repro.verify` and :mod:`repro.sim.timeline` apply unchanged.
@@ -31,7 +31,6 @@ from .chaos import (
     InjectedUnitFault,
 )
 from .executor import (
-    EXECUTOR_BACKENDS,
     LiveActivationState,
     RetryPolicy,
     RoundExecutor,
@@ -46,11 +45,9 @@ from .health import (
     ServiceUnavailableError,
 )
 from .metrics import MetricsLog, RoundMetrics
-from .procpool import ProcessLanes, process_backend_available
 from .recorder import RoundArtifacts, record_round
 from .service import (
     SHED_POLICIES,
-    STORAGE_CHOICES,
     STRATEGY_CHOICES,
     BackpressureError,
     MaterializationDivergenceError,
@@ -67,10 +64,7 @@ from .workloads_live import (
 )
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
     "LiveActivationState",
-    "ProcessLanes",
-    "process_backend_available",
     "RetryPolicy",
     "RoundExecutor",
     "RoundOutcome",
@@ -86,7 +80,6 @@ __all__ = [
     "HealthState",
     "ServiceUnavailableError",
     "SHED_POLICIES",
-    "STORAGE_CHOICES",
     "STRATEGY_CHOICES",
     "RoundArtifacts",
     "record_round",

@@ -54,15 +54,8 @@ from ..sim.engine import InvalidDispatchError, SchedulerStallError
 from ..sim.faults import DeadlineExceededError, capped_backoff
 from ..tasks.activation import ActivationState
 from .chaos import ChaosInjector, InjectedUnitFault
-from .procpool import ProcessLanes
-
-#: executor backends: shared-memory worker threads (cheap hand-off,
-#: GIL-serialized CPU) vs forked worker processes (diff-serialized
-#: hand-off, true CPU parallelism)
-EXECUTOR_BACKENDS = ("thread", "process")
 
 __all__ = [
-    "EXECUTOR_BACKENDS",
     "LiveActivationState",
     "RetryPolicy",
     "RoundExecutor",
@@ -205,8 +198,6 @@ class RoundOutcome:
     scheduler_name: str
     workers: int
     values: ValueStore
-    #: executor backend that ran the round (``thread`` | ``process``)
-    backend: str = "thread"
     #: real changed/unchanged signal per executed node
     diffs: dict[int, bool] = field(default_factory=dict)
     #: wall-clock ``(start, finish)`` per executed node, seconds
@@ -329,14 +320,6 @@ class RoundExecutor:
         Optional :class:`~repro.runtime.chaos.ChaosInjector` consulted
         on every dispatched attempt. ``None`` keeps the hot path
         byte-identical to a chaos-free build.
-    backend:
-        ``"thread"`` (default) runs units on shared-memory worker
-        threads; ``"process"`` forks worker processes per round
-        (:class:`~repro.runtime.procpool.ProcessLanes`) so CPU-bound
-        joins overlap for real instead of time-slicing under the GIL.
-        The coordinator loop, supervision, retry, and chaos semantics
-        are identical — process lanes reproduce the thread backend's
-        completion messages exactly.
     """
 
     def __init__(
@@ -349,7 +332,6 @@ class RoundExecutor:
         retry: RetryPolicy | None = None,
         unit_timeout_s: float | None = None,
         chaos: ChaosInjector | None = None,
-        backend: str = "thread",
     ) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -357,12 +339,6 @@ class RoundExecutor:
             raise ValueError(
                 f"unit_timeout_s must be positive, got {unit_timeout_s}"
             )
-        if backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {EXECUTOR_BACKENDS}, "
-                f"got {backend!r}"
-            )
-        self.backend = backend
         self.plan = plan
         self.scheduler = scheduler
         self.workers = workers
@@ -408,7 +384,6 @@ class RoundExecutor:
             scheduler_name=scheduler.name,
             workers=workers,
             values=values,
-            backend=self.backend,
             prepare_s=prepare_s,
         )
         faults0 = chaos.injected_total if chaos is not None else 0
@@ -512,32 +487,14 @@ class RoundExecutor:
         #: node → dispatch stamp, maintained only when the watchdog is on
         dispatched_at: dict[int, float] = {}
         marked: set[int] = set()
-        if self.backend == "process":
-            # forked lanes inherit the patched plan by copy-on-write;
-            # dispatches ship computed-input diffs and the chaos
-            # decision, the pump thread restores thread-shaped
-            # completions — the loop below is backend-blind
-            lanes: _WorkerLanes | ProcessLanes = ProcessLanes(
-                workers,
-                plan,
-                values,
-                completions,
-                chaos=chaos,
-                sink=sink if tracing else None,
-            )
-            dispatch = lanes.dispatch
-        else:
-            lanes = _WorkerLanes(workers, lane_loop, tasks, cancel)
-
-            def dispatch(node: int, a: int) -> None:
-                tasks.put((plan.units[node], a))
+        lanes = _WorkerLanes(workers, lane_loop, tasks, cancel)
 
         def submit_attempt(node: int) -> None:
             a = attempts.get(node, -1) + 1
             attempts[node] = a
             if watchdog is not None:
                 dispatched_at[node] = perf_counter()
-            dispatch(node, a)
+            tasks.put((plan.units[node], a))
 
         try:
             dispatchable0, activated0 = state.bootstrap()
@@ -760,7 +717,7 @@ class RoundExecutor:
         err: BaseException,
         attempts: dict[int, int],
         completions: queue.SimpleQueue,
-        lanes: "_WorkerLanes | ProcessLanes",
+        lanes: _WorkerLanes,
     ) -> UnitExecutionError:
         """Build the aborting aggregate for a permanently failed unit.
 

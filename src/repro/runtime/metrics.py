@@ -54,8 +54,9 @@ class RoundMetrics:
     #: net facts inserted + deleted across the materialization
     changed_facts: int
     #: wall-clock end-to-end round latency (compile + execute + verify);
-    #: starts when the drain returns, so queue wait is *not* included —
-    #: it is reported separately below
+    #: starts when the drain returns (= the ``merge`` + ``round`` trace
+    #: spans), so queue wait is *not* included — it is reported
+    #: separately below
     latency_s: float
     compile_s: float
     execute_s: float
@@ -87,19 +88,14 @@ class RoundMetrics:
     #: the round's effective delta was empty and the service skipped
     #: compile/execute/verify entirely
     noop: bool = False
-    #: executor backend that ran the round: ``"thread"``,
-    #: ``"process"``, or ``"serial"`` for degraded fallback rounds
-    backend: str = "thread"
     #: total distinct constants interned by the service's pool at round
-    #: end (0 under row storage)
+    #: end
     intern_table_size: int = 0
     #: columnar hash indexes built during this round (cold relations /
-    #: new probe patterns; warm steady-state rounds build none). Under
-    #: the process backend this counts coordinator-side work only —
-    #: forked workers mutate their own copy of the pool's counters.
+    #: new probe patterns; warm steady-state rounds build none, and a
+    #: degraded round — row evaluator — builds none either)
     columnar_builds: int = 0
     #: rows pushed through columnar index probes during this round
-    #: (coordinator-side only under the process backend, see above)
     columnar_probes: int = 0
 
     def to_json_dict(self) -> dict[str, Any]:

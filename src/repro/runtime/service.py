@@ -48,7 +48,9 @@ round emits nested spans — ``queue_wait`` / ``drain`` / ``merge``,
 then a ``round`` span containing ``compile`` / ``plan-build`` /
 ``execute`` (itself containing the executor's per-unit worker spans
 and scheduler decision counters) / ``verify`` — which the Chrome
-exporter renders as one timeline. With the default
+exporter renders as one timeline. ``merge`` starts where the round's
+``latency_s`` starts and closes just inside ``round``, so the latency
+is ``merge`` + ``round``. With the default
 :data:`~repro.obs.NULL_SINK` all instrumentation is no-op.
 
 One scheduler *instance* serves every round — ``reset_counters`` (which
@@ -80,12 +82,7 @@ from ..schedulers.base import Scheduler
 from ..verify.invariants import VerificationReport
 from ..verify.program import ProgramAnalysis, analyze_program
 from .chaos import ChaosInjector, ChaosPlan, InjectedPhaseFault
-from .executor import (
-    EXECUTOR_BACKENDS,
-    RetryPolicy,
-    RoundExecutor,
-    UnitExecutionError,
-)
+from .executor import RetryPolicy, RoundExecutor, UnitExecutionError
 from .health import (
     HealthMonitor,
     HealthPolicy,
@@ -103,15 +100,11 @@ __all__ = [
     "ServiceUnavailableError",
     "UpdateStreamService",
     "SHED_POLICIES",
-    "STORAGE_CHOICES",
     "STRATEGY_CHOICES",
 ]
 
 #: load-shedding behavior when backpressure and degradation coincide
 SHED_POLICIES = ("reject", "drop-oldest", "coalesce-harder")
-
-#: relation-storage layouts for the evaluation hot path
-STORAGE_CHOICES = ("row", "columnar")
 
 #: maintenance strategies the service's shadow oracle accepts
 STRATEGY_CHOICES = tuple(sorted(MAINTENANCE_STRATEGIES)) + ("counting",)
@@ -228,23 +221,13 @@ class UpdateStreamService:
     scheduler:
         The one scheduler instance reused across all rounds.
     workers:
-        Worker-pool width per round (lanes of the chosen executor
-        backend).
-    executor:
-        Executor backend for the concurrent fast path: ``"thread"``
-        (default) runs units on shared-memory worker threads,
-        ``"process"`` forks worker processes per round so CPU-bound
-        joins escape the GIL (diff-serialized hand-off, identical
-        supervision/retry/chaos semantics — see
-        :mod:`repro.runtime.procpool`). Degraded fallback rounds are
-        always serial regardless of backend.
-    storage:
-        Relation-storage layout of the evaluation hot path:
-        ``"columnar"`` (default) interns constants into integer ids and
-        runs the vectorized batch joins of
-        :mod:`repro.datalog.columnar`; ``"row"`` keeps the historical
-        per-tuple dict-substitution joins. Materializations are
-        byte-identical either way (the differential suite pins this).
+        Worker-pool width per round (executor lane threads).
+    executor, storage:
+        Accept only ``"thread"`` and ``"columnar"``: the process
+        executor backend and the row storage layout were removed. A
+        healthy round always runs the columnar batch joins of
+        :mod:`repro.datalog.columnar` on worker threads; a degraded
+        round always runs the row evaluator serially (see ``health``).
     capacity:
         Bound of the update queue (backpressure threshold).
     verify:
@@ -372,21 +355,22 @@ class UpdateStreamService:
                 f"maintenance must be one of {STRATEGY_CHOICES}, "
                 f"got {maintenance!r}"
             )
-        if executor not in EXECUTOR_BACKENDS:
+        # accept-one-value arguments, neither stored nor forwarded:
+        # benchmarks/e2e/measure.py still passes them; the next
+        # `benchmark` issue drops them
+        if executor != "thread":
             raise ValueError(
-                f"executor must be one of {EXECUTOR_BACKENDS}, "
-                f"got {executor!r}"
+                f"executor={executor!r}: the process executor backend "
+                "was removed; units run on worker threads"
             )
-        if storage not in STORAGE_CHOICES:
+        if storage != "columnar":
             raise ValueError(
-                f"storage must be one of {STORAGE_CHOICES}, "
-                f"got {storage!r}"
+                f"storage={storage!r}: the row storage layout was "
+                "removed; healthy rounds are always columnar"
             )
         self.program = program
         self.scheduler = scheduler
         self.workers = workers
-        self.executor = executor
-        self.storage = storage
         self.verify = verify
         self.strict = strict
         self.deadline_s = deadline_s
@@ -406,17 +390,16 @@ class UpdateStreamService:
                 metrics=obs_metrics,
                 sink=sink,
                 analysis=self.analysis,
-                storage=storage,
             )
             if plan_cache
             else None
         )
-        #: intern pool for cold (cache-bypassed) columnar plan builds;
-        #: the cached path uses the plan cache's own pool instead
-        self._pool: InternPool | None = (
-            InternPool()
-            if storage == "columnar" and not plan_cache
-            else None
+        #: the intern pool of every healthy round: the plan cache's own,
+        #: or one for cold (cache-off) plan builds
+        self._pool: InternPool = (
+            self.plan_cache.pool
+            if self.plan_cache is not None
+            else InternPool()
         )
         #: (builds, probes) pool counters at the end of the last round,
         #: so per-round metrics report deltas
@@ -644,7 +627,6 @@ class UpdateStreamService:
                 "drain", "phase", t_drain, t_round,
                 args={"batches": len(batches), "from_queue": n_queue},
             )
-            sink.record_span_abs("merge", "phase", t_round, perf_counter())
         degraded = self.health.plan_round()
         try:
             report = self._maintain(
@@ -698,15 +680,8 @@ class UpdateStreamService:
 
     def _pool_round_stats(self) -> tuple[int, int, int]:
         """``(intern table size, builds Δ, probes Δ)`` for the round
-        that just finished; zeros under row storage."""
-        pool = (
-            self.plan_cache.pool
-            if self.plan_cache is not None
-            else self._pool
-        )
-        if pool is None:
-            return 0, 0, 0
-        s = pool.stats()
+        that just finished (a degraded round touches no pool: zero Δ)."""
+        s = self._pool.stats()
         b0, p0 = self._pool_counts
         self._pool_counts = (s["columnar_builds"], s["columnar_probes"])
         return (
@@ -732,6 +707,9 @@ class UpdateStreamService:
         round counter advance.
         """
         if self.sink.enabled:
+            self.sink.record_span_abs(
+                "merge", "phase", t_round, perf_counter()
+            )
             self.sink.record_instant(
                 "round-noop",
                 args={
@@ -762,7 +740,6 @@ class UpdateStreamService:
             queue_wait_s=queue_wait_s,
             cancelled_ops=cancelled,
             noop=True,
-            backend=self.executor,
         )
         self.metrics.append(metrics)
         self._rounds_run += 1
@@ -810,17 +787,22 @@ class UpdateStreamService:
             chaos.begin_round(self._maintain_epoch)
         self._maintain_epoch += 1
         faults0 = chaos.injected_total if chaos is not None else 0
-        backend = "serial" if degraded else self.executor
         with sink.span(
             "round", "round",
             args={
                 "index": self._rounds_run,
                 "batches": n_batches,
                 "degraded": degraded,
-                "backend": backend,
-                "storage": self.storage,
             },
         ):
+            if sink.enabled:
+                # `merge` — coalesce, breaker decision, clamp, chaos
+                # epoch — closes inside `round`, not before it, so no
+                # instant of latency_s, which starts at t_round, falls
+                # between the two spans
+                sink.record_span_abs(
+                    "merge", "phase", t_round, perf_counter()
+                )
             t0 = perf_counter()
             cache = self.plan_cache if not degraded else None
             if chaos is not None and chaos.phase_fails("compile"):
@@ -855,8 +837,8 @@ class UpdateStreamService:
                     plan = build_execution_plan(
                         cu,
                         join_orders=join_orders,
-                        # degraded rounds stay on the row reference
-                        # path; healthy cold builds honor the storage
+                        # degraded rounds run the row reference
+                        # evaluator; healthy cold builds are columnar
                         pool=self._pool if not degraded else None,
                     )
             compile_s = perf_counter() - t0
@@ -882,7 +864,6 @@ class UpdateStreamService:
                         retry=self.unit_retry,
                         unit_timeout_s=self.unit_timeout_s,
                         chaos=chaos,
-                        backend=self.executor,
                     ).run()
                 values = outcome.values
                 tasks_executed = len(outcome.records)
@@ -891,7 +872,6 @@ class UpdateStreamService:
                     sp_exec.set("tasks_executed", tasks_executed)
                     sp_exec.set("unit_retries", outcome.unit_retries)
                     sp_exec.set("injected_faults", outcome.injected_faults)
-                    sp_exec.set("backend", outcome.backend)
             execute_s = perf_counter() - t0
 
             t0 = perf_counter()
@@ -995,7 +975,6 @@ class UpdateStreamService:
                     else 0
                 ),
                 cancelled_ops=cancelled,
-                backend=backend,
                 intern_table_size=table_size,
                 columnar_builds=builds,
                 columnar_probes=probes,

@@ -1,12 +1,10 @@
 """Property-based tests for the columnar storage layer.
 
-Three equivalences must hold for *arbitrary* inputs, not just the
+Two equivalences must hold for *arbitrary* inputs, not just the
 workload suites:
 
 * interning is lossless — ``extern ∘ intern`` is the identity, and ids
   are stable across repeated interning;
-* :class:`ColumnarZSet` is the same Z-set algebra as the dict-backed
-  :class:`ZSetDelta` under add / negate / merge / coalesce;
 * :func:`eval_rule_columnar` derives exactly the fact set the
   per-tuple :func:`~repro.datalog.unify.eval_rule` join derives, for
   random rules, databases, and Δ-override positions.
@@ -18,10 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import (
-    ColumnarZSet,
     Database,
     InternPool,
-    ZSetDelta,
     eval_rule_columnar,
     parse_rule,
 )
@@ -67,71 +63,6 @@ def test_intern_fact_extern_row_round_trip(facts):
         assert pool.extern_row(row) == fact
         # the per-predicate memo must agree with itself
         assert pool.intern_fact("p", fact) == row
-
-
-# ---------------------------------------------------------------------------
-# ColumnarZSet ≡ ZSetDelta
-# ---------------------------------------------------------------------------
-
-ops = st.lists(
-    st.tuples(
-        st.sampled_from(["p", "q", "r"]),
-        st.tuples(st.integers(0, 4), st.integers(0, 4)),
-        st.integers(-3, 3),
-    ),
-    max_size=40,
-)
-
-
-def build_pair(op_list, pool=None):
-    if pool is None:
-        pool = InternPool()
-    zd, czs = ZSetDelta(), ColumnarZSet(pool)
-    for pred, fact, w in op_list:
-        zd.add(pred, fact, w)
-        czs.add(pred, fact, w)
-    return zd, czs
-
-
-@given(op_list=ops)
-@settings(max_examples=60, deadline=None)
-def test_columnar_zset_add_coalesce_equiv(op_list):
-    zd, czs = build_pair(op_list)
-    assert czs.to_zdelta() == zd
-    assert czs.is_empty == zd.is_empty
-    assert czs.op_count() == zd.op_count()
-    for pred, fact, _ in op_list:
-        assert czs.weight(pred, fact) == zd.weights.get(pred, {}).get(
-            fact, 0
-        )
-
-
-@given(op_list=ops)
-@settings(max_examples=40, deadline=None)
-def test_columnar_zset_negate_equiv(op_list):
-    zd, czs = build_pair(op_list)
-    assert (-czs).to_zdelta() == -zd
-    # negation is an involution on both sides
-    assert (-(-czs)).to_zdelta() == zd
-
-
-@given(a=ops, b=ops)
-@settings(max_examples=40, deadline=None)
-def test_columnar_zset_merge_equiv(a, b):
-    pool = InternPool()
-    zd_a, czs_a = build_pair(a, pool)
-    zd_b, czs_b = build_pair(b, pool)
-    assert (czs_a + czs_b).to_zdelta() == zd_a + zd_b
-    # merging the negation cancels to empty
-    assert (czs_a + (-czs_a)).to_zdelta() == ZSetDelta()
-
-
-@given(op_list=ops)
-@settings(max_examples=40, deadline=None)
-def test_columnar_zset_from_zdelta_round_trip(op_list):
-    zd, _ = build_pair(op_list)
-    pool = InternPool()
-    assert ColumnarZSet.from_zdelta(pool, zd).to_zdelta() == zd
 
 
 # ---------------------------------------------------------------------------

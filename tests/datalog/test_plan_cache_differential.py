@@ -241,6 +241,27 @@ def test_edb_schema_change_invalidates():
     assert cache.invalidations == 1
 
 
+def test_delta_on_an_unmentioned_predicate_compiles_cold_and_cached():
+    """A delta touching a predicate no rule mentions activates nothing
+    and is carried through the materialization, cache on and off."""
+    program = parse_program(TC)
+    edb = _edb({(0, 1), (1, 2)})
+    cache = CompiledProgramCache(program)
+    cache.commit(cache.compile(program, edb, Delta().insert("edge", (2, 3))))
+    edb = compile_update(program, edb, Delta().insert("edge", (2, 3))).edb_new
+
+    delta = Delta().insert("other", ("x",))
+    cold = _run_cold(program, edb, delta)
+    cached = _run_cached(cache, program, edb, delta)
+    _assert_round_identical(cold, cached, "unmentioned predicate")
+    cu, _plan, mat, diffs = cached
+    assert cu.trace.initial_tasks.tolist() == []
+    assert cu.trace.n_active == 0
+    assert not any(diffs.values())
+    assert mat["other"] == {("x",)}
+    assert ("x",) in cu.edb_new.relations["other"]
+
+
 # ----------------------------------------------------------------------
 # what a round rebuilds and what it restamps
 # ----------------------------------------------------------------------

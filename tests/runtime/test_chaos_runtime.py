@@ -15,9 +15,6 @@ absorbing them.
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
-
 import pytest
 
 from repro.runtime import (
@@ -31,7 +28,6 @@ from repro.runtime import (
     UnitExecutionError,
     UpdateStreamService,
     live_workload,
-    process_backend_available,
 )
 from repro.schedulers import scheduler_registry
 from repro.sim.faults import DeadlineExceededError
@@ -72,10 +68,7 @@ def _stream(seed: int):
     return wl, [wl.random_batch() for _ in range(ROUNDS)]
 
 
-def _serve(
-    sched_name: str, wl, batches, chaos: ChaosPlan | None,
-    executor: str = "thread",
-):
+def _serve(sched_name: str, wl, batches, chaos: ChaosPlan | None):
     """Drive every batch through the service; absorb typed failures.
 
     Returns ``(service, dropped, round_ok_pattern)`` where ``dropped``
@@ -93,7 +86,6 @@ def _serve(
         unit_backoff_s=0.0005,
         max_round_retries=8,
         health=HealthPolicy(degrade_after=3, fail_after=12, probe_after=1),
-        executor=executor,
     )
     dropped = 0
     pattern: list[bool] = []
@@ -213,132 +205,6 @@ def test_unrecoverable_round_fails_typed_with_intact_queue():
     assert svc.materialization().as_dict() == (
         oracle.materialization().as_dict()
     )
-
-
-# ---------------------------------------------------------------------------
-# process-backend chaos: the same keystone contract over forked lanes
-# ---------------------------------------------------------------------------
-
-needs_fork = pytest.mark.skipif(
-    not process_backend_available(),
-    reason="process backend needs fork-capable multiprocessing",
-)
-
-
-def _assert_no_leaks():
-    """The process-backend no-leak guarantee, checked after every run.
-
-    No forked worker may outlive its round (``active_children`` also
-    reaps zombies), and no executor-owned thread — lanes, pump — may
-    outlive the service. This is the enumerate-after-deadline pattern
-    that caught the thread backend's straggler leak.
-    """
-    assert multiprocessing.active_children() == []
-    leaked = [
-        t.name
-        for t in threading.enumerate()
-        if t.name.startswith("repro-runtime")
-    ]
-    assert leaked == []
-
-
-@needs_fork
-def test_process_chaos_bit_identical_to_thread_chaos():
-    """Chaos draws moved to the dispatch site change *nothing*.
-
-    Thread lanes draw chaos decisions worker-side; process lanes draw
-    them coordinator-side and ship them. Decisions are pure functions
-    of (seed, kind, round, node, attempt), so the two backends must
-    produce the same canonical fault log, the same injection count,
-    the same success pattern, and the same bytes.
-    """
-    wl, batches = _stream(seed=5)
-    chaos = ChaosPlan(seed=5, **CHAOS_MIX)
-    t_svc, t_drop, t_pat = _serve("hybrid", wl, batches, chaos, "thread")
-    p_svc, p_drop, p_pat = _serve("hybrid", wl, batches, chaos, "process")
-    assert p_svc.chaos.injected_total == t_svc.chaos.injected_total > 0
-    assert p_svc.chaos.canonical() == t_svc.chaos.canonical()
-    assert (p_drop, p_pat) == (t_drop, t_pat)
-    mat_t, mat_p = t_svc.materialization(), p_svc.materialization()
-    assert (mat_t is None) == (mat_p is None)
-    if mat_t is not None:
-        assert mat_p.as_dict() == mat_t.as_dict()
-    _assert_no_leaks()
-
-
-@needs_fork
-def test_process_same_seed_replay_is_bit_identical():
-    """Replaying a chaos seed on the process backend reproduces it."""
-    wl, batches = _stream(seed=13)
-    chaos = ChaosPlan(seed=13, **CHAOS_MIX)
-    a_svc, a_drop, a_pat = _serve("hybrid", wl, batches, chaos, "process")
-    b_svc, b_drop, b_pat = _serve("hybrid", wl, batches, chaos, "process")
-    assert (a_drop, a_pat) == (b_drop, b_pat)
-    assert a_svc.chaos.canonical() == b_svc.chaos.canonical()
-    assert a_svc.chaos.injected_total == b_svc.chaos.injected_total
-    mat_a, mat_b = a_svc.materialization(), b_svc.materialization()
-    assert (mat_a is None) == (mat_b is None)
-    if mat_a is not None:
-        assert mat_a.as_dict() == mat_b.as_dict()
-    _assert_no_leaks()
-
-
-@needs_fork
-def test_process_unrecoverable_round_fails_typed_and_leak_free():
-    """Certain-death chaos in forked lanes still fails *cleanly*.
-
-    The injected fault is raised inside a child process, degraded to a
-    portable error, pumped back, retried, and finally quarantined —
-    surfacing the same typed ``UnitExecutionError`` the thread backend
-    raises, with the delta surfaced and zero leaked processes after
-    the aborted round tore the lanes down mid-flight.
-    """
-    wl = live_workload("retail", seed=9)
-    batch = wl.random_batch()
-    svc = UpdateStreamService(
-        wl.program,
-        wl.edb,
-        REGISTRY["hybrid"](),
-        workers=4,
-        chaos=ChaosPlan(seed=9, unit_fail_prob=1.0),
-        unit_retries=1,
-        unit_backoff_s=0.0005,
-        max_round_retries=1,
-        health=HealthPolicy(degrade_after=8, fail_after=9, probe_after=1),
-        executor="process",
-    )
-    svc.submit(batch)
-    with pytest.raises(UnitExecutionError) as exc_info:
-        svc.run_round()
-    assert exc_info.value.delta_requeued is True
-    with pytest.raises(UnitExecutionError) as exc_info:
-        svc.run_round()
-    assert exc_info.value.delta_requeued is False
-    assert exc_info.value.failed_delta is not None
-    # the failed rounds left no partial state and no stray children
-    assert svc.database().as_dict() == wl.edb.as_dict()
-    _assert_no_leaks()
-
-
-@needs_fork
-def test_process_worker_kill_is_a_real_process_death():
-    """A chaos worker-kill must kill an actual forked process.
-
-    Under a kill-heavy plan the supervisor has to absorb genuine
-    ``os._exit`` deaths — respawning lanes mid-round — and the round
-    must still converge to the fault-free bytes with nothing leaked.
-    """
-    wl, batches = _stream(seed=21)
-    base, _, _ = _serve("hybrid", wl, batches, chaos=None)
-    chaos = ChaosPlan(seed=21, worker_kill_prob=0.5)
-    svc, dropped, _ = _serve("hybrid", wl, batches, chaos, "process")
-    kills = [e for e in svc.chaos.canonical() if "kill" in str(e)]
-    assert kills, "kill-heavy plan never fired a worker kill"
-    assert dropped == 0
-    assert svc.materialization().as_dict() == (
-        base.materialization().as_dict()
-    )
-    _assert_no_leaks()
 
 
 def test_no_chaos_path_unchanged_by_empty_plan():

@@ -85,11 +85,47 @@ class TestQueueing:
                 wl.program, wl.edb, REGISTRY["hybrid"](), capacity=0
             )
 
+    def test_removed_backend_and_layout_are_refused(self):
+        """``executor``/``storage`` accept only the one surviving cell."""
+        wl = live_workload("retail", seed=1)
+        args = (wl.program, wl.edb, REGISTRY["hybrid"]())
+        with pytest.raises(ValueError, match="process executor.*removed"):
+            UpdateStreamService(*args, executor="process")
+        with pytest.raises(ValueError, match="row storage.*removed"):
+            UpdateStreamService(*args, storage="row")
+        UpdateStreamService(*args, executor="thread", storage="columnar")
+
     def test_rejects_update_to_derived_predicate(self):
         _, svc = make_service()
         svc.submit(Delta().insert("in_category", ("p0", 1)))
         with pytest.raises(ValueError, match="derived predicate"):
             svc.run_round()
+
+
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache", "cold"])
+    def test_delta_on_an_unmentioned_predicate_is_served(self, cache):
+        """A predicate no rule mentions has no EDB node: the fact is
+        carried through to the EDB and the materialization, and no node
+        activates (this used to raise ``KeyError: ('edb', 'other')`` on
+        every retry until the delta was dropped)."""
+        wl, svc = make_service(plan_cache=cache)
+        svc.submit(wl.random_batch(2))
+        svc.run_round()
+        svc.submit(Delta().insert("other", ("x", 1)))
+        rep = svc.run_round()
+        assert rep is not None and rep.materialization_ok
+        assert rep.metrics.n_active == 0
+        assert rep.metrics.tasks_executed == 0
+        assert rep.metrics.changed_facts == 1
+        assert ("x", 1) in svc.database().relations["other"]
+        assert ("x", 1) in svc.materialization().relations["other"]
+        scratch, _ = seminaive_evaluate(wl.program, svc.database())
+        assert svc.materialization().as_dict() == scratch.as_dict()
+        # and the service keeps serving, the relation carried along
+        svc.submit(wl.random_batch(2))
+        rep = svc.run_round()
+        assert rep is not None and rep.materialization_ok
+        assert ("x", 1) in svc.materialization().relations["other"]
 
 
 class TestSchedulerReuse:

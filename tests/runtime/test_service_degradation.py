@@ -15,6 +15,8 @@ import time
 import pytest
 
 from repro.datalog.incremental import merge_deltas
+from repro.datalog.units import build_execution_plan
+from repro.runtime import service as service_module
 from repro.runtime import (
     BackpressureError,
     ChaosPlan,
@@ -111,10 +113,18 @@ def test_monitor_trips_to_failed_and_resets():
 # ----------------------------------------------------------------------
 # service integration: the breaker ladder end to end
 # ----------------------------------------------------------------------
-def test_service_degrades_to_serial_fallback_and_recovers():
+def test_service_degrades_to_serial_fallback_and_recovers(monkeypatch):
     wl = live_workload("retail", seed=21)
     batch = wl.random_batch()
     oracle = _oracle(wl, [batch])
+    # the plan cache is on, so only degraded rounds build a cold plan
+    cold_plans = []
+
+    def spy_build(*args, **kwargs):
+        cold_plans.append(build_execution_plan(*args, **kwargs))
+        return cold_plans[-1]
+
+    monkeypatch.setattr(service_module, "build_execution_plan", spy_build)
 
     svc = UpdateStreamService(
         wl.program,
@@ -138,6 +148,8 @@ def test_service_degrades_to_serial_fallback_and_recovers():
     assert report.metrics.degraded is True
     assert report.artifacts is None  # no concurrent schedule to record
     assert report.metrics.workers == 1
+    # the breaker falls back to the row oracle, not a columnar plan
+    assert len(cold_plans) == 1 and cold_plans[0].ctx.pool is None
     assert report.materialization_ok
     assert svc.materialization().as_dict() == (
         oracle.materialization().as_dict()
