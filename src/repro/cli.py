@@ -237,16 +237,23 @@ def cmd_datalog(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    """``repro serve``: run real maintenance over an update stream.
+def _serve_stream(
+    args, cmd, banner, tag, workload, kind, on_failed,
+    on_round=lambda report: None,
+    chaos_spec=None, unit_retries=None, **service_kw,
+):
+    """The serve loop ``repro serve`` and ``repro trace`` share.
 
-    Builds the named live workload, generates ``--rounds`` ticks of the
-    chosen stream, and drives every tick through one verified
-    maintenance round: compile → concurrent execute → record → strict
-    invariant check → materialization comparison against from-scratch
-    evaluation.
+    Builds the live workload, its ``kind`` stream and the service
+    ``<tag>:<workload>`` (scheduler, workers, rounds, batch size and
+    seeds from ``args``, the rest from ``service_kw``), then submits
+    each tick's batches and runs one round, handing the report to
+    ``on_round``. Under chaos a failed round is an expected event — the
+    failed-round policy re-queues its delta — so ``on_failed`` gets the
+    exception and serving goes on, unless the breaker tripped, which
+    ends the stream with the queue intact. Returns the service and the
+    number of failed rounds.
     """
-    from .datalog import seminaive_evaluate
     from .runtime import (
         ChaosError,
         ChaosPlan,
@@ -261,17 +268,16 @@ def cmd_serve(args) -> int:
     from .sim.faults import DeadlineExceededError
 
     try:
-        wl = live_workload(args.program, seed=args.seed)
+        wl = live_workload(workload, seed=args.seed)
     except KeyError as exc:
-        raise SystemExit(f"serve: {exc.args[0]}") from None
+        raise SystemExit(f"{cmd}: {exc.args[0]}") from None
     scheduler = _resolve_scheduler(args.scheduler)
-    chaos: ChaosPlan | None = None
-    if args.chaos_spec is not None:
-        with open(args.chaos_spec) as fh:
+    chaos = None
+    if chaos_spec is not None:
+        with open(chaos_spec) as fh:
             chaos = ChaosPlan.from_json_dict(json.load(fh))
     elif args.chaos_seed is not None:
         chaos = ChaosPlan.from_seed(args.chaos_seed)
-    unit_retries = args.unit_retries
     if unit_retries is None:
         unit_retries = 3 if chaos is not None else 0
     service = UpdateStreamService(
@@ -279,64 +285,56 @@ def cmd_serve(args) -> int:
         wl.edb,
         scheduler,
         workers=args.workers,
-        capacity=args.capacity,
-        verify=not args.no_verify,
-        name=f"live:{wl.name}",
-        plan_cache=not args.no_plan_cache,
+        name=f"{tag}:{wl.name}",
         unit_retries=unit_retries,
-        unit_timeout_s=args.unit_timeout,
         chaos=chaos,
-        shed_policy=args.shed_policy,
-        maintenance=args.maintenance,
+        **service_kw,
     )
-    try:
-        stream = make_stream(
-            wl, args.stream, rounds=args.rounds, batch_size=args.batch_size
-        )
-    except ValueError as exc:
-        raise SystemExit(f"serve: {exc}") from None
     print(
-        f"serving {wl.name} ({args.stream} stream) under "
-        f"{scheduler.name}, {args.workers} workers"
-        + (
-            f", {args.maintenance} maintenance oracle"
-            if args.maintenance is not None
-            else ""
-        )
+        f"{banner} {wl.name} ({kind} stream) under {scheduler.name}, "
+        f"{args.workers} workers"
         + (f", chaos seed {chaos.seed}" if chaos is not None else "")
     )
-    # under chaos, failed rounds are expected events: report them and
-    # keep serving (the failed-round policy re-queues the delta); a
-    # tripped breaker ends the stream cleanly with the queue intact
-    tolerated = (
+    expected = (
+        ServiceUnavailableError,
         ChaosError,
         UnitExecutionError,
         RoundVerificationError,
         MaterializationDivergenceError,
         DeadlineExceededError,
-    )
+    ) if chaos is not None else ()
     failed_rounds = 0
-    for batches in stream:
+    for batches in make_stream(
+        wl, kind, rounds=args.rounds, batch_size=args.batch_size
+    ):
         for delta in batches:
             service.submit(delta)
         try:
             rep = service.run_round()
-        except ServiceUnavailableError as exc:
-            if chaos is None:
-                raise
-            print(f"service unavailable: {exc}")
-            break
-        except tolerated as exc:
-            if chaos is None:
-                raise
+        except expected as exc:
+            on_failed(exc)
+            if isinstance(exc, ServiceUnavailableError):
+                break
             failed_rounds += 1
-            print(
-                f"round failed: {type(exc).__name__} "
-                f"(requeued={getattr(exc, 'delta_requeued', False)})"
-            )
-            continue
-        if rep is None:
-            continue
+        else:
+            if rep is not None:
+                on_round(rep)
+    return service, failed_rounds
+
+
+def cmd_serve(args) -> int:
+    """``repro serve``: run real maintenance over an update stream.
+
+    Builds the named live workload, generates ``--rounds`` ticks of the
+    chosen stream, and drives every tick through one verified
+    maintenance round: compile → concurrent execute → record → strict
+    invariant check → materialization comparison against from-scratch
+    evaluation.
+    """
+    from .datalog import seminaive_evaluate
+    from .runtime import ServiceUnavailableError
+
+    def print_round(rep) -> None:
         m = rep.metrics
         flag = "" if rep.materialization_ok else "  DIVERGED"
         if m.degraded:
@@ -352,6 +350,32 @@ def cmd_serve(args) -> int:
             f"(compile {m.compile_s * 1e3:.2f}, exec "
             f"{m.execute_s * 1e3:.2f}){flag}"
         )
+
+    def print_failure(exc) -> None:
+        if isinstance(exc, ServiceUnavailableError):
+            print(f"service unavailable: {exc}")
+        else:
+            print(
+                f"round failed: {type(exc).__name__} "
+                f"(requeued={getattr(exc, 'delta_requeued', False)})"
+            )
+
+    service, failed_rounds = _serve_stream(
+        args,
+        cmd="serve",
+        banner="serving",
+        tag="live",
+        workload=args.program,
+        kind=args.stream,
+        on_round=print_round,
+        on_failed=print_failure,
+        chaos_spec=args.chaos_spec,
+        unit_retries=args.unit_retries,
+        capacity=args.capacity,
+        verify=not args.no_verify,
+        unit_timeout_s=args.unit_timeout,
+        shed_policy=args.shed_policy,
+    )
     print(service.metrics.summary())
     reg = service.metrics.registry
     cancelled_total = int(reg.counter("cancelled_ops").value)
@@ -369,19 +393,20 @@ def cmd_serve(args) -> int:
             f"{service.shed_batches} batch(es) shed, "
             f"health={service.health.state.value}"
         )
-    if service.plan_cache is not None:
-        s = service.plan_cache.stats()
-        print(
-            f"plan cache: {s['hits']} hits / {s['misses']} misses, "
-            f"{s['plan_patches']} plans patched, "
-            f"{s['invalidations']} invalidations"
-        )
+    s = service.plan_cache.stats()
+    print(
+        f"plan cache: {s['hits']} hits / {s['misses']} misses, "
+        f"{s['plan_patches']} plans patched, "
+        f"{s['invalidations']} invalidations"
+    )
     mat = service.materialization()
     if mat is None:
         print("no rounds served — nothing to compare")
         consistent = True
     else:
-        db_final, _ = seminaive_evaluate(wl.program, service.database())
+        db_final, _ = seminaive_evaluate(
+            service.program, service.database()
+        )
         consistent = db_final.as_dict() == mat.as_dict()
         print(
             "final materialization matches from-scratch evaluation"
@@ -408,63 +433,27 @@ def cmd_trace(args) -> int:
     rounds with their per-phase breakdown.
     """
     from .obs import TraceRecorder, validate_chrome_trace, write_chrome_trace
-    from .runtime import (
-        ChaosPlan,
-        ServiceUnavailableError,
-        UpdateStreamService,
-        live_workload,
-        make_stream,
-    )
+    from .runtime import ServiceUnavailableError
 
-    try:
-        wl = live_workload(args.stream, seed=args.seed)
-    except KeyError as exc:
-        raise SystemExit(f"trace: {exc.args[0]}") from None
-    scheduler = _resolve_scheduler(args.scheduler)
     recorder = TraceRecorder()
     recorder.set_thread_name("service")
-    chaos = (
-        ChaosPlan.from_seed(args.chaos_seed)
-        if args.chaos_seed is not None
-        else None
-    )
-    service = UpdateStreamService(
-        wl.program,
-        wl.edb,
-        scheduler,
-        workers=args.workers,
-        name=f"trace:{wl.name}",
-        sink=recorder,
-        plan_cache=not args.no_plan_cache,
-        chaos=chaos,
-        unit_retries=3 if chaos is not None else 0,
-    )
-    try:
-        stream = make_stream(
-            wl, args.kind, rounds=args.rounds, batch_size=args.batch_size
-        )
-    except ValueError as exc:
-        raise SystemExit(f"trace: {exc}") from None
-    print(
-        f"tracing {wl.name} ({args.kind} stream) under {scheduler.name}, "
-        f"{args.workers} workers"
-        + (f", chaos seed {chaos.seed}" if chaos is not None else "")
-    )
-    for batches in stream:
-        for delta in batches:
-            service.submit(delta)
-        try:
-            service.run_round()
-        except ServiceUnavailableError:
-            if chaos is None:
-                raise
-            break
-        except Exception as exc:
-            # chaos makes failed rounds part of the show: the trace
-            # records the injections and the round-failed instant
-            if chaos is None:
-                raise
+
+    def print_failure(exc) -> None:
+        # chaos makes failed rounds part of the show: the trace
+        # records the injections and the round-failed instant
+        if not isinstance(exc, ServiceUnavailableError):
             print(f"round failed: {type(exc).__name__}")
+
+    service, _ = _serve_stream(
+        args,
+        cmd="trace",
+        banner="tracing",
+        tag="trace",
+        workload=args.stream,
+        kind=args.kind,
+        on_failed=print_failure,
+        sink=recorder,
+    )
     if service.chaos is not None:
         print(f"chaos: {service.chaos.summary() or 'no injections'}")
 
@@ -698,13 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("steady", "bursty", "hotkey", "deletions", "mixed"),
         help="update stream shape",
     )
-    p.add_argument(
-        "--maintenance", default=None,
-        choices=("dred", "bf", "counting"),
-        help="shadow maintenance-strategy oracle: replay every round "
-             "through this engine and insist it matches from-scratch "
-             "evaluation (counting rejects recursive programs)",
-    )
     p.add_argument("--scheduler", default="hybrid",
                    help=f"one of {sorted(SCHEDULERS)} or lbl:<k>")
     p.add_argument("--rounds", type=int, default=20,
@@ -720,11 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-verify", action="store_true",
         help="skip per-round invariant + materialization checks",
-    )
-    p.add_argument(
-        "--no-plan-cache", action="store_true",
-        help="compile every round cold instead of reusing the "
-             "round-over-round plan cache",
     )
     p.add_argument(
         "--metrics", default=None, metavar="JSON",
@@ -779,11 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stream generator seed")
     p.add_argument("--top", type=int, default=5,
                    help="how many slowest rounds to tabulate")
-    p.add_argument(
-        "--no-plan-cache", action="store_true",
-        help="compile every round cold instead of reusing the "
-             "round-over-round plan cache",
-    )
     p.add_argument(
         "-o", "--output", default="trace.json",
         help="Chrome trace_event JSON output path (default trace.json)",

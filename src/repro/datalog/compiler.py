@@ -55,7 +55,7 @@ from .ast import Program
 from .database import Database
 from .depgraph import DependencyGraph
 from .incremental import Delta
-from .zset import apply_zdelta, effective_zdelta
+from .zset import ZSetDelta, apply_zdelta, effective_zdelta
 from .seminaive import EvaluationTrace, _ensure_relations, seminaive_evaluate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -63,6 +63,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "compile_update",
+    "prepare_update",
+    "without_rules",
     "build_compiled_update",
     "RoundStructure",
     "structure_key",
@@ -179,6 +181,52 @@ def _cumulative_states(
     return states
 
 
+def prepare_update(
+    program: Program,
+    edb_old: Database,
+    delta: Delta,
+    analysis: "ProgramAnalysis | None",
+) -> tuple[ZSetDelta, Database, Database, frozenset[int]]:
+    """What :func:`compile_update` and the plan cache's ``compile`` do
+    before evaluating anything: ``(zdelta, edb_old, edb_new, dead)``.
+
+    An update to a derived predicate is refused. The delta is clamped
+    to its effective weights — redundant ops (inserting a present fact,
+    deleting an absent one) and coalesced insert/retract pairs cancel
+    here, so a self-cancelling delta compiles exactly like an empty
+    one: same touched set, same live predicates, same prune set.
+    ``dead`` holds the indices of the rules ``analysis`` proves cannot
+    fire against either EDB snapshot; when there are any, both
+    snapshots get the full program's schema, so the materializations of
+    the pruned program (:func:`without_rules`) stay byte-identical to
+    the unpruned compile.
+    """
+    idb = program.idb_predicates()
+    for pred in delta.touched_predicates():
+        if pred in idb:
+            raise ValueError(f"update targets derived predicate {pred!r}")
+    zdelta = effective_zdelta(edb_old, delta)
+    edb_new = apply_zdelta(edb_old, zdelta)
+    dead: frozenset[int] = frozenset()
+    if analysis is not None:
+        dead = analysis.prunable_rules(
+            live_edb_predicates(edb_old, edb_new)
+        )
+    if dead:
+        edb_old = with_program_schema(edb_old, program)
+        edb_new = with_program_schema(edb_new, program)
+    return zdelta, edb_old, edb_new, dead
+
+
+def without_rules(program: Program, dead: frozenset[int]) -> Program:
+    """``program`` minus the rules at indices ``dead``."""
+    if not dead:
+        return program
+    return Program(
+        tuple(r for i, r in enumerate(program.rules) if i not in dead)
+    )
+
+
 def compile_update(
     program: Program,
     edb_old: Database,
@@ -191,38 +239,13 @@ def compile_update(
 
     When ``analysis`` (a :class:`~repro.verify.program.ProgramAnalysis`
     of ``program``) is supplied, rules the analyzer proves can never
-    fire against either EDB snapshot are pruned before DAG
-    construction. Pruning is materialization-preserving: both snapshots
-    are augmented with the full program's schema first, so the derived
-    databases stay byte-identical to the unpruned compile.
+    fire against either EDB snapshot are pruned before DAG construction
+    (see :func:`prepare_update`).
     """
-    for pred in delta.touched_predicates():
-        if pred in program.idb_predicates():
-            raise ValueError(f"update targets derived predicate {pred!r}")
-
-    # clamp the submitted delta to its effective weights: redundant ops
-    # (inserting a present fact, deleting an absent one) and coalesced
-    # insert/retract pairs cancel here, so a self-cancelling delta
-    # compiles exactly like an empty one — same touched set, same live
-    # predicates, same dead-rule prune set
-    zdelta = effective_zdelta(edb_old, delta)
-    edb_new = apply_zdelta(edb_old, zdelta)
-    run_program = program
-    analysis = _usable_analysis(program, analysis)
-    if analysis is not None:
-        dead = analysis.prunable_rules(
-            live_edb_predicates(edb_old, edb_new)
-        )
-        if dead:
-            run_program = Program(
-                tuple(
-                    r
-                    for i, r in enumerate(program.rules)
-                    if i not in dead
-                )
-            )
-            edb_old = with_program_schema(edb_old, program)
-            edb_new = with_program_schema(edb_new, program)
+    zdelta, edb_old, edb_new, dead = prepare_update(
+        program, edb_old, delta, _usable_analysis(program, analysis)
+    )
+    run_program = without_rules(program, dead)
     db_old, ev_old = seminaive_evaluate(run_program, edb_old, record=True)
     db_new, ev_new = seminaive_evaluate(run_program, edb_new, record=True)
     return build_compiled_update(

@@ -68,16 +68,16 @@ from .compiler import (
     _cumulative_states,
     _usable_analysis,
     build_round_structure,
-    live_edb_predicates,
+    prepare_update,
     stamp_update,
     structure_key,
-    with_program_schema,
+    without_rules,
 )
 from .database import Database, Relation
 from .incremental import Delta
 from .seminaive import EvaluationTrace, seminaive_evaluate
 from .units import ExecutionPlan, PlanSkeleton
-from .zset import ZSetDelta, apply_zdelta, effective_zdelta
+from .zset import ZSetDelta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..verify.program import ProgramAnalysis
@@ -425,17 +425,13 @@ class CompiledProgramCache:
         result is *staged* — call :meth:`commit` once the round is
         verified, or :meth:`rollback` if it failed.
         """
-        for pred in delta.touched_predicates():
-            if pred in program.idb_predicates():
-                raise ValueError(
-                    f"update targets derived predicate {pred!r}"
-                )
         self._check_validity(program, edb_old)
-
-        # clamp to effective weights: redundant and mutually-cancelling
-        # ops vanish here, so they never reach evaluation, index
-        # derivation, pruning, or the plan signature
-        zdelta = effective_zdelta(edb_old, delta)
+        zdelta, edb_old, edb_new, dead = prepare_update(
+            self._program, edb_old, delta, self._analysis
+        )
+        # redundant and mutually-cancelling ops vanished in the clamp:
+        # they never reach evaluation, index derivation, pruning, or the
+        # plan signature
         submitted = sum(
             len(s) for s in delta.insertions.values()
         ) + sum(len(s) for s in delta.deletions.values())
@@ -443,31 +439,11 @@ class CompiledProgramCache:
         if cancelled:
             self.cancelled_ops += cancelled
             self._count("cancelled_ops", cancelled)
-        edb_new = apply_zdelta(edb_old, zdelta)
-
-        # static-analysis pruning: drop rules that provably cannot fire
-        # against either EDB snapshot; augment both snapshots with the
-        # full program's schema so the materializations (and the
-        # committed baseline's schema) stay byte-identical to the
-        # unpruned path
-        dead: frozenset[int] = frozenset()
-        if self._analysis is not None:
-            dead = self._analysis.prunable_rules(
-                live_edb_predicates(edb_old, edb_new)
-            )
         run_program = self._run_programs.get(dead)
         if run_program is None:
-            run_program = Program(
-                tuple(
-                    r
-                    for i, r in enumerate(self._program.rules)
-                    if i not in dead
-                )
+            run_program = self._run_programs[dead] = without_rules(
+                self._program, dead
             )
-            self._run_programs[dead] = run_program
-        if dead:
-            edb_old = with_program_schema(edb_old, self._program)
-            edb_new = with_program_schema(edb_new, self._program)
 
         prev = self._prev
         if (

@@ -48,7 +48,6 @@ from .metrics import MetricsLog, RoundMetrics
 from .recorder import RoundArtifacts, record_round
 from .service import (
     SHED_POLICIES,
-    STRATEGY_CHOICES,
     BackpressureError,
     MaterializationDivergenceError,
     RoundReport,
@@ -80,7 +79,6 @@ __all__ = [
     "HealthState",
     "ServiceUnavailableError",
     "SHED_POLICIES",
-    "STRATEGY_CHOICES",
     "RoundArtifacts",
     "record_round",
     "BackpressureError",

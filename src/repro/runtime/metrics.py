@@ -2,8 +2,11 @@
 
 Every maintenance round emits one :class:`RoundMetrics` record; the
 :class:`MetricsLog` aggregates them into throughput (rounds/sec) and
-latency percentiles and serializes the whole log as JSON — the shape
-the benchmarks write to ``BENCH_runtime.json``.
+latency percentiles and serializes the whole log as JSON — what
+``repro serve --metrics`` writes, and the shape
+``benchmarks/bench_runtime_throughput.py`` reads its
+``BENCH_runtime.json`` numbers from (the one per-script bench file
+left; ``benchmarks/e2e`` is the repo's benchmark).
 
 Aggregation is backed by the :class:`~repro.obs.MetricsRegistry`'s
 log-linear histograms (1% relative precision) instead of ad-hoc lists:
@@ -36,9 +39,13 @@ _PHASE_HISTOGRAMS = (
 )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RoundMetrics:
-    """What one maintenance round cost and touched."""
+    """What one maintenance round cost and touched.
+
+    The defaults from ``n_nodes`` on are those of a round that did
+    nothing — what a no-op round records.
+    """
 
     index: int
     trace_name: str
@@ -48,34 +55,30 @@ class RoundMetrics:
     batches_coalesced: int
     #: queue depth observed at round start, before draining
     queue_depth: int
-    n_nodes: int
-    n_active: int
-    tasks_executed: int
+    n_nodes: int = 0
+    n_active: int = 0
+    tasks_executed: int = 0
     #: net facts inserted + deleted across the materialization
-    changed_facts: int
+    changed_facts: int = 0
     #: wall-clock end-to-end round latency (compile + execute + verify);
     #: starts when the drain returns (= the ``merge`` + ``round`` trace
     #: spans), so queue wait is *not* included — it is reported
     #: separately below
     latency_s: float
-    compile_s: float
-    execute_s: float
-    verify_s: float
+    compile_s: float = 0.0
+    execute_s: float = 0.0
+    verify_s: float = 0.0
     #: busy-span of the recorded schedule (idle-compressed)
-    makespan_s: float
-    scheduler_ops: int
-    precompute_ops: int
-    utilization: float
+    makespan_s: float = 0.0
+    scheduler_ops: int = 0
+    precompute_ops: int = 0
+    utilization: float = 1.0
     #: how long the round's *oldest* coalesced batch sat in the queue
     #: before the drain picked it up
     queue_wait_s: float = 0.0
     #: failed unit attempts re-dispatched under the executor's
     #: retry policy
     unit_retries: int = 0
-    #: units that exhausted their retry budget (nonzero only on the
-    #: metrics of an *aborted* round, which normally never reaches the
-    #: log — kept for completeness and external consumers)
-    quarantined_units: int = 0
     #: the round ran on the degraded serial fallback, not the
     #: concurrent fast path
     degraded: bool = False

@@ -62,17 +62,16 @@ promises.
 from __future__ import annotations
 
 import queue
+import threading
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
 
 from ..datalog.ast import Program
-from ..datalog.bf import MAINTENANCE_STRATEGIES, make_engine
-from ..datalog.columnar import InternPool
 from ..datalog.compiler import CompiledUpdate, compile_update
 from ..datalog.database import Database
-from ..datalog.incremental import Delta, IncrementalEngine, merge_deltas
+from ..datalog.incremental import Delta, merge_deltas
 from ..datalog.plancache import CompiledProgramCache
 from ..datalog.zset import effective_zdelta
 from ..datalog.units import ExecutionPlan, ValueStore, build_execution_plan
@@ -82,7 +81,12 @@ from ..schedulers.base import Scheduler
 from ..verify.invariants import VerificationReport
 from ..verify.program import ProgramAnalysis, analyze_program
 from .chaos import ChaosInjector, ChaosPlan, InjectedPhaseFault
-from .executor import RetryPolicy, RoundExecutor, UnitExecutionError
+from .executor import (
+    RetryPolicy,
+    RoundExecutor,
+    RoundOutcome,
+    UnitExecutionError,
+)
 from .health import (
     HealthMonitor,
     HealthPolicy,
@@ -100,14 +104,10 @@ __all__ = [
     "ServiceUnavailableError",
     "UpdateStreamService",
     "SHED_POLICIES",
-    "STRATEGY_CHOICES",
 ]
 
 #: load-shedding behavior when backpressure and degradation coincide
 SHED_POLICIES = ("reject", "drop-oldest", "coalesce-harder")
-
-#: maintenance strategies the service's shadow oracle accepts
-STRATEGY_CHOICES = tuple(sorted(MAINTENANCE_STRATEGIES)) + ("counting",)
 
 
 class BackpressureError(RuntimeError):
@@ -163,14 +163,14 @@ class RoundReport:
     index: int
     #: the net delta the round maintained (batches merged)
     delta: Delta
+    metrics: RoundMetrics
     #: ``None`` for no-op rounds — an effectively empty delta skips
     #: compilation entirely
-    compiled: CompiledUpdate | None
+    compiled: CompiledUpdate | None = None
     #: ``None`` for degraded rounds — the serial fallback produces no
     #: concurrent schedule to record
-    artifacts: RoundArtifacts | None
-    verification: VerificationReport | None
-    metrics: RoundMetrics
+    artifacts: RoundArtifacts | None = None
+    verification: VerificationReport | None = None
     #: did the runtime materialization match from-scratch evaluation?
     materialization_ok: bool = True
 
@@ -222,12 +222,14 @@ class UpdateStreamService:
         The one scheduler instance reused across all rounds.
     workers:
         Worker-pool width per round (executor lane threads).
-    executor, storage:
-        Accept only ``"thread"`` and ``"columnar"``: the process
-        executor backend and the row storage layout were removed. A
-        healthy round always runs the columnar batch joins of
-        :mod:`repro.datalog.columnar` on worker threads; a degraded
-        round always runs the row evaluator serially (see ``health``).
+    executor, storage, plan_cache:
+        Accept only ``"thread"``, ``"columnar"`` and ``True``: the
+        process executor backend, the row storage layout and cold
+        compilation as a caller's choice were removed. A healthy round
+        always compiles through :attr:`plan_cache` and runs the columnar
+        batch joins of :mod:`repro.datalog.columnar` on worker threads;
+        a degraded round always compiles cold and runs the row evaluator
+        serially (see ``health``).
     capacity:
         Bound of the update queue (backpressure threshold).
     verify:
@@ -246,19 +248,17 @@ class UpdateStreamService:
     sink:
         Trace sink for per-round spans; the default no-op sink makes
         every instrumentation point free.
-    plan_cache:
-        Reuse compilation work across rounds through a
-        :class:`~repro.datalog.plancache.CompiledProgramCache`: the
-        previous round's verified materialization is this round's old
-        side, the bound execution plan is patched instead of rebuilt,
-        and join-input relations keep their hash indexes. Identical
-        outputs either way (the differential suite pins this); ``False``
-        restores cold compilation per round. The cache is committed
-        only after verification succeeds and rolled back on a failed
-        round, so retries never see state staged by the failure.
     obs_metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
-        the cache's ``plancache.*`` hit/miss/invalidation counters.
+        the ``plancache.*`` hit/miss/invalidation counters of
+        :attr:`plan_cache` — the
+        :class:`~repro.datalog.plancache.CompiledProgramCache` every
+        healthy round compiles through: the previous round's verified
+        materialization is this round's old side, the bound execution
+        plan is patched instead of rebuilt, and join-input relations
+        keep their hash indexes. It is committed only after
+        verification succeeds and rolled back on a failed round, so
+        retries never see state staged by the failure.
     unit_retries / unit_backoff_s / unit_timeout_s:
         Executor fault tolerance: retry budget per work unit (0 keeps
         the historical fail-fast round), base of the capped exponential
@@ -282,17 +282,6 @@ class UpdateStreamService:
         submits), ``"drop-oldest"`` evicts the oldest queued batch,
         ``"coalesce-harder"`` merges the entire queue plus the new
         batch into one slot. While healthy, submits behave normally.
-    maintenance:
-        Optional maintenance-strategy shadow oracle, one of
-        :data:`STRATEGY_CHOICES` (``"dred"``, ``"bf"``,
-        ``"counting"``). When set, the service keeps a
-        :func:`~repro.datalog.bf.make_engine` engine alongside the
-        scheduled runtime: each verified round's effective delta is
-        replayed through the engine and its snapshot compared against
-        the round's from-scratch materialization. A divergence is a
-        bug in the named strategy; under ``strict`` it raises
-        :class:`MaterializationDivergenceError` (and the engine is
-        rebuilt from the unchanged EDB on the retry).
 
     Weighted no-op rounds
     ---------------------
@@ -320,7 +309,6 @@ class UpdateStreamService:
         verify: bool = True,
         strict: bool = True,
         deadline_s: float | None = None,
-        work_per_derivation: float = 1e-3,
         name: str = "live",
         max_round_retries: int = 2,
         sink: TraceSink = NULL_SINK,
@@ -333,7 +321,6 @@ class UpdateStreamService:
         chaos: ChaosPlan | None = None,
         health: HealthPolicy | None = None,
         shed_policy: str = "reject",
-        maintenance: str | None = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -350,31 +337,29 @@ class UpdateStreamService:
                 f"shed_policy must be one of {SHED_POLICIES}, "
                 f"got {shed_policy!r}"
             )
-        if maintenance is not None and maintenance not in STRATEGY_CHOICES:
-            raise ValueError(
-                f"maintenance must be one of {STRATEGY_CHOICES}, "
-                f"got {maintenance!r}"
-            )
         # accept-one-value arguments, neither stored nor forwarded:
         # benchmarks/e2e/measure.py still passes them; the next
-        # `benchmark` issue drops them
-        if executor != "thread":
-            raise ValueError(
-                f"executor={executor!r}: the process executor backend "
-                "was removed; units run on worker threads"
-            )
-        if storage != "columnar":
-            raise ValueError(
-                f"storage={storage!r}: the row storage layout was "
-                "removed; healthy rounds are always columnar"
-            )
+        # `benchmark` issue drops all three
+        for arg, got, only, gone in (
+            ("executor", executor, "thread",
+             "the process executor backend was removed; units run on "
+             "worker threads"),
+            ("storage", storage, "columnar",
+             "the row storage layout was removed; healthy rounds are "
+             "always columnar"),
+            ("plan_cache", plan_cache, True,
+             "cold compilation as an option was removed; healthy rounds "
+             "always compile through the plan cache, degraded rounds "
+             "never do"),
+        ):
+            if got != only:
+                raise ValueError(f"{arg}={got!r}: {gone}")
         self.program = program
         self.scheduler = scheduler
         self.workers = workers
         self.verify = verify
         self.strict = strict
         self.deadline_s = deadline_s
-        self.work_per_derivation = work_per_derivation
         self.name = name
         self.max_round_retries = max_round_retries
         self.sink = sink
@@ -384,23 +369,29 @@ class UpdateStreamService:
         self.analysis: ProgramAnalysis | None = (
             analyze_program(program) if analyze else None
         )
-        self.plan_cache: CompiledProgramCache | None = (
-            CompiledProgramCache(
-                program,
-                metrics=obs_metrics,
-                sink=sink,
-                analysis=self.analysis,
+        #: every healthy round compiles and plans through it; a
+        #: degraded round neither reads nor stages it
+        self.plan_cache = CompiledProgramCache(
+            program,
+            metrics=obs_metrics,
+            sink=sink,
+            analysis=self.analysis,
+        )
+        #: what :meth:`submit` refuses: derived predicates, and facts
+        #: whose length disagrees with the predicate's arity — fixed by
+        #: the program's atoms, the initial EDB, or the first accepted
+        #: batch that mentions it
+        self._derived = frozenset(program.idb_predicates())
+        self._arity = {p: rel.arity for p, rel in edb.relations.items()}
+        self._arity.update(
+            (atom.predicate, atom.arity)
+            for rule in program.rules
+            for atom in (
+                rule.head,
+                *(lit.atom for lit in rule.body if lit.atom is not None),
             )
-            if plan_cache
-            else None
         )
-        #: the intern pool of every healthy round: the plan cache's own,
-        #: or one for cold (cache-off) plan builds
-        self._pool: InternPool = (
-            self.plan_cache.pool
-            if self.plan_cache is not None
-            else InternPool()
-        )
+        self._door = threading.Lock()
         #: (builds, probes) pool counters at the end of the last round,
         #: so per-round metrics report deltas
         self._pool_counts = (0, 0)
@@ -439,9 +430,6 @@ class UpdateStreamService:
         #: retried round draws fresh decisions
         self._maintain_epoch = 0
         self._materialization: Database | None = None
-        #: shadow maintenance-strategy oracle (built on first round)
-        self.maintenance = maintenance
-        self._engine: IncrementalEngine | None = None
 
     # ------------------------------------------------------------------
     # producer side
@@ -458,7 +446,17 @@ class UpdateStreamService:
         ``capacity``) once the queue stays full that long, instead of
         waiting forever. While the service is degraded, a full queue is
         handled by :attr:`shed_policy` — see the class docstring.
+
+        A batch no round could maintain — it targets a derived
+        predicate, or a fact's length disagrees with the predicate's
+        arity in the program, the EDB, an earlier accepted batch or
+        this one — raises ``ValueError`` here and enqueues nothing:
+        rounds coalesce every producer's batches, so one accepted at
+        the door would fail the merged round for all of them. A
+        predicate nobody mentions is legal; its first accepted batch
+        fixes its arity.
         """
+        self._check_batch(delta)
         if self.health.state is not HealthState.HEALTHY:
             self._submit_degraded(delta, block, timeout)
             return
@@ -467,6 +465,32 @@ class UpdateStreamService:
                             timeout=timeout)
         except queue.Full:
             raise self._backpressure() from None
+
+    def _check_batch(self, delta: Delta) -> None:
+        """Raise ``ValueError`` for a batch :meth:`submit` must refuse;
+        record the arity of any predicate an accepted one introduces."""
+        with self._door:  # producers race to introduce a predicate
+            fresh: dict[str, int] = {}
+            for side in (delta.insertions, delta.deletions):
+                for pred, facts in side.items():
+                    if not facts:
+                        continue
+                    if pred in self._derived:
+                        raise ValueError(
+                            f"update targets derived predicate {pred!r}"
+                        )
+                    arity = self._arity.get(pred)
+                    if arity is None:
+                        arity = fresh.setdefault(
+                            pred, len(next(iter(facts)))
+                        )
+                    for fact in facts:
+                        if len(fact) != arity:
+                            raise ValueError(
+                                f"{pred}: tuple {fact!r} has arity "
+                                f"{len(fact)}, expected {arity}"
+                            )
+            self._arity.update(fresh)
 
     def _backpressure(self) -> BackpressureError:
         return BackpressureError(
@@ -648,10 +672,9 @@ class UpdateStreamService:
         self, delta: Delta, enqueued_at: float, exc: BaseException
     ) -> None:
         """Apply the failed-round policy before the exception re-raises."""
-        if self.plan_cache is not None:
-            # drop anything the failed round staged or patched; the
-            # retry recompiles from the last *committed* baseline
-            self.plan_cache.rollback()
+        # drop anything the failed round staged or patched; the retry
+        # recompiles from the last *committed* baseline
+        self.plan_cache.rollback()
         if isinstance(exc, UnitExecutionError):
             self.quarantined_units_total += len(exc.failures)
         self._round_attempts += 1
@@ -681,7 +704,7 @@ class UpdateStreamService:
     def _pool_round_stats(self) -> tuple[int, int, int]:
         """``(intern table size, builds Δ, probes Δ)`` for the round
         that just finished (a degraded round touches no pool: zero Δ)."""
-        s = self._pool.stats()
+        s = self.plan_cache.pool.stats()
         b0, p0 = self._pool_counts
         self._pool_counts = (s["columnar_builds"], s["columnar_probes"])
         return (
@@ -725,33 +748,14 @@ class UpdateStreamService:
             workers=self.workers,
             batches_coalesced=n_batches,
             queue_depth=depth,
-            n_nodes=0,
-            n_active=0,
-            tasks_executed=0,
-            changed_facts=0,
             latency_s=perf_counter() - t_round,
-            compile_s=0.0,
-            execute_s=0.0,
-            verify_s=0.0,
-            makespan_s=0.0,
-            scheduler_ops=0,
-            precompute_ops=0,
-            utilization=1.0,
             queue_wait_s=queue_wait_s,
             cancelled_ops=cancelled,
             noop=True,
         )
         self.metrics.append(metrics)
         self._rounds_run += 1
-        return RoundReport(
-            index=metrics.index,
-            delta=delta,
-            compiled=None,
-            artifacts=None,
-            verification=None,
-            metrics=metrics,
-            materialization_ok=True,
-        )
+        return RoundReport(index=metrics.index, delta=delta, metrics=metrics)
 
     def _maintain(
         self,
@@ -760,14 +764,19 @@ class UpdateStreamService:
         depth: int,
         t_round: float,
         queue_wait_s: float,
-        degraded: bool = False,
+        degraded: bool,
     ) -> RoundReport:
-        """Compile, execute, verify, and commit one merged round.
+        """One merged round: clamp (or no-op), compile, execute, verify,
+        commit, metrics.
 
-        ``degraded=True`` is the circuit breaker's fallback: cold
-        compile (plan cache bypassed), serial reference execution
-        instead of the concurrent executor, materialization check only
-        (there is no concurrent schedule to run invariants on).
+        ``degraded`` — the breaker's verdict, taken once in
+        :meth:`run_round` — picks the body of every phase. Healthy:
+        cached compile, concurrent execution, recorded-schedule
+        invariants, cache commit. Degraded: cold compile with the plan
+        cache neither read nor staged, the row evaluator run serially,
+        the materialization check only (there is no concurrent schedule
+        to run invariants on). Each phase returns the
+        :class:`RoundMetrics` fields it fills.
         """
         sink = self.sink
         zdelta = effective_zdelta(self._edb, delta)
@@ -803,132 +812,15 @@ class UpdateStreamService:
                 sink.record_span_abs(
                     "merge", "phase", t_round, perf_counter()
                 )
-            t0 = perf_counter()
-            cache = self.plan_cache if not degraded else None
-            if chaos is not None and chaos.phase_fails("compile"):
-                raise InjectedPhaseFault("compile", self._rounds_run)
-            with sink.span("compile", "phase"):
-                if cache is not None:
-                    cu = cache.compile(
-                        self.program,
-                        self._edb,
-                        delta,
-                        work_per_derivation=self.work_per_derivation,
-                        name=f"{self.name}:r{self._rounds_run}",
-                    )
-                else:
-                    cu = compile_update(
-                        self.program,
-                        self._edb,
-                        delta,
-                        work_per_derivation=self.work_per_derivation,
-                        name=f"{self.name}:r{self._rounds_run}",
-                        analysis=self.analysis,
-                    )
-            with sink.span("plan-build", "phase"):
-                if cache is not None:
-                    plan = cache.plan(cu)
-                else:
-                    join_orders = (
-                        self.analysis.join_orders_for(cu.program)
-                        if self.analysis is not None
-                        else None
-                    )
-                    plan = build_execution_plan(
-                        cu,
-                        join_orders=join_orders,
-                        # degraded rounds run the row reference
-                        # evaluator; healthy cold builds are columnar
-                        pool=self._pool if not degraded else None,
-                    )
-            compile_s = perf_counter() - t0
-
-            t0 = perf_counter()
-            if degraded:
-                # serial reference oracle: single-threaded level-order
-                # execution, immune to executor-level faults
-                with sink.span(
-                    "execute-serial", "phase", args={"degraded": True}
-                ):
-                    values, diffs = plan.execute_serial()
-                outcome = None
-                tasks_executed = len(diffs)
-            else:
-                with sink.span("execute", "phase") as sp_exec:
-                    outcome = RoundExecutor(
-                        plan,
-                        self.scheduler,
-                        workers=self.workers,
-                        deadline=self.deadline_s,
-                        sink=sink,
-                        retry=self.unit_retry,
-                        unit_timeout_s=self.unit_timeout_s,
-                        chaos=chaos,
-                    ).run()
-                values = outcome.values
-                tasks_executed = len(outcome.records)
-                if sink.enabled:
-                    sp_exec.set("scheduler_ops", outcome.scheduler_ops)
-                    sp_exec.set("tasks_executed", tasks_executed)
-                    sp_exec.set("unit_retries", outcome.unit_retries)
-                    sp_exec.set("injected_faults", outcome.injected_faults)
-            execute_s = perf_counter() - t0
-
-            t0 = perf_counter()
-            if chaos is not None and chaos.phase_fails("verify"):
-                raise InjectedPhaseFault("verify", self._rounds_run)
-            with sink.span("verify", "phase"):
-                artifacts: RoundArtifacts | None = None
-                report: VerificationReport | None = None
-                if outcome is not None:
-                    artifacts = record_round(outcome, cu.trace)
-                if self.verify and artifacts is not None:
-                    report = artifacts.check()
-                    if self.strict and not report.ok:
-                        raise RoundVerificationError(
-                            self._rounds_run, report
-                        )
-                diverging, changed_facts = _round_diffs(
-                    plan, values, check=self.verify
-                )
-                mat_ok = diverging == 0
-                if not mat_ok and self.strict:
-                    raise MaterializationDivergenceError(
-                        self._rounds_run, f"{diverging} facts differ"
-                    )
-            if self.maintenance is not None:
-                # shadow oracle: replay the effective delta through the
-                # configured maintenance strategy and insist it lands on
-                # the same materialization as from-scratch evaluation
-                with sink.span(
-                    "maintain-oracle", "phase",
-                    args={"strategy": self.maintenance},
-                ):
-                    if self._engine is None:
-                        self._engine = make_engine(
-                            self.maintenance, self.program, self._edb
-                        )
-                    self._engine.apply(zdelta)
-                    if (
-                        self.verify
-                        and self._engine.snapshot() != cu.db_new.as_dict()
-                    ):
-                        # rebuild from the (unchanged) EDB on retry
-                        self._engine = None
-                        if self.strict:
-                            raise MaterializationDivergenceError(
-                                self._rounds_run,
-                                f"maintenance strategy "
-                                f"{self.maintenance!r} disagrees with "
-                                "from-scratch evaluation",
-                            )
-                        mat_ok = False
-            verify_s = perf_counter() - t0
-
+            cu, plan, compiled = self._compile_phase(delta, degraded)
+            values, outcome, executed = self._execute_phase(plan, degraded)
+            artifacts, report, mat_ok, verified = self._verify_phase(
+                plan, values, outcome, degraded
+            )
             # the round is verified: only now may the staged compile
             # become the baseline the next round's compile reuses
-            if cache is not None:
-                cache.commit(cu)
+            if not degraded:
+                self.plan_cache.commit(cu)
             self._edb = cu.edb_new
             self._materialization = cu.db_new
 
@@ -937,37 +829,12 @@ class UpdateStreamService:
                 index=self._rounds_run,
                 trace_name=cu.trace.name,
                 scheduler=self.scheduler.name,
-                workers=self.workers if not degraded else 1,
                 batches_coalesced=n_batches,
                 queue_depth=depth,
                 n_nodes=cu.trace.dag.n_nodes,
                 n_active=cu.trace.n_active,
-                tasks_executed=tasks_executed,
-                changed_facts=changed_facts,
                 latency_s=perf_counter() - t_round,
-                compile_s=compile_s,
-                execute_s=execute_s,
-                verify_s=verify_s,
-                makespan_s=(
-                    artifacts.result.makespan
-                    if artifacts is not None
-                    else execute_s
-                ),
-                scheduler_ops=(
-                    outcome.scheduler_ops if outcome is not None else 0
-                ),
-                precompute_ops=(
-                    outcome.precompute_ops if outcome is not None else 0
-                ),
-                utilization=(
-                    artifacts.result.utilization
-                    if artifacts is not None
-                    else 1.0
-                ),
                 queue_wait_s=queue_wait_s,
-                unit_retries=(
-                    outcome.unit_retries if outcome is not None else 0
-                ),
                 degraded=degraded,
                 injected_faults=(
                     chaos.injected_total - faults0
@@ -978,18 +845,147 @@ class UpdateStreamService:
                 intern_table_size=table_size,
                 columnar_builds=builds,
                 columnar_probes=probes,
+                **compiled,
+                **executed,
+                **verified,
             )
         self.metrics.append(metrics)
         self._rounds_run += 1
         return RoundReport(
             index=metrics.index,
             delta=delta,
+            metrics=metrics,
             compiled=cu,
             artifacts=artifacts,
             verification=report,
-            metrics=metrics,
             materialization_ok=mat_ok,
         )
+
+    def _compile_phase(
+        self, delta: Delta, degraded: bool
+    ) -> tuple[CompiledUpdate, ExecutionPlan, dict]:
+        """The ``compile`` and ``plan-build`` spans; fills ``compile_s``."""
+        sink = self.sink
+        name = f"{self.name}:r{self._rounds_run}"
+        t0 = perf_counter()
+        if self.chaos is not None and self.chaos.phase_fails("compile"):
+            raise InjectedPhaseFault("compile", self._rounds_run)
+        if degraded:
+            with sink.span("compile", "phase"):
+                cu = compile_update(
+                    self.program, self._edb, delta,
+                    name=name, analysis=self.analysis,
+                )
+            with sink.span("plan-build", "phase"):
+                # pool=None: the row reference evaluator
+                plan = build_execution_plan(
+                    cu,
+                    join_orders=(
+                        self.analysis.join_orders_for(cu.program)
+                        if self.analysis is not None
+                        else None
+                    ),
+                    pool=None,
+                )
+        else:
+            with sink.span("compile", "phase"):
+                cu = self.plan_cache.compile(
+                    self.program, self._edb, delta, name=name
+                )
+            with sink.span("plan-build", "phase"):
+                plan = self.plan_cache.plan(cu)
+        return cu, plan, {"compile_s": perf_counter() - t0}
+
+    def _execute_phase(
+        self, plan: ExecutionPlan, degraded: bool
+    ) -> tuple[ValueStore, RoundOutcome | None, dict]:
+        """The ``execute`` (``execute-serial``) span; fills ``execute_s``
+        and what the run reports of itself — for a degraded round also
+        the ``makespan_s`` no recorded schedule will supply."""
+        sink = self.sink
+        t0 = perf_counter()
+        if degraded:
+            # single-threaded level-order execution, immune to
+            # executor-level faults
+            with sink.span(
+                "execute-serial", "phase", args={"degraded": True}
+            ):
+                values, diffs = plan.execute_serial()
+            execute_s = perf_counter() - t0
+            return values, None, {
+                "execute_s": execute_s,
+                "workers": 1,
+                "tasks_executed": len(diffs),
+                "makespan_s": execute_s,
+            }
+        with sink.span("execute", "phase") as sp_exec:
+            outcome = RoundExecutor(
+                plan,
+                self.scheduler,
+                workers=self.workers,
+                deadline=self.deadline_s,
+                sink=sink,
+                retry=self.unit_retry,
+                unit_timeout_s=self.unit_timeout_s,
+                chaos=self.chaos,
+            ).run()
+        tasks_executed = len(outcome.records)
+        if sink.enabled:
+            sp_exec.set("scheduler_ops", outcome.scheduler_ops)
+            sp_exec.set("tasks_executed", tasks_executed)
+            sp_exec.set("unit_retries", outcome.unit_retries)
+            sp_exec.set("injected_faults", outcome.injected_faults)
+        return outcome.values, outcome, {
+            "execute_s": perf_counter() - t0,
+            "workers": self.workers,
+            "tasks_executed": tasks_executed,
+            "scheduler_ops": outcome.scheduler_ops,
+            "precompute_ops": outcome.precompute_ops,
+            "unit_retries": outcome.unit_retries,
+        }
+
+    def _verify_phase(
+        self,
+        plan: ExecutionPlan,
+        values: ValueStore,
+        outcome: RoundOutcome | None,
+        degraded: bool,
+    ) -> tuple[RoundArtifacts | None, VerificationReport | None, bool, dict]:
+        """The ``verify`` span: ``(artifacts, report, materialization_ok,
+        fields)``; fills ``verify_s``, ``changed_facts`` and, from a
+        healthy round's recorded schedule, ``makespan_s`` and
+        ``utilization``."""
+        t0 = perf_counter()
+        if self.chaos is not None and self.chaos.phase_fails("verify"):
+            raise InjectedPhaseFault("verify", self._rounds_run)
+        with self.sink.span("verify", "phase"):
+            if degraded:
+                artifacts, report, schedule = None, None, {}
+            else:
+                artifacts = record_round(outcome, plan.compiled.trace)
+                schedule = {
+                    "makespan_s": artifacts.result.makespan,
+                    "utilization": artifacts.result.utilization,
+                }
+                report = None
+                if self.verify:
+                    report = artifacts.check()
+                    if self.strict and not report.ok:
+                        raise RoundVerificationError(
+                            self._rounds_run, report
+                        )
+            diverging, changed_facts = _round_diffs(
+                plan, values, check=self.verify
+            )
+            if diverging and self.strict:
+                raise MaterializationDivergenceError(
+                    self._rounds_run, f"{diverging} facts differ"
+                )
+        return artifacts, report, diverging == 0, {
+            "verify_s": perf_counter() - t0,
+            "changed_facts": changed_facts,
+            **schedule,
+        }
 
     def run(
         self,

@@ -7,6 +7,8 @@ import random
 import pytest
 
 from repro.datalog import Database, Delta
+from repro.runtime import UpdateStreamService
+from repro.schedulers import scheduler_registry
 from repro.workloads.datalog_workloads import compile_workload
 
 WORKLOADS = (
@@ -16,6 +18,41 @@ WORKLOADS = (
     "retail_analytics",
     "points_to",
 )
+
+
+def serve_ticks(
+    program, edb, ticks, scheduler="hybrid", workers=2, cold=False
+) -> UpdateStreamService:
+    """Serve each tick's batches as one verified round; the final service.
+
+    ``cold=True`` restarts the service from its own database before
+    every tick, so no round finds a committed baseline, a bound plan or
+    an indexed relation: each is a first round — a plan-cache miss that
+    evaluates both sides, binds a fresh plan and builds its relations
+    instead of deriving them.
+    """
+    registry = scheduler_registry()
+    svc = None
+    for batches in ticks:
+        if svc is None or cold:
+            svc = UpdateStreamService(
+                program,
+                edb if svc is None else svc.database(),
+                registry[scheduler](),
+                workers=workers,
+            )
+        for delta in batches:
+            svc.submit(delta)
+        rep = svc.run_round()
+        assert rep.materialization_ok and not rep.metrics.degraded
+    return svc
+
+
+def edb_is_mirror(wl, edb: Database) -> bool:
+    """``edb`` holds exactly the facts the stream generator's mirror
+    does: every generated batch landed, none twice."""
+    facts = edb.as_dict()
+    return {p: facts[p] for p in wl._mirror} == wl._mirror
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,15 @@
 The service has one runtime cell — columnar batch joins on worker
 threads — and the row evaluator (:func:`seminaive_evaluate` with no
 intern pool, the per-tuple joins of :mod:`repro.datalog.unify`) stays as
-the reference. Whatever scheduler, maintenance oracle, cache setting and
-stream shape serves an update stream, the final materialization must be
+the reference. Whatever scheduler, cache temperature and stream shape
+serves an update stream, the final materialization must be
 **byte-identical** to a from-scratch row evaluation of the accumulated
 EDB — same relations, same tuples, same canonical serialization.
+
+``cold`` cases restart the service before every round
+(:func:`~tests.runtime.conftest.serve_ticks`), so each round is a
+plan-cache miss; ``cache`` cases keep one service, whose rounds hit the
+committed baseline.
 """
 
 from __future__ import annotations
@@ -14,13 +19,17 @@ from __future__ import annotations
 import pytest
 
 from repro.datalog import parse_program, seminaive_evaluate
-from repro.runtime import UpdateStreamService, live_workload, make_stream
+from repro.runtime import live_workload, make_stream
 from repro.schedulers import scheduler_registry
 
-from .conftest import READ_SET_SHAPES, read_set_edb, read_set_stream
+from .conftest import (
+    READ_SET_SHAPES,
+    read_set_edb,
+    read_set_stream,
+    serve_ticks,
+)
 
-REGISTRY = scheduler_registry()
-ALL_SCHEDULERS = sorted(REGISTRY)
+ALL_SCHEDULERS = sorted(scheduler_registry())
 
 
 def canonical_bytes(db) -> bytes:
@@ -38,34 +47,19 @@ def row_bytes(program, svc) -> bytes:
     return canonical_bytes(scratch)
 
 
-def serve(
-    name,
-    kind,
-    *,
-    scheduler="hybrid",
-    plan_cache=True,
-    maintenance=None,
-    rounds=3,
-    seed=5,
-    workers=3,
-    **wl_kwargs,
-):
+def serve(name, kind, *, rounds=3, seed=5, scheduler="hybrid", cold=False,
+          **wl_kwargs):
     """Serve ``rounds`` ticks; canonical (columnar, row) materializations."""
     wl = live_workload(name, seed=seed, **wl_kwargs)
-    svc = UpdateStreamService(
+    svc = serve_ticks(
         wl.program,
         wl.edb,
-        REGISTRY[scheduler](),
-        workers=workers,
-        plan_cache=plan_cache,
-        maintenance=maintenance,
+        make_stream(wl, kind, rounds=rounds, batch_size=2),
+        scheduler=scheduler,
+        workers=3,
+        cold=cold,
     )
-    for batches in make_stream(wl, kind, rounds=rounds, batch_size=2):
-        for delta in batches:
-            svc.submit(delta)
-        rep = svc.run_round()
-        if rep is not None:
-            assert not rep.metrics.degraded
+    assert (svc.plan_cache.stats()["hits"] == 0) is cold
     return canonical_bytes(svc.materialization()), row_bytes(
         wl.program, svc
     )
@@ -75,24 +69,6 @@ def serve(
 def test_columnar_matches_row_all_schedulers(sched):
     """Columnar storage is invisible to every registered scheduler."""
     col, row = serve("tc", "steady", scheduler=sched)
-    assert col == row
-
-
-@pytest.mark.parametrize("cache", [True, False], ids=["cache", "cold"])
-@pytest.mark.parametrize("strategy", ["dred", "bf", "counting"])
-def test_maintenance_oracles_columnar_vs_row(strategy, cache):
-    """Every maintenance-strategy oracle passes over the columnar rounds.
-
-    The oracle replays each round through the named engine (row joins)
-    and insists it matches from-scratch evaluation — a per-round
-    tripwire on top of the final byte-compare. Counting rejects
-    recursion, so it runs over the non-recursive retail_flat workload;
-    dred/bf get the closure.
-    """
-    workload = "flat" if strategy == "counting" else "tc"
-    col, row = serve(
-        workload, "mixed", maintenance=strategy, plan_cache=cache
-    )
     assert col == row
 
 
@@ -110,29 +86,26 @@ def test_points_to_columnar_vs_row():
 
 
 def test_cache_on_off_columnar_agree():
-    """The columnar plan cache changes cost, never bytes."""
-    cold = serve("tc", "bursty", plan_cache=False)
-    warm = serve("tc", "bursty", plan_cache=True)
+    """A warm plan cache changes cost, never bytes: rounds that hit it
+    and rounds that never can serve the same stream identically."""
+    cold = serve("tc", "bursty", cold=True)
+    warm = serve("tc", "bursty")
     assert cold == warm
     assert cold[0] == cold[1]
 
 
-@pytest.mark.parametrize("cache", [True, False], ids=["cache", "cold"])
+@pytest.mark.parametrize("cold", [False, True], ids=["cache", "cold"])
 @pytest.mark.parametrize("shape", sorted(READ_SET_SHAPES))
-def test_read_set_shapes_columnar_vs_row(shape, cache):
+def test_read_set_shapes_columnar_vs_row(shape, cold):
     """Units that materialise only their read set serve every
     adversarial shape to the row evaluator's from-scratch bytes, whether
-    or not relations come from the cross-round cache."""
+    relations are derived from the cross-round cache or built afresh."""
     program = parse_program(READ_SET_SHAPES[shape])
-    svc = UpdateStreamService(
+    svc = serve_ticks(
         program,
         read_set_edb(),
-        REGISTRY["hybrid"](),
+        ([delta] for delta in read_set_stream(program)),
         workers=3,
-        plan_cache=cache,
+        cold=cold,
     )
-    for delta in read_set_stream(program):
-        svc.submit(delta)
-        rep = svc.run_round()
-        assert rep is None or rep.materialization_ok
     assert canonical_bytes(svc.materialization()) == row_bytes(program, svc)

@@ -1,11 +1,12 @@
 """Deletion-heavy and mixed streams through the full service stack.
 
 The weighted-delta core's safety net: retraction-skewed and
-churn-heavy streams must produce byte-identical materializations with
-the plan cache on or off, with chaos on or off, under every registered
-scheduler and every maintenance strategy — while the coalescing
-machinery (cancelled ops, no-op rounds, weighted index application)
-demonstrably engages.
+churn-heavy streams must land on the from-scratch materialization with
+the plan cache warm or never warm, with chaos on or off, under every
+registered scheduler — while the coalescing machinery (cancelled ops,
+no-op rounds, weighted index application) demonstrably engages. The
+maintenance engines of :mod:`repro.datalog` are replayed over the same
+streams as the library procedures they are, no service involved.
 """
 
 from __future__ import annotations
@@ -14,16 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalog import Delta, seminaive_evaluate
+from repro.datalog import (
+    Delta,
+    apply_zdelta,
+    effective_zdelta,
+    make_engine,
+    merge_deltas,
+    seminaive_evaluate,
+)
 from repro.runtime import (
     ChaosPlan,
     HealthPolicy,
-    STRATEGY_CHOICES,
     UpdateStreamService,
     live_workload,
     make_stream,
 )
 from repro.schedulers import scheduler_registry
+
+from .conftest import edb_is_mirror, serve_ticks
 
 REGISTRY = scheduler_registry()
 ROUNDS = 6
@@ -44,54 +53,49 @@ def _materialized_stream(program: str, kind: str, seed: int, **kw):
     return wl, rounds
 
 
-def _serve(wl, rounds, **svc_kw):
-    svc = UpdateStreamService(
-        wl.program, wl.edb, svc_kw.pop("scheduler"), workers=2, **svc_kw
+def _serve(wl, rounds, scheduler, cold=False):
+    return serve_ticks(
+        wl.program, wl.edb, rounds, scheduler=scheduler, cold=cold
     )
-    reports = []
-    for batches in rounds:
-        for delta in batches:
-            svc.submit(delta)
-        rep = svc.run_round()
-        if rep is not None:
-            assert rep.materialization_ok
-            reports.append(rep)
-    return svc, reports
+
+
+def _assert_served(wl, svc):
+    """The service's answer is the from-scratch one, and its EDB the
+    stream's mirror."""
+    mat = svc.materialization()
+    assert mat is not None
+    oracle, _ = seminaive_evaluate(wl.program, svc.database())
+    assert mat.as_dict() == oracle.as_dict()
+    assert edb_is_mirror(wl, svc.database())
 
 
 class TestCacheDifferential:
-    """Plan cache on vs off: byte-identical on retraction streams."""
+    """Plan cache warm vs never warm: the hit path (committed baseline
+    reused, plan patched, relations derived) and the miss path (both
+    sides evaluated, plan bound, relations built) serve retraction
+    streams to the same from-scratch answer. The byte differential
+    against ``compile_update`` itself is
+    ``tests/datalog/test_plan_cache_differential.py``."""
 
     @pytest.mark.parametrize("sched_name", sorted(REGISTRY))
     @pytest.mark.parametrize("kind", ("deletions", "mixed"))
     def test_cache_on_off_identical(self, sched_name, kind):
         wl, rounds = _materialized_stream("flat", kind, seed=11,
                                           batch_size=3)
-        cold, _ = _serve(
-            wl, rounds, scheduler=REGISTRY[sched_name](), plan_cache=False
-        )
-        cached, _ = _serve(
-            wl, rounds, scheduler=REGISTRY[sched_name](), plan_cache=True
-        )
-        assert cold.materialization() is not None
-        assert (
-            cold.materialization().as_dict()
-            == cached.materialization().as_dict()
-        )
-        assert cold.database().as_dict() == cached.database().as_dict()
+        warm = _serve(wl, rounds, scheduler=sched_name)
+        cold = _serve(wl, rounds, scheduler=sched_name, cold=True)
+        _assert_served(wl, warm)
+        _assert_served(wl, cold)
+        assert warm.plan_cache.stats()["hits"] > 0
+        assert cold.plan_cache.stats()["hits"] == 0
 
     def test_recursive_program_deletion_stream(self):
         # deletion-heavy streams over the recursive TC workload too —
         # the deletion path that exercises DRed inside the compiler
         wl, rounds = _materialized_stream("tc", "deletions", seed=7,
                                           batch_size=2)
-        svc, _ = _serve(
-            wl, rounds, scheduler=REGISTRY["hybrid"](), plan_cache=True
-        )
-        mat = svc.materialization()
-        assert mat is not None
-        oracle, _ = seminaive_evaluate(wl.program, svc.database())
-        assert mat.as_dict() == oracle.as_dict()
+        svc = _serve(wl, rounds, scheduler="hybrid")
+        _assert_served(wl, svc)
 
 
 class TestChaosDifferential:
@@ -102,9 +106,7 @@ class TestChaosDifferential:
     def test_chaos_on_off_identical(self, kind):
         wl, rounds = _materialized_stream("flat", kind, seed=13,
                                           batch_size=3)
-        base, _ = _serve(
-            wl, rounds, scheduler=REGISTRY["hybrid"]()
-        )
+        base = _serve(wl, rounds, scheduler="hybrid")
         chaos = ChaosPlan(
             seed=5,
             unit_fail_prob=0.2,
@@ -193,9 +195,7 @@ class TestCoalescing:
     def test_mixed_stream_reports_cancellations(self):
         wl, rounds = _materialized_stream("flat", "mixed", seed=17,
                                           batch_size=3)
-        svc, reports = _serve(
-            wl, rounds, scheduler=REGISTRY["hybrid"](), plan_cache=True
-        )
+        svc = _serve(wl, rounds, scheduler="hybrid")
         reg = svc.metrics.registry
         assert reg.counter("cancelled_ops").value > 0
         assert reg.counter("noop_rounds").value > 0
@@ -219,44 +219,35 @@ class TestCoalescing:
 
 
 class TestStrategyOracle:
-    """The maintenance= shadow engine verifies every round."""
+    """DRed, Backward/Forward and counting are library procedures the
+    service does not run; each is replayed here over the streams the
+    service is tested on and must equal from-scratch evaluation after
+    every round."""
 
-    @pytest.mark.parametrize("strategy", STRATEGY_CHOICES)
+    @staticmethod
+    def _replay(program, kind, strategy, seed, batch_size):
+        wl, rounds = _materialized_stream(program, kind, seed=seed,
+                                          batch_size=batch_size)
+        engine = make_engine(strategy, wl.program, wl.edb)
+        edb = wl.edb
+        for batches in rounds:
+            zdelta = effective_zdelta(edb, merge_deltas(batches))
+            engine.apply(zdelta)
+            edb = apply_zdelta(edb, zdelta)
+            oracle, _ = seminaive_evaluate(wl.program, edb)
+            assert engine.snapshot() == oracle.as_dict()
+        assert edb_is_mirror(wl, edb)
+
+    @pytest.mark.parametrize("strategy", ("bf", "dred", "counting"))
     @pytest.mark.parametrize("kind", ("deletions", "mixed"))
-    def test_strategies_track_scheduled_runtime(self, strategy, kind):
-        wl, rounds = _materialized_stream("flat", kind, seed=19,
-                                          batch_size=3)
-        svc, _ = _serve(
-            wl,
-            rounds,
-            scheduler=REGISTRY["levelbased"](),
-            maintenance=strategy,
-        )
-        mat = svc.materialization()
-        assert mat is not None
-        oracle, _ = seminaive_evaluate(wl.program, svc.database())
-        assert mat.as_dict() == oracle.as_dict()
+    def test_tracks_from_scratch(self, strategy, kind):
+        self._replay("flat", kind, strategy, seed=19, batch_size=3)
 
     def test_bf_on_recursive_workload(self):
         # counting rejects recursion, but bf and dred must take it
         for strategy in ("dred", "bf"):
-            wl, rounds = _materialized_stream("tc", "deletions", seed=23,
-                                              batch_size=2)
-            svc, _ = _serve(
-                wl,
-                rounds,
-                scheduler=REGISTRY["hybrid"](),
-                maintenance=strategy,
-            )
-            assert svc.materialization() is not None
-
-    def test_unknown_strategy_rejected(self):
-        wl = live_workload("flat", seed=3)
-        with pytest.raises(ValueError, match="maintenance"):
-            UpdateStreamService(
-                wl.program, wl.edb, REGISTRY["hybrid"](),
-                maintenance="gms2",
-            )
+            for kind in ("deletions", "mixed"):
+                self._replay("tc", kind, strategy, seed=23, batch_size=2)
 
 
 class TestRandomizedStreams:
@@ -268,12 +259,6 @@ class TestRandomizedStreams:
     def test_stream_matches_from_scratch(self, seed, kind):
         wl, rounds = _materialized_stream("flat", kind, seed=seed,
                                           batch_size=3)
-        svc, _ = _serve(
-            wl, rounds, scheduler=REGISTRY["levelbased"](),
-            plan_cache=True,
-        )
-        mat = svc.materialization()
-        if mat is None:
-            return
-        oracle, _ = seminaive_evaluate(wl.program, svc.database())
-        assert mat.as_dict() == oracle.as_dict()
+        svc = _serve(wl, rounds, scheduler="levelbased")
+        if svc.materialization() is not None:
+            _assert_served(wl, svc)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datalog import Delta, seminaive_evaluate
+from repro.datalog import CompiledProgramCache, Delta, seminaive_evaluate
 from repro.runtime import (
     BackpressureError,
+    HealthState,
     MaterializationDivergenceError,
     UpdateStreamService,
     live_workload,
@@ -95,27 +96,78 @@ class TestQueueing:
             UpdateStreamService(*args, storage="row")
         UpdateStreamService(*args, executor="thread", storage="columnar")
 
+    def test_cold_compile_and_maintenance_are_not_choices(self):
+        """``plan_cache`` accepts only ``True`` — the cache is there
+        from construction — and ``maintenance`` went with its engine."""
+        wl = live_workload("retail", seed=1)
+        args = (wl.program, wl.edb, REGISTRY["hybrid"]())
+        with pytest.raises(ValueError, match="cold compilation.*removed"):
+            UpdateStreamService(*args, plan_cache=False)
+        with pytest.raises(TypeError, match="maintenance"):
+            UpdateStreamService(*args, maintenance="bf")
+        svc = UpdateStreamService(*args, plan_cache=True)
+        assert isinstance(svc.plan_cache, CompiledProgramCache)
+
     def test_rejects_update_to_derived_predicate(self):
         _, svc = make_service()
-        svc.submit(Delta().insert("in_category", ("p0", 1)))
         with pytest.raises(ValueError, match="derived predicate"):
-            svc.run_round()
+            svc.submit(Delta().insert("in_category", ("p0", 1)))
+        assert svc.pending_batches() == 0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Delta().insert("in_category", ("p0", 1)),  # derived
+            Delta().insert("subcat", ("only-one",)),  # vs the program
+            Delta().delete("subcat", ("a", "b", "c")),
+            Delta().insert("other", ("x", 1, 2)),  # vs a served batch
+            Delta().insert("tag", ("t",)),  # vs a batch still queued
+            Delta().insert("fresh", ("x",)).delete("fresh", ("x", "y")),
+        ],
+        ids=["derived", "short", "long-delete", "served", "queued",
+             "within-batch"],
+    )
+    def test_malformed_batch_is_refused_at_the_door(self, bad):
+        """One producer's malformed batch used to be merged with the
+        other producers' valid ones: the merged round raised
+        ``ValueError`` on every retry, the breaker opened, and the valid
+        batch was dropped with the poison one. ``submit`` refuses it
+        instead — the offender gets the error, nothing is enqueued, and
+        the good batch beside it is served by a healthy service."""
+        _, svc = make_service()
+        svc.submit(Delta().insert("other", ("seed", 0)))
+        svc.run_round()
+        good = Delta().insert("subcat", ("zzz-new", "zzz-parent"))
+        svc.submit(good.insert("tag", ("t", 1)))
+        with pytest.raises(ValueError):
+            svc.submit(bad)
+        assert svc.pending_batches() == 1
+        rep = svc.run_round()
+        assert rep is not None and rep.materialization_ok
+        assert ("zzz-new", "zzz-parent") in svc.database().relations["subcat"]
+        assert svc.health.transitions == []
+        assert svc.health.state is HealthState.HEALTHY
 
-    @pytest.mark.parametrize("cache", [True, False], ids=["cache", "cold"])
-    def test_delta_on_an_unmentioned_predicate_is_served(self, cache):
+    @pytest.mark.parametrize("degraded", [False, True], ids=["cache", "cold"])
+    def test_delta_on_an_unmentioned_predicate_is_served(self, degraded):
         """A predicate no rule mentions has no EDB node: the fact is
         carried through to the EDB and the materialization, and no node
         activates (this used to raise ``KeyError: ('edb', 'other')`` on
-        every retry until the delta was dropped)."""
-        wl, svc = make_service(plan_cache=cache)
+        every retry until the delta was dropped) — through the cached
+        compile of a healthy round and the cold one of a degraded
+        round."""
+        wl, svc = make_service()
+        if degraded:
+            svc.health.state = HealthState.DEGRADED
         svc.submit(wl.random_batch(2))
         svc.run_round()
         svc.submit(Delta().insert("other", ("x", 1)))
         rep = svc.run_round()
         assert rep is not None and rep.materialization_ok
+        assert rep.metrics.degraded is degraded
         assert rep.metrics.n_active == 0
-        assert rep.metrics.tasks_executed == 0
+        if not degraded:  # the serial fallback walks every node
+            assert rep.metrics.tasks_executed == 0
         assert rep.metrics.changed_facts == 1
         assert ("x", 1) in svc.database().relations["other"]
         assert ("x", 1) in svc.materialization().relations["other"]

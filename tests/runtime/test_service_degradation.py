@@ -117,7 +117,8 @@ def test_service_degrades_to_serial_fallback_and_recovers(monkeypatch):
     wl = live_workload("retail", seed=21)
     batch = wl.random_batch()
     oracle = _oracle(wl, [batch])
-    # the plan cache is on, so only degraded rounds build a cold plan
+    # healthy rounds plan through the cache, so only degraded rounds
+    # build a cold plan
     cold_plans = []
 
     def spy_build(*args, **kwargs):
@@ -141,9 +142,18 @@ def test_service_degrades_to_serial_fallback_and_recovers(monkeypatch):
             svc.run_round()
     assert svc.health.state is HealthState.DEGRADED
 
+    def cache_counts():
+        stats = svc.plan_cache.stats()
+        return {
+            k: stats[k]
+            for k in ("hits", "misses", "plan_patches", "plan_binds")
+        }
+
     # the re-queued delta now runs on the serial fallback — immune to
-    # unit chaos — with the plan cache bypassed
+    # unit chaos — and neither reads nor commits the plan cache
+    before = cache_counts()
     report = svc.run_round()
+    assert cache_counts() == before
     assert report is not None
     assert report.metrics.degraded is True
     assert report.artifacts is None  # no concurrent schedule to record
@@ -171,10 +181,22 @@ def test_service_degrades_to_serial_fallback_and_recovers(monkeypatch):
     r1 = svc.run_round()  # re-queued delta, degraded
     assert r1.metrics.degraded is True
     svc.submit(wl.random_batch())
+    before = cache_counts()
     r2 = svc.run_round()  # probe on the fast path
     assert r2.metrics.degraded is False
     assert svc.health.state is HealthState.HEALTHY
     assert any(t[3] == "probe-succeeded" for t in svc.health.transitions)
+    # the degraded rounds moved the EDB past the cache's committed
+    # baseline, so the probe compiles as a miss; the round after it
+    # reuses what the probe committed
+    assert cache_counts()["misses"] == before["misses"] + 1
+    assert cache_counts()["hits"] == before["hits"]
+    while True:  # a tiny batch can coalesce to a no-op round
+        svc.submit(wl.random_batch())
+        if not svc.run_round().metrics.noop:
+            break
+    assert cache_counts()["misses"] == before["misses"] + 1
+    assert cache_counts()["hits"] == before["hits"] + 1
 
 
 def test_service_trips_to_failed_with_intact_queue():

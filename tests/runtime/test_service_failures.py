@@ -29,6 +29,8 @@ from repro.runtime import service as service_mod
 from repro.schedulers import scheduler_registry
 from repro.verify.invariants import VerificationReport, Violation
 
+from .conftest import edb_is_mirror
+
 REGISTRY = scheduler_registry()
 
 
@@ -146,10 +148,12 @@ class TestRetryBudget:
 
     def test_service_recovers_after_poison_delta_dropped(self):
         """A structurally-bad delta exhausts its budget, then service
-        keeps serving good batches."""
+        keeps serving good batches. ``submit`` refuses such a delta, so
+        it is put on the queue behind its back: the compile-side check
+        is the second line of defence."""
         wl, svc = make_service("hybrid", max_round_retries=1)
         poison = Delta().insert("in_category", ("p0", 1))  # derived pred
-        svc.submit(poison)
+        svc._queue.put((poison, time.perf_counter()))
         for _ in range(2):  # initial attempt + 1 retry
             with pytest.raises(ValueError):
                 svc.run_round()
@@ -218,7 +222,6 @@ class TestPlanCacheRollback:
 
     def test_failed_round_rolls_back_staged_compile(self, monkeypatch):
         wl, svc = make_service("hybrid")
-        assert svc.plan_cache is not None
         fail_n_rounds(monkeypatch, 1)
         svc.submit(wl.random_batch(2))
         with pytest.raises(UnitExecutionError):
@@ -286,32 +289,27 @@ class TestPlanCacheRollback:
     def test_cached_stream_with_midstream_failure_matches_uncached(
         self, monkeypatch
     ):
-        """Round-by-round differential across a failure: a cached
-        service that crashes and retries mid-stream stays byte-identical
-        to an uncached service fed the same update stream."""
-        wl_a, svc_a = make_service("hybrid")
-        wl_b, svc_b = make_service("hybrid", plan_cache=False)
-        assert svc_b.plan_cache is None
-
+        """Round-by-round differential across a failure: a service whose
+        cached round crashes and retries mid-stream stays byte-identical
+        to the uncached answer — from-scratch evaluation of its EDB —
+        and its EDB to the stream's mirror (the retried batch landed
+        once)."""
+        wl, svc = make_service("hybrid")
         calls = fail_n_rounds(monkeypatch, 0)  # armed below
         for i in range(5):
+            svc.submit(wl.random_batch(2))
             if i == 2:
-                calls["n"] = -1  # next executor run (svc_a's) crashes
-            svc_a.submit(wl_a.random_batch(2))
-            if i == 2:
+                calls["n"] = -1  # next executor run crashes
                 with pytest.raises(UnitExecutionError):
-                    svc_a.run_round()
-                rep_a = svc_a.run_round()  # retry
-            else:
-                rep_a = svc_a.run_round()
-            svc_b.submit(wl_b.random_batch(2))
-            rep_b = svc_b.run_round()
-            assert rep_a.materialization_ok and rep_b.materialization_ok
-            assert (
-                svc_a.materialization().as_dict()
-                == svc_b.materialization().as_dict()
-            ), f"round {i}: cached (with failure) diverges from uncached"
-        assert svc_a.database().as_dict() == svc_b.database().as_dict()
+                    svc.run_round()
+            rep = svc.run_round()
+            assert rep.materialization_ok
+            scratch, _ = seminaive_evaluate(wl.program, svc.database())
+            assert svc.materialization().as_dict() == scratch.as_dict(), (
+                f"round {i}: cached (with failure) diverges from scratch"
+            )
+        assert svc.plan_cache.stats()["rollbacks"] == 1
+        assert edb_is_mirror(wl, svc.database())
 
     def test_commit_requires_matching_staged_compile(self):
         from repro.datalog import compile_update
@@ -336,7 +334,7 @@ class TestRollbackAtEveryUnitIndex:
     inject a one-shot failure at exactly that unit
     (``ChaosPlan(fail_units=(node,), fail_round=1)`` — epoch 1 is the
     first cached round), assert the rollback, and check the retry
-    converges byte-identically to an uncached service fed the same
+    converges byte-identically to from-scratch evaluation of the same
     batches.
     """
 
@@ -346,16 +344,6 @@ class TestRollbackAtEveryUnitIndex:
 
         wl = live_workload("retail", seed=13)
         batches = [wl.random_batch(2) for _ in range(2)]
-
-        # cold oracle: same stream, no plan cache, no chaos
-        cold = UpdateStreamService(
-            wl.program, wl.edb, REGISTRY[name](), workers=4,
-            plan_cache=False,
-        )
-        for b in batches:
-            cold.submit(b)
-            cold.run_round()
-        want = cold.materialization().as_dict()
 
         # probe run discovers which units the cached round executes
         probe = UpdateStreamService(
@@ -371,6 +359,7 @@ class TestRollbackAtEveryUnitIndex:
             if rep.compiled.trace.propagation.executed[n]
         ]
         assert executed, "cached round executed nothing — bad workload"
+        want = seminaive_evaluate(wl.program, probe.database())[0].as_dict()
         assert probe.materialization().as_dict() == want
 
         for node in executed:
