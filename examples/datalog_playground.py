@@ -3,7 +3,7 @@
 
 Shows the engine features the other examples use implicitly: parsing,
 stratification (including a rejection), semi-naive evaluation traces,
-transitive closure with deletions (DRed re-derivation), and exporting a
+transitive closure with deletions (Backward/Forward), and exporting a
 compiled computation DAG to Graphviz DOT.
 
 Run:  python examples/datalog_playground.py
@@ -73,7 +73,7 @@ def main() -> None:
     print("\nwhy does path(1, 4) hold?")
     print(explain(tc, engine.db, "path", (1, 4)).pretty())
     engine.apply(Delta().delete("edge", (2, 3)))
-    # path(1,3) survives via the direct edge — DRed re-derivation
+    # path(1,3) survives via the direct edge — it is never deleted
     print(f"paths after -edge(2,3): {sorted(engine.db.relations['path'])}")
     assert (1, 3) in engine.db.relations["path"]
 

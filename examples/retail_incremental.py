@@ -8,8 +8,8 @@ example walks the whole pipeline on a retail-style Datalog program:
 1. materialize a program with category/region hierarchies, availability
    joins, and promotion eligibility (stratified negation);
 2. move a product between categories (an EDB update);
-3. maintain the database incrementally (DRed + delta propagation) and
-   verify against a from-scratch recompute;
+3. maintain the database incrementally (Backward/Forward deletion +
+   delta propagation) and verify against a from-scratch recompute;
 4. compile the maintenance computation into a computation DAG and show
    what each scheduler does with it.
 

@@ -1,9 +1,9 @@
 """A from-scratch Datalog engine: the substrate the paper's schedulers serve.
 
 Parsing → stratification → semi-naive materialization → incremental
-maintenance (weighted Z-set deltas; DRed, Backward/Forward, and
-counting strategies) → compilation of an update into the
-computation-DAG job traces that :mod:`repro.schedulers` schedules.
+maintenance (weighted Z-set deltas, Backward/Forward deletion) →
+compilation of an update into the computation-DAG job traces that
+:mod:`repro.schedulers` schedules.
 """
 
 from .ast import (
@@ -15,11 +15,6 @@ from .ast import (
     Rule,
     Variable,
 )
-from .bf import (
-    MAINTENANCE_STRATEGIES,
-    BackwardForwardEngine,
-    make_engine,
-)
 from .columnar import (
     ColumnarRelation,
     InternPool,
@@ -27,7 +22,6 @@ from .columnar import (
     eval_rule_columnar,
 )
 from .compiler import CompiledUpdate, build_compiled_update, compile_update
-from .counting import CountingEngine, RecursionError_
 from .database import Database, Relation
 from .depgraph import DependencyGraph, StratificationError
 from .incremental import (
@@ -77,13 +71,8 @@ __all__ = [
     "ColumnarRelation",
     "eval_rule_columnar",
     "IncrementalEngine",
-    "BackwardForwardEngine",
-    "MAINTENANCE_STRATEGIES",
-    "make_engine",
     "apply_delta",
     "merge_deltas",
-    "CountingEngine",
-    "RecursionError_",
     "MaintenanceTrace",
     "compile_update",
     "build_compiled_update",

@@ -418,6 +418,17 @@ class Program:
                 out.add(p)
         return out
 
+    def arities(self) -> dict[str, int]:
+        """Arity of every predicate mentioned in a head or body."""
+        return {
+            atom.predicate: atom.arity
+            for r in self.rules
+            for atom in (
+                r.head,
+                *(lit.atom for lit in r.body if lit.atom is not None),
+            )
+        }
+
     def idb_predicates(self) -> set[str]:
         """Predicates defined by at least one proper rule."""
         return {r.head.predicate for r in self.proper_rules}

@@ -5,35 +5,32 @@ program has been materialized, the base data (EDB) changes, and the
 derived facts (IDB) must be brought up to date without recomputing from
 scratch.
 
-The engine processes strata bottom-up, carrying net fact changes as a
-weighted :class:`~repro.datalog.zset.ZSetDelta` (+1 = net insert, −1 =
-net retract per fact) from each stratum to the next — a fact deleted by
-over-deletion and restored by re-derivation cancels to weight 0 and
-never leaves the stratum:
+:class:`IncrementalEngine` is the library's one fact-level maintenance
+procedure. It processes strata bottom-up, carrying net fact changes as
+a weighted :class:`~repro.datalog.zset.ZSetDelta` (+1 = net insert, −1
+= net retract per fact) from each stratum to the next:
 
-* **Positive strata** (no changed negated input) run DRed
-  (delete-and-rederive, Gupta–Mumick–Subrahmanian): (1) *over-delete* —
-  propagate Δ⁻ through the rules, removing every fact with a derivation
-  that used a deleted fact (joins evaluate against the pre-deletion
-  view, so multi-hop derivations are found); (2) *re-derive* — put back
-  over-deleted facts that still have an alternative derivation from the
-  surviving database; (3) *insert* — semi-naive propagation of Δ⁺.
-* **Negation-affected strata** (some rule negates a predicate whose
-  extension changed) are recomputed from the current lower strata and
-  diffed — stratified negation makes insertions act as deletions for
-  consumers and vice versa, and the recompute-and-diff strategy handles
-  both directions exactly.
+* **Positive strata** (no changed negated or aggregated input) run
+  Backward/Forward (Motik, Nenov, Piro, Horrocks — "Optimised
+  Maintenance of Datalog Materialisations", PAPERS.md): (1) propagate
+  Δ⁻ **forward** only to collect *candidates* — facts with at least one
+  derivation through a deleted fact — without touching the database
+  (joins evaluate against the pre-deletion view, so multi-hop
+  derivations are found); (2) check **backward** which candidates still
+  have a derivation from the surviving facts; (3) delete the
+  unsupported remainder in one step, so a fact with alternative support
+  is never deleted at all; (4) *insert* — semi-naive propagation of Δ⁺.
+* **Negation- or aggregate-affected strata** (some rule negates or
+  aggregates over a predicate whose extension changed) are recomputed
+  from the current lower strata and diffed — stratified negation makes
+  insertions act as deletions for consumers and vice versa, and
+  recompute-and-diff handles both directions exactly.
 
-The deletion phase of a positive stratum is a strategy hook
-(:meth:`IncrementalEngine._delete_phase`): this class implements DRed's
-over-delete + re-derive; :class:`~repro.datalog.bf
-.BackwardForwardEngine` overrides it with Backward/Forward's
-candidate-then-verify pass that never deletes a fact it will put back.
-
-The per-stratum events are recorded in a :class:`MaintenanceTrace` —
-the *activated tasks* of Section II-A; :mod:`repro.datalog.compiler`
-turns updates into the activation pattern of a
-:class:`~repro.tasks.JobTrace`.
+The per-stratum steps and the net change are recorded in a
+:class:`MaintenanceTrace`. The served round does not call this engine:
+:mod:`repro.datalog.compiler` derives a round's activation pattern from
+two from-scratch evaluations, and :func:`~repro.datalog.seminaive
+.seminaive_evaluate` is the oracle this engine is tested against.
 """
 
 from __future__ import annotations
@@ -105,10 +102,6 @@ class Delta:
             p for p, s in self.deletions.items() if s
         }
 
-    def as_zdelta(self) -> ZSetDelta:
-        """This update as a weighted Z-set (insert = +1, delete = −1)."""
-        return ZSetDelta.from_delta(self)
-
 
 def apply_delta(edb: Database, delta: Delta) -> Database:
     """A copy of ``edb`` with ``delta`` applied (deletions first)."""
@@ -156,14 +149,13 @@ class MaintenanceTrace:
     """Which maintenance steps actually changed facts.
 
     ``events`` is a list of ``(phase, stratum_idx, iteration, rule_idx,
-    n_changed)`` with phase ∈ {"overdelete", "rederive", "insert",
+    n_changed)`` with phase ∈ {"bf_candidates", "bf_delete", "insert",
     "recompute"}.
     """
 
     events: list[tuple[str, int, int, int, int]] = field(default_factory=list)
-    #: per-predicate net fact changes over the whole update
-    net_inserted: dict[str, set[tuple]] = field(default_factory=dict)
-    net_deleted: dict[str, set[tuple]] = field(default_factory=dict)
+    #: net fact changes over the whole update, EDB and derived
+    net: ZSetDelta = field(default_factory=ZSetDelta)
 
     def record(
         self, phase: str, stratum: int, iteration: int, rule: int, n: int
@@ -176,17 +168,6 @@ class MaintenanceTrace:
         """Total fact derivations touched across all steps."""
         return sum(e[4] for e in self.events)
 
-    def net_zdelta(self) -> ZSetDelta:
-        """The net materialization change as a weighted Z-set."""
-        out = ZSetDelta()
-        for pred, facts in self.net_inserted.items():
-            for f in facts:
-                out.add(pred, f, 1)
-        for pred, facts in self.net_deleted.items():
-            for f in facts:
-                out.add(pred, f, -1)
-        return out
-
 
 class IncrementalEngine:
     """Maintains one materialized program instance across updates."""
@@ -196,6 +177,8 @@ class IncrementalEngine:
         self.depgraph = DependencyGraph(program)
         self.strata = self.depgraph.stratify()
         self.edb_predicates = program.edb_predicates()
+        #: what :meth:`apply` checks a fact's length against
+        self._arity = program.arities()
         base = edb.copy() if edb is not None else Database()
         self.db, _ = seminaive_evaluate(program, base)
 
@@ -207,41 +190,28 @@ class IncrementalEngine:
     def apply(self, delta: "Delta | ZSetDelta") -> MaintenanceTrace:
         """Apply an EDB update incrementally; returns the step trace.
 
-        Accepts either a set-semantics :class:`Delta` or a weighted
-        :class:`ZSetDelta` (positive weights insert, negative delete).
+        A :class:`Delta` is clamped against the live EDB into exact
+        weights (:func:`effective_zdelta`); a :class:`ZSetDelta` is
+        taken as those exact weights already. An update that names a
+        derived predicate or a fact of the wrong length raises
+        ``ValueError`` before anything is written.
         """
-        if isinstance(delta, ZSetDelta):
-            delta = delta.to_delta()
-        for pred in delta.touched_predicates():
-            if pred not in self.edb_predicates:
-                raise ValueError(
-                    f"cannot update derived predicate {pred!r}; updates "
-                    "target EDB predicates only"
-                )
-        trace = MaintenanceTrace()
-        if delta.is_empty:
+        self._check_update(delta)
+        zdelta = (
+            delta
+            if isinstance(delta, ZSetDelta)
+            else effective_zdelta(self.db, delta)
+        )
+        # Net change accumulator, seeded with the EDB update itself:
+        # weights stay in {-1, 0, +1} because every record below is
+        # guarded by an actual set transition (``add``/``discard``
+        # returning True).
+        trace = MaintenanceTrace(net=zdelta.copy())
+        if zdelta.is_empty:
             return trace
-
-        # Net change accumulator: weights stay in {-1, 0, +1} because
-        # every record below is guarded by an actual set transition
-        # (``add``/``discard`` returning True), and a delete followed by
-        # a re-insert cancels to weight 0 inside the Z-set.
-        net = ZSetDelta()
-        # apply the EDB update itself
-        for pred, facts in delta.deletions.items():
-            rel = self.db.relations.get(pred)
-            if rel is None:
-                continue
-            for f in facts:
-                if rel.discard(f):
-                    net.delete(pred, f)
-        for pred, facts in delta.insertions.items():
-            if not facts:  # normalization can leave empty sets behind
-                continue
-            rel = self.db.relation(pred, len(next(iter(facts))))
-            for f in facts:
-                if rel.add(f):
-                    net.insert(pred, f)
+        net = trace.net
+        for pred in zdelta.touched_predicates():
+            zdelta.apply_to(self.db.relation(pred, self._arity[pred]))
 
         for si, stratum in enumerate(self.strata):
             stratum_set = set(stratum)
@@ -269,31 +239,66 @@ class IncrementalEngine:
                 for lit in r.body
                 if lit.atom is not None
             ):
-                self._delete_phase(si, stratum_set, rules, net, trace)
+                self._delete_stratum(si, stratum_set, rules, net, trace)
                 self._insert_stratum(si, stratum_set, rules, net, trace)
-
-        trace.net_inserted = net.positive()
-        trace.net_deleted = net.negative()
         return trace
 
+    def _check_update(self, delta: "Delta | ZSetDelta") -> None:
+        """Raise ``ValueError`` for an update no stratum could maintain."""
+        sides = (
+            (delta.weights,)
+            if isinstance(delta, ZSetDelta)
+            else (delta.insertions, delta.deletions)
+        )
+        for side in sides:
+            for pred, facts in side.items():
+                if not facts:  # normalization can leave empty sets behind
+                    continue
+                if pred not in self.edb_predicates:
+                    raise ValueError(
+                        f"cannot update derived predicate {pred!r}; updates "
+                        "target EDB predicates only"
+                    )
+                arity = self._arity[pred]
+                for fact in facts:
+                    if len(fact) != arity:
+                        raise ValueError(
+                            f"{pred}: tuple {fact!r} has arity "
+                            f"{len(fact)}, expected {arity}"
+                        )
+
     # ------------------------------------------------------------------
-    # DRed phases for a positive stratum
+    # Backward/Forward deletion + semi-naive insertion for a positive
+    # stratum
     # ------------------------------------------------------------------
-    def _delete_phase(
+    def _delete_stratum(
         self, si, stratum_set, rules, net: ZSetDelta, trace
     ) -> None:
-        """Propagate deletions through one positive stratum.
-
-        The strategy hook: DRed over-deletes then re-derives;
-        subclasses may substitute any scheme that leaves ``self.db``
-        and ``net`` in the same end state.
-        """
-        self._overdelete_stratum(si, stratum_set, rules, net, trace)
-        self._rederive_stratum(si, stratum_set, rules, net, trace)
+        candidates = self._collect_candidates(
+            si, stratum_set, rules, net, trace
+        )
+        if not candidates:
+            return
+        supported = self._verify_candidates(rules, candidates)
+        # the one-shot delete has no per-rule attribution: record the
+        # whole batch under rule index -1
+        n_deleted = 0
+        for pred, facts in candidates.items():
+            rel = self.db.relations.get(pred)
+            if rel is None:
+                continue
+            keep = supported.get(pred, set())
+            for fact in facts:
+                if fact in keep:
+                    continue
+                if rel.discard(fact):
+                    net.delete(pred, fact)
+                    n_deleted += 1
+        trace.record("bf_delete", si, 0, -1, n_deleted)
 
     def _old_view(self, net: ZSetDelta) -> Database:
         """The pre-deletion database view: current facts plus everything
-        deleted so far this update (over-deletion joins must see them)."""
+        deleted so far this update (candidate joins must see them)."""
         negative = net.negative()
         if not negative:
             return self.db
@@ -310,17 +315,24 @@ class IncrementalEngine:
             view.relations[pred] = merged
         return view
 
-    def _overdelete_stratum(
+    def _collect_candidates(
         self, si, stratum_set, rules, net: ZSetDelta, trace
-    ) -> None:
-        # deletions visible so far (lower strata + EDB)
+    ) -> dict[str, set[tuple]]:
+        """Forward pass: facts with ≥1 derivation through a deletion.
+
+        Joins run against the pre-deletion view (current database plus
+        lower-strata/EDB retractions), but nothing is removed — victims
+        only accumulate as candidates and feed the next wave.
+        """
+        view = self._old_view(net)
+        candidates: dict[str, set[tuple]] = {}
+        # lower-strata and EDB deletions seed the wave
         wave = net.negative()
         iteration = 0
         while wave:
-            view = self._old_view(net)
             next_wave: dict[str, set[tuple]] = {}
             for ri, rule in rules:
-                n_changed = 0
+                n_found = 0
                 for pos, lit in enumerate(rule.body):
                     if (
                         lit.atom is None
@@ -331,57 +343,75 @@ class IncrementalEngine:
                     over = Relation(lit.atom.predicate, lit.atom.arity)
                     for f in wave[lit.atom.predicate]:
                         over.add(f)
-                    victims = [
-                        instantiate_head(rule.head, subst)
-                        for subst in join_body(
-                            rule.body,
-                            view,
-                            delta_overrides={lit.atom.predicate: over},
-                            delta_at=pos,
-                        )
-                    ]
                     head = rule.head.predicate
                     rel = self.db.relations.get(head)
-                    for fact in victims:
-                        if rel is not None and fact in rel:
-                            rel.discard(fact)
-                            net.delete(head, fact)
+                    if rel is None:
+                        continue
+                    seen = candidates.setdefault(head, set())
+                    for subst in join_body(
+                        rule.body,
+                        view,
+                        delta_overrides={lit.atom.predicate: over},
+                        delta_at=pos,
+                    ):
+                        fact = instantiate_head(rule.head, subst)
+                        if fact in rel and fact not in seen:
+                            seen.add(fact)
                             next_wave.setdefault(head, set()).add(fact)
-                            n_changed += 1
-                trace.record("overdelete", si, iteration, ri, n_changed)
-            wave = {
-                p: s for p, s in next_wave.items() if p in stratum_set
-            }
+                            n_found += 1
+                trace.record("bf_candidates", si, iteration, ri, n_found)
+            wave = {p: s for p, s in next_wave.items() if p in stratum_set}
             iteration += 1
+        return {p: s for p, s in candidates.items() if s}
 
-    def _rederive_stratum(
-        self, si, stratum_set, rules, net: ZSetDelta, trace
-    ) -> None:
-        iteration = 0
+    def _verify_candidates(
+        self, rules, candidates: dict[str, set[tuple]]
+    ) -> dict[str, set[tuple]]:
+        """Backward pass: candidates with an alternative derivation.
+
+        A candidate is *supported* iff some rule derives it from facts
+        that are either non-candidates (they survive unconditionally —
+        the database still holds them and deletions from lower strata
+        are already applied) or candidates already proven supported.
+        Computed as a least fixpoint over a masked view, so circular
+        support among candidates does not count.
+        """
+        masked = Database(dict(self.db.relations))
+        for pred, facts in candidates.items():
+            rel = self.db.relations.get(pred)
+            if rel is None:
+                continue
+            trimmed = Relation(pred, rel.arity)
+            for f in rel:
+                if f not in facts:
+                    trimmed.add(f)
+            masked.relations[pred] = trimmed
+        supported: dict[str, set[tuple]] = {}
         changed = True
         while changed:
             changed = False
-            for ri, rule in rules:
+            for _ri, rule in rules:
                 head = rule.head.predicate
-                candidates = net.negative().get(head)
-                if not candidates:
+                pending = candidates.get(head)
+                if not pending:
                     continue
-                rederived = {
+                got = supported.get(head, set())
+                if len(got) == len(pending):
+                    continue
+                proven = [
                     fact
                     for fact in (
                         instantiate_head(rule.head, s)
-                        for s in join_body(rule.body, self.db)
+                        for s in join_body(rule.body, masked)
                     )
-                    if fact in candidates
-                }
-                n = 0
-                for fact in rederived:
-                    if self.db.add_fact(head, fact):
-                        net.insert(head, fact)  # cancels the delete
-                        n += 1
-                        changed = True
-                trace.record("rederive", si, iteration, ri, n)
-            iteration += 1
+                    if fact in pending and fact not in got
+                ]
+                for fact in proven:
+                    got.add(fact)
+                    masked.relations[head].add(fact)
+                    supported[head] = got
+                    changed = True
+        return supported
 
     def _insert_stratum(
         self, si, stratum_set, rules, net: ZSetDelta, trace

@@ -7,11 +7,9 @@ and their cancellation. A :class:`ZSetDelta` is a Z-set partitioned by
 predicate: ``predicate → fact → weight``. Everything downstream of the
 update queue speaks this representation:
 
-* the incremental engines (:class:`~repro.datalog.incremental
-  .IncrementalEngine`, :class:`~repro.datalog.bf
-  .BackwardForwardEngine`, :class:`~repro.datalog.counting
-  .CountingEngine`) accumulate their net Δ⁺/Δ⁻ as a ``ZSetDelta`` and
-  accept one as an update;
+* :class:`~repro.datalog.incremental.IncrementalEngine` accepts one as
+  an update, patches the EDB from it and accumulates the net Δ⁺/Δ⁻ of
+  every stratum into it (``MaintenanceTrace.net``);
 * :func:`effective_zdelta` clamps a queued :class:`~repro.datalog
   .incremental.Delta` against the live EDB into *exact* weights —
   inserting a present fact or deleting an absent one has weight 0 and
@@ -24,7 +22,7 @@ update queue speaks this representation:
   ``RelationIndexCache`` and the plan skeleton's baseline patching both
   go through it.
 
-Because the engines only record weight changes for transitions that
+Because the engine only records weight changes for transitions that
 actually happened (a fact appearing or disappearing from the set
 semantics' point of view), weights here stay in ``{-1, 0, +1}`` —
 the ``distinct``-normalized form of a Z-set. The algebra still sums
@@ -170,59 +168,6 @@ class ZSetDelta:
         for pred, facts in self.weights.items():
             for fact, w in facts.items():
                 yield pred, fact, w
-
-    def relations(self, sign: int = 1) -> dict[str, Relation]:
-        """The facts of one sign as indexable delta relations.
-
-        ``sign > 0`` builds relations over the positively-weighted facts,
-        ``sign < 0`` over the negatively-weighted ones — the shape the
-        semi-naive Δ-joins consume.
-        """
-        side = self.positive() if sign > 0 else self.negative()
-        out: dict[str, Relation] = {}
-        for pred, facts in side.items():
-            rel = Relation(pred, len(next(iter(facts))))
-            for f in facts:
-                rel.add(f)
-            out[pred] = rel
-        return out
-
-    # ------------------------------------------------------------------
-    # conversions
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_delta(cls, delta: "Delta") -> "ZSetDelta":
-        """Weighted form of a set-semantics :class:`Delta`.
-
-        Deletions weigh ``-1`` and insertions ``+1``; a fact named in
-        both sets follows :func:`~repro.datalog.incremental.apply_delta`
-        semantics (deletions first, so the insertion wins) and nets to
-        ``+1``... which pointwise addition gives for free only because
-        canonical deltas never hold a fact in both sets — so a fact in
-        both is resolved explicitly as an insertion here.
-        """
-        out = cls()
-        for pred, facts in delta.deletions.items():
-            ins = delta.insertions.get(pred)
-            for f in facts:
-                if ins is None or f not in ins:
-                    out.add(pred, f, -1)
-        for pred, facts in delta.insertions.items():
-            for f in facts:
-                out.add(pred, f, 1)
-        return out
-
-    def to_delta(self) -> "Delta":
-        """The set-semantics :class:`Delta` with these net operations."""
-        from .incremental import Delta
-
-        out = Delta()
-        for pred, fact, w in self.items():
-            if w > 0:
-                out.insert(pred, fact)
-            else:
-                out.delete(pred, fact)
-        return out
 
     # ------------------------------------------------------------------
     # application

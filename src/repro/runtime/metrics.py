@@ -3,10 +3,7 @@
 Every maintenance round emits one :class:`RoundMetrics` record; the
 :class:`MetricsLog` aggregates them into throughput (rounds/sec) and
 latency percentiles and serializes the whole log as JSON — what
-``repro serve --metrics`` writes, and the shape
-``benchmarks/bench_runtime_throughput.py`` reads its
-``BENCH_runtime.json`` numbers from (the one per-script bench file
-left; ``benchmarks/e2e`` is the repo's benchmark).
+``repro serve --metrics`` writes.
 
 Aggregation is backed by the :class:`~repro.obs.MetricsRegistry`'s
 log-linear histograms (1% relative precision) instead of ad-hoc lists:

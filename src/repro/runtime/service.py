@@ -76,7 +76,6 @@ from ..datalog.plancache import CompiledProgramCache
 from ..datalog.zset import effective_zdelta
 from ..datalog.units import ExecutionPlan, ValueStore, build_execution_plan
 from ..obs import NULL_SINK, TraceSink
-from ..obs.metrics import MetricsRegistry
 from ..schedulers.base import Scheduler
 from ..verify.invariants import VerificationReport
 from ..verify.program import ProgramAnalysis, analyze_program
@@ -248,17 +247,6 @@ class UpdateStreamService:
     sink:
         Trace sink for per-round spans; the default no-op sink makes
         every instrumentation point free.
-    obs_metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
-        the ``plancache.*`` hit/miss/invalidation counters of
-        :attr:`plan_cache` — the
-        :class:`~repro.datalog.plancache.CompiledProgramCache` every
-        healthy round compiles through: the previous round's verified
-        materialization is this round's old side, the bound execution
-        plan is patched instead of rebuilt, and join-input relations
-        keep their hash indexes. It is committed only after
-        verification succeeds and rolled back on a failed round, so
-        retries never see state staged by the failure.
     unit_retries / unit_backoff_s / unit_timeout_s:
         Executor fault tolerance: retry budget per work unit (0 keeps
         the historical fail-fast round), base of the capped exponential
@@ -313,7 +301,6 @@ class UpdateStreamService:
         max_round_retries: int = 2,
         sink: TraceSink = NULL_SINK,
         plan_cache: bool = True,
-        obs_metrics: MetricsRegistry | None = None,
         analyze: bool = True,
         unit_retries: int = 0,
         unit_backoff_s: float = 0.02,
@@ -369,11 +356,16 @@ class UpdateStreamService:
         self.analysis: ProgramAnalysis | None = (
             analyze_program(program) if analyze else None
         )
-        #: every healthy round compiles and plans through it; a
-        #: degraded round neither reads nor stages it
+        #: every healthy round compiles and plans through it (the
+        #: previous round's verified materialization is this round's old
+        #: side, the bound plan is patched, join inputs keep their hash
+        #: indexes); committed only after verification succeeds and
+        #: rolled back on a failed round; a degraded round neither reads
+        #: nor stages it. Its ``plancache.*`` counters land in
+        #: ``self.metrics.registry``.
         self.plan_cache = CompiledProgramCache(
             program,
-            metrics=obs_metrics,
+            metrics=self.metrics.registry,
             sink=sink,
             analysis=self.analysis,
         )
@@ -383,14 +375,7 @@ class UpdateStreamService:
         #: batch that mentions it
         self._derived = frozenset(program.idb_predicates())
         self._arity = {p: rel.arity for p, rel in edb.relations.items()}
-        self._arity.update(
-            (atom.predicate, atom.arity)
-            for rule in program.rules
-            for atom in (
-                rule.head,
-                *(lit.atom for lit in rule.body if lit.atom is not None),
-            )
-        )
+        self._arity.update(program.arities())
         self._door = threading.Lock()
         #: (builds, probes) pool counters at the end of the last round,
         #: so per-round metrics report deltas

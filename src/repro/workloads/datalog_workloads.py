@@ -240,11 +240,8 @@ def retail_flat(
 
     Listings roll through a hide flag and store state into what is
     sellable and what gets featured — four strata of plain joins and
-    one stratified negation. Deliberately the fragment *every*
-    maintenance strategy supports: derivation counting rejects
-    recursive programs, so this is the workload that puts ``dred``,
-    ``bf``, and ``counting`` side by side. The update delists one
-    product, hides another, and adds a listing.
+    one stratified negation. The update delists one product, hides
+    another, and adds a listing.
     """
     rng = as_rng(seed)
     prog = parse_program(

@@ -13,7 +13,6 @@ from repro.datalog import (
     seminaive_evaluate,
 )
 from repro.datalog.ast import Aggregate, Variable
-from repro.datalog.counting import CountingEngine, RecursionError_
 
 
 class TestParsing:
@@ -160,11 +159,6 @@ class TestIncremental:
             final.add_fact("sales", f)
         oracle, _ = seminaive_evaluate(prog, final)
         assert eng.snapshot()["total"] == oracle.as_dict()["total"]
-
-    def test_counting_engine_rejects_aggregates(self):
-        prog, edb = self.setup_engine()
-        with pytest.raises(RecursionError_, match="aggregate"):
-            CountingEngine(prog, edb)
 
 
 class TestCompilation:

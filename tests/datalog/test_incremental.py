@@ -1,6 +1,9 @@
-"""Tests for incremental maintenance (insertion deltas + DRed)."""
+"""Tests for incremental maintenance (semi-naive insertion +
+Backward/Forward deletion), checked against from-scratch evaluation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog import (
     Database,
@@ -173,7 +176,7 @@ class TestInsertions:
         eng = IncrementalEngine(tc_program(), chain_edb(5))
         trace = eng.apply(Delta().insert("edge", (4, 5)))
         assert any(e[0] == "insert" for e in trace.events)
-        assert trace.net_inserted["path"] >= {(4, 5), (0, 5)}
+        assert trace.net.positive()["path"] >= {(4, 5), (0, 5)}
 
 
 class TestDeletions:
@@ -224,7 +227,35 @@ class TestMixedAndGuards:
         before = eng.snapshot()
         trace = eng.apply(Delta())
         assert trace.events == []
+        assert trace.net.is_empty
         assert eng.snapshot() == before
+
+    def test_refused_update_writes_nothing(self):
+        # regression: edge(3,4) used to be written before node's
+        # wrong-length fact was noticed, so the refused apply left the
+        # EDB ahead of the derived facts for good
+        prog = parse_program(
+            """
+            path(X, Y) :- edge(X, Y).
+            path(X, Z) :- path(X, Y), edge(Y, Z).
+            big(X) :- node(X).
+            """
+        )
+        edb = chain_edb(4)
+        edb.add_fact("node", (1,))
+        eng = IncrementalEngine(prog, edb)
+        before = eng.snapshot()
+        bad = Delta(
+            insertions={"edge": {(3, 4)}, "node": {(5,), (6, 7)}}
+        )
+        with pytest.raises(ValueError, match="arity"):
+            eng.apply(bad)
+        assert eng.snapshot() == before
+        assert before == seminaive_evaluate(prog, edb)[0].as_dict()
+        eng.apply(Delta().insert("edge", (3, 4)).insert("node", (5,)))
+        edb.add_fact("edge", (3, 4))
+        edb.add_fact("node", (5,))
+        assert eng.snapshot() == seminaive_evaluate(prog, edb)[0].as_dict()
 
 
 class TestWithNegation:
@@ -261,3 +292,109 @@ class TestWithNegation:
         )
         assert eng.snapshot()["dead"] == exp["dead"]
         assert eng.snapshot()["reach"] == exp["reach"]
+
+
+def db_from(**preds):
+    db = Database()
+    for pred, facts in preds.items():
+        for f in facts:
+            db.add_fact(pred, f)
+    return db
+
+
+class TestEquivalence:
+    def test_diamond_deletion(self):
+        # two routes 0→3: deleting one edge keeps everything reachable
+        edb = db_from(edge=[(0, 1), (1, 3), (0, 2), (2, 3)])
+        eng = IncrementalEngine(tc_program(), edb)
+        eng.apply(Delta().delete("edge", (0, 1)))
+        exp = oracle(tc_program(), {"edge": {(1, 3), (0, 2), (2, 3)}})
+        assert eng.snapshot()["path"] == exp["path"]
+
+    def test_chain_split(self):
+        eng = IncrementalEngine(
+            tc_program(), db_from(edge=[(i, i + 1) for i in range(5)])
+        )
+        eng.apply(Delta().delete("edge", (2, 3)))
+        exp = oracle(
+            tc_program(), {"edge": {(0, 1), (1, 2), (3, 4), (4, 5)}}
+        )
+        assert eng.snapshot()["path"] == exp["path"]
+
+    def test_mixed_round_net_change(self):
+        before = {"edge": {(0, 1), (1, 2), (2, 3), (0, 3)}}
+        after = {"edge": {(0, 1), (2, 3), (0, 3), (3, 4)}}
+        eng = IncrementalEngine(tc_program(), db_from(**before))
+        trace = eng.apply(
+            Delta().delete("edge", (1, 2)).insert("edge", (3, 4))
+        )
+        old, new = oracle(tc_program(), before), oracle(tc_program(), after)
+        assert eng.snapshot() == new
+        # the trace's net change is exactly new − old, EDB and derived
+        for pred in ("edge", "path"):
+            assert trace.net.positive().get(pred, set()) == (
+                new[pred] - old[pred]
+            )
+            assert trace.net.negative().get(pred, set()) == (
+                old[pred] - new[pred]
+            )
+
+    def test_deletion_under_negation(self):
+        prog = TestWithNegation().prog()
+        eng = IncrementalEngine(prog, TestWithNegation().base())
+        eng.apply(Delta().delete("edge", (2, 3)))
+        exp = oracle(
+            prog,
+            {
+                "edge": {(1, 2)},
+                "node": {(1,), (2,), (3,), (4,)},
+                "source": {(1,)},
+            },
+        )
+        assert eng.snapshot()["dead"] == exp["dead"]
+        assert eng.snapshot()["reach"] == exp["reach"]
+
+
+class TestChurn:
+    def test_supported_fact_is_never_deleted(self):
+        """Backward/Forward's point: every fact derived through the
+        diamond's deleted shortcut keeps its other derivation, so the
+        deletion phase removes nothing — not even transiently."""
+        edges = [(0, 1), (1, 3), (0, 2), (2, 3), (0, 3), (3, 4)]
+        eng = IncrementalEngine(tc_program(), db_from(edge=edges))
+        path = eng.db.relations["path"]
+        discarded = []
+        real_discard = path.discard
+        path.discard = lambda f: discarded.append(f) or real_discard(f)
+        trace = eng.apply(Delta().delete("edge", (0, 3)))
+        found = sum(e[4] for e in trace.events if e[0] == "bf_candidates")
+        assert found == 2  # path(0,3) and, through it, path(0,4)
+        assert sum(e[4] for e in trace.events if e[0] == "bf_delete") == 0
+        assert discarded == []
+        assert trace.net.touched_predicates() == {"edge"}
+        assert {(0, 3), (0, 4)} <= set(path)
+
+
+class TestRandomizedDifferential:
+    edge = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+    @given(
+        base=st.sets(edge, min_size=2, max_size=12),
+        steps=st.lists(
+            st.tuples(st.booleans(), edge), min_size=1, max_size=5
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_engine_tracks_oracle(self, base, steps):
+        prog = tc_program()
+        eng = IncrementalEngine(prog, db_from(edge=list(base)))
+        live = set(base)
+        for is_insert, fact in steps:
+            if is_insert:
+                d = Delta().insert("edge", fact)
+                live.add(fact)
+            else:
+                d = Delta().delete("edge", fact)
+                live.discard(fact)
+            eng.apply(d)
+            assert eng.snapshot() == oracle(prog, {"edge": live})

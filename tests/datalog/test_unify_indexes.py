@@ -6,10 +6,9 @@ plan cache (:class:`~repro.datalog.plancache.RelationIndexCache`)
 additionally *derives* a changed relation's successor by cloning the
 predecessor's indexes and replaying the delta. These tests pin the
 corners where incremental maintenance classically goes wrong:
-retraction down to an empty relation, duplicate re-derivation under
-counting semantics, and (property-tested) exact equivalence between
-indexed probes and brute-force scans through arbitrary add/discard
-histories.
+retraction down to an empty relation and (property-tested) exact
+equivalence between indexed probes and brute-force scans through
+arbitrary add/discard histories.
 """
 
 import pytest
@@ -17,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import (
-    CountingEngine,
     Database,
     Delta,
+    IncrementalEngine,
     RelationIndexCache,
     parse_program,
     seminaive_evaluate,
@@ -103,9 +102,6 @@ def test_cache_eviction_respects_lru_bound():
     assert cache.evictions == 3
 
 
-# ----------------------------------------------------------------------
-# duplicate re-derivation under counting semantics
-# ----------------------------------------------------------------------
 DIAMOND = """
 mid(X, Z) :- left(X, Z).
 mid(X, Z) :- right(X, Z).
@@ -113,43 +109,15 @@ out(X) :- mid(X, Z).
 """
 
 
-def test_counting_duplicate_rederivation_survives_single_retraction():
-    """A fact derivable two ways keeps count 1 per support; deleting
-    one support must not delete the fact, deleting both must."""
-    program = parse_program(DIAMOND)
-    edb = Database()
-    edb.add_fact("left", (1, 7))
-    edb.add_fact("right", (1, 7))
-    eng = CountingEngine(program, edb)
-    assert eng.count_of("mid", (1, 7)) == 2
-    # out has one derivation (one substitution), regardless of how many
-    # ways its body fact is itself derived
-    assert eng.count_of("out", (1,)) == 1
-
-    eng.apply(Delta().delete("left", (1, 7)))
-    assert eng.count_of("mid", (1, 7)) == 1
-    assert (1, 7) in eng.snapshot()["mid"]
-    assert (1,) in eng.snapshot()["out"]
-
-    # re-inserting the same support restores the duplicate count
-    eng.apply(Delta().insert("left", (1, 7)))
-    assert eng.count_of("mid", (1, 7)) == 2
-
-    eng.apply(Delta().delete("left", (1, 7)).delete("right", (1, 7)))
-    assert eng.count_of("mid", (1, 7)) == 0
-    assert (1, 7) not in eng.snapshot()["mid"]
-    assert (1,) not in eng.snapshot()["out"]
-
-
-def test_counting_matches_seminaive_with_shared_indexed_relations():
-    """Counting maintenance lands on the same database as a fresh
+def test_engine_matches_seminaive_with_shared_indexed_relations():
+    """Incremental maintenance lands on the same database as a fresh
     semi-naive evaluation whose EDB inputs come from the index cache."""
     program = parse_program(DIAMOND)
     edb = Database()
     for t in [(1, 2), (2, 3)]:
         edb.add_fact("left", t)
     edb.add_fact("right", (1, 2))
-    eng = CountingEngine(program, edb)
+    eng = IncrementalEngine(program, edb)
     eng.apply(Delta().insert("right", (2, 3)).delete("left", (1, 2)))
 
     final = Database()

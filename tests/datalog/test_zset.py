@@ -76,25 +76,6 @@ class TestAlgebra:
         assert z.negative() == {"e": {(3, 4)}}
 
 
-class TestDeltaConversion:
-    def test_roundtrip(self):
-        d = Delta().insert("e", (1, 2)).delete("e", (3, 4))
-        z = ZSetDelta.from_delta(d)
-        back = z.to_delta()
-        assert back.insertions == {"e": {(1, 2)}}
-        assert back.deletions == {"e": {(3, 4)}}
-
-    def test_fact_in_both_raw_sets_is_insertion(self):
-        # a raw-dict delta may hold a fact in both sets; apply_delta
-        # deletes first, so the fact ends up present — from_delta must
-        # agree
-        d = Delta(
-            insertions={"e": {(1, 2)}}, deletions={"e": {(1, 2)}}
-        )
-        z = ZSetDelta.from_delta(d)
-        assert z.weight("e", (1, 2)) == 1
-
-
 class TestEffective:
     def test_clamps_against_live_edb(self):
         edb = db_from(e=[(1, 2)])

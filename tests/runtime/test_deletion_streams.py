@@ -5,8 +5,8 @@ churn-heavy streams must land on the from-scratch materialization with
 the plan cache warm or never warm, with chaos on or off, under every
 registered scheduler — while the coalescing machinery (cancelled ops,
 no-op rounds, weighted index application) demonstrably engages. The
-maintenance engines of :mod:`repro.datalog` are replayed over the same
-streams as the library procedures they are, no service involved.
+maintenance engine of :mod:`repro.datalog` is replayed over the same
+streams as the library procedure it is, no service involved.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from repro.datalog import (
     Delta,
+    IncrementalEngine,
     apply_zdelta,
     effective_zdelta,
-    make_engine,
     merge_deltas,
     seminaive_evaluate,
 )
@@ -90,8 +90,7 @@ class TestCacheDifferential:
         assert cold.plan_cache.stats()["hits"] == 0
 
     def test_recursive_program_deletion_stream(self):
-        # deletion-heavy streams over the recursive TC workload too —
-        # the deletion path that exercises DRed inside the compiler
+        # deletion-heavy streams over the recursive TC workload too
         wl, rounds = _materialized_stream("tc", "deletions", seed=7,
                                           batch_size=2)
         svc = _serve(wl, rounds, scheduler="hybrid")
@@ -202,6 +201,10 @@ class TestCoalescing:
         stats = svc.plan_cache.stats()
         # index maintenance went through the exact weighted path
         assert stats["relations"]["weighted_derives"] > 0
+        # the cache counts into the service's one registry
+        for name in ("hits", "misses", "plan_patches", "cancelled_ops"):
+            assert stats[name] > 0
+            assert reg.counter(f"plancache.{name}").value == stats[name]
 
     def test_first_round_with_empty_effective_delta_still_compiles(self):
         # before any materialization exists there is nothing to fall
@@ -218,36 +221,30 @@ class TestCoalescing:
         assert svc.materialization() is not None
 
 
-class TestStrategyOracle:
-    """DRed, Backward/Forward and counting are library procedures the
-    service does not run; each is replayed here over the streams the
+class TestEngineOracle:
+    """:class:`~repro.datalog.IncrementalEngine` is a library procedure
+    the service does not run; it is replayed here over the streams the
     service is tested on and must equal from-scratch evaluation after
-    every round."""
+    every round — non-recursive, negation, aggregates, recursion."""
 
-    @staticmethod
-    def _replay(program, kind, strategy, seed, batch_size):
-        wl, rounds = _materialized_stream(program, kind, seed=seed,
-                                          batch_size=batch_size)
-        engine = make_engine(strategy, wl.program, wl.edb)
+    @pytest.mark.parametrize(
+        "program", ("flat", "retail", "analytics", "tc", "pt")
+    )
+    @pytest.mark.parametrize("kind", ("deletions", "mixed"))
+    def test_tracks_from_scratch(self, program, kind):
+        wl, rounds = _materialized_stream(program, kind, seed=19,
+                                          batch_size=3)
+        engine = IncrementalEngine(wl.program, wl.edb)
         edb = wl.edb
         for batches in rounds:
             zdelta = effective_zdelta(edb, merge_deltas(batches))
-            engine.apply(zdelta)
+            trace = engine.apply(zdelta)
             edb = apply_zdelta(edb, zdelta)
             oracle, _ = seminaive_evaluate(wl.program, edb)
             assert engine.snapshot() == oracle.as_dict()
+            for pred, fact, w in zdelta.items():
+                assert trace.net.weight(pred, fact) == w
         assert edb_is_mirror(wl, edb)
-
-    @pytest.mark.parametrize("strategy", ("bf", "dred", "counting"))
-    @pytest.mark.parametrize("kind", ("deletions", "mixed"))
-    def test_tracks_from_scratch(self, strategy, kind):
-        self._replay("flat", kind, strategy, seed=19, batch_size=3)
-
-    def test_bf_on_recursive_workload(self):
-        # counting rejects recursion, but bf and dred must take it
-        for strategy in ("dred", "bf"):
-            for kind in ("deletions", "mixed"):
-                self._replay("tc", kind, strategy, seed=23, batch_size=2)
 
 
 class TestRandomizedStreams:
