@@ -88,38 +88,22 @@ def dlog_deltas():
     ]
 
 
-def datalog_trace(cached: bool = True) -> JobTrace:
-    """A real compiled-update trace, via the plan cache or cold.
-
-    The goldens are *generated* through the cached path and *checked*
-    (tests/sim/test_faults.py) through the cold path — byte-identity of
-    the two pipelines is part of what these files pin.
-    """
-    from repro.datalog import (
-        CompiledProgramCache,
-        Database,
-        compile_update,
-        parse_program,
-    )
+def datalog_trace() -> JobTrace:
+    """A real compiled-update trace: the stream's second round,
+    unrolled from its answer by ``compile_update`` — the same trace
+    tests/sim/test_faults.py checks the goldens against."""
+    from repro.datalog import Database, compile_update, parse_program
 
     program = parse_program(DLOG_PROGRAM)
     edb = Database()
     edb.relation("edge", 2)
     for t in DLOG_EDGES:
         edb.add_fact("edge", t)
-    cache = CompiledProgramCache(program) if cached else None
     cu = None
     for delta in dlog_deltas():
-        if cache is not None:
-            cu = cache.compile(program, edb, delta, name="dlog")
-            cache.commit(cu)
-        else:
-            cu = compile_update(program, edb, delta, name="dlog")
+        cu = compile_update(program, edb, delta, name="dlog")
         edb = cu.edb_new
     assert cu is not None
-    if cache is not None:
-        # the golden round must come from the warm path, not a cold fill
-        assert cache.hits >= 1
     return cu.trace
 
 
@@ -129,7 +113,7 @@ def main() -> None:
         diamond_trace(),
         random_trace(7),
         random_trace(23),
-        datalog_trace(cached=True),
+        datalog_trace(),
     ]
     for trace in traces:
         for label, factory in FACTORIES.items():

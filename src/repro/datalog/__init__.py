@@ -37,7 +37,7 @@ from .parser import (
     parse_program_lenient,
     parse_rule,
 )
-from .plancache import CompiledProgramCache, RelationIndexCache
+from .plancache import CompiledProgramCache
 from .provenance import Derivation, explain
 from .query import parse_goal, query, query_facts
 from .seminaive import EvaluationTrace, naive_evaluate, seminaive_evaluate
@@ -78,7 +78,6 @@ __all__ = [
     "build_compiled_update",
     "CompiledUpdate",
     "CompiledProgramCache",
-    "RelationIndexCache",
     "explain",
     "Derivation",
     "parse_goal",

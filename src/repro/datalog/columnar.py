@@ -692,7 +692,9 @@ def run_rule_plan(
                 rel = delta_overrides.get(step[1])
             else:
                 rel = db.relations.get(step[1])
-            if rel is None:
+            if rel is None or not len(rel):
+                # nothing to join with — and no mirror built of an empty
+                # relation, which every later insert would have to feed
                 return set()
             crel = rel if isinstance(rel, ColumnarRelation) else (
                 rel.columnar(pool)

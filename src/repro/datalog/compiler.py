@@ -37,12 +37,24 @@ the cascade).
 
 Task work is ``work_per_derivation × (1 + |join output|)``, so heavy
 joins dominate the schedule the way they dominate real maintenance.
+
+The static ``G``
+----------------
+The construction above derives the graph from the answer — fine for a
+simulator input, backwards for a server. :func:`build_round_structure`
+without iteration counts builds the graph the serving path schedules
+instead, from the program alone: the same EDB, task and predicate-state
+nodes for every non-recursive stratum, and one ``("fix", si)`` node per
+recursive SCC that runs the stratum's semi-naive loop to fixpoint.
+:func:`stage_update` stamps a round onto it without evaluating anything:
+the touched EDB nodes are the initial tasks and the change flags are
+left for execution to observe (see :mod:`repro.datalog.plancache`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -55,8 +67,8 @@ from .ast import Program
 from .database import Database
 from .depgraph import DependencyGraph
 from .incremental import Delta
-from .zset import ZSetDelta, apply_zdelta, effective_zdelta
 from .seminaive import EvaluationTrace, _ensure_relations, seminaive_evaluate
+from .zset import ZSetDelta, apply_zdelta, effective_zdelta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..verify.program import ProgramAnalysis
@@ -70,6 +82,7 @@ __all__ = [
     "structure_key",
     "build_round_structure",
     "stamp_update",
+    "stage_update",
     "CompiledUpdate",
     "live_edb_predicates",
     "with_program_schema",
@@ -127,23 +140,28 @@ class CompiledUpdate:
     """The job trace plus the evaluation artifacts behind it.
 
     ``node_keys[i]`` is the builder key of DAG node ``i`` — an
-    ``("edb", p)``, ``("task", si, k, ri, pos)``, or ``("pred", p, si,
-    k)`` tuple. Together with ``program`` and the two EDB snapshots it
-    lets :mod:`repro.datalog.units` rebuild every node as a *runnable*
-    unit of work, so a compiled round can be executed for real instead
-    of simulated. ``structure`` is the static half ``trace`` was stamped
-    onto; rounds with equal :func:`structure_key` may share it.
+    ``("edb", p)``, ``("task", si, k, ri, pos)``, ``("pred", p, si, k)``
+    or ``("fix", si)`` tuple. Together with ``program`` and the two EDB
+    snapshots it lets :mod:`repro.datalog.units` rebuild every node as a
+    *runnable* unit of work, so a compiled round can be executed for
+    real instead of simulated. ``structure`` is the static half
+    ``trace`` was stamped onto.
+
+    The two materializations and their evaluation traces exist only for
+    a round :func:`compile_update` unrolled from them; a round staged
+    onto the static ``G`` (:func:`stage_update`) evaluated nothing and
+    leaves them ``None``.
     """
 
     trace: JobTrace
-    db_old: Database
-    db_new: Database
-    eval_old: EvaluationTrace
-    eval_new: EvaluationTrace
     program: Program
     edb_old: Database
     edb_new: Database
     structure: "RoundStructure"
+    db_old: Database | None = None
+    db_new: Database | None = None
+    eval_old: EvaluationTrace | None = None
+    eval_new: EvaluationTrace | None = None
 
     @property
     def node_keys(self) -> list:
@@ -184,17 +202,20 @@ def _cumulative_states(
 def prepare_update(
     program: Program,
     edb_old: Database,
-    delta: Delta,
+    delta: "Delta | ZSetDelta",
     analysis: "ProgramAnalysis | None",
+    apply: Callable[[Database, ZSetDelta], Database] = apply_zdelta,
 ) -> tuple[ZSetDelta, Database, Database, frozenset[int]]:
     """What :func:`compile_update` and the plan cache's ``compile`` do
-    before evaluating anything: ``(zdelta, edb_old, edb_new, dead)``.
+    before anything runs: ``(zdelta, edb_old, edb_new, dead)``.
 
-    An update to a derived predicate is refused. The delta is clamped
-    to its effective weights — redundant ops (inserting a present fact,
-    deleting an absent one) and coalesced insert/retract pairs cancel
-    here, so a self-cancelling delta compiles exactly like an empty
-    one: same touched set, same live predicates, same prune set.
+    An update to a derived predicate is refused. A :class:`Delta` is
+    clamped to its effective weights — redundant ops (inserting a
+    present fact, deleting an absent one) and coalesced insert/retract
+    pairs cancel here, so a self-cancelling delta compiles exactly like
+    an empty one: same touched set, same live predicates, same prune
+    set; a :class:`ZSetDelta` is taken as already clamped against
+    ``edb_old``. ``apply`` produces ``edb_new`` from it.
     ``dead`` holds the indices of the rules ``analysis`` proves cannot
     fire against either EDB snapshot; when there are any, both
     snapshots get the full program's schema, so the materializations of
@@ -205,8 +226,12 @@ def prepare_update(
     for pred in delta.touched_predicates():
         if pred in idb:
             raise ValueError(f"update targets derived predicate {pred!r}")
-    zdelta = effective_zdelta(edb_old, delta)
-    edb_new = apply_zdelta(edb_old, zdelta)
+    zdelta = (
+        delta
+        if isinstance(delta, ZSetDelta)
+        else effective_zdelta(edb_old, delta)
+    )
+    edb_new = apply(edb_old, zdelta)
     dead: frozenset[int] = frozenset()
     if analysis is not None:
         dead = analysis.prunable_rules(
@@ -269,11 +294,11 @@ _NO_FACTS: frozenset = frozenset()
 class RoundStructure:
     """The static half of a compiled round: ``G`` and what follows from it.
 
-    A function of the program and of :func:`structure_key` — how many
-    iterations each stratum unrolls to — never of the facts. Rounds
-    that agree on both share one ``RoundStructure`` (the plan cache
-    keeps them by that key), and :func:`stamp_update` writes one
-    round's change flags, work and initial tasks onto it.
+    A function of the program and, for an unrolled graph, of
+    :func:`structure_key` — how many iterations each stratum unrolls to
+    — never of the facts. :func:`stamp_update` / :func:`stage_update`
+    write one round's initial tasks, work and change flags onto it; the
+    plan cache keeps the one static structure of each program it runs.
     """
 
     program: Program
@@ -286,22 +311,21 @@ class RoundStructure:
     levels: np.ndarray
     #: source node of every dense edge index
     edge_sources: np.ndarray
+    n_strata: int
 
 
 def structure_key(
     ev_old: EvaluationTrace, ev_new: EvaluationTrace
 ) -> tuple[int, ...]:
-    """What, besides the program, decides a round's DAG structure: how
-    many iterations each stratum unrolls to.
+    """What, besides the program, decides an unrolled DAG's structure:
+    how many iterations each stratum unrolls to.
 
     The rule instances of an iteration follow from the program — every
     rule of the stratum at iteration 0, one instance per positive
     occurrence of a recursive stratum predicate afterwards — and the
     evaluator records no other (a Δ predicate is always a stratum-local
     head, and a stratum is one SCC, so it is recursive whenever a Δ rule
-    exists); :func:`stamp_update` checks that. Read off the two
-    evaluation traces without walking a rule body, so a cache can look
-    a structure up before deciding to build it.
+    exists); :func:`stamp_update` checks that.
     """
     return tuple(
         max(len(its_old), len(its_new))
@@ -310,17 +334,24 @@ def structure_key(
 
 
 def build_round_structure(
-    program: Program, n_iters: tuple[int, ...]
+    program: Program, n_iters: tuple[int, ...] | None = None
 ) -> RoundStructure:
-    """Unroll the program's dataflow into the static DAG ``G``.
+    """The program's dataflow as the DAG ``G``.
 
-    ``n_iters`` is the :func:`structure_key` of the round: iterations
-    per stratum, in stratification order.
+    With ``n_iters`` — the :func:`structure_key` of a round: iterations
+    per stratum, in stratification order — every recursive stratum is
+    unrolled that many times. Without, ``G`` is *static*: one iteration
+    per stratum, and a recursive stratum is a single ``("fix", si)``
+    node between its inputs and its predicates' ``("pred", p, si, 0)``
+    nodes, whatever depth its fixpoint reaches on a given EDB.
     """
     depgraph = DependencyGraph(program)
     strata = depgraph.stratify()
     rules = program.proper_rules
     recursive = depgraph.recursive_predicates()
+    static = n_iters is None
+    if n_iters is None:
+        n_iters = (1,) * len(strata)
 
     stratum_of: dict[str, int] = {}
     for si, comp in enumerate(strata):
@@ -347,6 +378,17 @@ def build_round_structure(
             (ri, r) for ri, r in enumerate(rules)
             if r.head.predicate in stratum_set
         ]
+        if static and stratum_set & recursive:
+            # the whole fixpoint is one node: it reads every predicate
+            # the SCC's rules mention outside the SCC, writes the SCC
+            fnode = b.node(("fix", si), f"fix@{si}")
+            for _ri, rule in stratum_rules:
+                for q, _neg in rule.body_predicates():
+                    if q not in stratum_set:
+                        b.add_edge(out_node(q), fnode)
+            for p in stratum:
+                b.add_edge(fnode, b.node(("pred", p, si, 0), f"{p}@{si}.0"))
+            continue
         for k in range(n_iters[si]):
             # predicate-state nodes after iteration k, with pass-through
             # (EDB predicates keep their single source node instead)
@@ -397,7 +439,7 @@ def build_round_structure(
     dag = b.build()
     node_keys = b.keys()
     is_task = np.array(
-        [key[0] == "task" for key in node_keys], dtype=bool  # type: ignore[index]
+        [key[0] in ("task", "fix") for key in node_keys], dtype=bool  # type: ignore[index]
     )
     return RoundStructure(
         program=program,
@@ -408,6 +450,7 @@ def build_round_structure(
         models=np.full(dag.n_nodes, ExecutionModel.SEQUENTIAL, dtype=np.int8),
         levels=compute_levels(dag),
         edge_sources=np.ascontiguousarray(dag.edge_array()[:, 0]),
+        n_strata=len(strata),
     )
 
 
@@ -431,8 +474,6 @@ def stamp_update(
     touched: set[str],
     work_per_derivation: float = 1e-3,
     name: str = "datalog-update",
-    states_old: dict[tuple, frozenset] | None = None,
-    states_new: dict[tuple, frozenset] | None = None,
 ) -> CompiledUpdate:
     """Stamp one round's update onto ``structure``.
 
@@ -448,11 +489,8 @@ def stamp_update(
     if ev_old.strata != ev_new.strata:  # pragma: no cover - depgraph is static
         raise AssertionError("stratification must not depend on the data")
     program = structure.program
-    rules = program.proper_rules
-    if states_old is None:
-        states_old = _cumulative_states(program, ev_old, edb_old)
-    if states_new is None:
-        states_new = _cumulative_states(program, ev_new, edb_new)
+    states_old = _cumulative_states(program, ev_old, edb_old)
+    states_new = _cumulative_states(program, ev_new, edb_new)
 
     node_keys = structure.node_keys
     n = len(node_keys)
@@ -493,38 +531,93 @@ def stamp_update(
             "has no task node for; build the structure from "
             "structure_key() of these two traces"
         )
-    initial = np.array(
-        sorted(
-            structure.key_to_id[("edb", p)]
-            for p in touched
-            if ("edb", p) in structure.key_to_id
+    return CompiledUpdate(
+        trace=_round_trace(
+            structure, work, _edb_nodes(structure, touched),
+            changed[structure.edge_sources], work_per_derivation, name,
         ),
-        dtype=np.int64,
+        db_old=db_old,
+        db_new=db_new,
+        eval_old=ev_old,
+        eval_new=ev_new,
+        program=program,
+        edb_old=edb_old,
+        edb_new=edb_new,
+        structure=structure,
     )
+
+
+def _edb_nodes(structure: RoundStructure, touched: set[str]) -> list[int]:
+    """The EDB nodes of the touched predicates ``G`` has a node for."""
+    return sorted(
+        structure.key_to_id[("edb", p)]
+        for p in touched
+        if ("edb", p) in structure.key_to_id
+    )
+
+
+def _round_trace(
+    structure: RoundStructure,
+    work: np.ndarray,
+    initial: list[int],
+    changed_edges: np.ndarray,
+    work_per_derivation: float,
+    name: str,
+) -> JobTrace:
+    """One round's :class:`JobTrace` over the shared ``G``."""
     trace = JobTrace(
         dag=structure.dag,
         work=work,
         span=work.copy(),
         models=structure.models,
         is_task=structure.is_task,
-        initial_tasks=initial,
-        changed_edges=changed[structure.edge_sources],
+        initial_tasks=np.array(initial, dtype=np.int64),
+        changed_edges=changed_edges,
         name=name,
         metadata={
             "generator": "datalog.compile_update",
-            "n_rules": len(rules),
-            "n_strata": len(ev_new.strata),
+            "n_rules": len(structure.program.proper_rules),
+            "n_strata": structure.n_strata,
             "work_per_derivation": work_per_derivation,
         },
     )
     trace.seed_levels(structure.levels)
+    return trace
+
+
+def stage_update(
+    structure: RoundStructure,
+    edb_old: Database,
+    edb_new: Database,
+    touched: set[str] | None,
+    work_per_derivation: float = 1e-3,
+    name: str = "datalog-update",
+) -> CompiledUpdate:
+    """Stamp one round onto the *static* ``structure``, evaluating nothing.
+
+    The initial tasks are the EDB nodes of ``touched`` — or, with
+    ``touched=None`` (no previous node values to diff against), every
+    source of ``G``, so the whole graph runs. Every task is charged one
+    ``work_per_derivation``; the change flags are all ``False`` here and
+    observed by execution (``record_round`` stamps them onto the
+    verification trace).
+    """
+    dag = structure.dag
+    initial = (
+        np.flatnonzero(dag.in_degrees() == 0).tolist()
+        if touched is None
+        else _edb_nodes(structure, touched)
+    )
     return CompiledUpdate(
-        trace=trace,
-        db_old=db_old,
-        db_new=db_new,
-        eval_old=ev_old,
-        eval_new=ev_new,
-        program=program,
+        trace=_round_trace(
+            structure,
+            np.where(structure.is_task, work_per_derivation, 0.0),
+            initial,
+            np.zeros(dag.n_edges, dtype=bool),
+            work_per_derivation,
+            name,
+        ),
+        program=structure.program,
         edb_old=edb_old,
         edb_new=edb_new,
         structure=structure,
@@ -542,19 +635,12 @@ def build_compiled_update(
     touched: set[str],
     work_per_derivation: float = 1e-3,
     name: str = "datalog-update",
-    states_old: dict[tuple, frozenset] | None = None,
-    states_new: dict[tuple, frozenset] | None = None,
 ) -> CompiledUpdate:
     """Unroll two recorded materializations into a schedulable trace.
 
     The back half of :func:`compile_update`: :func:`build_round_structure`
-    followed by :func:`stamp_update`. The plan cache — which reuses the
-    previous round's *new* side as this round's *old* side instead of
-    re-evaluating it, and keeps structures across rounds — calls the two
-    halves itself, so its traces come from the exact same code.
-    ``states_old``/``states_new`` accept precomputed
-    :func:`_cumulative_states` tables (the cache carries them across
-    rounds); when omitted they are computed here.
+    for the :func:`structure_key` of the two traces, then
+    :func:`stamp_update`.
     """
     return stamp_update(
         build_round_structure(program, structure_key(ev_old, ev_new)),
@@ -562,6 +648,4 @@ def build_compiled_update(
         touched=touched,
         work_per_derivation=work_per_derivation,
         name=name,
-        states_old=states_old,
-        states_new=states_new,
     )

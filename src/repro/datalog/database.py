@@ -49,18 +49,22 @@ class Relation:
     def __contains__(self, t: Tuple_) -> bool:
         return t in self._tuples
 
-    def holds_exactly(self, facts: "set | frozenset") -> bool:
-        """Whether this relation's tuples are exactly ``facts``.
+    def __eq__(self, other: object) -> bool:
+        """Same predicate, same tuples — indexes and mirrors aside.
 
-        A set comparison on the relation's own storage: no copy, and a
+        What a work unit's changed/unchanged signal is computed with: a
+        set comparison on the relations' own storage, no copy, and a
         size mismatch answers without looking at a tuple.
         """
-        return self._tuples == facts
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return self.name == other.name and self._tuples == other._tuples
 
-    def diff_count(self, facts: "set | frozenset") -> int:
-        """How many tuples are in exactly one of this relation and
-        ``facts``."""
-        return len(self._tuples ^ facts)
+    __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
+
+    def diff_count(self, other: "Relation") -> int:
+        """How many tuples are in exactly one of the two relations."""
+        return len(self._tuples ^ other._tuples)
 
     def add(self, t: Tuple_) -> bool:
         """Insert; returns True if the tuple is new."""

@@ -28,9 +28,11 @@ a weighted :class:`~repro.datalog.zset.ZSetDelta` (+1 = net insert, −1
 
 The per-stratum steps and the net change are recorded in a
 :class:`MaintenanceTrace`. The served round does not call this engine:
-:mod:`repro.datalog.compiler` derives a round's activation pattern from
-two from-scratch evaluations, and :func:`~repro.datalog.seminaive
-.seminaive_evaluate` is the oracle this engine is tested against.
+the fixpoint nodes of the static DAG (:mod:`repro.datalog.plancache`)
+recompute their SCC with the evaluator's own stratum loop — on the
+shipped streams that is faster than this procedure — and
+:func:`~repro.datalog.seminaive.seminaive_evaluate` is the oracle this
+engine is tested against.
 """
 
 from __future__ import annotations

@@ -22,7 +22,12 @@ from .database import Database, Relation
 from .depgraph import DependencyGraph
 from .unify import eval_rule, instantiate_head, join_body
 
-__all__ = ["naive_evaluate", "seminaive_evaluate", "EvaluationTrace"]
+__all__ = [
+    "naive_evaluate",
+    "seminaive_evaluate",
+    "evaluate_stratum",
+    "EvaluationTrace",
+]
 
 
 @dataclass
@@ -113,6 +118,116 @@ def naive_evaluate(
     return db
 
 
+def evaluate_stratum(
+    rules: list[tuple[int, Rule]],
+    recursive: set[str],
+    db: Database,
+    pool: InternPool | None = None,
+    record: bool = False,
+    max_iterations: int | None = None,
+    orders: dict[int, tuple[int, ...]] | None = None,
+) -> list[dict]:
+    """Run one stratum's semi-naive loop to fixpoint over ``db``, in place.
+
+    ``rules`` are the stratum's ``(proper-rule index, rule)`` pairs,
+    ``recursive`` its recursive predicates (empty for a non-recursive
+    stratum, which is done after iteration 0). ``db`` must hold every
+    relation the rules read; the heads' relations are created as needed
+    and grow to the stratum's fixpoint. ``orders`` maps rule indices to
+    body evaluation orders (the analyzer's join hints). Returns the
+    iteration records of :class:`EvaluationTrace`.
+
+    The one implementation of the loop: :func:`seminaive_evaluate` calls
+    it once per stratum, and the fixpoint node of the static DAG
+    (:mod:`repro.datalog.units`) calls it for its SCC.
+    """
+    orders = orders or {}
+    iteration_records: list[dict] = []
+
+    def merge(staged: list[tuple[Rule, set]]) -> dict[str, Relation]:
+        # derived facts become visible to the next iteration only
+        delta: dict[str, Relation] = {}
+        for rule, produced in staged:
+            if not produced:
+                continue
+            head = rule.head
+            rel = db.relation(head.predicate, head.arity)
+            fresh = [fact for fact in produced if rel.add(fact)]
+            if fresh:
+                new = delta.get(head.predicate)
+                if new is None:
+                    new = delta[head.predicate] = Relation(
+                        head.predicate, head.arity
+                    )
+                for fact in fresh:
+                    new.add(fact)
+        return delta
+
+    # iteration 0: every rule, full database.  Two-phase (snapshot)
+    # semantics: all rules join against the stratum's entry state,
+    # and their outputs merge only after every rule has run — no
+    # rule sees a fact derived earlier in the same iteration.
+    rec0: dict = {}
+    staged: list[tuple[Rule, set]] = []
+    for ri, rule in rules:
+        if pool is not None:
+            produced = eval_rule_columnar(rule, db, pool, order=orders.get(ri))
+        else:
+            produced = eval_rule(rule, db, order=orders.get(ri))
+        if produced or record:
+            rec0[(ri, None)] = produced
+        staged.append((rule, produced))
+    delta = merge(staged)
+    iteration_records.append(rec0)
+
+    # iterations 1..: recursive rules with one Δ-occurrence each
+    rec_rules = [
+        (ri, rule)
+        for ri, rule in rules
+        if any(p in recursive for p, neg in rule.body_predicates() if not neg)
+    ]
+    rounds = 0
+    while delta:
+        rounds += 1
+        if max_iterations is not None and rounds > max_iterations:
+            raise RuntimeError(
+                f"fixpoint for stratum {sorted(recursive)} exceeded "
+                f"{max_iterations} iterations (divergent arithmetic?)"
+            )
+        rec_k: dict = {}
+        staged = []
+        for ri, rule in rec_rules:
+            for pos, lit in enumerate(rule.body):
+                if (
+                    lit.atom is None
+                    or lit.negated
+                    or lit.atom.predicate not in delta
+                ):
+                    continue
+                if pool is not None:
+                    produced = eval_rule_columnar(
+                        rule, db, pool,
+                        delta_overrides=delta, delta_at=pos,
+                        order=orders.get(ri),
+                    )
+                else:
+                    produced = {
+                        instantiate_head(rule.head, subst)
+                        for subst in join_body(
+                            rule.body, db,
+                            delta_overrides=delta, delta_at=pos,
+                            order=orders.get(ri),
+                        )
+                    }
+                if produced:
+                    rec_k[(ri, pos)] = produced
+                staged.append((rule, produced))
+        if rec_k:
+            iteration_records.append(rec_k)
+        delta = merge(staged)
+    return iteration_records
+
+
 def seminaive_evaluate(
     program: Program,
     db: Database | None = None,
@@ -131,12 +246,13 @@ def seminaive_evaluate(
     ``shared_relations`` lets a caller substitute pre-indexed
     :class:`Relation` objects for predicates the evaluation only
     *reads* — EDB predicates that are not fact-rule heads. The plan
-    cache passes its cross-round indexed relations here so the
-    from-scratch joins probe indexes that already exist instead of
-    rebuilding them every round. Each shared relation must hold exactly
-    the facts ``db`` holds for that predicate; predicates the
-    evaluation writes (IDB heads, fact-rule heads) are rejected because
-    sharing them would mutate the caller's objects.
+    cache passes the EDB relations it carries from round to round here
+    so the from-scratch joins probe indexes that already exist instead
+    of rebuilding them every round. Each shared relation must hold
+    exactly the facts ``db`` holds for that predicate (it replaces the
+    copy, which is then not made); predicates the evaluation writes
+    (IDB heads, fact-rule heads) are rejected because sharing them would
+    mutate the caller's objects.
 
     ``pool`` switches rule evaluation to the columnar batch joins of
     :func:`~repro.datalog.columnar.eval_rule_columnar` (interned
@@ -144,113 +260,36 @@ def seminaive_evaluate(
     shared relations additionally carry their columnar mirrors across
     rounds. ``None`` keeps the row evaluator.
     """
-    db = db.copy() if db is not None else Database()
-    if shared_relations:
-        writable = {r.head.predicate for r in program.rules}
-        for pred, rel in shared_relations.items():
-            if pred in writable:
-                raise ValueError(
-                    f"cannot share relation {pred!r}: the evaluation "
-                    "writes it (IDB or fact-rule head)"
-                )
-            db.relations[pred] = rel
+    shared = shared_relations or {}
+    writable = {r.head.predicate for r in program.rules}
+    for pred in shared:
+        if pred in writable:
+            raise ValueError(
+                f"cannot share relation {pred!r}: the evaluation "
+                "writes it (IDB or fact-rule head)"
+            )
+    given = db.relations if db is not None else {}
+    db = Database({
+        n: shared[n] if n in shared else r.copy() for n, r in given.items()
+    })
+    db.relations.update(shared)
     _ensure_relations(program, db)
     _seed_facts(program, db)
     depgraph = DependencyGraph(program)
-    strata = depgraph.stratify()
     recursive = depgraph.recursive_predicates()
     trace = EvaluationTrace()
-
-    for stratum in strata:
+    for stratum in depgraph.stratify():
         stratum_set = set(stratum)
         rules = [
             (ri, r)
             for ri, r in enumerate(program.proper_rules)
             if r.head.predicate in stratum_set
         ]
-        iteration_records: list[dict] = []
-
-        # iteration 0: every rule, full database.  Two-phase (snapshot)
-        # semantics: all rules join against the stratum's entry state,
-        # and their outputs merge only after every rule has run — no
-        # rule sees a fact derived earlier in the same iteration.
-        delta: dict[str, Relation] = {}
-        rec0: dict = {}
-        staged: list[tuple[Rule, set]] = []
-        for ri, rule in rules:
-            if pool is not None:
-                produced = eval_rule_columnar(rule, db, pool)
-            else:
-                produced = eval_rule(rule, db)
-            if produced or record:
-                rec0[(ri, None)] = produced
-            staged.append((rule, produced))
-        for rule, produced in staged:
-            for fact in produced:
-                if db.add_fact(rule.head.predicate, fact):
-                    delta.setdefault(
-                        rule.head.predicate,
-                        Relation(rule.head.predicate, len(fact)),
-                    ).add(fact)
-        iteration_records.append(rec0)
-
-        # iterations 1..: recursive rules with one Δ-occurrence each
-        rec_rules = [
-            (ri, rule)
-            for ri, rule in rules
-            if any(
-                p in stratum_set and p in recursive
-                for p, neg in rule.body_predicates()
-                if not neg
-            )
-        ]
-        rounds = 0
-        while delta:
-            rounds += 1
-            if max_iterations is not None and rounds > max_iterations:
-                raise RuntimeError(
-                    f"fixpoint for stratum {stratum} exceeded "
-                    f"{max_iterations} iterations (divergent arithmetic?)"
-                )
-            new_delta: dict[str, Relation] = {}
-            rec_k: dict = {}
-            staged_k: list[tuple[Rule, set]] = []
-            for ri, rule in rec_rules:
-                for pos, lit in enumerate(rule.body):
-                    if (
-                        lit.atom is None
-                        or lit.negated
-                        or lit.atom.predicate not in delta
-                    ):
-                        continue
-                    if pool is not None:
-                        produced = eval_rule_columnar(
-                            rule, db, pool,
-                            delta_overrides=delta, delta_at=pos,
-                        )
-                    else:
-                        produced = {
-                            instantiate_head(rule.head, subst)
-                            for subst in join_body(
-                                rule.body, db,
-                                delta_overrides=delta, delta_at=pos,
-                            )
-                        }
-                    if produced:
-                        rec_k[(ri, pos)] = produced
-                    staged_k.append((rule, produced))
-            # merge phase: derived facts become visible to iteration k+1
-            for rule, produced in staged_k:
-                for fact in produced:
-                    if db.add_fact(rule.head.predicate, fact):
-                        new_delta.setdefault(
-                            rule.head.predicate,
-                            Relation(rule.head.predicate, len(fact)),
-                        ).add(fact)
-            if rec_k:
-                iteration_records.append(rec_k)
-            delta = new_delta
-
         trace.strata.append(stratum)
-        trace.iterations.append(iteration_records)
+        trace.iterations.append(
+            evaluate_stratum(
+                rules, stratum_set & recursive, db, pool, record,
+                max_iterations,
+            )
+        )
     return db, trace

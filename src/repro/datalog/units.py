@@ -1,52 +1,53 @@
 """Runnable units of work behind a compiled update DAG.
 
-:func:`repro.datalog.compiler.compile_update` unrolls one maintenance
-round into a static DAG whose nodes are EDB sources, rule-instance
-tasks, and predicate-state nodes. This module turns that DAG into an
+A compiled round is a static DAG whose nodes are EDB sources,
+rule-instance tasks, predicate-state nodes and — in the static ``G`` the
+plan cache serves — fixpoint nodes. This module turns that DAG into an
 :class:`ExecutionPlan`: every node becomes a :class:`WorkUnit` whose
-``execute`` *actually applies* the node's semi-naive delta rule (or
-state merge) to the values produced by its DAG inputs, via the same
-:mod:`repro.datalog.unify` joins the evaluator uses.
+``execute`` *actually applies* the node's rule (or state merge, or whole
+stratum fixpoint) to the values produced by its DAG inputs, via the same
+joins the evaluator uses.
 
-The diff between a unit's output and its recorded value under the old
-materialization is the paper's changed/unchanged signal, computed from
-real data — :mod:`repro.runtime.executor` uses it to decide child
-activation instead of the compiler's precomputed flags.
+The diff between a unit's output and the node's old value is the paper's
+changed/unchanged signal, computed from real data —
+:mod:`repro.runtime.executor` uses it to decide child activation.
 
-Skeleton / binding split
-------------------------
-Plan construction is two-phase so the plan cache can reuse work across
-rounds:
-
-* :class:`PlanSkeleton` holds everything that depends only on the
-  *structure* of the compiled DAG (``node_keys``) and the program: node
-  wiring (which value-store slots each unit reads), writer lists,
-  Δ-occurrence slots, arities, and per task its compiled rule plan and
-  *read set* — the predicates the rule scans outside its Δ-restricted
-  occurrence. Building it walks every rule body once per task node —
-  the expensive part of plan construction.
-* :meth:`PlanSkeleton.bind` stamps one round's *data* onto the skeleton
-  — per-node old values, EDB baselines — producing an
-  :class:`ExecutionPlan`. :meth:`PlanSkeleton.patch` restamps an
-  existing plan in place for a new round with the same structure, so
-  the unit closures (and their wiring) are reused verbatim.
+Two kinds of plan
+-----------------
+* :class:`PlanSkeleton` wires the DAG :func:`~repro.datalog.compiler
+  .compile_update` *unrolled* from two recorded evaluations — one task
+  per (rule, Δ-position, iteration). Node values are fact ``frozenset``s
+  and the old values come from the old side's recorded trace. It is
+  built fresh per round (the simulator benches, the degraded round, the
+  test oracle).
+* :class:`ProgramSkeleton` wires the *static* ``G`` of a program
+  (:func:`~repro.datalog.compiler.build_round_structure` without
+  iteration counts), once. Node values are :class:`Relation` objects
+  handed from writer to reader as built — indexes, columnar mirror and
+  all — a fixpoint node runs :func:`~repro.datalog.seminaive
+  .evaluate_stratum` over its inputs, and the old values are whatever
+  the previous committed round left in the nodes.
+  :meth:`ProgramSkeleton.stamp` restamps the one bound plan per round.
 
 Unit closures read per-round data through the plan's :class:`RoundCtx`,
-never through captured constants, which is what makes patching sound.
+never through captured constants, which is what makes restamping sound.
 
-Correctness rests on the snapshot (two-phase) iteration semantics of
-:func:`repro.datalog.seminaive.seminaive_evaluate`: every recorded
-rule-instance output is a pure function of the previous iteration's
-predicate states, which are exactly the values the DAG wires into the
-task. Executing units in any precedence-respecting order — serial or
-concurrent — therefore reproduces the recorded new materialization,
-and the per-node diffs reproduce the compiled activation pattern.
+Correctness of the unrolled plan rests on the snapshot (two-phase)
+iteration semantics of :func:`repro.datalog.seminaive
+.seminaive_evaluate`: every recorded rule-instance output is a pure
+function of the previous iteration's predicate states, which are
+exactly the values the DAG wires into the task. Executing units in any
+precedence-respecting order — serial or concurrent — therefore
+reproduces the recorded new materialization, and the per-node diffs
+reproduce the compiled activation pattern. The static plan needs no
+such argument: each of its units is a pure function of its inputs'
+final values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -60,25 +61,20 @@ from .columnar import (
 from .compiler import CompiledUpdate, _cumulative_states
 from .database import Database, Relation
 from .depgraph import DependencyGraph
+from .seminaive import evaluate_stratum
 from .unify import eval_rule, instantiate_head, join_body
-from .zset import ZSetDelta
 
 __all__ = [
     "WorkUnit",
     "ValueStore",
     "ExecutionPlan",
     "PlanSkeleton",
+    "ProgramSkeleton",
     "RoundCtx",
     "build_execution_plan",
 ]
 
-#: builds the relation a task joins against: ``(pred, arity, facts)``.
-#: The default builds a fresh relation per call; the plan cache
-#: substitutes its cross-round indexed store.
-RelationFactory = Callable[[str, int, frozenset], Relation]
-
-
-def _fresh_relation(pred: str, arity: int, facts: frozenset) -> Relation:
+def _fresh_relation(pred: str, arity: int, facts: Iterable[tuple]) -> Relation:
     rel = Relation(pred, arity)
     for f in facts:
         rel.add(f)
@@ -90,14 +86,18 @@ class WorkUnit:
     """One runnable DAG node: a pure function of its input values."""
 
     node: int
-    kind: str  #: ``"edb"`` | ``"pred"`` | ``"task"``
+    kind: str  #: ``"edb"`` | ``"pred"`` | ``"task"`` | ``"fix"``
     label: str
-    #: the node's recorded value under the *old* materialization —
-    #: diffing against it yields the real changed/unchanged signal
-    old_value: frozenset
-    run: Callable[["ValueStore"], frozenset]
+    #: the node's value under the *old* materialization — diffing
+    #: against it (``!=``) yields the real changed/unchanged signal.
+    #: A fact ``frozenset`` in an unrolled plan; in a static plan a
+    #: :class:`Relation` (a fact ``set`` for a task, a predicate →
+    #: relation dict for a fixpoint node), or ``None`` — unequal to
+    #: every value — when no committed round left one.
+    old_value: Any
+    run: Callable[["ValueStore"], Any]
 
-    def execute(self, values: "ValueStore") -> frozenset:
+    def execute(self, values: "ValueStore") -> Any:
         """Compute this node's output from its inputs' values."""
         return self.run(values)
 
@@ -114,13 +114,13 @@ class ValueStore:
 
     def __init__(self, plan: "ExecutionPlan") -> None:
         self._old = plan.old_values
-        self._values: dict[int, frozenset] = {}
+        self._values: dict[int, Any] = {}
 
-    def __getitem__(self, node: int) -> frozenset:
+    def __getitem__(self, node: int) -> Any:
         got = self._values.get(node)
         return self._old[node] if got is None else got
 
-    def set(self, node: int, value: frozenset) -> None:
+    def set(self, node: int, value: Any) -> None:
         """Record a computed value (coordinator thread only)."""
         self._values[node] = value
 
@@ -132,25 +132,18 @@ class ValueStore:
 class RoundCtx:
     """The per-round data every unit closure reads.
 
-    Mutated only between rounds (by :meth:`PlanSkeleton.patch`), never
+    Mutated only between rounds (a static plan is restamped), never
     while a plan is executing, so worker threads read it without locks.
     """
 
-    __slots__ = ("baseline", "rel", "baseline_edb", "pool")
+    __slots__ = ("baseline", "pool")
 
-    def __init__(
-        self, rel: RelationFactory, pool: InternPool | None = None
-    ) -> None:
+    def __init__(self, pool: InternPool | None = None) -> None:
         #: predicate → program facts ∪ its facts in the round's new EDB
         #: — the entry state of a stratum-local predicate, and the
-        #: value an EDB node publishes
-        self.baseline: dict[str, frozenset] = {}
-        #: relation factory used for every join input this round
-        self.rel: RelationFactory = rel
-        #: the exact EDB object the baseline was stamped from; the plan
-        #: cache's weighted patching checks it by identity before
-        #: updating only the touched predicates
-        self.baseline_edb: Database | None = None
+        #: value an EDB node publishes (a ``frozenset`` in an unrolled
+        #: plan, a :class:`Relation` in a static one)
+        self.baseline: dict[str, Any] = {}
         #: intern pool: when set, task joins run the columnar batch
         #: evaluator over each relation's interned mirror
         self.pool: InternPool | None = pool
@@ -162,12 +155,12 @@ class ExecutionPlan:
 
     compiled: CompiledUpdate
     units: list[WorkUnit]
-    old_values: list[frozenset]
+    old_values: list
     #: predicate → node id carrying its final value
     final_nodes: dict[str, int] = field(default_factory=dict)
     #: per-round data shared by the unit closures
     ctx: RoundCtx | None = None
-    #: the static wiring this plan was bound from (enables patching)
+    #: the static wiring this plan was bound from
     skeleton: "PlanSkeleton | None" = None
     #: scheduler pre-computation over this plan's DAG (interval lists),
     #: handed to ``Scheduler.prepare`` through ``SchedulerContext.memo``
@@ -179,20 +172,24 @@ class ExecutionPlan:
         return ValueStore(self)
 
     def materialization(self, values: ValueStore) -> Database:
-        """Assemble the full database the executed round produced."""
-        out = Database()
-        ref = self.compiled.db_new
-        for pred, rel in ref.relations.items():
-            fresh = out.relation(pred, rel.arity)
-            node = self.final_nodes.get(pred)
-            if node is not None:
-                facts = values[node]
-            else:
-                # relation never mentioned by the program: carried
-                # through from the EDB untouched
-                facts = _facts_of(self.compiled.edb_new, pred)
-            for fact in facts:
-                fresh.add(fact)
+        """Assemble the full database the executed round produced.
+
+        A final node's value that already is a :class:`Relation` (static
+        plan) is adopted as is; a fact set is loaded into a fresh one.
+        Relations no node carries — predicates the program never
+        mentions — come through from the round's new EDB, by identity:
+        treat the result as read-only.
+        """
+        assert self.skeleton is not None
+        arity_of = self.skeleton.arity_of
+        out = Database(dict(self.compiled.edb_new.relations))
+        for pred, node in self.final_nodes.items():
+            value = values[node]
+            out.relations[pred] = (
+                value
+                if isinstance(value, Relation)
+                else _fresh_relation(pred, arity_of[pred], value)
+            )
         return out
 
     def execute_serial(self) -> tuple[ValueStore, dict[int, bool]]:
@@ -239,12 +236,13 @@ class _TaskWiring:
 
 
 class PlanSkeleton:
-    """Static wiring shared by every round with the same DAG structure.
+    """Wiring of a compiled DAG: what follows from its structure alone.
 
-    Derived from ``(program, node_keys)`` only. Rebinding it to a new
-    :class:`CompiledUpdate` with identical ``node_keys`` is sound
-    because every per-round quantity lives in the plan's
-    :class:`RoundCtx` and ``old_values``.
+    Derived from ``(program, node_keys)`` only — which value-store slots
+    each unit reads, writer lists, Δ-occurrence slots, arities, final
+    nodes, and per task its compiled rule plan and *read set*. Every
+    per-round quantity lives in the bound plan's :class:`RoundCtx` and
+    ``old_values``; :meth:`bind` fills them for an unrolled ``cu``.
     """
 
     def __init__(
@@ -290,10 +288,14 @@ class PlanSkeleton:
             ]:
                 self.arity_of.setdefault(atom.predicate, atom.arity)
         for db in (cu.edb_old, cu.edb_new, cu.db_old, cu.db_new):
-            for p, rel in db.relations.items():
-                self.arity_of.setdefault(p, rel.arity)
+            if db is not None:
+                for p, rel in db.relations.items():
+                    self.arity_of.setdefault(p, rel.arity)
 
         self.key_to_id = cu.structure.key_to_id
+        self.labels = cu.structure.dag.node_names
+        #: predicate → node carrying its final value
+        self.final_nodes = {p: self.out_id(p) for p in self.stratum_of}
 
         # writer tasks per predicate-state node, from the task keys
         writers: dict[tuple[str, int, int], list[int]] = {}
@@ -407,13 +409,6 @@ class PlanSkeleton:
         )
         return frozenset(rec_old.get((ri, pos), frozenset()))
 
-    def _final_nodes(self, cu: CompiledUpdate) -> dict[str, int]:
-        final_nodes: dict[str, int] = {}
-        for p in cu.db_new.relations:
-            if p in self.edb_set or p in self.stratum_of:
-                final_nodes[p] = self.out_id(p)
-        return final_nodes
-
     # ------------------------------------------------------------------
     # unit construction (closures read ctx, never per-round captures)
     # ------------------------------------------------------------------
@@ -427,7 +422,7 @@ class PlanSkeleton:
                 return ctx.baseline[p]
 
             return WorkUnit(
-                node=nid, kind="edb", label=f"edb:{p}",
+                node=nid, kind="edb", label=self.labels[nid],
                 old_value=frozenset(), run=run_edb,
             )
 
@@ -449,7 +444,7 @@ class PlanSkeleton:
                 return frozenset(acc)
 
             return WorkUnit(
-                node=nid, kind="pred", label=f"{p}@{si}.{k}",
+                node=nid, kind="pred", label=self.labels[nid],
                 old_value=frozenset(), run=run_pred,
             )
 
@@ -486,7 +481,7 @@ class PlanSkeleton:
                 facts = (
                     values[src] if src is not None else ctx.baseline[q]
                 )
-                db.relations[q] = ctx.rel(q, arity_of[q], facts)
+                db.relations[q] = _fresh_relation(q, arity_of[q], facts)
             if rule_plan is not None:
                 return frozenset(
                     run_rule_plan(rule_plan, db, ctx.pool, overrides)
@@ -502,114 +497,165 @@ class PlanSkeleton:
                 )
             )
 
-        suffix = f".d{pos}" if pos is not None else ""
         return WorkUnit(
-            node=nid, kind="task",
-            label=f"r{wiring.ri}@{wiring.si}.{wiring.k}{suffix}",
+            node=nid, kind="task", label=self.labels[nid],
             old_value=frozenset(), run=run_task,
         )
 
     # ------------------------------------------------------------------
-    # bind / patch
-    # ------------------------------------------------------------------
-    def bind(
-        self,
-        cu: CompiledUpdate,
-        states_old: dict[tuple, frozenset] | None = None,
-        relation_factory: RelationFactory | None = None,
-    ) -> ExecutionPlan:
-        """Build a fresh :class:`ExecutionPlan` for ``cu``.
-
-        ``states_old`` is the cumulative predicate-state table of the
-        old evaluation; pass the cached one to avoid recomputing it.
-        """
-        ctx = RoundCtx(relation_factory or _fresh_relation, pool=self.pool)
+    def bind(self, cu: CompiledUpdate) -> ExecutionPlan:
+        """Build the :class:`ExecutionPlan` of ``cu``: the units over a
+        fresh :class:`RoundCtx` holding the round's baseline, and the
+        old values read off ``cu``'s old-side trace."""
+        ctx = RoundCtx(pool=self.pool)
+        ctx.baseline = self._round_baseline(cu.edb_new)
+        states_old = _cumulative_states(
+            self.program, cu.eval_old, cu.edb_old
+        )
         units = [
             self._make_unit(nid, key, ctx)
             for nid, key in enumerate(self.node_keys)
         ]
-        plan = ExecutionPlan(
+        for unit, key in zip(units, self.node_keys):
+            unit.old_value = self._old_value(key, cu, states_old)
+        return ExecutionPlan(
             compiled=cu,
             units=units,
-            old_values=[frozenset()] * len(units),
+            old_values=[unit.old_value for unit in units],
+            final_nodes=self.final_nodes,
             ctx=ctx,
             skeleton=self,
         )
-        self.patch(plan, cu, states_old)
-        return plan
 
-    def patch(
-        self,
+
+class ProgramSkeleton(PlanSkeleton):
+    """Wiring of a program's *static* ``G``: built once, restamped per round.
+
+    ``cu`` is any round staged onto the program's static structure
+    (:func:`~repro.datalog.compiler.stage_update`). Units exchange
+    :class:`Relation` objects: an EDB node publishes the round's
+    baseline relation, a task the fact set its rule derives from its
+    inputs' relations, a predicate node the relation those sets (and the
+    predicate's baseline) add up to, and a fixpoint node the relations
+    its SCC grows to under :func:`~repro.datalog.seminaive
+    .evaluate_stratum` — the evaluator's own loop, columnar.
+    """
+
+    def _make_unit(self, nid: int, key: tuple, ctx: RoundCtx) -> WorkUnit:
+        kind = key[0]
+        if kind == "edb":
+            p = key[1]
+
+            def run(_values: ValueStore) -> Relation:
+                return ctx.baseline[p]
+
+        elif kind == "fix":
+            si = key[1]
+            scc = tuple(self.strata[si])
+            scc_set = set(scc)
+            rules = [
+                (ri, r) for ri, r in enumerate(self.rules)
+                if r.head.predicate in scc_set
+            ]
+            inputs = tuple(
+                (q, self.out_id(q))
+                for q in sorted({
+                    q for _ri, r in rules for q, _neg in r.body_predicates()
+                } - scc_set)
+            )
+            orders = self.join_orders
+
+            def run(values: ValueStore) -> dict[str, Relation]:
+                db = Database({q: values[src] for q, src in inputs})
+                for p in scc:
+                    db.relations[p] = ctx.baseline[p].copy()
+                # every SCC predicate is recursive: one SCC, one stratum
+                evaluate_stratum(rules, scc_set, db, ctx.pool, orders=orders)
+                return {p: db.relations[p] for p in scc}
+
+        elif kind == "pred":
+            _, p, si, _k = key
+            fix = self.key_to_id.get(("fix", si))
+            task_ids = tuple(self.writers.get((p, si, 0), ()))
+            if fix is not None:
+
+                def run(values: ValueStore) -> Relation:
+                    return values[fix][p]
+
+            else:
+
+                def run(values: ValueStore) -> Relation:
+                    rel = ctx.baseline[p].copy()
+                    for tid in task_ids:
+                        for fact in values[tid]:
+                            rel.add(fact)
+                    return rel
+
+        else:
+            wiring = self.task_wiring[nid]
+            rule_plan = wiring.plan
+            sources = tuple(wiring.sources.items())
+
+            def run(values: ValueStore) -> set:
+                db = Database({q: values[src] for q, src in sources})
+                return run_rule_plan(rule_plan, db, ctx.pool)
+
+        return WorkUnit(
+            node=nid, kind=kind, label=self.labels[nid], old_value=None,
+            run=run,
+        )
+
+    def bind(self, cu: CompiledUpdate) -> ExecutionPlan:
+        """The one plan of this program, not yet stamped with a round."""
+        ctx = RoundCtx(pool=self.pool)
+        units = [
+            self._make_unit(nid, key, ctx)
+            for nid, key in enumerate(self.node_keys)
+        ]
+        return ExecutionPlan(
+            compiled=cu,
+            units=units,
+            old_values=[None] * len(units),
+            final_nodes=self.final_nodes,
+            ctx=ctx,
+            skeleton=self,
+        )
+
+    @staticmethod
+    def stamp(
         plan: ExecutionPlan,
         cu: CompiledUpdate,
-        states_old: dict[tuple, frozenset] | None = None,
-        zdelta: "ZSetDelta | None" = None,
-    ) -> ExecutionPlan:
-        """Restamp ``plan`` with a new round's data, in place.
+        baseline: dict[str, Relation],
+        old_values: list | None,
+    ) -> None:
+        """Restamp ``plan`` with one round, in place.
 
-        Requires ``cu.node_keys`` to match the skeleton's (same DAG
-        structure). The unit closures and wiring are reused verbatim;
-        only the :class:`RoundCtx`, old values, and final-node map are
-        rewritten. Deterministic: patching for the same ``cu`` twice —
-        e.g. when a failed round is retried — yields identical state.
-
-        ``zdelta`` is the round's effective weighted update
-        (``edb_old → edb_new``). When the plan's current baseline was
-        stamped from exactly ``cu.edb_old`` (object identity — true on
-        every plan-cache fast path), only the predicates the delta
-        touches are restamped; every other predicate keeps its baseline
-        frozenset object, so downstream value-addressed caches see
-        unchanged keys without rehashing full relations.
+        ``baseline`` maps every program predicate to its entry relation
+        (program facts ∪ the round's new EDB); ``old_values`` are the
+        node values the previous committed round left, ``None`` when
+        there are none — every node then diffs as changed, and
+        ``cu`` was staged with every source of ``G`` initial.
+        Deterministic: stamping the same round twice (a failed round is
+        retried) yields identical state.
         """
-        if cu.node_keys != self.node_keys:
-            raise ValueError(
-                "compiled update has a different DAG structure than "
-                "this skeleton; build a new plan instead of patching"
-            )
-        if states_old is None:
-            states_old = _cumulative_states(
-                self.program, cu.eval_old, cu.edb_old
-            )
         assert plan.ctx is not None
-        if (
-            zdelta is not None
-            and plan.ctx.baseline_edb is cu.edb_old
-            and plan.ctx.baseline.keys() == self.arity_of.keys()
-        ):
-            baseline = plan.ctx.baseline
-            for p in zdelta.touched_predicates():
-                if p in baseline:
-                    baseline[p] = self.base.get(p, frozenset()) | _facts_of(
-                        cu.edb_new, p
-                    )
-        else:
-            plan.ctx.baseline = self._round_baseline(cu.edb_new)
-        plan.ctx.baseline_edb = cu.edb_new
-        old_values = [
-            self._old_value(key, cu, states_old)
-            for key in self.node_keys
-        ]
-        for unit, old in zip(plan.units, old_values):
-            unit.old_value = old
+        plan.ctx.baseline = baseline
         # rebind in place: ValueStore holds a reference to this list
-        plan.old_values[:] = old_values
+        plan.old_values[:] = old_values or [None] * len(plan.units)
+        for unit, old in zip(plan.units, plan.old_values):
+            unit.old_value = old
         plan.compiled = cu
-        plan.final_nodes = self._final_nodes(cu)
-        return plan
 
 
 def build_execution_plan(
     cu: CompiledUpdate,
-    relation_factory: RelationFactory | None = None,
     join_orders: dict[int, tuple[int, ...]] | None = None,
     pool: InternPool | None = None,
 ) -> ExecutionPlan:
-    """Rebuild every node of ``cu`` as a runnable unit of work.
+    """Rebuild every node of an unrolled ``cu`` as a runnable unit of work.
 
     ``join_orders`` maps proper-rule indexes of ``cu.program`` to body
     evaluation orders (the static analyzer's cartesian-join hints).
     ``pool`` switches every task unit to the columnar batch joins.
     """
-    return PlanSkeleton(cu, join_orders=join_orders, pool=pool).bind(
-        cu, relation_factory=relation_factory
-    )
+    return PlanSkeleton(cu, join_orders=join_orders, pool=pool).bind(cu)

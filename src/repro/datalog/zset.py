@@ -18,9 +18,8 @@ update queue speaks this representation:
   any compilation or index maintenance happens;
 * :meth:`ZSetDelta.apply_to` patches a :class:`Relation`'s tuple set
   (and, through :meth:`Relation.add`/:meth:`Relation.discard`, every
-  hash index built on it) in O(|delta|) — the plan cache's
-  ``RelationIndexCache`` and the plan skeleton's baseline patching both
-  go through it.
+  hash index built on it) in O(|delta|) — :func:`derive_zdelta`, the
+  plan cache's round-to-round EDB step, goes through it.
 
 Because the engine only records weight changes for transitions that
 actually happened (a fact appearing or disappearing from the set
@@ -38,7 +37,7 @@ from .database import Database, Relation
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .incremental import Delta
 
-__all__ = ["ZSetDelta", "effective_zdelta", "apply_zdelta"]
+__all__ = ["ZSetDelta", "effective_zdelta", "apply_zdelta", "derive_zdelta"]
 
 
 class ZSetDelta:
@@ -240,4 +239,27 @@ def apply_zdelta(edb: Database, zdelta: ZSetDelta) -> Database:
             rel = out.relations.get(pred)
             if rel is not None:
                 rel.discard(fact)
+    return out
+
+
+def derive_zdelta(edb: Database, zdelta: ZSetDelta) -> Database:
+    """``edb``'s successor under ``zdelta``, sharing what did not change.
+
+    Same fact sets as :func:`apply_zdelta`, but only the touched
+    relations are new objects — each a :meth:`Relation.copy_indexed` of
+    its predecessor (hash indexes and columnar mirror included) patched
+    in O(|delta|) — and every other relation is carried over *by
+    identity*. Sound when both databases' relations are treated as
+    immutable from here on (the plan cache's committed baseline is).
+    """
+    out = Database(dict(edb.relations))
+    for pred, facts in zdelta.weights.items():
+        old = edb.relations.get(pred)
+        rel = (
+            old.copy_indexed()
+            if old is not None
+            else Relation(pred, len(next(iter(facts))))
+        )
+        zdelta.apply_to(rel, pred)
+        out.relations[pred] = rel
     return out

@@ -151,10 +151,16 @@ def record_round(
 ) -> RoundArtifacts:
     """Rebuild a real round as ``(verification trace, result)``.
 
-    ``trace`` is the compiled round's job trace; its DAG, activation
-    flags, and initial tasks carry over unchanged (they are the ground
-    truth the real diffs are checked against), while work and span
-    become the measured durations.
+    ``trace`` is the compiled round's job trace; its DAG and initial
+    tasks carry over unchanged, work and span become the measured
+    durations, and the change flags are the ones execution *observed*:
+    every out-edge of a node whose output differed from its old value
+    (``outcome.diffs``). The invariant checker therefore holds the
+    executor and the scheduler to the paper's contract — exactly the
+    nodes those flags activate ran, once, after their ancestors — and
+    says nothing about the flags themselves; what the units computed is
+    checked against a from-scratch evaluation instead
+    (:mod:`repro.runtime.service`).
     """
     records = outcome.records
     stall = coordination_stall(
@@ -165,18 +171,24 @@ def record_round(
     else:
         compressed = 0.0
 
-    n = trace.dag.n_nodes
+    dag = trace.dag
+    n = dag.n_nodes
     work = np.zeros(n, dtype=np.float64)
     for node, (s, f) in records.items():
         work[node] = f - s
+    observed = np.zeros(dag.n_edges, dtype=bool)
+    for node, changed in outcome.diffs.items():
+        if changed:
+            lo, hi = dag.out_edge_range(node)
+            observed[lo:hi] = True
     vtrace = JobTrace(
-        dag=trace.dag,
+        dag=dag,
         work=work,
         span=work.copy(),
         models=np.full(n, ExecutionModel.SEQUENTIAL, dtype=np.int8),
         is_task=trace.is_task.copy(),
         initial_tasks=trace.initial_tasks.copy(),
-        changed_edges=trace.changed_edges.copy(),
+        changed_edges=observed,
         name=f"{trace.name}:live",
         metadata={
             **trace.metadata,

@@ -12,8 +12,9 @@ simulator-compatible schedule, and verifies it:
 * every recorded round passes the strict invariant checker
   (:func:`repro.verify.check_invariants`) over its measured timeline;
 * the materialization assembled from the executed units is compared —
-  byte for byte — against a from-scratch semi-naive evaluation of the
-  accumulated database (the compiler's ``db_new``).
+  relation by relation — against an independent from-scratch semi-naive
+  evaluation of the accumulated database, run inside the ``verify``
+  phase (it is the only evaluation a healthy round contains).
 
 Backpressure is the bounded queue: when it is full, non-blocking
 submits raise :class:`BackpressureError` and blocking submits wait,
@@ -73,7 +74,7 @@ from ..datalog.compiler import CompiledUpdate, compile_update
 from ..datalog.database import Database
 from ..datalog.incremental import Delta, merge_deltas
 from ..datalog.plancache import CompiledProgramCache
-from ..datalog.zset import effective_zdelta
+from ..datalog.zset import ZSetDelta, effective_zdelta
 from ..datalog.units import ExecutionPlan, ValueStore, build_execution_plan
 from ..obs import NULL_SINK, TraceSink
 from ..schedulers.base import Scheduler
@@ -175,36 +176,38 @@ class RoundReport:
 
 
 def _round_diffs(
-    plan: ExecutionPlan, values: ValueStore, check: bool
+    got: Database, old: Database | None, reference: Database | None
 ) -> tuple[int, int]:
     """``(diverging, changed)`` fact counts of one executed round.
 
-    ``diverging`` — counted only when ``check`` — is how many facts the
-    executed units' final values differ by from the from-scratch
-    ``db_new``: 0 iff the runtime materialization *is* the from-scratch
-    one. ``changed`` is facts inserted plus deleted between ``db_old``
-    and ``db_new``. Both come from one pass, relation by relation, over
-    sets the round already holds — each final node's value, its old
-    value, ``db_new``'s own storage — so no database is assembled and no
-    relation copied; :meth:`ExecutionPlan.materialization` stays the
-    assembler for callers that want the database itself.
+    ``diverging`` — counted only with a ``reference`` — is how many
+    facts the executed materialization ``got`` differs by from the
+    from-scratch one: 0 iff they are the same database. ``changed`` is
+    facts inserted plus deleted since ``old``, the materialization the
+    previous round left (everything, when there is none). One pass,
+    relation by relation, on the relations' own storage; a relation
+    object carried over by identity — an untouched node's value, an EDB
+    relation the evaluation shares — costs nothing.
     """
-    cu = plan.compiled
     diverging = changed = 0
-    for pred, rel in cu.db_new.relations.items():
-        node = plan.final_nodes.get(pred)
-        if node is not None:
-            got, old = values[node], plan.old_values[node]
-        else:
-            # never mentioned by the program: carried through from the
-            # EDB untouched
-            got = frozenset(cu.edb_new.relations.get(pred, ()))
-            old = frozenset(cu.db_old.relations.get(pred, ()))
-        same = not check or rel.holds_exactly(got)
-        if not same:
-            diverging += rel.diff_count(got)
-        if not (same and got is old):
-            changed += rel.diff_count(old)
+    for pred, rel in got.relations.items():
+        if reference is not None:
+            ref = reference.relations.get(pred)
+            if ref is None:
+                diverging += len(rel)
+            elif ref is not rel and ref != rel:
+                diverging += ref.diff_count(rel)
+        before = old.relations.get(pred) if old is not None else None
+        if before is None:
+            changed += len(rel)
+        elif before is not rel:
+            changed += rel.diff_count(before)
+    if reference is not None:
+        diverging += sum(
+            len(ref)
+            for pred, ref in reference.relations.items()
+            if pred not in got.relations
+        )
     return diverging, changed
 
 
@@ -233,7 +236,10 @@ class UpdateStreamService:
         Bound of the update queue (backpressure threshold).
     verify:
         Run the strict invariant checker on every recorded round and
-        compare the materialization against from-scratch evaluation.
+        compare the executed materialization with an independent
+        from-scratch evaluation of the round's new EDB — the one
+        evaluation a healthy round contains, inside its ``verify``
+        phase. ``False`` serves rounds with no evaluation in them.
     strict:
         Raise (:class:`RoundVerificationError` /
         :class:`MaterializationDivergenceError`) on verification
@@ -357,8 +363,9 @@ class UpdateStreamService:
             analyze_program(program) if analyze else None
         )
         #: every healthy round compiles and plans through it (the
-        #: previous round's verified materialization is this round's old
-        #: side, the bound plan is patched, join inputs keep their hash
+        #: program's static DAG and bound plan are restamped, this
+        #: round's outputs are diffed against the previous round's
+        #: verified node values, untouched relations keep their hash
         #: indexes); committed only after verification succeeds and
         #: rolled back on a failed round; a degraded round neither reads
         #: nor stages it. Its ``plancache.*`` counters land in
@@ -756,8 +763,9 @@ class UpdateStreamService:
 
         ``degraded`` — the breaker's verdict, taken once in
         :meth:`run_round` — picks the body of every phase. Healthy:
-        cached compile, concurrent execution, recorded-schedule
-        invariants, cache commit. Degraded: cold compile with the plan
+        the round staged onto the cached static DAG, concurrent
+        execution, recorded-schedule invariants and the from-scratch
+        comparison, cache commit. Degraded: cold compile with the plan
         cache neither read nor staged, the row evaluator run serially,
         the materialization check only (there is no concurrent schedule
         to run invariants on). Each phase returns the
@@ -797,17 +805,19 @@ class UpdateStreamService:
                 sink.record_span_abs(
                     "merge", "phase", t_round, perf_counter()
                 )
-            cu, plan, compiled = self._compile_phase(delta, degraded)
+            cu, plan, compiled = self._compile_phase(zdelta, degraded)
             values, outcome, executed = self._execute_phase(plan, degraded)
-            artifacts, report, mat_ok, verified = self._verify_phase(
+            mat, artifacts, report, mat_ok, verified = self._verify_phase(
                 plan, values, outcome, degraded
             )
             # the round is verified: only now may the staged compile
-            # become the baseline the next round's compile reuses
+            # become the baseline the next round's compile reuses —
+            # node values included, unless the (non-strict) check found
+            # them wrong
             if not degraded:
-                self.plan_cache.commit(cu)
+                self.plan_cache.commit(cu, values if mat_ok else None)
             self._edb = cu.edb_new
-            self._materialization = cu.db_new
+            self._materialization = mat
 
             table_size, builds, probes = self._pool_round_stats()
             metrics = RoundMetrics(
@@ -817,7 +827,6 @@ class UpdateStreamService:
                 batches_coalesced=n_batches,
                 queue_depth=depth,
                 n_nodes=cu.trace.dag.n_nodes,
-                n_active=cu.trace.n_active,
                 latency_s=perf_counter() - t_round,
                 queue_wait_s=queue_wait_s,
                 degraded=degraded,
@@ -847,9 +856,10 @@ class UpdateStreamService:
         )
 
     def _compile_phase(
-        self, delta: Delta, degraded: bool
+        self, zdelta: ZSetDelta, degraded: bool
     ) -> tuple[CompiledUpdate, ExecutionPlan, dict]:
-        """The ``compile`` and ``plan-build`` spans; fills ``compile_s``."""
+        """The ``compile`` and ``plan-build`` spans; fills ``compile_s``.
+        ``zdelta`` is the round's delta as :meth:`_maintain` clamped it."""
         sink = self.sink
         name = f"{self.name}:r{self._rounds_run}"
         t0 = perf_counter()
@@ -858,7 +868,7 @@ class UpdateStreamService:
         if degraded:
             with sink.span("compile", "phase"):
                 cu = compile_update(
-                    self.program, self._edb, delta,
+                    self.program, self._edb, zdelta,
                     name=name, analysis=self.analysis,
                 )
             with sink.span("plan-build", "phase"):
@@ -875,7 +885,7 @@ class UpdateStreamService:
         else:
             with sink.span("compile", "phase"):
                 cu = self.plan_cache.compile(
-                    self.program, self._edb, delta, name=name
+                    self.program, self._edb, zdelta, name=name
                 )
             with sink.span("plan-build", "phase"):
                 plan = self.plan_cache.plan(cu)
@@ -935,38 +945,57 @@ class UpdateStreamService:
         values: ValueStore,
         outcome: RoundOutcome | None,
         degraded: bool,
-    ) -> tuple[RoundArtifacts | None, VerificationReport | None, bool, dict]:
-        """The ``verify`` span: ``(artifacts, report, materialization_ok,
-        fields)``; fills ``verify_s``, ``changed_facts`` and, from a
-        healthy round's recorded schedule, ``makespan_s`` and
-        ``utilization``."""
+    ) -> tuple[
+        Database, RoundArtifacts | None, VerificationReport | None, bool, dict
+    ]:
+        """The ``verify`` span: ``(materialization, artifacts, report,
+        materialization_ok, fields)``; fills ``verify_s``,
+        ``changed_facts``, ``n_active`` and, from a healthy round's
+        recorded schedule, ``makespan_s`` and ``utilization``.
+
+        With ``verify`` the executed materialization is compared with a
+        from-scratch one — evaluated here for a healthy round, the cold
+        compile's own for a degraded one — and where they differ the
+        from-scratch one is what the (non-strict) service adopts.
+        """
         t0 = perf_counter()
         if self.chaos is not None and self.chaos.phase_fails("verify"):
             raise InjectedPhaseFault("verify", self._rounds_run)
+        cu = plan.compiled
         with self.sink.span("verify", "phase"):
+            report = None
             if degraded:
-                artifacts, report, schedule = None, None, {}
+                artifacts = None
+                schedule = {"n_active": cu.trace.n_active}
             else:
-                artifacts = record_round(outcome, plan.compiled.trace)
+                artifacts = record_round(outcome, cu.trace)
                 schedule = {
                     "makespan_s": artifacts.result.makespan,
                     "utilization": artifacts.result.utilization,
+                    "n_active": artifacts.trace.n_active,
                 }
-                report = None
                 if self.verify:
                     report = artifacts.check()
                     if self.strict and not report.ok:
                         raise RoundVerificationError(
                             self._rounds_run, report
                         )
-            diverging, changed_facts = _round_diffs(
-                plan, values, check=self.verify
-            )
-            if diverging and self.strict:
-                raise MaterializationDivergenceError(
-                    self._rounds_run, f"{diverging} facts differ"
+            reference = None
+            if self.verify:
+                reference = (
+                    cu.db_new if degraded else self.plan_cache.evaluate(cu)
                 )
-        return artifacts, report, diverging == 0, {
+            mat = plan.materialization(values)
+            diverging, changed_facts = _round_diffs(
+                mat, self._materialization, reference
+            )
+            if diverging:
+                if self.strict:
+                    raise MaterializationDivergenceError(
+                        self._rounds_run, f"{diverging} facts differ"
+                    )
+                mat = reference
+        return mat, artifacts, report, diverging == 0, {
             "verify_s": perf_counter() - t0,
             "changed_facts": changed_facts,
             **schedule,

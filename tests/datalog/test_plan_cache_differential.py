@@ -1,10 +1,13 @@
-"""Differential harness: cached and cold compilation are byte-identical.
+"""Differential harness: the cached static plan vs cold compilation.
 
-The plan cache (:mod:`repro.datalog.plancache`) must be a pure
-optimization: for any program and any update stream, round by round,
-the cached pipeline must produce exactly what cold compilation
-produces — the same materializations, the same activation flags, the
-same serial-oracle results — under every registered scheduler.
+The plan cache (:mod:`repro.datalog.plancache`) schedules the program's
+static DAG — one fixpoint node per recursive SCC — where cold
+compilation unrolls the answer. The two graphs differ; what they
+compute must not: for any program and any update stream, round by
+round, the cached plan must leave exactly the materialization cold
+compilation records (a from-scratch evaluation), its change flags must
+say exactly which relations changed, and its own check
+(``cache.evaluate``) must agree — under every registered scheduler.
 
 Two layers of evidence:
 
@@ -15,13 +18,11 @@ Two layers of evidence:
 """
 
 import random
-import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.datalog.plancache as plancache
 import repro.schedulers.logicblox as logicblox
 from repro.datalog import (
     CompiledProgramCache,
@@ -30,7 +31,6 @@ from repro.datalog import (
     compile_update,
     parse_program,
 )
-from repro.datalog.plancache import RelationIndexCache
 from repro.datalog.units import build_execution_plan
 from repro.runtime.executor import RoundExecutor
 from repro.schedulers import scheduler_registry
@@ -112,24 +112,31 @@ def _run_cached(cache, program, edb, delta):
     plan = cache.plan(cu)
     values, diffs = plan.execute_serial()
     mat = plan.materialization(values).as_dict()
-    return cu, plan, mat, diffs
+    return cu, plan, mat, diffs, values
 
 
-def _assert_round_identical(cold, cached, label):
-    cu1, _p1, mat1, diffs1 = cold
-    cu2, _p2, mat2, diffs2 = cached
+def _assert_round_identical(cache, cold, cached, label):
+    cu1, _p1, mat1, _diffs1 = cold
+    cu2, plan2, mat2, diffs2, _values = cached
     assert mat1 == mat2, f"{label}: materializations differ"
-    assert diffs1 == diffs2, f"{label}: serial-oracle change flags differ"
-    assert cu1.node_keys == cu2.node_keys, f"{label}: DAG structure differs"
-    assert (
-        cu1.trace.changed_edges.tolist() == cu2.trace.changed_edges.tolist()
-    ), f"{label}: compiled activation flags differ"
-    assert (
-        cu1.trace.initial_tasks.tolist() == cu2.trace.initial_tasks.tolist()
-    ), f"{label}: initial task sets differ"
-    assert cu1.db_new.as_dict() == cu2.db_new.as_dict(), (
-        f"{label}: recorded new materializations differ"
+    assert mat1 == cu1.db_new.as_dict(), f"{label}: cold diverges"
+    assert cache.evaluate(cu2).as_dict() == mat1, (
+        f"{label}: the cache's from-scratch check differs"
     )
+    assert cu2.db_new is None and cu2.eval_new is None, (
+        f"{label}: a cached compile evaluated something"
+    )
+    # the serial oracle's flag on a predicate's final node says whether
+    # the relation changed between the two from-scratch materializations
+    # (a node with no committed old value always reads as changed)
+    old = cu1.db_old.as_dict()
+    for pred, node in plan2.final_nodes.items():
+        if plan2.old_values[node] is None:
+            assert diffs2[node], f"{label}: {pred} has no old value"
+        else:
+            assert diffs2[node] == (old[pred] != mat1[pred]), (
+                f"{label}: change flag of {pred} is wrong"
+            )
 
 
 @given(
@@ -152,8 +159,8 @@ def test_cached_pipeline_is_byte_identical_serial(key, edges, seed):
     for i, delta in enumerate(deltas):
         cold = _run_cold(program, edb_cold, delta)
         cached = _run_cached(cache, program, edb_cached, delta)
-        _assert_round_identical(cold, cached, f"{key} round {i}")
-        cache.commit(cached[0])
+        _assert_round_identical(cache, cold, cached, f"{key} round {i}")
+        cache.commit(cached[0], cached[4])
         edb_cold = cold[0].edb_new
         edb_cached = cached[0].edb_new
     # the cache must actually have been exercised, not silently cold
@@ -163,8 +170,9 @@ def test_cached_pipeline_is_byte_identical_serial(key, edges, seed):
 
 @pytest.mark.parametrize("sched_name", sorted(scheduler_registry()))
 def test_every_scheduler_matches_cold_concurrently(sched_name):
-    """Each registered scheduler executes the cached plan to the same
-    outcome — values, change flags, materialization — as the cold plan.
+    """Each registered scheduler executes the cached static plan to
+    the materialization the cold unrolled plan reaches, with the change
+    flags the serial oracle computes for the nodes it ran.
     """
     factory = scheduler_registry()[sched_name]
     program = parse_program(TWO_STRATA)
@@ -185,7 +193,6 @@ def test_every_scheduler_matches_cold_concurrently(sched_name):
         out2 = RoundExecutor(plan2, factory(), workers=3).run()
 
         label = f"{sched_name} round {i}"
-        assert out1.diffs == out2.diffs, f"{label}: change flags differ"
         assert (
             plan1.materialization(out1.values).as_dict()
             == plan2.materialization(out2.values).as_dict()
@@ -194,8 +201,12 @@ def test_every_scheduler_matches_cold_concurrently(sched_name):
         _v, oracle_diffs = plan2.execute_serial()
         executed = {n: oracle_diffs[n] for n in out2.diffs}
         assert out2.diffs == executed, f"{label}: diverges from oracle"
+        if i > 0:  # diffed against committed values: edge or nothing
+            assert cu2.trace.initial_tasks.tolist() in (
+                [], [plan2.final_nodes["edge"]]
+            )
 
-        cache.commit(cu2)
+        cache.commit(cu2, out2.values)
         edb_cold = cu1.edb_new
         edb_cached = cu2.edb_new
     assert cache.hits == len(deltas) - 1
@@ -253,93 +264,136 @@ def test_delta_on_an_unmentioned_predicate_compiles_cold_and_cached():
     delta = Delta().insert("other", ("x",))
     cold = _run_cold(program, edb, delta)
     cached = _run_cached(cache, program, edb, delta)
-    _assert_round_identical(cold, cached, "unmentioned predicate")
-    cu, _plan, mat, diffs = cached
+    cu, plan, mat, _diffs, _values = cached
+    assert mat == cold[2] == cache.evaluate(cu).as_dict()
+    # the commit above handed over no node values, so all of G runs
+    # here; commit them and the next such delta activates nothing
+    cache.commit(cu, cached[4])
+    cu = cache.compile(program, cu.edb_new, Delta().insert("other", ("y",)))
+    plan = cache.plan(cu)
     assert cu.trace.initial_tasks.tolist() == []
     assert cu.trace.n_active == 0
+    values, diffs = plan.execute_serial()
     assert not any(diffs.values())
-    assert mat["other"] == {("x",)}
+    mat = plan.materialization(values).as_dict()
+    assert mat["other"] == {("x",), ("y",)}
     assert ("x",) in cu.edb_new.relations["other"]
 
 
 # ----------------------------------------------------------------------
-# what a round rebuilds and what it restamps
+# what is built once and what a round restamps
 # ----------------------------------------------------------------------
-def _chain_rounds(cache, program, depth, rounds):
-    """Serve ``rounds`` rounds over a ``depth``-edge chain, each hanging
-    a new leaf off the middle (every ``path@k`` past it is a fact set
-    never seen before); relation-cache builds + derives of each round."""
+@pytest.mark.parametrize("depth", [10, 30])
+def test_touched_relation_inherits_indexes_at_any_depth(depth):
+    """A round derives the one EDB relation its delta touches from its
+    predecessor — row and columnar indexes cloned, never rebuilt — and
+    carries every other relation by identity, however deep the chain
+    the fixpoint node then walks."""
+    program = parse_program(TC)
+    cache = CompiledProgramCache(program)
     edb = _edb({(i, i + 1) for i in range(depth)})
-    built = []
-    for i in range(rounds):
+    patterns = None
+    for i in range(5):
         delta = Delta().insert("edge", (depth // 2, depth + 5 + i))
-        before = cache.relations.builds + cache.relations.derives
         cu = cache.compile(program, edb, delta)
+        edge = cu.edb_new.relations["edge"]
+        if i > 0:
+            assert cu.edb_new.relations["source"] is edb.relations["source"]
+            assert edge is not edb.relations["edge"]
+            assert edge.columnar(cache.pool).index_patterns() == patterns
         plan = cache.plan(cu)
         values, _ = plan.execute_serial()
-        assert plan.materialization(values).as_dict() == cu.db_new.as_dict()
-        cache.commit(cu)
-        edb = cu.edb_new
-        built.append(
-            cache.relations.builds + cache.relations.derives - before
+        assert plan.materialization(values).as_dict() == (
+            cache.evaluate(cu).as_dict()
         )
-    return built
-
-
-def test_relation_builds_per_round_do_not_grow_with_depth():
-    """A Δ-restricted rule never scans its own predicate, so a round
-    indexes the changed EDB relation and nothing per iteration: the
-    per-round build count on a 30-deep chain is the 10-deep one's."""
-    program = parse_program(TC)
-    per_depth = {}
-    for depth in (10, 30):
-        cache = CompiledProgramCache(program)
-        per_depth[depth] = _chain_rounds(cache, program, depth, rounds=5)[1:]
-    assert per_depth[30] == per_depth[10]
-    assert max(per_depth[30]) <= 2
+        patterns = edge.columnar(cache.pool).index_patterns()
+        assert patterns  # the fixpoint node probed edge through an index
+        cache.commit(cu, values)
+        edb = cu.edb_new
+    # `source` is in the EDB but not in the program: no node carries it
+    assert [u.label for u in plan.units] == ["edb:edge", "fix@1", "path@1.0"]
 
 
 def test_same_structure_rounds_share_dag_plan_and_scheduler_memo():
-    """Two same-structure rounds restamp one skeleton — one ``Dag``, one
-    bound plan, one set of interval lists — and still report the
-    modelled pre-computation cost of a cold round; a round that unrolls
-    further gets a skeleton of its own."""
+    """Every round of a program restamps one structure — one ``Dag``,
+    one bound plan, one set of interval lists — and still reports the
+    modelled pre-computation cost; a round whose fixpoint runs deeper
+    is the same structure."""
     program = parse_program(TC)
     cache = CompiledProgramCache(program)
     sched = scheduler_registry()["hybrid"]()
     edb = _edb({(i, i + 1) for i in range(6)})
-    toggles = [
+    rounds = [
         Delta().insert("edge", (2, 50)),
         Delta().delete("edge", (2, 50)),
         Delta().insert("edge", (2, 50)),
+        # extending the chain adds a fixpoint iteration, not a node
+        Delta().insert("edge", (6, 7)),
     ]
     seen = []
-    for delta in toggles:
+    for delta in rounds:
         cu = cache.compile(program, edb, delta)
         plan = cache.plan(cu)
         out = RoundExecutor(plan, sched, workers=2).run()
-        cold = RoundExecutor(
-            build_execution_plan(compile_update(program, edb, delta)),
-            scheduler_registry()["hybrid"](),
-            workers=2,
-        ).run()
-        assert out.precompute_ops == cold.precompute_ops > 0
-        assert out.precompute_memory_cells == cold.precompute_memory_cells
+        assert out.precompute_ops > 0
         (intervals,) = plan.sched_memo.values()
-        seen.append((cu.trace.dag, plan, plan.sched_memo, intervals))
-        cache.commit(cu)
+        seen.append((
+            cu.trace.dag, plan, plan.sched_memo, intervals,
+            out.precompute_ops, out.precompute_memory_cells,
+        ))
+        cache.commit(cu, out.values)
         edb = cu.edb_new
-    # rounds 1 and 2 toggle the same edge: one structure throughout
     for later in seen[1:]:
-        assert all(a is b for a, b in zip(seen[0], later))
+        assert all(a is b for a, b in zip(seen[0][:4], later[:4]))
+        assert later[4:] == seen[0][4:]
     assert cache.structure_builds == 1 and cache.plan_binds == 1
+    assert cache.plan_patches == len(rounds) - 1
 
-    # extending the chain adds an iteration: a new structure
-    cu = cache.compile(program, edb, Delta().insert("edge", (6, 7)))
+
+def test_commit_without_values_keeps_the_edb_and_drops_the_values():
+    """``compile → plan → commit`` with no execution in between (the
+    benchmark harness's probe): every following compile is still a hit,
+    but with no node values to diff against each round runs all of
+    ``G`` — stale values are never promoted."""
+    program = parse_program(TWO_STRATA)
+    cache = CompiledProgramCache(program)
+    edb = _edb({(0, 1), (1, 2), (2, 0)})
+    deltas = _stream(random.Random(7), rounds=4, known_edges=set())
+
+    cu = cache.compile(program, edb, deltas[0])
     plan = cache.plan(cu)
-    assert cu.trace.dag is not seen[0][0]
-    assert plan is not seen[0][1] and plan.sched_memo is not seen[0][2]
-    assert cache.structure_builds == 2 and cache.plan_binds == 2
+    sources = cu.trace.initial_tasks.tolist()
+    assert sources and all(plan.old_values[n] is None for n in sources)
+    values, _ = plan.execute_serial()
+    cache.commit(cu, values)
+    assert cache.misses == 1
+
+    # a round diffed against committed values: only `edge` is initial
+    cu = cache.compile(program, cu.edb_new, deltas[1])
+    plan = cache.plan(cu)
+    assert cu.trace.initial_tasks.tolist() == [plan.final_nodes["edge"]]
+    assert all(v is not None for v in plan.old_values)
+    cache.commit(cu)  # never executed: its values must not survive
+
+    for delta in deltas[2:]:
+        cu = cache.compile(program, cu.edb_new, delta)
+        plan = cache.plan(cu)
+        assert cu.trace.initial_tasks.tolist() == sources
+        assert all(v is None for v in plan.old_values)
+        values, diffs = plan.execute_serial()
+        assert all(diffs.values())
+        assert plan.materialization(values).as_dict() == (
+            cache.evaluate(cu).as_dict()
+        )
+        cache.commit(cu)
+    assert cache.misses == 1 and cache.hits == 3
+
+    # a store that leaves a node without a value is not "completed"
+    cu = cache.compile(program, cu.edb_new, Delta().insert("edge", (9, 9)))
+    plan = cache.plan(cu)
+    cache.commit(cu, plan.new_store())
+    cu = cache.compile(program, cu.edb_new, Delta().insert("edge", (9, 8)))
+    assert cu.trace.initial_tasks.tolist() == sources
 
 
 def test_simulator_gets_no_scheduler_memo(monkeypatch):
@@ -363,33 +417,3 @@ def test_simulator_gets_no_scheduler_memo(monkeypatch):
     second = simulate(cu.trace, sched, processors=2)
     assert len(built) == 2
     assert first.precompute_ops == second.precompute_ops
-
-
-def test_relation_cache_builds_outside_the_lock(monkeypatch):
-    """Two lanes missing on one value build concurrently — neither
-    holds the lock while it loops over the facts — and the first to
-    publish wins: one object for both callers, one counted build."""
-    both_building = threading.Barrier(2, timeout=10)
-
-    class Rendezvous(plancache.Relation):
-        def __init__(self, name, arity):
-            super().__init__(name, arity)
-            both_building.wait()
-
-    monkeypatch.setattr(plancache, "Relation", Rendezvous)
-    cache = RelationIndexCache()
-    facts = frozenset((i, i + 1) for i in range(50))
-    got = []
-
-    def lane():
-        got.append(cache.get("edge", 2, facts))
-
-    lanes = [threading.Thread(target=lane) for _ in range(2)]
-    for t in lanes:
-        t.start()
-    for t in lanes:
-        t.join(timeout=20)
-    assert not any(t.is_alive() for t in lanes)
-    assert len(got) == 2 and got[0] is got[1]
-    assert set(got[0]) == facts
-    assert cache.builds == 1 and cache.hits == 1 and len(cache) == 1

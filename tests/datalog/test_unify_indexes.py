@@ -2,8 +2,8 @@
 
 :class:`~repro.datalog.database.Relation` builds per-bound-pattern hash
 indexes lazily and maintains them incrementally on insert/discard; the
-plan cache (:class:`~repro.datalog.plancache.RelationIndexCache`)
-additionally *derives* a changed relation's successor by cloning the
+plan cache additionally *derives* a changed relation's successor
+(:func:`~repro.datalog.zset.derive_zdelta`) by cloning the
 predecessor's indexes and replaying the delta. These tests pin the
 corners where incremental maintenance classically goes wrong:
 retraction down to an empty relation and (property-tested) exact
@@ -19,11 +19,12 @@ from repro.datalog import (
     Database,
     Delta,
     IncrementalEngine,
-    RelationIndexCache,
+    ZSetDelta,
     parse_program,
     seminaive_evaluate,
 )
 from repro.datalog.database import Relation
+from repro.datalog.zset import derive_zdelta
 
 
 def _scan(tuples, bound):
@@ -68,38 +69,34 @@ def test_discard_absent_and_double_discard_are_noops():
     assert set(rel.match({0: 1})) == set()
 
 
-def test_cache_derives_to_and_from_empty():
-    cache = RelationIndexCache()
-    full = frozenset({(0, 1), (1, 2)})
-    rel = cache.get("edge", 2, full)
+def test_derive_zdelta_to_and_from_empty():
+    full = [(0, 1), (1, 2)]
+    edb = Database()
+    for t in full:
+        edb.add_fact("edge", t)
+    edb.add_fact("other", (7,))
+    rel = edb.relations["edge"]
     rel.match({0: 0})  # build an index worth inheriting
-    empty = cache.get("edge", 2, frozenset(), derive_from=full)
+    drain = ZSetDelta()
+    for t in full:
+        drain.delete("edge", t)
+    emptied = derive_zdelta(edb, drain)
+    empty = emptied.relations["edge"]
     assert len(empty) == 0
+    assert empty.index_patterns() == rel.index_patterns()
     assert set(empty.match({0: 0})) == set()
-    assert cache.derives == 1
-    # and back up from empty: indexes inherited from the empty entry
-    refill = cache.get("edge", 2, full, derive_from=frozenset())
-    assert set(refill.match({0: 1})) == {(1, 2)}
-    # the original entry was never mutated by either derivation
+    # untouched relations are carried by identity, touched ones are new
+    assert emptied.relations["other"] is edb.relations["other"]
+    assert empty is not rel
+    # and back up from empty: indexes inherited from the empty relation
+    refilled = derive_zdelta(emptied, -drain).relations["edge"]
+    assert set(refilled.match({0: 1})) == {(1, 2)}
+    # a relation the EDB never held is created with the fact's arity
+    fresh = derive_zdelta(edb, ZSetDelta().insert("new", (1, 2, 3)))
+    assert fresh.relations["new"].arity == 3
+    # the original was never mutated by any derivation
     assert set(rel) == set(full)
     assert set(rel.match({0: 0})) == {(0, 1)}
-
-
-def test_cache_same_value_returns_same_object():
-    cache = RelationIndexCache()
-    facts = frozenset({(1, 2)})
-    a = cache.get("edge", 2, facts)
-    b = cache.get("edge", 2, facts, derive_from=frozenset({(9, 9)}))
-    assert a is b
-    assert cache.hits == 1
-
-
-def test_cache_eviction_respects_lru_bound():
-    cache = RelationIndexCache(max_entries=2)
-    for i in range(5):
-        cache.get("edge", 2, frozenset({(i, i)}))
-    assert len(cache) == 2
-    assert cache.evictions == 3
 
 
 DIAMOND = """
@@ -111,7 +108,8 @@ out(X) :- mid(X, Z).
 
 def test_engine_matches_seminaive_with_shared_indexed_relations():
     """Incremental maintenance lands on the same database as a fresh
-    semi-naive evaluation whose EDB inputs come from the index cache."""
+    semi-naive evaluation whose EDB inputs are shared, indexed
+    relations (which the evaluation then does not copy)."""
     program = parse_program(DIAMOND)
     edb = Database()
     for t in [(1, 2), (2, 3)]:
@@ -124,14 +122,11 @@ def test_engine_matches_seminaive_with_shared_indexed_relations():
     final.add_fact("left", (2, 3))
     for t in [(1, 2), (2, 3)]:
         final.add_fact("right", t)
-    cache = RelationIndexCache()
-    shared = {
-        p: cache.get(p, rel.arity, frozenset(rel))
-        for p, rel in final.relations.items()
-    }
+    shared = {p: rel.copy_indexed() for p, rel in final.relations.items()}
     db, _ = seminaive_evaluate(
         program, final, shared_relations=shared
     )
+    assert all(db.relations[p] is rel for p, rel in shared.items())
     got = eng.snapshot()
     for pred in ("mid", "out"):
         assert got.get(pred, set()) == set(db.relations[pred])

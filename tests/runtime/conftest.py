@@ -28,8 +28,8 @@ def serve_ticks(
     ``cold=True`` restarts the service from its own database before
     every tick, so no round finds a committed baseline, a bound plan or
     an indexed relation: each is a first round — a plan-cache miss that
-    evaluates both sides, binds a fresh plan and builds its relations
-    instead of deriving them.
+    copies the EDB, binds a fresh plan and runs all of the static DAG
+    instead of deriving and diffing.
     """
     registry = scheduler_registry()
     svc = None
@@ -88,6 +88,14 @@ READ_SET_SHAPES = {
     "constants": """
         p(X, Y) :- e(X, Y), flag(1).
         p(X, Z) :- p(X, Y), e(Y, Z), flag(1).
+    """,
+    # program facts inside a recursive predicate and inside an EDB one:
+    # a fixpoint node and an EDB node start from facts no delta brought
+    "facts": """
+        p(7, 8).
+        e(8, 0).
+        p(X, Y) :- e(X, Y).
+        p(X, Z) :- p(X, Y), e(Y, Z).
     """,
     # an aggregate head over a recursive predicate
     "aggregate": """

@@ -70,11 +70,12 @@ def _assert_served(wl, svc):
 
 
 class TestCacheDifferential:
-    """Plan cache warm vs never warm: the hit path (committed baseline
-    reused, plan patched, relations derived) and the miss path (both
-    sides evaluated, plan bound, relations built) serve retraction
-    streams to the same from-scratch answer. The byte differential
-    against ``compile_update`` itself is
+    """Plan cache warm vs never warm: the hit path (touched relations
+    derived from the committed baseline, the bound plan restamped and
+    diffed against committed node values) and the miss path (EDB
+    copied, plan bound, all of the static DAG run) serve retraction
+    streams to the same from-scratch answer. The differential against
+    ``compile_update`` itself is
     ``tests/datalog/test_plan_cache_differential.py``."""
 
     @pytest.mark.parametrize("sched_name", sorted(REGISTRY))
@@ -199,10 +200,9 @@ class TestCoalescing:
         assert reg.counter("cancelled_ops").value > 0
         assert reg.counter("noop_rounds").value > 0
         stats = svc.plan_cache.stats()
-        # index maintenance went through the exact weighted path
-        assert stats["relations"]["weighted_derives"] > 0
-        # the cache counts into the service's one registry
-        for name in ("hits", "misses", "plan_patches", "cancelled_ops"):
+        # the service clamps once and hands the cache the weighted
+        # delta; the cache counts into the service's one registry
+        for name in ("hits", "misses", "plan_patches"):
             assert stats[name] > 0
             assert reg.counter(f"plancache.{name}").value == stats[name]
 

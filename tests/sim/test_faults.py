@@ -140,20 +140,10 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 # golden byte-identity of the no-fault path
 # ----------------------------------------------------------------------
-def _datalog_trace(cached: bool) -> JobTrace:
-    """Mirrors scripts/make_golden_results.py::datalog_trace.
-
-    The goldens were generated through the *cached* pipeline; checking
-    them here through the *cold* pipeline pins byte-identity of the two
-    compilation paths on top of the engine's numeric output.
-    """
-    from repro.datalog import (
-        CompiledProgramCache,
-        Database,
-        Delta,
-        compile_update,
-        parse_program,
-    )
+def _datalog_stream():
+    """The program, EDB and deltas of scripts/make_golden_results.py's
+    ``dlog`` trace."""
+    from repro.datalog import Database, Delta, parse_program
 
     program = parse_program(
         """
@@ -169,14 +159,18 @@ def _datalog_trace(cached: bool) -> JobTrace:
         Delta().insert("edge", (4, 5)).delete("edge", (1, 2)),
         Delta().insert("edge", (1, 2)).insert("edge", (5, 6)),
     ]
-    cache = CompiledProgramCache(program) if cached else None
+    return program, edb, deltas
+
+
+def _datalog_trace() -> JobTrace:
+    """Mirrors scripts/make_golden_results.py::datalog_trace: the second
+    round of the stream, compiled cold (unrolled from its answer)."""
+    from repro.datalog import compile_update
+
+    program, edb, deltas = _datalog_stream()
     cu = None
     for delta in deltas:
-        if cache is not None:
-            cu = cache.compile(program, edb, delta, name="dlog")
-            cache.commit(cu)
-        else:
-            cu = compile_update(program, edb, delta, name="dlog")
+        cu = compile_update(program, edb, delta, name="dlog")
         edb = cu.edb_new
     return cu.trace
 
@@ -191,7 +185,7 @@ TRACES = {
     ),
     "rand7": lambda: random_job_trace(7),
     "rand23": lambda: random_job_trace(23),
-    "dlog": lambda: _datalog_trace(cached=False),
+    "dlog": _datalog_trace,
 }
 
 
@@ -215,22 +209,30 @@ def test_no_fault_run_matches_golden_bytes(golden, faults):
 
 
 @pytest.mark.parametrize("sched_name", sorted(scheduler_registry()))
-def test_datalog_golden_trace_cached_equals_cold(sched_name):
-    """The cached and cold compilation pipelines simulate to identical
-    JSON for every registered scheduler (the dlog goldens were written
-    through the cached path; the golden test reads the cold one)."""
-    res_cold = simulate(
-        _datalog_trace(cached=False), scheduler_registry()[sched_name](),
-        processors=4, record_schedule=True,
-    )
-    res_cached = simulate(
-        _datalog_trace(cached=True), scheduler_registry()[sched_name](),
-        processors=4, record_schedule=True,
-    )
-    assert (
-        json.dumps(res_cold.to_json_dict(), sort_keys=True)
-        == json.dumps(res_cached.to_json_dict(), sort_keys=True)
-    )
+def test_served_round_replays_in_the_simulator(sched_name):
+    """The plan cache serves the stream on the program's static DAG and
+    only execution reveals the change flags; the recorded round — that
+    DAG with the observed flags — is a simulator input like any other:
+    every scheduler, simulated on it, runs exactly the nodes the live
+    executor ran."""
+    from repro.datalog import CompiledProgramCache
+    from repro.runtime import RoundExecutor, record_round
+
+    program, edb, deltas = _datalog_stream()
+    cache = CompiledProgramCache(program)
+    factory = scheduler_registry()[sched_name]
+    for delta in deltas:
+        cu = cache.compile(program, edb, delta, name="dlog")
+        outcome = RoundExecutor(cache.plan(cu), factory(), workers=2).run()
+        recorded = record_round(outcome, cu.trace)
+        assert recorded.check().ok
+        res = simulate(
+            recorded.trace, factory(), processors=4, record_schedule=True
+        )
+        assert sorted(r.node for r in res.schedule) == sorted(outcome.records)
+        cache.commit(cu, outcome.values)
+        edb = cu.edb_new
+    assert cache.hits == 1 and len(outcome.records) == 3
 
 
 # ----------------------------------------------------------------------
