@@ -14,12 +14,23 @@ differential-Datalog interpreters cited in PAPERS.md:
   id-rows plus hash indexes per bound-position pattern, maintained
   incrementally as the underlying :class:`~repro.datalog.database
   .Relation` absorbs weighted deltas;
-* :func:`eval_rule_columnar` compiles each ``(rule, join order,
+* :func:`compile_rule_plan` compiles each ``(rule, join order,
   Δ-position)`` into a static step program (scans, filters,
-  assignments, negation probes, head projection/aggregation) and runs
-  the whole binding *batch* through each step — a vectorized hash join:
-  build once on the interned key columns, probe in bulk, no per-tuple
-  dict copies.
+  assignments, negation probes, head projection/aggregation) and
+  :func:`run_rule_plan` runs the whole binding *batch* through each
+  step — a vectorized hash join: build once on the interned key
+  columns, probe in bulk, no per-tuple dict copies.
+
+The boundary: facts are interned where they enter — an EDB relation's
+mirror, built once and patched by each round's delta — and externed
+where a materialization is published (a stratum's head relations at its
+fixpoint, :meth:`~repro.datalog.database.Relation.adopt`). Everything in
+between is id space: :func:`run_rule_plan` *returns id-rows* (head
+projection is an ``itemgetter`` over binding slots, head constants and
+aggregate results are interned, only an aggregated column is externed),
+so a fixpoint's ``produced - known`` is one set difference and its Δ the
+fresh rows as they are. :func:`eval_rule_columnar` is the value-space
+wrapper: same plan, one bulk extern of the result.
 
 The step programs are compiled from the same deferral fixpoint
 :func:`~repro.datalog.unify.join_body` runs dynamically — variable
@@ -33,8 +44,9 @@ on unsafe rules), which the differential and property test suites pin.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from collections import OrderedDict, defaultdict
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator
 
 from .ast import Aggregate, Constant, Rule, Variable
 
@@ -64,11 +76,12 @@ class InternTable:
     index built on it.
     """
 
-    __slots__ = ("ids", "values")
+    __slots__ = ("ids", "values", "_lock")
 
     def __init__(self) -> None:
         self.ids: dict[object, int] = {}
         self.values: list[object] = []
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.values)
@@ -76,9 +89,14 @@ class InternTable:
     def intern(self, value: object) -> int:
         i = self.ids.get(value)
         if i is None:
-            i = len(self.values)
-            self.ids[value] = i
-            self.values.append(value)
+            # work units intern on worker threads (head constants,
+            # arithmetic and aggregate results): allot the id once
+            with self._lock:
+                i = self.ids.get(value)
+                if i is None:
+                    i = len(self.values)
+                    self.values.append(value)
+                    self.ids[value] = i
         return i
 
     def extern(self, i: int) -> object:
@@ -94,9 +112,15 @@ class InternPool:
     encodings per predicate so repeated mirror builds and delta
     application pay one dict probe per fact instead of one per column.
 
-    ``builds``/``probes`` count columnar mirror constructions and
-    hash-join probe operations — surfaced in ``RoundMetrics`` and the
-    execute trace span.
+    ``builds``/``probes`` count constructions and hash-join probe
+    operations — surfaced in ``RoundMetrics`` and the execute trace
+    span. A *build* is a pass over a relation's facts to make a mirror
+    (:meth:`ColumnarRelation.from_facts`) or a hash index
+    (:meth:`ColumnarRelation.index`), nothing else: the empty mirror a
+    stratum grows a head relation from is not one, and neither is a
+    fixpoint iteration's Δ, wrapped around rows that already are
+    id-rows (:meth:`ColumnarRelation.wrap`) — so builds per round do not
+    grow with fixpoint depth.
     """
 
     __slots__ = ("table", "_fact_rows", "builds", "probes")
@@ -133,6 +157,13 @@ class InternPool:
         values = self.table.values
         return tuple(values[i] for i in row)
 
+    def extern_rows(self, rows: Collection[tuple]) -> Iterable[tuple]:
+        """Value-space facts of same-arity id-rows, a column at a time."""
+        get = self.table.values.__getitem__
+        columns = [map(get, column) for column in zip(*rows)]
+        # zip(*rows) has no columns for 0-ary rows (or no rows)
+        return zip(*columns) if columns else [()] * len(rows)
+
     def stats(self) -> dict[str, int]:
         """Counters for metrics/span reporting."""
         return {
@@ -150,9 +181,9 @@ class ColumnarRelation:
 
     The columnar twin of :class:`~repro.datalog.database.Relation`:
     indexes map a bound-position pattern to buckets of rows, built on
-    first probe and maintained by :meth:`add_row`/:meth:`discard_row`.
-    Single-position patterns key buckets by the bare id (no tuple
-    allocation on the probe path).
+    first probe and maintained by :meth:`add_row`/:meth:`discard_row`
+    and, in bulk, :meth:`extend`. Single-position patterns key buckets
+    by the bare id (no tuple allocation on the probe path).
     """
 
     __slots__ = ("name", "arity", "pool", "rows", "_indexes")
@@ -172,7 +203,9 @@ class ColumnarRelation:
         out = cls(name, arity, pool)
         intern_fact = pool.intern_fact
         out.rows = {intern_fact(name, f) for f in facts}
-        pool.builds += 1
+        # the empty mirror a stratum starts growing a head from is no
+        # pass over anything
+        pool.builds += bool(out.rows)
         return out
 
     def __len__(self) -> int:
@@ -183,36 +216,39 @@ class ColumnarRelation:
 
     def facts(self) -> Iterator[tuple]:
         """Iterate rows back in value space."""
-        values = self.pool.table.values
-        for row in self.rows:
-            yield tuple(values[i] for i in row)
+        return iter(self.pool.extern_rows(self.rows))
+
+    def wrap(self, rows: set) -> "ColumnarRelation":
+        """An index-less relation of this predicate around ``rows``.
+
+        The set is taken as is — already id-rows of this pool, so
+        nothing is interned and no build is counted. What a fixpoint
+        iteration's Δ is.
+        """
+        out = ColumnarRelation(self.name, self.arity, self.pool)
+        out.rows = rows
+        return out
 
     # ------------------------------------------------------------------
     def add_row(self, row: tuple) -> bool:
         if row in self.rows:
             return False
-        self.rows.add(row)
-        for positions, index in self._indexes.items():
-            if len(positions) == 1:
-                key: object = row[positions[0]]
-            else:
-                key = tuple(row[p] for p in positions)
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = {row}
-            else:
-                bucket.add(row)
+        self.extend((row,))
         return True
+
+    def extend(self, rows: Collection[tuple]) -> None:
+        """Bulk :meth:`add_row`: one ``set.update``, and every built
+        index takes in ``rows`` only (present rows are harmless)."""
+        self.rows.update(rows)
+        for positions, index in self._indexes.items():
+            _index_rows(index, positions, rows)
 
     def discard_row(self, row: tuple) -> bool:
         if row not in self.rows:
             return False
         self.rows.remove(row)
         for positions, index in self._indexes.items():
-            if len(positions) == 1:
-                key: object = row[positions[0]]
-            else:
-                key = tuple(row[p] for p in positions)
+            key = itemgetter(*positions)(row)
             bucket = index.get(key)
             if bucket is not None:
                 bucket.discard(row)
@@ -234,23 +270,7 @@ class ColumnarRelation:
         index = self._indexes.get(positions)
         if index is None:
             index = {}
-            if len(positions) == 1:
-                p = positions[0]
-                for row in self.rows:
-                    key = row[p]
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = {row}
-                    else:
-                        bucket.add(row)
-            else:
-                for row in self.rows:
-                    key = tuple(row[p] for p in positions)
-                    bucket = index.get(key)
-                    if bucket is None:
-                        index[key] = {row}
-                    else:
-                        bucket.add(row)
+            _index_rows(index, positions, self.rows)
             self._indexes[positions] = index
             self.pool.builds += 1
         return index
@@ -274,6 +294,25 @@ class ColumnarRelation:
             f"ColumnarRelation({self.name}/{self.arity}, "
             f"{len(self.rows)} rows)"
         )
+
+
+def _index_rows(
+    index: dict[object, set[tuple]],
+    positions: tuple[int, ...],
+    rows: Iterable[tuple],
+) -> None:
+    """File ``rows`` into ``index`` under their key at ``positions``."""
+    # itemgetter of one position is the bare id, of several the tuple
+    # of ids: exactly the two key shapes
+    key_of = itemgetter(*positions)
+    get = index.get
+    for row in rows:
+        key = key_of(row)
+        bucket = get(key)
+        if bucket is None:
+            index[key] = {row}
+        else:
+            bucket.add(row)
 
 
 # ----------------------------------------------------------------------
@@ -369,14 +408,35 @@ def _assign_check(assign, slots: dict[str, int]):
     return run
 
 
-def _ground_fn(terms, slots: dict[str, int]):
-    """Compile an atom's terms to ``(row, values) -> value fact``."""
-    parts = tuple(_value_fn(t, slots) for t in terms)
+def _row_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[p] for p in positions)``, at C speed where
+    ``itemgetter`` returns a tuple (it returns a scalar for one
+    position and refuses none)."""
+    if len(positions) >= 2:
+        return itemgetter(*positions)
+    if positions:
+        p = positions[0]
+        return lambda row: (row[p],)
+    return lambda row: ()
 
-    def run(row: tuple, values: list) -> tuple:
-        return tuple(p(row, values) for p in parts)
 
-    return run
+def _id_row_fn(terms, slots: dict[str, int]) -> tuple[tuple, Callable]:
+    """Compile an atom's plain terms to ``(constants, project)``.
+
+    ``project(binding_row + constant_ids)`` is the atom's id-row: a
+    variable reads its binding slot, the ``j``-th constant the ``j``-th
+    position past the slots. The constants stay in value space — plans
+    are pool-independent — and are interned when the plan runs.
+    """
+    constants: list = []
+    positions: list[int] = []
+    for t in terms:
+        if isinstance(t, Constant):
+            positions.append(len(slots) + len(constants))
+            constants.append(t.value)
+        else:
+            positions.append(slots[t.name])
+    return tuple(constants), _row_getter(tuple(positions))
 
 
 def _compile_rule(
@@ -435,7 +495,7 @@ def _compile_rule(
                         steps.append((
                             _NEG,
                             lit.atom.predicate,
-                            _ground_fn(lit.atom.terms, slots),
+                            *_id_row_fn(lit.atom.terms, slots),
                         ))
                     progressed = True
                 else:
@@ -468,9 +528,14 @@ def _compile_rule(
         for name in new:
             slots[name] = len(slots)
         use_delta = delta_at is not None and idx == delta_at
+        # None: every column new, in order — a fact is its own extension
+        project = (
+            None if new_positions == tuple(range(atom.arity))
+            else _row_getter(new_positions)
+        )
         steps.append((
             _SCAN, atom.predicate, use_delta, pattern, sources,
-            new_positions, tuple(repeats),
+            new_positions, tuple(repeats), project,
         ))
         flush()
 
@@ -478,24 +543,23 @@ def _compile_rule(
     if pending:
         steps.append((_UNRESOLVED, tuple(pending)))
 
-    # head projection / aggregation
+    # head projection / aggregation, both onto id-rows
     terms = rule.head.terms
     if not rule.head.has_aggregate():
-        emit: tuple = ("plain", tuple(
-            (True, t.value) if isinstance(t, Constant)
-            else (False, slots[t.name])
-            for t in terms
-        ))
+        emit: tuple = ("plain", *_id_row_fn(terms, slots))
     else:
         agg = next(t for t in terms if isinstance(t, Aggregate))
-        group = tuple(
-            (True, t.value) if isinstance(t, Constant)
-            else (False, slots[t.name])
+        plain = [t for t in terms if not isinstance(t, Aggregate)]
+        # the head row is read off ``group key + (result id,)``
+        ki = iter(range(len(plain)))
+        assemble = _row_getter(tuple(
+            len(plain) if isinstance(t, Aggregate) else next(ki)
             for t in terms
-            if not isinstance(t, Aggregate)
+        ))
+        emit = (
+            "agg", *_id_row_fn(plain, slots), agg.op,
+            slots[agg.var.name], assemble,
         )
-        is_agg = tuple(isinstance(t, Aggregate) for t in terms)
-        emit = ("agg", agg.op, slots[agg.var.name], group, is_agg)
     return RulePlan(steps, emit)
 
 
@@ -537,35 +601,17 @@ def compile_rule_plan(
 # evaluation
 # ----------------------------------------------------------------------
 def _run_scan(
-    step: tuple, crel: ColumnarRelation | None, rows: list,
-    pool: InternPool,
+    step: tuple, crel: ColumnarRelation, rows: list, pool: InternPool,
 ) -> list:
     """One vectorized hash-join step: probe all rows against one atom."""
-    _tag, _pred, _ud, pattern, sources, new_positions, repeats = step
-    if crel is None:
-        return []
-    out: list = []
-    nnew = len(new_positions)
+    (_tag, _pred, _ud, pattern, sources, new_positions, repeats,
+     project) = step
+    pool.probes += len(rows)
     if not pattern:
         # no bound positions: cross join against the whole relation
-        base: Iterable[tuple] = crel.rows
-        if repeats:
-            base = [
-                f for f in base
-                if all(f[a] == f[b] for a, b in repeats)
-            ]
-        pool.probes += len(rows)
-        if nnew == 1:
-            p0 = new_positions[0]
-            for row in rows:
-                for f in base:
-                    out.append(row + (f[p0],))
-        else:
-            for row in rows:
-                for f in base:
-                    out.append(row + tuple(f[p] for p in new_positions))
-        return out
+        return _emit_bucket(rows, crel.rows, repeats, project)
 
+    out: list = []
     intern = pool.intern
     # resolve key sources: constants intern to ids here (plans are
     # pool-independent), bound variables read their slot per row
@@ -576,7 +622,6 @@ def _run_scan(
     if len(pattern) == crel.arity:
         # fully bound: membership probe, no index (mirrors Relation.match)
         target = crel.rows
-        pool.probes += len(rows)
         for row in rows:
             key = tuple(
                 payload if is_const else row[payload]
@@ -587,18 +632,16 @@ def _run_scan(
         return out
 
     index = crel.index(pattern)
-    pool.probes += len(rows)
-    single = len(pattern) == 1
-    if single:
-        is_const, payload = resolved[0]
-        if is_const:
-            bucket = index.get(payload)
-            if not bucket:
-                return []
-            return _emit_bucket(rows, bucket, new_positions, repeats)
-        slot = payload
-        get = index.get
-        if nnew == 1 and not repeats:
+    if all(is_const for is_const, _p in resolved):
+        # one shared key: one bucket for every row
+        ids = tuple(payload for _ic, payload in resolved)
+        bucket = index.get(ids[0] if len(ids) == 1 else ids)
+        return _emit_bucket(rows, bucket, repeats, project) if bucket else []
+
+    get = index.get
+    if len(pattern) == 1:
+        slot = resolved[0][1]
+        if len(new_positions) == 1 and not repeats:
             p0 = new_positions[0]
             for row in rows:
                 bucket = get(row[slot])
@@ -606,47 +649,37 @@ def _run_scan(
                     for f in bucket:
                         out.append(row + (f[p0],))
             return out
-        for row in rows:
-            bucket = get(row[slot])
-            if not bucket:
-                continue
-            for f in bucket:
-                if repeats and not all(f[a] == f[b] for a, b in repeats):
-                    continue
-                out.append(row + tuple(f[p] for p in new_positions))
-        return out
-
-    if all(is_const for is_const, _p in resolved):
-        key = tuple(payload for _ic, payload in resolved)
-        bucket = index.get(key)
-        if not bucket:
-            return []
-        return _emit_bucket(rows, bucket, new_positions, repeats)
-    get = index.get
+        key_of: Callable = itemgetter(slot)
+    else:
+        def key_of(row: tuple) -> tuple:
+            return tuple(
+                payload if is_const else row[payload]
+                for is_const, payload in resolved
+            )
     for row in rows:
-        key = tuple(
-            payload if is_const else row[payload]
-            for is_const, payload in resolved
-        )
-        bucket = get(key)
+        bucket = get(key_of(row))
         if not bucket:
             continue
         for f in bucket:
             if repeats and not all(f[a] == f[b] for a, b in repeats):
                 continue
-            out.append(row + tuple(f[p] for p in new_positions))
+            out.append(row + project(f))
     return out
 
 
 def _emit_bucket(
-    rows: list, bucket: set, new_positions: tuple, repeats: tuple
+    rows: list, bucket: Collection[tuple], repeats: tuple,
+    project: Callable[[tuple], tuple] | None,
 ) -> list:
     """Extend every row with every bucket member (shared-key case)."""
-    ext = [
-        tuple(f[p] for p in new_positions)
-        for f in bucket
-        if not repeats or all(f[a] == f[b] for a, b in repeats)
-    ]
+    if repeats:
+        bucket = [
+            f for f in bucket if all(f[a] == f[b] for a, b in repeats)
+        ]
+    ext = list(bucket if project is None else map(project, bucket))
+    if rows == [()]:
+        # a plan's first scan: the projected rows are the binding rows
+        return ext
     return [row + e for row in rows for e in ext]
 
 
@@ -661,15 +694,24 @@ def eval_rule_columnar(
     """All facts one rule derives — columnar twin of ``eval_rule``.
 
     Accepts the same arguments as :func:`~repro.datalog.unify.eval_rule`
-    and returns the identical value-space fact set; relations are read
-    through their columnar mirrors (built on first touch, maintained
-    incrementally afterwards). ``delta_overrides`` relations get a
-    mirror of their own, keyed to ``pool``.
+    and returns the identical value-space fact set: the value-space
+    wrapper of :func:`run_rule_plan`, whose id-rows it externs in one
+    pass. Relations are read through their columnar mirrors (built on
+    first touch, maintained incrementally afterwards);
+    ``delta_overrides`` relations get a mirror of their own, keyed to
+    ``pool``.
     """
     plan = compile_rule_plan(
         rule, order, delta_at if delta_overrides is not None else None
     )
-    return run_rule_plan(plan, db, pool, delta_overrides)
+    return set(
+        pool.extern_rows(run_rule_plan(plan, db, pool, delta_overrides))
+    )
+
+
+_FOLD: dict[str, Callable[[Iterable], object]] = {
+    "sum": sum, "min": min, "max": max,
+}
 
 
 def run_rule_plan(
@@ -678,10 +720,15 @@ def run_rule_plan(
     pool: InternPool,
     delta_overrides=None,
 ) -> set:
-    """Run a compiled step program; ``db`` need hold only ``plan.reads``.
+    """Run a compiled step program; the head's **id-rows** under ``pool``.
 
-    The Δ-restricted scan of a plan compiled with a Δ-position reads
-    ``delta_overrides`` and nothing else.
+    ``db`` need hold only ``plan.reads``, each as a
+    :class:`~repro.datalog.database.Relation` (read through its mirror)
+    or a :class:`ColumnarRelation`; the Δ-restricted scan of a plan
+    compiled with a Δ-position reads ``delta_overrides`` and nothing
+    else. No fact is externed on the way: filters and arithmetic read
+    the values of the ids they compare, an aggregate those of the
+    column it folds, and what either computes is interned.
     """
     values = pool.table.values
     rows: list = [()]
@@ -700,56 +747,43 @@ def run_rule_plan(
                 rel.columnar(pool)
             )
             rows = _run_scan(step, crel, rows, pool)
-            values = pool.table.values
         elif tag == _FILTER:
             rows = step[1](rows, values)
         elif tag == _BIND:
             rows = step[1](rows, values, pool)
-            values = pool.table.values
         elif tag == _NEG:
-            _t, pred, ground = step
-            has_fact = db.has_fact
-            rows = [
-                r for r in rows if not has_fact(pred, ground(r, values))
-            ]
+            _t, pred, constants, id_row = step
+            rel = db.relations.get(pred)
+            if rel is not None and len(rel):
+                present = (
+                    rel if isinstance(rel, ColumnarRelation)
+                    else rel.columnar(pool)
+                ).rows
+                ids = tuple(map(pool.intern, constants))
+                rows = [r for r in rows if id_row(r + ids) not in present]
         else:  # _UNRESOLVED
             if rows:
                 raise RuntimeError(f"unresolved filters {list(step[1])!r}")
         if not rows:
             return set()
 
-    kind = plan.emit[0]
+    kind, constants, id_row = plan.emit[:3]
+    if constants:
+        ids = tuple(map(pool.intern, constants))
+        rows = [r + ids for r in rows]
     if kind == "plain":
-        getters = plan.emit[1]
-        return {
-            tuple(
-                payload if is_const else values[r[payload]]
-                for is_const, payload in getters
-            )
-            for r in rows
-        }
+        return set(map(id_row, rows))
 
-    _kind, op, agg_slot, group, is_agg = plan.emit
-    groups: dict[tuple, list] = {}
+    # aggregate: group on id columns, extern only the folded column
+    op, agg_slot, assemble = plan.emit[3:]
+    groups: defaultdict[tuple, list] = defaultdict(list)
     for r in rows:
-        key = tuple(
-            payload if is_const else values[r[payload]]
-            for is_const, payload in group
-        )
-        groups.setdefault(key, []).append(values[r[agg_slot]])
-    out = set()
-    for key, vals in groups.items():
-        if op == "count":
-            result: object = len(vals)
-        elif op == "sum":
-            result = sum(vals)
-        elif op == "min":
-            result = min(vals)
-        else:  # max
-            result = max(vals)
-        fact = []
-        ki = iter(key)
-        for flag in is_agg:
-            fact.append(result if flag else next(ki))
-        out.add(tuple(fact))
-    return out
+        groups[id_row(r)].append(r[agg_slot])
+    intern = pool.intern
+    value_of = values.__getitem__
+    return {
+        assemble(key + (intern(
+            len(ids) if op == "count" else _FOLD[op](map(value_of, ids))
+        ),))
+        for key, ids in groups.items()
+    }

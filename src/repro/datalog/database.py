@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 from .columnar import ColumnarRelation
 
@@ -28,6 +28,12 @@ class Relation:
     Indexes map a tuple of bound positions, e.g. ``(0,)`` or ``(0, 2)``,
     to buckets keyed by the values at those positions. They are built on
     first use and maintained incrementally on insert/discard.
+
+    ``rows`` / :meth:`extend` / :meth:`wrap` are the bulk face a
+    semi-naive loop grows a relation through — the same three names
+    :class:`~repro.datalog.columnar.ColumnarRelation` has, so
+    :func:`~repro.datalog.seminaive.evaluate_stratum` is one loop over
+    either layout.
     """
 
     def __init__(self, name: str, arity: int) -> None:
@@ -82,6 +88,57 @@ class Relation:
         if c is not None:
             c.add_fact(t)
         return True
+
+    @property
+    def rows(self) -> set[Tuple_]:
+        """The tuple set itself (read-only by convention)."""
+        return self._tuples
+
+    def extend(self, facts: Collection[Tuple_]) -> None:
+        """Bulk :meth:`add`: one ``set.update``; built indexes and the
+        mirror take in ``facts`` only (present facts are harmless)."""
+        self._take(facts)
+        c = self._columnar
+        if c is not None:
+            intern_fact = c.pool.intern_fact
+            c.extend([intern_fact(self.name, t) for t in facts])
+
+    def _take(self, facts: Collection[Tuple_]) -> None:
+        """``facts`` into the tuple set and the built indexes."""
+        if facts and set(map(len, facts)) != {self.arity}:
+            raise ValueError(
+                f"{self.name}: expected tuples of arity {self.arity}"
+            )
+        self._tuples.update(facts)
+        for positions, index in self._indexes.items():
+            for t in facts:
+                index[tuple(t[p] for p in positions)].add(t)
+
+    def wrap(self, facts: set[Tuple_]) -> "Relation":
+        """An index-less relation of this predicate around ``facts``,
+        taken as is — what a fixpoint iteration's Δ is."""
+        out = Relation(self.name, self.arity)
+        out._tuples = facts
+        return out
+
+    def adopt(
+        self, mirror: ColumnarRelation, new_rows: Collection[tuple]
+    ) -> None:
+        """Publish what a fixpoint grew in id space.
+
+        ``mirror`` holds this relation's facts plus ``new_rows``: the
+        new facts are externed once and taken in with one
+        ``set.update`` (plus the built value-space indexes), and
+        ``mirror`` — rows, indexes and all — becomes the columnar
+        mirror without anything being interned again.
+        """
+        self._take(list(mirror.pool.extern_rows(new_rows)))
+        self._columnar = mirror
+
+    def release_mirror(self) -> None:
+        """Drop the columnar mirror (rebuilt on the next :meth:`columnar`)
+        — for a relation nothing will scan again."""
+        self._columnar = None
 
     def discard(self, t: Tuple_) -> bool:
         """Remove; returns True if the tuple was present."""
@@ -149,9 +206,7 @@ class Relation:
         return c
 
     def copy(self) -> "Relation":
-        r = Relation(self.name, self.arity)
-        r._tuples = set(self._tuples)
-        return r
+        return self.wrap(set(self._tuples))
 
     def copy_indexed(self) -> "Relation":
         """Copy that also clones the built hash indexes.

@@ -15,12 +15,13 @@ as the test oracle for :func:`seminaive_evaluate`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .ast import Program, Rule
-from .columnar import InternPool, eval_rule_columnar
+from .columnar import InternPool, compile_rule_plan, run_rule_plan
 from .database import Database, Relation
 from .depgraph import DependencyGraph
-from .unify import eval_rule, instantiate_head, join_body
+from .unify import eval_rule
 
 __all__ = [
     "naive_evaluate",
@@ -135,96 +136,111 @@ def evaluate_stratum(
     relation the rules read; the heads' relations are created as needed
     and grow to the stratum's fixpoint. ``orders`` maps rule indices to
     body evaluation orders (the analyzer's join hints). Returns the
-    iteration records of :class:`EvaluationTrace`.
+    iteration records of :class:`EvaluationTrace`, which hold fact sets
+    only with ``record``.
 
     The one implementation of the loop: :func:`seminaive_evaluate` calls
     it once per stratum, and the fixpoint node of the static DAG
-    (:mod:`repro.datalog.units`) calls it for its SCC.
+    (:mod:`repro.datalog.units`) calls it for its SCC. It is written
+    against a row set with a bulk ``extend`` and runs in either layout.
+    With ``pool=None`` that is the head :class:`Relation` itself, value
+    tuples derived by the per-tuple evaluator. With a pool it is the
+    head's columnar mirror: the rule plans are compiled once per
+    evaluation, every iteration stays in id space — ``produced - known``
+    is one set difference, Δ is the fresh rows as they are — and each
+    head :class:`Relation` takes its new facts in once, at the fixpoint
+    (:meth:`Relation.adopt`), keeping the mirror the loop grew.
     """
     orders = orders or {}
-    iteration_records: list[dict] = []
-
-    def merge(staged: list[tuple[Rule, set]]) -> dict[str, Relation]:
-        # derived facts become visible to the next iteration only
-        delta: dict[str, Relation] = {}
-        for rule, produced in staged:
-            if not produced:
-                continue
-            head = rule.head
-            rel = db.relation(head.predicate, head.arity)
-            fresh = [fact for fact in produced if rel.add(fact)]
-            if fresh:
-                new = delta.get(head.predicate)
-                if new is None:
-                    new = delta[head.predicate] = Relation(
-                        head.predicate, head.arity
-                    )
-                for fact in fresh:
-                    new.add(fact)
-        return delta
-
-    # iteration 0: every rule, full database.  Two-phase (snapshot)
-    # semantics: all rules join against the stratum's entry state,
-    # and their outputs merge only after every rule has run — no
-    # rule sees a fact derived earlier in the same iteration.
-    rec0: dict = {}
-    staged: list[tuple[Rule, set]] = []
-    for ri, rule in rules:
-        if pool is not None:
-            produced = eval_rule_columnar(rule, db, pool, order=orders.get(ri))
-        else:
-            produced = eval_rule(rule, db, order=orders.get(ri))
-        if produced or record:
-            rec0[(ri, None)] = produced
-        staged.append((rule, produced))
-    delta = merge(staged)
-    iteration_records.append(rec0)
-
-    # iterations 1..: recursive rules with one Δ-occurrence each
-    rec_rules = [
-        (ri, rule)
-        for ri, rule in rules
-        if any(p in recursive for p, neg in rule.body_predicates() if not neg)
+    heads = {
+        rule.head.predicate: db.relation(rule.head.predicate, rule.head.arity)
+        for _ri, rule in rules
+    }
+    # iteration 0 runs every rule in full; the later ones run the
+    # recursive rules, once per positive body occurrence of a predicate
+    # the stratum derives, that occurrence restricted to Δ
+    first: list[tuple[int, Rule, int | None]] = [
+        (ri, rule, None) for ri, rule in rules
     ]
+    later: list[tuple[int, Rule, int | None]] = []
+    for ri, rule in rules:
+        preds = [
+            None if lit.atom is None or lit.negated else lit.atom.predicate
+            for lit in rule.body
+        ]
+        if recursive.intersection(preds):
+            later += [
+                (ri, rule, pos) for pos, p in enumerate(preds) if p in heads
+            ]
+
+    if pool is None:
+        grown: dict = heads
+
+        def derive(ri: int, rule: Rule, pos: int | None, delta) -> set:
+            return eval_rule(rule, db, delta, pos, orders.get(ri))
+
+    else:
+        grown = {p: rel.columnar(pool) for p, rel in heads.items()}
+        view = Database({**db.relations, **grown})
+        plans = {
+            (ri, pos): compile_rule_plan(rule, orders.get(ri), pos)
+            for ri, rule, pos in first + later
+        }
+
+        def derive(ri: int, rule: Rule, pos: int | None, delta) -> set:
+            return run_rule_plan(plans[ri, pos], view, pool, delta)
+
+    #: what each grown relation gained: every iteration's Δ rows
+    added: dict[str, list[set]] = {p: [] for p in heads}
+    iteration_records: list[dict] = []
+    delta: dict | None = None
     rounds = 0
-    while delta:
+    while True:
+        # two-phase (snapshot) semantics: every instance joins against
+        # the state the previous iteration left, and the outputs merge
+        # only after all have run — no rule sees a fact derived earlier
+        # in the same iteration
+        staged: list[tuple[str, set]] = []
+        rec: dict = {}
+        for ri, rule, pos in (first if delta is None else later):
+            if pos is not None and rule.body[pos].atom.predicate not in delta:
+                continue
+            produced = derive(ri, rule, pos, delta)
+            if record and (produced or delta is None):
+                rec[(ri, pos)] = (
+                    produced if pool is None
+                    else set(pool.extern_rows(produced))
+                )
+            staged.append((rule.head.predicate, produced))
+        if rec or delta is None:
+            iteration_records.append(rec)
+        delta = {}
+        for pred, produced in staged:
+            rel = grown[pred]
+            fresh = produced - rel.rows
+            if fresh:
+                rel.extend(fresh)
+                if pred in delta:
+                    # another rule of the same head: grows the set
+                    # ``added`` already holds
+                    delta[pred].extend(fresh)
+                else:
+                    delta[pred] = rel.wrap(fresh)
+                    added[pred].append(fresh)
+        if not delta:
+            break
         rounds += 1
         if max_iterations is not None and rounds > max_iterations:
             raise RuntimeError(
                 f"fixpoint for stratum {sorted(recursive)} exceeded "
                 f"{max_iterations} iterations (divergent arithmetic?)"
             )
-        rec_k: dict = {}
-        staged = []
-        for ri, rule in rec_rules:
-            for pos, lit in enumerate(rule.body):
-                if (
-                    lit.atom is None
-                    or lit.negated
-                    or lit.atom.predicate not in delta
-                ):
-                    continue
-                if pool is not None:
-                    produced = eval_rule_columnar(
-                        rule, db, pool,
-                        delta_overrides=delta, delta_at=pos,
-                        order=orders.get(ri),
-                    )
-                else:
-                    produced = {
-                        instantiate_head(rule.head, subst)
-                        for subst in join_body(
-                            rule.body, db,
-                            delta_overrides=delta, delta_at=pos,
-                            order=orders.get(ri),
-                        )
-                    }
-                if produced:
-                    rec_k[(ri, pos)] = produced
-                staged.append((rule, produced))
-        if rec_k:
-            iteration_records.append(rec_k)
-        delta = merge(staged)
+
+    if pool is not None:
+        for pred, parts in added.items():
+            heads[pred].adopt(
+                grown[pred], list(chain.from_iterable(parts))
+            )
     return iteration_records
 
 

@@ -24,9 +24,14 @@ Two kinds of plan
   (:func:`~repro.datalog.compiler.build_round_structure` without
   iteration counts), once. Node values are :class:`Relation` objects
   handed from writer to reader as built — indexes, columnar mirror and
-  all — a fixpoint node runs :func:`~repro.datalog.seminaive
-  .evaluate_stratum` over its inputs, and the old values are whatever
-  the previous committed round left in the nodes.
+  all — except a task's, which is the set of interned id-rows its rule
+  derives (ids are stable for the plan's one pool, so two rounds'
+  values compare as sets); a fixpoint node runs
+  :func:`~repro.datalog.seminaive.evaluate_stratum` over its inputs,
+  and the old values are whatever the previous committed round left in
+  the nodes. Facts are externed once, where a predicate's relation is
+  published, and a published relation keeps its mirror only if a rule
+  of a later stratum will scan it.
   :meth:`ProgramSkeleton.stamp` restamps the one bound plan per round.
 
 Unit closures read per-round data through the plan's :class:`RoundCtx`,
@@ -47,7 +52,7 @@ final values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Collection
 
 import numpy as np
 
@@ -62,7 +67,7 @@ from .compiler import CompiledUpdate, _cumulative_states
 from .database import Database, Relation
 from .depgraph import DependencyGraph
 from .seminaive import evaluate_stratum
-from .unify import eval_rule, instantiate_head, join_body
+from .unify import eval_rule
 
 __all__ = [
     "WorkUnit",
@@ -74,10 +79,11 @@ __all__ = [
     "build_execution_plan",
 ]
 
-def _fresh_relation(pred: str, arity: int, facts: Iterable[tuple]) -> Relation:
+def _fresh_relation(
+    pred: str, arity: int, facts: Collection[tuple]
+) -> Relation:
     rel = Relation(pred, arity)
-    for f in facts:
-        rel.add(f)
+    rel.extend(facts)
     return rel
 
 
@@ -91,7 +97,7 @@ class WorkUnit:
     #: the node's value under the *old* materialization — diffing
     #: against it (``!=``) yields the real changed/unchanged signal.
     #: A fact ``frozenset`` in an unrolled plan; in a static plan a
-    #: :class:`Relation` (a fact ``set`` for a task, a predicate →
+    #: :class:`Relation` (an id-row ``set`` for a task, a predicate →
     #: relation dict for a fixpoint node), or ``None`` — unequal to
     #: every value — when no committed round left one.
     old_value: Any
@@ -483,19 +489,11 @@ class PlanSkeleton:
                 )
                 db.relations[q] = _fresh_relation(q, arity_of[q], facts)
             if rule_plan is not None:
-                return frozenset(
+                # an unrolled plan's node values are value-space facts
+                return frozenset(ctx.pool.extern_rows(
                     run_rule_plan(rule_plan, db, ctx.pool, overrides)
-                )
-            if pos is None:
-                return frozenset(eval_rule(rule, db, order=order))
-            return frozenset(
-                instantiate_head(rule.head, subst)
-                for subst in join_body(
-                    rule.body, db,
-                    delta_overrides=overrides, delta_at=pos,
-                    order=order,
-                )
-            )
+                ))
+            return frozenset(eval_rule(rule, db, overrides, pos, order))
 
         return WorkUnit(
             node=nid, kind="task", label=self.labels[nid],
@@ -534,12 +532,31 @@ class ProgramSkeleton(PlanSkeleton):
     ``cu`` is any round staged onto the program's static structure
     (:func:`~repro.datalog.compiler.stage_update`). Units exchange
     :class:`Relation` objects: an EDB node publishes the round's
-    baseline relation, a task the fact set its rule derives from its
-    inputs' relations, a predicate node the relation those sets (and the
-    predicate's baseline) add up to, and a fixpoint node the relations
-    its SCC grows to under :func:`~repro.datalog.seminaive
-    .evaluate_stratum` — the evaluator's own loop, columnar.
+    baseline relation, a task the id-rows its rule derives from its
+    inputs' mirrors, a predicate node the relation those rows (and the
+    predicate's baseline) add up to — externed here, once — and a
+    fixpoint node the relations its SCC grows to under
+    :func:`~repro.datalog.seminaive.evaluate_stratum` — the evaluator's
+    own loop, columnar.
     """
+
+    def __init__(
+        self,
+        cu: CompiledUpdate,
+        join_orders: dict[int, tuple[int, ...]] | None = None,
+        pool: InternPool | None = None,
+    ) -> None:
+        super().__init__(cu, join_orders=join_orders, pool=pool)
+        #: predicates a rule of another stratum reads. Only their
+        #: published relations keep a columnar mirror: any other
+        #: derived relation is never scanned once its stratum is done,
+        #: and a committed node value should not hold id-rows for it
+        self.read_downstream = frozenset(
+            q
+            for rule in self.rules
+            for q, _neg in rule.body_predicates()
+            if self.stratum_of.get(q) != self.stratum_of[rule.head.predicate]
+        )
 
     def _make_unit(self, nid: int, key: tuple, ctx: RoundCtx) -> WorkUnit:
         kind = key[0]
@@ -564,6 +581,7 @@ class ProgramSkeleton(PlanSkeleton):
                 } - scc_set)
             )
             orders = self.join_orders
+            unread = scc_set - self.read_downstream
 
             def run(values: ValueStore) -> dict[str, Relation]:
                 db = Database({q: values[src] for q, src in inputs})
@@ -571,6 +589,8 @@ class ProgramSkeleton(PlanSkeleton):
                     db.relations[p] = ctx.baseline[p].copy()
                 # every SCC predicate is recursive: one SCC, one stratum
                 evaluate_stratum(rules, scc_set, db, ctx.pool, orders=orders)
+                for p in unread:
+                    db.relations[p].release_mirror()
                 return {p: db.relations[p] for p in scc}
 
         elif kind == "pred":
@@ -583,12 +603,19 @@ class ProgramSkeleton(PlanSkeleton):
                     return values[fix][p]
 
             else:
+                unread = p not in self.read_downstream
 
                 def run(values: ValueStore) -> Relation:
+                    # the non-recursive stratum's one merge, as the
+                    # fixpoint loop does it: in id space, externed once
                     rel = ctx.baseline[p].copy()
-                    for tid in task_ids:
-                        for fact in values[tid]:
-                            rel.add(fact)
+                    mirror = rel.columnar(ctx.pool)
+                    rows = set().union(*[values[tid] for tid in task_ids])
+                    rows -= mirror.rows
+                    mirror.extend(rows)
+                    rel.adopt(mirror, rows)
+                    if unread:
+                        rel.release_mirror()
                     return rel
 
         else:

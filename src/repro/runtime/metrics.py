@@ -91,9 +91,11 @@ class RoundMetrics:
     #: total distinct constants interned by the service's pool at round
     #: end
     intern_table_size: int = 0
-    #: columnar hash indexes built during this round (cold relations /
-    #: new probe patterns; warm steady-state rounds build none, and a
-    #: degraded round — row evaluator — builds none either)
+    #: columnar mirrors and hash indexes built during this round — a
+    #: pass over a relation's facts each (cold relations, new probe
+    #: patterns). A fixpoint iteration's Δ, wrapped around rows that
+    #: already are id-rows, is neither, so the count does not grow with
+    #: fixpoint depth; a degraded round — row evaluator — builds nothing
     columnar_builds: int = 0
     #: rows pushed through columnar index probes during this round
     columnar_probes: int = 0

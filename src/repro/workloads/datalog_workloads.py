@@ -17,9 +17,9 @@ Five program families, mirroring the domains LogicBlox served:
 * :func:`points_to` — a field-insensitive Andersen-style points-to
   analysis, the static-analysis workload of Soufflé/Semmle;
 * :func:`retail_flat` — a non-recursive, aggregate-free visibility
-  pipeline with stratified negation: the shape every maintenance
-  strategy (including derivation counting, which rejects recursion)
-  can run, so strategy benchmarks compare like for like.
+  pipeline with stratified negation: every node of its static DAG is a
+  task or a predicate node (no fixpoint node), the shape the
+  ``deletions`` and ``mixed`` serve streams run on.
 
 Each returns ``(program, edb, delta)``; :func:`compile_workload` turns
 one into a schedulable :class:`~repro.tasks.JobTrace`.

@@ -7,11 +7,20 @@ workload suites:
   are stable across repeated interning;
 * :func:`eval_rule_columnar` derives exactly the fact set the
   per-tuple :func:`~repro.datalog.unify.eval_rule` join derives, for
-  random rules, databases, and Δ-override positions.
+  random rules, databases, and Δ-override positions;
+* the id-space fixpoint — ``seminaive_evaluate(pool=InternPool())``,
+  which interns at the EDB mirrors and externs where a stratum is
+  published — equals the row fixpoint and naive evaluation, on the head
+  shapes an ``itemgetter`` projection gets wrong if unguarded and on
+  random programs with several heads in one recursive SCC.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +28,10 @@ from repro.datalog import (
     Database,
     InternPool,
     eval_rule_columnar,
+    naive_evaluate,
+    parse_program,
     parse_rule,
+    seminaive_evaluate,
 )
 import repro.datalog.columnar as columnar
 from repro.datalog.database import Relation
@@ -150,3 +162,168 @@ def test_rule_plan_in_use_survives_the_memo_cap(monkeypatch):
         }
         assert columnar.compile_rule_plan(hot, None, 0) is plan
         assert len(columnar._RULE_PLANS) <= 4
+
+
+# ---------------------------------------------------------------------------
+# the id-space fixpoint ≡ the row fixpoint ≡ naive evaluation
+# ---------------------------------------------------------------------------
+
+
+def three_ways(src: str, facts: dict[str, set]) -> dict[str, set]:
+    """Evaluate ``src`` over ``facts`` columnar, per-tuple and naive;
+    the (asserted identical) materialization."""
+    program = parse_program(src)
+    db = Database()
+    for pred, tuples in facts.items():
+        for t in tuples:
+            db.add_fact(pred, t)
+    got = seminaive_evaluate(program, db, pool=InternPool())[0].as_dict()
+    assert got == seminaive_evaluate(program, db)[0].as_dict()
+    assert got == naive_evaluate(program, db).as_dict()
+    return got
+
+
+E = {(1, 2), (2, 3), (3, 500)}
+
+#: head shapes the id-space emit must guard: ``itemgetter`` of one slot
+#: is a scalar and of none an error, constants and aggregate results
+#: are interned when the plan runs, negation probes a mirror
+EDGE_CASES = {
+    "0-ary head": (
+        "flag :- e(X, Y).  both(X) :- e(X, Y), flag.",
+        {"flag": {()}, "both": {(1,), (2,), (3,)}},
+    ),
+    "1-ary head": ("n(X) :- e(X, Y).", {"n": {(1,), (2,), (3,)}}),
+    "head constant": (
+        'tag("k", X, 7) :- e(X, Y).',
+        {"tag": {("k", 1, 7), ("k", 2, 7), ("k", 3, 7)}},
+    ),
+    "constant-only head": ('any("yes") :- e(X, Y).', {"any": {("yes",)}}),
+    "repeated head variable": (
+        "d(X, X) :- e(X, Y).", {"d": {(1, 1), (2, 2), (3, 3)}},
+    ),
+    "aggregate result never interned before": (
+        "total(sum(Y)) :- e(X, Y).  deg(X, count(Y)) :- e(X, Y).",
+        {"total": {(505,)}, "deg": {(1, 1), (2, 1), (3, 1)}},
+    ),
+    "aggregate-only and constant-and-aggregate heads": (
+        'lo(min(Y)) :- e(X, Y).  hi("max", max(Y)) :- e(X, Y).',
+        {"lo": {(2,)}, "hi": {("max", 500)}},
+    ),
+    "count over an empty body": (
+        "none(count(X)) :- e(X, Y), X > 100.", {"none": set()},
+    ),
+    "negation against relations with no mirror yet": (
+        # ``g`` (EDB) and ``m`` (derived, lower stratum) are read by
+        # nothing but the negations
+        "n(X) :- e(X, Y).  m(X) :- f(X, Y)."
+        "  lone(X) :- n(X), !g(X).  only(X) :- n(X), !m(X).",
+        {"lone": {(1,), (3,)}, "only": {(2,), (3,)}},
+    ),
+    "negation with a constant, against an absent relation": (
+        'free(X) :- e(X, Y), !taken(X, "k").', {"free": {(1,), (2,), (3,)}},
+    ),
+    "recursive head with a constant": (
+        'r(X, "s") :- e(X, Y).  r(Y, "s") :- r(X, "s"), e(X, Y).',
+        {"r": {(1, "s"), (2, "s"), (3, "s"), (500, "s")}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_id_space_emit_edge_cases(case):
+    src, want = EDGE_CASES[case]
+    got = three_ways(src, {"e": E, "f": {(1, 9)}, "g": {(2,)}})
+    assert {p: got[p] for p in want} == want
+
+
+class _Key:
+    """A constant whose hash and equality run Python code, so a thread
+    switch can land in the middle of a dict probe or store."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+
+    def __hash__(self) -> int:
+        return hash(self.k)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Key) and other.k == self.k
+
+
+def test_interning_from_many_threads_allots_each_id_once():
+    """Work units intern aggregate results and head constants on worker
+    threads: racing threads must agree on one id per value."""
+    keys = [_Key(i) for i in range(2000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-intern
+    try:
+        for _trial in range(8):
+            pool = InternPool()
+            barrier = threading.Barrier(4)
+            seen: list[dict] = []
+
+            def worker(offset: int) -> None:
+                barrier.wait()
+                # near-identical orders: the threads meet on new values
+                seen.append({
+                    id(v): pool.intern(v)
+                    for i in range(2000)
+                    for v in (keys[(i + offset) % 2000],)
+                })
+
+            threads = [
+                threading.Thread(target=worker, args=(k * 7,))
+                for k in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 4 and all(ids == seen[0] for ids in seen)
+            assert len(pool) == 2000
+            assert sorted(seen[0].values()) == list(range(2000))
+            assert all(pool.extern(pool.intern(v)) is v for v in keys)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+#: two heads, ``a`` and ``b``, seeded from the two EDB relations …
+SCC_BASE = ["a(X, Y) :- e(X, Y).", "b(X, Y) :- f(X, Y)."]
+#: … recursive rules over them: any non-empty subset is drawn, so
+#: linear, mutual (``pt`` shape), same-generation (``sg`` shape) and
+#: nonlinear strata with both heads in one SCC all occur
+SCC_RECURSIVE = [
+    "a(X, Z) :- b(X, Y), e(Y, Z).",
+    "b(X, Z) :- a(X, Y), f(Y, Z).",
+    "a(X, Z) :- a(X, Y), b(Y, Z).",
+    "b(X, Y) :- e(P, X), a(P, Q), e(Q, Y).",
+    "a(X, Y) :- f(P, X), b(P, Q), f(Q, Y).",
+    "b(X, Z) :- b(X, Y), b(Y, Z).",
+    "a(X, X) :- b(X, Y), a(Y, X).",
+]
+#: … and strata above that read the SCC's heads
+SCC_ABOVE = [
+    "fan(X, count(Y)) :- a(X, Y).",
+    "top(max(Y)) :- b(X, Y).",
+    "miss(X, Y) :- e(X, Y), !b(X, Y).",
+    "meet(X) :- a(X, Y), b(Y, X).",
+    "some :- a(X, Y), b(X, Y).",
+]
+
+
+@given(
+    recursive=st.sets(st.sampled_from(SCC_RECURSIVE), min_size=1),
+    above=st.sets(st.sampled_from(SCC_ABOVE)),
+    e_facts=edges,
+    f_facts=edges,
+)
+@settings(max_examples=80, deadline=None)
+def test_id_space_fixpoint_matches_row_and_naive(
+    recursive, above, e_facts, f_facts
+):
+    """Random programs whose recursive stratum has up to two heads in
+    one SCC, under random EDBs: three evaluators, one materialization."""
+    src = "\n".join(SCC_BASE + sorted(recursive) + sorted(above))
+    three_ways(src, {"e": e_facts, "f": f_facts})

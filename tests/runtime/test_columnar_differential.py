@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datalog import parse_program, seminaive_evaluate
+from repro.datalog import Database, Delta, parse_program, seminaive_evaluate
 from repro.runtime import live_workload, make_stream
 from repro.schedulers import scheduler_registry
 
@@ -108,4 +108,39 @@ def test_read_set_shapes_columnar_vs_row(shape, cold):
         workers=3,
         cold=cold,
     )
+    assert canonical_bytes(svc.materialization()) == row_bytes(program, svc)
+
+
+#: ``columnar_probes`` of rounds 2–5 below, read off the commit before
+#: the fixpoint moved into id space (chain of 8 / of 32 edges)
+PARENT_PROBES = {8: [132, 156, 182, 210], 32: [1260, 1332, 1406, 1482]}
+
+
+@pytest.mark.parametrize("depth", sorted(PARENT_PROBES))
+def test_builds_do_not_scale_with_fixpoint_depth(depth):
+    """``columnar_builds`` counts mirror and index constructions only.
+
+    Each round appends one edge to a chain, so the ``path`` fixpoint
+    runs one iteration deeper than the round before. A warm round
+    builds nothing whatever the depth — ``edge``'s mirror and index are
+    patched, ``path`` grows from an empty mirror, and an iteration's Δ
+    is a wrap of rows that already are id-rows — where it used to build
+    two mirrors per iteration (20 and 68 builds on round 2 here), while
+    the joins probe exactly as often as they did when every Δ was
+    re-interned.
+    """
+    program = parse_program(
+        "path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z)."
+    )
+    edb = Database()
+    for i in range(depth):
+        edb.add_fact("edge", (i, i + 1))
+    ticks = [
+        [Delta().insert("edge", (depth + k, depth + k + 1))]
+        for k in range(5)
+    ]
+    svc = serve_ticks(program, edb, ticks)
+    warm = svc.metrics.rounds[1:]
+    assert [m.columnar_builds for m in warm] == [0] * 4
+    assert [m.columnar_probes for m in warm] == PARENT_PROBES[depth]
     assert canonical_bytes(svc.materialization()) == row_bytes(program, svc)

@@ -1,0 +1,136 @@
+"""Facts cross into id space at the EDB and back at the materialization.
+
+A healthy round interns what its delta brings — at the EDB relations'
+mirrors — and externs what a stratum publishes, once. In between, the
+fixpoint and the task units work on id-rows: no derived fact goes back
+through ``Relation.add`` or ``InternPool.intern_fact``, a fixpoint
+iteration's Δ is not a mirror build, and a stratum evaluation compiles
+each rule plan once. These tests pin that with call counters over warm
+served rounds — the work at the boundary is bounded by the round's EDB
+delta and the program's facts, not by what the round derives.
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import Counter
+
+import pytest
+
+import repro.datalog.seminaive as seminaive
+import repro.datalog.units as units
+from repro.datalog import seminaive_evaluate
+from repro.datalog.columnar import ColumnarRelation, InternPool
+from repro.datalog.database import Relation
+from repro.runtime import UpdateStreamService, live_workload
+from repro.schedulers import scheduler_registry
+
+from .conftest import edb_is_mirror
+
+
+def _count_calls(monkeypatch, calls: Counter, cls, name: str) -> None:
+    real = getattr(cls, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+
+
+@pytest.mark.parametrize("name", ["tc", "retail"])
+def test_boundary_work_is_bounded_by_the_delta_not_by_derived_facts(
+    monkeypatch, name
+):
+    calls: Counter = Counter()
+    _count_calls(monkeypatch, calls, InternPool, "intern_fact")
+    _count_calls(monkeypatch, calls, Relation, "add")
+
+    # what one stratum evaluation (a fixpoint node's on a worker thread,
+    # or one of the verify check's on the coordinator) builds and compiles
+    current = threading.local()
+    evaluations = []
+    real_from_facts = ColumnarRelation.from_facts.__func__
+    real_stratum = seminaive.evaluate_stratum
+    real_compile = seminaive.compile_rule_plan
+
+    def from_facts(cls, pool, pred, arity, facts):
+        if getattr(current, "built", None) is not None:
+            current.built.append(pred)
+        return real_from_facts(cls, pool, pred, arity, facts)
+
+    def compile_rule_plan(rule, order, delta_at):
+        current.compiled.append((rule, delta_at))
+        return real_compile(rule, order, delta_at)
+
+    def stratum(rules, *args, **kwargs):
+        current.built, current.compiled = [], []
+        try:
+            return real_stratum(rules, *args, **kwargs)
+        finally:
+            mentioned = {
+                p for _ri, rule in rules
+                for p in [rule.head.predicate]
+                + [q for q, _neg in rule.body_predicates()]
+            }
+            evaluations.append(
+                (current.built, current.compiled, mentioned)
+            )
+            current.built = None
+
+    monkeypatch.setattr(
+        ColumnarRelation, "from_facts", classmethod(from_facts)
+    )
+    monkeypatch.setattr(seminaive, "compile_rule_plan", compile_rule_plan)
+    monkeypatch.setattr(seminaive, "evaluate_stratum", stratum)
+    monkeypatch.setattr(units, "evaluate_stratum", stratum)
+
+    wl = live_workload(name, seed=9)
+    n_program_facts = len(wl.program.facts)
+    svc = UpdateStreamService(
+        wl.program, wl.edb, scheduler_registry()["hybrid"](), workers=2
+    )
+    served = derived = 0
+    while served < 12:
+        delta = wl.random_batch(2)
+        n_ops = sum(
+            len(facts)
+            for side in (delta.insertions, delta.deletions)
+            for facts in side.values()
+        )
+        calls.clear()
+        svc.submit(delta)
+        rep = svc.run_round()
+        assert rep is not None and rep.materialization_ok
+        if rep.metrics.noop:
+            continue
+        served += 1
+        if served == 2:  # warm: one miss, one hit behind us
+            evaluations.clear()
+        if served <= 2:
+            continue
+        assert not rep.metrics.degraded
+        # the delta lands in the EDB once; the executed round and its
+        # from-scratch check each seed the program's facts once
+        bound = n_ops + 2 * n_program_facts
+        assert calls["intern_fact"] <= bound, (served, dict(calls))
+        assert calls["add"] <= bound, (served, dict(calls))
+        derived += svc.materialization().total_facts() - (
+            svc.database().total_facts()
+        )
+    # ... while the rounds held far more derived facts than that
+    assert derived > 10 * 10 * (2 + 2 * n_program_facts)
+
+    assert evaluations
+    for built, compiled, mentioned in evaluations:
+        # a mirror per relation the stratum touches at most — the heads'
+        # before the first iteration, a cold input's on its first scan —
+        # however many iterations run: no Δ is built with from_facts
+        assert len(built) == len(set(built)), built
+        assert set(built) <= mentioned
+        # each (rule, Δ-position) plan is looked up once, not per iteration
+        assert len(compiled) == len(set(compiled)), compiled
+
+    want, _ = seminaive_evaluate(wl.program, svc.database())
+    assert svc.materialization().as_dict() == want.as_dict()
+    assert edb_is_mirror(wl, svc.database())
