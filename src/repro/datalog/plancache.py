@@ -20,9 +20,9 @@ rounds that way:
   columnar mirror cloned, the weighted ops applied) and carries every
   other relation by identity, so the round costs what the delta touches;
   the touched EDB nodes are the initial tasks and the old node values
-  are the committed previous round's. A *miss* (first round, a round
-  after a degraded one, an out-of-band EDB) is the same plan with no old
-  values and every source of ``G`` initial: all of ``G`` runs.
+  are the committed previous round's. A *miss* (first round, an
+  out-of-band EDB) is the same plan with no old values and every source
+  of ``G`` initial: all of ``G`` runs.
 * ``plan()`` restamps the bound plan in place; ``commit()`` promotes the
   staged round — its EDB and, when the caller hands over the executed
   round's value store, its node values — after the service has verified

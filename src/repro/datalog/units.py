@@ -18,8 +18,7 @@ Two kinds of plan
   .compile_update` *unrolled* from two recorded evaluations — one task
   per (rule, Δ-position, iteration). Node values are fact ``frozenset``s
   and the old values come from the old side's recorded trace. It is
-  built fresh per round (the simulator benches, the degraded round, the
-  test oracle).
+  built fresh per round (the simulator benches, the test oracle).
 * :class:`ProgramSkeleton` wires the *static* ``G`` of a program
   (:func:`~repro.datalog.compiler.build_round_structure` without
   iteration counts), once. Node values are :class:`Relation` objects
@@ -199,11 +198,13 @@ class ExecutionPlan:
         return out
 
     def execute_serial(self) -> tuple[ValueStore, dict[int, bool]]:
-        """Reference execution: run every unit in level order.
+        """Run every unit in level order on the calling thread.
 
-        Returns the value store and the real per-node change flags —
-        the test oracle for both the concurrent executor and the
-        compiler's precomputed activation pattern.
+        Returns the value store and the real per-node change flags. No
+        node is skipped, so no old value is read, only diffed against:
+        how the service runs a degraded round, and the test oracle for
+        both the concurrent executor and the compiler's precomputed
+        activation pattern.
         """
         values = self.new_store()
         diffs: dict[int, bool] = {}
@@ -230,7 +231,7 @@ class _TaskWiring:
     ri: int
     pos: int | None
     #: the rule's compiled step program (None for a row plan,
-    #: ``pool=None`` — the degraded fallback and the test oracle)
+    #: ``pool=None`` — the test oracle)
     plan: RulePlan | None
     #: read set: every predicate the rule scans or negates outside its
     #: Δ-restricted occurrence → feeding node id (None: ctx.baseline).

@@ -6,8 +6,8 @@ compiled (:mod:`repro.datalog.compiler`), rebuilt as runnable units
 (:mod:`repro.datalog.units`), and then driven by any registered
 :class:`~repro.schedulers.base.Scheduler` over a thread pool — with
 per-node output diffs, not precompiled flags, deciding activation.
-There is one runtime cell: a healthy round runs columnar batch joins on
-worker threads, a degraded round runs the row evaluator serially.
+There is one runtime cell, columnar batch joins over one cached plan: a
+healthy round runs it on worker threads, a degraded round serially.
 
 * :mod:`~repro.runtime.executor` — the concurrent round executor.
 * :mod:`~repro.runtime.recorder` — wall-clock rounds as

@@ -3,17 +3,19 @@
 The update-stream service degrades gracefully instead of failing every
 round once something is wrong with the fast path:
 
-* **healthy** — normal operation: cached compile, concurrent executor.
+* **healthy** — normal operation: the cached plan on the concurrent
+  executor, under the scheduler.
 * **degraded** — the circuit breaker opened after ``degrade_after``
-  consecutive round failures. Rounds run on the serial reference
-  oracle (:meth:`~repro.datalog.units.ExecutionPlan.execute_serial`)
-  with the plan cache bypassed — slower, but immune to executor-level
-  faults (worker kills, unit chaos, stale cached state). After
-  ``probe_after`` consecutive degraded successes the next round is a
-  *probe* on the fast path: success closes the breaker back to
-  healthy, failure reopens it.
+  consecutive round failures. Rounds run the same cached plan serially
+  on the service thread
+  (:meth:`~repro.datalog.units.ExecutionPlan.execute_serial`): every
+  node in level order, so no lane, no scheduler, no executor-level
+  fault (worker kills, unit chaos) and no committed node value is in
+  the way. After ``probe_after`` consecutive degraded successes the
+  next round is a *probe* on the fast path: success closes the breaker
+  back to healthy, failure reopens it.
 * **failed** — ``fail_after`` consecutive failures total: even the
-  fallback cannot make progress. :meth:`HealthMonitor.plan_round`
+  serial run cannot make progress. :meth:`HealthMonitor.plan_round`
   callers are expected to raise a typed error *before* draining the
   queue, so the queue stays intact and an operator (or test) can
   :meth:`~HealthMonitor.reset` and resume.
@@ -108,7 +110,7 @@ class HealthMonitor:
     sink: TraceSink = NULL_SINK
     state: HealthState = HealthState.HEALTHY
     consecutive_failures: int = 0
-    #: consecutive successful rounds served on the degraded fallback
+    #: consecutive successful rounds served degraded (serially)
     degraded_successes: int = 0
     #: the next fast-path round is a breaker probe
     probing: bool = False
@@ -138,9 +140,9 @@ class HealthMonitor:
 
     # ------------------------------------------------------------------
     def plan_round(self) -> bool:
-        """Decide how the next round runs; True = degraded fallback.
+        """Decide how the next round runs; True = degraded, serially.
 
-        In the degraded state, once ``probe_after`` fallback rounds
+        In the degraded state, once ``probe_after`` serial rounds
         have succeeded in a row the next round runs on the fast path
         as a probe (returns False with :attr:`probing` set).
         """

@@ -76,8 +76,8 @@ class RoundMetrics:
     #: failed unit attempts re-dispatched under the executor's
     #: retry policy
     unit_retries: int = 0
-    #: the round ran on the degraded serial fallback, not the
-    #: concurrent fast path
+    #: the breaker was open: the round's plan ran serially on the
+    #: service thread, every node of it, not on the concurrent executor
     degraded: bool = False
     #: chaos injections observed during the round (0 without chaos)
     injected_faults: int = 0
@@ -95,7 +95,7 @@ class RoundMetrics:
     #: pass over a relation's facts each (cold relations, new probe
     #: patterns). A fixpoint iteration's Δ, wrapped around rows that
     #: already are id-rows, is neither, so the count does not grow with
-    #: fixpoint depth; a degraded round — row evaluator — builds nothing
+    #: fixpoint depth
     columnar_builds: int = 0
     #: rows pushed through columnar index probes during this round
     columnar_probes: int = 0

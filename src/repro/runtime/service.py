@@ -14,7 +14,7 @@ simulator-compatible schedule, and verifies it:
 * the materialization assembled from the executed units is compared —
   relation by relation — against an independent from-scratch semi-naive
   evaluation of the accumulated database, run inside the ``verify``
-  phase (it is the only evaluation a healthy round contains).
+  phase (it is the only evaluation a round contains).
 
 Backpressure is the bounded queue: when it is full, non-blocking
 submits raise :class:`BackpressureError` and blocking submits wait,
@@ -70,12 +70,12 @@ from time import perf_counter
 from typing import Callable
 
 from ..datalog.ast import Program
-from ..datalog.compiler import CompiledUpdate, compile_update
+from ..datalog.compiler import CompiledUpdate
 from ..datalog.database import Database
 from ..datalog.incremental import Delta, merge_deltas
 from ..datalog.plancache import CompiledProgramCache
 from ..datalog.zset import ZSetDelta, effective_zdelta
-from ..datalog.units import ExecutionPlan, ValueStore, build_execution_plan
+from ..datalog.units import ExecutionPlan, ValueStore
 from ..obs import NULL_SINK, TraceSink
 from ..schedulers.base import Scheduler
 from ..verify.invariants import VerificationReport
@@ -167,7 +167,7 @@ class RoundReport:
     #: ``None`` for no-op rounds — an effectively empty delta skips
     #: compilation entirely
     compiled: CompiledUpdate | None = None
-    #: ``None`` for degraded rounds — the serial fallback produces no
+    #: ``None`` for degraded rounds — a serial run produces no
     #: concurrent schedule to record
     artifacts: RoundArtifacts | None = None
     verification: VerificationReport | None = None
@@ -227,19 +227,19 @@ class UpdateStreamService:
     executor, storage, plan_cache:
         Accept only ``"thread"``, ``"columnar"`` and ``True``: the
         process executor backend, the row storage layout and cold
-        compilation as a caller's choice were removed. A healthy round
-        always compiles through :attr:`plan_cache` and runs the columnar
-        batch joins of :mod:`repro.datalog.columnar` on worker threads;
-        a degraded round always compiles cold and runs the row evaluator
-        serially (see ``health``).
+        compilation were removed. Every round compiles through
+        :attr:`plan_cache` and runs the columnar batch joins of
+        :mod:`repro.datalog.columnar` — on worker threads under the
+        scheduler, or, degraded, serially on the service thread (see
+        ``health``).
     capacity:
         Bound of the update queue (backpressure threshold).
     verify:
         Run the strict invariant checker on every recorded round and
         compare the executed materialization with an independent
         from-scratch evaluation of the round's new EDB — the one
-        evaluation a healthy round contains, inside its ``verify``
-        phase. ``False`` serves rounds with no evaluation in them.
+        evaluation a round contains, inside its ``verify`` phase.
+        ``False`` serves rounds with no evaluation in them.
     strict:
         Raise (:class:`RoundVerificationError` /
         :class:`MaterializationDivergenceError`) on verification
@@ -267,8 +267,9 @@ class UpdateStreamService:
         Thresholds of the degradation state machine
         (:class:`~repro.runtime.health.HealthPolicy`); the live monitor
         is exposed as :attr:`health`. Repeated round failures open the
-        circuit breaker: rounds fall back to the serial reference
-        oracle with the plan cache bypassed, then probe back.
+        circuit breaker: rounds run the same cached plan serially on
+        the service thread — no lanes, no scheduler, no executor-level
+        chaos — then probe back.
     shed_policy:
         What :meth:`submit` does when the queue is full *while the
         service is degraded*: ``"reject"`` raises
@@ -338,12 +339,11 @@ class UpdateStreamService:
              "the process executor backend was removed; units run on "
              "worker threads"),
             ("storage", storage, "columnar",
-             "the row storage layout was removed; healthy rounds are "
-             "always columnar"),
+             "the row storage layout was removed; rounds are always "
+             "columnar"),
             ("plan_cache", plan_cache, True,
-             "cold compilation as an option was removed; healthy rounds "
-             "always compile through the plan cache, degraded rounds "
-             "never do"),
+             "cold compilation was removed; every round compiles "
+             "through the plan cache"),
         ):
             if got != only:
                 raise ValueError(f"{arg}={got!r}: {gone}")
@@ -362,13 +362,12 @@ class UpdateStreamService:
         self.analysis: ProgramAnalysis | None = (
             analyze_program(program) if analyze else None
         )
-        #: every healthy round compiles and plans through it (the
-        #: program's static DAG and bound plan are restamped, this
-        #: round's outputs are diffed against the previous round's
-        #: verified node values, untouched relations keep their hash
-        #: indexes); committed only after verification succeeds and
-        #: rolled back on a failed round; a degraded round neither reads
-        #: nor stages it. Its ``plancache.*`` counters land in
+        #: every round compiles and plans through it (the program's
+        #: static DAG and bound plan are restamped, this round's outputs
+        #: are diffed against the previous round's verified node values,
+        #: untouched relations keep their hash indexes); committed only
+        #: after verification succeeds and rolled back on a failed
+        #: round. Its ``plancache.*`` counters land in
         #: ``self.metrics.registry``.
         self.plan_cache = CompiledProgramCache(
             program,
@@ -656,7 +655,10 @@ class UpdateStreamService:
         finally:
             for _ in range(n_queue):
                 self._queue.task_done()
-        self.health.record_success(report.index, degraded)
+        if not report.metrics.noop:
+            # a round that executed nothing is evidence of nothing: the
+            # breaker's counters (and a pending probe) stay as they were
+            self.health.record_success(report.index, degraded)
         self._round_attempts = 0
         return report
 
@@ -695,7 +697,8 @@ class UpdateStreamService:
 
     def _pool_round_stats(self) -> tuple[int, int, int]:
         """``(intern table size, builds Δ, probes Δ)`` for the round
-        that just finished (a degraded round touches no pool: zero Δ)."""
+        that just finished, healthy or degraded — both run on the
+        cache's one pool."""
         s = self.plan_cache.pool.stats()
         b0, p0 = self._pool_counts
         self._pool_counts = (s["columnar_builds"], s["columnar_probes"])
@@ -761,14 +764,13 @@ class UpdateStreamService:
         """One merged round: clamp (or no-op), compile, execute, verify,
         commit, metrics.
 
-        ``degraded`` — the breaker's verdict, taken once in
-        :meth:`run_round` — picks the body of every phase. Healthy:
-        the round staged onto the cached static DAG, concurrent
-        execution, recorded-schedule invariants and the from-scratch
-        comparison, cache commit. Degraded: cold compile with the plan
-        cache neither read nor staged, the row evaluator run serially,
-        the materialization check only (there is no concurrent schedule
-        to run invariants on). Each phase returns the
+        Every round is staged onto the cached static DAG, executed,
+        compared with the from-scratch evaluation and committed to the
+        cache. ``degraded`` — the breaker's verdict, taken once in
+        :meth:`run_round` — decides only who calls the units: the
+        executor's lanes under the scheduler, whose recorded schedule
+        is then invariant-checked, or the service thread, every node in
+        level order, which records none. Each phase returns the
         :class:`RoundMetrics` fields it fills.
         """
         sink = self.sink
@@ -805,7 +807,7 @@ class UpdateStreamService:
                 sink.record_span_abs(
                     "merge", "phase", t_round, perf_counter()
                 )
-            cu, plan, compiled = self._compile_phase(zdelta, degraded)
+            cu, plan, compiled = self._compile_phase(zdelta)
             values, outcome, executed = self._execute_phase(plan, degraded)
             mat, artifacts, report, mat_ok, verified = self._verify_phase(
                 plan, values, outcome, degraded
@@ -814,8 +816,7 @@ class UpdateStreamService:
             # become the baseline the next round's compile reuses —
             # node values included, unless the (non-strict) check found
             # them wrong
-            if not degraded:
-                self.plan_cache.commit(cu, values if mat_ok else None)
+            self.plan_cache.commit(cu, values if mat_ok else None)
             self._edb = cu.edb_new
             self._materialization = mat
 
@@ -856,7 +857,7 @@ class UpdateStreamService:
         )
 
     def _compile_phase(
-        self, zdelta: ZSetDelta, degraded: bool
+        self, zdelta: ZSetDelta
     ) -> tuple[CompiledUpdate, ExecutionPlan, dict]:
         """The ``compile`` and ``plan-build`` spans; fills ``compile_s``.
         ``zdelta`` is the round's delta as :meth:`_maintain` clamped it."""
@@ -865,30 +866,12 @@ class UpdateStreamService:
         t0 = perf_counter()
         if self.chaos is not None and self.chaos.phase_fails("compile"):
             raise InjectedPhaseFault("compile", self._rounds_run)
-        if degraded:
-            with sink.span("compile", "phase"):
-                cu = compile_update(
-                    self.program, self._edb, zdelta,
-                    name=name, analysis=self.analysis,
-                )
-            with sink.span("plan-build", "phase"):
-                # pool=None: the row reference evaluator
-                plan = build_execution_plan(
-                    cu,
-                    join_orders=(
-                        self.analysis.join_orders_for(cu.program)
-                        if self.analysis is not None
-                        else None
-                    ),
-                    pool=None,
-                )
-        else:
-            with sink.span("compile", "phase"):
-                cu = self.plan_cache.compile(
-                    self.program, self._edb, zdelta, name=name
-                )
-            with sink.span("plan-build", "phase"):
-                plan = self.plan_cache.plan(cu)
+        with sink.span("compile", "phase"):
+            cu = self.plan_cache.compile(
+                self.program, self._edb, zdelta, name=name
+            )
+        with sink.span("plan-build", "phase"):
+            plan = self.plan_cache.plan(cu)
         return cu, plan, {"compile_s": perf_counter() - t0}
 
     def _execute_phase(
@@ -896,12 +879,14 @@ class UpdateStreamService:
     ) -> tuple[ValueStore, RoundOutcome | None, dict]:
         """The ``execute`` (``execute-serial``) span; fills ``execute_s``
         and what the run reports of itself — for a degraded round also
-        the ``makespan_s`` no recorded schedule will supply."""
+        the ``n_active`` and ``makespan_s`` no recorded schedule will
+        supply."""
         sink = self.sink
         t0 = perf_counter()
         if degraded:
-            # single-threaded level-order execution, immune to
-            # executor-level faults
+            # every node of the plan in level order on this thread: no
+            # lanes, no scheduler, no executor-level faults, and no
+            # committed node value read
             with sink.span(
                 "execute-serial", "phase", args={"degraded": True}
             ):
@@ -910,6 +895,7 @@ class UpdateStreamService:
             return values, None, {
                 "execute_s": execute_s,
                 "workers": 1,
+                "n_active": len(diffs),
                 "tasks_executed": len(diffs),
                 "makespan_s": execute_s,
             }
@@ -950,12 +936,11 @@ class UpdateStreamService:
     ]:
         """The ``verify`` span: ``(materialization, artifacts, report,
         materialization_ok, fields)``; fills ``verify_s``,
-        ``changed_facts``, ``n_active`` and, from a healthy round's
-        recorded schedule, ``makespan_s`` and ``utilization``.
+        ``changed_facts`` and, from a healthy round's recorded schedule,
+        ``n_active``, ``makespan_s`` and ``utilization``.
 
         With ``verify`` the executed materialization is compared with a
-        from-scratch one — evaluated here for a healthy round, the cold
-        compile's own for a degraded one — and where they differ the
+        from-scratch one, evaluated here, and where they differ the
         from-scratch one is what the (non-strict) service adopts.
         """
         t0 = perf_counter()
@@ -963,11 +948,9 @@ class UpdateStreamService:
             raise InjectedPhaseFault("verify", self._rounds_run)
         cu = plan.compiled
         with self.sink.span("verify", "phase"):
-            report = None
-            if degraded:
-                artifacts = None
-                schedule = {"n_active": cu.trace.n_active}
-            else:
+            artifacts = report = None
+            schedule = {}
+            if not degraded:
                 artifacts = record_round(outcome, cu.trace)
                 schedule = {
                     "makespan_s": artifacts.result.makespan,
@@ -980,11 +963,7 @@ class UpdateStreamService:
                         raise RoundVerificationError(
                             self._rounds_run, report
                         )
-            reference = None
-            if self.verify:
-                reference = (
-                    cu.db_new if degraded else self.plan_cache.evaluate(cu)
-                )
+            reference = self.plan_cache.evaluate(cu) if self.verify else None
             mat = plan.materialization(values)
             diverging, changed_facts = _round_diffs(
                 mat, self._materialization, reference

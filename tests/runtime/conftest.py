@@ -20,20 +20,26 @@ WORKLOADS = (
 )
 
 
-def serve_ticks(
-    program, edb, ticks, scheduler="hybrid", workers=2, cold=False
-) -> UpdateStreamService:
-    """Serve each tick's batches as one verified round; the final service.
+def serve_rounds(
+    program, edb, ticks, scheduler="hybrid", workers=2, cold=False,
+    degraded=None,
+):
+    """Serve each tick's batches as one verified round; yields the
+    service after every round.
 
     ``cold=True`` restarts the service from its own database before
     every tick, so no round finds a committed baseline, a bound plan or
     an indexed relation: each is a first round — a plan-cache miss that
     copies the EDB, binds a fresh plan and runs all of the static DAG
     instead of deriving and diffing.
+
+    ``degraded`` — tick index → bool — is the breaker's verdict for
+    that tick's round in place of the health monitor's: ``True`` runs
+    it serially on the service thread.
     """
     registry = scheduler_registry()
     svc = None
-    for batches in ticks:
+    for i, batches in enumerate(ticks):
         if svc is None or cold:
             svc = UpdateStreamService(
                 program,
@@ -41,10 +47,22 @@ def serve_ticks(
                 registry[scheduler](),
                 workers=workers,
             )
+        forced = degraded is not None and degraded(i)
+        if degraded is not None:
+            svc.health.plan_round = lambda: forced
         for delta in batches:
             svc.submit(delta)
         rep = svc.run_round()
-        assert rep.materialization_ok and not rep.metrics.degraded
+        assert rep.materialization_ok
+        assert rep.metrics.noop or rep.metrics.degraded is forced
+        yield svc
+
+
+def serve_ticks(*args, **kwargs) -> UpdateStreamService:
+    """The service :func:`serve_rounds` ends with."""
+    svc = None
+    for svc in serve_rounds(*args, **kwargs):
+        pass
     return svc
 
 

@@ -1,11 +1,11 @@
 """Graceful degradation: health state machine, breaker, load shedding.
 
 The circuit-breaker ladder under sustained chaos: healthy rounds fail
-→ the breaker opens and rounds fall back to the serial reference
-oracle with the plan cache bypassed → fallback successes earn a
-fast-path probe → the probe closes the breaker (or reopens it) → past
-``fail_after`` the service refuses rounds entirely with an intact
-queue. Plus the S2 backpressure contract and the three shed policies.
+→ the breaker opens and rounds run the same cached plan serially on the
+service thread → serial successes earn a fast-path probe → the probe
+closes the breaker (or reopens it) → past ``fail_after`` the service
+refuses rounds entirely with an intact queue. Plus the S2 backpressure
+contract and the three shed policies.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import time
 
 import pytest
 
+from repro.datalog import Delta, seminaive_evaluate
 from repro.datalog.incremental import merge_deltas
-from repro.datalog.units import build_execution_plan
-from repro.runtime import service as service_module
 from repro.runtime import (
+    PROGRAM_ALIASES,
     BackpressureError,
     ChaosPlan,
     HealthMonitor,
@@ -28,8 +28,11 @@ from repro.runtime import (
     UnitExecutionError,
     UpdateStreamService,
     live_workload,
+    make_stream,
 )
 from repro.schedulers import scheduler_registry
+
+from .conftest import serve_rounds
 
 REGISTRY = scheduler_registry()
 
@@ -113,20 +116,10 @@ def test_monitor_trips_to_failed_and_resets():
 # ----------------------------------------------------------------------
 # service integration: the breaker ladder end to end
 # ----------------------------------------------------------------------
-def test_service_degrades_to_serial_fallback_and_recovers(monkeypatch):
+def test_service_degrades_to_serial_fallback_and_recovers():
     wl = live_workload("retail", seed=21)
     batch = wl.random_batch()
     oracle = _oracle(wl, [batch])
-    # healthy rounds plan through the cache, so only degraded rounds
-    # build a cold plan
-    cold_plans = []
-
-    def spy_build(*args, **kwargs):
-        cold_plans.append(build_execution_plan(*args, **kwargs))
-        return cold_plans[-1]
-
-    monkeypatch.setattr(service_module, "build_execution_plan", spy_build)
-
     svc = UpdateStreamService(
         wl.program,
         wl.edb,
@@ -149,17 +142,16 @@ def test_service_degrades_to_serial_fallback_and_recovers(monkeypatch):
             for k in ("hits", "misses", "plan_patches", "plan_binds")
         }
 
-    # the re-queued delta now runs on the serial fallback — immune to
-    # unit chaos — and neither reads nor commits the plan cache
-    before = cache_counts()
+    # the re-queued delta now runs serially on the service thread —
+    # the cached plan, every node of it, out of unit chaos's reach
     report = svc.run_round()
-    assert cache_counts() == before
     assert report is not None
-    assert report.metrics.degraded is True
+    m = report.metrics
+    assert m.degraded is True
     assert report.artifacts is None  # no concurrent schedule to record
-    assert report.metrics.workers == 1
-    # the breaker falls back to the row oracle, not a columnar plan
-    assert len(cold_plans) == 1 and cold_plans[0].ctx.pool is None
+    assert m.workers == 1 and m.makespan_s == m.execute_s
+    assert m.n_active == m.tasks_executed == m.n_nodes > 0
+    assert m.columnar_probes > 0  # the columnar joins, not a row plan
     assert report.materialization_ok
     assert svc.materialization().as_dict() == (
         oracle.materialization().as_dict()
@@ -180,23 +172,110 @@ def test_service_degrades_to_serial_fallback_and_recovers(monkeypatch):
     svc.chaos = None
     r1 = svc.run_round()  # re-queued delta, degraded
     assert r1.metrics.degraded is True
-    svc.submit(wl.random_batch())
     before = cache_counts()
-    r2 = svc.run_round()  # probe on the fast path
+    while True:  # a tiny batch can coalesce to a no-op round
+        svc.submit(wl.random_batch())
+        r2 = svc.run_round()  # probe on the fast path
+        if not r2.metrics.noop:
+            break
     assert r2.metrics.degraded is False
     assert svc.health.state is HealthState.HEALTHY
     assert any(t[3] == "probe-succeeded" for t in svc.health.transitions)
-    # the degraded rounds moved the EDB past the cache's committed
-    # baseline, so the probe compiles as a miss; the round after it
-    # reuses what the probe committed
-    assert cache_counts()["misses"] == before["misses"] + 1
-    assert cache_counts()["hits"] == before["hits"]
-    while True:  # a tiny batch can coalesce to a no-op round
+    # the degraded rounds committed what they verified, so the probe
+    # compiles as a hit on the one bound plan
+    assert cache_counts() == {
+        **before,
+        "hits": before["hits"] + 1,
+        "plan_patches": before["plan_patches"] + 1,
+    }
+
+
+def test_noop_round_is_no_evidence_for_the_breaker():
+    """A batch that cancels against the live EDB runs no unit, so it
+    must not clear the failure streak, count as a degraded success or
+    pass for the probe (it used to close the breaker with lethal chaos
+    still on)."""
+    wl = live_workload("retail", seed=23)
+    svc = UpdateStreamService(
+        wl.program,
+        wl.edb,
+        REGISTRY["hybrid"](),
+        workers=2,
+        chaos=ChaosPlan(seed=1, unit_fail_prob=1.0),
+        max_round_retries=0,  # a failed delta is dropped, not re-merged
+        health=HealthPolicy(degrade_after=2, fail_after=8, probe_after=2),
+    )
+    health = svc.health
+    pred = sorted(wl._mirror)[0]
+    present = Delta().insert(pred, sorted(wl._mirror[pred])[0])
+
+    def noop_round():
+        before = (health.state, health.degraded_successes,
+                  health.consecutive_failures, list(health.transitions))
+        svc.submit(present)
+        assert svc.run_round().metrics.noop is True
+        assert before == (
+            health.state, health.degraded_successes,
+            health.consecutive_failures, health.transitions,
+        )
+
+    def real_round():
         svc.submit(wl.random_batch())
-        if not svc.run_round().metrics.noop:
-            break
-    assert cache_counts()["misses"] == before["misses"] + 1
-    assert cache_counts()["hits"] == before["hits"] + 1
+        return svc.run_round()
+
+    lethal, svc.chaos = svc.chaos, None
+    real_round()  # leaves the materialization a no-op round rests on
+    svc.chaos = lethal
+    with pytest.raises(UnitExecutionError):
+        real_round()
+    noop_round()  # the streak of one survives it ...
+    with pytest.raises(UnitExecutionError):
+        real_round()
+    assert health.state is HealthState.DEGRADED  # ... and opens the breaker
+    noop_round()
+    assert real_round().metrics.degraded is True
+    noop_round()  # one degraded success of two: still no probe
+    assert health.plan_round() is True
+    assert real_round().metrics.degraded is True
+    noop_round()  # the probe is due, and stays due
+    noop_round()
+    with pytest.raises(UnitExecutionError):  # the probe, chaos still on
+        real_round()
+    assert health.state is HealthState.DEGRADED
+    assert health.degraded_successes == 0
+
+
+@pytest.mark.parametrize(
+    "breaker",
+    [lambda i: True, lambda i: i % 2 == 1],
+    ids=["open", "alternating"],
+)
+@pytest.mark.parametrize("kind", ["steady", "deletions", "mixed"])
+@pytest.mark.parametrize("name", sorted(set(PROGRAM_ALIASES.values())))
+def test_degraded_rounds_track_row_evaluation_and_a_healthy_twin(
+    name, kind, breaker
+):
+    """Who calls the units changes nothing else: with the breaker held
+    open, or opened every other round, each round lands on the row
+    evaluator's from-scratch answer and on a healthy twin's, and —
+    degraded rounds commit to the cache — only the first is a miss."""
+    wl = live_workload(name, seed=19)
+    ticks = [
+        list(batches)
+        for batches in make_stream(wl, kind, rounds=6, batch_size=3)
+    ]
+    twins = zip(
+        serve_rounds(wl.program, wl.edb, ticks, degraded=breaker),
+        serve_rounds(wl.program, wl.edb, ticks),
+    )
+    for svc, healthy in twins:
+        want, _ = seminaive_evaluate(wl.program, svc.database())
+        got = svc.materialization().as_dict()
+        assert got == want.as_dict()
+        assert got == healthy.materialization().as_dict()
+        assert svc.plan_cache.misses == 1
+    assert any(m.degraded for m in svc.metrics.rounds)
+    assert len(svc.metrics.rounds) == len(healthy.metrics.rounds) == 6
 
 
 def test_service_trips_to_failed_with_intact_queue():
@@ -204,7 +283,7 @@ def test_service_trips_to_failed_with_intact_queue():
     batch = wl.random_batch()
     oracle = _oracle(wl, [batch])
 
-    # verify-phase chaos kills the fallback too: the serial oracle
+    # verify-phase chaos kills the degraded round too: a serial run
     # cannot save a round whose verification itself is injected to fail
     svc = UpdateStreamService(
         wl.program,

@@ -241,9 +241,9 @@ def _grow(i: int) -> Delta:
 
 
 def test_miss_hit_degraded_probe_miss_hit():
-    """The cache across a breaker excursion: the degraded round neither
-    reads nor commits it, so the probe after it starts over (a miss, all
-    of ``G``) and the round after that diffs again."""
+    """The cache across a breaker excursion — miss, hit, degraded…, hit,
+    hit: a degraded round is staged on and committed to the cache like
+    any other, so the probe after it diffs against what it left."""
     wl = live_workload("tc", seed=3)
     svc = _service(wl.program, wl.edb)
     seen = []
@@ -261,16 +261,19 @@ def test_miss_hit_degraded_probe_miss_hit():
     while svc.health.plan_round():               # the breaker's verdict
         degraded = serve()
         assert degraded.artifacts is None
-        assert degraded.compiled.db_new is not None  # compiled cold
+        assert degraded.compiled.db_new is None  # staged, not evaluated
+        assert degraded.metrics.tasks_executed == 3  # serially: all of G
     probe = serve()                              # probes the fast path
-    assert probe.metrics.tasks_executed == 3     # probe-miss: all of G
+    assert probe.metrics.tasks_executed == 3     # probe-hit: path grew
+    assert probe.artifacts is not None
     assert svc.health.state is HealthState.HEALTHY
     serve()                                      # hit
     n_degraded = len(seen) - 4
     assert n_degraded >= 1
     assert seen == [
-        (0, 1, False), (1, 1, False), *[(1, 1, True)] * n_degraded,
-        (1, 2, False), (2, 2, False),
+        (0, 1, False), (1, 1, False),
+        *[(2 + i, 1, True) for i in range(n_degraded)],
+        (2 + n_degraded, 1, False), (3 + n_degraded, 1, False),
     ]
 
 
@@ -385,6 +388,30 @@ def test_a_lying_unit_is_caught_rolled_back_and_retried(kind, name, strict):
     assert liar["lied"] and rep.materialization_ok
     _assert_from_scratch(svc, wl.program)
     assert edb_is_mirror(wl, svc.database())
+
+
+def test_a_lying_unit_is_caught_in_a_degraded_round_too():
+    """The breaker decides who calls the units, not what checks them: a
+    serial round is compared with the same from-scratch evaluation,
+    rolls back and re-queues on a lie, and commits once honest."""
+    wl = live_workload("tc", seed=12)
+    svc = _service(wl.program, wl.edb)
+    liar = _install_liar(svc, "fix")
+    svc.health.state = HealthState.DEGRADED
+    svc.submit(wl.random_batch(3))
+    with pytest.raises(MaterializationDivergenceError) as ei:
+        svc.run_round()
+    assert liar["lied"] and ei.value.delta_requeued
+    assert svc.plan_cache.stats()["rollbacks"] == 1
+    assert svc.materialization() is None
+    rep = svc.run_round()
+    assert rep.metrics.degraded and rep.materialization_ok
+    _assert_from_scratch(svc, wl.program)
+    # committed: the next round compiles as a hit
+    rep = _serve(svc, _grow(0))
+    assert rep.metrics.degraded
+    assert svc.plan_cache.stats()["hits"] == 1
+    assert svc.plan_cache.stats()["misses"] == 2  # the lie and its retry
 
 
 def test_without_verify_nothing_catches_the_lie():
