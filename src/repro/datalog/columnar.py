@@ -23,10 +23,11 @@ differential-Datalog interpreters cited in PAPERS.md:
 
 The boundary: facts are interned where they enter — an EDB relation's
 mirror, built once and patched by each round's delta — and externed
-where a materialization is published (a stratum's head relations at its
-fixpoint, :meth:`~repro.datalog.database.Relation.adopt`). Everything in
-between is id space: :func:`run_rule_plan` *returns id-rows* (head
-projection is an ``itemgetter`` over binding slots, head constants and
+where a materialization is read: a stratum publishes its head relations
+as the mirrors its fixpoint grew
+(:meth:`~repro.datalog.database.Relation.adopt`), and the first reader
+of a relation's facts externs them. Everything in between is id space:
+:func:`run_rule_plan` *returns id-rows* (head projection is an ``itemgetter`` over binding slots, head constants and
 aggregate results are interned, only an aggregated column is externed),
 so a fixpoint's ``produced - known`` is one set difference and its Δ the
 fresh rows as they are. :func:`eval_rule_columnar` is the value-space
@@ -112,10 +113,11 @@ class InternPool:
     encodings per predicate so repeated mirror builds and delta
     application pay one dict probe per fact instead of one per column.
 
-    ``builds``/``probes`` count constructions and hash-join probe
-    operations — surfaced in ``RoundMetrics`` and the execute trace
-    span. A *build* is a pass over a relation's facts to make a mirror
-    (:meth:`ColumnarRelation.from_facts`) or a hash index
+    ``builds``/``probes``/``externs`` count constructions, hash-join
+    probe operations and rows taken from id space back to value space
+    (:meth:`extern_rows`, :meth:`extern_row`) — surfaced in
+    ``RoundMetrics``. A *build* is a pass over a relation's facts to
+    make a mirror (:meth:`ColumnarRelation.from_facts`) or a hash index
     (:meth:`ColumnarRelation.index`), nothing else: the empty mirror a
     stratum grows a head relation from is not one, and neither is a
     fixpoint iteration's Δ, wrapped around rows that already are
@@ -123,13 +125,14 @@ class InternPool:
     grow with fixpoint depth.
     """
 
-    __slots__ = ("table", "_fact_rows", "builds", "probes")
+    __slots__ = ("table", "_fact_rows", "builds", "probes", "externs")
 
     def __init__(self) -> None:
         self.table = InternTable()
         self._fact_rows: dict[str, dict[tuple, tuple]] = {}
         self.builds = 0
         self.probes = 0
+        self.externs = 0
 
     def __len__(self) -> int:
         return len(self.table)
@@ -154,11 +157,13 @@ class InternPool:
 
     def extern_row(self, row: tuple) -> tuple:
         """Value-space fact for an interned id-row."""
+        self.externs += 1
         values = self.table.values
         return tuple(values[i] for i in row)
 
     def extern_rows(self, rows: Collection[tuple]) -> Iterable[tuple]:
         """Value-space facts of same-arity id-rows, a column at a time."""
+        self.externs += len(rows)
         get = self.table.values.__getitem__
         columns = [map(get, column) for column in zip(*rows)]
         # zip(*rows) has no columns for 0-ary rows (or no rows)
@@ -170,6 +175,7 @@ class InternPool:
             "intern_table_size": len(self.table),
             "columnar_builds": self.builds,
             "columnar_probes": self.probes,
+            "columnar_externs": self.externs,
         }
 
 

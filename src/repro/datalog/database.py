@@ -4,6 +4,13 @@ A relation is a set of ground tuples plus hash indexes built lazily per
 bound-position pattern, so joins probe O(1) buckets instead of scanning.
 This is the storage layer under both from-scratch evaluation and
 incremental maintenance.
+
+A relation has two faces — value tuples and a columnar mirror of
+interned id-rows — and each is built from the other the first time
+someone needs it: an EDB relation is born with value tuples, a derived
+one from the mirror a fixpoint grew (:meth:`Relation.adopt`), and facts
+cross from id space back to value space only when a reader asks for
+them.
 """
 
 from __future__ import annotations
@@ -34,43 +41,84 @@ class Relation:
     :class:`~repro.datalog.columnar.ColumnarRelation` has, so
     :func:`~repro.datalog.seminaive.evaluate_stratum` is one loop over
     either layout.
+
+    At least one of the two faces always exists. Whoever reads facts
+    (iteration, membership, :attr:`rows`, :meth:`match`, :meth:`copy`,
+    a mutation) gets the value tuples, externed from the mirror on the
+    first such read and kept; ``len``, ``==`` and :meth:`diff_count`
+    answer from whichever face is there.
     """
 
     def __init__(self, name: str, arity: int) -> None:
         self.name = name
         self.arity = arity
-        self._tuples: set[Tuple_] = set()
+        #: value face; ``None`` until first read for a relation born
+        #: from a mirror (:meth:`adopt`)
+        self._tuples: set[Tuple_] | None = set()
         self._indexes: dict[tuple[int, ...], dict[tuple, set[Tuple_]]] = {}
         #: columnar mirror (interned id-rows + indexes), built on first
         #: columnar() call and maintained incrementally by add/discard
         self._columnar: ColumnarRelation | None = None
 
     # ------------------------------------------------------------------
+    @property
+    def rows(self) -> set[Tuple_]:
+        """The tuple set itself (read-only by convention) — externed
+        from the mirror, once, if the relation was born from one and
+        nobody has read its facts yet."""
+        tuples = self._tuples
+        if tuples is None:
+            # built whole, then published: a concurrent reader sees no
+            # face or all of it
+            tuples = set(self._columnar.facts())  # type: ignore[union-attr]
+            self._tuples = tuples
+        return tuples
+
+    def _id_rows(self, other: "Relation") -> tuple[set, set] | None:
+        """Both relations' id-row sets, where comparing those compares
+        the facts: mirrors of one pool (ids are pool-local) and a face
+        to spare externing."""
+        a, b = self._columnar, other._columnar
+        if (
+            a is not None
+            and b is not None
+            and a.pool is b.pool
+            and (self._tuples is None or other._tuples is None)
+        ):
+            return a.rows, b.rows
+        return None
+
     def __len__(self) -> int:
-        return len(self._tuples)
+        tuples = self._tuples
+        return len(self._columnar if tuples is None else tuples)  # type: ignore[arg-type]
 
     def __iter__(self) -> Iterator[Tuple_]:
-        return iter(self._tuples)
+        return iter(self.rows)
 
     def __contains__(self, t: Tuple_) -> bool:
-        return t in self._tuples
+        return t in self.rows
 
     def __eq__(self, other: object) -> bool:
         """Same predicate, same tuples — indexes and mirrors aside.
 
         What a work unit's changed/unchanged signal is computed with: a
-        set comparison on the relations' own storage, no copy, and a
-        size mismatch answers without looking at a tuple.
+        set comparison on the relations' own storage — id-rows when a
+        side has no value tuples yet and both mirror into one pool —
+        no copy, and a size mismatch answers without looking at a tuple.
         """
         if not isinstance(other, Relation):
             return NotImplemented
-        return self.name == other.name and self._tuples == other._tuples
+        if self.name != other.name:
+            return False
+        ids = self._id_rows(other)
+        return ids[0] == ids[1] if ids else self.rows == other.rows
 
     __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
 
     def diff_count(self, other: "Relation") -> int:
         """How many tuples are in exactly one of the two relations."""
-        return len(self._tuples ^ other._tuples)
+        ids = self._id_rows(other)
+        return len(ids[0] ^ ids[1] if ids else self.rows ^ other.rows)
 
     def add(self, t: Tuple_) -> bool:
         """Insert; returns True if the tuple is new."""
@@ -79,20 +127,16 @@ class Relation:
                 f"{self.name}: tuple {t!r} has arity {len(t)}, "
                 f"expected {self.arity}"
             )
-        if t in self._tuples:
+        tuples = self.rows
+        if t in tuples:
             return False
-        self._tuples.add(t)
+        tuples.add(t)
         for positions, index in self._indexes.items():
             index[tuple(t[p] for p in positions)].add(t)
         c = self._columnar
         if c is not None:
             c.add_fact(t)
         return True
-
-    @property
-    def rows(self) -> set[Tuple_]:
-        """The tuple set itself (read-only by convention)."""
-        return self._tuples
 
     def extend(self, facts: Collection[Tuple_]) -> None:
         """Bulk :meth:`add`: one ``set.update``; built indexes and the
@@ -109,7 +153,7 @@ class Relation:
             raise ValueError(
                 f"{self.name}: expected tuples of arity {self.arity}"
             )
-        self._tuples.update(facts)
+        self.rows.update(facts)
         for positions, index in self._indexes.items():
             for t in facts:
                 index[tuple(t[p] for p in positions)].add(t)
@@ -121,30 +165,25 @@ class Relation:
         out._tuples = facts
         return out
 
-    def adopt(
-        self, mirror: ColumnarRelation, new_rows: Collection[tuple]
-    ) -> None:
+    def adopt(self, mirror: ColumnarRelation) -> None:
         """Publish what a fixpoint grew in id space.
 
-        ``mirror`` holds this relation's facts plus ``new_rows``: the
-        new facts are externed once and taken in with one
-        ``set.update`` (plus the built value-space indexes), and
-        ``mirror`` — rows, indexes and all — becomes the columnar
-        mirror without anything being interned again.
+        ``mirror`` — this relation's facts plus whatever was derived on
+        top, rows, indexes and all — becomes the relation: nothing is
+        externed or interned, and the value tuples and value-space
+        indexes, which knew the earlier facts only, are dropped for the
+        first reader to rebuild.
         """
-        self._take(list(mirror.pool.extern_rows(new_rows)))
         self._columnar = mirror
-
-    def release_mirror(self) -> None:
-        """Drop the columnar mirror (rebuilt on the next :meth:`columnar`)
-        — for a relation nothing will scan again."""
-        self._columnar = None
+        self._indexes = {}
+        self._tuples = None
 
     def discard(self, t: Tuple_) -> bool:
         """Remove; returns True if the tuple was present."""
-        if t not in self._tuples:
+        tuples = self.rows
+        if t not in tuples:
             return False
-        self._tuples.remove(t)
+        tuples.remove(t)
         for positions, index in self._indexes.items():
             key = tuple(t[p] for p in positions)
             bucket = index.get(key)
@@ -163,7 +202,7 @@ class Relation:
         index = self._indexes.get(positions)
         if index is None:
             index = defaultdict(set)
-            for t in self._tuples:
+            for t in self.rows:
                 index[tuple(t[p] for p in positions)].add(t)
             self._indexes[positions] = index
         return index
@@ -179,10 +218,10 @@ class Relation:
         *every* column would just duplicate the tuple set.
         """
         if not bound:
-            return self._tuples
+            return self.rows
         if len(bound) == self.arity:
             probe = tuple(bound[p] for p in range(self.arity))
-            return (probe,) if probe in self._tuples else ()
+            return (probe,) if probe in self.rows else ()
         positions = tuple(sorted(bound))
         index = self._ensure_index(positions)
         return index.get(tuple(bound[p] for p in positions), ())
@@ -200,13 +239,13 @@ class Relation:
         c = self._columnar
         if c is None or c.pool is not pool:
             c = ColumnarRelation.from_facts(
-                pool, self.name, self.arity, self._tuples
+                pool, self.name, self.arity, self.rows
             )
             self._columnar = c
         return c
 
     def copy(self) -> "Relation":
-        return self.wrap(set(self._tuples))
+        return self.wrap(set(self.rows))
 
     def copy_indexed(self) -> "Relation":
         """Copy that also clones the built hash indexes.

@@ -15,7 +15,6 @@ as the test oracle for :func:`seminaive_evaluate`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .ast import Program, Rule
 from .columnar import InternPool, compile_rule_plan, run_rule_plan
@@ -147,9 +146,10 @@ def evaluate_stratum(
     tuples derived by the per-tuple evaluator. With a pool it is the
     head's columnar mirror: the rule plans are compiled once per
     evaluation, every iteration stays in id space — ``produced - known``
-    is one set difference, Δ is the fresh rows as they are — and each
-    head :class:`Relation` takes its new facts in once, at the fixpoint
-    (:meth:`Relation.adopt`), keeping the mirror the loop grew.
+    is one set difference, Δ is the fresh rows as they are — and at the
+    fixpoint the mirror the loop grew becomes each head
+    :class:`Relation` (:meth:`Relation.adopt`): nothing is externed
+    here, the first reader of its facts does that.
     """
     orders = orders or {}
     heads = {
@@ -190,8 +190,6 @@ def evaluate_stratum(
         def derive(ri: int, rule: Rule, pos: int | None, delta) -> set:
             return run_rule_plan(plans[ri, pos], view, pool, delta)
 
-    #: what each grown relation gained: every iteration's Δ rows
-    added: dict[str, list[set]] = {p: [] for p in heads}
     iteration_records: list[dict] = []
     delta: dict | None = None
     rounds = 0
@@ -220,13 +218,10 @@ def evaluate_stratum(
             fresh = produced - rel.rows
             if fresh:
                 rel.extend(fresh)
-                if pred in delta:
-                    # another rule of the same head: grows the set
-                    # ``added`` already holds
+                if pred in delta:  # another rule of the same head
                     delta[pred].extend(fresh)
                 else:
                     delta[pred] = rel.wrap(fresh)
-                    added[pred].append(fresh)
         if not delta:
             break
         rounds += 1
@@ -237,10 +232,8 @@ def evaluate_stratum(
             )
 
     if pool is not None:
-        for pred, parts in added.items():
-            heads[pred].adopt(
-                grown[pred], list(chain.from_iterable(parts))
-            )
+        for pred, rel in heads.items():
+            rel.adopt(grown[pred])
     return iteration_records
 
 

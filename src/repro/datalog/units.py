@@ -28,9 +28,9 @@ Two kinds of plan
   values compare as sets); a fixpoint node runs
   :func:`~repro.datalog.seminaive.evaluate_stratum` over its inputs,
   and the old values are whatever the previous committed round left in
-  the nodes. Facts are externed once, where a predicate's relation is
-  published, and a published relation keeps its mirror only if a rule
-  of a later stratum will scan it.
+  the nodes. A published relation is the mirror its stratum grew:
+  nothing is externed inside a round, the first reader of a relation's
+  facts does that (:class:`Relation`).
   :meth:`ProgramSkeleton.stamp` restamps the one bound plan per round.
 
 Unit closures read per-round data through the plan's :class:`RoundCtx`,
@@ -535,29 +535,11 @@ class ProgramSkeleton(PlanSkeleton):
     :class:`Relation` objects: an EDB node publishes the round's
     baseline relation, a task the id-rows its rule derives from its
     inputs' mirrors, a predicate node the relation those rows (and the
-    predicate's baseline) add up to — externed here, once — and a
-    fixpoint node the relations its SCC grows to under
+    predicate's baseline) add up to, still in id space, and a fixpoint
+    node the relations its SCC grows to under
     :func:`~repro.datalog.seminaive.evaluate_stratum` — the evaluator's
     own loop, columnar.
     """
-
-    def __init__(
-        self,
-        cu: CompiledUpdate,
-        join_orders: dict[int, tuple[int, ...]] | None = None,
-        pool: InternPool | None = None,
-    ) -> None:
-        super().__init__(cu, join_orders=join_orders, pool=pool)
-        #: predicates a rule of another stratum reads. Only their
-        #: published relations keep a columnar mirror: any other
-        #: derived relation is never scanned once its stratum is done,
-        #: and a committed node value should not hold id-rows for it
-        self.read_downstream = frozenset(
-            q
-            for rule in self.rules
-            for q, _neg in rule.body_predicates()
-            if self.stratum_of.get(q) != self.stratum_of[rule.head.predicate]
-        )
 
     def _make_unit(self, nid: int, key: tuple, ctx: RoundCtx) -> WorkUnit:
         kind = key[0]
@@ -582,7 +564,6 @@ class ProgramSkeleton(PlanSkeleton):
                 } - scc_set)
             )
             orders = self.join_orders
-            unread = scc_set - self.read_downstream
 
             def run(values: ValueStore) -> dict[str, Relation]:
                 db = Database({q: values[src] for q, src in inputs})
@@ -590,8 +571,6 @@ class ProgramSkeleton(PlanSkeleton):
                     db.relations[p] = ctx.baseline[p].copy()
                 # every SCC predicate is recursive: one SCC, one stratum
                 evaluate_stratum(rules, scc_set, db, ctx.pool, orders=orders)
-                for p in unread:
-                    db.relations[p].release_mirror()
                 return {p: db.relations[p] for p in scc}
 
         elif kind == "pred":
@@ -604,19 +583,15 @@ class ProgramSkeleton(PlanSkeleton):
                     return values[fix][p]
 
             else:
-                unread = p not in self.read_downstream
 
                 def run(values: ValueStore) -> Relation:
                     # the non-recursive stratum's one merge, as the
-                    # fixpoint loop does it: in id space, externed once
+                    # fixpoint loop does it: in id space
                     rel = ctx.baseline[p].copy()
                     mirror = rel.columnar(ctx.pool)
-                    rows = set().union(*[values[tid] for tid in task_ids])
-                    rows -= mirror.rows
-                    mirror.extend(rows)
-                    rel.adopt(mirror, rows)
-                    if unread:
-                        rel.release_mirror()
+                    for tid in task_ids:
+                        mirror.extend(values[tid])
+                    rel.adopt(mirror)
                     return rel
 
         else:

@@ -222,6 +222,12 @@ class RoundOutcome:
     precompute_ops: int = 0
     precompute_memory_cells: int = 0
     runtime_peak_memory_cells: int = 0
+    #: round-relative windows a re-dispatched unit spent outside
+    #: ``records``: from the start of its failed attempt (the handoff
+    #: of one a dying lane took with it) to its next handoff — lost
+    #: lane time and retry backoff, which no bound on a fault-free
+    #: greedy schedule covers
+    retry_intervals: list[tuple[float, float]] = field(default_factory=list)
     #: failed attempts that were re-dispatched under the retry policy
     unit_retries: int = 0
     #: worker lanes that died mid-round and were replaced
@@ -230,6 +236,23 @@ class RoundOutcome:
     stragglers: list[int] = field(default_factory=list)
     #: chaos injections observed during the round (0 without chaos)
     injected_faults: int = 0
+
+
+def union_intervals(
+    intervals: list[tuple[float, float]],
+) -> list[tuple[float, float]]:
+    """The maximal disjoint intervals covering ``intervals``, sorted —
+    on a real-valued timeline: touching intervals join, nearby ones do
+    not (:func:`repro.dag.intervals.merge_intervals` is the integer
+    one)."""
+    merged: list[tuple[float, float]] = []
+    for a, b in sorted(intervals):
+        if merged and a <= merged[-1][1]:
+            if b > merged[-1][1]:
+                merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return merged
 
 
 #: lane shutdown sentinel
@@ -477,6 +500,8 @@ class RoundExecutor:
         #: starting later than this kept a worker idle on pool handoff
         handoff_from: dict[int, float] = {}
         coord: list[tuple[float, float]] = []
+        #: node → when the attempt it must repeat began
+        retry_from: dict[int, float] = {}
         #: node → dispatch attempts issued so far (0-based last attempt)
         attempts: dict[int, int] = {}
         #: node → recorded (non-lane-death) failures
@@ -561,6 +586,10 @@ class RoundExecutor:
                 now = perf_counter()
                 for v in just_submitted:
                     handoff_from[v] = now
+                    if v in retry_from:
+                        outcome.retry_intervals.append(
+                            (retry_from.pop(v) - origin, now - origin)
+                        )
                 just_submitted.clear()
                 if window is not None:
                     w_start, busy = window
@@ -599,6 +628,7 @@ class RoundExecutor:
                     # not a unit failure, so no retry budget is charged
                     lanes.spawn()
                     outcome.lane_deaths += 1
+                    retry_from[node] = handoff_from.get(node, _t)
                     if watchdog is not None:
                         dispatched_at.pop(node, None)
                     if tracing:
@@ -638,6 +668,7 @@ class RoundExecutor:
                             retry_heap, (perf_counter() + delay, node)
                         )
                         outcome.unit_retries += 1
+                        retry_from[node] = t0
                         if chaos is not None:
                             chaos.note_retry(node, attempts[node], delay)
                         if tracing:
@@ -691,15 +722,7 @@ class RoundExecutor:
         outcome.overhead_s = overhead
         outcome.stall_s = stall
         outcome.dispatch_lag_s = dispatch_lag
-        coord.sort()
-        merged: list[tuple[float, float]] = []
-        for a, b in coord:
-            if merged and a <= merged[-1][1]:
-                if b > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], b)
-            else:
-                merged.append((a, b))
-        outcome.coord_intervals = merged
+        outcome.coord_intervals = union_intervals(coord)
         outcome.scheduler_ops = scheduler.ops
         outcome.precompute_ops = scheduler.precompute_ops
         outcome.precompute_memory_cells = scheduler.precompute_memory_cells

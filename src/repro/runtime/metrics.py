@@ -99,6 +99,12 @@ class RoundMetrics:
     columnar_builds: int = 0
     #: rows pushed through columnar index probes during this round
     columnar_probes: int = 0
+    #: rows taken from id space back to value space during this round
+    #: (``InternPool.extern_rows`` / ``extern_row``) — 0 on a served
+    #: round, whose relations stay id-rows until someone reads their
+    #: facts; what a reader of the materialization externs after the
+    #: round is in no round's count, only in the pool's total
+    columnar_externs: int = 0
 
     def to_json_dict(self) -> dict[str, Any]:
         """Plain-dict form for JSON emission."""

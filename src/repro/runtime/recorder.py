@@ -33,6 +33,10 @@ Two deliberate translations:
   ``execution_makespan``). It is reported as
   ``extras["coordination_stall_s"]`` and subtracted the same way;
   ``makespan`` itself — and so the lower bounds — stays wall-clock.
+  A retried unit's failed attempt and backoff
+  (``RoundOutcome.retry_intervals``) are dead time of the same kind —
+  a ready node no lane is running — and are charged with it: the
+  checker's bounds are those of a fault-free schedule.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 from ..sim.result import DispatchRecord, SimulationResult
 from ..tasks.model import ExecutionModel
 from ..tasks.trace import JobTrace
-from .executor import RoundOutcome
+from .executor import RoundOutcome, union_intervals
 
 __all__ = [
     "RoundArtifacts",
@@ -164,7 +168,9 @@ def record_round(
     """
     records = outcome.records
     stall = coordination_stall(
-        records, outcome.coord_intervals, outcome.workers
+        records,
+        union_intervals(outcome.coord_intervals + outcome.retry_intervals),
+        outcome.workers,
     )
     if compress:
         records, compressed = compress_idle_gaps(records)

@@ -383,9 +383,6 @@ class UpdateStreamService:
         self._arity = {p: rel.arity for p, rel in edb.relations.items()}
         self._arity.update(program.arities())
         self._door = threading.Lock()
-        #: (builds, probes) pool counters at the end of the last round,
-        #: so per-round metrics report deltas
-        self._pool_counts = (0, 0)
         self.unit_timeout_s = unit_timeout_s
         self.shed_policy = shed_policy
         #: executor retry policy; ``None`` keeps fail-fast rounds
@@ -562,7 +559,15 @@ class UpdateStreamService:
         return self._edb.copy()
 
     def materialization(self) -> Database | None:
-        """The last round's full materialization (``None`` before any)."""
+        """The last round's full materialization (``None`` before any).
+
+        Read-only, and shared with the service: derived relations are
+        the id-rows the round left, and whoever first reads one's facts
+        (iteration, ``in``, ``match``, ``as_dict``) pays for externing
+        it, once — the value tuples stay on the relation, also for the
+        later rounds that carry it over unchanged. ``len`` and ``==``
+        extern nothing.
+        """
         return self._materialization
 
     def _drain(
@@ -695,18 +700,17 @@ class UpdateStreamService:
                 },
             )
 
-    def _pool_round_stats(self) -> tuple[int, int, int]:
-        """``(intern table size, builds Δ, probes Δ)`` for the round
-        that just finished, healthy or degraded — both run on the
-        cache's one pool."""
-        s = self.plan_cache.pool.stats()
-        b0, p0 = self._pool_counts
-        self._pool_counts = (s["columnar_builds"], s["columnar_probes"])
-        return (
-            s["intern_table_size"],
-            s["columnar_builds"] - b0,
-            s["columnar_probes"] - p0,
-        )
+    def _pool_round_stats(self, since: dict[str, int]) -> dict[str, int]:
+        """The pool fields of :class:`RoundMetrics` for the round that
+        just finished, healthy or degraded — both run on the cache's one
+        pool: its table size, and how far each ``columnar_*`` counter
+        moved past ``since``, the pool's stats when the round began.
+        Rows a reader of the materialization externs between two rounds
+        therefore belong to neither."""
+        return {
+            name: n if name == "intern_table_size" else n - since[name]
+            for name, n in self.plan_cache.pool.stats().items()
+        }
 
     def _noop_round(
         self,
@@ -791,6 +795,7 @@ class UpdateStreamService:
             chaos.begin_round(self._maintain_epoch)
         self._maintain_epoch += 1
         faults0 = chaos.injected_total if chaos is not None else 0
+        pool0 = self.plan_cache.pool.stats()
         with sink.span(
             "round", "round",
             args={
@@ -820,7 +825,6 @@ class UpdateStreamService:
             self._edb = cu.edb_new
             self._materialization = mat
 
-            table_size, builds, probes = self._pool_round_stats()
             metrics = RoundMetrics(
                 index=self._rounds_run,
                 trace_name=cu.trace.name,
@@ -837,9 +841,7 @@ class UpdateStreamService:
                     else 0
                 ),
                 cancelled_ops=cancelled,
-                intern_table_size=table_size,
-                columnar_builds=builds,
-                columnar_probes=probes,
+                **self._pool_round_stats(pool0),
                 **compiled,
                 **executed,
                 **verified,

@@ -85,6 +85,12 @@ def test_transient_failure_is_retried_to_success(compiled_workloads):
     ).run()
     assert calls["n"] == 3
     assert outcome.unit_retries == 2
+    # each failed attempt's dead time is exported: a window at least its
+    # backoff long that ends before the successful run starts
+    assert len(outcome.retry_intervals) == 2
+    for k, (began, handed) in enumerate(outcome.retry_intervals, start=1):
+        assert handed - began >= FAST_RETRY.backoff_delay(k)
+        assert handed <= outcome.records[victim][0]
     assert plan.materialization(outcome.values).as_dict() == (
         cu.db_new.as_dict()
     )
@@ -228,6 +234,9 @@ def test_worker_kills_are_supervised(compiled_workloads):
     # supervision replaced the lane and re-ran the unit
     assert outcome.lane_deaths == len(outcome.records)
     assert outcome.unit_retries == 0  # kills are not charged as retries
+    # ... but the lane time they cost is dead time like a retry's
+    assert len(outcome.retry_intervals) == outcome.lane_deaths
+    assert all(began <= handed for began, handed in outcome.retry_intervals)
     assert plan.materialization(outcome.values).as_dict() == (
         cu.db_new.as_dict()
     )

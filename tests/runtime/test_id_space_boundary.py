@@ -1,13 +1,16 @@
-"""Facts cross into id space at the EDB and back at the materialization.
+"""Facts cross into id space at the EDB and back when someone reads them.
 
 A healthy round interns what its delta brings — at the EDB relations'
-mirrors — and externs what a stratum publishes, once. In between, the
-fixpoint and the task units work on id-rows: no derived fact goes back
-through ``Relation.add`` or ``InternPool.intern_fact``, a fixpoint
-iteration's Δ is not a mirror build, and a stratum evaluation compiles
-each rule plan once. These tests pin that with call counters over warm
-served rounds — the work at the boundary is bounded by the round's EDB
-delta and the program's facts, not by what the round derives.
+mirrors — and externs nothing: a stratum publishes the mirror it grew,
+the executor's diffs and the verify comparison run on id-rows, and the
+first reader of a relation's facts pays for its value tuples, once. In
+between, the fixpoint and the task units work on id-rows: no derived
+fact goes back through ``Relation.add`` or ``InternPool.intern_fact``, a
+fixpoint iteration's Δ is not a mirror build, and a stratum evaluation
+compiles each rule plan once. These tests pin that with call counters
+over warm served rounds — the work at the boundary is bounded by the
+round's EDB delta and the program's facts, not by what the round
+derives.
 """
 
 from __future__ import annotations
@@ -133,4 +136,69 @@ def test_boundary_work_is_bounded_by_the_delta_not_by_derived_facts(
 
     want, _ = seminaive_evaluate(wl.program, svc.database())
     assert svc.materialization().as_dict() == want.as_dict()
+    assert edb_is_mirror(wl, svc.database())
+
+
+def _serve_one(svc, wl):
+    """Serve random batches until one makes a round that executes."""
+    while True:
+        svc.submit(wl.random_batch(2))
+        rep = svc.run_round()
+        assert rep is not None and rep.materialization_ok
+        if not rep.metrics.noop:
+            return rep
+
+
+@pytest.mark.parametrize("name", ["tc", "retail"])
+def test_rounds_extern_nothing_and_a_reader_externs_each_relation_once(name):
+    wl = live_workload(name, seed=9)
+    svc = UpdateStreamService(
+        wl.program, wl.edb, scheduler_registry()["hybrid"](), workers=2,
+        verify=True, strict=True,
+    )
+    pool = svc.plan_cache.pool
+    derived = wl.program.idb_predicates()
+
+    def read(mat) -> int:
+        """Rows externed by reading every fact of ``mat``."""
+        before = pool.externs
+        facts = mat.as_dict()
+        want, _ = seminaive_evaluate(wl.program, svc.database())
+        assert facts == want.as_dict()
+        return pool.externs - before
+
+    # executed, diffed against the previous round and compared with a
+    # whole-program from-scratch evaluation, round after round — and
+    # with nobody reading the result not one row leaves id space
+    for _ in range(2 + 10):  # a miss and a hit to warm up, then ten
+        rep = _serve_one(svc, wl)
+        assert not rep.metrics.degraded and rep.verification.ok
+        assert rep.metrics.columnar_externs == 0
+        assert rep.metrics.to_json_dict()["columnar_externs"] == 0
+    assert pool.externs == pool.stats()["columnar_externs"] == 0
+
+    # the first reader pays for every derived fact, the EDB's relations
+    # always had their value tuples, and a second read is free
+    mat = svc.materialization()
+    n_derived = sum(len(mat.relations[p]) for p in derived)
+    assert n_derived > 10 * len(derived)
+    assert read(mat) == n_derived
+    assert read(mat) == 0
+    assert all(len(rel) == len(set(rel)) for rel in mat.relations.values())
+
+    # ... which no later round undoes: a node the next round does not
+    # reach (or whose output did not change) hands on the same relation
+    # object, value tuples and all
+    carried: set[str] = set()
+    for _ in range(10):
+        rep = _serve_one(svc, wl)
+        assert rep.metrics.columnar_externs == 0  # the reads are no round's
+        after = svc.materialization()
+        same = {p for p in derived if after.relations[p] is mat.relations[p]}
+        assert read(after) == sum(
+            len(after.relations[p]) for p in derived - same
+        )
+        carried |= same
+        mat = after
+    assert carried
     assert edb_is_mirror(wl, svc.database())

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.dag.builder import DagBuilder
 from repro.datalog.units import build_execution_plan
-from repro.runtime.executor import RoundExecutor
+from repro.runtime.executor import RoundExecutor, RoundOutcome
 from repro.runtime.recorder import (
     compress_idle_gaps,
     coordination_stall,
     record_round,
 )
 from repro.schedulers import scheduler_registry
+from repro.tasks.trace import JobTrace
 
 
 class TestCompressIdleGaps:
@@ -125,3 +128,69 @@ class TestRecordRound:
         cu, outcome = round_data
         report = record_round(outcome, cu.trace).check()
         assert report.ok, "\n".join(v.format() for v in report.violations)
+
+
+class TestRetryDeadTime:
+    """A retried unit's failed attempt and backoff are dead time, not a
+    broken bound.
+
+    Four independent 0.1 s units on two workers. Units 1–3 fail at once
+    and come due 0.1 s apart, so each runs alone while the others sit
+    out their backoff: busy time is one lane wide for 0.4 s, against
+    w/P + Σ S_i = 0.2 + 0.1 for a greedy fault-free schedule. The
+    coordinator was not deciding anything in that time, so no
+    ``coord_intervals`` cover it — the flaky ``[makespan-bound]`` of
+    ``TestChaosReconciliation``, here without the chaos.
+    """
+
+    RECORDS = {v: (0.1 * v, 0.1 * (v + 1)) for v in range(4)}
+    #: failed attempt (t = 0) → the handoff of the attempt that succeeded
+    RETRIES = [(0.0, 0.1 * v) for v in (1, 2, 3)]
+
+    @staticmethod
+    def artifacts(records, retry_intervals):
+        """``records`` as the round of that many independent units on
+        two workers."""
+        builder = DagBuilder()
+        for _ in records:
+            builder.add_node()
+        dag = builder.build()
+        trace = JobTrace(
+            dag=dag,
+            work=np.array([f - s for s, f in records.values()]),
+            initial_tasks=np.arange(dag.n_nodes),
+            changed_edges=np.zeros(dag.n_edges, dtype=bool),
+        )
+        outcome = RoundOutcome(
+            scheduler_name="hand-built",
+            workers=2,
+            values=None,
+            diffs=dict.fromkeys(records, False),
+            records=dict(records),
+            unit_retries=len(retry_intervals),
+        )
+        # set by name: the schedule is the same with or without it
+        outcome.retry_intervals = retry_intervals
+        return record_round(outcome, trace)
+
+    def test_schedule_alone_breaks_the_fault_free_bound(self):
+        report = self.artifacts(self.RECORDS, []).check()
+        assert report.kinds() == {"makespan-bound"}
+
+    def test_retry_windows_are_charged_as_stall(self):
+        art = self.artifacts(self.RECORDS, self.RETRIES)
+        report = art.check()
+        assert report.ok, "\n".join(v.format() for v in report.violations)
+        # lanes idle under a pending retry for [0, 0.3]; the last unit
+        # runs with nothing waiting
+        assert art.result.extras["coordination_stall_s"] == pytest.approx(0.3)
+        assert art.result.makespan == pytest.approx(0.4)
+        assert art.result.execution_makespan == pytest.approx(0.1)
+
+    def test_whole_idle_backoff_is_compressed_not_charged(self):
+        # one unit, retried after everything else went quiet: the gap is
+        # whole-idle, removed once by compression and not again as stall
+        art = self.artifacts({0: (0.5, 0.6)}, [(0.0, 0.5)])
+        assert art.check().ok
+        assert art.result.extras["compressed_idle_s"] == pytest.approx(0.5)
+        assert art.result.extras["coordination_stall_s"] == 0.0
