@@ -26,24 +26,33 @@ a weighted :class:`~repro.datalog.zset.ZSetDelta` (+1 = net insert, −1
   insertions act as deletions for consumers and vice versa, and
   recompute-and-diff handles both directions exactly.
 
-The per-stratum steps and the net change are recorded in a
-:class:`MaintenanceTrace`. The served round does not call this engine:
-the fixpoint nodes of the static DAG (:mod:`repro.datalog.plancache`)
-recompute their SCC with the evaluator's own stratum loop — on the
-shipped streams that is faster than this procedure — and
-:func:`~repro.datalog.seminaive.seminaive_evaluate` is the oracle this
-engine is tested against.
+The engine runs on the evaluator the served round runs on: it owns an
+:class:`~repro.datalog.columnar.InternPool` and works on the relations'
+columnar mirrors in id space — its joins are the compiled Δ-plans of
+:func:`~repro.datalog.columnar.compile_rule_plan`, a recompute is
+:func:`~repro.datalog.seminaive.evaluate_stratum`, and only the rows an
+update changed are externed, into :class:`MaintenanceTrace`'s ``net``.
+The served round does not call it yet: the static DAG's fixpoint nodes
+recompute their SCC, which Backward/Forward's candidate volume still
+loses to on small deep graphs (DESIGN §18). Row ``seminaive_evaluate``
+is the oracle the engine is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .ast import Program, Rule
+from .columnar import (
+    ColumnarRelation,
+    InternPool,
+    compile_rule_plan,
+    run_rule_plan,
+)
 from .database import Database, Relation
 from .depgraph import DependencyGraph
-from .seminaive import seminaive_evaluate
-from .unify import eval_rule, instantiate_head, join_body
+from .seminaive import evaluate_stratum, seminaive_evaluate
 from .zset import ZSetDelta, apply_zdelta, effective_zdelta
 
 __all__ = [
@@ -171,6 +180,40 @@ class MaintenanceTrace:
         return sum(e[4] for e in self.events)
 
 
+@dataclass(frozen=True)
+class _Stratum:
+    """One stratum as the maintenance steps read it."""
+
+    index: int
+    rules: list[tuple[int, Rule]]
+    recursive: set[str]
+    #: program facts stated for the heads, re-seeded by a recompute
+    facts: list[Rule]
+    #: every predicate a rule body mentions, and those it mentions
+    #: under negation or in an aggregate rule — neither has a delta
+    #: form here, so a change to one recomputes the stratum
+    reads: frozenset[str]
+    sensitive: frozenset[str]
+
+
+def _joins(
+    rule: Rule, view: Database, pool: InternPool, deltas: dict | None
+) -> Iterator[set]:
+    """The id-rows ``rule`` derives over ``view``: its whole plan, once,
+    when ``deltas`` is None; else one compiled Δ-plan per positive body
+    occurrence of a predicate in ``deltas``, that occurrence restricted
+    to its Δ."""
+    occurrences = [None] if deltas is None else [
+        pos
+        for pos, lit in enumerate(rule.body)
+        if lit.atom and not lit.negated and lit.atom.predicate in deltas
+    ]
+    for pos in occurrences:
+        yield run_rule_plan(
+            compile_rule_plan(rule, None, pos), view, pool, deltas
+        )
+
+
 class IncrementalEngine:
     """Maintains one materialized program instance across updates."""
 
@@ -178,11 +221,34 @@ class IncrementalEngine:
         self.program = program
         self.depgraph = DependencyGraph(program)
         self.strata = self.depgraph.stratify()
-        self.edb_predicates = program.edb_predicates()
-        #: what :meth:`apply` checks a fact's length against
+        #: the one id space of the relations' mirrors, the Δs and views
+        self.pool = InternPool()
+        #: what :meth:`apply` refuses, and checks a fact's length against
+        self._derived = program.idb_predicates()
         self._arity = program.arities()
-        base = edb.copy() if edb is not None else Database()
-        self.db, _ = seminaive_evaluate(program, base)
+        recursive = self.depgraph.recursive_predicates()
+        self._steps: list[_Stratum] = []
+        for si, stratum in enumerate(self.strata):
+            rules = [
+                (ri, r)
+                for ri, r in enumerate(program.proper_rules)
+                if r.head.predicate in stratum
+            ]
+            if not rules:
+                continue
+            atoms = [
+                (lit.atom.predicate, lit.negated or r.has_aggregate)
+                for _, r in rules
+                for lit in r.body
+                if lit.atom is not None
+            ]
+            self._steps.append(_Stratum(
+                si, rules, recursive.intersection(stratum),
+                [f for f in program.facts if f.head.predicate in stratum],
+                frozenset(p for p, _ in atoms),
+                frozenset(p for p, sensitive in atoms if sensitive),
+            ))
+        self.db, _ = seminaive_evaluate(program, edb, pool=self.pool)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, set[tuple]]:
@@ -204,64 +270,59 @@ class IncrementalEngine:
             if isinstance(delta, ZSetDelta)
             else effective_zdelta(self.db, delta)
         )
-        # Net change accumulator, seeded with the EDB update itself:
-        # weights stay in {-1, 0, +1} because every record below is
-        # guarded by an actual set transition (``add``/``discard``
-        # returning True).
         trace = MaintenanceTrace(net=zdelta.copy())
         if zdelta.is_empty:
             return trace
-        net = trace.net
-        for pred in zdelta.touched_predicates():
-            zdelta.apply_to(self.db.relation(pred, self._arity[pred]))
-
-        for si, stratum in enumerate(self.strata):
-            stratum_set = set(stratum)
-            rules = [
-                (ri, r)
-                for ri, r in enumerate(self.program.proper_rules)
-                if r.head.predicate in stratum_set
-            ]
-            if not rules:
-                continue
-            # aggregation, like negation, has no incremental delta form
-            # here: any input change triggers a recompute of the stratum
-            sensitive_inputs = {
-                lit.atom.predicate
-                for _, r in rules
-                for lit in r.body
-                if lit.atom is not None
-                and (lit.negated or r.has_aggregate)
-            }
-            if any(net.touches(q) for q in sensitive_inputs):
-                self._recompute_stratum(si, stratum_set, rules, net, trace)
-            elif any(
-                net.touches(lit.atom.predicate)
-                for _, r in rules
-                for lit in r.body
-                if lit.atom is not None
-            ):
-                self._delete_stratum(si, stratum_set, rules, net, trace)
-                self._insert_stratum(si, stratum_set, rules, net, trace)
+        # Net change accumulator of the strata: a Z-set over *id-rows*,
+        # seeded with the EDB update. Weights stay in {-1, 0, +1}: every
+        # record below is a row leaving a mirror or entering one anew.
+        net = ZSetDelta()
+        for pred, facts in zdelta.weights.items():
+            zdelta.apply_to(self.db.relation(pred, len(next(iter(facts)))))
+            for fact, w in facts.items():
+                net.add(pred, self.pool.intern_fact(pred, fact), w)
+        for st in self._steps:
+            if any(map(net.touches, st.sensitive)):
+                self._recompute_stratum(st, net, trace)
+            elif any(map(net.touches, st.reads)):
+                self._delete_stratum(st, net, trace)
+                self._insert_stratum(st, net, trace)
+        # only the derived rows that changed leave id space
+        for pred, rows in net.weights.items():
+            if pred not in zdelta.weights:
+                trace.net.weights[pred] = dict(
+                    zip(self.pool.extern_rows(rows), rows.values())
+                )
         return trace
 
     def _check_update(self, delta: "Delta | ZSetDelta") -> None:
-        """Raise ``ValueError`` for an update no stratum could maintain."""
+        """Raise ``ValueError`` for an update no stratum could maintain:
+        one on a derived predicate, or holding a fact whose length is
+        not the predicate's arity — the program's, else the held
+        relation's, else (nobody knows the predicate) that of the
+        update's own first fact."""
         sides = (
             (delta.weights,)
             if isinstance(delta, ZSetDelta)
             else (delta.insertions, delta.deletions)
         )
+        fresh: dict[str, int] = {}
         for side in sides:
             for pred, facts in side.items():
                 if not facts:  # normalization can leave empty sets behind
                     continue
-                if pred not in self.edb_predicates:
+                if pred in self._derived:
                     raise ValueError(
                         f"cannot update derived predicate {pred!r}; updates "
                         "target EDB predicates only"
                     )
-                arity = self._arity[pred]
+                arity = self._arity.get(pred)
+                if arity is None:
+                    held = self.db.relations.get(pred)
+                    arity = (
+                        held.arity if held is not None
+                        else fresh.setdefault(pred, len(next(iter(facts))))
+                    )
                 for fact in facts:
                     if len(fact) != arity:
                         raise ValueError(
@@ -270,104 +331,108 @@ class IncrementalEngine:
                         )
 
     # ------------------------------------------------------------------
+    # The per-stratum steps read the stratum, the database, the pool and
+    # the id-space net Z-set — nothing else of the engine.
+    def _mirror(self, pred: str) -> ColumnarRelation:
+        return self.db.relations[pred].columnar(self.pool)
+
+    def _deltas(self, st: _Stratum, wave: dict[str, set]) -> dict:
+        """A wave's id-rows as Δ relations of the predicates the stratum
+        reads, wrapped as they are: no intern, no build."""
+        return {
+            p: self._mirror(p).wrap(rows)
+            for p, rows in wave.items()
+            if p in st.reads
+        }
+
+    def _propagate(
+        self, st: _Stratum, rules, view: Database, deltas: dict | None,
+        take, trace: MaintenanceTrace | None = None, phase: str = "",
+    ) -> None:
+        """The semi-naive wave loop the three passes share.
+
+        A wave runs ``rules``' joins over ``view`` (whole plans for
+        ``deltas=None``, Δ-plans after) and hands each join's id-rows to
+        ``take(head, produced)``; the rows it returns — what the pass
+        accepted as new — are the next wave's Δ, until a wave adds none.
+        """
+        iteration = 0
+        while deltas is None or deltas:
+            wave: dict[str, set] = {}
+            for ri, rule in rules:
+                head = rule.head.predicate
+                n_taken = 0
+                for produced in _joins(rule, view, self.pool, deltas):
+                    new = take(head, produced)
+                    if new:
+                        wave.setdefault(head, set()).update(new)
+                        n_taken += len(new)
+                if trace is not None:
+                    trace.record(phase, st.index, iteration, ri, n_taken)
+            deltas = self._deltas(st, wave)
+            iteration += 1
+
     # Backward/Forward deletion + semi-naive insertion for a positive
     # stratum
-    # ------------------------------------------------------------------
-    def _delete_stratum(
-        self, si, stratum_set, rules, net: ZSetDelta, trace
-    ) -> None:
-        candidates = self._collect_candidates(
-            si, stratum_set, rules, net, trace
-        )
+    def _delete_stratum(self, st: _Stratum, net: ZSetDelta, trace) -> None:
+        candidates = self._collect_candidates(st, net, trace)
         if not candidates:
             return
-        supported = self._verify_candidates(rules, candidates)
+        supported = self._verify_candidates(st, candidates)
         # the one-shot delete has no per-rule attribution: record the
         # whole batch under rule index -1
         n_deleted = 0
-        for pred, facts in candidates.items():
-            rel = self.db.relations.get(pred)
-            if rel is None:
-                continue
-            keep = supported.get(pred, set())
-            for fact in facts:
-                if fact in keep:
-                    continue
-                if rel.discard(fact):
-                    net.delete(pred, fact)
-                    n_deleted += 1
-        trace.record("bf_delete", si, 0, -1, n_deleted)
+        for pred, rows in candidates.items():
+            dead = rows - supported[pred]
+            mirror = self._mirror(pred)
+            for row in dead:
+                mirror.discard_row(row)
+                net.add(pred, row, -1)
+            if dead:
+                # the mirror changed behind the relation's back: adopt
+                # it again, or a value face read earlier goes stale
+                self.db.relations[pred].adopt(mirror)
+            n_deleted += len(dead)
+        trace.record("bf_delete", st.index, 0, -1, n_deleted)
 
-    def _old_view(self, net: ZSetDelta) -> Database:
-        """The pre-deletion database view: current facts plus everything
-        deleted so far this update (candidate joins must see them)."""
-        negative = net.negative()
-        if not negative:
-            return self.db
-        view = Database(dict(self.db.relations))
-        for pred, gone in negative.items():
-            arity = len(next(iter(gone)))
-            merged = Relation(pred, arity)
-            existing = self.db.relations.get(pred)
-            if existing is not None:
-                for f in existing:
-                    merged.add(f)
-            for f in gone:
-                merged.add(f)
-            view.relations[pred] = merged
-        return view
+    def _old_view(self, st: _Stratum, gone: dict[str, set]) -> Database:
+        """The pre-deletion database view: current facts plus ``gone``,
+        all deleted so far this update (candidate joins must see them)."""
+        relations: dict = dict(self.db.relations)
+        for pred, rows in gone.items():
+            if pred in st.reads:
+                relations[pred] = self._mirror(pred).clone()
+                relations[pred].extend(rows)
+        return Database(relations)
 
     def _collect_candidates(
-        self, si, stratum_set, rules, net: ZSetDelta, trace
+        self, st: _Stratum, net: ZSetDelta, trace
     ) -> dict[str, set[tuple]]:
         """Forward pass: facts with ≥1 derivation through a deletion.
 
         Joins run against the pre-deletion view (current database plus
-        lower-strata/EDB retractions), but nothing is removed — victims
-        only accumulate as candidates and feed the next wave.
+        lower-strata/EDB retractions, which seed the first wave), but
+        nothing is removed — victims only accumulate as candidates and
+        feed the next wave.
         """
-        view = self._old_view(net)
-        candidates: dict[str, set[tuple]] = {}
-        # lower-strata and EDB deletions seed the wave
-        wave = net.negative()
-        iteration = 0
-        while wave:
-            next_wave: dict[str, set[tuple]] = {}
-            for ri, rule in rules:
-                n_found = 0
-                for pos, lit in enumerate(rule.body):
-                    if (
-                        lit.atom is None
-                        or lit.negated
-                        or lit.atom.predicate not in wave
-                    ):
-                        continue
-                    over = Relation(lit.atom.predicate, lit.atom.arity)
-                    for f in wave[lit.atom.predicate]:
-                        over.add(f)
-                    head = rule.head.predicate
-                    rel = self.db.relations.get(head)
-                    if rel is None:
-                        continue
-                    seen = candidates.setdefault(head, set())
-                    for subst in join_body(
-                        rule.body,
-                        view,
-                        delta_overrides={lit.atom.predicate: over},
-                        delta_at=pos,
-                    ):
-                        fact = instantiate_head(rule.head, subst)
-                        if fact in rel and fact not in seen:
-                            seen.add(fact)
-                            next_wave.setdefault(head, set()).add(fact)
-                            n_found += 1
-                trace.record("bf_candidates", si, iteration, ri, n_found)
-            wave = {p: s for p, s in next_wave.items() if p in stratum_set}
-            iteration += 1
+        gone = net.negative()
+        candidates: dict[str, set[tuple]] = {
+            r.head.predicate: set() for _, r in st.rules
+        }
+
+        def take(head: str, produced: set) -> set:
+            found = (produced & self._mirror(head).rows) - candidates[head]
+            candidates[head] |= found
+            return found
+
+        self._propagate(
+            st, st.rules, self._old_view(st, gone), self._deltas(st, gone),
+            take, trace, "bf_candidates",
+        )
         return {p: s for p, s in candidates.items() if s}
 
     def _verify_candidates(
-        self, rules, candidates: dict[str, set[tuple]]
+        self, st: _Stratum, candidates: dict[str, set[tuple]]
     ) -> dict[str, set[tuple]]:
         """Backward pass: candidates with an alternative derivation.
 
@@ -376,128 +441,61 @@ class IncrementalEngine:
         the database still holds them and deletions from lower strata
         are already applied) or candidates already proven supported.
         Computed as a least fixpoint over a masked view, so circular
-        support among candidates does not count.
+        support among candidates does not count: whole rule plans over
+        the view first, then Δ-plans from the rows just proven.
         """
-        masked = Database(dict(self.db.relations))
-        for pred, facts in candidates.items():
-            rel = self.db.relations.get(pred)
-            if rel is None:
-                continue
-            trimmed = Relation(pred, rel.arity)
-            for f in rel:
-                if f not in facts:
-                    trimmed.add(f)
-            masked.relations[pred] = trimmed
-        supported: dict[str, set[tuple]] = {}
-        changed = True
-        while changed:
-            changed = False
-            for _ri, rule in rules:
-                head = rule.head.predicate
-                pending = candidates.get(head)
-                if not pending:
-                    continue
-                got = supported.get(head, set())
-                if len(got) == len(pending):
-                    continue
-                proven = [
-                    fact
-                    for fact in (
-                        instantiate_head(rule.head, s)
-                        for s in join_body(rule.body, masked)
-                    )
-                    if fact in pending and fact not in got
-                ]
-                for fact in proven:
-                    got.add(fact)
-                    masked.relations[head].add(fact)
-                    supported[head] = got
-                    changed = True
+        masked: dict = dict(self.db.relations)
+        for pred, rows in candidates.items():
+            mirror = self._mirror(pred)
+            masked[pred] = mirror.wrap(mirror.rows - rows)
+        supported: dict[str, set[tuple]] = {p: set() for p in candidates}
+
+        def take(head: str, produced: set) -> set:
+            proven = (produced & candidates[head]) - supported[head]
+            supported[head] |= proven
+            masked[head].extend(proven)
+            return proven
+
+        rules = [r for r in st.rules if r[1].head.predicate in candidates]
+        self._propagate(st, rules, Database(masked), None, take)
         return supported
 
-    def _insert_stratum(
-        self, si, stratum_set, rules, net: ZSetDelta, trace
-    ) -> None:
-        wave = net.positive()
-        iteration = 0
-        while wave:
-            delta_rels: dict[str, Relation] = {}
-            for p, s in wave.items():
-                if not s:
-                    continue
-                r = Relation(p, len(next(iter(s))))
-                for f in s:
-                    r.add(f)
-                delta_rels[p] = r
-            next_wave: dict[str, set[tuple]] = {}
-            for ri, rule in rules:
-                n_changed = 0
-                for pos, lit in enumerate(rule.body):
-                    if (
-                        lit.atom is None
-                        or lit.negated
-                        or lit.atom.predicate not in delta_rels
-                    ):
-                        continue
-                    derived = [
-                        instantiate_head(rule.head, subst)
-                        for subst in join_body(
-                            rule.body,
-                            self.db,
-                            delta_overrides=delta_rels,
-                            delta_at=pos,
-                        )
-                    ]
-                    head = rule.head.predicate
-                    for fact in derived:
-                        if self.db.add_fact(head, fact):
-                            net.insert(head, fact)
-                            next_wave.setdefault(head, set()).add(fact)
-                            n_changed += 1
-                trace.record("insert", si, iteration, ri, n_changed)
-            wave = {
-                p: s for p, s in next_wave.items() if p in stratum_set
-            }
-            iteration += 1
+    def _insert_stratum(self, st: _Stratum, net: ZSetDelta, trace) -> None:
+        def take(head: str, produced: set) -> set:
+            mirror = self._mirror(head)
+            fresh = produced - mirror.rows
+            if fresh:
+                mirror.extend(fresh)
+                self.db.relations[head].adopt(mirror)
+                for row in fresh:
+                    net.add(head, row, 1)
+            return fresh
 
-    # ------------------------------------------------------------------
-    # recompute-and-diff for a negation-affected stratum
-    # ------------------------------------------------------------------
-    def _recompute_stratum(
-        self, si, stratum_set, rules, net: ZSetDelta, trace
-    ) -> None:
-        heads = {r.head.predicate for _, r in rules}
-        old: dict[str, set[tuple]] = {}
-        for p in heads:
-            rel = self.db.relations.get(p)
-            old[p] = set(rel) if rel is not None else set()
-            if rel is not None:
-                # IDB predicates hold derived facts only; program facts
-                # for them are re-seeded below
-                fresh = Relation(p, rel.arity)
-                self.db.relations[p] = fresh
-        for fact_rule in self.program.facts:
-            if fact_rule.head.predicate in heads:
-                self.db.add_fact(
-                    fact_rule.head.predicate,
-                    tuple(t.value for t in fact_rule.head.terms),  # type: ignore[union-attr]
-                )
-        # local naive fixpoint over the stratum's rules
-        changed = True
-        while changed:
-            changed = False
-            for ri, rule in rules:
-                derived = eval_rule(rule, self.db)
-                n = 0
-                for fact in derived:
-                    if self.db.add_fact(rule.head.predicate, fact):
-                        n += 1
-                        changed = True
-                trace.record("recompute", si, 0, ri, n)
-        for p in heads:
-            rel = self.db.relations.get(p)
-            new = set(rel) if rel is not None else set()
-            for fact in new - old[p]:
-                net.insert(p, fact)
-            for fact in old[p] - new:
-                net.delete(p, fact)
+        born = self._deltas(st, net.positive())
+        self._propagate(st, st.rules, self.db, born, take, trace, "insert")
+
+    # recompute-and-diff for a negation- or aggregate-affected stratum
+    def _recompute_stratum(self, st: _Stratum, net: ZSetDelta, trace) -> None:
+        heads = {r.head.predicate for _, r in st.rules}
+        old = {p: self.db.relations[p] for p in heads}
+        for p, rel in old.items():
+            # IDB predicates hold derived facts only; program facts for
+            # them are re-seeded below
+            self.db.relations[p] = Relation(p, rel.arity)
+        for fact in st.facts:
+            self.db.add_fact(
+                fact.head.predicate,
+                tuple(t.value for t in fact.head.terms),  # type: ignore[union-attr]
+            )
+        # the evaluator's own semi-naive loop; like the one-shot delete
+        # it has no per-rule attribution (rule index -1)
+        evaluate_stratum(st.rules, st.recursive, self.db, self.pool)
+        n_derived = 0
+        for p, rel in old.items():
+            before, after = rel.columnar(self.pool).rows, self._mirror(p).rows
+            n_derived += len(after)
+            for row in after - before:
+                net.add(p, row, 1)
+            for row in before - after:
+                net.add(p, row, -1)
+        trace.record("recompute", st.index, 0, -1, n_derived)

@@ -263,11 +263,16 @@ def seminaive_evaluate(
     (IDB heads, fact-rule heads) are rejected because sharing them would
     mutate the caller's objects.
 
-    ``pool`` switches rule evaluation to the columnar batch joins of
-    :func:`~repro.datalog.columnar.eval_rule_columnar` (interned
-    id-rows, vectorized hash probes) — semantics are identical, and
-    shared relations additionally carry their columnar mirrors across
-    rounds. ``None`` keeps the row evaluator.
+    ``pool`` runs every stratum in id space (:func:`evaluate_stratum`):
+    compiled rule plans (:func:`~repro.datalog.columnar.run_rule_plan`:
+    interned id-rows, vectorized hash probes) over the relations'
+    columnar mirrors, each head published as the mirror its fixpoint
+    grew and externed by whoever first reads its facts — semantics are
+    identical, and shared relations additionally carry their mirrors
+    across rounds. It is how the served round, its verify check and
+    :class:`~repro.datalog.incremental.IncrementalEngine` evaluate.
+    ``None`` keeps the per-tuple row evaluator: the independent oracle
+    the differential suites and ``benchmarks/e2e`` compare against.
     """
     shared = shared_relations or {}
     writable = {r.head.predicate for r in program.rules}

@@ -9,7 +9,9 @@ update queue speaks this representation:
 
 * :class:`~repro.datalog.incremental.IncrementalEngine` accepts one as
   an update, patches the EDB from it and accumulates the net Δ⁺/Δ⁻ of
-  every stratum into it (``MaintenanceTrace.net``);
+  every stratum in a second one whose "facts" are interned *id-rows* —
+  the algebra does not care what the tuples hold — externing only what
+  changed into ``MaintenanceTrace.net``: Z-set in, Z-set out;
 * :func:`effective_zdelta` clamps a queued :class:`~repro.datalog
   .incremental.Delta` against the live EDB into *exact* weights —
   inserting a present fact or deleting an absent one has weight 0 and

@@ -222,6 +222,34 @@ class TestMixedAndGuards:
         with pytest.raises(ValueError, match="derived"):
             eng.apply(Delta().insert("path", (0, 9)))
 
+    def test_unmentioned_edb_predicate_is_patched(self):
+        # regression: `color` is a relation the database holds and no
+        # rule mentions — EDB, not derived — yet the update was refused
+        # with "cannot update derived predicate 'color'"
+        edb = chain_edb(3)
+        edb.add_fact("color", (1, "red"))
+        eng = IncrementalEngine(tc_program(), edb)
+        before = eng.snapshot()
+        trace = eng.apply(Delta().insert("color", (2, "blue")))
+        assert trace.events == []  # no stratum reads it
+        assert trace.net.weights == {"color": {(2, "blue"): 1}}
+        assert eng.snapshot() == {
+            **before, "color": {(1, "red"), (2, "blue")}
+        }
+        # its arity is the held relation's ...
+        with pytest.raises(ValueError, match="arity"):
+            eng.apply(Delta().delete("color", (1,)))
+        # ... and a predicate nobody knows takes it from the update's
+        # first fact, which every other fact of the update must agree
+        # with; a refused update leaves no relation behind
+        with pytest.raises(ValueError, match="arity"):
+            eng.apply(Delta(insertions={"shade": {(1,), (2, 3)}}))
+        assert "shade" not in eng.snapshot()
+        trace = eng.apply(Delta().insert("shade", (1,)).delete("shade", (9,)))
+        assert trace.net.weights == {"shade": {(1,): 1}}
+        assert eng.snapshot()["shade"] == {(1,)}
+        assert eng.snapshot()["path"] == before["path"]
+
     def test_empty_delta_noop(self):
         eng = IncrementalEngine(tc_program(), chain_edb(3))
         before = eng.snapshot()

@@ -6,7 +6,6 @@ from the final EDB produces — for positive programs, recursive
 programs, and stratified-negation programs alike.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +13,7 @@ from repro.datalog import (
     Database,
     Delta,
     IncrementalEngine,
+    apply_zdelta,
     naive_evaluate,
     parse_program,
     seminaive_evaluate,
@@ -121,6 +121,7 @@ def test_incremental_sequence_of_updates(initial, updates):
     prog = parse_program(TC)
     eng = IncrementalEngine(prog, edb_from(initial))
     current = set(initial)
+    before = eng.db.copy()
     for is_insert, a, b in updates:
         d = Delta()
         if is_insert:
@@ -129,11 +130,16 @@ def test_incremental_sequence_of_updates(initial, updates):
         else:
             d.delete("edge", (a, b))
             current.discard((a, b))
-        eng.apply(d)
+        trace = eng.apply(d)
         oracle, _ = seminaive_evaluate(prog, edb_from(current))
         assert eng.snapshot().get("path", set()) == oracle.as_dict().get(
             "path", set()
         )
+        # Z-set in, Z-set out: the net change patches the previous
+        # materialization into the new one, every weight ±1
+        assert {w for _p, _f, w in trace.net.items()} <= {-1, 1}
+        before = apply_zdelta(before, trace.net)
+        assert before.as_dict() == eng.snapshot()
 
 
 @given(

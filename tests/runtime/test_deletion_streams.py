@@ -224,18 +224,21 @@ class TestCoalescing:
 class TestEngineOracle:
     """:class:`~repro.datalog.IncrementalEngine` is a library procedure
     the service does not run; it is replayed here over the streams the
-    service is tested on and must equal from-scratch evaluation after
-    every round — non-recursive, negation, aggregates, recursion."""
+    service is tested on — the 18 cells DESIGN §15 measures — and must
+    equal from-scratch evaluation after every round: non-recursive,
+    negation, aggregates, recursion. It is Z-set in, Z-set out: the
+    round's ``net`` is the whole change, EDB and derived."""
 
     @pytest.mark.parametrize(
-        "program", ("flat", "retail", "analytics", "tc", "pt")
+        "program", ("flat", "retail", "analytics", "tc", "pt", "sg")
     )
-    @pytest.mark.parametrize("kind", ("deletions", "mixed"))
+    @pytest.mark.parametrize("kind", ("deletions", "mixed", "steady"))
     def test_tracks_from_scratch(self, program, kind):
         wl, rounds = _materialized_stream(program, kind, seed=19,
                                           batch_size=3)
         engine = IncrementalEngine(wl.program, wl.edb)
         edb = wl.edb
+        before = engine.db.copy()
         for batches in rounds:
             zdelta = effective_zdelta(edb, merge_deltas(batches))
             trace = engine.apply(zdelta)
@@ -244,6 +247,12 @@ class TestEngineOracle:
             assert engine.snapshot() == oracle.as_dict()
             for pred, fact, w in zdelta.items():
                 assert trace.net.weight(pred, fact) == w
+            # what a fixpoint node needs of its body: the previous
+            # materialization plus ``net`` is the new one, over every
+            # predicate, and ``net`` is set-normal
+            assert {w for _p, _f, w in trace.net.items()} <= {-1, 1}
+            before = apply_zdelta(before, trace.net)
+            assert before.as_dict() == engine.snapshot()
         assert edb_is_mirror(wl, edb)
 
 
