@@ -26,10 +26,12 @@ from repro.workloads.datalog_workloads import DATALOG_WORKLOADS, compile_workloa
 PARAMS = {
     "transitive_closure": dict(n=80, extra_edges=40),
     "retail_analytics": dict(n_products=50, n_stores=12, n_sales=250),
+    "retail_flat": dict(n_products=50, n_stores=12),
     "same_generation": dict(depth=6, fanout=2),
     "retail_rollup": dict(n_products=60, n_stores=18),
     "points_to": dict(n_vars=40, n_stmts=90),
 }
+assert set(PARAMS) == set(DATALOG_WORKLOADS), "a workload has no bench sizes"
 
 
 @pytest.mark.parametrize("name", sorted(DATALOG_WORKLOADS))

@@ -10,13 +10,16 @@ guidance for memory-lean numerical Python.
 
 The class is deliberately immutable: schedulers, the simulator, and the
 level/interval indexes all share one :class:`Dag` instance, and nothing
-may mutate it after construction. Use :class:`repro.dag.builder.DagBuilder`
-to construct and validate instances.
+may mutate it after construction — which is also why what is computed
+from the graph alone (levels, interval lists) can live on it: derived
+values are pure functions of it (:meth:`Dag.derived`). Use
+:class:`repro.dag.builder.DagBuilder` to construct and validate
+instances.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +67,9 @@ class Dag:
     edges are rejected: the activation semantics treat an edge as *the*
     dataflow channel between two tasks, and a duplicated channel would
     double-count change signals.
+
+    Immutability covers :meth:`derived` too: the values kept there are
+    pure functions of the graph, built at most once per object.
     """
 
     __slots__ = (
@@ -73,6 +79,7 @@ class Dag:
         "_in_offsets",
         "_in_adj",
         "_node_names",
+        "_derived",
     )
 
     def __init__(
@@ -119,6 +126,7 @@ class Dag:
                 f"node_names has {len(node_names)} entries for {self._n} nodes"
             )
         self._node_names = tuple(node_names) if node_names is not None else None
+        self._derived: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # validation helpers
@@ -232,6 +240,30 @@ class Dag:
     def out_edge_range(self, u: int) -> tuple[int, int]:
         """Half-open range of edge indices for ``u``'s out-edges."""
         return int(self._out_offsets[u]), int(self._out_offsets[u + 1])
+
+    # ------------------------------------------------------------------
+    # pre-computation
+    # ------------------------------------------------------------------
+    def derived(self, key: str, build: Callable[[Dag], Any]) -> Any:
+        """``build(self)``, computed on first use and kept under ``key``.
+
+        The paper's per-DAG pre-computation (Section II-C): levels, the
+        ancestor interval lists — anything that is a function of the
+        graph alone — is built once for every scheduler, simulated run
+        and served round over this object. ``build`` must be pure; two
+        threads racing on a cold key may both run it, and both get the
+        value that was stored first. The value is shared: a numpy array
+        is handed out read-only, and callers must not mutate anything
+        else they get. Derived values are not part of ``==`` / ``hash``
+        and a copy built from :meth:`edge_array` starts with none.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = build(self)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            return self._derived.setdefault(key, value)
 
     # ------------------------------------------------------------------
     # dunder protocol

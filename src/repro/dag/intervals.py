@@ -6,12 +6,23 @@ postorder-number intervals generated from a DFS traversal of the DAG.
 
 Construction
 ------------
-1. DFS from the source nodes builds a spanning forest and assigns each
-   node a postorder number ``post[u]``; within the forest, the subtree of
-   ``u`` occupies the contiguous interval ``[low[u], post[u]]``.
-2. Sweeping nodes in reverse topological order, each node's interval list
-   is the merge of its own tree interval with the lists of *all* its DAG
-   children (tree and non-tree). Overlapping/adjacent intervals coalesce.
+1. One DFS from the source nodes (over ``tolist()``-ed CSR arrays)
+   builds a spanning forest and assigns each node a postorder number
+   ``post[u]``; within the forest, the subtree of ``u`` occupies the
+   contiguous interval ``[low[u], post[u]]``, ``low[u]`` being the
+   postorders handed out when ``u`` was entered.
+2. Sweeping nodes in postorder — a reverse topological order — each
+   node's interval list is the merge of its own tree interval with the
+   lists of *all* its DAG children (tree and non-tree): plain Python
+   lists of ``(lo, hi)``, concatenated, sorted and coalesced in one
+   sweep (overlapping/adjacent intervals merge). A list is freed once
+   its last parent has merged it.
+3. The finished lists are flat int32 columns ``offsets`` / ``lo`` /
+   ``hi``, read-only; ``interval_array(u)`` is a view of them.
+
+The build is a pure function of the ``Dag``, so whoever needs the lists
+more than once keeps them on it (:meth:`Dag.derived` — the LogicBlox
+scheduler does); ``IntervalIndex(dag)`` is always a cold build.
 
 A node's list then covers exactly the postorder numbers of its
 descendants (including itself), so *"is a an ancestor of d"* reduces to
@@ -32,12 +43,12 @@ time, reproducing Table III's overhead column.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from itertools import chain
 
 import numpy as np
 
 from .graph import Dag
-from .traversal import topological_order
 
 __all__ = ["IntervalIndex", "merge_intervals"]
 
@@ -51,14 +62,16 @@ def merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
     if not intervals:
         return []
     intervals = sorted(intervals)
-    out = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        plo, phi = out[-1]
-        if lo <= phi + 1:
-            if hi > phi:
-                out[-1] = (plo, hi)
+    out = []
+    cur_lo, cur_hi = intervals[0]
+    for lo, hi in intervals:
+        if lo <= cur_hi + 1:
+            if hi > cur_hi:
+                cur_hi = hi
         else:
-            out.append((lo, hi))
+            out.append((cur_lo, cur_hi))
+            cur_lo, cur_hi = lo, hi
+    out.append((cur_lo, cur_hi))
     return out
 
 
@@ -77,15 +90,15 @@ class IntervalIndex:
         Running count of intervals examined by queries since the last
         :meth:`reset_ops`. The LogicBlox scheduler reports this to the
         overhead model.
+    offsets, lo, hi:
+        The lists as flat read-only columns: node ``u``'s intervals are
+        ``lo[offsets[u]:offsets[u + 1]]`` / ``hi[...]`` (int32 —
+        postorders are ``< V``), both column views of the one ``(Σk, 2)``
+        array :meth:`interval_array` slices.
     """
-
-    _EMPTY = np.empty((0, 2), dtype=np.int64)
 
     def __init__(self, dag: Dag) -> None:
         self._dag = dag
-        n = dag.n_nodes
-        self._post = np.full(n, -1, dtype=np.int64)
-        self._arrays: list[np.ndarray] = [self._EMPTY] * n
         self.ops: int = 0
         self._build()
 
@@ -93,110 +106,84 @@ class IntervalIndex:
     def _build(self) -> None:
         dag = self._dag
         n = dag.n_nodes
-        post = self._post
-        low = np.full(n, -1, dtype=np.int64)
-        visited = np.zeros(n, dtype=bool)
-        counter = 0
+        # plain lists: the loops below index scalars, which numpy boxes
+        off = dag._out_offsets.tolist()  # noqa: SLF001 - package-internal
+        adj = dag._out_adj.tolist()  # noqa: SLF001
+        pending = dag.in_degrees().tolist()  # parents yet to merge a node
 
-        # Iterative DFS from every source; first visit claims tree
-        # membership. Stack entries are (node, child-iterator-state).
-        roots = [int(r) for r in dag.sources()]
-        if n and not roots:  # defensive: Dag guarantees acyclicity
-            raise ValueError("DAG with nodes but no sources")
-        for root in roots:
-            if visited[root]:
+        # One iterative DFS from every source, children in id order.
+        # ``order`` is the postorder sequence (a node's postorder number
+        # is its position in it) — a reverse topological order of the
+        # whole DAG. A node's tree subtree takes a contiguous block of
+        # postorders ending at its own, so its tree interval starts at
+        # ``low``: the postorders handed out when it was entered.
+        order: list[int] = []
+        low = [0] * n
+        visited = bytearray(n)
+        nxt = off[:n]  # per node: next out-edge the DFS will look at
+        for root in range(n):
+            if pending[root]:
                 continue
-            visited[root] = True
-            stack: list[tuple[int, int]] = [(root, 0)]
+            visited[root] = 1
+            low[root] = len(order)
+            stack = [root]
             while stack:
-                u, i = stack.pop()
-                children = dag.out_neighbors(u)
-                advanced = False
-                while i < children.size:
-                    c = int(children[i])
+                u = stack[-1]
+                i, end = nxt[u], off[u + 1]
+                while i < end:
+                    c = adj[i]
                     i += 1
                     if not visited[c]:
-                        visited[c] = True
-                        stack.append((u, i))
-                        stack.append((c, 0))
-                        advanced = True
+                        visited[c] = 1
+                        low[c] = len(order)
+                        nxt[u] = i
+                        stack.append(c)
                         break
-                if not advanced:
-                    post[u] = counter
-                    counter += 1
-        if counter != n:  # load-bearing even under `python -O`
+                else:
+                    stack.pop()
+                    order.append(u)
+        if len(order) != n:  # load-bearing even under `python -O`
             raise RuntimeError(
-                f"interval-index DFS visited {counter} of {n} nodes; "
+                f"interval-index DFS visited {len(order)} of {n} nodes; "
                 "the DAG's source set does not cover every node"
             )
 
-        # Tree-subtree low bound: min postorder over the tree subtree.
-        # Because children finish before parents in DFS, the subtree of u
-        # occupies a contiguous postorder block ending at post[u]; its
-        # start is the minimum of the block, computed by the same DFS
-        # ordering: low[u] = min(post[u], low of tree children). We can
-        # recover it without storing the tree: a node's tree subtree is
-        # exactly the contiguous run of postorders assigned between
-        # entering and leaving it, so low equals the smallest postorder
-        # not yet assigned when u was entered. Rather than re-running the
-        # DFS, note the run is contiguous: low[u] = post[u] - (size of
-        # tree subtree) + 1. We track sizes with a second pass below.
-        #
-        # Simpler and equally O(V + E): recompute via one more DFS that
-        # records, for each node, the counter value at entry time.
-        visited[:] = False
-        entry_counter = np.zeros(n, dtype=np.int64)
-        counter = 0
-        for root in roots:
-            if visited[root]:
-                continue
-            visited[root] = True
-            entry_counter[root] = counter
-            stack = [(root, 0)]
-            while stack:
-                u, i = stack.pop()
-                children = dag.out_neighbors(u)
-                advanced = False
-                while i < children.size:
-                    c = int(children[i])
-                    i += 1
-                    if not visited[c]:
-                        visited[c] = True
-                        entry_counter[c] = counter
-                        stack.append((u, i))
-                        stack.append((c, 0))
-                        advanced = True
-                        break
-                if not advanced:
-                    counter += 1
-        low[:] = entry_counter  # first postorder assigned inside u's subtree
+        # Merge over *all* DAG edges, children before parents: a node's
+        # list is its tree interval plus its children's lists, sorted
+        # and coalesced. Finished lists go to one flat int32 buffer in
+        # postorder sequence; the Python list is dropped once the last
+        # parent has merged it.
+        lists: list = [None] * n  # node → its list while a parent needs it
+        counts = [0] * n
+        cells = array("i")
+        for p, u in enumerate(order):
+            merged = [(low[u], p)]
+            for c in adj[off[u] : off[u + 1]]:
+                merged += lists[c]
+                pending[c] -= 1
+                if not pending[c]:
+                    lists[c] = None
+            if len(merged) > 1:
+                merged = merge_intervals(merged)
+            if pending[u]:
+                lists[u] = merged
+            counts[u] = len(merged)
+            cells.extend(chain.from_iterable(merged))
 
-        # Reverse-topological merge over *all* DAG edges, vectorized:
-        # each node's list is a sorted (k, 2) int64 array; child lists
-        # are concatenated, sorted by lower bound, and coalesced with a
-        # cumulative-max sweep (adjacent integer intervals merge).
-        arrays = self._arrays
-        for u in reversed(topological_order(self._dag)):
-            u = int(u)
-            own = np.array([[low[u], post[u]]], dtype=np.int64)
-            children = dag.out_neighbors(u)
-            if children.size == 0:
-                arrays[u] = own
-                continue
-            parts = [own]
-            parts.extend(arrays[int(c)] for c in children)
-            cat = np.concatenate(parts)
-            order = np.argsort(cat[:, 0], kind="stable")
-            cat = cat[order]
-            hi_cummax = np.maximum.accumulate(cat[:, 1])
-            # a new group starts where lo exceeds the running max hi + 1
-            new_group = np.empty(cat.shape[0], dtype=bool)
-            new_group[0] = True
-            new_group[1:] = cat[1:, 0] > hi_cummax[:-1] + 1
-            starts = np.flatnonzero(new_group)
-            ends = np.append(starts[1:], cat.shape[0]) - 1
-            merged = np.column_stack((cat[starts, 0], hi_cummax[ends]))
-            arrays[u] = merged
+        # buffer rows → node order (stable: a list keeps its order), so
+        # a node's list is one slice of read-only columns
+        seq = np.array(order, dtype=np.int64)
+        count_of = np.array(counts, dtype=np.int64)
+        self._post = np.empty(n, dtype=np.int32)
+        self._post[seq] = np.arange(n, dtype=np.int32)
+        self.offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(count_of, out=self.offsets[1:])
+        rows = np.argsort(np.repeat(seq, count_of[seq]), kind="stable")
+        self._flat = np.frombuffer(cells, dtype=np.intc).reshape(-1, 2)[rows]
+        for arr in (self._post, self.offsets, self._flat):
+            arr.flags.writeable = False
+        self.lo = self._flat[:, 0]
+        self.hi = self._flat[:, 1]
 
     # ------------------------------------------------------------------
     # queries
@@ -205,21 +192,21 @@ class IntervalIndex:
         """Postorder number of ``u`` (the key probed by queries)."""
         return int(self._post[u])
 
+    def postorders(self) -> np.ndarray:
+        """Postorder number of every node, shape ``(V,)`` (read-only)."""
+        return self._post
+
     def intervals(self, u: int) -> list[tuple[int, int]]:
         """``u``'s interval list (covers postorders of u ∪ descendants)."""
-        return [(int(lo), int(hi)) for lo, hi in self._arrays[u]]
+        return [(lo, hi) for lo, hi in self.interval_array(u).tolist()]
 
     def interval_array(self, u: int) -> np.ndarray:
-        """``u``'s interval list as a sorted ``(k, 2)`` int64 array view."""
-        return self._arrays[u]
+        """``u``'s interval list as a sorted ``(k, 2)`` int32 array view."""
+        return self._flat[self.offsets[u] : self.offsets[u + 1]]
 
     def list_lengths(self) -> np.ndarray:
         """Interval count per node, shape ``(V,)``."""
-        return np.fromiter(
-            (a.shape[0] for a in self._arrays),
-            dtype=np.int64,
-            count=len(self._arrays),
-        )
+        return np.diff(self.offsets)
 
     def is_ancestor(self, a: int, d: int, scan: bool = True) -> bool:
         """Whether ``a`` is a *proper* ancestor of ``d``.
@@ -233,9 +220,9 @@ class IntervalIndex:
         if a == d:
             return False
         key = int(self._post[d])
-        arr = self._arrays[a]
+        arr = self.interval_array(a)
         if scan:
-            for lo, hi in arr:
+            for lo, hi in arr.tolist():
                 self.ops += 1
                 if lo <= key <= hi:
                     return True
@@ -261,7 +248,7 @@ class IntervalIndex:
     @property
     def total_intervals(self) -> int:
         """Total interval count across all lists (the index's mass)."""
-        return sum(a.shape[0] for a in self._arrays)
+        return int(self.offsets[-1])
 
     @property
     def memory_cells(self) -> int:
@@ -270,4 +257,4 @@ class IntervalIndex:
 
     def max_list_length(self) -> int:
         """Longest single interval list (fragmentation indicator)."""
-        return max((a.shape[0] for a in self._arrays), default=0)
+        return int(self.list_lengths().max(initial=0))

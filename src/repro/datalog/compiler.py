@@ -60,7 +60,6 @@ import numpy as np
 
 from ..dag.builder import DagBuilder
 from ..dag.graph import Dag
-from ..dag.levels import compute_levels
 from ..tasks.model import ExecutionModel
 from ..tasks.trace import JobTrace
 from .ast import Program
@@ -308,7 +307,6 @@ class RoundStructure:
     key_to_id: dict
     is_task: np.ndarray
     models: np.ndarray
-    levels: np.ndarray
     #: source node of every dense edge index
     edge_sources: np.ndarray
     n_strata: int
@@ -448,7 +446,6 @@ def build_round_structure(
         key_to_id={key: nid for nid, key in enumerate(node_keys)},
         is_task=is_task,
         models=np.full(dag.n_nodes, ExecutionModel.SEQUENTIAL, dtype=np.int8),
-        levels=compute_levels(dag),
         edge_sources=np.ascontiguousarray(dag.edge_array()[:, 0]),
         n_strata=len(strata),
     )
@@ -565,7 +562,7 @@ def _round_trace(
     name: str,
 ) -> JobTrace:
     """One round's :class:`JobTrace` over the shared ``G``."""
-    trace = JobTrace(
+    return JobTrace(
         dag=structure.dag,
         work=work,
         span=work.copy(),
@@ -581,8 +578,6 @@ def _round_trace(
             "work_per_derivation": work_per_derivation,
         },
     )
-    trace.seed_levels(structure.levels)
-    return trace
 
 
 def stage_update(

@@ -11,9 +11,9 @@ rounds that way:
   sources, the task and predicate nodes of every non-recursive stratum,
   one fixpoint node per recursive SCC
   (:func:`~repro.datalog.compiler.build_round_structure`), and with it
-  the one bound :class:`~repro.datalog.units.ExecutionPlan` and the
-  scheduler memo holding that DAG's interval lists. A fixpoint that
-  runs deeper or shallower on today's EDB is the same node.
+  the one bound :class:`~repro.datalog.units.ExecutionPlan`; the
+  schedulers' levels and interval lists are kept on that ``Dag``. A
+  fixpoint that runs deeper or shallower on today's EDB is the same node.
 * ``compile()`` evaluates nothing. On a *hit* — ``edb_old`` is the
   committed baseline — it derives the touched EDB relations from their
   predecessors (:func:`~repro.datalog.zset.derive_zdelta`: indexes and
@@ -188,7 +188,7 @@ class CompiledProgramCache:
         self._fingerprint = repr(program)
         self._analysis = _usable_analysis(program, analysis)
         #: pruned-rule set → the program actually run, its ``G`` and its
-        #: bound plan (and with the plan its scheduler memo)
+        #: bound plan
         self._served: dict[frozenset, _Served] = {}
         self._schema: frozenset | None = None
         self._metrics = metrics

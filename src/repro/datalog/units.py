@@ -156,7 +156,11 @@ class RoundCtx:
 
 @dataclass
 class ExecutionPlan:
-    """Every node of a compiled update as a runnable :class:`WorkUnit`."""
+    """Every node of a compiled update as a runnable :class:`WorkUnit`.
+
+    The plan holds no scheduler state: what a scheduler pre-computes
+    from the graph (levels, interval lists) lives on the trace's ``Dag``.
+    """
 
     compiled: CompiledUpdate
     units: list[WorkUnit]
@@ -167,10 +171,6 @@ class ExecutionPlan:
     ctx: RoundCtx | None = None
     #: the static wiring this plan was bound from
     skeleton: "PlanSkeleton | None" = None
-    #: scheduler pre-computation over this plan's DAG (interval lists),
-    #: handed to ``Scheduler.prepare`` through ``SchedulerContext.memo``
-    #: and kept for as long as the plan is restamped rather than rebuilt
-    sched_memo: dict = field(default_factory=dict)
 
     def new_store(self) -> ValueStore:
         """A fresh value store for one execution of this plan."""

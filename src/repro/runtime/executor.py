@@ -393,10 +393,7 @@ class RoundExecutor:
         oracle = ReadinessOracle(state.is_ready)
         scheduler.bind_oracle(oracle)
         scheduler.bind_sink(sink)
-        ctx = SchedulerContext(
-            trace=trace, processors=workers, oracle=oracle,
-            memo=plan.sched_memo,
-        )
+        ctx = SchedulerContext(trace=trace, processors=workers, oracle=oracle)
         t_prep = perf_counter()
         with sink.span("prepare", "phase", args={"sched": scheduler.name}):
             scheduler.prepare(ctx)

@@ -37,7 +37,7 @@ structure would have spent. LevelBased never needs it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -94,19 +94,18 @@ class ReadinessOracle:
 
 @dataclass
 class SchedulerContext:
-    """Everything a scheduler may inspect at prepare time."""
+    """Everything a scheduler may inspect at prepare time.
+
+    What :meth:`Scheduler.prepare` computes from ``dag`` alone it keeps
+    on the ``Dag`` (:meth:`~repro.dag.graph.Dag.derived`): one build per
+    graph for every scheduler, simulated run and served round. A
+    scheduler that reads such a value still reports the *modelled*
+    ``precompute_ops`` / ``precompute_memory_cells`` of building it.
+    """
 
     trace: "JobTrace"
     processors: int
     oracle: ReadinessOracle
-    #: where :meth:`Scheduler.prepare` may keep what it computes from
-    #: ``dag`` alone, for the next ``prepare`` over the same ``Dag``
-    #: object. The live executor passes the dict owned by the round's
-    #: cached plan, so same-structure rounds build interval lists once;
-    #: the simulator leaves the default — a fresh dict per run. A
-    #: scheduler that reuses an entry still reports the *modelled*
-    #: ``precompute_ops``/``precompute_memory_cells`` of building it.
-    memo: dict = field(default_factory=dict)
 
     @property
     def dag(self) -> "Dag":

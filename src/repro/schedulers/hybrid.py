@@ -65,8 +65,7 @@ class HybridScheduler(Scheduler):
         self._undispatched = 0
         self._lb_ops = 0
         self._n_queued = 0
-        # LogicBlox side (its interval lists live in ctx.memo: built
-        # once per Dag when the driver keeps the memo across rounds)
+        # LogicBlox side (its interval lists live on the Dag)
         self._lbx.reset_counters()
         self._lbx.prepare(ctx)
         self._dispatched = set()

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,63 +61,21 @@ from .base import Scheduler, SchedulerContext
 __all__ = ["LogicBloxScheduler"]
 
 
-@dataclass(frozen=True, eq=False)
-class _AncestorIntervals:
-    """The interval lists of one ``Dag``, flattened for vectorized scans.
+def _ancestor_index(dag: Dag) -> IntervalIndex:
+    """The interval index of ``dag`` reversed: a node's list covers the
+    postorder keys of its ancestors.
 
-    A function of ``dag`` alone and read-only once built, so
-    :meth:`LogicBloxScheduler.prepare` keeps it in
-    ``SchedulerContext.memo`` and every later ``prepare`` over the same
-    ``Dag`` object reuses it.
+    A function of the ``Dag`` alone, so it is one of the graph's derived
+    values (:meth:`Dag.derived`): every scheduler instance, simulated
+    run and served round over one ``Dag`` object reads the same build,
+    through its read-only columns only.
     """
-
-    dag: Dag
-    #: node → its slice ``offsets[u]:offsets[u + 1]`` of ``lo``/``hi``
-    offsets: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    #: node → postorder key in the reversed DAG
-    key_of: np.ndarray
-    #: node → interval-list length
-    counts: np.ndarray
-    #: Σ interval-list lengths
-    total: int
-    memory_cells: int
-
-    _MEMO_KEY = "logicblox.ancestor_intervals"
-
-    @classmethod
-    def of(cls, ctx: SchedulerContext) -> "_AncestorIntervals":
-        dag = ctx.dag
-        cached = ctx.memo.get(cls._MEMO_KEY)
-        if cached is not None and cached.dag is dag:
-            return cached
-        rev = Dag(dag.n_nodes, dag.edge_array()[:, ::-1], validate=False)
-        index = IntervalIndex(rev)
-        n = dag.n_nodes
-        counts = index.list_lengths()
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        flat = (
-            np.concatenate([index.interval_array(u) for u in range(n)])
-            if total
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        built = cls(
-            dag=dag,
-            offsets=offsets,
-            lo=np.ascontiguousarray(flat[:, 0]),
-            hi=np.ascontiguousarray(flat[:, 1]),
-            key_of=np.array(
-                [index.postorder(u) for u in range(n)], dtype=np.int64
-            ),
-            counts=counts,
-            total=total,
-            memory_cells=index.memory_cells,
-        )
-        ctx.memo[cls._MEMO_KEY] = built
-        return built
+    return dag.derived(
+        "logicblox.ancestor_intervals",
+        lambda d: IntervalIndex(
+            Dag(d.n_nodes, d.edge_array()[:, ::-1], validate=False)
+        ),
+    )
 
 
 class LogicBloxScheduler(Scheduler):
@@ -143,16 +100,18 @@ class LogicBloxScheduler(Scheduler):
     # ------------------------------------------------------------------
     def prepare(self, ctx: SchedulerContext) -> None:
         dag = ctx.dag
-        ivl = _AncestorIntervals.of(ctx)
+        ivl = _ancestor_index(dag)
         n = dag.n_nodes
+        # node → its slice offsets[u]:offsets[u + 1] of lo/hi, its
+        # postorder key in the reversed DAG, its interval-list length
         self._ivl_offsets = ivl.offsets
         self._ivl_lo = ivl.lo
         self._ivl_hi = ivl.hi
-        self._key_of = ivl.key_of
-        self._n_ivl = ivl.counts
+        self._key_of = ivl.postorders()
+        self._n_ivl = ivl.list_lengths()
 
-        # the modelled cost of building the lists, reused or not
-        self.precompute_ops = dag.n_nodes + dag.n_edges + ivl.total
+        # the modelled cost of building the lists, whoever built them
+        self.precompute_ops = n + dag.n_edges + ivl.total_intervals
         self.precompute_memory_cells = ivl.memory_cells
 
         self._n = n

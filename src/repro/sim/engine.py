@@ -76,6 +76,11 @@ class InvalidDispatchError(RuntimeError):
     """Scheduler released a task that is not ground-truth ready."""
 
 
+# the models the event loop compares against several times per task, as
+# plain ints: an enum member read goes through ``EnumType.__getattr__``
+_UNIT = int(ExecutionModel.UNIT)
+_MALLEABLE = int(ExecutionModel.MALLEABLE)
+
 # event kinds on the heap; completions sort first only via (time, seq)
 _EV_COMPLETE = 0
 _EV_FAIL = 1
@@ -105,7 +110,7 @@ class _Running:
     fail_threshold: float = 0.0
 
     def finish_estimate(self, now: float) -> float:
-        if self.model == ExecutionModel.MALLEABLE:
+        if self.model == _MALLEABLE:
             rem = self.work_remaining - self.alloc * (now - self.last_update)
             rem = max(rem, 0.0)
             return max(self.span_end, now + rem / self.alloc)
@@ -281,7 +286,7 @@ def simulate(
 
     def update_malleable(rec: _Running, now: float) -> None:
         """Advance a malleable task's remaining work to ``now``."""
-        if rec.model == ExecutionModel.MALLEABLE:
+        if rec.model == _MALLEABLE:
             rec.work_remaining = max(
                 0.0, rec.work_remaining - rec.alloc * (now - rec.last_update)
             )
@@ -308,7 +313,7 @@ def simulate(
                     "straggler", now, node, att, factor=inflation
                 )
         m = int(models[node])
-        if m == ExecutionModel.MALLEABLE:
+        if m == _MALLEABLE:
             total_w = float(work[node]) * inflation
             rec = _Running(
                 node=node,
@@ -328,7 +333,7 @@ def simulate(
                 push_event(rec.finish_estimate(now), _EV_COMPLETE, node,
                            rec.version)
         else:
-            dur = 1.0 if m == ExecutionModel.UNIT else float(work[node])
+            dur = 1.0 if m == _UNIT else float(work[node])
             dur *= inflation
             rec = _Running(
                 node=node,
@@ -363,7 +368,7 @@ def simulate(
             for rec in running.values():
                 if idle <= 0:
                     break
-                if rec.model != ExecutionModel.MALLEABLE:
+                if rec.model != _MALLEABLE:
                     continue
                 update_malleable(rec, now)
                 cap = max_useful_processors(
@@ -443,7 +448,7 @@ def simulate(
         shrinkable = [
             r
             for r in running.values()
-            if r.model == ExecutionModel.MALLEABLE and r.alloc > 1
+            if r.model == _MALLEABLE and r.alloc > 1
         ]
         if shrinkable:
             rec = max(shrinkable, key=lambda r: (r.alloc, r.node))
@@ -516,7 +521,7 @@ def simulate(
                     f"{idle} idle processors"
                 )
             # first pass: one processor each; extras go to malleable tasks
-            mall = [v for v in chosen if models[v] == ExecutionModel.MALLEABLE]
+            mall = [v for v in chosen if models[v] == _MALLEABLE]
             allocs = {v: 1 for v in chosen}
             spare = idle - len(chosen)
             while spare > 0 and mall:

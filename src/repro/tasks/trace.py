@@ -114,7 +114,6 @@ class JobTrace:
         ):
             raise ValueError("initial task id out of range")
 
-        self._levels: np.ndarray | None = None
         self._propagation: PropagationResult | None = None
 
     # ------------------------------------------------------------------
@@ -122,24 +121,8 @@ class JobTrace:
     # ------------------------------------------------------------------
     @property
     def levels(self) -> np.ndarray:
-        """Longest-path levels of ``G`` (cached)."""
-        if self._levels is None:
-            self._levels = compute_levels(self.dag)
-        return self._levels
-
-    def seed_levels(self, levels: np.ndarray) -> None:
-        """Install precomputed longest-path levels of ``dag``.
-
-        For a builder that stamps many traces onto one DAG (the Datalog
-        compiler does, one a round) and computed the levels once. The
-        array is shared, not copied; treat it as read-only.
-        """
-        if levels.shape != (self.dag.n_nodes,):
-            raise ValueError(
-                f"levels must have shape ({self.dag.n_nodes},), "
-                f"got {levels.shape}"
-            )
-        self._levels = levels
+        """Longest-path levels of ``G`` — built once per ``Dag``, read-only."""
+        return self.dag.derived("levels", compute_levels)
 
     @property
     def n_levels(self) -> int:

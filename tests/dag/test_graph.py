@@ -1,9 +1,14 @@
 """Tests for the CSR-backed Dag core."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.dag import Dag
+from repro.dag import Dag, IntervalIndex, compute_levels
+from repro.schedulers.logicblox import _ancestor_index
+from repro.tasks import JobTrace
 
 
 class TestConstruction:
@@ -131,3 +136,85 @@ class TestNames:
     def test_name_count_mismatch(self):
         with pytest.raises(ValueError, match="entries"):
             Dag(2, [(0, 1)], node_names=["only-one"])
+
+
+class TestDerived:
+    """Per-DAG pre-computation kept on the ``Dag`` (``Dag.derived``)."""
+
+    def test_built_once_and_kept(self, diamond):
+        calls = []
+
+        def build(dag):
+            calls.append(dag)
+            return {"n": dag.n_nodes}
+
+        first = diamond.derived("probe", build)
+        assert diamond.derived("probe", build) is first
+        assert calls == [diamond]
+        # another key is another value
+        assert diamond.derived("other", lambda d: 7) == 7
+
+    def test_outside_eq_and_hash(self, diamond):
+        twin = Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        before = hash(diamond)
+        diamond.derived("levels", compute_levels)
+        assert diamond == twin and twin == diamond
+        assert hash(diamond) == before == hash(twin)
+
+    def test_copy_from_edge_array_starts_with_none(self, diamond):
+        kept = diamond.derived("levels", compute_levels)
+        copy = Dag(diamond.n_nodes, diamond.edge_array())
+        assert copy == diamond
+
+        def rebuilt(dag):
+            rebuilt.called = True
+            return compute_levels(dag)
+
+        again = copy.derived("levels", rebuilt)
+        assert rebuilt.called
+        assert again is not kept and np.array_equal(again, kept)
+
+    def test_arrays_are_handed_out_read_only(self, diamond):
+        levels = JobTrace(
+            dag=diamond, work=np.ones(4), initial_tasks=[0],
+            changed_edges=np.ones(4, dtype=bool),
+        ).levels
+        assert not levels.flags.writeable
+        with pytest.raises(ValueError):
+            levels[0] = 9
+        index = IntervalIndex(diamond)
+        columns = [index.offsets, index.lo, index.hi, index.postorders(),
+                   index.interval_array(0)]
+        shared = _ancestor_index(diamond)
+        columns += [shared.offsets, shared.lo, shared.hi, shared.postorders()]
+        for arr in columns:
+            assert not arr.flags.writeable
+
+    def test_racing_threads_get_equal_values(self):
+        """Eight threads on a cold key at a 1 µs switch interval: the
+        build may run more than once (it is pure), every caller gets
+        the one value that was stored."""
+        dag = Dag(60, [(i, j) for i in range(60) for j in (i + 1, i + 7)
+                       if j < 60])
+        expected = compute_levels(dag)
+        barrier = threading.Barrier(8, timeout=30)
+        got = []
+
+        def ask():
+            barrier.wait()
+            got.append(dag.derived("levels", compute_levels))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8
+        assert all(g is got[0] for g in got)
+        assert np.array_equal(got[0], expected)

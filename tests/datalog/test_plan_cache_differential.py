@@ -17,6 +17,7 @@ Two layers of evidence:
   concurrent executor, compared against the cold plan's outcome.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.schedulers.logicblox as logicblox
+from repro.dag import Dag
 from repro.datalog import (
     CompiledProgramCache,
     Database,
@@ -316,9 +318,9 @@ def test_touched_relation_inherits_indexes_at_any_depth(depth):
 
 def test_same_structure_rounds_share_dag_plan_and_scheduler_memo():
     """Every round of a program restamps one structure — one ``Dag``,
-    one bound plan, one set of interval lists — and still reports the
-    modelled pre-computation cost; a round whose fixpoint runs deeper
-    is the same structure."""
+    one bound plan, one set of interval lists, kept on the ``Dag`` —
+    and still reports the modelled pre-computation cost; a round whose
+    fixpoint runs deeper is the same structure."""
     program = parse_program(TC)
     cache = CompiledProgramCache(program)
     sched = scheduler_registry()["hybrid"]()
@@ -336,9 +338,11 @@ def test_same_structure_rounds_share_dag_plan_and_scheduler_memo():
         plan = cache.plan(cu)
         out = RoundExecutor(plan, sched, workers=2).run()
         assert out.precompute_ops > 0
-        (intervals,) = plan.sched_memo.values()
+        intervals = cu.trace.dag.derived(
+            "logicblox.ancestor_intervals", _unbuilt
+        )
         seen.append((
-            cu.trace.dag, plan, plan.sched_memo, intervals,
+            cu.trace.dag, plan, intervals, cu.trace.levels,
             out.precompute_ops, out.precompute_memory_cells,
         ))
         cache.commit(cu, out.values)
@@ -348,6 +352,10 @@ def test_same_structure_rounds_share_dag_plan_and_scheduler_memo():
         assert later[4:] == seen[0][4:]
     assert cache.structure_builds == 1 and cache.plan_binds == 1
     assert cache.plan_patches == len(rounds) - 1
+
+
+def _unbuilt(dag):
+    raise AssertionError("the round's scheduler built no interval lists")
 
 
 def test_commit_without_values_keeps_the_edb_and_drops_the_values():
@@ -397,9 +405,12 @@ def test_commit_without_values_keeps_the_edb_and_drops_the_values():
 
 
 def test_simulator_gets_no_scheduler_memo(monkeypatch):
-    """``simulate`` hands every run a fresh memo: two runs over one
-    trace build the interval index twice, as the paper's accounting of
-    pre-computation per run assumes."""
+    """…because there is none to get: pre-computation lives on the
+    ``Dag``. Every ``simulate`` run over one ``Dag`` — whichever
+    scheduler, whichever instance — reads one interval-list build and
+    still reports the modelled cost of building it, as the paper's
+    per-run accounting does; an ``==``-equal but distinct ``Dag``
+    shares nothing."""
     built = []
     real = logicblox.IntervalIndex
 
@@ -412,8 +423,24 @@ def test_simulator_gets_no_scheduler_memo(monkeypatch):
     cu = compile_update(
         program, _edb({(0, 1), (1, 2)}), Delta().insert("edge", (2, 3))
     )
-    sched = scheduler_registry()["logicblox"]()
-    first = simulate(cu.trace, sched, processors=2)
-    second = simulate(cu.trace, sched, processors=2)
+    registry = scheduler_registry()
+    runs = [
+        simulate(cu.trace, registry[name](), processors=2)
+        for name in ("logicblox", "logicblox", "hybrid")
+    ]
+    assert len(built) == 1
+
+    dag = cu.trace.dag
+    twin = Dag(dag.n_nodes, dag.edge_array())
+    assert twin == dag and twin is not dag
+    other = dataclasses.replace(cu.trace, dag=twin)
+    runs.append(simulate(other, registry["logicblox"](), processors=2))
     assert len(built) == 2
-    assert first.precompute_ops == second.precompute_ops
+
+    for run in runs:
+        assert run.precompute_ops > 0 and run.precompute_memory_cells > 0
+    plain = [runs[0], runs[1], runs[3]]
+    assert len({r.precompute_ops for r in plain}) == 1
+    assert len({r.precompute_memory_cells for r in plain}) == 1
+    # Hybrid adds its level pass to the same lists
+    assert runs[2].precompute_ops > runs[0].precompute_ops

@@ -1,5 +1,7 @@
 """Tests for the batch comparison runner."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from repro.schedulers import (
     HybridScheduler,
     LevelBasedScheduler,
     LogicBloxScheduler,
+    LookaheadScheduler,
 )
+from repro.sim import simulate
 from repro.sim.batch import compare
 from repro.tasks import JobTrace
 from repro.workloads import theorem9_example
+from repro.workloads.tables import make_trace
 
 
 def small_traces():
@@ -76,3 +81,42 @@ def test_render_quantities():
     assert "ops" in grid.render("ops")
     with pytest.raises(ValueError):
         grid.render("latency")
+
+
+def test_second_sweep_over_shared_precomputation_equals_the_first():
+    """A sweep's schedulers share one levels / interval-list build per
+    ``Dag`` (the first sweep builds, the second reads); nothing the
+    model reports may notice. Job trace #5's shape, the deep cell of the
+    ``sim_sched`` benchmark row."""
+    trace = make_trace(5)
+    specs = [
+        LogicBloxScheduler,
+        LogicBloxScheduler("cached"),
+        HybridScheduler,
+        LevelBasedScheduler,
+        LookaheadScheduler(3),
+    ]
+    first = compare([trace], specs).results[trace.name]
+    second = compare([trace], specs).results[trace.name]
+    assert len(first) == len(specs)
+    assert {name: asdict(res) for name, res in second.items()} == {
+        name: asdict(res) for name, res in first.items()
+    }
+    for res in first.values():
+        assert res.scheduling_ops > 0 and res.makespan > 0
+    assert first["LevelBased"].precompute_memory_cells > 0
+    assert first["LogicBlox"].precompute_ops > trace.dag.n_nodes
+
+    # …and the schedules themselves, each accepted by the strict check
+    for spec in specs:
+        runs = [
+            simulate(
+                trace, spec() if isinstance(spec, type) else spec,
+                strict=True, record_schedule=True,
+            )
+            for _ in range(2)
+        ]
+        assert runs[0].schedule and asdict(runs[0]) == asdict(runs[1])
+        assert asdict(runs[0]) | {"schedule": []} == asdict(
+            first[runs[0].scheduler_name]
+        )
