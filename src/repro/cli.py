@@ -224,11 +224,11 @@ def cmd_generate(args) -> int:
 
 def cmd_datalog(args) -> int:
     """``repro datalog``: evaluate a program file, print relations."""
-    from .datalog import parse_program, seminaive_evaluate
+    from .datalog import InternPool, parse_program, seminaive_evaluate
 
     text = Path(args.program).read_text()
     program = parse_program(text)
-    db, _ = seminaive_evaluate(program)
+    db, _ = seminaive_evaluate(program, pool=InternPool())
     for name in sorted(db.relations):
         rel = db.relations[name]
         print(f"{name}/{rel.arity} ({len(rel)} facts)")
