@@ -3,7 +3,7 @@
 The executor is the runtime twin of :func:`repro.sim.engine.simulate`:
 the same scheduler ABC, the same hook order (bootstrap → ``on_activate``
 → loop of ``select`` / dispatch / completion → ``on_complete``), the
-same dispatch validation — but "executing a task" means a worker thread
+same dispatch validation — but "executing a task" means a thread
 actually runs the node's :class:`~repro.datalog.units.WorkUnit` against
 the shared value store, and the changed/unchanged signal that decides
 child activation is the *real* diff between the unit's output and its
@@ -11,19 +11,34 @@ value under the old materialization.
 
 Threading model
 ---------------
-One coordinator (the caller's thread) owns all scheduler and activation
-state; worker threads only run units and timestamp themselves. Workers
-communicate results back over a queue, so every scheduler hook and
+``workers`` is the paper's P processors, and the coordinator — the
+thread that calls :meth:`RoundExecutor.run` — is processor 0: of the
+units one dispatch stage selects it hands all but the last to lanes,
+runs the last itself, then handles whatever completions are queued.
+The others are at most P−1 lane threads, each started by the first
+hand-off that finds every live lane taken, so a round whose stages
+never select two units (a chain-shaped ``G``, or ``workers=1``) starts
+no thread. The coordinator owns all scheduler and activation state;
+lanes only run units and timestamp themselves, and every attempt,
+wherever it ran, reports over one queue, so every scheduler hook and
 every ``ValueStore.set`` happens on the coordinator — schedulers need
 no locking, exactly as in the simulator. A unit only reads values of
-nodes that were resolved before it was dispatched, and the completion
-queue's put/get pair orders those writes before the worker's reads.
+nodes resolved before it was dispatched, and the completion queue's
+put/get pair orders those writes before a lane's reads.
+
+Inside a unit the coordinator cannot coordinate: a lane's completion
+waits for it (exported as coordination time from the lane's finish
+stamp, which :func:`~repro.runtime.recorder.record_round` charges as
+stall), watchdog marks and due retries are late by at most that unit,
+and the ``deadline`` is checked between units.
 
 Fault tolerance
 ---------------
-Workers are *supervised lanes*, not an opaque pool: when a lane thread
-dies mid-attempt (chaos kill, or a harness bug) the coordinator spawns
-a replacement and re-dispatches the orphaned unit. A failing unit is
+Lanes are *supervised*, not an opaque pool: when a lane thread dies
+mid-attempt (chaos kill, or a harness bug) the coordinator
+re-dispatches the orphaned unit and the next hand-off that needs the
+capacity starts a replacement; a kill drawn for the coordinator's own
+unit is the same event with no thread to replace. A failing unit is
 retried under a :class:`RetryPolicy` — capped exponential backoff with
 the same ``min(cap, base·factor^(k-1))`` law as the simulator's
 :class:`~repro.sim.faults.FaultPlan` — until its budget is exhausted,
@@ -230,7 +245,7 @@ class RoundOutcome:
     retry_intervals: list[tuple[float, float]] = field(default_factory=list)
     #: failed attempts that were re-dispatched under the retry policy
     unit_retries: int = 0
-    #: worker lanes that died mid-round and were replaced
+    #: attempts killed mid-round with their lane (or on the coordinator)
     lane_deaths: int = 0
     #: nodes the soft watchdog flagged as overdue (they still finished)
     stragglers: list[int] = field(default_factory=list)
@@ -263,48 +278,51 @@ class _LaneKilled(BaseException):
     """Internal: chaos killed the lane running this attempt."""
 
 
+def _queued(first, messages: queue.SimpleQueue):
+    """``first``, then every message already queued behind it."""
+    yield first
+    while True:
+        try:
+            yield messages.get_nowait()
+        except queue.Empty:
+            return
+
+
 class _WorkerLanes:
     """A supervised set of worker threads over one dispatch queue.
 
-    Unlike an opaque pool, lanes are individually replaceable: when a
-    lane dies mid-attempt the coordinator calls :meth:`spawn` to
-    restore capacity, so a chaos kill (or a harness bug that escapes a
-    unit) costs one re-dispatch instead of the round. ``cancel``
-    makes lanes drop queued work instead of draining it — cooperative
-    cancellation for aborted rounds.
+    Starts empty: a lane is started by the :meth:`hand` that finds every
+    live one taken. Unlike an opaque pool, lanes are individually
+    replaceable: the coordinator decrements :attr:`live` when a lane
+    reports its death mid-attempt and a later hand-off restores it, so
+    a chaos kill (or a harness bug that escapes a unit) costs one
+    re-dispatch instead of the round. ``cancel`` makes lanes drop
+    queued work instead of draining it — cooperative cancellation for
+    aborted rounds.
     """
 
     def __init__(
-        self,
-        workers: int,
-        target,
-        tasks: queue.SimpleQueue,
-        cancel: threading.Event,
-        name_prefix: str = "repro-runtime",
+        self, target, tasks: queue.SimpleQueue, cancel: threading.Event
     ) -> None:
         self._target = target
-        self._prefix = name_prefix
         self.tasks = tasks
         self.cancel = cancel
         self._threads: list[threading.Thread] = []
-        self._spawned = 0
-        for _ in range(workers):
-            self.spawn()
+        #: lanes started and not reported dead (coordinator-owned)
+        self.live = 0
 
-    def spawn(self) -> None:
-        """Start one (more) lane thread."""
-        t = threading.Thread(
-            target=self._target,
-            name=f"{self._prefix}-{self._spawned}",
-            daemon=True,
-        )
-        self._spawned += 1
-        self._threads.append(t)
-        t.start()
-
-    @property
-    def spawned(self) -> int:
-        return self._spawned
+    def hand(self, item, on_lanes: int) -> None:
+        """Queue ``item``; start a lane if fewer than ``on_lanes`` live."""
+        self.tasks.put(item)
+        if self.live < on_lanes:
+            t = threading.Thread(
+                target=self._target,
+                name=f"repro-runtime-{len(self._threads)}",
+                daemon=True,
+            )
+            self.live += 1
+            self._threads.append(t)
+            t.start()
 
     def shutdown(self) -> None:
         """Cancel, wake every lane with a sentinel, and join them all.
@@ -327,9 +345,9 @@ class RoundExecutor:
     Parameters
     ----------
     plan, scheduler, workers, deadline, sink:
-        As before: the compiled plan, the driving scheduler, lane
-        count, optional hard wall-clock deadline for the whole round,
-        and trace sink.
+        The compiled plan, the driving scheduler, the processor count
+        (the thread calling :meth:`run` plus at most P−1 lanes), optional
+        hard wall-clock deadline for the whole round, and trace sink.
     retry:
         Optional :class:`RetryPolicy`; ``None`` (the default) keeps
         the historical fail-fast behavior — the first unit failure
@@ -430,17 +448,17 @@ class RoundExecutor:
                 if injected:
                     raise InjectedUnitFault(unit.node, attempt)
                 value, err = unit.execute(values), None
-            except BaseException as exc:  # handled by the coordinator
+            except Exception as exc:  # handled by the coordinator; an
+                # interrupt is no unit's failure and ends the round
                 value, err = None, exc
             completions.put(
                 ("done", unit.node, attempt, value, t0, perf_counter(), err)
             )
 
         if tracing:
-            # per-WorkUnit span recorded by the worker itself, into its
-            # own thread-local buffer — the worker id is the span's tid
+            # per-WorkUnit span recorded by the thread that runs it, into
+            # its own thread-local buffer — the processor is the span's tid
             def exec_attempt(unit: WorkUnit, attempt: int) -> None:
-                sink.set_thread_name(threading.current_thread().name)
                 with sink.span(
                     f"unit:{unit.node}",
                     "unit",
@@ -455,6 +473,7 @@ class RoundExecutor:
             exec_attempt = run_attempt
 
         def lane_loop() -> None:
+            sink.set_thread_name(threading.current_thread().name)
             while True:
                 item = tasks.get()
                 if item is _STOP:
@@ -468,7 +487,7 @@ class RoundExecutor:
                     exec_attempt(unit, attempt)
                 except _LaneKilled:
                     completions.put(
-                        ("lane-died", unit.node, attempt, perf_counter())
+                        ("lane-died", unit.node, attempt, perf_counter(), 1)
                     )
                     return
                 except BaseException as exc:  # pragma: no cover
@@ -509,14 +528,22 @@ class RoundExecutor:
         #: node → dispatch stamp, maintained only when the watchdog is on
         dispatched_at: dict[int, float] = {}
         marked: set[int] = set()
-        lanes = _WorkerLanes(workers, lane_loop, tasks, cancel)
+        lanes = _WorkerLanes(lane_loop, tasks, cancel)
+        #: the attempt issued last, held back for this thread to run
+        held: tuple[WorkUnit, int] | None = None
 
         def submit_attempt(node: int) -> None:
+            # ``inflight`` counts this attempt already: once the one
+            # held before it is handed off, all but one are on lanes
+            nonlocal held
             a = attempts.get(node, -1) + 1
             attempts[node] = a
             if watchdog is not None:
                 dispatched_at[node] = perf_counter()
-            tasks.put((plan.units[node], a))
+            if held is not None:
+                lanes.hand(held, inflight - 1)
+            held = (plan.units[node], a)
+            just_submitted.append(node)
 
         try:
             dispatchable0, activated0 = state.bootstrap()
@@ -541,9 +568,8 @@ class RoundExecutor:
                         and retry_heap[0][0] <= now_pc
                     ):
                         _, v = heapq.heappop(retry_heap)
-                        submit_attempt(v)
-                        just_submitted.append(v)
                         inflight += 1
+                        submit_attempt(v)
 
                 # dispatch: keep asking while the scheduler produces work
                 while inflight < workers:
@@ -573,9 +599,8 @@ class RoundExecutor:
                                 f"{scheduler.name} dispatched task {v} "
                                 f"illegally: {exc}"
                             ) from exc
-                        submit_attempt(v)
-                        just_submitted.append(v)
                         inflight += 1
+                        submit_attempt(v)
 
                 # the coordination window that began at the last popped
                 # completion ends here: from now on any worker idleness
@@ -596,6 +621,17 @@ class RoundExecutor:
                         coord.append((w_start - origin, now - origin))
                     window = None
 
+                if held is not None:
+                    # processor 0 runs a unit instead of waiting for one
+                    (unit, a), held = held, None
+                    try:
+                        exec_attempt(unit, a)
+                    except _LaneKilled:
+                        # the same capacity loss, no thread to replace
+                        completions.put(
+                            ("lane-died", unit.node, a, perf_counter(), 0)
+                        )
+
                 if inflight == 0 and not retry_heap:
                     if state.all_done():
                         break
@@ -605,11 +641,11 @@ class RoundExecutor:
                         "running, none selected"
                     )
 
-                msg = self._await_event(
+                first = self._await_event(
                     completions, state, clock, retry_heap, dispatched_at,
                     marked, inflight,
                 )
-                if msg is None:
+                if first is None:
                     # timer tick: a retry came due or a unit went
                     # overdue — mark stragglers and loop back to the
                     # dispatch stage
@@ -618,92 +654,96 @@ class RoundExecutor:
                     )
                     continue
 
-                if msg[0] == "lane-died":
-                    _, node, attempt, _t = msg
-                    # supervision: replace the lane and re-dispatch the
-                    # orphaned unit — a killed lane is capacity loss,
-                    # not a unit failure, so no retry budget is charged
-                    lanes.spawn()
-                    outcome.lane_deaths += 1
-                    retry_from[node] = handoff_from.get(node, _t)
-                    if watchdog is not None:
-                        dispatched_at.pop(node, None)
-                    if tracing:
-                        sink.record_instant(
-                            "lane-replaced",
-                            args={"node": node, "attempt": attempt},
-                        )
-                    submit_attempt(node)
-                    just_submitted.append(node)
-                    continue
-
-                if msg[0] == "lane-crashed":
-                    _, node, attempt, t1, err = msg
-                    lanes.spawn()
-                    outcome.lane_deaths += 1
-                    value, t0 = None, t1
-                else:
-                    _, node, attempt, value, t0, t1, err = msg
-
-                inflight -= 1
-                if watchdog is not None:
-                    dispatched_at.pop(node, None)
-                # window opens at the worker's finish stamp (covers the
-                # queue-wake latency too); `now` closed the previous one
-                window = (max(t1, now), inflight)
-                h = handoff_from.pop(node, t0)
-                if t0 > h:
-                    dispatch_lag += t0 - h
-                    coord.append((h - origin, t0 - origin))
-
-                if err is not None:
-                    nfail = failures.get(node, 0) + 1
-                    failures[node] = nfail
-                    if retry is not None and retry.allows(nfail):
-                        delay = retry.backoff_delay(nfail)
-                        heapq.heappush(
-                            retry_heap, (perf_counter() + delay, node)
-                        )
-                        outcome.unit_retries += 1
-                        retry_from[node] = t0
-                        if chaos is not None:
-                            chaos.note_retry(node, attempts[node], delay)
+                # ... and whatever is queued behind it: a completion that
+                # landed while this thread ran a unit must not wait out another
+                for msg in _queued(first, completions):
+                    if msg[0] == "lane-died":
+                        _, node, attempt, _t, lost = msg
+                        # supervision: re-dispatch the orphaned unit (a
+                        # later hand-off restores the lane) — capacity loss,
+                        # not a unit failure, so no retry budget is charged
+                        lanes.live -= lost
+                        outcome.lane_deaths += 1
+                        retry_from[node] = handoff_from.get(node, _t)
+                        if watchdog is not None:
+                            dispatched_at.pop(node, None)
                         if tracing:
                             sink.record_instant(
-                                "unit-retry",
-                                args={
-                                    "node": node,
-                                    "failures": nfail,
-                                    "backoff_s": delay,
-                                },
+                                "lane-replaced",
+                                args={"node": node, "attempt": attempt},
                             )
+                        submit_attempt(node)
                         continue
-                    # budget exhausted: the unit is poison — quarantine
-                    # it, stop dispatching, and surface every failure
-                    raise self._quarantine(
-                        node, err, attempts, completions, lanes
-                    ) from err
 
-                values.set(node, value)
-                changed = value != plan.units[node].old_value
-                outcome.diffs[node] = changed
-                outcome.records[node] = (t0 - origin, t1 - origin)
+                    if msg[0] == "lane-crashed":
+                        _, node, attempt, t1, err = msg
+                        lanes.live -= 1
+                        outcome.lane_deaths += 1
+                        value, t0 = None, t1
+                    else:
+                        _, node, attempt, value, t0, t1, err = msg
 
-                t = clock()
-                h0 = perf_counter()
-                ops0 = scheduler.ops
-                dispatchable, newly_activated = state.complete_live(
-                    node, changed
-                )
-                oracle.push_ready_events(dispatchable)
-                for v in newly_activated:
-                    scheduler.on_activate(v, t)
-                scheduler.on_complete(node, t)
-                overhead += perf_counter() - h0
-                if tracing:
-                    sink.add_to_current(
-                        "complete_ops", scheduler.ops - ops0
+                    inflight -= 1
+                    if watchdog is not None:
+                        dispatched_at.pop(node, None)
+                    # window opens at the first finish stamp (covers the
+                    # queue wake, or the rest of the unit this thread was
+                    # inside); `now` closed the previous one
+                    if window is None:
+                        window = (max(t1, now), inflight)
+                    h = handoff_from.pop(node, t0)
+                    if t0 > h:
+                        dispatch_lag += t0 - h
+                        coord.append((h - origin, t0 - origin))
+
+                    if err is not None:
+                        nfail = failures.get(node, 0) + 1
+                        failures[node] = nfail
+                        if retry is not None and retry.allows(nfail):
+                            delay = retry.backoff_delay(nfail)
+                            heapq.heappush(
+                                retry_heap, (perf_counter() + delay, node)
+                            )
+                            outcome.unit_retries += 1
+                            retry_from[node] = t0
+                            if chaos is not None:
+                                chaos.note_retry(node, attempts[node], delay)
+                            if tracing:
+                                sink.record_instant(
+                                    "unit-retry",
+                                    args={
+                                        "node": node,
+                                        "failures": nfail,
+                                        "backoff_s": delay,
+                                    },
+                                )
+                            continue
+                        # budget exhausted: the unit is poison — quarantine
+                        # it, stop dispatching, and surface every failure
+                        raise self._quarantine(
+                            node, err, attempts, completions, lanes
+                        ) from err
+
+                    values.set(node, value)
+                    changed = value != plan.units[node].old_value
+                    outcome.diffs[node] = changed
+                    outcome.records[node] = (t0 - origin, t1 - origin)
+
+                    t = clock()
+                    h0 = perf_counter()
+                    ops0 = scheduler.ops
+                    dispatchable, newly_activated = state.complete_live(
+                        node, changed
                     )
+                    oracle.push_ready_events(dispatchable)
+                    for v in newly_activated:
+                        scheduler.on_activate(v, t)
+                    scheduler.on_complete(node, t)
+                    overhead += perf_counter() - h0
+                    if tracing:
+                        sink.add_to_current(
+                            "complete_ops", scheduler.ops - ops0
+                        )
         finally:
             lanes.shutdown()
             # completions that landed after an abort (deadline, chaos,

@@ -223,7 +223,7 @@ class UpdateStreamService:
     scheduler:
         The one scheduler instance reused across all rounds.
     workers:
-        Worker-pool width per round (executor lane threads).
+        Processors per round: the serving thread and ≤ ``workers − 1`` lanes.
     executor, storage, plan_cache:
         Accept only ``"thread"``, ``"columnar"`` and ``True``: the
         process executor backend, the row storage layout and cold
@@ -771,10 +771,10 @@ class UpdateStreamService:
         Every round is staged onto the cached static DAG, executed,
         compared with the from-scratch evaluation and committed to the
         cache. ``degraded`` — the breaker's verdict, taken once in
-        :meth:`run_round` — decides only who calls the units: the
-        executor's lanes under the scheduler, whose recorded schedule
-        is then invariant-checked, or the service thread, every node in
-        level order, which records none. Each phase returns the
+        :meth:`run_round` — decides only how the units are called: by
+        the executor under the scheduler, whose recorded schedule is
+        then invariant-checked, or serially, every node in level order
+        on the service thread, which records none. Each phase returns the
         :class:`RoundMetrics` fields it fills.
         """
         sink = self.sink

@@ -28,9 +28,10 @@ from repro.workloads import make_trace
 REGISTRY = scheduler_registry()
 
 
-def traced_service(rounds=6, scheduler="levelbased"):
-    wl = live_workload("retail", seed=5)
+def traced_service(rounds=6, scheduler="levelbased", program="retail"):
+    wl = live_workload(program, seed=5)
     rec = TraceRecorder()
+    rec.set_thread_name("service")  # as `repro trace` labels its thread
     svc = UpdateStreamService(
         wl.program, wl.edb, REGISTRY[scheduler](), workers=4, sink=rec
     )
@@ -112,14 +113,35 @@ class TestServiceReconciliation:
         total_tasks = sum(m.tasks_executed for m in svc.metrics.rounds)
         assert len(units) == total_tasks
         service_tid = next(r.tid for r in records if r.name == "round")
-        assert all(u.tid != service_tid for u in units)
-        worker_labels = set(rec.thread_names().values())
-        assert any(lbl.startswith("repro-runtime") for lbl in worker_labels)
+        names = rec.thread_names()
+        lanes = {
+            tid for tid, lbl in names.items()
+            if lbl.startswith("repro-runtime")
+        }
+        # a unit ran on the service thread (processor 0) or on a lane,
+        # and retail's G has width: both kinds did
+        assert {u.tid for u in units} <= lanes | {service_tid}
+        assert {service_tid} < {u.tid for u in units}
+        # running units did not relabel the caller's thread
+        assert names[service_tid] == "service"
         # scheduler decision counters attributed to the execute span
         ex = next(r for r in records if r.name == "execute")
         assert ex.args.get("select_calls", 0) >= 1
         assert "ready_scan_ops" in ex.args
         assert ex.args.get("scheduler_ops", 0) >= 1
+
+    def test_chain_rounds_run_on_the_service_thread(self):
+        """``tc``'s G is a 3-node chain: nothing is ever handed off, so
+        no lane exists and every unit span is the service thread's."""
+        rec, svc = traced_service(rounds=4, program="tc")
+        records = rec.records()
+        units = [r for r in records if r.cat == "unit"]
+        assert len(units) == sum(
+            m.tasks_executed for m in svc.metrics.rounds
+        ) > 0
+        service_tid = next(r.tid for r in records if r.name == "round")
+        assert {u.tid for u in units} == {service_tid}
+        assert rec.thread_names() == {service_tid: "service"}
 
     def test_interning_stats_populate_round_metrics(self, run):
         _, svc = run

@@ -5,7 +5,8 @@ with the sim's capped-backoff law, retry-budget exhaustion and the
 structured quarantine aggregate, the soft straggler watchdog, chaos
 injection at the unit level, supervised worker-lane replacement, and
 the deadline regression — a deadline-exceeded round returns promptly
-without leaking a single lane thread.
+without leaking a single lane thread. Last, processor 0: the calling
+thread runs units itself, so lanes exist only where a round has width.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import time
 import pytest
 
 from repro.datalog.units import build_execution_plan
+from repro.runtime import UpdateStreamService, live_workload, make_stream
 from repro.runtime.chaos import ChaosInjector, ChaosPlan, InjectedUnitFault
 from repro.runtime.executor import (
     RetryPolicy,
@@ -335,3 +337,133 @@ def test_quarantine_cancels_remaining_dispatch(compiled_workloads):
         RoundExecutor(plan, REGISTRY["levelbased"](), workers=1).run()
     assert executed < total - 1
     assert not _runtime_threads()
+
+
+# ----------------------------------------------------------------------
+# processor 0: the calling thread runs units, lanes exist on demand
+# ----------------------------------------------------------------------
+@pytest.fixture
+def thread_starts(monkeypatch) -> list[str]:
+    """Names of the threads started while the test runs."""
+    started: list[str] = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+@pytest.mark.parametrize(
+    "wl_name", ("transitive_closure", "retail_rollup", "points_to")
+)
+def test_one_worker_starts_no_thread(
+    compiled_workloads, thread_starts, wl_name
+):
+    cu = compiled_workloads[wl_name]
+    plan = build_execution_plan(cu)
+    outcome = RoundExecutor(plan, REGISTRY["hybrid"](), workers=1).run()
+    assert thread_starts == []
+    assert plan.materialization(outcome.values).as_dict() == (
+        cu.db_new.as_dict()
+    )
+
+
+def test_served_chain_rounds_start_no_thread(thread_starts):
+    """``tc``'s G is a 3-node chain: whatever ``workers`` allows, no
+    dispatch stage selects two units, so nothing is ever handed off."""
+    wl = live_workload("tc", seed=5)
+    svc = UpdateStreamService(
+        wl.program, wl.edb, REGISTRY["hybrid"](), workers=4
+    )
+    executed = 0
+    for batches in make_stream(wl, "mixed", rounds=5, batch_size=2):
+        for delta in batches:
+            svc.submit(delta)
+        report = svc.run_round()
+        assert report.materialization_ok
+        executed += report.metrics.tasks_executed
+    assert executed > 0
+    assert thread_starts == []
+
+
+@pytest.mark.parametrize("workers", (2, 4))
+def test_width_spawns_at_most_workers_minus_one_lanes(
+    thread_starts, workers
+):
+    """A lane is started by the hand-off that needs it, per round."""
+    wl = live_workload("retail", seed=5)
+    svc = UpdateStreamService(
+        wl.program, wl.edb, REGISTRY["hybrid"](), workers=workers
+    )
+    per_round = []
+    for batches in make_stream(wl, "steady", rounds=5, batch_size=2):
+        for delta in batches:
+            svc.submit(delta)
+        del thread_starts[:]
+        assert svc.run_round().materialization_ok
+        assert all(n.startswith("repro-runtime") for n in thread_starts)
+        assert not _runtime_threads()
+        per_round.append(len(thread_starts))
+    # the first round runs all of G, whose sources are independent: its
+    # first stage selects several units and keeps one
+    assert 1 <= per_round[0]
+    assert max(per_round) <= workers - 1
+
+
+def test_kill_on_processor_zero_replaces_no_thread(
+    compiled_workloads, thread_starts
+):
+    """A kill drawn for the caller's own unit is the same capacity-loss
+    event as a lane's — re-dispatch, a dead-time window, no retry
+    charged — with no thread to lose or replace."""
+    cu = compiled_workloads["retail_rollup"]
+    plan = build_execution_plan(cu)
+    injector = ChaosInjector(
+        ChaosPlan(seed=1, worker_kill_prob=1.0, max_kills_per_unit=1)
+    )
+    outcome = RoundExecutor(
+        plan, REGISTRY["hybrid"](), workers=1, chaos=injector
+    ).run()
+    assert outcome.lane_deaths == len(outcome.records)
+    assert outcome.unit_retries == 0
+    assert len(outcome.retry_intervals) == outcome.lane_deaths
+    assert thread_starts == []
+    assert plan.materialization(outcome.values).as_dict() == (
+        cu.db_new.as_dict()
+    )
+
+
+def test_chaos_log_does_not_depend_on_who_ran_the_unit():
+    """Decisions are keyed by (seed, kind, epoch, node, attempt): a
+    stream served entirely on processor 0 and one served with a lane
+    draw the same faults."""
+
+    def canonical_log(workers):
+        wl = live_workload("retail", seed=5)
+        svc = UpdateStreamService(
+            wl.program,
+            wl.edb,
+            REGISTRY["hybrid"](),
+            workers=workers,
+            chaos=ChaosPlan(
+                seed=17,
+                unit_fail_prob=0.3,
+                unit_latency_prob=0.2,
+                unit_latency_s=(0.0003, 0.001),
+                worker_kill_prob=0.15,
+            ),
+            unit_retries=8,
+            unit_backoff_s=0.0005,
+        )
+        for batches in make_stream(wl, "steady", rounds=6, batch_size=2):
+            for delta in batches:
+                svc.submit(delta)
+            svc.run_round()
+        assert not _runtime_threads()
+        return svc.chaos.canonical()
+
+    log = canonical_log(workers=1)
+    assert log and log == canonical_log(workers=2)

@@ -130,6 +130,37 @@ class TestRecordRound:
         assert report.ok, "\n".join(v.format() for v in report.violations)
 
 
+def hand_built(records, retry_intervals=(), coord_intervals=(), edges=()):
+    """``records`` as a round on two workers: independent units but for
+    ``edges``, whose sources' outputs changed."""
+    builder = DagBuilder()
+    for _ in records:
+        builder.add_node()
+    for u, v in edges:
+        builder.add_edge(u, v)
+    dag = builder.build()
+    trace = JobTrace(
+        dag=dag,
+        work=np.array([f - s for s, f in records.values()]),
+        initial_tasks=np.setdiff1d(
+            np.arange(dag.n_nodes), [v for _, v in edges]
+        ),
+        changed_edges=np.zeros(dag.n_edges, dtype=bool),
+    )
+    outcome = RoundOutcome(
+        scheduler_name="hand-built",
+        workers=2,
+        values=None,
+        diffs={v: any(v == u for u, _ in edges) for v in records},
+        records=dict(records),
+        unit_retries=len(retry_intervals),
+    )
+    # set by name: the schedule is the same with or without them
+    outcome.retry_intervals = list(retry_intervals)
+    outcome.coord_intervals = list(coord_intervals)
+    return record_round(outcome, trace)
+
+
 class TestRetryDeadTime:
     """A retried unit's failed attempt and backoff are dead time, not a
     broken bound.
@@ -147,38 +178,12 @@ class TestRetryDeadTime:
     #: failed attempt (t = 0) → the handoff of the attempt that succeeded
     RETRIES = [(0.0, 0.1 * v) for v in (1, 2, 3)]
 
-    @staticmethod
-    def artifacts(records, retry_intervals):
-        """``records`` as the round of that many independent units on
-        two workers."""
-        builder = DagBuilder()
-        for _ in records:
-            builder.add_node()
-        dag = builder.build()
-        trace = JobTrace(
-            dag=dag,
-            work=np.array([f - s for s, f in records.values()]),
-            initial_tasks=np.arange(dag.n_nodes),
-            changed_edges=np.zeros(dag.n_edges, dtype=bool),
-        )
-        outcome = RoundOutcome(
-            scheduler_name="hand-built",
-            workers=2,
-            values=None,
-            diffs=dict.fromkeys(records, False),
-            records=dict(records),
-            unit_retries=len(retry_intervals),
-        )
-        # set by name: the schedule is the same with or without it
-        outcome.retry_intervals = retry_intervals
-        return record_round(outcome, trace)
-
     def test_schedule_alone_breaks_the_fault_free_bound(self):
-        report = self.artifacts(self.RECORDS, []).check()
+        report = hand_built(self.RECORDS, []).check()
         assert report.kinds() == {"makespan-bound"}
 
     def test_retry_windows_are_charged_as_stall(self):
-        art = self.artifacts(self.RECORDS, self.RETRIES)
+        art = hand_built(self.RECORDS, self.RETRIES)
         report = art.check()
         assert report.ok, "\n".join(v.format() for v in report.violations)
         # lanes idle under a pending retry for [0, 0.3]; the last unit
@@ -190,7 +195,47 @@ class TestRetryDeadTime:
     def test_whole_idle_backoff_is_compressed_not_charged(self):
         # one unit, retried after everything else went quiet: the gap is
         # whole-idle, removed once by compression and not again as stall
-        art = self.artifacts({0: (0.5, 0.6)}, [(0.0, 0.5)])
+        art = hand_built({0: (0.5, 0.6)}, [(0.0, 0.5)])
         assert art.check().ok
         assert art.result.extras["compressed_idle_s"] == pytest.approx(0.5)
         assert art.result.extras["coordination_stall_s"] == 0.0
+
+
+class TestProcessorZeroWait:
+    """A completion that arrives while the coordinator is inside a unit
+    waits for it, and that wait is coordination stall.
+
+    Two workers; the caller's thread is one of them. It runs 50 ms unit
+    1 while a lane finishes 1 ms unit 0: unit 0's child 4 and the ready
+    50 ms units 2 and 3 are dispatched only when the caller comes back,
+    and again one stage later — the lane idles under ready work twice,
+    which no bound on a greedy schedule covers. The executor opens the
+    coordination window at the lane's finish stamp, so both waits are
+    exported as ``coord_intervals``.
+    """
+
+    RECORDS = {
+        0: (0.0, 0.001),
+        1: (0.0, 0.05),
+        2: (0.05, 0.1),
+        3: (0.1, 0.15),
+        4: (0.05, 0.051),
+    }
+    EDGES = [(0, 4)]
+    #: lane's finish stamp → the dispatch stage after the caller's unit
+    WAITS = [(0.001, 0.05), (0.051, 0.1)]
+
+    def test_schedule_alone_breaks_the_greedy_bound(self):
+        report = hand_built(self.RECORDS, edges=self.EDGES).check()
+        assert report.kinds() == {"makespan-bound"}
+
+    def test_the_wait_is_charged_as_stall(self):
+        art = hand_built(
+            self.RECORDS, coord_intervals=self.WAITS, edges=self.EDGES
+        )
+        report = art.check()
+        assert report.ok, "\n".join(v.format() for v in report.violations)
+        assert art.result.extras["coordination_stall_s"] == pytest.approx(
+            0.098
+        )
+        assert art.result.makespan == pytest.approx(0.15)
