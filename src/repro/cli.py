@@ -343,6 +343,8 @@ def cmd_serve(args) -> int:
             flag += "  NOOP"
         if m.cancelled_ops:
             flag += f"  ({m.cancelled_ops} op(s) cancelled)"
+        if m.continued_nodes:
+            flag += f"  ({m.continued_nodes} fixpoint(s) continued)"
         print(
             f"round {m.index:3d}: {m.batches_coalesced} batch(es), "
             f"{m.tasks_executed}/{m.n_nodes} nodes executed, "

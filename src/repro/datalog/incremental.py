@@ -32,21 +32,25 @@ columnar mirrors in id space — its joins are the compiled Δ-plans of
 :func:`~repro.datalog.columnar.compile_rule_plan`, a recompute is
 :func:`~repro.datalog.seminaive.evaluate_stratum`, and only the rows an
 update changed are externed, into :class:`MaintenanceTrace`'s ``net``.
-The served round does not call it yet: the static DAG's fixpoint nodes
-recompute their SCC, which Backward/Forward's candidate volume still
-loses to on small deep graphs (DESIGN §18). Row ``seminaive_evaluate``
-is the oracle the engine is tested against.
+The served round calls the half of it that is measured to win: step (4),
+:func:`_insert_stratum`, is the body of a static DAG's fixpoint node
+whenever everything the node reads only grew (:mod:`repro.datalog
+.units`). After a retraction the node recomputes its SCC — against a
+columnar recompute Backward/Forward's candidate volume still loses on
+small deep graphs (DESIGN §18). Row ``seminaive_evaluate`` is the
+oracle the engine is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Collection, Iterator
 
 from .ast import Program, Rule
 from .columnar import (
     ColumnarRelation,
     InternPool,
+    RulePlan,
     compile_rule_plan,
     run_rule_plan,
 )
@@ -194,10 +198,58 @@ class _Stratum:
     #: form here, so a change to one recomputes the stratum
     reads: frozenset[str]
     sensitive: frozenset[str]
+    #: proper-rule index → body evaluation order (the analyzer's hints)
+    orders: dict[int, tuple[int, ...]]
+    #: (rule index, Δ-position) → its compiled plan, from its first use
+    plans: dict[tuple[int, int | None], RulePlan]
+
+    @classmethod
+    def of(
+        cls,
+        index: int,
+        rules: list[tuple[int, Rule]],
+        recursive: set[str],
+        facts: list[Rule],
+        orders: dict[int, tuple[int, ...]],
+    ) -> "_Stratum":
+        """The stratum of ``rules``, its read sets taken off their bodies."""
+        atoms = [
+            (lit.atom.predicate, lit.negated or r.has_aggregate)
+            for _, r in rules
+            for lit in r.body
+            if lit.atom is not None
+        ]
+        return cls(
+            index, rules, recursive, facts,
+            frozenset(p for p, _ in atoms),
+            frozenset(p for p, sensitive in atoms if sensitive),
+            orders,
+            {},
+        )
+
+
+# The per-stratum steps read the stratum, a database, the pool of its
+# mirrors and id-row Δs — nothing of an engine.
+def _mirror(db: Database, pool: InternPool, pred: str) -> ColumnarRelation:
+    rel = db.relations[pred]
+    return rel if isinstance(rel, ColumnarRelation) else rel.columnar(pool)
+
+
+def _deltas(
+    st: _Stratum, view: Database, pool: InternPool, wave: dict[str, set]
+) -> dict[str, ColumnarRelation]:
+    """A wave's id-rows as Δ relations of the predicates the stratum
+    reads, wrapped as they are: no intern, no build."""
+    return {
+        p: _mirror(view, pool, p).wrap(rows)
+        for p, rows in wave.items()
+        if rows and p in st.reads
+    }
 
 
 def _joins(
-    rule: Rule, view: Database, pool: InternPool, deltas: dict | None
+    st: _Stratum, ri: int, rule: Rule, view: Database, pool: InternPool,
+    deltas: dict | None,
 ) -> Iterator[set]:
     """The id-rows ``rule`` derives over ``view``: its whole plan, once,
     when ``deltas`` is None; else one compiled Δ-plan per positive body
@@ -209,9 +261,90 @@ def _joins(
         if lit.atom and not lit.negated and lit.atom.predicate in deltas
     ]
     for pos in occurrences:
-        yield run_rule_plan(
-            compile_rule_plan(rule, None, pos), view, pool, deltas
-        )
+        plan = st.plans.get((ri, pos))
+        if plan is None:
+            plan = st.plans[ri, pos] = compile_rule_plan(
+                rule, st.orders.get(ri), pos
+            )
+        yield run_rule_plan(plan, view, pool, deltas)
+
+
+def _propagate(
+    st: _Stratum, rules, view: Database, pool: InternPool,
+    deltas: dict | None, take,
+    trace: MaintenanceTrace | None = None, phase: str = "",
+) -> None:
+    """The semi-naive wave loop the three passes share.
+
+    A wave runs ``rules``' joins over ``view`` (whole plans for
+    ``deltas=None``, Δ-plans after) and hands each join's id-rows to
+    ``take(head, produced)``; the rows it returns — what the pass
+    accepted as new — are the next wave's Δ, until a wave adds none.
+    """
+    iteration = 0
+    while deltas is None or deltas:
+        wave: dict[str, set] = {}
+        for ri, rule in rules:
+            head = rule.head.predicate
+            n_taken = 0
+            for produced in _joins(st, ri, rule, view, pool, deltas):
+                new = take(head, produced)
+                if new:
+                    wave.setdefault(head, set()).update(new)
+                    n_taken += len(new)
+            if trace is not None:
+                trace.record(phase, st.index, iteration, ri, n_taken)
+        deltas = _deltas(st, view, pool, wave)
+        iteration += 1
+
+
+def _insert_stratum(
+    st: _Stratum, db: Database, pool: InternPool, born: dict[str, set],
+    shared: Collection[str], trace: MaintenanceTrace | None,
+) -> dict[str, set]:
+    """Continue a positive stratum's fixpoint from Δ⁺.
+
+    ``db``'s heads hold the fixpoint of ``st.rules`` over what the
+    stratum read *before* the id-rows ``born`` (predicate → rows) came:
+    rows of a predicate the stratum reads from below are in ``db``
+    already, rows of one of its own heads — its entry relation grew —
+    are added here; no predicate of ``born`` may be in ``st.sensitive``.
+    The Δ-plans of every occurrence of a grown predicate run first, then
+    ordinary semi-naive waves from what those added — semi-naive
+    continuation is the derivative of the fixpoint for a monotone change
+    ("Fixing Incremental Computation", PAPERS.md). A head grows in
+    place, unless it is one of ``shared`` — its relation in ``db`` is
+    someone else's too (a committed node value): the first rows it gains
+    go to a clone of its mirror, rows and indexes, that takes its place
+    in ``db``, and a shared head that gains nothing is only read.
+    Returns the rows each head gained. The one insert continuation: step
+    (4) of :meth:`IncrementalEngine.apply` and the body of a served
+    fixpoint node whose inputs only grew (:mod:`repro.datalog.units`).
+    """
+    added: dict[str, set] = {}
+
+    def take(head: str, produced: set) -> set:
+        rel = db.relations[head]
+        mirror = _mirror(db, pool, head)
+        fresh = produced - mirror.rows
+        if fresh:
+            if head in shared and head not in added:
+                mirror = mirror.clone()
+                rel = db.relations[head] = Relation(rel.name, rel.arity)
+            mirror.extend(fresh)
+            rel.adopt(mirror)
+            added.setdefault(head, set()).update(fresh)
+        return fresh
+
+    heads = {rule.head.predicate for _, rule in st.rules}
+    seed = {
+        p: take(p, rows) if p in heads else rows for p, rows in born.items()
+    }
+    _propagate(
+        st, st.rules, db, pool, _deltas(st, db, pool, seed), take,
+        trace, "insert",
+    )
+    return added
 
 
 class IncrementalEngine:
@@ -236,17 +369,10 @@ class IncrementalEngine:
             ]
             if not rules:
                 continue
-            atoms = [
-                (lit.atom.predicate, lit.negated or r.has_aggregate)
-                for _, r in rules
-                for lit in r.body
-                if lit.atom is not None
-            ]
-            self._steps.append(_Stratum(
+            self._steps.append(_Stratum.of(
                 si, rules, recursive.intersection(stratum),
                 [f for f in program.facts if f.head.predicate in stratum],
-                frozenset(p for p, _ in atoms),
-                frozenset(p for p, sensitive in atoms if sensitive),
+                {},
             ))
         self.db, _ = seminaive_evaluate(program, edb, pool=self.pool)
 
@@ -286,7 +412,11 @@ class IncrementalEngine:
                 self._recompute_stratum(st, net, trace)
             elif any(map(net.touches, st.reads)):
                 self._delete_stratum(st, net, trace)
-                self._insert_stratum(st, net, trace)
+                for head, rows in _insert_stratum(
+                    st, self.db, self.pool, net.positive(), (), trace
+                ).items():
+                    for row in rows:
+                        net.add(head, row, 1)
         # only the derived rows that changed leave id space
         for pred, rows in net.weights.items():
             if pred not in zdelta.weights:
@@ -331,46 +461,8 @@ class IncrementalEngine:
                         )
 
     # ------------------------------------------------------------------
-    # The per-stratum steps read the stratum, the database, the pool and
-    # the id-space net Z-set — nothing else of the engine.
     def _mirror(self, pred: str) -> ColumnarRelation:
-        return self.db.relations[pred].columnar(self.pool)
-
-    def _deltas(self, st: _Stratum, wave: dict[str, set]) -> dict:
-        """A wave's id-rows as Δ relations of the predicates the stratum
-        reads, wrapped as they are: no intern, no build."""
-        return {
-            p: self._mirror(p).wrap(rows)
-            for p, rows in wave.items()
-            if p in st.reads
-        }
-
-    def _propagate(
-        self, st: _Stratum, rules, view: Database, deltas: dict | None,
-        take, trace: MaintenanceTrace | None = None, phase: str = "",
-    ) -> None:
-        """The semi-naive wave loop the three passes share.
-
-        A wave runs ``rules``' joins over ``view`` (whole plans for
-        ``deltas=None``, Δ-plans after) and hands each join's id-rows to
-        ``take(head, produced)``; the rows it returns — what the pass
-        accepted as new — are the next wave's Δ, until a wave adds none.
-        """
-        iteration = 0
-        while deltas is None or deltas:
-            wave: dict[str, set] = {}
-            for ri, rule in rules:
-                head = rule.head.predicate
-                n_taken = 0
-                for produced in _joins(rule, view, self.pool, deltas):
-                    new = take(head, produced)
-                    if new:
-                        wave.setdefault(head, set()).update(new)
-                        n_taken += len(new)
-                if trace is not None:
-                    trace.record(phase, st.index, iteration, ri, n_taken)
-            deltas = self._deltas(st, wave)
-            iteration += 1
+        return _mirror(self.db, self.pool, pred)
 
     # Backward/Forward deletion + semi-naive insertion for a positive
     # stratum
@@ -425,9 +517,10 @@ class IncrementalEngine:
             candidates[head] |= found
             return found
 
-        self._propagate(
-            st, st.rules, self._old_view(st, gone), self._deltas(st, gone),
-            take, trace, "bf_candidates",
+        view = self._old_view(st, gone)
+        _propagate(
+            st, st.rules, view, self.pool,
+            _deltas(st, view, self.pool, gone), take, trace, "bf_candidates",
         )
         return {p: s for p, s in candidates.items() if s}
 
@@ -457,22 +550,8 @@ class IncrementalEngine:
             return proven
 
         rules = [r for r in st.rules if r[1].head.predicate in candidates]
-        self._propagate(st, rules, Database(masked), None, take)
+        _propagate(st, rules, Database(masked), self.pool, None, take)
         return supported
-
-    def _insert_stratum(self, st: _Stratum, net: ZSetDelta, trace) -> None:
-        def take(head: str, produced: set) -> set:
-            mirror = self._mirror(head)
-            fresh = produced - mirror.rows
-            if fresh:
-                mirror.extend(fresh)
-                self.db.relations[head].adopt(mirror)
-                for row in fresh:
-                    net.add(head, row, 1)
-            return fresh
-
-        born = self._deltas(st, net.positive())
-        self._propagate(st, st.rules, self.db, born, take, trace, "insert")
 
     # recompute-and-diff for a negation- or aggregate-affected stratum
     def _recompute_stratum(self, st: _Stratum, net: ZSetDelta, trace) -> None:

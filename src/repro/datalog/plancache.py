@@ -23,19 +23,25 @@ rounds that way:
   are the committed previous round's. A *miss* (first round, an
   out-of-band EDB) is the same plan with no old values and every source
   of ``G`` initial: all of ``G`` runs.
-* ``plan()`` restamps the bound plan in place; ``commit()`` promotes the
-  staged round — its EDB and, when the caller hands over the executed
-  round's value store, its node values — after the service has verified
-  it; ``evaluate()`` is the check the service verifies against, an
-  independent from-scratch evaluation of the round's new EDB.
+* ``plan()`` restamps the bound plan in place, with the staged round
+  and — when there are node values to diff against — the committed
+  side they belong to: those values and that round's baseline. A
+  fixpoint node whose inputs only grew continues the committed fixpoint
+  from them; without them (miss, commit without values) it recomputes.
+  ``commit()`` promotes the staged round — its EDB and, when the
+  caller hands over the executed round's value store, its node values —
+  after the service has verified it; ``evaluate()`` is the check the
+  service verifies against, an independent from-scratch evaluation of
+  the round's new EDB.
 
 Consistency model
 -----------------
 Relations are immutable by convention once a node or a baseline holds
 them: the only mutation they see is lazy index growth, which is
-idempotent and invisible to readers. ``compile()`` stages its results;
-nothing the staged round produced becomes the committed baseline until
-``commit()``. A failed round therefore needs no undo — the service
+idempotent and invisible to readers — a fixpoint node that continues
+from a committed value grows clones of its mirrors, never the value.
+``compile()`` stages its results; nothing the staged round produced
+becomes the committed baseline until ``commit()``. A failed round therefore needs no undo — the service
 simply never commits it, calls :meth:`CompiledProgramCache.rollback`,
 and the retry recompiles from the untouched committed state,
 deterministically reproducing the same staged round. A ``commit``
@@ -99,6 +105,8 @@ class _Side:
     pruned: frozenset[int]
     #: what the executed round left in every node of that program's
     #: ``G``; ``None`` until committed with a completed value store
+    #: (while staged: the committed side's, for the round to diff
+    #: against and continue from)
     values: list | None = None
 
 
@@ -331,8 +339,11 @@ class CompiledProgramCache:
             self._count("plan_binds")
         else:
             self._count("plan_patches")
+        # the committed side goes with its values: a round that has
+        # nothing to diff against has nothing to continue from either
         ProgramSkeleton.stamp(
-            served.plan, cu, staged.baseline, staged.values
+            served.plan, cu, staged.baseline, staged.values,
+            self._prev.baseline if staged.values is not None else None,
         )
         return served.plan
 

@@ -25,8 +25,14 @@ Two kinds of plan
   handed from writer to reader as built — indexes, columnar mirror and
   all — except a task's, which is the set of interned id-rows its rule
   derives (ids are stable for the plan's one pool, so two rounds'
-  values compare as sets); a fixpoint node runs
-  :func:`~repro.datalog.seminaive.evaluate_stratum` over its inputs,
+  values compare as sets); a fixpoint node *maintains* its SCC —
+  where everything it reads only grew since the committed round, it
+  continues that round's fixpoint from Δ⁺ through the engine's insert
+  step (:func:`~repro.datalog.incremental._insert_stratum`), a head
+  that gains rows on a clone of its committed mirror; after any
+  retraction, a change under negation or an aggregate, or with no
+  committed value, it runs
+  :func:`~repro.datalog.seminaive.evaluate_stratum` over its inputs —
   and the old values are whatever the previous committed round left in
   the nodes. A published relation is the mirror its stratum grew:
   nothing is externed inside a round, the first reader of a relation's
@@ -45,7 +51,9 @@ precedence-respecting order — serial or concurrent — therefore
 reproduces the recorded new materialization, and the per-node diffs
 reproduce the compiled activation pattern. The static plan needs no
 such argument: each of its units is a pure function of its inputs'
-final values.
+final values — a fixpoint node's continuation included, which starts
+from a committed value that is itself that function of the committed
+inputs, and never writes to it.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ from .columnar import (
 from .compiler import CompiledUpdate, _cumulative_states
 from .database import Database, Relation
 from .depgraph import DependencyGraph
+from .incremental import _insert_stratum, _Stratum
 from .seminaive import evaluate_stratum
 from .unify import eval_rule
 
@@ -84,6 +93,20 @@ def _fresh_relation(
     rel = Relation(pred, arity)
     rel.extend(facts)
     return rel
+
+
+def _gained(
+    was: Relation | None, now: Relation, pool: InternPool
+) -> set | None:
+    """The id-rows ``now`` holds and ``was`` does not — ``None`` when
+    ``was`` holds one ``now`` lacks, or there is no ``was``."""
+    if now is was:
+        return set()
+    if was is None:
+        return None
+    old, new = was.columnar(pool).rows, now.columnar(pool).rows
+    gained = new - old
+    return gained if len(gained) == len(new) - len(old) else None
 
 
 @dataclass
@@ -115,15 +138,27 @@ class ValueStore:
     ``plan.old_values[node]`` for any node without a computed value.
     The executor guarantees a unit only reads nodes that are already
     *resolved* (executed or deactivated), so the fallback is sound.
+
+    The old values are also what a unit that *maintains* its output
+    continues from (:meth:`committed`), and ``notes`` is where it says
+    so: node → the span args an executed unit reports about how it
+    produced its value (a fixpoint node's ``mode`` and ``delta_rows``),
+    written by the unit, read by whoever traces or counts the round.
     """
 
     def __init__(self, plan: "ExecutionPlan") -> None:
         self._old = plan.old_values
         self._values: dict[int, Any] = {}
+        self.notes: dict[int, dict[str, Any]] = {}
 
     def __getitem__(self, node: int) -> Any:
         got = self._values.get(node)
         return self._old[node] if got is None else got
+
+    def committed(self, node: int) -> Any:
+        """What the previous committed round left in ``node``, or
+        ``None``. Read-only: a round that fails is retried from it."""
+        return self._old[node]
 
     def set(self, node: int, value: Any) -> None:
         """Record a computed value (coordinator thread only)."""
@@ -141,7 +176,7 @@ class RoundCtx:
     while a plan is executing, so worker threads read it without locks.
     """
 
-    __slots__ = ("baseline", "pool")
+    __slots__ = ("baseline", "pool", "committed_baseline")
 
     def __init__(self, pool: InternPool | None = None) -> None:
         #: predicate → program facts ∪ its facts in the round's new EDB
@@ -152,6 +187,9 @@ class RoundCtx:
         #: intern pool: when set, task joins run the columnar batch
         #: evaluator over each relation's interned mirror
         self.pool: InternPool | None = pool
+        #: a static plan's committed side, next to the plan's old node
+        #: values: the baseline of the round that left them
+        self.committed_baseline: dict[str, Relation] = {}
 
 
 @dataclass
@@ -201,12 +239,16 @@ class ExecutionPlan:
         """Run every unit in level order on the calling thread.
 
         Returns the value store and the real per-node change flags. No
-        node is skipped, so no old value is read, only diffed against:
-        how the service runs a degraded round, and the test oracle for
-        both the concurrent executor and the compiler's precomputed
-        activation pattern.
+        node is skipped and the store holds no committed value, so no
+        old value is read — not as a skipped node's output, not as what
+        a fixpoint node continues from — only diffed against: how the
+        service runs a degraded round, and the test oracle for both the
+        concurrent executor and the compiler's precomputed activation
+        pattern.
         """
         values = self.new_store()
+        # nothing committed to fall back on, or to continue from
+        values._old = [None] * len(self.units)
         diffs: dict[int, bool] = {}
         levels = self.compiled.trace.levels
         for node in np.argsort(levels, kind="stable"):
@@ -536,9 +578,12 @@ class ProgramSkeleton(PlanSkeleton):
     baseline relation, a task the id-rows its rule derives from its
     inputs' mirrors, a predicate node the relation those rows (and the
     predicate's baseline) add up to, still in id space, and a fixpoint
-    node the relations its SCC grows to under
+    node the relations of its SCC: continued from the committed
+    round's by the engine's insert step when its inputs only grew,
+    else grown from the entry relations under
     :func:`~repro.datalog.seminaive.evaluate_stratum` — the evaluator's
-    own loop, columnar.
+    own loop, columnar. Which of the two is decided by the sign of the
+    node's input Z-sets, before any join runs.
     """
 
     def _make_unit(self, nid: int, key: tuple, ctx: RoundCtx) -> WorkUnit:
@@ -553,24 +598,71 @@ class ProgramSkeleton(PlanSkeleton):
             si = key[1]
             scc = tuple(self.strata[si])
             scc_set = set(scc)
-            rules = [
-                (ri, r) for ri, r in enumerate(self.rules)
-                if r.head.predicate in scc_set
-            ]
-            inputs = tuple(
-                (q, self.out_id(q))
-                for q in sorted({
-                    q for _ri, r in rules for q, _neg in r.body_predicates()
-                } - scc_set)
+            # every SCC predicate is recursive: one SCC, one stratum
+            st = _Stratum.of(
+                si,
+                [
+                    (ri, r) for ri, r in enumerate(self.rules)
+                    if r.head.predicate in scc_set
+                ],
+                scc_set,
+                [
+                    f for f in self.program.facts
+                    if f.head.predicate in scc_set
+                ],
+                self.join_orders,
             )
-            orders = self.join_orders
+            inputs = tuple(
+                (q, self.out_id(q)) for q in sorted(st.reads - scc_set)
+            )
+
+            def gained(values: ValueStore) -> dict[str, set] | None:
+                """Δ⁺ of what the SCC reads since the committed round,
+                predicate → id-rows — or ``None``, recompute: no
+                committed value, a retraction anywhere, or a change
+                under negation or an aggregate. Decided on the sign of
+                the inputs' Z-sets — the id-row difference of two
+                mirrors of the one pool, an input the round left alone
+                being the committed object itself — before any join
+                runs."""
+                if values.committed(nid) is None:
+                    return None
+                sides = [
+                    (q, values.committed(src), values[src])
+                    for q, src in inputs
+                ] + [
+                    (p, ctx.committed_baseline.get(p), ctx.baseline[p])
+                    for p in scc  # their entry relations
+                ]
+                born: dict[str, set] = {}
+                for q, was, now in sides:
+                    rows = _gained(was, now, ctx.pool)
+                    if rows is None or (rows and q in st.sensitive):
+                        return None
+                    if rows:
+                        born[q] = rows
+                return born
 
             def run(values: ValueStore) -> dict[str, Relation]:
                 db = Database({q: values[src] for q, src in inputs})
-                for p in scc:
-                    db.relations[p] = ctx.baseline[p].copy()
-                # every SCC predicate is recursive: one SCC, one stratum
-                evaluate_stratum(rules, scc_set, db, ctx.pool, orders=orders)
+                born = gained(values)
+                if born is None:
+                    values.notes[nid] = {"mode": "recompute", "delta_rows": 0}
+                    for p in scc:
+                        db.relations[p] = ctx.baseline[p].copy()
+                    evaluate_stratum(
+                        st.rules, scc_set, db, ctx.pool, orders=st.orders
+                    )
+                    return {p: db.relations[p] for p in scc}
+                values.notes[nid] = {
+                    "mode": "continue",
+                    "delta_rows": sum(map(len, born.values())),
+                }
+                # the committed heads, read — never written: the first
+                # rows one gains go to a clone that takes its place
+                db.relations.update(values.committed(nid))
+                if born:
+                    _insert_stratum(st, db, ctx.pool, born, scc_set, None)
                 return {p: db.relations[p] for p in scc}
 
         elif kind == "pred":
@@ -630,6 +722,7 @@ class ProgramSkeleton(PlanSkeleton):
         cu: CompiledUpdate,
         baseline: dict[str, Relation],
         old_values: list | None,
+        committed_baseline: dict[str, Relation] | None,
     ) -> None:
         """Restamp ``plan`` with one round, in place.
 
@@ -637,12 +730,16 @@ class ProgramSkeleton(PlanSkeleton):
         (program facts ∪ the round's new EDB); ``old_values`` are the
         node values the previous committed round left, ``None`` when
         there are none — every node then diffs as changed, and
-        ``cu`` was staged with every source of ``G`` initial.
+        ``cu`` was staged with every source of ``G`` initial. With old
+        values comes the rest of that round's side (else ``None``): its
+        baseline — with them, what a fixpoint node reads to continue
+        instead of recomputing.
         Deterministic: stamping the same round twice (a failed round is
         retried) yields identical state.
         """
         assert plan.ctx is not None
         plan.ctx.baseline = baseline
+        plan.ctx.committed_baseline = committed_baseline or {}
         # rebind in place: ValueStore holds a reference to this list
         plan.old_values[:] = old_values or [None] * len(plan.units)
         for unit, old in zip(plan.units, plan.old_values):

@@ -467,8 +467,11 @@ class RoundExecutor:
                         "label": unit.label,
                         "attempt": attempt,
                     },
-                ):
+                ) as sp:
                     run_attempt(unit, attempt)
+                    # what the unit says of how it got its value
+                    for key, said in values.notes.get(unit.node, {}).items():
+                        sp.set(key, said)
         else:
             exec_attempt = run_attempt
 

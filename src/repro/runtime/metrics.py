@@ -55,6 +55,11 @@ class RoundMetrics:
     n_nodes: int = 0
     n_active: int = 0
     tasks_executed: int = 0
+    #: fixpoint nodes among them that *maintained* — continued their
+    #: committed fixpoint from the rows their inputs gained — instead
+    #: of recomputing their SCC (``ValueStore.notes``); a unit span's
+    #: ``mode`` / ``delta_rows`` args say which node, from how many rows
+    continued_nodes: int = 0
     #: net facts inserted + deleted across the materialization
     changed_facts: int = 0
     #: wall-clock end-to-end round latency (compile + execute + verify);
@@ -125,6 +130,8 @@ class MetricsLog:
             self.registry.histogram(name).observe(getattr(m, name))
         self.registry.counter("tasks_executed").inc(m.tasks_executed)
         self.registry.counter("batches_coalesced").inc(m.batches_coalesced)
+        if m.continued_nodes:
+            self.registry.counter("continued_nodes").inc(m.continued_nodes)
         if m.unit_retries:
             self.registry.counter("unit_retries").inc(m.unit_retries)
         if m.injected_faults:

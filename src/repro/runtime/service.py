@@ -922,6 +922,10 @@ class UpdateStreamService:
             "execute_s": perf_counter() - t0,
             "workers": self.workers,
             "tasks_executed": tasks_executed,
+            "continued_nodes": sum(
+                said.get("mode") == "continue"
+                for said in outcome.values.notes.values()
+            ),
             "scheduler_ops": outcome.scheduler_ops,
             "precompute_ops": outcome.precompute_ops,
             "unit_retries": outcome.unit_retries,

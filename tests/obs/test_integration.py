@@ -143,6 +143,36 @@ class TestServiceReconciliation:
         assert {u.tid for u in units} == {service_tid}
         assert rec.thread_names() == {service_tid: "service"}
 
+    def test_fix_unit_spans_say_whether_the_round_maintained(self):
+        """A fixpoint node's span carries ``mode`` and ``delta_rows``;
+        per round, the spans that read ``continue`` are the round's
+        ``continued_nodes`` — and both kinds of round occur."""
+        rec, svc = traced_service(rounds=10, program="tc")
+        records = rec.records()
+        rounds = sorted(
+            (r for r in records if r.name == "round"),
+            key=lambda r: r.args["index"],
+        )
+        fix = [r for r in records if r.cat == "unit" and "mode" in r.args]
+        assert {r.args["label"] for r in fix} == {"fix@1"}
+        assert {r.args["mode"] for r in fix} == {"continue", "recompute"}
+        served = [m for m in svc.metrics.rounds if not m.noop]
+        assert len(served) == len(rounds)
+        for m, span in zip(served, rounds):
+            mine = [r for r in fix if span.t0 <= r.t0 <= span.t1]
+            assert m.continued_nodes == sum(
+                r.args["mode"] == "continue" for r in mine
+            )
+            for r in mine:
+                if r.args["mode"] == "continue":
+                    assert 0 < r.args["delta_rows"] <= 2  # the batch's inserts
+                else:
+                    assert r.args["delta_rows"] == 0
+        assert served[0].continued_nodes == 0  # the miss
+        assert svc.metrics.registry.counter("continued_nodes").value == sum(
+            m.continued_nodes for m in served
+        ) > 0
+
     def test_interning_stats_populate_round_metrics(self, run):
         _, svc = run
         rounds = svc.metrics.rounds

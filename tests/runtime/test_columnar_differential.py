@@ -16,6 +16,8 @@ committed baseline.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.datalog import Database, Delta, parse_program, seminaive_evaluate
@@ -116,19 +118,12 @@ def test_read_set_shapes_columnar_vs_row(shape, cold):
 PARENT_PROBES = {8: [132, 156, 182, 210], 32: [1260, 1332, 1406, 1482]}
 
 
-@pytest.mark.parametrize("depth", sorted(PARENT_PROBES))
-def test_builds_do_not_scale_with_fixpoint_depth(depth):
-    """``columnar_builds`` counts mirror and index constructions only.
-
-    Each round appends one edge to a chain, so the ``path`` fixpoint
-    runs one iteration deeper than the round before. A warm round
-    builds nothing whatever the depth — ``edge``'s mirror and index are
-    patched, ``path`` grows from an empty mirror, and an iteration's Δ
-    is a wrap of rows that already are id-rows — where it used to build
-    two mirrors per iteration (20 and 68 builds on round 2 here), while
-    the joins probe exactly as often as they did when every Δ was
-    re-interned.
-    """
+@functools.cache
+def _chain_rounds(depth: int, degraded: bool = False):
+    """Five rounds that each append one edge to a chain of ``depth``:
+    the service after the last, and the four warm rounds' metrics.
+    ``degraded`` rounds run serially and read no committed node value:
+    their fixpoint node recomputes, as every round's did at the parent."""
     program = parse_program(
         "path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), edge(Y, Z)."
     )
@@ -139,8 +134,63 @@ def test_builds_do_not_scale_with_fixpoint_depth(depth):
         [Delta().insert("edge", (depth + k, depth + k + 1))]
         for k in range(5)
     ]
-    svc = serve_ticks(program, edb, ticks)
-    warm = svc.metrics.rounds[1:]
-    assert [m.columnar_builds for m in warm] == [0] * 4
-    assert [m.columnar_probes for m in warm] == PARENT_PROBES[depth]
+    svc = serve_ticks(
+        program, edb, ticks, degraded=(lambda i: True) if degraded else None
+    )
+    return program, svc, svc.metrics.rounds[1:]
+
+
+@pytest.mark.parametrize("depth", sorted(PARENT_PROBES))
+def test_builds_do_not_scale_with_fixpoint_depth(depth):
+    """``columnar_builds`` counts mirror and index constructions only.
+
+    Each round appends one edge to a chain, so the ``path`` fixpoint is
+    one iteration deeper than the round before. A warm round builds the
+    same whatever the depth — ``edge``'s mirror and index are patched,
+    the committed ``path`` is cloned, a wave's Δ is a wrap of rows that
+    already are id-rows, and the one build is the index on the round's
+    Δ``edge`` itself (one row) that the seed plan probes — where it used
+    to build two mirrors per iteration (20 and 68 builds on round 2
+    here). A round that recomputes (here: degraded) builds nothing and
+    probes exactly as often as it did when every Δ was re-interned: the
+    pin as it stood before a round could continue.
+
+    A continued round's probes (issue 24: "``probes_per_round`` barely
+    moves (the seed plan still scans ``path`` to probe the 4-row Δ)"):
+    the check is the from-scratch evaluation, half of what the
+    recomputing round probes; the body continues, ``1`` for Δ``edge``
+    through the base rule, ``1 + |path|`` for the seed plan (it scans
+    ``path``, new base row included, to probe the Δ) and ``1 + n`` for
+    the one wave after it, over the chain's ``n`` edges — a little under
+    the recompute's ``1 + n + |path'|``.
+    """
+    program, svc, warm = _chain_rounds(depth)
+    builds = [m.columnar_builds for m in warm]
+    assert max(builds) <= 1
+    assert all(
+        builds == [m.columnar_builds for m in _chain_rounds(other)[2]]
+        for other in PARENT_PROBES
+    )
+    recomputed = _chain_rounds(depth, degraded=True)[2]
+    assert [m.columnar_builds for m in recomputed] == [0] * 4
+    assert [m.columnar_probes for m in recomputed] == PARENT_PROBES[depth]
+    assert [m.continued_nodes for m in recomputed] == [0] * 4
+    n = [depth + k + 1 for k in range(1, 5)]  # edges after each warm round
+    assert [m.columnar_probes for m in warm] == [
+        parent // 2 + 3 + (edges * (edges - 1) // 2 + 1) + edges
+        for parent, edges in zip(PARENT_PROBES[depth], n)
+    ]
+    assert [m.continued_nodes for m in warm] == [1] * 4
     assert canonical_bytes(svc.materialization()) == row_bytes(program, svc)
+
+
+@pytest.mark.parametrize("depth", sorted(PARENT_PROBES))
+def test_a_continued_round_is_scheduled_like_a_recomputed_one(depth):
+    """The twin of the pin above: the schedule does not change, only the
+    fixpoint node's body. Every warm insert round activates and executes
+    the three nodes of ``tc``'s chain, as it did when the node
+    recomputed."""
+    _program, _svc, warm = _chain_rounds(depth)
+    assert [m.tasks_executed for m in warm] == [3] * 4
+    assert [m.n_active for m in warm] == [3] * 4
+    assert [m.n_nodes for m in warm] == [3] * 4

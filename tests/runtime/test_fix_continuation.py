@@ -1,0 +1,554 @@
+"""A served insert round maintains: the fixpoint node continues.
+
+A ``("fix", si)`` unit whose inputs only grew since the committed round
+continues the committed fixpoint from Δ⁺ through the engine's insert
+step, a head that gains rows on a clone of its committed mirror; every other case — a retraction, a
+change under negation or an aggregate, no committed value to start
+from, a degraded round — recomputes the SCC from its entry relations.
+These tests pin the new state: that a continued value is the recomputed
+one, which rounds continue and which do not, and that the committed
+values a round continues from are never written to.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datalog import Database, Delta, parse_program, seminaive_evaluate
+from repro.datalog.columnar import InternPool
+from repro.datalog.plancache import CompiledProgramCache
+from repro.datalog.units import ProgramSkeleton
+from repro.runtime import (
+    ChaosError,
+    ChaosInjector,
+    ChaosPlan,
+    MaterializationDivergenceError,
+    UpdateStreamService,
+    live_workload,
+)
+from repro.schedulers import scheduler_registry
+
+from ..datalog.test_columnar_properties import (
+    SCC_ABOVE,
+    SCC_BASE,
+    SCC_RECURSIVE,
+    edges,
+)
+from .conftest import READ_SET_SHAPES, read_set_edb
+from .test_static_dag import _install_liar
+
+REGISTRY = scheduler_registry()
+
+
+def _service(program, edb, **kwargs):
+    return UpdateStreamService(
+        program, edb, REGISTRY["hybrid"](), workers=2, **kwargs
+    )
+
+
+def _serve(svc, delta):
+    svc.submit(delta)
+    rep = svc.run_round()
+    assert rep is not None and rep.materialization_ok
+    return rep
+
+
+def _assert_from_scratch(svc, program):
+    want, _ = seminaive_evaluate(program, svc.database())
+    assert svc.materialization().as_dict() == want.as_dict()
+
+
+def _committed(svc) -> list:
+    """The node values the last committed round left (white box)."""
+    return svc.plan_cache._prev.values
+
+
+def _fix_nodes(svc) -> list[int]:
+    """The fixpoint nodes of the plan the last committed round ran."""
+    cache = svc.plan_cache
+    plan = cache._served[cache._prev.pruned].plan
+    return [u.node for u in plan.units if u.kind == "fix"]
+
+
+def _as_miss(program, edb_old, delta) -> dict[str, set]:
+    """The recursive predicates' facts when ``delta`` over ``edb_old``
+    is staged on a cache that has committed nothing: every fixpoint
+    node of G, recomputed."""
+    cache = CompiledProgramCache(program)
+    plan = cache.plan(cache.compile(program, edb_old, delta))
+    values, _ = plan.execute_serial()
+    out = {}
+    for unit in plan.units:
+        if unit.kind == "fix":
+            assert values.notes[unit.node]["mode"] == "recompute"
+            out.update({p: set(r) for p, r in values[unit.node].items()})
+    return out
+
+
+def _check_insert_round(svc, program, delta):
+    """Serve ``delta`` (insert-only) on a warm service: every fixpoint
+    node a change reaches continues, and what it leaves is what a miss
+    recomputes."""
+    edb_old = svc.database()
+    rep = _serve(svc, delta)
+    if rep.metrics.noop:
+        return rep
+    _assert_from_scratch(svc, program)
+    want = _as_miss(program, edb_old, delta)
+    committed = _committed(svc)
+    fixes = _fix_nodes(svc)
+    for node in fixes:
+        for p, rel in committed[node].items():
+            assert set(rel) == want[p]
+    if svc.plan_cache.misses == 1:  # no re-pruned program since round 0
+        ran = {r.node for r in rep.artifacts.result.schedule}
+        assert rep.metrics.continued_nodes == len(ran.intersection(fixes))
+    return rep
+
+
+# ----------------------------------------------------------------------
+# (a) insert-only streams: continued ≡ recomputed ≡ row evaluation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["tc", "sg", "pt"])
+def test_insert_only_stream_continues_to_the_recomputed_value(name):
+    wl = live_workload(name, seed=4)
+    svc = _service(wl.program, wl.edb)
+    first = _serve(svc, wl.random_batch(2, delete_frac=0.0))
+    assert first.metrics.continued_nodes == 0  # a miss has nothing to continue
+    continued = 0
+    for _ in range(8):
+        rep = _check_insert_round(
+            svc, wl.program, wl.random_batch(2, delete_frac=0.0)
+        )
+        continued += rep.metrics.continued_nodes
+    assert continued >= 4
+    assert svc.metrics.registry.counter("continued_nodes").value == continued
+
+
+insert_ticks = st.lists(
+    st.tuples(
+        st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=3),
+        st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(
+    recursive=st.sets(st.sampled_from(SCC_RECURSIVE), min_size=1),
+    above=st.sets(st.sampled_from(SCC_ABOVE), max_size=2),
+    e_facts=edges,
+    f_facts=edges,
+    ticks=insert_ticks,
+)
+@settings(max_examples=40, deadline=None)
+def test_generated_mutual_recursion_continues_to_the_recomputed_value(
+    recursive, above, e_facts, f_facts, ticks
+):
+    """Random programs with ``a`` and ``b`` in one SCC (linear, mutual,
+    nonlinear), strata above them, random EDBs and growth-only ticks."""
+    program = parse_program(
+        "\n".join(SCC_BASE + sorted(recursive) + sorted(above))
+    )
+    edb = Database()
+    edb.relation("e", 2)
+    edb.relation("f", 2)
+    for t in e_facts:
+        edb.add_fact("e", t)
+    for t in f_facts:
+        edb.add_fact("f", t)
+    svc = _service(program, edb)
+    _serve(svc, Delta().insert("e", (6, 6)))
+    for e_new, f_new in ticks:
+        delta = Delta()
+        for t in e_new:
+            delta.insert("e", t)
+        for t in f_new:
+            delta.insert("f", t)
+        _check_insert_round(svc, program, delta)
+
+
+# ----------------------------------------------------------------------
+# (b) the sign and the read decide, before any join runs
+# ----------------------------------------------------------------------
+TC = """
+path(X, Y) :- edge(X, Y).
+path(X, Z) :- path(X, Y), edge(Y, Z).
+"""
+
+
+def _chain(n: int) -> Database:
+    edb = Database()
+    for i in range(n):
+        edb.add_fact("edge", (i, i + 1))
+    return edb
+
+
+def test_any_retraction_recomputes():
+    program = parse_program(TC)
+    svc = _service(program, _chain(6))
+    _serve(svc, Delta().insert("edge", (6, 7)))
+    assert _serve(svc, Delta().insert("edge", (7, 8))).metrics.continued_nodes == 1
+    mixed = Delta().insert("edge", (8, 9)).delete("edge", (0, 1))
+    assert _serve(svc, mixed).metrics.continued_nodes == 0
+    _assert_from_scratch(svc, program)
+    assert _serve(svc, Delta().insert("edge", (0, 1))).metrics.continued_nodes == 1
+    _assert_from_scratch(svc, program)
+
+
+def test_a_grown_negated_read_recomputes():
+    """``r(Y) :- r(X), e(X, Y), !blocked(Y)``: a *grown* ``blocked``
+    retracts ``r`` facts — continuing from the committed ``r`` keeps
+    them (the shape that diverged under ``strict`` in the prototype)."""
+    program = parse_program(READ_SET_SHAPES["negation"])
+    svc = _service(program, read_set_edb())
+    _serve(svc, Delta().insert("e", (5, 6)))
+    # the positive reads grow: continue
+    rep = _serve(svc, Delta().insert("e", (3, 4)).insert("src", (6,)))
+    assert rep.metrics.continued_nodes == 1
+    _assert_from_scratch(svc, program)
+    before = set(svc.materialization().relations["r"])
+    rep = _serve(svc, Delta().insert("blocked", (2,)).insert("e", (6, 0)))
+    assert rep.metrics.continued_nodes == 0
+    assert set(svc.materialization().relations["r"]) < before
+    _assert_from_scratch(svc, program)
+
+
+AGGREGATE_IN_SCC = """
+r(X) :- src(X).
+r(Y) :- r(X), e(X, Y).
+r(count(X)) :- big(X).
+"""
+
+
+def test_a_grown_aggregated_read_recomputes():
+    """An aggregate rule inside the SCC: a grown ``big`` replaces
+    ``r(2)`` by ``r(3)`` and with it everything reached from 2."""
+    program = parse_program(AGGREGATE_IN_SCC)
+    edb = Database()
+    for t in [(2, 7), (7, 8), (3, 9)]:
+        edb.add_fact("e", t)
+    edb.add_fact("src", (0,))
+    for x in (10, 11):
+        edb.add_fact("big", (x,))
+    svc = _service(program, edb)
+    _serve(svc, Delta().insert("e", (0, 1)))
+    assert _serve(svc, Delta().insert("e", (8, 5))).metrics.continued_nodes == 1
+    assert (5,) in svc.materialization().relations["r"]
+    rep = _serve(svc, Delta().insert("big", (12,)))
+    assert rep.metrics.continued_nodes == 0
+    r = set(svc.materialization().relations["r"])
+    assert (3,) in r and (9,) in r and (2,) not in r and (7,) not in r
+    _assert_from_scratch(svc, program)
+
+
+def test_a_derived_input_that_loses_a_row_recomputes():
+    """The EDB only grows, but the SCC reads a count, and a count that
+    changes is one row leaving and one entering."""
+    program = parse_program(
+        """
+        deg(X, count(Y)) :- e(X, Y).
+        r(X) :- src(X).
+        r(Y) :- r(X), e(X, Y), deg(X, N), N < 3.
+        """
+    )
+    edb = Database()
+    for t in [(0, 1), (1, 2), (1, 3), (4, 5)]:
+        edb.add_fact("e", t)
+    edb.add_fact("src", (0,))
+    svc = _service(program, edb)
+    _serve(svc, Delta().insert("e", (5, 6)))
+    # deg(2, 1) is new, no row of deg leaves: continue
+    assert _serve(svc, Delta().insert("e", (2, 4))).metrics.continued_nodes == 1
+    _assert_from_scratch(svc, program)
+    # deg(1, 2) becomes deg(1, 3): a retraction reaches the node
+    rep = _serve(svc, Delta().insert("e", (1, 7)))
+    assert rep.metrics.continued_nodes == 0
+    assert (2,) not in svc.materialization().relations["r"]
+    _assert_from_scratch(svc, program)
+
+
+# ----------------------------------------------------------------------
+# (c) the SCC's own entry baseline
+# ----------------------------------------------------------------------
+def _facts_plan():
+    """The ``facts`` shape (``p`` has a program fact and rules) bound,
+    executed once as a miss, and its values as the committed side."""
+    program = parse_program(READ_SET_SHAPES["facts"])
+    cache = CompiledProgramCache(program)
+    cu = cache.compile(program, read_set_edb(), Delta().insert("e", (5, 6)))
+    plan = cache.plan(cu)
+    values, _ = plan.execute_serial()
+    committed = [values[n] for n in range(len(plan.units))]
+    fix = next(u for u in plan.units if u.kind == "fix")
+    return program, cu, plan, committed, fix
+
+
+def _with_p(baseline, add=(), drop=()):
+    out = dict(baseline)
+    rel = baseline["p"].copy()
+    for t in add:
+        rel.add(t)
+    for t in drop:
+        rel.discard(t)
+    out["p"] = rel
+    return out
+
+
+def _expected_p(program, cu, p_facts) -> set:
+    db = cu.edb_new.copy()
+    for t in p_facts:
+        db.add_fact("p", t)
+    return set(seminaive_evaluate(program, db)[0].relations["p"])
+
+
+def test_a_grown_entry_baseline_seeds_the_continuation():
+    program, cu, plan, committed, fix = _facts_plan()
+    base = dict(plan.ctx.baseline)
+    ProgramSkeleton.stamp(
+        plan, cu, _with_p(base, add=[(3, 9), (9, 0)]), committed, base
+    )
+    store = plan.new_store()
+    value = fix.execute(store)
+    assert store.notes[fix.node] == {"mode": "continue", "delta_rows": 2}
+    got = set(value["p"])
+    assert got == _expected_p(program, cu, [(3, 9), (9, 0)])
+    assert (9, 1) in got and (9, 3) in got  # p(9, 0), then along e
+    assert value["p"] is not committed[fix.node]["p"]
+    assert (3, 9) not in committed[fix.node]["p"]
+
+
+def test_a_shrunk_entry_baseline_recomputes():
+    program, cu, plan, committed, fix = _facts_plan()
+    base = dict(plan.ctx.baseline)
+    assert (7, 8) in base["p"]  # the program's fact
+    ProgramSkeleton.stamp(
+        plan, cu, _with_p(base, add=[(3, 9)], drop=[(7, 8)]), committed, base
+    )
+    store = plan.new_store()
+    value = fix.execute(store)
+    assert store.notes[fix.node]["mode"] == "recompute"
+    # from the entry relations as stamped: (7, 8) and what it reached are gone
+    assert (7, 8) not in value["p"] and (7, 0) not in value["p"]
+    assert (3, 9) in value["p"] and (0, 3) in value["p"]
+
+
+def test_an_untouched_round_continues_from_nothing_and_keeps_identity():
+    """Activated with nothing gained: the committed relations come back
+    as they are, so the node diffs unchanged and the cascade stops."""
+    _program, cu, plan, committed, fix = _facts_plan()
+    base = dict(plan.ctx.baseline)
+    ProgramSkeleton.stamp(plan, cu, base, committed, base)
+    store = plan.new_store()
+    value = fix.execute(store)
+    assert store.notes[fix.node] == {"mode": "continue", "delta_rows": 0}
+    assert value["p"] is committed[fix.node]["p"]
+    assert value == fix.old_value
+
+
+# ----------------------------------------------------------------------
+# (d) the committed values are never written to
+# ----------------------------------------------------------------------
+def _snapshot(values: list) -> list:
+    """Identity and content of every relation the node values hold:
+    the objects, their mirrors' row sets and both faces' index patterns."""
+    out = []
+    for value in values:
+        rels = (
+            list(value.values()) if isinstance(value, dict)
+            else [value] if not isinstance(value, set) else []
+        )
+        for rel in rels:
+            mirror = rel._columnar
+            out.append((
+                id(value), id(rel), id(mirror),
+                None if mirror is None else frozenset(mirror.rows),
+                None if mirror is None else mirror.index_patterns(),
+                rel.index_patterns(),
+            ))
+        if isinstance(value, set):
+            out.append((id(value), frozenset(value)))
+    return out
+
+
+def _warm_pt(**kwargs):
+    """``pt`` (its fixpoint's heads are indexed and probed) after a miss
+    and one continued round, and a growth-only delta that grows ``pt``."""
+    wl = live_workload("pt", seed=3)
+    svc = _service(wl.program, wl.edb, **kwargs)
+    _serve(svc, wl.random_batch(2, delete_frac=0.0))
+    assert _serve(
+        svc, wl.random_batch(3, delete_frac=0.0)
+    ).metrics.continued_nodes == 1
+    return wl, svc, wl.random_batch(4, delete_frac=0.0)
+
+
+def test_a_lying_continuation_rolls_back_to_untouched_committed_values():
+    wl, svc, delta = _warm_pt()
+    _wl, twin, _delta = _warm_pt()
+    values = _committed(svc)
+    before = _snapshot(values)
+    liar = _install_liar(svc, "fix")
+    svc.submit(delta)
+    with pytest.raises(MaterializationDivergenceError) as ei:
+        svc.run_round()
+    assert liar["lied"] and ei.value.delta_requeued
+    assert svc.plan_cache.stats()["rollbacks"] == 1
+    # the failed round continued on clones: what it grew is gone with it
+    assert _committed(svc) is values
+    assert _snapshot(values) == before
+    rep = svc.run_round()  # the retry, honest
+    assert rep.materialization_ok and rep.metrics.continued_nodes == 1
+    assert rep.metrics.changed_facts > 4  # pt grew: the clones were written
+    assert _snapshot(values) == before
+    # ... and commits what a service that never failed commits
+    _serve(twin, delta)
+    assert _committed(svc) == _committed(twin)
+    assert svc.materialization().as_dict() == twin.materialization().as_dict()
+    _assert_from_scratch(svc, wl.program)
+
+
+def test_an_injected_verify_fault_rolls_back_to_untouched_committed_values():
+    wl, svc, delta = _warm_pt()
+    values = _committed(svc)
+    before = _snapshot(values)
+    svc.chaos = ChaosInjector(ChaosPlan(verify_fail_prob=1.0))
+    svc.submit(delta)
+    with pytest.raises(ChaosError) as ei:
+        svc.run_round()  # the units ran — and continued — before verify
+    assert ei.value.delta_requeued
+    assert _committed(svc) is values and _snapshot(values) == before
+    svc.chaos = None
+    rep = svc.run_round()
+    assert rep.materialization_ok and rep.metrics.continued_nodes == 1
+    assert rep.metrics.changed_facts > 4
+    assert _snapshot(values) == before
+    _assert_from_scratch(svc, wl.program)
+
+
+MUTUAL = """
+a(X, Y) :- e(X, Y).
+a(X, Y) :- b(X, Z), e(Z, Y).
+b(X, Y) :- a(X, Y), f(X, Y).
+"""
+
+
+def test_a_head_that_gains_nothing_is_the_committed_relation():
+    """``a`` and ``b`` are one SCC; an ``e`` edge no ``f`` fact matches
+    grows ``a`` only. ``b`` comes back as the committed object — read,
+    not cloned — and ``a`` as a new relation beside an untouched one."""
+    program = parse_program(MUTUAL)
+    edb = Database()
+    for t in [(0, 1), (1, 2)]:
+        edb.add_fact("e", t)
+    edb.add_fact("f", (0, 1))
+    svc = _service(program, edb)
+    _serve(svc, Delta().insert("e", (2, 3)))
+    (fix,) = _fix_nodes(svc)
+    first = _committed(svc)
+    was, before = first[fix], _snapshot(first)
+    rep = _serve(svc, Delta().insert("e", (5, 6)))
+    assert rep.metrics.continued_nodes == 1
+    now = _committed(svc)[fix]
+    assert now["b"] is was["b"]
+    assert now["a"] is not was["a"] and (5, 6) not in was["a"]
+    assert set(now["a"]) == set(was["a"]) | {(5, 6)}
+    _assert_from_scratch(svc, program)
+    # ... an f fact grows b, from a's committed rows
+    rep = _serve(svc, Delta().insert("f", (5, 6)))
+    assert rep.metrics.continued_nodes == 1
+    assert (5, 6) in _committed(svc)[fix]["b"] and (5, 6) not in now["b"]
+    assert _committed(svc)[fix]["a"] is now["a"]
+    _assert_from_scratch(svc, program)
+    assert _snapshot(first) == before
+
+
+TWO_SCCS = TC + """
+back(X, Y) :- edge(Y, X).
+back(X, Z) :- back(X, Y), edge(Z, Y).
+"""
+
+
+def test_two_fixpoints_reading_one_relation_intern_its_delta_once(
+    monkeypatch,
+):
+    """Δ⁺ is the id-row difference of two mirrors: however many nodes
+    continue from a grown relation, its new facts are interned where
+    they land in the EDB, and nowhere else."""
+    program = parse_program(TWO_SCCS)
+    svc = _service(program, _chain(6))
+    _serve(svc, Delta().insert("edge", (6, 7)))
+    _serve(svc, Delta().insert("edge", (7, 8)))
+    calls = []
+    real = InternPool.intern_fact
+
+    def intern_fact(self, pred, fact):
+        calls.append((pred, fact))
+        return real(self, pred, fact)
+
+    monkeypatch.setattr(InternPool, "intern_fact", intern_fact)
+    rep = _serve(svc, Delta().insert("edge", (8, 9)).insert("edge", (9, 10)))
+    assert rep.metrics.continued_nodes == 2
+    assert sorted(calls) == [("edge", (8, 9)), ("edge", (9, 10))]
+    _assert_from_scratch(svc, program)
+
+
+# ----------------------------------------------------------------------
+# (e) rounds that must not read a committed node value
+# ----------------------------------------------------------------------
+def _poison(values: list) -> None:
+    """Make every committed fixpoint value wrong in place: whoever
+    continues from (or falls back to) it serves a fact that is not one."""
+    for value in values:
+        if isinstance(value, dict):  # a fixpoint node's
+            for rel in value.values():
+                mirror = rel._columnar
+                mirror.extend({tuple(0 for _ in range(rel.arity))})
+                rel.adopt(mirror)
+
+
+def test_a_degraded_round_reads_no_committed_value():
+    program = parse_program(TC)
+    svc = _service(program, _chain(6))
+    _serve(svc, Delta().insert("edge", (6, 7)))
+    assert _serve(svc, Delta().insert("edge", (7, 8))).metrics.continued_nodes == 1
+    _poison(_committed(svc))
+    svc.health.plan_round = lambda: True
+    rep = _serve(svc, Delta().insert("edge", (8, 9)))  # strict: verified
+    assert rep.metrics.degraded and rep.metrics.continued_nodes == 0
+    _assert_from_scratch(svc, program)
+    # what the degraded round committed is continued from by the probe
+    svc.health.plan_round = lambda: False
+    assert _serve(svc, Delta().insert("edge", (9, 10))).metrics.continued_nodes == 1
+    _assert_from_scratch(svc, program)
+
+
+def test_a_round_after_a_commit_without_values_recomputes():
+    """A commit that hands over no node values — here a lenient round
+    that failed its check — leaves nothing to continue from."""
+    wl = live_workload("tc", seed=12)
+    svc = _service(wl.program, wl.edb, strict=False)
+    _serve(svc, wl.random_batch(2, delete_frac=0.0))
+    _serve(svc, wl.random_batch(2, delete_frac=0.0))
+    stale = _committed(svc)
+    _install_liar(svc, "fix")
+    svc.submit(wl.random_batch(3, delete_frac=0.0))
+    assert not svc.run_round().materialization_ok
+    assert _committed(svc) is None
+    _poison(stale)
+    rep = _serve(svc, wl.random_batch(3, delete_frac=0.0))
+    assert rep.metrics.continued_nodes == 0
+    assert rep.metrics.tasks_executed == rep.metrics.n_nodes
+    _assert_from_scratch(svc, wl.program)
+    # at the cache: no values, no committed side of any kind
+    cache = CompiledProgramCache(wl.program)
+    edb = svc.database()
+    cache.commit(cache.compile(wl.program, edb, Delta()))
+    grow = wl.random_batch(2, delete_frac=0.0)
+    plan = cache.plan(cache.compile(wl.program, edb, grow))
+    assert cache.stats()["hits"] == 1
+    assert all(v is None for v in plan.old_values)
+    assert plan.ctx.committed_baseline == {}
