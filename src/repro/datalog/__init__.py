@@ -21,7 +21,7 @@ from .columnar import (
     InternTable,
     eval_rule_columnar,
 )
-from .compiler import CompiledUpdate, build_compiled_update, compile_update
+from .compiler import CompiledUpdate, compile_update
 from .database import Database, Relation
 from .depgraph import DependencyGraph, StratificationError
 from .incremental import (
@@ -75,7 +75,6 @@ __all__ = [
     "merge_deltas",
     "MaintenanceTrace",
     "compile_update",
-    "build_compiled_update",
     "CompiledUpdate",
     "CompiledProgramCache",
     "explain",

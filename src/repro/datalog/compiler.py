@@ -41,11 +41,13 @@ joins dominate the schedule the way they dominate real maintenance.
 The static ``G``
 ----------------
 The construction above derives the graph from the answer — fine for a
-simulator input, backwards for a server. :func:`build_round_structure`
-without iteration counts builds the graph the serving path schedules
-instead, from the program alone: the same EDB, task and predicate-state
-nodes for every non-recursive stratum, and one ``("fix", si)`` node per
-recursive SCC that runs the stratum's semi-naive loop to fixpoint.
+simulator input, backwards for a server, and nothing executes it: it is
+a trace, the input of the simulator benches that reproduce the paper's
+tables. :func:`build_round_structure` without iteration counts builds
+the graph that runs instead, from the program alone: the same EDB, task
+and predicate-state nodes for every non-recursive stratum, and one
+``("fix", si)`` node per recursive SCC that runs the stratum's
+semi-naive loop to fixpoint (:mod:`repro.datalog.units`).
 :func:`stage_update` stamps a round onto it without evaluating anything:
 the touched EDB nodes are the initial tasks and the change flags are
 left for execution to observe (see :mod:`repro.datalog.plancache`).
@@ -76,11 +78,8 @@ __all__ = [
     "compile_update",
     "prepare_update",
     "without_rules",
-    "build_compiled_update",
     "RoundStructure",
-    "structure_key",
     "build_round_structure",
-    "stamp_update",
     "stage_update",
     "CompiledUpdate",
     "live_edb_predicates",
@@ -140,16 +139,13 @@ class CompiledUpdate:
 
     ``node_keys[i]`` is the builder key of DAG node ``i`` — an
     ``("edb", p)``, ``("task", si, k, ri, pos)``, ``("pred", p, si, k)``
-    or ``("fix", si)`` tuple. Together with ``program`` and the two EDB
-    snapshots it lets :mod:`repro.datalog.units` rebuild every node as a
-    *runnable* unit of work, so a compiled round can be executed for
-    real instead of simulated. ``structure`` is the static half
-    ``trace`` was stamped onto.
+    or ``("fix", si)`` tuple. ``structure`` is the static half ``trace``
+    was stamped onto. A round staged onto the static ``G``
+    (:func:`stage_update`) is what :mod:`repro.datalog.units` runs.
 
-    The two materializations and their evaluation traces exist only for
-    a round :func:`compile_update` unrolled from them; a round staged
-    onto the static ``G`` (:func:`stage_update`) evaluated nothing and
-    leaves them ``None``.
+    The two materializations exist only for a round
+    :func:`compile_update` unrolled from them; a staged round evaluated
+    nothing and leaves them ``None``.
     """
 
     trace: JobTrace
@@ -159,8 +155,6 @@ class CompiledUpdate:
     structure: "RoundStructure"
     db_old: Database | None = None
     db_new: Database | None = None
-    eval_old: EvaluationTrace | None = None
-    eval_new: EvaluationTrace | None = None
 
     @property
     def node_keys(self) -> list:
@@ -251,6 +245,9 @@ def without_rules(program: Program, dead: frozenset[int]) -> Program:
     )
 
 
+_NO_FACTS: frozenset = frozenset()
+
+
 def compile_update(
     program: Program,
     edb_old: Database,
@@ -261,6 +258,15 @@ def compile_update(
 ) -> CompiledUpdate:
     """Compile ``(program, edb_old, delta)`` into a schedulable trace.
 
+    Records both materializations, unrolls each stratum to the larger of
+    the two iteration counts (:func:`build_round_structure`) and stamps
+    what differs between them onto that ``G``: per-node change flags
+    (hence per-edge flags), task work, and the touched EDB nodes as the
+    initial tasks. Touched predicates ``G`` has no EDB node for — read
+    only by pruned dead rules, or mentioned by no rule at all — activate
+    nothing (the EDB still carries their facts through the
+    materialization).
+
     When ``analysis`` (a :class:`~repro.verify.program.ProgramAnalysis`
     of ``program``) is supplied, rules the analyzer proves can never
     fire against either EDB snapshot are pruned before DAG construction
@@ -269,35 +275,86 @@ def compile_update(
     zdelta, edb_old, edb_new, dead = prepare_update(
         program, edb_old, delta, _usable_analysis(program, analysis)
     )
-    run_program = without_rules(program, dead)
-    db_old, ev_old = seminaive_evaluate(run_program, edb_old, record=True)
-    db_new, ev_new = seminaive_evaluate(run_program, edb_new, record=True)
-    return build_compiled_update(
-        run_program,
-        edb_old,
-        edb_new,
-        db_old,
-        db_new,
-        ev_old,
-        ev_new,
-        touched=zdelta.touched_predicates(),
-        work_per_derivation=work_per_derivation,
-        name=name,
+    program = without_rules(program, dead)
+    db_old, ev_old = seminaive_evaluate(program, edb_old, record=True)
+    db_new, ev_new = seminaive_evaluate(program, edb_new, record=True)
+    its_old, its_new = ev_old.iterations, ev_new.iterations
+    # The rule instances of an iteration follow from the program — every
+    # rule of the stratum at iteration 0, one instance per positive
+    # occurrence of a recursive stratum predicate afterwards — so the
+    # iteration counts alone decide the structure; the evaluator records
+    # no other instance (a Δ predicate is always a stratum-local head,
+    # and a stratum is one SCC), which the coverage count below checks.
+    structure = build_round_structure(
+        program,
+        tuple(max(len(a), len(b)) for a, b in zip(its_old, its_new)),
     )
+    states_old = _cumulative_states(program, ev_old, edb_old)
+    states_new = _cumulative_states(program, ev_new, edb_new)
 
+    n = len(structure.node_keys)
+    changed = np.zeros(n, dtype=bool)
+    work = np.zeros(n, dtype=np.float64)
+    covered = 0
+    for nid, key in enumerate(structure.node_keys):
+        kind = key[0]
+        if kind == "task":
+            _, si, k, ri, pos = key
+            rec_old = its_old[si][k] if k < len(its_old[si]) else {}
+            rec_new = its_new[si][k] if k < len(its_new[si]) else {}
+            out_old = rec_old.get((ri, pos), _NO_FACTS)
+            out_new = rec_new.get((ri, pos), _NO_FACTS)
+            covered += ((ri, pos) in rec_old) + ((ri, pos) in rec_new)
+            changed[nid] = out_old != out_new
+            work[nid] = work_per_derivation * (
+                1 + max(len(out_old), len(out_new))
+            )
+        elif kind == "pred":
+            _, p, si, k = key
+            # past a materialization's fixpoint, state stays at its last
+            ko = min(k, len(its_old[si]) - 1)
+            kn = min(k, len(its_new[si]) - 1)
+            old = states_old.get((p, si, ko), states_old.get((p, si, -1)))
+            new = states_new.get((p, si, kn), states_new.get((p, si, -1)))
+            changed[nid] = old != new
+        else:
+            # an EDB node changes iff its relation actually changed
+            # (deleting an absent fact, or re-inserting a present one,
+            # changes nothing)
+            changed[nid] = _relation_changed(edb_old, edb_new, key[1])
 
-_NO_FACTS: frozenset = frozenset()
+    if covered != ev_old.total_tasks() + ev_new.total_tasks():
+        raise ValueError(
+            "an evaluation trace records a rule instance the unrolled "
+            "structure has no task node for"
+        )
+    return CompiledUpdate(
+        trace=_round_trace(
+            structure,
+            work,
+            _edb_nodes(structure, zdelta.touched_predicates()),
+            changed[structure.edge_sources],
+            work_per_derivation,
+            name,
+        ),
+        program=program,
+        edb_old=edb_old,
+        edb_new=edb_new,
+        structure=structure,
+        db_old=db_old,
+        db_new=db_new,
+    )
 
 
 @dataclass
 class RoundStructure:
     """The static half of a compiled round: ``G`` and what follows from it.
 
-    A function of the program and, for an unrolled graph, of
-    :func:`structure_key` — how many iterations each stratum unrolls to
-    — never of the facts. :func:`stamp_update` / :func:`stage_update`
-    write one round's initial tasks, work and change flags onto it; the
-    plan cache keeps the one static structure of each program it runs.
+    A function of the program and, for an unrolled graph, of how many
+    iterations each stratum unrolls to — never of the facts.
+    :func:`compile_update` / :func:`stage_update` write one round's
+    initial tasks, work and change flags onto it; the plan cache keeps
+    the one static structure of each program it runs.
     """
 
     program: Program
@@ -312,32 +369,13 @@ class RoundStructure:
     n_strata: int
 
 
-def structure_key(
-    ev_old: EvaluationTrace, ev_new: EvaluationTrace
-) -> tuple[int, ...]:
-    """What, besides the program, decides an unrolled DAG's structure:
-    how many iterations each stratum unrolls to.
-
-    The rule instances of an iteration follow from the program — every
-    rule of the stratum at iteration 0, one instance per positive
-    occurrence of a recursive stratum predicate afterwards — and the
-    evaluator records no other (a Δ predicate is always a stratum-local
-    head, and a stratum is one SCC, so it is recursive whenever a Δ rule
-    exists); :func:`stamp_update` checks that.
-    """
-    return tuple(
-        max(len(its_old), len(its_new))
-        for its_old, its_new in zip(ev_old.iterations, ev_new.iterations)
-    )
-
-
 def build_round_structure(
     program: Program, n_iters: tuple[int, ...] | None = None
 ) -> RoundStructure:
     """The program's dataflow as the DAG ``G``.
 
-    With ``n_iters`` — the :func:`structure_key` of a round: iterations
-    per stratum, in stratification order — every recursive stratum is
+    With ``n_iters`` — iterations per stratum, in stratification order,
+    as :func:`compile_update` records them — every recursive stratum is
     unrolled that many times. Without, ``G`` is *static*: one iteration
     per stratum, and a recursive stratum is a single ``("fix", si)``
     node between its inputs and its predicates' ``("pred", p, si, 0)``
@@ -460,90 +498,6 @@ def _relation_changed(old: Database, new: Database, pred: str) -> bool:
     return old_facts != new_facts
 
 
-def stamp_update(
-    structure: RoundStructure,
-    edb_old: Database,
-    edb_new: Database,
-    db_old: Database,
-    db_new: Database,
-    ev_old: EvaluationTrace,
-    ev_new: EvaluationTrace,
-    touched: set[str],
-    work_per_derivation: float = 1e-3,
-    name: str = "datalog-update",
-) -> CompiledUpdate:
-    """Stamp one round's update onto ``structure``.
-
-    Computes what differs between the two recorded materializations —
-    per-node change flags (hence per-edge flags), task work, the initial
-    tasks — and wraps them with the shared ``G`` into a
-    :class:`~repro.tasks.trace.JobTrace`. ``structure`` must be the one
-    :func:`structure_key` of these two traces selects. ``touched`` may
-    name predicates ``G`` has no EDB node for — read only by pruned dead
-    rules, or mentioned by no rule at all; they activate nothing (the
-    EDB still carries their facts through the materialization).
-    """
-    if ev_old.strata != ev_new.strata:  # pragma: no cover - depgraph is static
-        raise AssertionError("stratification must not depend on the data")
-    program = structure.program
-    states_old = _cumulative_states(program, ev_old, edb_old)
-    states_new = _cumulative_states(program, ev_new, edb_new)
-
-    node_keys = structure.node_keys
-    n = len(node_keys)
-    changed = np.zeros(n, dtype=bool)
-    work = np.zeros(n, dtype=np.float64)
-    its_old, its_new = ev_old.iterations, ev_new.iterations
-    covered = 0
-    for nid, key in enumerate(node_keys):
-        kind = key[0]
-        if kind == "task":
-            _, si, k, ri, pos = key
-            rec_old = its_old[si][k] if k < len(its_old[si]) else {}
-            rec_new = its_new[si][k] if k < len(its_new[si]) else {}
-            out_old = rec_old.get((ri, pos), _NO_FACTS)
-            out_new = rec_new.get((ri, pos), _NO_FACTS)
-            covered += ((ri, pos) in rec_old) + ((ri, pos) in rec_new)
-            changed[nid] = out_old != out_new
-            work[nid] = work_per_derivation * (
-                1 + max(len(out_old), len(out_new))
-            )
-        elif kind == "pred":
-            _, p, si, k = key
-            # past a materialization's fixpoint, state stays at its last
-            ko = min(k, len(its_old[si]) - 1)
-            kn = min(k, len(its_new[si]) - 1)
-            old = states_old.get((p, si, ko), states_old.get((p, si, -1)))
-            new = states_new.get((p, si, kn), states_new.get((p, si, -1)))
-            changed[nid] = old != new
-        else:
-            # an EDB node changes iff its relation actually changed
-            # (deleting an absent fact, or re-inserting a present one,
-            # changes nothing)
-            changed[nid] = _relation_changed(edb_old, edb_new, key[1])
-
-    if covered != ev_old.total_tasks() + ev_new.total_tasks():
-        raise ValueError(
-            "an evaluation trace records a rule instance the structure "
-            "has no task node for; build the structure from "
-            "structure_key() of these two traces"
-        )
-    return CompiledUpdate(
-        trace=_round_trace(
-            structure, work, _edb_nodes(structure, touched),
-            changed[structure.edge_sources], work_per_derivation, name,
-        ),
-        db_old=db_old,
-        db_new=db_new,
-        eval_old=ev_old,
-        eval_new=ev_new,
-        program=program,
-        edb_old=edb_old,
-        edb_new=edb_new,
-        structure=structure,
-    )
-
-
 def _edb_nodes(structure: RoundStructure, touched: set[str]) -> list[int]:
     """The EDB nodes of the touched predicates ``G`` has a node for."""
     return sorted(
@@ -616,31 +570,4 @@ def stage_update(
         edb_old=edb_old,
         edb_new=edb_new,
         structure=structure,
-    )
-
-
-def build_compiled_update(
-    program: Program,
-    edb_old: Database,
-    edb_new: Database,
-    db_old: Database,
-    db_new: Database,
-    ev_old: EvaluationTrace,
-    ev_new: EvaluationTrace,
-    touched: set[str],
-    work_per_derivation: float = 1e-3,
-    name: str = "datalog-update",
-) -> CompiledUpdate:
-    """Unroll two recorded materializations into a schedulable trace.
-
-    The back half of :func:`compile_update`: :func:`build_round_structure`
-    for the :func:`structure_key` of the two traces, then
-    :func:`stamp_update`.
-    """
-    return stamp_update(
-        build_round_structure(program, structure_key(ev_old, ev_new)),
-        edb_old, edb_new, db_old, db_new, ev_old, ev_new,
-        touched=touched,
-        work_per_derivation=work_per_derivation,
-        name=name,
     )

@@ -83,7 +83,12 @@ from .compiler import (
 from .database import Database, Relation
 from .incremental import Delta
 from .seminaive import seminaive_evaluate
-from .units import ExecutionPlan, ProgramSkeleton, ValueStore
+from .units import (
+    ExecutionPlan,
+    ProgramSkeleton,
+    ValueStore,
+    _entry_relations,
+)
 from .zset import ZSetDelta, apply_zdelta, derive_zdelta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -129,33 +134,6 @@ def _edb_equal(a: Database, b: Database) -> bool:
     if a.relations.keys() != b.relations.keys():
         return False
     return all(rel == b.relations[p] for p, rel in a.relations.items())
-
-
-def _entry_relations(
-    program: Program, preds, edb: Database
-) -> dict[str, Relation]:
-    """What each of ``preds`` holds when its stratum (or EDB node)
-    starts: the program's facts for it ∪ its facts in ``edb`` — the
-    EDB's own relation object wherever the program states none."""
-    stated: dict[str, list[tuple]] = {}
-    for rule in program.facts:
-        stated.setdefault(rule.head.predicate, []).append(
-            tuple(t.value for t in rule.head.terms)  # type: ignore[union-attr]
-        )
-    arities = program.arities()
-    out: dict[str, Relation] = {}
-    for pred in preds:
-        rel = edb.relations.get(pred)
-        if pred in stated:
-            rel = (
-                rel.copy_indexed()
-                if rel is not None
-                else Relation(pred, arities[pred])
-            )
-            for fact in stated[pred]:
-                rel.add(fact)
-        out[pred] = rel if rel is not None else Relation(pred, arities[pred])
-    return out
 
 
 class CompiledProgramCache:
@@ -268,7 +246,7 @@ class CompiledProgramCache:
         :class:`ZSetDelta` the caller already clamped against
         ``edb_old``. The result is *staged* — call :meth:`commit` once
         the round is verified, or :meth:`rollback` if it failed. Its
-        ``db_*``/``eval_*`` fields are ``None``: nothing is evaluated.
+        ``db_old`` / ``db_new`` are ``None``: nothing is evaluated.
         """
         self._check_validity(program, edb_old)
         prev = self._prev
@@ -334,7 +312,7 @@ class CompiledProgramCache:
                 else None
             )
             served.plan = ProgramSkeleton(
-                cu, join_orders=join_orders, pool=self.pool
+                served.structure, self.pool, join_orders
             ).bind(cu)
             self._count("plan_binds")
         else:

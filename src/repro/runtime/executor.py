@@ -728,7 +728,7 @@ class RoundExecutor:
                         ) from err
 
                     values.set(node, value)
-                    changed = value != plan.units[node].old_value
+                    changed = value != plan.old_values[node]
                     outcome.diffs[node] = changed
                     outcome.records[node] = (t0 - origin, t1 - origin)
 

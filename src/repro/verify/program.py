@@ -32,7 +32,7 @@ syntax — as the scheduler contract linter:
     A body atom joined with no shared variables and no constants — a
     cross product under the left-to-right join — with a reordering
     hint when one exists. The computed orders feed the runtime: the
-    plan cache hands them to :class:`~repro.datalog.units.PlanSkeleton`.
+    plan cache hands them to :class:`~repro.datalog.units.ProgramSkeleton`.
 
 Source files may declare their schema with pragmas (ordinary ``%``
 comments the lexer already skips)::

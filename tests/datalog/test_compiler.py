@@ -92,7 +92,6 @@ def test_eval_artifacts_exposed():
     )
     assert cu.db_old.count("path") == 6
     assert cu.db_new.count("path") == 10
-    assert cu.eval_old.strata == cu.eval_new.strata
 
 
 def test_schedulable_by_all(diamond=None):

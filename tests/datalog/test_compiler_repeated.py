@@ -7,16 +7,18 @@ over random update sequences and check, at every step, that
 * the compiled databases chain (round *i*'s new state is round
   *i+1*'s old state),
 * the compiled activation flags equal the *real* per-node output diffs
-  of an execution plan (the :mod:`repro.tasks.activation` ground truth
-  the simulator propagates is derived from exactly these flags), and
-* the propagated executed set ``W`` is *sufficient*: running only its
+  of the unrolled DAG replayed on both sides of the round
+  (:mod:`tests.datalog.unrolled_replay` — the :mod:`repro.tasks.activation`
+  ground truth the simulator propagates is derived from exactly these
+  flags),
+* the propagated executed set ``W`` is *sufficient*: replaying only its
   nodes, with every skipped node keeping its old value, reproduces the
-  new materialization byte-identically.
+  new materialization byte-identically, and
+* the static plan a served round runs lands on the same materialization.
 """
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,28 +27,31 @@ from repro.datalog.compiler import compile_update
 from repro.datalog.units import build_execution_plan
 from repro.runtime.workloads_live import live_workload
 
+from .unrolled_replay import UnrolledReplay
+
 
 def check_round(cu):
-    """One compiled round against its execution-plan ground truth."""
-    plan = build_execution_plan(cu)
-    values, diffs = plan.execute_serial()
-    assert plan.materialization(values).as_dict() == cu.db_new.as_dict()
+    """One compiled round against its replayed ground truth."""
+    replay = UnrolledReplay(cu)
+    old = replay.values(cu.edb_old)
+    new = replay.values(cu.edb_new)
+    assert replay.materialization(new) == cu.db_new.as_dict()
     dag = cu.trace.dag
-    for node, changed in diffs.items():
+    for node in range(dag.n_nodes):
         lo, hi = dag.out_edge_range(node)
         if hi > lo:
-            assert bool(cu.trace.changed_edges[lo]) == changed
+            assert bool(cu.trace.changed_edges[lo]) == (old[node] != new[node])
     # sufficiency of W: a node the propagation deactivates may still
     # have a changed *potential* output (e.g. a boundary-iteration task
     # whose old evaluation stopped one fixpoint round earlier), but
     # skipping it must not change where the round lands
-    executed = cu.trace.propagation.executed
-    sparse = plan.new_store()
-    for node in np.argsort(cu.trace.levels, kind="stable"):
-        if executed[int(node)]:
-            unit = plan.units[int(node)]
-            sparse.set(unit.node, unit.execute(sparse))
-    assert plan.materialization(sparse).as_dict() == cu.db_new.as_dict()
+    sparse = replay.values(
+        cu.edb_new, executed=cu.trace.propagation.executed, skipped=old
+    )
+    assert replay.materialization(sparse) == cu.db_new.as_dict()
+    plan = build_execution_plan(cu)
+    values, _ = plan.execute_serial()
+    assert plan.materialization(values).as_dict() == cu.db_new.as_dict()
 
 
 def run_sequence(workload_name: str, seed: int, sizes: list[int]) -> None:

@@ -1,13 +1,15 @@
 """Differential harness: the cached static plan vs cold compilation.
 
-The plan cache (:mod:`repro.datalog.plancache`) schedules the program's
-static DAG — one fixpoint node per recursive SCC — where cold
-compilation unrolls the answer. The two graphs differ; what they
-compute must not: for any program and any update stream, round by
-round, the cached plan must leave exactly the materialization cold
-compilation records (a from-scratch evaluation), its change flags must
-say exactly which relations changed, and its own check
-(``cache.evaluate``) must agree — under every registered scheduler.
+The plan cache (:mod:`repro.datalog.plancache`) restamps one static
+DAG — one fixpoint node per recursive SCC — round over round, diffing
+against and continuing from what the committed round left. The cold
+side compiles each round from nothing (:func:`compile_update`, which
+records the from-scratch answer) and runs it as a miss on a freshly
+bound plan (:func:`build_execution_plan`). For any program and any
+update stream, round by round, the cached plan must leave exactly the
+materialization cold compilation records, its change flags must say
+exactly which relations changed, and its own check (``cache.evaluate``)
+must agree — under every registered scheduler.
 
 Two layers of evidence:
 
@@ -125,7 +127,7 @@ def _assert_round_identical(cache, cold, cached, label):
     assert cache.evaluate(cu2).as_dict() == mat1, (
         f"{label}: the cache's from-scratch check differs"
     )
-    assert cu2.db_new is None and cu2.eval_new is None, (
+    assert cu2.db_old is None and cu2.db_new is None, (
         f"{label}: a cached compile evaluated something"
     )
     # the serial oracle's flag on a predicate's final node says whether
@@ -173,8 +175,8 @@ def test_cached_pipeline_is_byte_identical_serial(key, edges, seed):
 @pytest.mark.parametrize("sched_name", sorted(scheduler_registry()))
 def test_every_scheduler_matches_cold_concurrently(sched_name):
     """Each registered scheduler executes the cached static plan to
-    the materialization the cold unrolled plan reaches, with the change
-    flags the serial oracle computes for the nodes it ran.
+    the materialization a cold plan reaches, with the change flags the
+    serial oracle computes for the nodes it ran.
     """
     factory = scheduler_registry()[sched_name]
     program = parse_program(TWO_STRATA)
@@ -198,6 +200,7 @@ def test_every_scheduler_matches_cold_concurrently(sched_name):
         assert (
             plan1.materialization(out1.values).as_dict()
             == plan2.materialization(out2.values).as_dict()
+            == cu1.db_new.as_dict()
         ), f"{label}: materializations differ"
         # the concurrent outcome must also match the serial oracle
         _v, oracle_diffs = plan2.execute_serial()

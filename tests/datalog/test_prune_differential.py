@@ -135,6 +135,7 @@ def test_every_scheduler_matches_unpruned(sched_name):
         assert (
             plan1.materialization(out1.values).as_dict()
             == plan2.materialization(out2.values).as_dict()
+            == cu1.db_new.as_dict()
         ), f"{label}: materializations differ"
         # the check the service verifies against evaluates the *pruned*
         # program from scratch: it must agree with the unpruned one too
@@ -188,7 +189,7 @@ def test_join_order_hints_do_not_change_results():
     v2, d2 = hinted.execute_serial()
     assert plain.materialization(v1).as_dict() == (
         hinted.materialization(v2).as_dict()
-    )
+    ) == cu.db_new.as_dict()
     assert d1 == d2
 
 

@@ -1,8 +1,9 @@
 """The concurrent executor under every registered scheduler.
 
-The acceptance bar: for every scheduler, a real concurrent round
-produces a byte-identical materialization and a recorded schedule that
-passes the strict invariant checker.
+The acceptance bar: for every scheduler, a real concurrent round of the
+static plan a served round runs produces a byte-identical
+materialization and a recorded schedule that passes the strict
+invariant checker.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class TestAllSchedulers:
         ).run()
         mat = plan.materialization(outcome.values)
         assert mat.as_dict() == cu.db_new.as_dict()
-        report = record_round(outcome, cu.trace).check()
+        report = record_round(outcome, plan.compiled.trace).check()
         assert report.ok, "\n".join(v.format() for v in report.violations)
 
 
@@ -54,7 +55,7 @@ def test_worker_counts(compiled_workloads, workers):
     assert plan.materialization(outcome.values).as_dict() == (
         cu.db_new.as_dict()
     )
-    report = record_round(outcome, cu.trace).check()
+    report = record_round(outcome, plan.compiled.trace).check()
     assert report.ok
 
 
@@ -79,7 +80,7 @@ def test_waits_on_the_callers_own_unit_pass_the_strict_check(
     assert plan.materialization(outcome.values).as_dict() == (
         cu.db_new.as_dict()
     )
-    report = record_round(outcome, cu.trace).check()
+    report = record_round(outcome, plan.compiled.trace).check()
     assert report.ok, "\n".join(v.format() for v in report.violations)
 
 
@@ -108,13 +109,13 @@ def test_round_state_is_freed_without_the_collector(
 
 
 def test_executes_only_active_nodes(compiled_workloads):
-    cu = compiled_workloads["retail_rollup"]
-    plan = build_execution_plan(cu)
+    """Activation is live: a miss round stages every source of ``G`` as
+    initial and has no old value to diff against, so every node's
+    output reads as changed and every node of ``G`` runs, once."""
+    plan = build_execution_plan(compiled_workloads["retail_rollup"])
     outcome = RoundExecutor(plan, REGISTRY["hybrid"](), workers=4).run()
-    executed = cu.trace.propagation.executed
-    for node in outcome.records:
-        assert executed[node]
-    assert len(outcome.records) == int(executed.sum())
+    assert sorted(outcome.records) == list(range(len(plan.units)))
+    assert all(outcome.diffs.values())
 
 
 def test_measurements_are_sane(compiled_workloads):
@@ -189,7 +190,7 @@ class _OverDispatchScheduler(_EagerIllegalScheduler):
 
 
 def test_illegal_dispatch_is_caught(compiled_workloads):
-    plan = build_execution_plan(compiled_workloads["transitive_closure"])
+    plan = build_execution_plan(compiled_workloads["retail_rollup"])
     with pytest.raises(InvalidDispatchError):
         RoundExecutor(plan, _EagerIllegalScheduler(), workers=2).run()
 
@@ -201,15 +202,14 @@ def test_stall_is_caught(compiled_workloads):
 
 
 def test_over_dispatch_is_caught(compiled_workloads):
-    plan = build_execution_plan(compiled_workloads["transitive_closure"])
+    plan = build_execution_plan(compiled_workloads["retail_rollup"])
     with pytest.raises(InvalidDispatchError, match="idle workers"):
         RoundExecutor(plan, _OverDispatchScheduler(), workers=1).run()
 
 
 def test_unit_exception_aborts_round(compiled_workloads):
-    cu = compiled_workloads["retail_rollup"]
-    plan = build_execution_plan(cu)
-    victim = int(cu.trace.initial_tasks[0])
+    plan = build_execution_plan(compiled_workloads["retail_rollup"])
+    victim = int(plan.compiled.trace.initial_tasks[0])
 
     def boom(_values):
         raise RuntimeError("injected unit failure")
@@ -221,9 +221,8 @@ def test_unit_exception_aborts_round(compiled_workloads):
 
 
 def test_deadline_fires(compiled_workloads):
-    cu = compiled_workloads["retail_rollup"]
-    plan = build_execution_plan(cu)
-    victim = int(cu.trace.initial_tasks[0])
+    plan = build_execution_plan(compiled_workloads["retail_rollup"])
+    victim = int(plan.compiled.trace.initial_tasks[0])
     original = plan.units[victim].run
 
     def slow(values):

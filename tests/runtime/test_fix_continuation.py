@@ -346,7 +346,7 @@ def test_an_untouched_round_continues_from_nothing_and_keeps_identity():
     value = fix.execute(store)
     assert store.notes[fix.node] == {"mode": "continue", "delta_rows": 0}
     assert value["p"] is committed[fix.node]["p"]
-    assert value == fix.old_value
+    assert value == plan.old_values[fix.node]
 
 
 # ----------------------------------------------------------------------

@@ -80,11 +80,11 @@ class TestCoordinationStall:
 class TestRecordRound:
     @pytest.fixture(scope="class")
     def round_data(self, compiled_workloads):
-        cu = compiled_workloads["transitive_closure"]
-        plan = build_execution_plan(cu)
+        plan = build_execution_plan(compiled_workloads["transitive_closure"])
         sched = scheduler_registry()["hybrid"]()
         outcome = RoundExecutor(plan, sched, workers=4).run()
-        return cu, outcome
+        # the round the plan was stamped with: what the executor ran
+        return plan.compiled, outcome
 
     def test_schedule_matches_outcome(self, round_data):
         cu, outcome = round_data

@@ -299,7 +299,13 @@ def test_diverging_unit_output_is_caught_relation_by_relation(strict):
         node = plan.final_nodes["path"]
         unit = plan.units[node]
         run = unit.run
-        unit.run = lambda values: frozenset(sorted(run(values))[1:])
+
+        def lossy(values):
+            rel = run(values).copy()
+            rel.discard(min(rel))
+            return rel
+
+        unit.run = lossy
         return plan
 
     svc.plan_cache.plan = lossy_plan
