@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Size the task node's body: maintain the committed value, or recompute?
+
+Serves each shipped program that has non-recursive strata (hybrid
+scheduler, ``verify=True, strict=True``) over three kinds of round and
+prints, per program, seed and kind, over the warm rounds that ran a task
+node:
+
+* ``task_ms`` — p50 of the seconds the round's task units ran, summed,
+  read off the recorded schedule (``report.artifacts.result.schedule``,
+  the nodes whose key in ``report.compiled.node_keys`` is a ``task``);
+* ``probes`` — mean ``RoundMetrics.columnar_probes`` per round (the
+  round's check included);
+* ``maintained`` — mean ``RoundMetrics.maintained_tasks`` per round: how
+  many task nodes applied their inputs' Z-sets instead of re-running
+  their rule (read as 0 on a commit that has no such field).
+
+The kinds: ``insert`` and ``delete`` rounds alternate in one stream, so
+the EDB keeps its size — ``--ops`` facts inserted, then as many present
+facts deleted; a ``replace`` round does both at once.
+
+It uses nothing that is not public API, so the same file runs on the
+parent commit and on a change.
+
+Usage:
+    python scripts/size_task_maintenance.py [--seeds S ...] [--rounds N]
+        [--ops K] [--programs analytics flat retail]
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+from statistics import mean, median
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from repro.datalog import Delta, merge_deltas  # noqa: E402
+from repro.runtime import UpdateStreamService, live_workload  # noqa: E402
+from repro.schedulers import scheduler_registry  # noqa: E402
+
+PROGRAMS = ("analytics", "flat", "retail")
+WARMUP = 20
+
+
+def batch(wl, kind: str, ops: int) -> Delta:
+    if kind == "insert":
+        return wl.random_batch(ops, delete_frac=0.0)
+    if kind == "delete":
+        return wl.random_batch(ops, delete_frac=1.0)
+    return merge_deltas([batch(wl, "delete", ops), batch(wl, "insert", ops)])
+
+
+def size(program: str, seed: int, kinds: tuple[str, ...], args) -> list[str]:
+    wl = live_workload(program, seed=seed)
+    svc = UpdateStreamService(
+        wl.program,
+        wl.edb,
+        scheduler_registry()["hybrid"](),
+        workers=2,
+        verify=True,
+        strict=True,
+    )
+    rows: dict[str, list[tuple]] = {kind: [] for kind in kinds}
+    for i in range(WARMUP + args.rounds * len(kinds)):
+        kind = kinds[i % len(kinds)]
+        svc.submit(batch(wl, kind, args.ops))
+        report = svc.run_round()
+        if not report.materialization_ok:
+            raise SystemExit(f"{program} seed {seed}: round {i} diverged")
+        m = report.metrics
+        if i < WARMUP or report.artifacts is None:
+            continue
+        keys = report.compiled.node_keys
+        task_s = [
+            r.finish - r.start
+            for r in report.artifacts.result.schedule
+            if keys[r.node][0] == "task"
+        ]
+        if task_s:
+            rows[kind].append((
+                sum(task_s), m.columnar_probes,
+                getattr(m, "maintained_tasks", 0),
+            ))
+    out = []
+    for kind in kinds:
+        task, probes, maintained = zip(*rows[kind])
+        out.append(
+            f"{wl.name:20} {seed:5d} {kind:8} {len(task):6d}"
+            f" {median(task) * 1e3:8.3f} {mean(probes):9.1f}"
+            f" {mean(maintained):11.2f}"
+        )
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--programs", nargs="+", default=list(PROGRAMS))
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
+    ap.add_argument("--rounds", type=int, default=150,
+                    help="warm rounds per kind")
+    ap.add_argument("--ops", type=int, default=2,
+                    help="facts inserted (deleted) per round")
+    args = ap.parse_args()
+    print(f"{args.ops} op(s) a side, {args.rounds} warm rounds per kind "
+          f"after {WARMUP}, verify=True strict=True")
+    print(f"{'program':20} {'seed':>5} {'kind':8} {'rounds':>6}"
+          f" {'task_ms':>8} {'probes':>9} {'maintained':>11}")
+    for program in args.programs:
+        for seed in args.seeds:
+            for kinds in (("insert", "delete"), ("replace",)):
+                for line in size(program, seed, kinds, args):
+                    print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

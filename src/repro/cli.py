@@ -345,6 +345,8 @@ def cmd_serve(args) -> int:
             flag += f"  ({m.cancelled_ops} op(s) cancelled)"
         if m.continued_nodes:
             flag += f"  ({m.continued_nodes} fixpoint(s) continued)"
+        if m.maintained_tasks:
+            flag += f"  ({m.maintained_tasks} task(s) maintained)"
         print(
             f"round {m.index:3d}: {m.batches_coalesced} batch(es), "
             f"{m.tasks_executed}/{m.n_nodes} nodes executed, "

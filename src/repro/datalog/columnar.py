@@ -31,7 +31,10 @@ pool-independent. ``pool.probes`` grows by the bindings that reached
 each scan (the first scan counts one), added once per call;
 ``pool.builds`` only by real mirror and index builds. A kernel mutates
 nothing it reads and returns a fresh set — work units run it on worker
-lanes. CPython allows 20 statically nested blocks, so past
+lanes. A plan compiled in *counted* mode returns instead how many
+bindings reach each head row (each group and aggregated value,
+unfolded): what a task unit maintains its value with. CPython allows 20
+statically nested blocks, so past
 ``_MAX_LOOPS`` open loops a rule continues in a nested ``def`` generated
 the same way. The source is assembled from invented names, integer
 positions, operator tokens of the closed tables and ``repr`` of
@@ -88,6 +91,7 @@ __all__ = [
     "ColumnarRelation",
     "RulePlan",
     "compile_rule_plan",
+    "delta_first",
     "run_rule_plan",
     "eval_rule_columnar",
 ]
@@ -182,6 +186,19 @@ class InternPool:
             row = tuple(intern(v) for v in fact)
             memo[fact] = row
         return row
+
+    def intern_facts(self, pred: str, facts: Iterable[tuple]) -> set:
+        """Bulk :meth:`intern_fact`: the id-rows of ``facts``, one memo
+        probe per fact that was interned before."""
+        memo = self._fact_rows.setdefault(pred, {})
+        get, intern = memo.get, self.table.intern
+        out = set()
+        for fact in facts:
+            row = get(fact)
+            if row is None:
+                row = memo[fact] = tuple(intern(v) for v in fact)
+            out.add(row)
+        return out
 
     def extern_row(self, row: tuple) -> tuple:
         """Value-space fact for an interned id-row."""
@@ -368,6 +385,7 @@ class RulePlan:
         reads: frozenset[str],
     ) -> None:
         #: ``kernel(relations, delta_overrides, pool) -> set of id-rows``
+        #: (counted mode: a dict of binding counts, see ``_compile_rule``)
         self.kernel = kernel
         #: the kernel's text, also in ``linecache`` under ``filename``
         #: while the plan is memoised — tracebacks show the failing line
@@ -460,8 +478,59 @@ class _Body:
         self.depth = 0
 
 
+def delta_first(rule: Rule, at: int) -> tuple[int, ...]:
+    """The body order of a Δ-plan: the Δ occurrence ``at`` first, then
+    every filter, assignment and negation (each waits, as always, until
+    its variables are bound), then the remaining atoms bound-first —
+    each time the one with the most variables already bound, then the
+    most constants, then the textual first. A Δ of one row then probes
+    the other relations instead of scanning them."""
+    body = rule.body
+    atoms = {
+        i: lit.atom for i, lit in enumerate(body)
+        if lit.atom is not None and not lit.negated
+    }
+    bound = {t.name for t in atoms.pop(at).terms if isinstance(t, Variable)}
+    seq = [at] + [
+        i for i, lit in enumerate(body) if lit.atom is None or lit.negated
+    ]
+    assigns = [lit.assignment for lit in body if lit.assignment is not None]
+
+    def close() -> None:
+        grew = True
+        while grew:
+            grew = False
+            for a in assigns:
+                if a.target.name not in bound and all(
+                    v.name in bound for v in a.inputs()
+                ):
+                    bound.add(a.target.name)
+                    grew = True
+
+    def rank(i: int) -> tuple[int, int, int]:
+        terms = atoms[i].terms
+        return (
+            sum(isinstance(t, Variable) and t.name in bound for t in terms),
+            sum(isinstance(t, Constant) for t in terms),
+            -i,
+        )
+
+    close()
+    while atoms:
+        best = max(atoms, key=rank)
+        seq.append(best)
+        bound.update(
+            t.name for t in atoms.pop(best).terms if isinstance(t, Variable)
+        )
+        close()
+    return tuple(seq)
+
+
 def _compile_rule(
-    rule: Rule, order: tuple[int, ...] | None, delta_at: int | None
+    rule: Rule,
+    order: tuple[int, ...] | None,
+    delta_at: int | None,
+    counted: bool = False,
 ) -> RulePlan:
     """Generate the nested-loop join ``join_body`` runs dynamically.
 
@@ -472,6 +541,12 @@ def _compile_rule(
     at the innermost level, reached only if a binding gets there —
     byte-compatible with ``join_body``'s "unresolved filters" error on
     unsafe rules.
+
+    ``counted`` generates the kernel's counted mode: it returns a dict
+    that counts the bindings reaching the head — per head id-row, or for
+    an aggregate head per ``(group id-row, aggregated column's id)``,
+    unfolded — instead of the set of heads (folded groups). The source
+    of the plain mode does not depend on it.
 
     The source is made of invented names, integer positions, operator
     tokens of the closed tables and ``repr`` of predicate names; program
@@ -650,7 +725,17 @@ def _compile_rule(
         ]
         for k in interned:
             w.first_time(k, _intern_stmt(k))
-        if not rule.head.has_aggregate():
+        if counted:
+            # one count per binding; an aggregate's group and value as
+            # they are, for the caller to fold
+            agg = next(
+                (t for t in head if isinstance(t, Aggregate)), None
+            )
+            key = _tuple(plain) if agg is None else (
+                f"({_tuple(plain)}, {var[agg.var.name]})"
+            )
+            w.emit(f"out[{key}] += 1")
+        elif not rule.head.has_aggregate():
             w.emit(f"add({_tuple(plain)})")
         else:
             # group on id columns; only the folded column is externed
@@ -676,8 +761,10 @@ def _compile_rule(
         "def kernel(relations, deltas, pool):",
         "    intern = pool.table.intern",
         "    values = pool.table.values",
-        "    out = set()",
-        "    add = out.add",
+        *(
+            ["    out = defaultdict(int)"] if counted
+            else ["    out = set()", "    add = out.add"]
+        ),
         *(
             ["    value_of = values.__getitem__",
              "    groups = defaultdict(list)"] if fold else []
@@ -696,7 +783,10 @@ def _compile_rule(
         f"        pool.probes += {' + '.join(counters) or 0}",
     ]
     source = "\n".join(lines) + "\n"
-    filename = f"<rule kernel: {rule!r} order={order} delta={delta_at}>"
+    filename = (
+        f"<rule kernel: {rule!r} order={order} delta={delta_at}"
+        + (" counted>" if counted else ">")
+    )
     exec(compile(source, filename, "exec"), env)
     linecache.cache[filename] = (
         len(source), None, source.splitlines(True), filename
@@ -717,21 +807,26 @@ _RULE_PLANS_LOCK = threading.Lock()
 
 
 def compile_rule_plan(
-    rule: Rule, order: tuple[int, ...] | None, delta_at: int | None
+    rule: Rule,
+    order: tuple[int, ...] | None,
+    delta_at: int | None,
+    counted: bool = False,
 ) -> RulePlan:
-    """The memoised kernel of ``(rule, order, Δ-position)``.
+    """The memoised kernel of ``(rule, order, Δ-position)`` — in counted
+    mode with ``counted`` (see :func:`_compile_rule`), which only the
+    non-recursive task units of a served plan request.
 
     Past the cap the least recently used plan is evicted (its source
     leaves ``linecache`` with it) — never the whole memo, so a plan in
     steady use is not recompiled because other programs passed through.
     """
-    key = (rule, order, delta_at)
+    key = (rule, order, delta_at, counted)
     with _RULE_PLANS_LOCK:
         plan = _RULE_PLANS.get(key)
         if plan is not None:
             _RULE_PLANS.move_to_end(key)
             return plan
-    plan = _compile_rule(rule, order, delta_at)
+    plan = _compile_rule(rule, order, delta_at, counted)
     with _RULE_PLANS_LOCK:
         plan = _RULE_PLANS.setdefault(key, plan)
         while len(_RULE_PLANS) > _RULE_PLAN_CAP:
@@ -784,7 +879,8 @@ def run_rule_plan(
     else. No fact is externed on the way: filters and arithmetic read
     the values of the ids they compare, an aggregate those of the
     column it folds, and what either computes is interned. The kernel
-    mutates nothing it reads and returns a fresh set; ``pool.probes``
-    grows, once, by the bindings that reached each of its scans.
+    mutates nothing it reads and returns a fresh set — a fresh dict of
+    binding counts for a counted plan; ``pool.probes`` grows, once, by
+    the bindings that reached each of its scans.
     """
     return plan.kernel(db.relations, delta_overrides, pool)

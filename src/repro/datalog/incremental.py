@@ -37,8 +37,12 @@ The served round calls the half of it that is measured to win: step (4),
 whenever everything the node reads only grew (:mod:`repro.datalog
 .units`). After a retraction the node recomputes its SCC — against a
 columnar recompute Backward/Forward's candidate volume still loses on
-small deep graphs (DESIGN §18). Row ``seminaive_evaluate`` is the
-oracle the engine is tested against.
+small deep graphs (DESIGN §18). Steps (1)–(3) and the recompute-and-diff
+of affected strata serve no round: a served *non-recursive* node keeps
+derivation counts instead and maintains both signs by counting
+(:class:`~repro.datalog.units.CountedRows`), so the engine and the
+served round still answer "how is a delete maintained" differently.
+Row ``seminaive_evaluate`` is the oracle the engine is tested against.
 """
 
 from __future__ import annotations

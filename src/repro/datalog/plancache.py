@@ -113,6 +113,10 @@ class _Side:
     #: (while staged: the committed side's, for the round to diff
     #: against and continue from)
     values: list | None = None
+    #: the EDB delta that staged this round, clamped against the
+    #: committed EDB — what a task maintaining its value reads an EDB
+    #: input's Z-set from
+    zdelta: ZSetDelta | None = None
 
 
 @dataclass
@@ -284,7 +288,7 @@ class CompiledProgramCache:
             name=name,
         )
         self._staged = _Side(
-            edb_new, baseline, dead, prev.values if diffable else None
+            edb_new, baseline, dead, prev.values if diffable else None, zdelta
         )
         self._staged_cu = cu
         return cu
@@ -322,6 +326,7 @@ class CompiledProgramCache:
         ProgramSkeleton.stamp(
             served.plan, cu, staged.baseline, staged.values,
             self._prev.baseline if staged.values is not None else None,
+            staged.zdelta,
         )
         return served.plan
 

@@ -17,19 +17,30 @@ One plan
 --------
 :class:`ProgramSkeleton` wires ``G`` once. Node values are
 :class:`Relation` objects handed from writer to reader as built —
-indexes, columnar mirror and all — except a task's, which is the set of
-interned id-rows its rule derives (ids are stable for the plan's one
-pool, so two rounds' values compare as sets); a fixpoint node
-*maintains* its SCC — where everything it reads only grew since the
-committed round, it continues that round's fixpoint from Δ⁺ through the
-engine's insert step (:func:`~repro.datalog.incremental._insert_stratum`),
-a head that gains rows on a clone of its committed mirror; after any
-retraction, a change under negation or an aggregate, or with no
-committed value, it runs :func:`~repro.datalog.seminaive.evaluate_stratum`
-over its inputs — and the old values are whatever the previous
-committed round left in the nodes. A published relation is the mirror
-its stratum grew: nothing is externed inside a round, the first reader
-of a relation's facts does that (:class:`Relation`).
+indexes, columnar mirror and all — except a task's, a
+:class:`CountedRows`: the set of interned id-rows its rule derives (ids
+are stable for the plan's one pool, so two rounds' values compare as
+sets) carrying per row its derivation count, or for an aggregate head
+per group the multiset of aggregated ids it folds. Both stateful node
+kinds *maintain* their value:
+
+* a task node applies its inputs' Z-sets since the committed round
+  through counted Δ-plans — Σₖ new₁…newₖ₋₁ ⋈ ΔAₖ ⋈ oldₖ₊₁…, once for Δ⁺
+  (+1) and once for Δ⁻ (−1); a row whose count reaches 0 is the delete,
+  an aggregate re-folds the groups the Δ touched. With no committed
+  value, a changed negated input or a Δ on a predicate its body repeats
+  it recomputes its whole rule, counted;
+* a fixpoint node whose inputs only grew since the committed round
+  continues that round's fixpoint from Δ⁺ through the engine's insert
+  step (:func:`~repro.datalog.incremental._insert_stratum`), a head that
+  gains rows on a clone of its committed mirror; after any retraction, a
+  change under negation or an aggregate, or with no committed value, it
+  runs :func:`~repro.datalog.seminaive.evaluate_stratum` over its inputs.
+
+The old values are whatever the previous committed round left in the
+nodes. A published relation is the mirror its stratum grew: nothing is
+externed inside a round, the first reader of a relation's facts does
+that (:class:`Relation`).
 :meth:`ProgramSkeleton.stamp` restamps the one bound plan per round;
 :func:`build_execution_plan` binds one for a single round, as a miss.
 
@@ -39,22 +50,29 @@ not a plan: nothing executes it.
 
 Unit closures read per-round data through the plan's :class:`RoundCtx`,
 never through captured constants, which is what makes restamping sound.
-Each unit is a pure function of its inputs' final values — a fixpoint
-node's continuation included, which starts from a committed value that
-is itself that function of the committed inputs, and never writes to
-it — so running the units in any precedence-respecting order, serial or
-concurrent, lands on the same materialization.
+Each unit is a pure function of its inputs' final values — a task's
+maintenance and a fixpoint node's continuation included, which start
+from a committed value that is itself that function of the committed
+inputs, and never write to it — so running the units in any
+precedence-respecting order, serial or concurrent, lands on the same
+materialization.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .ast import Program
-from .columnar import InternPool, compile_rule_plan, run_rule_plan
+from .ast import Aggregate, Program, Rule
+from .columnar import (
+    ColumnarRelation,
+    InternPool,
+    compile_rule_plan,
+    delta_first,
+)
 from .compiler import (
     CompiledUpdate,
     RoundStructure,
@@ -65,6 +83,7 @@ from .database import Database, Relation
 from .depgraph import DependencyGraph
 from .incremental import _insert_stratum, _Stratum
 from .seminaive import evaluate_stratum
+from .zset import ZSetDelta
 
 __all__ = [
     "WorkUnit",
@@ -72,8 +91,192 @@ __all__ = [
     "ExecutionPlan",
     "ProgramSkeleton",
     "RoundCtx",
+    "CountedRows",
     "build_execution_plan",
 ]
+
+#: an input's Z-set when its value is the committed one
+_NO_CHANGE: tuple[frozenset, frozenset] = (frozenset(), frozenset())
+
+
+class CountedRows(set):
+    """A task node's value: the id-rows its rule derives, with counts.
+
+    As a set it is the rows — the support, which is what ``==`` compares,
+    so a task's changed/unchanged signal is its row set and a change of
+    counts alone activates nothing. ``counts`` maps each row to its
+    derivation count (the bindings of the body that yield it) or, for an
+    aggregate head, each group's id-row (the head minus the aggregate) to
+    the multiset its row folds: ``{aggregated column's id:
+    multiplicity}``. Read-only once a unit returned it.
+    """
+
+    __slots__ = ("counts",)
+
+    counts: dict
+
+
+class _Task:
+    """The rule of a non-recursive task node and the counted plans that
+    compute its value: the whole body, and per positive occurrence the
+    Δ-plan that scans that occurrence first."""
+
+    def __init__(
+        self, rule: Rule, order: tuple[int, ...] | None,
+        final_nodes: dict[str, int],
+    ) -> None:
+        self.whole = compile_rule_plan(rule, order, None, counted=True)
+        #: predicate → node, of everything the body reads
+        self.sources = tuple(
+            (q, final_nodes[q]) for q in sorted(self.whole.reads)
+        )
+        positive = [
+            (i, lit.atom) for i, lit in enumerate(rule.body)
+            if lit.atom is not None and not lit.negated
+        ]
+        seen = Counter(atom.predicate for _i, atom in positive)
+        #: per positive occurrence ``(predicate, arity, node, Δ-plan)``;
+        #: no Δ-plan for a predicate the body repeats
+        self.occurrences = tuple(
+            (
+                atom.predicate, len(atom.terms), final_nodes[atom.predicate],
+                None if seen[atom.predicate] > 1
+                else compile_rule_plan(rule, delta_first(rule, i), i, True),
+            )
+            for i, atom in positive
+        )
+        self.negated = tuple(
+            (q, final_nodes[q]) for q in sorted({
+                lit.atom.predicate for lit in rule.body
+                if lit.atom is not None and lit.negated
+            })
+        )
+        aggs = [
+            (i, t.op) for i, t in enumerate(rule.head.terms)
+            if isinstance(t, Aggregate)
+        ]
+        #: the aggregate's position in the head, and its op (``None``:
+        #: a plain head)
+        self.agg_at, self.agg_op = aggs[0] if aggs else (0, None)
+
+    def fold(self, group: tuple, multiset: dict, pool: InternPool) -> tuple:
+        """The head row of one group: the kernel's fold of its multiset —
+        count the total multiplicity, sum over the multiset, min / max
+        over the support."""
+        values = pool.table.values
+        op = self.agg_op
+        if op == "count":
+            result = sum(multiset.values())
+        elif op == "sum":
+            result = sum(values[v] * m for v, m in multiset.items())
+        elif op == "min":
+            result = min(map(values.__getitem__, multiset))
+        else:
+            result = max(map(values.__getitem__, multiset))
+        at = self.agg_at
+        return group[:at] + (pool.intern(result),) + group[at:]
+
+    def recompute(self, values: "ValueStore", pool: InternPool) -> CountedRows:
+        """The whole body, counted, over the inputs' values."""
+        got = self.whole.kernel(
+            {q: values[src] for q, src in self.sources}, None, pool
+        )
+        if self.agg_op is None:
+            out = CountedRows(got)
+            out.counts = got
+            return out
+        groups: dict[tuple, dict] = {}
+        for (group, v), m in got.items():
+            groups.setdefault(group, {})[v] = m
+        out = CountedRows(
+            self.fold(group, ms, pool) for group, ms in groups.items()
+        )
+        out.counts = groups
+        return out
+
+    def changes(
+        self, values: "ValueStore", zset: Callable[[int, str], tuple]
+    ) -> list[tuple[int, Any, Any]] | None:
+        """``(occurrence, Δ⁺, Δ⁻)`` of every positive occurrence whose
+        input changed since the committed round — or ``None``, recompute:
+        a negated input changed, or a repeated predicate did."""
+        for q, src in self.negated:
+            plus, minus = zset(src, q)
+            if plus or minus:
+                return None
+        out = []
+        for k, (q, _arity, src, plan) in enumerate(self.occurrences):
+            plus, minus = zset(src, q)
+            if plus or minus:
+                if plan is None:
+                    return None
+                out.append((k, plus, minus))
+        return out
+
+    def maintain(
+        self,
+        values: "ValueStore",
+        old: CountedRows,
+        changes: list[tuple[int, Any, Any]],
+        pool: InternPool,
+    ) -> CountedRows:
+        """``old`` moved by the bilinear expansion of the body's change:
+        per changed occurrence k, its Δ⁺ (+1) and Δ⁻ (−1) joined with the
+        occurrences before k as they are now and those after k as they
+        were. A row whose count reaches 0 is gone; an aggregate's touched
+        groups are re-folded. ``old`` is never written: what changed is
+        copied, and with no net change ``old`` itself comes back."""
+        net: defaultdict = defaultdict(int)
+        for k, plus, minus in changes:
+            q, arity, _src, plan = self.occurrences[k]
+            relations = {
+                qj: values[sj] if j < k else values.committed(sj)
+                for j, (qj, _a, sj, _p) in enumerate(self.occurrences)
+                if j != k
+            }
+            relations.update((qn, values[sn]) for qn, sn in self.negated)
+            for sign, rows in ((1, plus), (-1, minus)):
+                if rows:
+                    delta = ColumnarRelation(q, arity, pool)
+                    delta.rows = rows
+                    for key, m in plan.kernel(
+                        relations, {q: delta}, pool
+                    ).items():
+                        net[key] += sign * m
+        moved = {key: n for key, n in net.items() if n}
+        if not moved:
+            return old
+        out = CountedRows(old)
+        counts = dict(old.counts)
+        out.counts = counts
+        if self.agg_op is None:
+            for row, n in moved.items():
+                c = counts.get(row, 0) + n
+                if c:
+                    counts[row] = c
+                    out.add(row)
+                else:
+                    del counts[row]
+                    out.discard(row)
+            return out
+        touched: dict[tuple, dict] = {}
+        for (group, v), n in moved.items():
+            ms = touched.get(group)
+            if ms is None:
+                ms = touched[group] = dict(counts.get(group, ()))
+            c = ms.get(v, 0) + n
+            if c:
+                ms[v] = c
+            else:
+                del ms[v]
+        for group, ms in touched.items():
+            was = counts.pop(group, None)
+            if was is not None:
+                out.discard(self.fold(group, was, pool))
+            if ms:
+                counts[group] = ms
+                out.add(self.fold(group, ms, pool))
+        return out
 
 
 def _gained(
@@ -143,7 +346,8 @@ class ValueStore:
     The old values are also what a unit that *maintains* its output
     continues from (:meth:`committed`), and ``notes`` is where it says
     so: node → the span args an executed unit reports about how it
-    produced its value (a fixpoint node's ``mode`` and ``delta_rows``),
+    produced its value (a fixpoint or task node's ``mode`` and
+    ``delta_rows``),
     written by the unit, read by whoever traces or counts the round.
     """
 
@@ -174,10 +378,14 @@ class RoundCtx:
     """The per-round data every unit closure reads.
 
     Mutated only between rounds (the plan is restamped), never while it
-    is executing, so worker threads read it without locks.
+    is executing, so worker threads read it without locks — except
+    ``zsets``, a per-round cache the task units fill: two units that
+    take one input's Z-set at once compute the same value.
     """
 
-    __slots__ = ("baseline", "pool", "committed_baseline")
+    __slots__ = (
+        "baseline", "pool", "committed_baseline", "zdelta", "zsets",
+    )
 
     def __init__(self, pool: InternPool) -> None:
         #: predicate → program facts ∪ its facts in the round's new EDB
@@ -189,6 +397,12 @@ class RoundCtx:
         #: the committed side, next to the plan's old node values: the
         #: baseline of the round that left them
         self.committed_baseline: dict[str, Relation] = {}
+        #: the round's EDB delta, clamped against the committed EDB —
+        #: with the committed side only
+        self.zdelta: ZSetDelta | None = None
+        #: node → its value's ``(Δ⁺, Δ⁻)`` id-rows since the committed
+        #: round, taken once per round by the first task that reads it
+        self.zsets: dict[int, tuple] = {}
 
 
 @dataclass
@@ -260,17 +474,19 @@ class ProgramSkeleton:
     Derived from ``structure`` alone — the program it was built from and
     its node keys: the strata, the node carrying each predicate's final
     value, the tasks writing each predicate node, and per task its
-    compiled rule plan and the nodes its read set comes from. Units
+    counted rule plans and the nodes its read set comes from. Units
     exchange :class:`Relation` objects: an EDB node publishes the
-    round's baseline relation, a task the id-rows its rule derives from
-    its inputs' mirrors, a predicate node the relation those rows (and
-    the predicate's baseline) add up to, still in id space, and a
-    fixpoint node the relations of its SCC: continued from the committed
-    round's by the engine's insert step when its inputs only grew, else
-    grown from the entry relations under
+    round's baseline relation, a task the counted id-rows its rule
+    derives (maintained from its inputs' Z-sets, or recomputed), a
+    predicate node the relation those rows (and the predicate's
+    baseline) add up to, still in id space, and a fixpoint node the
+    relations of its SCC: continued from the committed round's by the
+    engine's insert step when its inputs only grew, else grown from the
+    entry relations under
     :func:`~repro.datalog.seminaive.evaluate_stratum` — the evaluator's
-    own loop, columnar. Which of the two is decided by the sign of the
-    node's input Z-sets, before any join runs.
+    own loop, columnar. Which body a node runs is decided by its input
+    Z-sets — their sign for a fixpoint node, which inputs changed for a
+    task — before any join runs.
     """
 
     def __init__(
@@ -306,6 +522,36 @@ class ProgramSkeleton:
             if key[0] == "task":
                 head = self.rules[key[3]].head.predicate
                 self.writers.setdefault(head, []).append(nid)
+        #: EDB predicates whose node publishes the EDB relation as is (no
+        #: program fact joins it): their Z-set is the round's delta
+        self.clamped = edb - {f.head.predicate for f in program.facts}
+
+    def _zset(
+        self, ctx: RoundCtx, values: ValueStore, node: int, pred: str
+    ) -> tuple:
+        """``(Δ⁺, Δ⁻)`` id-rows of ``node``'s value since the committed
+        round, taken once per round: empty when the value is the
+        committed object, the round's clamped delta interned for an EDB
+        relation, else the id-row differences of the two mirrors."""
+        got = ctx.zsets.get(node)
+        if got is None:
+            was, now = values.committed(node), values[node]
+            if now is was:
+                got = _NO_CHANGE
+            elif ctx.zdelta is not None and pred in self.clamped:
+                ops = ctx.zdelta.ops_for(pred)
+                got = tuple(
+                    ctx.pool.intern_facts(
+                        pred, [f for f, w in ops if (w > 0) == grew]
+                    )
+                    for grew in (True, False)
+                )
+            else:
+                old = was.columnar(ctx.pool).rows
+                new = now.columnar(ctx.pool).rows
+                got = (new - old, old - new)
+            ctx.zsets[node] = got
+        return got
 
     # ------------------------------------------------------------------
     # unit construction (closures read ctx, never per-round captures)
@@ -414,16 +660,27 @@ class ProgramSkeleton:
             # a task of a non-recursive stratum: it reads only earlier
             # strata, each at the node carrying its final value
             ri = key[3]
-            rule_plan = compile_rule_plan(
-                self.rules[ri], self.join_orders.get(ri), None
-            )
-            sources = tuple(
-                (q, self.final_nodes[q]) for q in sorted(rule_plan.reads)
+            task = _Task(
+                self.rules[ri], self.join_orders.get(ri), self.final_nodes
             )
 
-            def run(values: ValueStore) -> set:
-                db = Database({q: values[src] for q, src in sources})
-                return run_rule_plan(rule_plan, db, ctx.pool)
+            def run(values: ValueStore) -> CountedRows:
+                old = values.committed(nid)
+                changes = None
+                if isinstance(old, CountedRows):
+                    changes = task.changes(
+                        values, lambda n, q: self._zset(ctx, values, n, q)
+                    )
+                if changes is None:
+                    values.notes[nid] = {"mode": "recompute", "delta_rows": 0}
+                    return task.recompute(values, ctx.pool)
+                values.notes[nid] = {
+                    "mode": "maintain",
+                    "delta_rows": sum(
+                        len(plus) + len(minus) for _k, plus, minus in changes
+                    ),
+                }
+                return task.maintain(values, old, changes, ctx.pool)
 
         return WorkUnit(node=nid, kind=kind, label=self.labels[nid], run=run)
 
@@ -449,6 +706,7 @@ class ProgramSkeleton:
         baseline: dict[str, Relation],
         old_values: list | None,
         committed_baseline: dict[str, Relation] | None,
+        zdelta: ZSetDelta | None = None,
     ) -> None:
         """Restamp ``plan`` with one round, in place.
 
@@ -459,12 +717,16 @@ class ProgramSkeleton:
         ``cu`` was staged with every source of ``G`` initial. With old
         values comes the rest of that round's side (else ``None``): its
         baseline — with them, what a fixpoint node reads to continue
-        instead of recomputing.
+        instead of recomputing — and the round's EDB delta clamped
+        against that side's EDB, what a task maintaining its value takes
+        an EDB input's Z-set from (without it, from the two mirrors).
         Deterministic: stamping the same round twice (a failed round is
         retried) yields identical state.
         """
         plan.ctx.baseline = baseline
         plan.ctx.committed_baseline = committed_baseline or {}
+        plan.ctx.zdelta = zdelta if old_values else None
+        plan.ctx.zsets = {}
         # rebind in place: ValueStore holds a reference to this list
         plan.old_values[:] = old_values or [None] * len(plan.units)
         plan.compiled = cu

@@ -36,12 +36,14 @@ _PHASE_HISTOGRAMS = (
 )
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class RoundMetrics:
     """What one maintenance round cost and touched.
 
     The defaults from ``n_nodes`` on are those of a round that did
-    nothing — what a no-op round records.
+    nothing — what a no-op round records. Slotted: the log keeps every
+    round's record, and past 29 attributes CPython 3.11 stops sharing
+    instance-dict keys, which made each record ≈ 5× larger.
     """
 
     index: int
@@ -60,6 +62,10 @@ class RoundMetrics:
     #: of recomputing their SCC (``ValueStore.notes``); a unit span's
     #: ``mode`` / ``delta_rows`` args say which node, from how many rows
     continued_nodes: int = 0
+    #: task nodes among them that *maintained* their value — applied
+    #: their inputs' Z-sets through counted Δ-plans — instead of
+    #: re-running their whole rule (``mode: "maintain"`` in the notes)
+    maintained_tasks: int = 0
     #: net facts inserted + deleted across the materialization
     changed_facts: int = 0
     #: wall-clock end-to-end round latency (compile + execute + verify);
@@ -132,6 +138,8 @@ class MetricsLog:
         self.registry.counter("batches_coalesced").inc(m.batches_coalesced)
         if m.continued_nodes:
             self.registry.counter("continued_nodes").inc(m.continued_nodes)
+        if m.maintained_tasks:
+            self.registry.counter("maintained_tasks").inc(m.maintained_tasks)
         if m.unit_retries:
             self.registry.counter("unit_retries").inc(m.unit_retries)
         if m.injected_faults:

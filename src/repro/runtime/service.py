@@ -913,6 +913,7 @@ class UpdateStreamService:
                 chaos=self.chaos,
             ).run()
         tasks_executed = len(outcome.records)
+        modes = [said.get("mode") for said in outcome.values.notes.values()]
         if sink.enabled:
             sp_exec.set("scheduler_ops", outcome.scheduler_ops)
             sp_exec.set("tasks_executed", tasks_executed)
@@ -922,10 +923,8 @@ class UpdateStreamService:
             "execute_s": perf_counter() - t0,
             "workers": self.workers,
             "tasks_executed": tasks_executed,
-            "continued_nodes": sum(
-                said.get("mode") == "continue"
-                for said in outcome.values.notes.values()
-            ),
+            "continued_nodes": modes.count("continue"),
+            "maintained_tasks": modes.count("maintain"),
             "scheduler_ops": outcome.scheduler_ops,
             "precompute_ops": outcome.precompute_ops,
             "unit_retries": outcome.unit_retries,

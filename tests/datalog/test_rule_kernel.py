@@ -8,7 +8,10 @@ generated source, relations and indexes are resolved only when a binding
 reaches their scan, ``pool.probes`` counts those bindings and nothing
 else, a body of any length compiles, a failing kernel's traceback shows
 the generated line, and a kernel run from several threads changes only
-its own locals and the one counter.
+its own locals and the one counter. The counted mode — what a served
+task node maintains its value through — counts per head row (per group
+and aggregated value) exactly the bindings ``join_body`` enumerates, and
+only task nodes ask for it.
 """
 
 from __future__ import annotations
@@ -18,11 +21,16 @@ import sys
 import threading
 import traceback
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.datalog.columnar as columnar
-from repro.datalog import Database, InternPool, parse_rule
+from repro.datalog import Database, InternPool, parse_program, parse_rule
 from repro.datalog.ast import (
+    Aggregate,
     Assignment,
     Atom,
     Comparison,
@@ -36,7 +44,7 @@ from repro.datalog.columnar import (
     eval_rule_columnar,
     run_rule_plan,
 )
-from repro.datalog.unify import eval_rule
+from repro.datalog.unify import eval_rule, instantiate_head, join_body
 
 
 def database(**facts: set) -> Database:
@@ -340,3 +348,165 @@ def test_a_kernel_mutates_nothing_it_reads():
     assert snapshot() == before
     second.clear()  # a fresh set: the caller's to change
     assert run_rule_plan(plan, db, pool, delta) == first
+
+
+# ---------------------------------------------------------------------------
+# (g) counted mode: a multiplicity is the number of bindings
+# ---------------------------------------------------------------------------
+
+VARS = ["X", "Y", "Z"]
+TERM = st.one_of(st.sampled_from(VARS), st.integers(0, 3).map(str))
+
+
+@st.composite
+def counted_rules(draw) -> Rule:
+    """Safe rules over ``e/2`` and ``f/2``: one to three atoms with
+    repeated variables and constants, maybe a filter, an assignment and
+    a negation, and a plain, constant-bearing, 0-ary or aggregate head."""
+    atoms = draw(st.lists(
+        st.tuples(st.sampled_from("ef"), TERM, TERM), min_size=1, max_size=3
+    ))
+    body = [f"{p}({a}, {b})" for p, a, b in atoms]
+    bound = sorted({t for _p, a, b in atoms for t in (a, b) if t in VARS})
+    if bound and draw(st.booleans()):
+        op = draw(st.sampled_from(["<", "!=", ">="]))
+        right = draw(st.sampled_from(bound + ["1", "2"]))
+        body.append(f"{draw(st.sampled_from(bound))} {op} {right}")
+    if bound and draw(st.booleans()):
+        v, k = draw(st.sampled_from(bound)), draw(st.integers(0, 2))
+        body.append(f"S = {v} + {k}")
+        bound.append("S")
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(bound + ["1"]))
+        b = draw(st.sampled_from(bound + ["2"]))
+        body.append(f"!{draw(st.sampled_from('ef'))}({a}, {b})")
+    op = draw(st.sampled_from([None, "count", "sum", "min", "max"]))
+    agg = draw(st.sampled_from(bound)) if bound and op else None
+    terms = draw(st.lists(
+        st.sampled_from([v for v in bound if v != agg] or ["1"]),
+        max_size=2, unique=True,
+    ))
+    if draw(st.booleans()):
+        terms.append('"k"')
+    if agg is not None:
+        terms.insert(draw(st.integers(0, len(terms))), f"{op}({agg})")
+    head = "h" + (f"({', '.join(terms)})" if terms else "")
+    return parse_rule(f"{head} :- {', '.join(body)}.")
+
+
+def binding_counts(rule: Rule, db: Database, **delta) -> Counter:
+    """Per head row — per (group row, aggregated value) for an aggregate
+    head — the substitutions ``join_body`` enumerates."""
+    head = rule.head.terms
+    agg = next((t for t in head if isinstance(t, Aggregate)), None)
+    out: Counter = Counter()
+    for s in join_body(rule.body, db, **delta):
+        if agg is None:
+            out[instantiate_head(rule.head, s)] += 1
+        else:
+            group = tuple(
+                t.value if isinstance(t, Constant) else s[t.name]
+                for t in head if not isinstance(t, Aggregate)
+            )
+            out[group, s[agg.var.name]] += 1
+    return out
+
+
+def externed(rule: Rule, got: dict, pool: InternPool) -> Counter:
+    if not rule.has_aggregate:
+        return Counter({pool.extern_row(row): m for row, m in got.items()})
+    return Counter({
+        (pool.extern_row(group), pool.extern(v)): m
+        for (group, v), m in got.items()
+    })
+
+
+@given(
+    rule=counted_rules(),
+    e_facts=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10),
+    f_facts=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10),
+    d_facts=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_counted_multiplicities_are_the_bindings_join_body_enumerates(
+    rule, e_facts, f_facts, d_facts
+):
+    db = database(e=e_facts, f=f_facts)
+    db.relation("e", 2)
+    db.relation("f", 2)
+    pool = InternPool()
+    whole = compile_rule_plan(rule, None, None, counted=True)
+    got = run_rule_plan(whole, db, pool)
+    assert externed(rule, got, pool) == binding_counts(rule, db)
+    # ... and the plain mode folds exactly those bindings
+    assert set(pool.extern_rows(
+        run_rule_plan(compile_rule_plan(rule, None, None), db, pool)
+    )) == eval_rule(rule, db)
+    # every Δ-plan: its occurrence scanned first, the rest bound-first
+    for at, lit in enumerate(rule.body):
+        if lit.atom is None or lit.negated:
+            continue
+        order = columnar.delta_first(rule, at)
+        assert order[0] == at and sorted(order) == list(range(len(rule.body)))
+        delta = {lit.atom.predicate: database(d=d_facts).relations["d"]}
+        plan = compile_rule_plan(rule, order, at, counted=True)
+        assert externed(rule, run_rule_plan(plan, db, pool, delta), pool) == (
+            binding_counts(rule, db, delta_overrides=delta, delta_at=at)
+        )
+
+
+def test_the_counted_mode_leaves_the_plain_source_alone():
+    rule = parse_rule("h(X, sum(Y)) :- e(X, Y), f(Y, Z), Z < 3.")
+    plain = compile_rule_plan(rule, None, None)
+    counted = compile_rule_plan(rule, None, None, counted=True)
+    assert plain is not counted and plain.source != counted.source
+    assert "groups" in plain.source and "groups" not in counted.source
+    assert columnar._compile_rule(rule, None, None).source == plain.source
+    assert "counted" in counted.filename and "counted" not in plain.filename
+
+
+def _record_counted(monkeypatch) -> list:
+    """Every plan compiled from here on, as ``counted`` flags."""
+    asked: list = []
+    real = columnar._compile_rule
+
+    def compile_rule(rule, order, delta_at, counted=False):
+        asked.append(counted)
+        return real(rule, order, delta_at, counted)
+
+    monkeypatch.setattr(columnar, "_compile_rule", compile_rule)
+    monkeypatch.setattr(columnar, "_RULE_PLANS", type(columnar._RULE_PLANS)())
+    return asked
+
+
+def test_the_evaluator_and_the_fix_unit_never_request_a_counted_plan(
+    monkeypatch,
+):
+    from repro.datalog import Delta, seminaive_evaluate
+    from repro.datalog.plancache import CompiledProgramCache
+
+    asked = _record_counted(monkeypatch)
+    program = parse_program(
+        """
+        p(X, Y) :- e(X, Y).
+        p(X, Z) :- p(X, Y), e(Y, Z), !g(Z).
+        n(X, count(Y)) :- p(X, Y).
+        """
+    )
+    db = database(e={(0, 1), (1, 2), (2, 3)}, g={(9,)})
+    seminaive_evaluate(program, db, pool=InternPool())
+    assert asked and not any(asked)
+    # a served plan of only a fixpoint node (the aggregate stratum is a
+    # task node: leave it out), its miss and a continued round
+    recursive = parse_program("p(X, Y) :- e(X, Y).\np(X, Z) :- p(X, Y), e(Y, Z).")
+    cache = CompiledProgramCache(recursive)
+    for delta in (Delta().insert("e", (3, 4)), Delta().insert("e", (4, 5))):
+        cu = cache.compile(recursive, db, delta)
+        values, _ = cache.plan(cu).execute_serial()
+        cache.commit(cu, values)
+        db = cu.edb_new
+    assert not any(asked)
+    # ... while a task node asks for nothing but counted plans
+    cache = CompiledProgramCache(program)
+    cache.plan(cache.compile(program, db, Delta().insert("e", (7, 8))))
+    assert any(asked)
