@@ -488,6 +488,16 @@ def cmd_trace(args) -> int:
                       f"of {len(rounds)}",
             )
         )
+        # the verify column split by its child spans, over every round
+        split: dict[str, float] = {}
+        for r in recorder.records():
+            if r.name.startswith("verify."):
+                split[r.name] = split.get(r.name, 0.0) + r.duration
+        if split:
+            print("verify split (all rounds): " + ", ".join(
+                f"{name} {total * 1e3:.2f} ms"
+                for name, total in split.items()
+            ))
     print(service.metrics.summary())
 
     out = Path(args.output)

@@ -116,6 +116,10 @@ class Dag:
 
         self._out_offsets, self._out_adj = _build_csr(self._n, srcs, tgts)
         self._in_offsets, self._in_adj = _build_csr(self._n, tgts, srcs)
+        for arr in (
+            self._out_offsets, self._out_adj, self._in_offsets, self._in_adj
+        ):
+            arr.flags.writeable = False
 
         if validate:
             self._check_no_duplicate_edges()
@@ -240,6 +244,16 @@ class Dag:
     def out_edge_range(self, u: int) -> tuple[int, int]:
         """Half-open range of edge indices for ``u``'s out-edges."""
         return int(self._out_offsets[u]), int(self._out_offsets[u + 1])
+
+    def out_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The forward CSR arrays ``(offsets, targets)``, read-only.
+
+        ``targets[offsets[u]:offsets[u + 1]]`` are ``u``'s children, and
+        the positions in ``targets`` are the dense edge indices. A whole
+        graph walk takes ``.tolist()`` of both once and indexes plain
+        lists instead of calling :meth:`out_neighbors` per node.
+        """
+        return self._out_offsets, self._out_adj
 
     # ------------------------------------------------------------------
     # pre-computation

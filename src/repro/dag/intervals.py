@@ -107,8 +107,7 @@ class IntervalIndex:
         dag = self._dag
         n = dag.n_nodes
         # plain lists: the loops below index scalars, which numpy boxes
-        off = dag._out_offsets.tolist()  # noqa: SLF001 - package-internal
-        adj = dag._out_adj.tolist()  # noqa: SLF001
+        off, adj = (a.tolist() for a in dag.out_csr())
         pending = dag.in_degrees().tolist()  # parents yet to merge a node
 
         # One iterative DFS from every source, children in id order.

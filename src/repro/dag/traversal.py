@@ -27,7 +27,12 @@ __all__ = [
 
 
 def topological_order(dag: Dag) -> np.ndarray:
-    """A topological order of all nodes (Kahn), shape ``(V,)``."""
+    """A topological order of all nodes (Kahn), shape ``(V,)``.
+
+    A pure function of the graph: a caller that walks the same ``Dag``
+    every round reads it as ``dag.derived("topological_order",
+    topological_order)`` — built once per ``Dag``, read-only.
+    """
     n = dag.n_nodes
     indeg = dag.in_degrees().copy()
     order = np.empty(n, dtype=np.int64)

@@ -179,22 +179,25 @@ def record_round(
 
     dag = trace.dag
     n = dag.n_nodes
-    work = np.zeros(n, dtype=np.float64)
+    # plain lists, turned into the trace's arrays once at the end
+    offsets = dag.out_csr()[0].tolist()
+    durations = [0.0] * n
     for node, (s, f) in records.items():
-        work[node] = f - s
-    observed = np.zeros(dag.n_edges, dtype=bool)
+        durations[node] = f - s
+    observed = [False] * dag.n_edges
     for node, changed in outcome.diffs.items():
         if changed:
-            lo, hi = dag.out_edge_range(node)
-            observed[lo:hi] = True
+            lo, hi = offsets[node], offsets[node + 1]
+            observed[lo:hi] = [True] * (hi - lo)
+    work = np.array(durations, dtype=np.float64)
     vtrace = JobTrace(
         dag=dag,
         work=work,
         span=work.copy(),
         models=np.full(n, ExecutionModel.SEQUENTIAL, dtype=np.int8),
         is_task=trace.is_task.copy(),
-        initial_tasks=trace.initial_tasks.copy(),
-        changed_edges=observed,
+        initial_tasks=trace.initial_tasks,  # JobTrace builds its own array
+        changed_edges=np.array(observed, dtype=bool),
         name=f"{trace.name}:live",
         metadata={
             **trace.metadata,
@@ -208,7 +211,7 @@ def record_round(
         for node, (s, f) in sorted(records.items(), key=lambda kv: kv[1])
     ]
     makespan = max((f for _, f in records.values()), default=0.0)
-    busy = float(work.sum())
+    busy = sum(durations)
     utilization = (
         min(1.0, busy / (outcome.workers * makespan)) if makespan > 0 else 0.0
     )

@@ -952,27 +952,33 @@ class UpdateStreamService:
         if self.chaos is not None and self.chaos.phase_fails("verify"):
             raise InjectedPhaseFault("verify", self._rounds_run)
         cu = plan.compiled
-        with self.sink.span("verify", "phase"):
+        sink = self.sink
+        with sink.span("verify", "phase"):
             artifacts = report = None
             schedule = {}
             if not degraded:
-                artifacts = record_round(outcome, cu.trace)
-                schedule = {
-                    "makespan_s": artifacts.result.makespan,
-                    "utilization": artifacts.result.utilization,
-                    "n_active": artifacts.trace.n_active,
-                }
-                if self.verify:
-                    report = artifacts.check()
-                    if self.strict and not report.ok:
-                        raise RoundVerificationError(
-                            self._rounds_run, report
-                        )
-            reference = self.plan_cache.evaluate(cu) if self.verify else None
-            mat = plan.materialization(values)
-            diverging, changed_facts = _round_diffs(
-                mat, self._materialization, reference
-            )
+                with sink.span("verify.schedule", "phase"):
+                    artifacts = record_round(outcome, cu.trace)
+                    schedule = {
+                        "makespan_s": artifacts.result.makespan,
+                        "utilization": artifacts.result.utilization,
+                        "n_active": artifacts.trace.n_active,
+                    }
+                    if self.verify:
+                        report = artifacts.check()
+                        if self.strict and not report.ok:
+                            raise RoundVerificationError(
+                                self._rounds_run, report
+                            )
+            reference = None
+            if self.verify:
+                with sink.span("verify.reference", "phase"):
+                    reference = self.plan_cache.evaluate(cu)
+            with sink.span("verify.compare", "phase"):
+                mat = plan.materialization(values)
+                diverging, changed_facts = _round_diffs(
+                    mat, self._materialization, reference
+                )
             if diverging:
                 if self.strict:
                     raise MaterializationDivergenceError(

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dag.graph import Dag
+from ..dag.traversal import topological_order
 
 __all__ = ["propagate_changes", "ActivationState", "PropagationResult"]
 
@@ -57,32 +58,30 @@ def propagate_changes(
     ``initial`` is an array of node ids that execute unconditionally
     (the updated base predicates / redefined rules). ``changed_edges``
     is boolean over dense edge indices (see :meth:`Dag.edge_index`).
-    O(V + E).
+    O(V + E): one sweep of plain lists in the ``Dag``'s derived
+    topological order.
     """
     n = dag.n_nodes
-    executed = np.zeros(n, dtype=bool)
-    executed[np.asarray(initial, dtype=np.int64)] = True
-    activated = executed.copy()
-    active_edges = np.zeros(dag.n_edges, dtype=bool)
+    offsets, targets = (a.tolist() for a in dag.out_csr())
+    changed = np.asarray(changed_edges, dtype=bool).tolist()
+    executed = [False] * n
+    for u in np.asarray(initial, dtype=np.int64).tolist():
+        executed[u] = True
+    activated = executed[:]
+    active_edges = [False] * len(targets)
 
-    indeg = dag.in_degrees().copy()
-    frontier = list(np.flatnonzero(indeg == 0))
-    while frontier:
-        u = frontier.pop()
+    for u in dag.derived("topological_order", topological_order).tolist():
         if executed[u]:
-            lo, hi = dag.out_edge_range(u)
-            for ei in range(lo, hi):
-                if changed_edges[ei]:
-                    v = dag._out_adj[ei]  # noqa: SLF001 - hot path, package-internal
+            for ei in range(offsets[u], offsets[u + 1]):
+                if changed[ei]:
+                    v = targets[ei]
                     active_edges[ei] = True
                     activated[v] = True
                     executed[v] = True
-        for v in dag.out_neighbors(u):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                frontier.append(int(v))
     return PropagationResult(
-        executed=executed, active_edges=active_edges, activated=activated
+        executed=np.array(executed, dtype=bool),
+        active_edges=np.array(active_edges, dtype=bool),
+        activated=np.array(activated, dtype=bool),
     )
 
 

@@ -98,6 +98,26 @@ class TestServiceReconciliation:
                 m.verify_s, abs=tol
             )
 
+    def test_verify_splits_into_schedule_reference_compare(self, run):
+        """``verify`` has three child spans per healthy verified round,
+        each inside it, together no longer than it."""
+        rec, svc = run
+        records = rec.records()
+        verifies = sorted(
+            (r for r in records if r.name == "verify"), key=lambda r: r.t0
+        )
+        children = [r for r in records if r.name.startswith("verify.")]
+        assert len(verifies) == len(svc.metrics.rounds)
+        assert {r.parent for r in children} == {"verify"}
+        for v in verifies:
+            mine = [c for c in children if v.t0 <= c.t0 and c.t1 <= v.t1]
+            assert sorted(c.name for c in mine) == [
+                "verify.compare", "verify.reference", "verify.schedule",
+            ]
+            assert all(c.tid == v.tid for c in mine)
+            assert sum(c.duration for c in mine) <= v.duration
+        assert len(children) == 3 * len(verifies)
+
     def test_queue_phases_recorded_per_round(self, run):
         rec, svc = run
         n = len(svc.metrics.rounds)

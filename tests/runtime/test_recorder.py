@@ -239,3 +239,47 @@ class TestProcessorZeroWait:
             0.098
         )
         assert art.result.makespan == pytest.approx(0.15)
+
+
+class TestTopologicalOrderIsDerivedOnce:
+    """The strict check and the propagation walk ``G`` in topological
+    order every served round; the order is a value of the ``Dag``, built
+    on the first round over it and read-only after."""
+
+    @pytest.mark.parametrize(
+        "program", ["transitive_closure", "retail_analytics"]
+    )
+    def test_one_build_per_dag_over_twenty_rounds(self, monkeypatch, program):
+        from repro.dag import traversal
+        from repro.runtime import UpdateStreamService, live_workload
+        from repro.tasks import activation
+        from repro.verify import invariants
+
+        built: list[int] = []
+        real = traversal.topological_order
+
+        def counting(dag):
+            built.append(id(dag))
+            return real(dag)
+
+        for module in (traversal, activation, invariants):
+            monkeypatch.setattr(module, "topological_order", counting)
+        wl = live_workload(program, seed=4)
+        svc = UpdateStreamService(
+            wl.program, wl.edb, scheduler_registry()["hybrid"](),
+            workers=2, verify=True, strict=True,
+        )
+        dags = {}
+        for _ in range(20):
+            svc.submit(wl.random_batch(2, delete_frac=0.3))
+            rep = svc.run_round()
+            if rep.artifacts is not None:
+                dag = rep.artifacts.trace.dag
+                dags[id(dag)] = dag
+        assert dags and len(rep.verification.violations) == 0
+        # one build per Dag the rounds were checked over, none repeated
+        assert sorted(built) == sorted(dags)
+        for dag in dags.values():
+            order = dag.derived("topological_order", real)
+            assert not order.flags.writeable
+            assert sorted(order.tolist()) == list(range(dag.n_nodes))

@@ -93,6 +93,58 @@ def test_deactivated_node_execution_is_spurious(diamond):
     assert any(v.node == 3 for v in report.violations)
 
 
+@pytest.fixture
+def quiet_pair():
+    """``0 → 1`` with the edge unchanged: only node 0 runs."""
+    trace = JobTrace(
+        dag=Dag(2, [(0, 1)]),
+        work=np.ones(2),
+        initial_tasks=np.array([0]),
+        changed_edges=np.array([False]),
+        name="quiet-pair",
+    )
+    res = simulate(
+        trace, LevelBasedScheduler(), processors=1, record_schedule=True
+    )
+    assert [r.node for r in res.schedule] == [0]
+    assert check_invariants(trace, res).ok
+    return trace, res
+
+
+def test_nan_record_does_not_hide_a_spurious_dispatch(quiet_pair):
+    """A record whose times are NaN is still a dispatch: node 1 ran
+    though nothing activated it, and its times are no numbers."""
+    trace, res = quiet_pair
+    ghost = DispatchRecord(node=1, start=float("nan"),
+                           finish=float("nan"), processors=1)
+    report = check_invariants(trace, mutate(res, schedule=res.schedule + [ghost]))
+    found = {(v.kind, v.node) for v in report.violations}
+    assert ("spurious-execution", 1) in found
+    assert ("duration", 1) in found
+
+
+def test_duplicate_after_a_nan_start_is_reported(quiet_pair):
+    trace, res = quiet_pair
+    (rec,) = res.schedule
+    nan_first = dataclasses.replace(rec, start=float("nan"))
+    report = check_invariants(
+        trace, mutate(res, schedule=[nan_first, rec])
+    )
+    found = [(v.kind, v.node) for v in report.violations]
+    assert ("duplicate-execution", 0) in found
+    assert ("duration", 0) in found
+
+
+@pytest.mark.parametrize("bad_time", [float("inf"), float("-inf")])
+def test_infinite_record_time_is_a_duration_violation(quiet_pair, bad_time):
+    trace, res = quiet_pair
+    (rec,) = res.schedule
+    report = check_invariants(
+        trace, mutate(res, schedule=[dataclasses.replace(rec, finish=bad_time)])
+    )
+    assert ("duration", 0) in {(v.kind, v.node) for v in report.violations}
+
+
 # ----------------------------------------------------------------------
 # precedence / capacity / allotment / duration
 # ----------------------------------------------------------------------
