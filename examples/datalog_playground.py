@@ -3,8 +3,9 @@
 
 Shows the engine features the other examples use implicitly: parsing,
 stratification (including a rejection), semi-naive evaluation traces,
-transitive closure with deletions (Backward/Forward), and exporting a
-compiled computation DAG to Graphviz DOT.
+transitive closure with deletions (the fixpoint recomputed, a fact with
+another derivation kept), and exporting a compiled computation DAG to
+Graphviz DOT.
 
 Run:  python examples/datalog_playground.py
 """

@@ -8,8 +8,10 @@ example walks the whole pipeline on a retail-style Datalog program:
 1. materialize a program with category/region hierarchies, availability
    joins, and promotion eligibility (stratified negation);
 2. move a product between categories (an EDB update);
-3. maintain the database incrementally (Backward/Forward deletion +
-   delta propagation) and verify against a from-scratch recompute;
+3. maintain the database incrementally — the program's static DAG run
+   over the values its nodes committed: only nodes whose inputs changed
+   run, a rule task applies the change to its derivation counts — and
+   verify against a from-scratch recompute;
 4. compile the maintenance computation into a computation DAG and show
    what each scheduler does with it.
 
@@ -47,9 +49,9 @@ def main() -> None:
             title="\nmaterialized database",
         )
     )
-    changed = trace.total_changed()
-    print(f"\nincremental maintenance touched {changed} fact derivations "
-          f"across {len(trace.events)} rule activations")
+    ran = ", ".join(f"{label} {mode}" for label, mode, _rows in trace.events)
+    print(f"\nincremental maintenance changed {trace.net.op_count()} facts "
+          f"(EDB and derived) running {len(trace.events)} node(s): {ran}")
 
     # 4: compile the same update into a computation DAG and schedule it
     compiled = compile_update(program, edb, delta, name="retail-update")

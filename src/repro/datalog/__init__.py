@@ -1,9 +1,9 @@
 """A from-scratch Datalog engine: the substrate the paper's schedulers serve.
 
 Parsing → stratification → semi-naive materialization → incremental
-maintenance (weighted Z-set deltas, Backward/Forward deletion) →
-compilation of an update into the computation-DAG job traces that
-:mod:`repro.schedulers` schedules.
+maintenance (weighted Z-set deltas, the static DAG ``G`` run over
+committed node values) → compilation of an update into the
+computation-DAG job traces that :mod:`repro.schedulers` schedules.
 """
 
 from .ast import (
@@ -24,13 +24,7 @@ from .columnar import (
 from .compiler import CompiledUpdate, compile_update
 from .database import Database, Relation
 from .depgraph import DependencyGraph, StratificationError
-from .incremental import (
-    Delta,
-    IncrementalEngine,
-    MaintenanceTrace,
-    apply_delta,
-    merge_deltas,
-)
+from .incremental import IncrementalEngine, MaintenanceTrace
 from .parser import (
     ParseError,
     parse_program,
@@ -41,7 +35,14 @@ from .plancache import CompiledProgramCache
 from .provenance import Derivation, explain
 from .query import parse_goal, query, query_facts
 from .seminaive import EvaluationTrace, naive_evaluate, seminaive_evaluate
-from .zset import ZSetDelta, apply_zdelta, effective_zdelta
+from .zset import (
+    Delta,
+    ZSetDelta,
+    apply_delta,
+    apply_zdelta,
+    effective_zdelta,
+    merge_deltas,
+)
 
 __all__ = [
     "Variable",

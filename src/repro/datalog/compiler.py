@@ -67,9 +67,8 @@ from ..tasks.trace import JobTrace
 from .ast import Program
 from .database import Database
 from .depgraph import DependencyGraph
-from .incremental import Delta
 from .seminaive import EvaluationTrace, _ensure_relations, seminaive_evaluate
-from .zset import ZSetDelta, apply_zdelta, effective_zdelta
+from .zset import Delta, ZSetDelta, apply_zdelta, effective_zdelta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..verify.program import ProgramAnalysis

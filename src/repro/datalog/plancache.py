@@ -81,7 +81,6 @@ from .compiler import (
     without_rules,
 )
 from .database import Database, Relation
-from .incremental import Delta
 from .seminaive import seminaive_evaluate
 from .units import (
     ExecutionPlan,
@@ -89,7 +88,7 @@ from .units import (
     ValueStore,
     _entry_relations,
 )
-from .zset import ZSetDelta, apply_zdelta, derive_zdelta
+from .zset import Delta, ZSetDelta, apply_zdelta, derive_zdelta
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..verify.program import ProgramAnalysis

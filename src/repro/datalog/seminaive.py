@@ -10,6 +10,12 @@ instances are exactly the *tasks* the DAG compiler emits.
 
 :func:`naive_evaluate` re-derives everything every iteration and serves
 as the test oracle for :func:`seminaive_evaluate`.
+
+Nothing here maintains a materialization. Maintenance is the static
+DAG of :mod:`repro.datalog.units`, run by the served round and by
+:class:`~repro.datalog.incremental.IncrementalEngine` alike; the one
+piece of it that lives here is :func:`evaluate_stratum`, the body a
+recursive SCC's fixpoint node runs when it recomputes.
 """
 
 from __future__ import annotations
@@ -269,8 +275,7 @@ def seminaive_evaluate(
     columnar mirrors, each head published as the mirror its fixpoint
     grew and externed by whoever first reads its facts — semantics are
     identical, and shared relations additionally carry their mirrors
-    across rounds. It is how the served round, its verify check and
-    :class:`~repro.datalog.incremental.IncrementalEngine` evaluate.
+    across rounds. It is how a served round's verify check evaluates.
     ``None`` keeps the per-tuple row evaluator: the independent oracle
     the differential suites and ``benchmarks/e2e`` compare against.
     """

@@ -31,11 +31,19 @@ kinds *maintain* their value:
   value, a changed negated input or a Δ on a predicate its body repeats
   it recomputes its whole rule, counted;
 * a fixpoint node whose inputs only grew since the committed round
-  continues that round's fixpoint from Δ⁺ through the engine's insert
-  step (:func:`~repro.datalog.incremental._insert_stratum`), a head that
-  gains rows on a clone of its committed mirror; after any retraction, a
-  change under negation or an aggregate, or with no committed value, it
-  runs :func:`~repro.datalog.seminaive.evaluate_stratum` over its inputs.
+  continues that round's fixpoint from Δ⁺ (:func:`_insert_stratum`), a
+  head that gains rows on a clone of its committed mirror; after any
+  retraction, a change under negation or an aggregate, or with no
+  committed value, it runs
+  :func:`~repro.datalog.seminaive.evaluate_stratum` over its inputs.
+
+That is the package's one maintenance procedure — a delete is counted
+below recursion and recomputed within it — and every caller runs these
+unit bodies: a served round under the scheduler
+(:mod:`repro.runtime`), a degraded round and the test oracle through
+:meth:`ExecutionPlan.execute_serial`, and
+:class:`~repro.datalog.incremental.IncrementalEngine` serially over the
+nodes an update activates.
 
 The old values are whatever the previous committed round left in the
 nodes. A published relation is the mirror its stratum grew: nothing is
@@ -70,8 +78,10 @@ from .ast import Aggregate, Program, Rule
 from .columnar import (
     ColumnarRelation,
     InternPool,
+    RulePlan,
     compile_rule_plan,
     delta_first,
+    run_rule_plan,
 )
 from .compiler import (
     CompiledUpdate,
@@ -81,7 +91,6 @@ from .compiler import (
 )
 from .database import Database, Relation
 from .depgraph import DependencyGraph
-from .incremental import _insert_stratum, _Stratum
 from .seminaive import evaluate_stratum
 from .zset import ZSetDelta
 
@@ -293,6 +302,110 @@ def _gained(
     return gained if len(gained) == len(new) - len(old) else None
 
 
+@dataclass(frozen=True)
+class _Stratum:
+    """A recursive SCC as its fixpoint node's continuation reads it."""
+
+    rules: list[tuple[int, Rule]]
+    #: every predicate a rule body mentions, and those it mentions
+    #: under negation or in an aggregate rule — neither has a delta
+    #: form here, so a change to one recomputes the SCC
+    reads: frozenset[str]
+    sensitive: frozenset[str]
+    #: proper-rule index → body evaluation order (the analyzer's hints)
+    orders: dict[int, tuple[int, ...]]
+    #: (rule index, Δ-position) → its compiled plan, from its first use
+    plans: dict[tuple[int, int], RulePlan]
+
+    @classmethod
+    def of(
+        cls, rules: list[tuple[int, Rule]], orders: dict[int, tuple[int, ...]]
+    ) -> "_Stratum":
+        """The SCC of ``rules``, its read sets taken off their bodies."""
+        atoms = [
+            (lit.atom.predicate, lit.negated or r.has_aggregate)
+            for _, r in rules
+            for lit in r.body
+            if lit.atom is not None
+        ]
+        return cls(
+            rules,
+            frozenset(p for p, _ in atoms),
+            frozenset(p for p, sensitive in atoms if sensitive),
+            orders,
+            {},
+        )
+
+
+def _insert_stratum(
+    st: _Stratum, db: Database, pool: InternPool, born: dict[str, set]
+) -> dict[str, set]:
+    """Continue an SCC's fixpoint from Δ⁺.
+
+    ``db``'s heads hold the fixpoint of ``st.rules`` over what the SCC
+    read *before* the id-rows ``born`` (predicate → rows) came: rows of
+    a predicate it reads from below are in ``db`` already, rows of one
+    of its own heads — its entry relation grew — are added here; no
+    predicate of ``born`` may be in ``st.sensitive``. The Δ-plans of
+    every occurrence of a grown predicate run first, then ordinary
+    semi-naive waves from what those added, until a wave adds nothing —
+    semi-naive continuation is the derivative of the fixpoint for a
+    monotone change ("Fixing Incremental Computation", PAPERS.md).
+    ``db``'s heads are committed node values, read and never written:
+    the first rows a head gains go to a clone of its mirror, rows and
+    indexes, that takes its place in ``db``. Returns the rows each head
+    gained.
+    """
+    added: dict[str, set] = {}
+
+    def take(head: str, produced: set) -> set:
+        rel = db.relations[head]
+        mirror = rel.columnar(pool)
+        fresh = produced - mirror.rows
+        if fresh:
+            if head not in added:
+                mirror = mirror.clone()
+                rel = db.relations[head] = Relation(rel.name, rel.arity)
+            mirror.extend(fresh)
+            rel.adopt(mirror)
+            added.setdefault(head, set()).update(fresh)
+        return fresh
+
+    heads = {rule.head.predicate for _, rule in st.rules}
+    wave = {
+        p: take(p, rows) if p in heads else rows for p, rows in born.items()
+    }
+    while True:
+        # a wave's id-rows as Δ relations, wrapped as they are: no
+        # intern, no build
+        deltas = {
+            p: db.relations[p].columnar(pool).wrap(rows)
+            for p, rows in wave.items()
+            if rows and p in st.reads
+        }
+        if not deltas:
+            return added
+        wave = {}
+        for ri, rule in st.rules:
+            head = rule.head.predicate
+            # one Δ-plan per positive body occurrence of a grown
+            # predicate, that occurrence restricted to its Δ
+            for pos, lit in enumerate(rule.body):
+                if not (
+                    lit.atom and not lit.negated
+                    and lit.atom.predicate in deltas
+                ):
+                    continue
+                plan = st.plans.get((ri, pos))
+                if plan is None:
+                    plan = st.plans[ri, pos] = compile_rule_plan(
+                        rule, st.orders.get(ri), pos
+                    )
+                new = take(head, run_rule_plan(plan, db, pool, deltas))
+                if new:
+                    wave.setdefault(head, set()).update(new)
+
+
 def _entry_relations(
     program: Program, preds: Iterable[str], edb: Database
 ) -> dict[str, Relation]:
@@ -379,8 +492,10 @@ class RoundCtx:
 
     Mutated only between rounds (the plan is restamped), never while it
     is executing, so worker threads read it without locks — except
-    ``zsets``, a per-round cache the task units fill: two units that
-    take one input's Z-set at once compute the same value.
+    ``zsets``, a per-round cache the task and fixpoint units fill: two
+    units that take one input's Z-set at once compute the same value,
+    and a fixpoint node fills its heads' entries before any reader of
+    them runs.
     """
 
     __slots__ = (
@@ -401,7 +516,8 @@ class RoundCtx:
         #: with the committed side only
         self.zdelta: ZSetDelta | None = None
         #: node → its value's ``(Δ⁺, Δ⁻)`` id-rows since the committed
-        #: round, taken once per round by the first task that reads it
+        #: round, taken once per round by the first task that reads it —
+        #: or, for a continued SCC's heads, left by their fixpoint node
         self.zsets: dict[int, tuple] = {}
 
 
@@ -480,9 +596,9 @@ class ProgramSkeleton:
     derives (maintained from its inputs' Z-sets, or recomputed), a
     predicate node the relation those rows (and the predicate's
     baseline) add up to, still in id space, and a fixpoint node the
-    relations of its SCC: continued from the committed round's by the
-    engine's insert step when its inputs only grew, else grown from the
-    entry relations under
+    relations of its SCC: continued from the committed round's by
+    :func:`_insert_stratum` when its inputs only grew, else grown from
+    the entry relations under
     :func:`~repro.datalog.seminaive.evaluate_stratum` — the evaluator's
     own loop, columnar. Which body a node runs is decided by its input
     Z-sets — their sign for a fixpoint node, which inputs changed for a
@@ -570,15 +686,9 @@ class ProgramSkeleton:
             scc_set = set(scc)
             # every SCC predicate is recursive: one SCC, one stratum
             st = _Stratum.of(
-                si,
                 [
                     (ri, r) for ri, r in enumerate(self.rules)
                     if r.head.predicate in scc_set
-                ],
-                scc_set,
-                [
-                    f for f in self.program.facts
-                    if f.head.predicate in scc_set
                 ],
                 self.join_orders,
             )
@@ -632,7 +742,12 @@ class ProgramSkeleton:
                 # rows one gains go to a clone that takes its place
                 db.relations.update(values.committed(nid))
                 if born:
-                    _insert_stratum(st, db, ctx.pool, born, scc_set, None)
+                    # what a head gained is its whole Z-set: no reader
+                    # diffs its two mirrors again
+                    for p, rows in _insert_stratum(
+                        st, db, ctx.pool, born
+                    ).items():
+                        ctx.zsets[self.final_nodes[p]] = (rows, frozenset())
                 return {p: db.relations[p] for p in scc}
 
         elif kind == "pred":

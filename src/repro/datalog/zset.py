@@ -7,39 +7,132 @@ and their cancellation. A :class:`ZSetDelta` is a Z-set partitioned by
 predicate: ``predicate → fact → weight``. Everything downstream of the
 update queue speaks this representation:
 
-* :class:`~repro.datalog.incremental.IncrementalEngine` accepts one as
-  an update, patches the EDB from it and accumulates the net Δ⁺/Δ⁻ of
-  every stratum in a second one whose "facts" are interned *id-rows* —
-  the algebra does not care what the tuples hold — externing only what
-  changed into ``MaintenanceTrace.net``: Z-set in, Z-set out;
-* :func:`effective_zdelta` clamps a queued :class:`~repro.datalog
-  .incremental.Delta` against the live EDB into *exact* weights —
-  inserting a present fact or deleting an absent one has weight 0 and
-  vanishes, so insert/retract pairs coalesced by
-  :func:`~repro.datalog.incremental.merge_deltas` cancel **before**
-  any compilation or index maintenance happens;
-* :meth:`ZSetDelta.apply_to` patches a :class:`Relation`'s tuple set
-  (and, through :meth:`Relation.add`/:meth:`Relation.discard`, every
-  hash index built on it) in O(|delta|) — :func:`derive_zdelta`, the
-  plan cache's round-to-round EDB step, goes through it.
+* :class:`Delta` is the unclamped intent at the queue edge (a builder,
+  :func:`merge_deltas`, :func:`apply_delta`); :func:`effective_zdelta`
+  clamps it against the live EDB into *exact* weights — inserting a
+  present fact or deleting an absent one has weight 0 and vanishes, so
+  insert/retract pairs coalesced by :func:`merge_deltas` cancel
+  **before** any compilation or index maintenance happens;
+* the plan cache (:mod:`repro.datalog.plancache`) stages a round from
+  one: :func:`derive_zdelta` patches each touched EDB relation in
+  O(|delta|) through :meth:`ZSetDelta.apply_to`, and a task node reads
+  an EDB input's Z-set off it (:mod:`repro.datalog.units`);
+* :class:`~repro.datalog.incremental.IncrementalEngine` takes one as an
+  update and returns one — ``MaintenanceTrace.net``, the whole change,
+  EDB and derived, diffed off the node values the round replaced:
+  Z-set in, Z-set out.
 
-Because the engine only records weight changes for transitions that
-actually happened (a fact appearing or disappearing from the set
-semantics' point of view), weights here stay in ``{-1, 0, +1}`` —
-the ``distinct``-normalized form of a Z-set. The algebra still sums
-arbitrary integers, which the tests use to check cancellation laws.
+A net change records only transitions that actually happened (a fact
+appearing or disappearing from the set semantics' point of view), so
+its weights stay in ``{-1, 0, +1}`` — the ``distinct``-normalized form
+of a Z-set. The algebra still sums arbitrary integers, which the tests
+use to check cancellation laws.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .database import Database, Relation
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .incremental import Delta
+__all__ = [
+    "Delta",
+    "ZSetDelta",
+    "apply_delta",
+    "merge_deltas",
+    "effective_zdelta",
+    "apply_zdelta",
+    "derive_zdelta",
+]
 
-__all__ = ["ZSetDelta", "effective_zdelta", "apply_zdelta", "derive_zdelta"]
+
+@dataclass
+class Delta:
+    """An update: EDB facts to insert and to delete.
+
+    The builder methods keep the two sets disjoint — the *later*
+    operation on a fact wins, so ``.insert(p, f).delete(p, f)`` is a
+    pure deletion and the reverse a pure insertion. A delta whose dicts
+    were populated directly may still hold a fact in both sets; for
+    those, :func:`apply_delta` applies deletions first, so the fact ends
+    up present.
+    """
+
+    insertions: dict[str, set[tuple]] = field(default_factory=dict)
+    deletions: dict[str, set[tuple]] = field(default_factory=dict)
+
+    def insert(self, predicate: str, fact: tuple) -> "Delta":
+        """Record an EDB insertion (superseding any queued deletion of
+        the same fact); returns self for chaining."""
+        gone = self.deletions.get(predicate)
+        if gone is not None:
+            gone.discard(fact)
+        self.insertions.setdefault(predicate, set()).add(fact)
+        return self
+
+    def delete(self, predicate: str, fact: tuple) -> "Delta":
+        """Record an EDB deletion (superseding any queued insertion of
+        the same fact); returns self for chaining."""
+        ins = self.insertions.get(predicate)
+        if ins is not None:
+            ins.discard(fact)
+        self.deletions.setdefault(predicate, set()).add(fact)
+        return self
+
+    @property
+    def is_empty(self) -> bool:
+        """Whether the update changes nothing."""
+        return not any(self.insertions.values()) and not any(
+            self.deletions.values()
+        )
+
+    def touched_predicates(self) -> set[str]:
+        """Predicates with at least one inserted or deleted fact."""
+        return {p for p, s in self.insertions.items() if s} | {
+            p for p, s in self.deletions.items() if s
+        }
+
+
+def apply_delta(edb: Database, delta: Delta) -> Database:
+    """A copy of ``edb`` with ``delta`` applied (deletions first)."""
+    out = edb.copy()
+    for pred, facts in delta.deletions.items():
+        rel = out.relations.get(pred)
+        if rel is not None:
+            for f in facts:
+                rel.discard(f)
+    for pred, facts in delta.insertions.items():
+        for f in facts:
+            out.relation(pred, len(f)).add(f)
+    return out
+
+
+def merge_deltas(deltas: list[Delta]) -> Delta:
+    """Coalesce sequential updates into one equivalent :class:`Delta`.
+
+    ``apply_delta(db, merge_deltas([d1, d2]))`` equals
+    ``apply_delta(apply_delta(db, d1), d2)`` for every ``db``: later
+    operations win, so an insert followed by a delete nets out to a
+    delete and vice versa. This is what the runtime service uses to
+    coalesce batches that queued up while a maintenance round was in
+    flight.
+    """
+    merged = Delta()
+    for d in deltas:
+        for pred, facts in d.deletions.items():
+            ins = merged.insertions.get(pred)
+            for f in facts:
+                if ins is not None:
+                    ins.discard(f)
+                merged.deletions.setdefault(pred, set()).add(f)
+        for pred, facts in d.insertions.items():
+            gone = merged.deletions.get(pred)
+            for f in facts:
+                if gone is not None:
+                    gone.discard(f)
+                merged.insertions.setdefault(pred, set()).add(f)
+    return merged
 
 
 class ZSetDelta:
@@ -130,7 +223,7 @@ class ZSetDelta:
     @property
     def is_empty(self) -> bool:
         """Whether the net update changes nothing."""
-        return not self.weights
+        return not any(self.weights.values())
 
     def op_count(self) -> int:
         """Total absolute weight — the number of net operations."""
@@ -140,7 +233,7 @@ class ZSetDelta:
 
     def touched_predicates(self) -> set[str]:
         """Predicates with at least one non-zero weight."""
-        return set(self.weights)
+        return {p for p, facts in self.weights.items() if facts}
 
     def touches(self, pred: str) -> bool:
         """Whether ``pred`` has any non-zero weight."""
@@ -193,7 +286,7 @@ class ZSetDelta:
         return changed
 
 
-def effective_zdelta(edb: Database, delta: "Delta") -> ZSetDelta:
+def effective_zdelta(edb: Database, delta: Delta) -> ZSetDelta:
     """Clamp ``delta`` against ``edb`` into exact weights.
 
     The result holds weight ``+1`` exactly for insertions of facts the
@@ -206,8 +299,7 @@ def effective_zdelta(edb: Database, delta: "Delta") -> ZSetDelta:
     is the real index-maintenance bill.
 
     A fact named in both sets of a non-canonical delta resolves as an
-    insertion (deletions apply first), matching
-    :func:`~repro.datalog.incremental.apply_delta`.
+    insertion (deletions apply first), matching :func:`apply_delta`.
     """
     out = ZSetDelta()
     for pred, facts in delta.deletions.items():
@@ -229,9 +321,9 @@ def effective_zdelta(edb: Database, delta: "Delta") -> ZSetDelta:
 def apply_zdelta(edb: Database, zdelta: ZSetDelta) -> Database:
     """A copy of ``edb`` with ``zdelta`` applied.
 
-    Exact weighted twin of :func:`~repro.datalog.incremental
-    .apply_delta`: retractions discard, insertions add, and only the
-    touched relations are visited beyond the initial copy.
+    Exact weighted twin of :func:`apply_delta`: retractions discard,
+    insertions add, and only the touched relations are visited beyond
+    the initial copy.
     """
     out = edb.copy()
     for pred, fact, w in zdelta.items():
@@ -256,6 +348,8 @@ def derive_zdelta(edb: Database, zdelta: ZSetDelta) -> Database:
     """
     out = Database(dict(edb.relations))
     for pred, facts in zdelta.weights.items():
+        if not facts:
+            continue
         old = edb.relations.get(pred)
         rel = (
             old.copy_indexed()

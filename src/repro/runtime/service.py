@@ -72,9 +72,8 @@ from typing import Callable
 from ..datalog.ast import Program
 from ..datalog.compiler import CompiledUpdate
 from ..datalog.database import Database
-from ..datalog.incremental import Delta, merge_deltas
 from ..datalog.plancache import CompiledProgramCache
-from ..datalog.zset import ZSetDelta, effective_zdelta
+from ..datalog.zset import Delta, ZSetDelta, effective_zdelta, merge_deltas
 from ..datalog.units import ExecutionPlan, ValueStore
 from ..obs import NULL_SINK, TraceSink
 from ..schedulers.base import Scheduler

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..datalog.ast import Program
 from ..datalog.database import Database
-from ..datalog.incremental import Delta
+from ..datalog.zset import Delta
 from ..workloads.datalog_workloads import DATALOG_WORKLOADS
 
 __all__ = [

@@ -32,7 +32,7 @@ import numpy as np
 from ..datalog.ast import Program
 from ..datalog.compiler import CompiledUpdate, compile_update
 from ..datalog.database import Database
-from ..datalog.incremental import Delta
+from ..datalog.zset import Delta
 from ..datalog.parser import parse_program
 from ..dag.random_dags import as_rng
 

@@ -1,15 +1,16 @@
 """One evaluator under the one engine: `IncrementalEngine` stays in id space.
 
-The engine joins through the compiled columnar rule plans and recomputes
-with the evaluator's own stratum loop; the per-tuple row evaluator is
-the oracle it is compared with, never its worker. These tests pin that
-with call counters over replayed streams of a recursive program (`tc`),
-one with negation (`retail`) and one with aggregates (`analytics`): no
-row join during construction or `apply`, `evaluate_stratum` once per
-recomputed stratum and never for a positive one, only the changed rows
-externed, untouched relations carried over by identity, and a mirror
-mutated under its relation (`discard_row` / `extend` + `adopt`) leaving
-indexes and value face right.
+The engine runs the static DAG's unit bodies — compiled columnar rule
+plans, the evaluator's own stratum loop for a fixpoint node that
+recomputes; the per-tuple row evaluator is the oracle it is compared
+with, never its worker. These tests pin that with call counters over
+replayed streams of a recursive program (`tc`), one with negation
+(`retail`) and one with aggregates (`analytics`): no row join during
+construction or `apply`, `evaluate_stratum` once per fixpoint node the
+trace reports as recomputed and never for a task, only the changed rows
+externed, a relation whose inputs did not change carried over by
+identity, and committed relations never written — a node that changes
+publishes a new relation with its indexes and value face right.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import pytest
 import repro.datalog.incremental as incremental
 import repro.datalog.seminaive as seminaive
 import repro.datalog.unify as unify
+import repro.datalog.units as units
 from repro.datalog import (
     Database,
     Delta,
+    DependencyGraph,
     IncrementalEngine,
     apply_zdelta,
     effective_zdelta,
@@ -49,26 +52,20 @@ def _stream(name: str):
     return wl, zdeltas, edb
 
 
-def _sensitive_strata(engine: IncrementalEngine) -> list[tuple[set, set]]:
-    """``(heads, inputs read under negation or by an aggregate rule)`` of
-    every stratum that has rules — read off the program, not the engine's
-    own bookkeeping."""
+def _strata(program) -> list[tuple[set, set]]:
+    """``(heads, what their rules read from below)`` of every stratum
+    that has rules — read off the program, not the engine."""
     out = []
-    for stratum in engine.strata:
+    for stratum in DependencyGraph(program).stratify():
         rules = [
-            r for r in engine.program.proper_rules
-            if r.head.predicate in stratum
+            r for r in program.proper_rules if r.head.predicate in stratum
         ]
         if rules:
             out.append((
                 {r.head.predicate for r in rules},
                 {
-                    lit.atom.predicate
-                    for r in rules
-                    for lit in r.body
-                    if lit.atom is not None
-                    and (lit.negated or r.has_aggregate)
-                },
+                    q for r in rules for q, _neg in r.body_predicates()
+                } - set(stratum),
             ))
     return out
 
@@ -107,30 +104,36 @@ def test_evaluate_stratum_runs_once_per_recomputed_stratum(
     monkeypatch, name
 ):
     recomputed: list[set] = []
-    real = incremental.evaluate_stratum
+    real = units.evaluate_stratum
 
     def counting(rules, *args, **kwargs):
         recomputed.append({rule.head.predicate for _ri, rule in rules})
         return real(rules, *args, **kwargs)
 
-    monkeypatch.setattr(incremental, "evaluate_stratum", counting)
+    monkeypatch.setattr(units, "evaluate_stratum", counting)
     wl, zdeltas, _edb = _stream(name)
+    depgraph = DependencyGraph(wl.program)
+    strata = depgraph.stratify()
     engine = IncrementalEngine(wl.program, wl.edb)
-    assert recomputed == []  # materializing is seminaive's business
-    strata = _sensitive_strata(engine)
-    total = 0
+    # the first materialization is a miss: every recursive SCC's
+    # fixpoint node recomputes once
+    assert sorted(map(sorted, recomputed)) == sorted(
+        sorted(stratum) for stratum in strata
+        if set(stratum) & depgraph.recursive_predicates()
+    )
+    modes = set()
     for zdelta in zdeltas:
         recomputed.clear()
         trace = engine.apply(zdelta)
-        # sensitive inputs live in lower strata, final in ``net`` by the
-        # time their reader is reached: a stratum is recomputed iff one
-        # of them changed, once — a positive stratum never is
+        modes.update(mode for _label, mode, _rows in trace.events)
+        # once per fixpoint node that says it recomputed, never for a
+        # task, whatever it reads under negation or aggregates
         assert recomputed == [
-            heads for heads, sensitive in strata
-            if any(map(trace.net.touches, sensitive))
+            set(strata[int(label[len("fix@"):])])
+            for label, mode, _rows in trace.events
+            if label.startswith("fix@") and mode == "recompute"
         ]
-        total += len(recomputed)
-    assert (total > 0) == (name != "tc")
+    assert ("maintain" in modes) == (name != "tc")
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
@@ -138,21 +141,21 @@ def test_only_changed_rows_leave_id_space(name):
     wl, zdeltas, _edb = _stream(name)
     engine = IncrementalEngine(wl.program, wl.edb)
     assert engine.pool.externs == 0  # materialized, nobody has read it
-    strata = _sensitive_strata(engine)
+    strata = _strata(wl.program)
     for zdelta in zdeltas:
         relations = dict(engine.db.relations)
         externs = engine.pool.externs
         trace = engine.apply(zdelta)
         assert engine.pool.externs - externs <= trace.net.op_count()
-        # a relation the round did not touch — unchanged, and not a
-        # head of a recomputed stratum — is the same object
-        recomputed = set().union(*(
-            heads for heads, sensitive in strata
-            if any(map(trace.net.touches, sensitive))
-        ))
-        for pred, rel in relations.items():
-            if not trace.net.touches(pred) and pred not in recomputed:
-                assert engine.db.relations[pred] is rel
+        # the activation rule: a stratum none of whose inputs changed
+        # did not run, and its relations are the same objects — as is
+        # every EDB relation the update did not touch
+        untouched = set(relations) - set(wl.program.idb_predicates())
+        for heads, reads in strata:
+            if not any(map(trace.net.touches, reads)):
+                untouched |= heads
+        for pred in untouched - trace.net.touched_predicates():
+            assert engine.db.relations[pred] is relations[pred]
     # ... until someone reads the facts: once, then they are kept
     externs = engine.pool.externs
     snap = engine.snapshot()
@@ -175,30 +178,42 @@ def test_mirror_indexes_and_value_face_survive_delete_and_insert():
     edb.add_fact("edge", (0, 3))
     engine = IncrementalEngine(prog, edb)
     rel = engine.db.relations["path"]
-    mirror = rel.columnar(engine.pool)
     # probe an index into existence on the mirror and read the value
-    # face (and a value-space index) before the engine mutates the
-    # mirror behind the relation's back
-    mirror.index((1,))
+    # face (and a value-space index) of the committed relation
+    rel.columnar(engine.pool).index((1,))
     assert len(list(rel.match({0: 0}))) == 6
-    for delta in (
-        Delta().delete("edge", (3, 4)),
-        Delta().insert("edge", (2, 5)).delete("edge", (0, 1)),
+    # an insert-only update continues the fixpoint on a clone of the
+    # committed mirror (indexes included), a retraction recomputes it
+    for delta, mode in (
+        (Delta().insert("edge", (2, 7)), "continue"),
+        (Delta().delete("edge", (3, 4)), "recompute"),
+        (Delta().insert("edge", (2, 5)).delete("edge", (0, 1)), "recompute"),
     ):
+        committed, facts_before = rel, set(rel)
+        mirror_before = rel.columnar(engine.pool)
+        rows_before = set(mirror_before.rows)
         trace = engine.apply(delta)
+        rows = 1 if mode == "continue" else 0
+        assert trace.events == [("fix@1", mode, rows)]
         assert trace.net.touches("path")
-        assert engine.db.relations["path"] is rel
-        assert rel.columnar(engine.pool) is mirror
+        rel = engine.db.relations["path"]
+        mirror = rel.columnar(engine.pool)
+        # the committed relation and its mirror were read, never written
+        assert rel is not committed and mirror is not mirror_before
+        assert set(committed) == facts_before
+        assert mirror_before.rows == rows_before
         facts = engine.snapshot()["path"]
         edb = apply_zdelta(edb, effective_zdelta(edb, delta))
         assert facts == seminaive_evaluate(prog, edb)[0].as_dict()["path"]
-        # every index the mirror carries equals one built from scratch
-        rebuilt = ColumnarRelation.from_facts(engine.pool, "path", 2, facts)
-        assert (1,) in mirror.index_patterns()
-        for positions in mirror.index_patterns():
-            assert mirror.index(positions) == rebuilt.index(positions)
-        # and the value face was rebuilt, not left stale
+        # every index either mirror carries equals one built from scratch
+        for m, want in ((mirror, facts), (mirror_before, facts_before)):
+            rebuilt = ColumnarRelation.from_facts(engine.pool, "path", 2, want)
+            for positions in m.index_patterns():
+                assert m.index(positions) == rebuilt.index(positions)
+        if mode == "continue":
+            assert (1,) in mirror.index_patterns()
+        # and the value face is the new facts'
         fresh = Relation("path", 2)
         fresh.extend(facts)
-        for x in range(7):
+        for x in range(8):
             assert set(rel.match({0: x})) == set(fresh.match({0: x}))

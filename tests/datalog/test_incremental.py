@@ -1,5 +1,7 @@
-"""Tests for incremental maintenance (semi-naive insertion +
-Backward/Forward deletion), checked against from-scratch evaluation."""
+"""Tests for incremental maintenance — the static DAG run over committed
+node values: a fixpoint node continues on growth and recomputes on a
+retraction, a task node maintains by counting — checked against
+from-scratch evaluation."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from repro.datalog import (
     Database,
     Delta,
     IncrementalEngine,
+    ZSetDelta,
+    apply_zdelta,
     compile_update,
     merge_deltas,
     parse_program,
@@ -30,6 +34,15 @@ def chain_edb(n):
     for i in range(n - 1):
         db.add_fact("edge", (i, i + 1))
     return db
+
+
+def assert_maintained(eng, before, trace, edb):
+    """``eng`` equals from-scratch evaluation of ``edb``, and
+    ``trace.net`` is set-normal and moves ``before`` — the
+    materialization the update found — onto it."""
+    assert eng.snapshot() == seminaive_evaluate(eng.program, edb)[0].as_dict()
+    assert {w for _p, _f, w in trace.net.items()} <= {-1, 1}
+    assert apply_zdelta(before, trace.net).as_dict() == eng.snapshot()
 
 
 def oracle(prog, facts):
@@ -113,6 +126,46 @@ class TestDeltaNormalization:
         eng.apply(Delta().insert("edge", (9, 9)).delete("edge", (9, 9)))
         assert eng.snapshot() == before
 
+    def test_engine_skips_empty_zset_entries(self):
+        # regression: a ZSetDelta holding an empty per-predicate dict
+        # counted as touching it — the old engine wrote x(5), then
+        # raised StopIteration on `edge`'s empty entry, half an update
+        prog = parse_program(
+            """
+            path(X, Y) :- edge(X, Y).
+            path(X, Z) :- path(X, Y), edge(Y, Z).
+            big(X) :- x(X).
+            """
+        )
+        edb = chain_edb(4)
+        edb.add_fact("x", (1,))
+        eng = IncrementalEngine(prog, edb)
+        staged = []
+        compile = eng.cache.compile
+
+        def spy(*args, **kwargs):
+            staged.append(compile(*args, **kwargs))
+            return staged[-1]
+
+        eng.cache.compile = spy
+        z = ZSetDelta()
+        z.weights["x"] = {(5,): 1}
+        z.weights["edge"] = {}
+        assert z.touched_predicates() == {"x"} and not z.is_empty
+        trace = eng.apply(z)
+        edb.add_fact("x", (5,))
+        assert eng.snapshot() == seminaive_evaluate(prog, edb)[0].as_dict()
+        assert trace.net.weights == {"x": {(5,): 1}, "big": {(5,): 1}}
+        (cu,) = staged
+        names = cu.trace.dag.node_names
+        assert [names[v] for v in cu.trace.initial_tasks] == ["edb:x"]
+        # an update of empty entries only is empty: nothing is compiled
+        hollow = ZSetDelta()
+        hollow.weights["edge"] = {}
+        assert hollow.is_empty
+        assert eng.apply(hollow) == type(trace)()
+        assert len(staged) == 1
+
 
 class TestSelfCancellingCompile:
     """Satellite: a delete+reinsert delta must round-trip to a no-op —
@@ -170,13 +223,18 @@ class TestInsertions:
         before = eng.snapshot()
         trace = eng.apply(Delta().insert("edge", (0, 1)))
         assert eng.snapshot() == before
-        assert trace.total_changed() == 0
+        assert trace.events == [] and trace.net.is_empty
 
     def test_trace_events_recorded(self):
         eng = IncrementalEngine(tc_program(), chain_edb(5))
         trace = eng.apply(Delta().insert("edge", (4, 5)))
-        assert any(e[0] == "insert" for e in trace.events)
+        # the fixpoint node's inputs only grew: it continues from the
+        # one new edge, the vocabulary of a served round's unit span
+        assert trace.events == [("fix@1", "continue", 1)]
         assert trace.net.positive()["path"] >= {(4, 5), (0, 5)}
+        trace = eng.apply(Delta().delete("edge", (4, 5)))
+        assert trace.events == [("fix@1", "recompute", 0)]
+        assert trace.net.negative()["path"] >= {(4, 5), (0, 5)}
 
 
 class TestDeletions:
@@ -231,7 +289,7 @@ class TestMixedAndGuards:
         eng = IncrementalEngine(tc_program(), edb)
         before = eng.snapshot()
         trace = eng.apply(Delta().insert("color", (2, "blue")))
-        assert trace.events == []  # no stratum reads it
+        assert trace.events == []  # no node reads it
         assert trace.net.weights == {"color": {(2, "blue"): 1}}
         assert eng.snapshot() == {
             **before, "color": {(1, "red"), (2, "blue")}
@@ -249,6 +307,49 @@ class TestMixedAndGuards:
         assert trace.net.weights == {"shade": {(1,): 1}}
         assert eng.snapshot()["shade"] == {(1,)}
         assert eng.snapshot()["path"] == before["path"]
+        # the round after one that created a relation still diffs
+        # against what the engine last published
+        edb.add_fact("color", (2, "blue"))
+        edb.add_fact("shade", (1,))
+        before = eng.db
+        trace = eng.apply(Delta().insert("edge", (2, 3)))
+        edb.add_fact("edge", (2, 3))
+        assert_maintained(eng, before, trace, edb)
+        assert trace.net.positive() == {
+            "edge": {(2, 3)}, "path": {(2, 3), (1, 3), (0, 3)}
+        }
+
+    def test_engine_built_without_edb(self):
+        # every update creates or grows ``edge``: each round's net is
+        # its change against the previous round's materialization
+        prog, edb = tc_program(), Database()
+        eng = IncrementalEngine(prog)
+        for fact in ((1, 2), (2, 3), (0, 1)):
+            before = eng.db
+            trace = eng.apply(Delta().insert("edge", fact))
+            edb.add_fact("edge", fact)
+            assert_maintained(eng, before, trace, edb)
+        assert eng.snapshot()["path"] == {
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+        }
+
+    def test_round_without_committed_values(self):
+        # a miss runs all of G with nothing to diff against: net is
+        # still the change against the previous materialization
+        prog, edb = tc_program(), chain_edb(4)
+        eng = IncrementalEngine(prog, edb)
+        eng.cache._invalidate()
+        before = eng.db
+        trace = eng.apply(
+            Delta().insert("edge", (3, 0)).delete("edge", (0, 1))
+        )
+        edb.relations["edge"].discard((0, 1))
+        edb.add_fact("edge", (3, 0))
+        assert eng.cache.misses == 2
+        assert_maintained(eng, before, trace, edb)
+        assert trace.net.negative() == {
+            "edge": {(0, 1)}, "path": {(0, 1), (0, 2), (0, 3)}
+        }
 
     def test_empty_delta_noop(self):
         eng = IncrementalEngine(tc_program(), chain_edb(3))
@@ -385,22 +486,20 @@ class TestEquivalence:
 
 class TestChurn:
     def test_supported_fact_is_never_deleted(self):
-        """Backward/Forward's point: every fact derived through the
-        diamond's deleted shortcut keeps its other derivation, so the
-        deletion phase removes nothing — not even transiently."""
+        """Every fact derived through the diamond's deleted shortcut
+        keeps its other derivation: the fixpoint node recomputes to its
+        committed value, so nothing below it runs and the committed
+        ``path`` relation — never written, not even transiently — is
+        still the one the database holds."""
         edges = [(0, 1), (1, 3), (0, 2), (2, 3), (0, 3), (3, 4)]
         eng = IncrementalEngine(tc_program(), db_from(edge=edges))
         path = eng.db.relations["path"]
-        discarded = []
-        real_discard = path.discard
-        path.discard = lambda f: discarded.append(f) or real_discard(f)
+        before = set(path)
         trace = eng.apply(Delta().delete("edge", (0, 3)))
-        found = sum(e[4] for e in trace.events if e[0] == "bf_candidates")
-        assert found == 2  # path(0,3) and, through it, path(0,4)
-        assert sum(e[4] for e in trace.events if e[0] == "bf_delete") == 0
-        assert discarded == []
+        assert trace.events == [("fix@1", "recompute", 0)]
         assert trace.net.touched_predicates() == {"edge"}
-        assert {(0, 3), (0, 4)} <= set(path)
+        assert eng.db.relations["path"] is path
+        assert set(path) == before >= {(0, 3), (0, 4)}
 
 
 class TestRandomizedDifferential:

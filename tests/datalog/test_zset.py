@@ -11,6 +11,7 @@ from repro.datalog import (
     apply_zdelta,
     effective_zdelta,
 )
+from repro.datalog.zset import derive_zdelta
 
 FACTS = st.tuples(st.integers(0, 5), st.integers(0, 5))
 
@@ -31,6 +32,24 @@ class TestAlgebra:
         assert z.is_empty
         assert z.weights == {}
         assert z.weight("e", (1, 2)) == 0
+
+    def test_empty_entries_touch_nothing(self):
+        # a weights dict may be filled directly: an empty per-predicate
+        # entry has no non-zero weight, so every view skips it alike
+        z = ZSetDelta()
+        z.weights["x"] = {(5,): 1}
+        z.weights["edge"] = {}
+        assert z.touched_predicates() == {"x"}
+        assert not z.touches("edge") and not z.is_empty
+        db = db_from(edge=[(1, 2)])
+        derived = derive_zdelta(db, z)
+        assert derived.relations["edge"] is db.relations["edge"]
+        assert derived.as_dict() == apply_zdelta(db, z).as_dict()
+        del z.weights["x"]
+        assert z.is_empty and z.touched_predicates() == set()
+        # no relation of an unknown arity is made up for an empty entry
+        z.weights["shade"] = {}
+        assert "shade" not in derive_zdelta(db, z).relations
 
     def test_insert_delete_cancel(self):
         z = ZSetDelta()

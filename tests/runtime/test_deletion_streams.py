@@ -5,8 +5,9 @@ churn-heavy streams must land on the from-scratch materialization with
 the plan cache warm or never warm, with chaos on or off, under every
 registered scheduler — while the coalescing machinery (cancelled ops,
 no-op rounds, weighted index application) demonstrably engages. The
-maintenance engine of :mod:`repro.datalog` is replayed over the same
-streams as the library procedure it is, no service involved.
+library engine of :mod:`repro.datalog` — the served round's procedure
+run serially, no scheduler — is replayed over the same streams, and
+held to decide what a served round decides.
 """
 
 from __future__ import annotations
@@ -222,12 +223,13 @@ class TestCoalescing:
 
 
 class TestEngineOracle:
-    """:class:`~repro.datalog.IncrementalEngine` is a library procedure
-    the service does not run; it is replayed here over the streams the
-    service is tested on — the 18 cells DESIGN §15 measures — and must
-    equal from-scratch evaluation after every round: non-recursive,
-    negation, aggregates, recursion. It is Z-set in, Z-set out: the
-    round's ``net`` is the whole change, EDB and derived."""
+    """:class:`~repro.datalog.IncrementalEngine` — the static DAG run
+    serially over committed node values — is replayed here over the
+    streams the service is tested on — the 18 cells DESIGN §15 measures
+    (``scripts/size_engine.py`` times them) — and must equal
+    from-scratch evaluation after every round: non-recursive, negation,
+    aggregates, recursion. It is Z-set in, Z-set out: the round's
+    ``net`` is the whole change, EDB and derived."""
 
     @pytest.mark.parametrize(
         "program", ("flat", "retail", "analytics", "tc", "pt", "sg")
@@ -254,6 +256,58 @@ class TestEngineOracle:
             before = apply_zdelta(before, trace.net)
             assert before.as_dict() == engine.snapshot()
         assert edb_is_mirror(wl, edb)
+
+
+class TestOneDecisionRule:
+    """The library engine and a healthy served round run one procedure:
+    over the same stream, the ``(node, mode)`` pairs each
+    ``IncrementalEngine.apply`` reports are the ones the served round's
+    units recorded in ``ValueStore.notes`` — the same nodes activated,
+    and each decided to continue, maintain or recompute alike."""
+
+    @pytest.mark.parametrize("program", ("tc", "pt", "analytics"))
+    def test_engine_reports_what_the_served_round_ran(self, program):
+        wl, rounds = _materialized_stream(program, "mixed", seed=19,
+                                          batch_size=3)
+        svc = UpdateStreamService(
+            wl.program, wl.edb, REGISTRY["hybrid"](), workers=2
+        )
+        served: list[list] = []
+        commit = svc.plan_cache.commit
+
+        def recording(cu, values=None):
+            assert values is not None  # the round verified
+            names = cu.trace.dag.node_names
+            served.append(sorted(
+                (names[node], said["mode"])
+                for node, said in values.notes.items()
+            ))
+            commit(cu, values)
+
+        svc.plan_cache.commit = recording
+        # the first served round is a miss over all of G: the engine
+        # starts from its outcome, as its own construction is that miss
+        for delta in rounds[0]:
+            svc.submit(delta)
+        svc.run_round()
+        edb = svc.database()
+        engine = IncrementalEngine(wl.program, edb)
+        modes = set()
+        for batches in rounds[1:]:
+            served.clear()
+            for delta in batches:
+                svc.submit(delta)
+            rep = svc.run_round()
+            assert not rep.metrics.degraded
+            zdelta = effective_zdelta(edb, merge_deltas(batches))
+            edb = apply_zdelta(edb, zdelta)
+            trace = engine.apply(zdelta)
+            assert sorted(
+                (label, mode) for label, mode, _rows in trace.events
+            ) == (served[0] if served else [])
+            modes.update(mode for _label, mode, _rows in trace.events)
+        assert engine.snapshot() == svc.materialization().as_dict()
+        assert modes  # stateful nodes ran: the comparison compared
 
 
 class TestRandomizedStreams:

@@ -20,7 +20,6 @@ from collections import Counter
 
 import pytest
 
-import repro.datalog.incremental as incremental
 import repro.datalog.seminaive as seminaive
 import repro.datalog.units as units
 from repro.datalog import seminaive_evaluate
@@ -62,9 +61,12 @@ def test_boundary_work_is_bounded_by_the_delta_not_by_derived_facts(
             current.built.append(pred)
         return real_from_facts(cls, pool, pred, arity, facts)
 
-    def compile_rule_plan(rule, order, delta_at):
-        current.compiled.append((rule, delta_at))
-        return real_compile(rule, order, delta_at)
+    def compile_rule_plan(rule, order, delta_at, *args, **kwargs):
+        # a task's counted plans compile when the plan is bound, outside
+        # any stratum evaluation
+        if getattr(current, "built", None) is not None:
+            current.compiled.append((rule, delta_at))
+        return real_compile(rule, order, delta_at, *args, **kwargs)
 
     def recorded(real, rules_of):
         """``real`` — a stratum evaluation whose first argument holds
@@ -91,7 +93,7 @@ def test_boundary_work_is_bounded_by_the_delta_not_by_derived_facts(
         ColumnarRelation, "from_facts", classmethod(from_facts)
     )
     monkeypatch.setattr(seminaive, "compile_rule_plan", compile_rule_plan)
-    monkeypatch.setattr(incremental, "compile_rule_plan", compile_rule_plan)
+    monkeypatch.setattr(units, "compile_rule_plan", compile_rule_plan)
     stratum = recorded(seminaive.evaluate_stratum, lambda rules: rules)
     monkeypatch.setattr(seminaive, "evaluate_stratum", stratum)
     monkeypatch.setattr(units, "evaluate_stratum", stratum)
@@ -100,7 +102,7 @@ def test_boundary_work_is_bounded_by_the_delta_not_by_derived_facts(
     real_insert = recorded(units._insert_stratum, lambda st: st.rules)
 
     def insert_stratum(st, *args):
-        continued.append(st.index)
+        continued.append(st)
         return real_insert(st, *args)
 
     monkeypatch.setattr(units, "_insert_stratum", insert_stratum)

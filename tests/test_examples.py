@@ -1,8 +1,8 @@
 """Examples are code too: every ``examples/*.py`` runs to completion.
 
 Three of them drive :class:`~repro.datalog.IncrementalEngine` and read
-``trace.events`` / ``total_changed()``; nothing else runs them, so the
-engine's public surface could drift under them unnoticed.
+``engine.db`` / ``trace.events`` / ``trace.net``; nothing else runs
+them, so the engine's public surface could drift under them unnoticed.
 """
 
 from __future__ import annotations
