@@ -17,15 +17,19 @@ its unit body, the same body a served round calls:
 
 * a non-recursive ``task`` node applies its inputs' Z-sets to its
   derivation counts — a retraction whose count reaches 0 is the delete;
-* a recursive SCC's ``fix`` node continues its committed fixpoint from
-  Δ⁺ when everything it reads only grew, and recomputes the SCC with
-  :func:`~repro.datalog.seminaive.evaluate_stratum` otherwise.
+* a recursive SCC's ``fix`` node runs the one semi-naive loop,
+  :func:`~repro.datalog.seminaive.evaluate_stratum`: seeded with Δ⁺ it
+  continues the committed fixpoint when everything the SCC reads only
+  grew, and from iteration 0 it recomputes the SCC otherwise.
 
 So a delete is maintained one way in this package: by counting below
 recursion, by recomputing the SCC within it. The engine owns its plan
 cache's :class:`~repro.datalog.columnar.InternPool` (``engine.pool``);
 inside :meth:`IncrementalEngine.apply` only the rows of
-:class:`MaintenanceTrace`'s ``net`` leave id space. Row
+:class:`MaintenanceTrace`'s ``net`` leave id space, diffed off the node
+values like any Z-set a unit reads (``units._mirror_diff``). An update
+is refused by the check every entry point shares
+(:func:`~repro.datalog.zset.check_update`). Row
 ``seminaive_evaluate`` is the oracle the engine is tested against.
 
 :class:`Delta`, :func:`apply_delta` and :func:`merge_deltas` live in
@@ -41,12 +45,13 @@ import numpy as np
 from .ast import Program
 from .database import Database
 from .plancache import CompiledProgramCache
-from .units import ExecutionPlan, ValueStore
+from .units import ExecutionPlan, ValueStore, _mirror_diff
 from .zset import (
     Delta,
     ZSetDelta,
     apply_delta,
     apply_zdelta,
+    check_update,
     effective_zdelta,
     merge_deltas,
 )
@@ -121,7 +126,7 @@ class IncrementalEngine:
         ``ValueError`` before anything is written; one that changes
         nothing returns an empty trace before anything is compiled.
         """
-        self._check_update(delta)
+        check_update(delta, self._derived, self._arity_of)
         zdelta = (
             delta
             if isinstance(delta, ZSetDelta)
@@ -173,14 +178,7 @@ class IncrementalEngine:
                 continue
             zset = plan.ctx.zsets.get(node)
             if zset is None or plan.old_values[node] is not was:
-                new = now.columnar(self.pool).rows
-                old = set() if was is None else was.columnar(self.pool).rows
-                gained = new - old
-                # a relation that only grew has lost nothing
-                lost = (
-                    old - new if len(old) + len(gained) != len(new) else set()
-                )
-                zset = (gained, lost)
+                zset = _mirror_diff(was, now, self.pool)
             for sign, rows in zip((1, -1), zset):
                 if rows:
                     net.weights.setdefault(pred, {}).update(
@@ -188,40 +186,13 @@ class IncrementalEngine:
                     )
         return net
 
-    def _check_update(self, delta: "Delta | ZSetDelta") -> None:
-        """Raise ``ValueError`` for an update no node could maintain:
-        one on a derived predicate, or holding a fact whose length is
-        not the predicate's arity — the program's, else the held
-        relation's, else (nobody knows the predicate) that of the
-        update's own first fact."""
-        sides = (
-            (delta.weights,)
-            if isinstance(delta, ZSetDelta)
-            else (delta.insertions, delta.deletions)
-        )
-        fresh: dict[str, int] = {}
-        for side in sides:
-            for pred, facts in side.items():
-                if not facts:  # normalization can leave empty sets behind
-                    continue
-                if pred in self._derived:
-                    raise ValueError(
-                        f"cannot update derived predicate {pred!r}; updates "
-                        "target EDB predicates only"
-                    )
-                arity = self._arity.get(pred)
-                if arity is None:
-                    held = self._edb.relations.get(pred)
-                    arity = (
-                        held.arity if held is not None
-                        else fresh.setdefault(pred, len(next(iter(facts))))
-                    )
-                for fact in facts:
-                    if len(fact) != arity:
-                        raise ValueError(
-                            f"{pred}: tuple {fact!r} has arity "
-                            f"{len(fact)}, expected {arity}"
-                        )
+    def _arity_of(self, pred: str) -> int | None:
+        """``pred``'s arity: the program's, else the held relation's."""
+        arity = self._arity.get(pred)
+        if arity is None:
+            held = self._edb.relations.get(pred)
+            arity = None if held is None else held.arity
+        return arity
 
 
 def _execute_activated(plan: ExecutionPlan) -> ValueStore:

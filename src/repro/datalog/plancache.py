@@ -24,10 +24,12 @@ rounds that way:
   out-of-band EDB) is the same plan with no old values and every source
   of ``G`` initial: all of ``G`` runs.
 * ``plan()`` restamps the bound plan in place, with the staged round
-  and — when there are node values to diff against — the committed
-  side they belong to: those values and that round's baseline. A
-  fixpoint node whose inputs only grew continues the committed fixpoint
-  from them; without them (miss, commit without values) it recomputes.
+  and — when there are node values to diff against — those committed
+  values and the round's clamped delta. A fixpoint node whose inputs
+  only grew continues the committed fixpoint from them; without them
+  (miss, commit without values) it recomputes. On a hit an SCC head's
+  entry relation is the committed one, by identity: updates to derived
+  predicates are refused, so no round touches it.
   ``commit()`` promotes the staged round — its EDB and, when the
   caller hands over the executed round's value store, its node values —
   after the service has verified it; ``evaluate()`` is the check the
@@ -320,12 +322,8 @@ class CompiledProgramCache:
             self._count("plan_binds")
         else:
             self._count("plan_patches")
-        # the committed side goes with its values: a round that has
-        # nothing to diff against has nothing to continue from either
         ProgramSkeleton.stamp(
-            served.plan, cu, staged.baseline, staged.values,
-            self._prev.baseline if staged.values is not None else None,
-            staged.zdelta,
+            served.plan, cu, staged.baseline, staged.values, staged.zdelta
         )
         return served.plan
 

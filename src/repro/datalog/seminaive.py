@@ -11,11 +11,16 @@ instances are exactly the *tasks* the DAG compiler emits.
 :func:`naive_evaluate` re-derives everything every iteration and serves
 as the test oracle for :func:`seminaive_evaluate`.
 
-Nothing here maintains a materialization. Maintenance is the static
-DAG of :mod:`repro.datalog.units`, run by the served round and by
-:class:`~repro.datalog.incremental.IncrementalEngine` alike; the one
-piece of it that lives here is :func:`evaluate_stratum`, the body a
-recursive SCC's fixpoint node runs when it recomputes.
+:func:`evaluate_stratum` is the package's one semi-naive loop. Every
+fixpoint anything computes runs through it: :func:`seminaive_evaluate`
+(the verify check, the row oracle, the traces
+:func:`~repro.datalog.compiler.compile_update` records) and the static
+DAG's fixpoint node (:mod:`repro.datalog.units`), which recomputes its
+SCC with it from iteration 0 or continues the committed fixpoint with
+it, seeded with what its inputs gained — insertion maintenance is the
+same loop started from Δ. Nothing else here maintains a
+materialization: that is the static DAG, run by the served round and by
+:class:`~repro.datalog.incremental.IncrementalEngine` alike.
 """
 
 from __future__ import annotations
@@ -23,7 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ast import Program, Rule
-from .columnar import InternPool, compile_rule_plan, run_rule_plan
+from .columnar import (
+    ColumnarRelation,
+    InternPool,
+    RulePlan,
+    compile_rule_plan,
+    run_rule_plan,
+)
 from .database import Database, Relation
 from .depgraph import DependencyGraph
 from .unify import eval_rule
@@ -126,121 +137,156 @@ def naive_evaluate(
 
 def evaluate_stratum(
     rules: list[tuple[int, Rule]],
-    recursive: set[str],
     db: Database,
     pool: InternPool | None = None,
     record: bool = False,
     max_iterations: int | None = None,
     orders: dict[int, tuple[int, ...]] | None = None,
-) -> list[dict]:
-    """Run one stratum's semi-naive loop to fixpoint over ``db``, in place.
+    delta: dict[str, set] | None = None,
+    plans: dict[tuple[int, int | None], RulePlan] | None = None,
+) -> tuple[list[dict], dict[str, list[set]]]:
+    """Run one stratum's semi-naive loop to fixpoint over ``db``.
 
-    ``rules`` are the stratum's ``(proper-rule index, rule)`` pairs,
-    ``recursive`` its recursive predicates (empty for a non-recursive
-    stratum, which is done after iteration 0). ``db`` must hold every
-    relation the rules read; the heads' relations are created as needed
-    and grow to the stratum's fixpoint. ``orders`` maps rule indices to
-    body evaluation orders (the analyzer's join hints). Returns the
-    iteration records of :class:`EvaluationTrace`, which hold fact sets
-    only with ``record``.
+    ``rules`` are the stratum's ``(proper-rule index, rule)`` pairs;
+    ``db`` holds every relation they read (a missing head is created
+    empty); ``orders`` maps rule indices to body evaluation orders (the
+    analyzer's join hints). Returns the iteration records of
+    :class:`EvaluationTrace` (fact sets only with ``record``) and, for a
+    run seeded with ``delta``, per head that gained rows each
+    iteration's Δ of it in order: disjoint row sets whose union is what
+    the loop added (empty for an unseeded run).
 
-    The one implementation of the loop: :func:`seminaive_evaluate` calls
-    it once per stratum, and the fixpoint node of the static DAG
-    (:mod:`repro.datalog.units`) calls it for its SCC. It is written
-    against a row set with a bulk ``extend`` and runs in either layout.
-    With ``pool=None`` that is the head :class:`Relation` itself, value
-    tuples derived by the per-tuple evaluator. With a pool it is the
-    head's columnar mirror: the rule plans are compiled once per
-    evaluation, every iteration stays in id space — ``produced - known``
-    is one set difference, Δ is the fresh rows as they are — and at the
-    fixpoint the mirror the loop grew becomes each head
-    :class:`Relation` (:meth:`Relation.adopt`): nothing is externed
-    here, the first reader of its facts does that.
+    With ``delta=None`` the heads hold the stratum's entry state:
+    iteration 0 runs every rule in full, every later one each positive
+    body occurrence of a predicate the previous one grew, restricted to
+    its Δ. A ``delta`` (predicate → rows its relation in ``db`` gained:
+    id-rows under ``pool``, value tuples without) says the heads hold
+    the fixpoint over ``db`` without those rows, and the loop continues
+    it from that Δ — semi-naive continuation is the derivative of the
+    fixpoint for a monotone change ("Fixing Incremental Computation",
+    PAPERS.md); the caller keeps ``delta`` off every predicate read
+    under negation or by an aggregate rule. Iterations are snapshots:
+    every instance joins against the state the previous one left.
+
+    No relation handed in ``db`` is written: a head's first gain goes to
+    a copy (in id space a clone of its mirror, rows and indexes) that
+    takes its place in ``db``, so a head that gains nothing is still
+    the object handed in. Without a pool the loop grows value tuples
+    through the per-tuple evaluator; with one it stays in id space —
+    ``produced - known`` is one set difference, Δ is the fresh rows as
+    they are, each rule plan is compiled on first use into ``plans``
+    (``(rule index, Δ-position)`` → plan, a dict a caller may keep) —
+    and a head that gained rows is published as a :class:`Relation`
+    adopting the mirror it grew (:meth:`Relation.adopt`), externed by
+    its first reader. The one semi-naive loop: :func:`seminaive_evaluate`
+    runs each stratum through it, a fixpoint node of the static DAG
+    (:mod:`repro.datalog.units`) its SCC.
     """
     orders = orders or {}
+    plans = {} if plans is None else plans
     heads = {
         rule.head.predicate: db.relation(rule.head.predicate, rule.head.arity)
         for _ri, rule in rules
     }
-    # iteration 0 runs every rule in full; the later ones run the
-    # recursive rules, once per positive body occurrence of a predicate
-    # the stratum derives, that occurrence restricted to Δ
-    first: list[tuple[int, Rule, int | None]] = [
-        (ri, rule, None) for ri, rule in rules
-    ]
-    later: list[tuple[int, Rule, int | None]] = []
+    # the rule instances an iteration runs: iteration 0 every rule in
+    # full (key None), a later one per predicate in its Δ each positive
+    # body occurrence of it, restricted to the Δ
+    instances: dict[str | None, list[tuple[int, Rule, int | None]]] = {
+        None: [(ri, rule, None) for ri, rule in rules]
+    }
     for ri, rule in rules:
-        preds = [
-            None if lit.atom is None or lit.negated else lit.atom.predicate
-            for lit in rule.body
-        ]
-        if recursive.intersection(preds):
-            later += [
-                (ri, rule, pos) for pos, p in enumerate(preds) if p in heads
-            ]
+        for pos, lit in enumerate(rule.body):
+            if lit.atom is not None and not lit.negated:
+                instances.setdefault(lit.atom.predicate, []).append(
+                    (ri, rule, pos)
+                )
 
     if pool is None:
-        grown: dict = heads
+        grown: dict = dict(heads)
+        view = db
 
         def derive(ri: int, rule: Rule, pos: int | None, delta) -> set:
             return eval_rule(rule, db, delta, pos, orders.get(ri))
 
+        def wrap(pred: str, rows: set):
+            return db.relations[pred].wrap(rows)
+
     else:
         grown = {p: rel.columnar(pool) for p, rel in heads.items()}
         view = Database({**db.relations, **grown})
-        plans = {
-            (ri, pos): compile_rule_plan(rule, orders.get(ri), pos)
-            for ri, rule, pos in first + later
-        }
 
         def derive(ri: int, rule: Rule, pos: int | None, delta) -> set:
-            return run_rule_plan(plans[ri, pos], view, pool, delta)
+            plan = plans.get((ri, pos))
+            if plan is None:
+                plan = plans[ri, pos] = compile_rule_plan(
+                    rule, orders.get(ri), pos
+                )
+            return run_rule_plan(plan, view, pool, delta)
 
+        def wrap(pred: str, rows: set):
+            # id-rows as they are: no intern, no build
+            out = ColumnarRelation(pred, db.relations[pred].arity, pool)
+            out.rows = rows
+            return out
+
+    seeded = delta is not None
+    if delta is not None:
+        delta = {p: wrap(p, rows) for p, rows in delta.items() if rows}
     iteration_records: list[dict] = []
-    delta: dict | None = None
+    copied: set[str] = set()
+    gained: dict[str, list[set]] = {}
     rounds = 0
-    while True:
+    while delta is None or delta:
         # two-phase (snapshot) semantics: every instance joins against
         # the state the previous iteration left, and the outputs merge
         # only after all have run — no rule sees a fact derived earlier
         # in the same iteration
         staged: list[tuple[str, set]] = []
         rec: dict = {}
-        for ri, rule, pos in (first if delta is None else later):
-            if pos is not None and rule.body[pos].atom.predicate not in delta:
-                continue
-            produced = derive(ri, rule, pos, delta)
-            if record and (produced or delta is None):
-                rec[(ri, pos)] = (
-                    produced if pool is None
-                    else set(pool.extern_rows(produced))
-                )
-            staged.append((rule.head.predicate, produced))
+        for p in (None,) if delta is None else delta:
+            for ri, rule, pos in instances.get(p, ()):
+                produced = derive(ri, rule, pos, delta)
+                if record and (produced or delta is None):
+                    rec[(ri, pos)] = (
+                        produced if pool is None
+                        else set(pool.extern_rows(produced))
+                    )
+                staged.append((rule.head.predicate, produced))
         if rec or delta is None:
             iteration_records.append(rec)
         delta = {}
         for pred, produced in staged:
             rel = grown[pred]
             fresh = produced - rel.rows
-            if fresh:
-                rel.extend(fresh)
-                if pred in delta:  # another rule of the same head
-                    delta[pred].extend(fresh)
-                else:
-                    delta[pred] = rel.wrap(fresh)
-        if not delta:
-            break
-        rounds += 1
-        if max_iterations is not None and rounds > max_iterations:
-            raise RuntimeError(
-                f"fixpoint for stratum {sorted(recursive)} exceeded "
-                f"{max_iterations} iterations (divergent arithmetic?)"
-            )
+            if not fresh:
+                continue
+            if pred not in copied:  # copy on the first gain
+                copied.add(pred)
+                rel = grown[pred] = view.relations[pred] = (
+                    rel.copy() if pool is None else rel.clone()
+                )
+            rel.extend(fresh)
+            if pred in delta:  # another rule of the same head
+                delta[pred].extend(fresh)
+            else:
+                # the Δ wraps this set as is, so what another rule of
+                # the head adds to the Δ lands in it too
+                delta[pred] = rel.wrap(fresh)
+                if seeded:  # kept alive only for a caller that reads it
+                    gained.setdefault(pred, []).append(fresh)
+        if delta:
+            rounds += 1
+            if max_iterations is not None and rounds > max_iterations:
+                raise RuntimeError(
+                    f"fixpoint for stratum {sorted(heads)} exceeded "
+                    f"{max_iterations} iterations (divergent arithmetic?)"
+                )
 
     if pool is not None:
-        for pred, rel in heads.items():
+        for pred in copied:
+            rel = db.relations[pred] = Relation(pred, heads[pred].arity)
             rel.adopt(grown[pred])
-    return iteration_records
+    return iteration_records, gained
 
 
 def seminaive_evaluate(
@@ -295,7 +341,6 @@ def seminaive_evaluate(
     _ensure_relations(program, db)
     _seed_facts(program, db)
     depgraph = DependencyGraph(program)
-    recursive = depgraph.recursive_predicates()
     trace = EvaluationTrace()
     for stratum in depgraph.stratify():
         stratum_set = set(stratum)
@@ -306,9 +351,6 @@ def seminaive_evaluate(
         ]
         trace.strata.append(stratum)
         trace.iterations.append(
-            evaluate_stratum(
-                rules, stratum_set & recursive, db, pool, record,
-                max_iterations,
-            )
+            evaluate_stratum(rules, db, pool, record, max_iterations)[0]
         )
     return db, trace

@@ -30,12 +30,14 @@ kinds *maintain* their value:
   an aggregate re-folds the groups the Δ touched. With no committed
   value, a changed negated input or a Δ on a predicate its body repeats
   it recomputes its whole rule, counted;
-* a fixpoint node whose inputs only grew since the committed round
-  continues that round's fixpoint from Δ⁺ (:func:`_insert_stratum`), a
-  head that gains rows on a clone of its committed mirror; after any
-  retraction, a change under negation or an aggregate, or with no
-  committed value, it runs
-  :func:`~repro.datalog.seminaive.evaluate_stratum` over its inputs.
+* a fixpoint node runs the evaluator's one semi-naive loop,
+  :func:`~repro.datalog.seminaive.evaluate_stratum`, for its SCC. When
+  its inputs only grew since the committed round (their Z-sets, the
+  ones a task reads, hold no Δ⁻) the loop continues the committed
+  fixpoint seeded with their Δ⁺, a head that gains rows on a clone of
+  its committed mirror; after any retraction, a change under negation
+  or an aggregate, or with no committed value, it recomputes from the
+  SCC's entry relations.
 
 That is the package's one maintenance procedure — a delete is counted
 below recursion and recomputed within it — and every caller runs these
@@ -81,7 +83,6 @@ from .columnar import (
     RulePlan,
     compile_rule_plan,
     delta_first,
-    run_rule_plan,
 )
 from .compiler import (
     CompiledUpdate,
@@ -288,122 +289,17 @@ class _Task:
         return out
 
 
-def _gained(
+def _mirror_diff(
     was: Relation | None, now: Relation, pool: InternPool
-) -> set | None:
-    """The id-rows ``now`` holds and ``was`` does not — ``None`` when
-    ``was`` holds one ``now`` lacks, or there is no ``was``."""
-    if now is was:
-        return set()
-    if was is None:
-        return None
-    old, new = was.columnar(pool).rows, now.columnar(pool).rows
+) -> tuple[set, set]:
+    """``(Δ⁺, Δ⁻)`` of ``was`` → ``now`` (``None``: empty): the id-rows of
+    the two mirrors in one and not the other."""
+    new = now.columnar(pool).rows
+    old = set() if was is None else was.columnar(pool).rows
     gained = new - old
-    return gained if len(gained) == len(new) - len(old) else None
-
-
-@dataclass(frozen=True)
-class _Stratum:
-    """A recursive SCC as its fixpoint node's continuation reads it."""
-
-    rules: list[tuple[int, Rule]]
-    #: every predicate a rule body mentions, and those it mentions
-    #: under negation or in an aggregate rule — neither has a delta
-    #: form here, so a change to one recomputes the SCC
-    reads: frozenset[str]
-    sensitive: frozenset[str]
-    #: proper-rule index → body evaluation order (the analyzer's hints)
-    orders: dict[int, tuple[int, ...]]
-    #: (rule index, Δ-position) → its compiled plan, from its first use
-    plans: dict[tuple[int, int], RulePlan]
-
-    @classmethod
-    def of(
-        cls, rules: list[tuple[int, Rule]], orders: dict[int, tuple[int, ...]]
-    ) -> "_Stratum":
-        """The SCC of ``rules``, its read sets taken off their bodies."""
-        atoms = [
-            (lit.atom.predicate, lit.negated or r.has_aggregate)
-            for _, r in rules
-            for lit in r.body
-            if lit.atom is not None
-        ]
-        return cls(
-            rules,
-            frozenset(p for p, _ in atoms),
-            frozenset(p for p, sensitive in atoms if sensitive),
-            orders,
-            {},
-        )
-
-
-def _insert_stratum(
-    st: _Stratum, db: Database, pool: InternPool, born: dict[str, set]
-) -> dict[str, set]:
-    """Continue an SCC's fixpoint from Δ⁺.
-
-    ``db``'s heads hold the fixpoint of ``st.rules`` over what the SCC
-    read *before* the id-rows ``born`` (predicate → rows) came: rows of
-    a predicate it reads from below are in ``db`` already, rows of one
-    of its own heads — its entry relation grew — are added here; no
-    predicate of ``born`` may be in ``st.sensitive``. The Δ-plans of
-    every occurrence of a grown predicate run first, then ordinary
-    semi-naive waves from what those added, until a wave adds nothing —
-    semi-naive continuation is the derivative of the fixpoint for a
-    monotone change ("Fixing Incremental Computation", PAPERS.md).
-    ``db``'s heads are committed node values, read and never written:
-    the first rows a head gains go to a clone of its mirror, rows and
-    indexes, that takes its place in ``db``. Returns the rows each head
-    gained.
-    """
-    added: dict[str, set] = {}
-
-    def take(head: str, produced: set) -> set:
-        rel = db.relations[head]
-        mirror = rel.columnar(pool)
-        fresh = produced - mirror.rows
-        if fresh:
-            if head not in added:
-                mirror = mirror.clone()
-                rel = db.relations[head] = Relation(rel.name, rel.arity)
-            mirror.extend(fresh)
-            rel.adopt(mirror)
-            added.setdefault(head, set()).update(fresh)
-        return fresh
-
-    heads = {rule.head.predicate for _, rule in st.rules}
-    wave = {
-        p: take(p, rows) if p in heads else rows for p, rows in born.items()
-    }
-    while True:
-        # a wave's id-rows as Δ relations, wrapped as they are: no
-        # intern, no build
-        deltas = {
-            p: db.relations[p].columnar(pool).wrap(rows)
-            for p, rows in wave.items()
-            if rows and p in st.reads
-        }
-        if not deltas:
-            return added
-        wave = {}
-        for ri, rule in st.rules:
-            head = rule.head.predicate
-            # one Δ-plan per positive body occurrence of a grown
-            # predicate, that occurrence restricted to its Δ
-            for pos, lit in enumerate(rule.body):
-                if not (
-                    lit.atom and not lit.negated
-                    and lit.atom.predicate in deltas
-                ):
-                    continue
-                plan = st.plans.get((ri, pos))
-                if plan is None:
-                    plan = st.plans[ri, pos] = compile_rule_plan(
-                        rule, st.orders.get(ri), pos
-                    )
-                new = take(head, run_rule_plan(plan, db, pool, deltas))
-                if new:
-                    wave.setdefault(head, set()).update(new)
+    # a relation that only grew has lost nothing
+    lost = old - new if len(old) + len(gained) != len(new) else set()
+    return gained, lost
 
 
 def _entry_relations(
@@ -498,9 +394,7 @@ class RoundCtx:
     them runs.
     """
 
-    __slots__ = (
-        "baseline", "pool", "committed_baseline", "zdelta", "zsets",
-    )
+    __slots__ = ("baseline", "pool", "zdelta", "zsets")
 
     def __init__(self, pool: InternPool) -> None:
         #: predicate → program facts ∪ its facts in the round's new EDB
@@ -509,15 +403,13 @@ class RoundCtx:
         self.baseline: dict[str, Relation] = {}
         #: the id space every unit's joins run in
         self.pool = pool
-        #: the committed side, next to the plan's old node values: the
-        #: baseline of the round that left them
-        self.committed_baseline: dict[str, Relation] = {}
         #: the round's EDB delta, clamped against the committed EDB —
         #: with the committed side only
         self.zdelta: ZSetDelta | None = None
         #: node → its value's ``(Δ⁺, Δ⁻)`` id-rows since the committed
-        #: round, taken once per round by the first task that reads it —
-        #: or, for a continued SCC's heads, left by their fixpoint node
+        #: round, taken once per round by the first task or fixpoint
+        #: node that reads it — or, for a continued SCC's heads, left by
+        #: their fixpoint node
         self.zsets: dict[int, tuple] = {}
 
 
@@ -596,11 +488,11 @@ class ProgramSkeleton:
     derives (maintained from its inputs' Z-sets, or recomputed), a
     predicate node the relation those rows (and the predicate's
     baseline) add up to, still in id space, and a fixpoint node the
-    relations of its SCC: continued from the committed round's by
-    :func:`_insert_stratum` when its inputs only grew, else grown from
-    the entry relations under
+    relations of its SCC under
     :func:`~repro.datalog.seminaive.evaluate_stratum` — the evaluator's
-    own loop, columnar. Which body a node runs is decided by its input
+    own loop, columnar — continued from the committed round's seeded
+    with its inputs' Δ⁺ when they only grew, else grown from the entry
+    relations. Which body a node runs is decided by its input
     Z-sets — their sign for a fixpoint node, which inputs changed for a
     task — before any join runs.
     """
@@ -646,9 +538,11 @@ class ProgramSkeleton:
         self, ctx: RoundCtx, values: ValueStore, node: int, pred: str
     ) -> tuple:
         """``(Δ⁺, Δ⁻)`` id-rows of ``node``'s value since the committed
-        round, taken once per round: empty when the value is the
-        committed object, the round's clamped delta interned for an EDB
-        relation, else the id-row differences of the two mirrors."""
+        round, taken once per round — what a task maintains from and a
+        fixpoint node decides and continues on: empty when the value is
+        the committed object, the round's clamped delta interned for an
+        EDB relation, else the id-row differences of the two mirrors
+        (:func:`_mirror_diff`)."""
         got = ctx.zsets.get(node)
         if got is None:
             was, now = values.committed(node), values[node]
@@ -663,9 +557,7 @@ class ProgramSkeleton:
                     for grew in (True, False)
                 )
             else:
-                old = was.columnar(ctx.pool).rows
-                new = now.columnar(ctx.pool).rows
-                got = (new - old, old - new)
+                got = _mirror_diff(was, now, ctx.pool)
             ctx.zsets[node] = got
         return got
 
@@ -683,71 +575,74 @@ class ProgramSkeleton:
         elif kind == "fix":
             si = key[1]
             scc = tuple(self.strata[si])
-            scc_set = set(scc)
             # every SCC predicate is recursive: one SCC, one stratum
-            st = _Stratum.of(
-                [
-                    (ri, r) for ri, r in enumerate(self.rules)
-                    if r.head.predicate in scc_set
-                ],
-                self.join_orders,
-            )
+            rules = [
+                (ri, r) for ri, r in enumerate(self.rules)
+                if r.head.predicate in scc
+            ]
+            atoms = [
+                (lit.atom.predicate, lit.negated or r.has_aggregate)
+                for _ri, r in rules
+                for lit in r.body
+                if lit.atom is not None
+            ]
+            # read under negation or by an aggregate rule: no Δ form, so
+            # a change to one recomputes the SCC
+            sensitive = {q for q, under in atoms if under}
             inputs = tuple(
-                (q, self.final_nodes[q]) for q in sorted(st.reads - scc_set)
+                (q, self.final_nodes[q], q in sensitive)
+                for q in sorted({q for q, _under in atoms} - set(scc))
             )
+            #: (rule index, Δ-position) → compiled plan, from its first
+            #: use on, for every round
+            plans: dict[tuple[int, int | None], RulePlan] = {}
 
-            def gained(values: ValueStore) -> dict[str, set] | None:
+            def seed(values: ValueStore) -> dict[str, set] | None:
                 """Δ⁺ of what the SCC reads since the committed round,
                 predicate → id-rows — or ``None``, recompute: no
                 committed value, a retraction anywhere, or a change
                 under negation or an aggregate. Decided on the sign of
-                the inputs' Z-sets — the id-row difference of two
-                mirrors of the one pool, an input the round left alone
-                being the committed object itself — before any join
-                runs."""
+                the inputs' Z-sets, the ones a task reads, before any
+                join runs. The SCC's own entry relations need no look:
+                every update entry point refuses a derived predicate,
+                so on a round with committed values they are the
+                committed round's objects."""
                 if values.committed(nid) is None:
                     return None
-                sides = [
-                    (q, values.committed(src), values[src])
-                    for q, src in inputs
-                ] + [
-                    (p, ctx.committed_baseline.get(p), ctx.baseline[p])
-                    for p in scc  # their entry relations
-                ]
-                born: dict[str, set] = {}
-                for q, was, now in sides:
-                    rows = _gained(was, now, ctx.pool)
-                    if rows is None or (rows and q in st.sensitive):
+                delta: dict[str, set] = {}
+                for q, src, sensitive in inputs:
+                    plus, minus = self._zset(ctx, values, src, q)
+                    if minus or (plus and sensitive):
                         return None
-                    if rows:
-                        born[q] = rows
-                return born
+                    if plus:
+                        delta[q] = plus
+                return delta
 
             def run(values: ValueStore) -> dict[str, Relation]:
-                db = Database({q: values[src] for q, src in inputs})
-                born = gained(values)
-                if born is None:
+                db = Database({q: values[src] for q, src, _s in inputs})
+                delta = seed(values)
+                if delta is None:
                     values.notes[nid] = {"mode": "recompute", "delta_rows": 0}
-                    for p in scc:
-                        db.relations[p] = ctx.baseline[p].copy()
-                    evaluate_stratum(
-                        st.rules, scc_set, db, ctx.pool, orders=st.orders
-                    )
-                    return {p: db.relations[p] for p in scc}
-                values.notes[nid] = {
-                    "mode": "continue",
-                    "delta_rows": sum(map(len, born.values())),
-                }
-                # the committed heads, read — never written: the first
-                # rows one gains go to a clone that takes its place
-                db.relations.update(values.committed(nid))
-                if born:
+                    db.relations.update((p, ctx.baseline[p]) for p in scc)
+                else:
+                    values.notes[nid] = {
+                        "mode": "continue",
+                        "delta_rows": sum(map(len, delta.values())),
+                    }
+                    db.relations.update(values.committed(nid))
+                # the relations handed in are read, never written: a
+                # head that gains rows is a new relation in db
+                _records, gained = evaluate_stratum(
+                    rules, db, ctx.pool, orders=self.join_orders,
+                    delta=delta, plans=plans,
+                )
+                if delta is not None:
                     # what a head gained is its whole Z-set: no reader
                     # diffs its two mirrors again
-                    for p, rows in _insert_stratum(
-                        st, db, ctx.pool, born
-                    ).items():
-                        ctx.zsets[self.final_nodes[p]] = (rows, frozenset())
+                    for p, waves in gained.items():
+                        ctx.zsets[self.final_nodes[p]] = (
+                            set().union(*waves), frozenset()
+                        )
                 return {p: db.relations[p] for p in scc}
 
         elif kind == "pred":
@@ -820,7 +715,6 @@ class ProgramSkeleton:
         cu: CompiledUpdate,
         baseline: dict[str, Relation],
         old_values: list | None,
-        committed_baseline: dict[str, Relation] | None,
         zdelta: ZSetDelta | None = None,
     ) -> None:
         """Restamp ``plan`` with one round, in place.
@@ -830,16 +724,15 @@ class ProgramSkeleton:
         node values the previous committed round left, ``None`` when
         there are none — every node then diffs as changed, and
         ``cu`` was staged with every source of ``G`` initial. With old
-        values comes the rest of that round's side (else ``None``): its
-        baseline — with them, what a fixpoint node reads to continue
-        instead of recomputing — and the round's EDB delta clamped
-        against that side's EDB, what a task maintaining its value takes
-        an EDB input's Z-set from (without it, from the two mirrors).
-        Deterministic: stamping the same round twice (a failed round is
+        values comes the round's EDB delta clamped against the EDB of
+        the round that left them: what a task or fixpoint node takes an
+        EDB input's Z-set from (without it, from the two mirrors). An
+        SCC head's entry relation needs no committed twin — no update
+        reaches a derived predicate, so on a round with old values it is
+        the committed round's object. Deterministic: stamping the same round twice (a failed round is
         retried) yields identical state.
         """
         plan.ctx.baseline = baseline
-        plan.ctx.committed_baseline = committed_baseline or {}
         plan.ctx.zdelta = zdelta if old_values else None
         plan.ctx.zsets = {}
         # rebind in place: ValueStore holds a reference to this list
@@ -884,7 +777,6 @@ def build_execution_plan(
         plan,
         staged,
         _entry_relations(program, program.predicates(), cu.edb_new),
-        None,
         None,
     )
     return plan

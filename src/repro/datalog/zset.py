@@ -17,6 +17,9 @@ update queue speaks this representation:
   one: :func:`derive_zdelta` patches each touched EDB relation in
   O(|delta|) through :meth:`ZSetDelta.apply_to`, and a task node reads
   an EDB input's Z-set off it (:mod:`repro.datalog.units`);
+* :func:`check_update` is the one refusal at every entry point — a
+  service's ``submit`` and the engine's ``apply``: a derived predicate,
+  or a fact whose length is not its predicate's arity;
 * :class:`~repro.datalog.incremental.IncrementalEngine` takes one as an
   update and returns one — ``MaintenanceTrace.net``, the whole change,
   EDB and derived, diffed off the node values the round replaced:
@@ -32,7 +35,7 @@ use to check cancellation laws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .database import Database, Relation
 
@@ -44,6 +47,7 @@ __all__ = [
     "effective_zdelta",
     "apply_zdelta",
     "derive_zdelta",
+    "check_update",
 ]
 
 
@@ -359,3 +363,42 @@ def derive_zdelta(edb: Database, zdelta: ZSetDelta) -> Database:
         zdelta.apply_to(rel, pred)
         out.relations[pred] = rel
     return out
+
+
+def check_update(
+    delta: "Delta | ZSetDelta",
+    derived: Collection[str],
+    arity_of: Callable[[str], int | None],
+) -> dict[str, int]:
+    """Raise ``ValueError`` for an update no maintenance can apply.
+
+    Refused: a fact of a ``derived`` predicate, and a fact whose length
+    is not its predicate's arity — ``arity_of(pred)``, else (nobody
+    knows the predicate) the length of the update's own first fact of
+    it. Returns the arities fixed that second way, for a caller that
+    remembers them. The one check of every update entry point: a
+    service's ``submit`` and :class:`~repro.datalog.incremental
+    .IncrementalEngine`'s ``apply``.
+    """
+    sides = (
+        (delta.weights,)
+        if isinstance(delta, ZSetDelta)
+        else (delta.insertions, delta.deletions)
+    )
+    fresh: dict[str, int] = {}
+    for side in sides:
+        for pred, facts in side.items():
+            if not facts:  # normalization can leave empty sets behind
+                continue
+            if pred in derived:
+                raise ValueError(f"update targets derived predicate {pred!r}")
+            arity = arity_of(pred)
+            if arity is None:
+                arity = fresh.setdefault(pred, len(next(iter(facts))))
+            for fact in facts:
+                if len(fact) != arity:
+                    raise ValueError(
+                        f"{pred}: tuple {fact!r} has arity {len(fact)}, "
+                        f"expected {arity}"
+                    )
+    return fresh

@@ -73,7 +73,13 @@ from ..datalog.ast import Program
 from ..datalog.compiler import CompiledUpdate
 from ..datalog.database import Database
 from ..datalog.plancache import CompiledProgramCache
-from ..datalog.zset import Delta, ZSetDelta, effective_zdelta, merge_deltas
+from ..datalog.zset import (
+    Delta,
+    ZSetDelta,
+    check_update,
+    effective_zdelta,
+    merge_deltas,
+)
 from ..datalog.units import ExecutionPlan, ValueStore
 from ..obs import NULL_SINK, TraceSink
 from ..schedulers.base import Scheduler
@@ -457,27 +463,9 @@ class UpdateStreamService:
         """Raise ``ValueError`` for a batch :meth:`submit` must refuse;
         record the arity of any predicate an accepted one introduces."""
         with self._door:  # producers race to introduce a predicate
-            fresh: dict[str, int] = {}
-            for side in (delta.insertions, delta.deletions):
-                for pred, facts in side.items():
-                    if not facts:
-                        continue
-                    if pred in self._derived:
-                        raise ValueError(
-                            f"update targets derived predicate {pred!r}"
-                        )
-                    arity = self._arity.get(pred)
-                    if arity is None:
-                        arity = fresh.setdefault(
-                            pred, len(next(iter(facts)))
-                        )
-                    for fact in facts:
-                        if len(fact) != arity:
-                            raise ValueError(
-                                f"{pred}: tuple {fact!r} has arity "
-                                f"{len(fact)}, expected {arity}"
-                            )
-            self._arity.update(fresh)
+            self._arity.update(
+                check_update(delta, self._derived, self._arity.get)
+            )
 
     def _backpressure(self) -> BackpressureError:
         return BackpressureError(

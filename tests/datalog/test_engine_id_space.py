@@ -1,13 +1,14 @@
 """One evaluator under the one engine: `IncrementalEngine` stays in id space.
 
 The engine runs the static DAG's unit bodies — compiled columnar rule
-plans, the evaluator's own stratum loop for a fixpoint node that
-recomputes; the per-tuple row evaluator is the oracle it is compared
-with, never its worker. These tests pin that with call counters over
-replayed streams of a recursive program (`tc`), one with negation
-(`retail`) and one with aggregates (`analytics`): no row join during
-construction or `apply`, `evaluate_stratum` once per fixpoint node the
-trace reports as recomputed and never for a task, only the changed rows
+plans, the evaluator's own stratum loop for a fixpoint node, seeded
+with a Δ when it continues; the per-tuple row evaluator is the oracle
+it is compared with, never its worker. These tests pin that with call
+counters over replayed streams of a recursive program (`tc`), one with
+negation (`retail`) and one with aggregates (`analytics`): no row join
+during construction or `apply`, an unseeded `evaluate_stratum` once
+per fixpoint node the trace reports as recomputed and never for a
+task, only the changed rows
 externed, a relation whose inputs did not change carried over by
 identity, and committed relations never written — a node that changes
 publishes a new relation with its indexes and value face right.
@@ -107,7 +108,9 @@ def test_evaluate_stratum_runs_once_per_recomputed_stratum(
     real = units.evaluate_stratum
 
     def counting(rules, *args, **kwargs):
-        recomputed.append({rule.head.predicate for _ri, rule in rules})
+        # a call seeded with a Δ continues: not a recompute
+        if kwargs.get("delta") is None:
+            recomputed.append({rule.head.predicate for _ri, rule in rules})
         return real(rules, *args, **kwargs)
 
     monkeypatch.setattr(units, "evaluate_stratum", counting)

@@ -1,13 +1,16 @@
 """A served insert round maintains: the fixpoint node continues.
 
 A ``("fix", si)`` unit whose inputs only grew since the committed round
-continues the committed fixpoint from Δ⁺ through the engine's insert
-step, a head that gains rows on a clone of its committed mirror; every other case — a retraction, a
-change under negation or an aggregate, no committed value to start
-from, a degraded round — recomputes the SCC from its entry relations.
-These tests pin the new state: that a continued value is the recomputed
-one, which rounds continue and which do not, and that the committed
-values a round continues from are never written to.
+continues the committed fixpoint: the evaluator's one semi-naive loop,
+``evaluate_stratum``, seeded with the inputs' Δ⁺, a head that gains
+rows on a clone of its committed mirror; every other case — a
+retraction, a change under negation or an aggregate, no committed
+value to start from, a degraded round — runs the loop unseeded and
+recomputes the SCC from its entry relations. These tests pin that a
+continued value is the recomputed one, which rounds continue and which
+do not, that the committed values a round continues from are never
+written to, and that the loop itself, seeded or not, writes no relation
+handed to it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from hypothesis import strategies as st
 
 from repro.datalog import Database, Delta, parse_program, seminaive_evaluate
 from repro.datalog.columnar import InternPool
+from repro.datalog.depgraph import DependencyGraph
+from repro.datalog.seminaive import evaluate_stratum
 from repro.datalog.plancache import CompiledProgramCache
 from repro.datalog.units import ProgramSkeleton
 from repro.runtime import (
@@ -39,7 +44,7 @@ from ..datalog.test_columnar_properties import (
     SCC_RECURSIVE,
     edges,
 )
-from .conftest import READ_SET_SHAPES, read_set_edb
+from .conftest import READ_SET_SHAPES, read_set_edb, read_set_stream
 from .test_static_dag import _install_liar
 from .test_task_maintenance import assert_tasks_match_a_miss
 
@@ -285,7 +290,7 @@ def test_a_derived_input_that_loses_a_row_recomputes():
 
 
 # ----------------------------------------------------------------------
-# (c) the SCC's own entry baseline
+# (c) the SCC's own entry relations
 # ----------------------------------------------------------------------
 def _facts_plan():
     """The ``facts`` shape (``p`` has a program fact and rules) bound,
@@ -297,69 +302,60 @@ def _facts_plan():
     values, _ = plan.execute_serial()
     committed = [values[n] for n in range(len(plan.units))]
     fix = next(u for u in plan.units if u.kind == "fix")
-    return program, cu, plan, committed, fix
-
-
-def _with_p(baseline, add=(), drop=()):
-    out = dict(baseline)
-    rel = baseline["p"].copy()
-    for t in add:
-        rel.add(t)
-    for t in drop:
-        rel.discard(t)
-    out["p"] = rel
-    return out
-
-
-def _expected_p(program, cu, p_facts) -> set:
-    db = cu.edb_new.copy()
-    for t in p_facts:
-        db.add_fact("p", t)
-    return set(seminaive_evaluate(program, db)[0].relations["p"])
-
-
-def test_a_grown_entry_baseline_seeds_the_continuation():
-    program, cu, plan, committed, fix = _facts_plan()
-    base = dict(plan.ctx.baseline)
-    ProgramSkeleton.stamp(
-        plan, cu, _with_p(base, add=[(3, 9), (9, 0)]), committed, base
-    )
-    store = plan.new_store()
-    value = fix.execute(store)
-    assert store.notes[fix.node] == {"mode": "continue", "delta_rows": 2}
-    got = set(value["p"])
-    assert got == _expected_p(program, cu, [(3, 9), (9, 0)])
-    assert (9, 1) in got and (9, 3) in got  # p(9, 0), then along e
-    assert value["p"] is not committed[fix.node]["p"]
-    assert (3, 9) not in committed[fix.node]["p"]
-
-
-def test_a_shrunk_entry_baseline_recomputes():
-    program, cu, plan, committed, fix = _facts_plan()
-    base = dict(plan.ctx.baseline)
-    assert (7, 8) in base["p"]  # the program's fact
-    ProgramSkeleton.stamp(
-        plan, cu, _with_p(base, add=[(3, 9)], drop=[(7, 8)]), committed, base
-    )
-    store = plan.new_store()
-    value = fix.execute(store)
-    assert store.notes[fix.node]["mode"] == "recompute"
-    # from the entry relations as stamped: (7, 8) and what it reached are gone
-    assert (7, 8) not in value["p"] and (7, 0) not in value["p"]
-    assert (3, 9) in value["p"] and (0, 3) in value["p"]
+    return cu, plan, committed, fix
 
 
 def test_an_untouched_round_continues_from_nothing_and_keeps_identity():
     """Activated with nothing gained: the committed relations come back
     as they are, so the node diffs unchanged and the cascade stops."""
-    _program, cu, plan, committed, fix = _facts_plan()
-    base = dict(plan.ctx.baseline)
-    ProgramSkeleton.stamp(plan, cu, base, committed, base)
+    cu, plan, committed, fix = _facts_plan()
+    ProgramSkeleton.stamp(plan, cu, dict(plan.ctx.baseline), committed)
     store = plan.new_store()
     value = fix.execute(store)
     assert store.notes[fix.node] == {"mode": "continue", "delta_rows": 0}
     assert value["p"] is committed[fix.node]["p"]
     assert value == plan.old_values[fix.node]
+
+
+@pytest.mark.parametrize("name", ["facts", "tc", "sg", "pt"])
+def test_a_warm_hit_hands_each_scc_head_its_committed_entry_relation(name):
+    """Why a continuation reads no committed entry baseline: no update
+    reaches a derived predicate, so on every warm hit the entry relation
+    of each SCC head is the committed round's object — including a head
+    the program states facts for (``facts``)."""
+    if name == "facts":
+        program = parse_program(READ_SET_SHAPES["facts"])
+        edb = read_set_edb()
+        deltas = read_set_stream(program, rounds=8)
+    else:
+        wl = live_workload(name, seed=6)
+        program, edb = wl.program, wl.edb
+        deltas = [wl.random_batch(2) for _ in range(8)]
+    svc = _service(program, edb)
+    cache = svc.plan_cache
+    real_plan = cache.plan
+    hits = []
+
+    def plan(cu):
+        committed = cache._prev
+        out = real_plan(cu)
+        if out.old_values[0] is not None:  # a warm hit
+            keys = out.compiled.structure.node_keys
+            strata = DependencyGraph(out.compiled.program).stratify()
+            heads = [
+                p for key in keys if key[0] == "fix" for p in strata[key[1]]
+            ]
+            assert heads
+            for p in heads:
+                assert out.ctx.baseline[p] is committed.baseline[p]
+            hits.append(cu)
+        return out
+
+    cache.plan = plan
+    for delta in deltas:
+        _serve(svc, delta)
+    assert len(hits) >= 4
+    _assert_from_scratch(svc, program)
 
 
 # ----------------------------------------------------------------------
@@ -488,9 +484,9 @@ back(X, Z) :- back(X, Y), edge(Z, Y).
 def test_two_fixpoints_reading_one_relation_intern_its_delta_once(
     monkeypatch,
 ):
-    """Δ⁺ is the id-row difference of two mirrors: however many nodes
-    continue from a grown relation, its new facts are interned where
-    they land in the EDB, and nowhere else."""
+    """An EDB input's Δ⁺ is its Z-set, taken once per round and shared:
+    however many nodes continue from a grown relation, its new facts are
+    interned where they land in the EDB, and nowhere else."""
     program = parse_program(TWO_SCCS)
     svc = _service(program, _chain(6))
     _serve(svc, Delta().insert("edge", (6, 7)))
@@ -564,4 +560,108 @@ def test_a_round_after_a_commit_without_values_recomputes():
     plan = cache.plan(cache.compile(wl.program, edb, grow))
     assert cache.stats()["hits"] == 1
     assert all(v is None for v in plan.old_values)
-    assert plan.ctx.committed_baseline == {}
+
+
+# ----------------------------------------------------------------------
+# (f) one semi-naive loop, from scratch and Δ-seeded
+# ----------------------------------------------------------------------
+def _faces(db: Database) -> list:
+    """Every relation ``db`` holds, with what each of its faces holds."""
+    return [
+        (
+            rel,
+            None if rel._tuples is None else set(rel._tuples),
+            rel._columnar,
+            None if rel._columnar is None else set(rel._columnar.rows),
+        )
+        for rel in db.relations.values()
+    ]
+
+
+def _strata_over(program, db, pool, delta=None) -> dict[str, set]:
+    """``program``'s strata through ``evaluate_stratum`` over ``db`` —
+    each seeded, with ``delta``, by it and by what the strata below it
+    gained, as the fixpoint nodes of ``G`` chain — asserting that no
+    relation handed in is written and that a head that gains nothing
+    is still the relation handed in. Returns what each head gained."""
+    gained: dict[str, set] = {}
+    for stratum in DependencyGraph(program).stratify():
+        rules = [
+            (ri, r) for ri, r in enumerate(program.proper_rules)
+            if r.head.predicate in stratum
+        ]
+        handed, before = dict(db.relations), _faces(db)
+        seed = None if delta is None else {**delta, **gained}
+        _records, got = evaluate_stratum(rules, db, pool, delta=seed)
+        for rel, tuples, mirror, rows in before:
+            assert tuples is None or rel._tuples == tuples
+            assert mirror is None or (
+                rel._columnar is mirror and mirror.rows == rows
+            )
+        for p in stratum:
+            kept = db.relations[p] is handed[p]
+            assert kept == (set(db.relations[p]) == set(handed[p]))
+            if delta is not None:
+                assert kept == (p not in got)
+        gained.update((p, set().union(*waves)) for p, waves in got.items())
+    return gained
+
+
+def _edb(e: set, f: set) -> Database:
+    db = Database()
+    for name, facts in (("e", e), ("f", f), ("a", ()), ("b", ())):
+        db.relation(name, 2)
+        for t in facts:
+            db.add_fact(name, t)
+    return db
+
+
+@given(
+    recursive=st.sets(st.sampled_from(SCC_RECURSIVE), min_size=1),
+    e_facts=edges,
+    f_facts=edges,
+    e_more=edges,
+    f_more=edges,
+    columnar=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_stratum_writes_nothing_handed_in_and_continues_exactly(
+    recursive, e_facts, f_facts, e_more, f_more, columnar
+):
+    """Random SCC programs, both layouts: a from-scratch run, and a run
+    seeded with the inputs' Δ⁺ over grown inputs and the committed
+    heads, leave every relation handed in as it was; each lands on the
+    from-scratch fixpoint of its inputs, and the seeded one reports as
+    gained exactly the rows the committed heads did not hold."""
+    program = parse_program("\n".join(SCC_BASE + sorted(recursive)))
+    pool = InternPool() if columnar else None
+    heads = ("a", "b")
+
+    def facts(rows) -> set:
+        return set(rows) if pool is None else set(pool.extern_rows(rows))
+
+    old = _edb(e_facts, f_facts)
+    _strata_over(program, old, pool)
+    want_old = seminaive_evaluate(program, _edb(e_facts, f_facts))[0]
+    committed = {p: old.relations[p] for p in heads}
+    committed_facts = {p: set(rel) for p, rel in committed.items()}
+    assert committed_facts == {p: set(want_old.relations[p]) for p in heads}
+
+    grown = {"e": e_more - e_facts, "f": f_more - f_facts}
+    new = _edb(e_facts | e_more, f_facts | f_more)
+    if pool is not None:
+        for p in ("e", "f"):
+            new.relations[p].columnar(pool)
+    delta = {
+        p: rows if pool is None else pool.intern_facts(p, rows)
+        for p, rows in grown.items()
+    }
+    db = Database({**new.relations, **committed})
+    gained = _strata_over(program, db, pool, delta)
+    want = seminaive_evaluate(program, new)[0]
+    for p in heads:
+        assert set(db.relations[p]) == set(want.relations[p])
+        assert set(committed[p]) == committed_facts[p]
+        assert facts(gained.get(p, ())) == (
+            set(want.relations[p]) - committed_facts[p]
+        )

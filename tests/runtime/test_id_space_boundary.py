@@ -96,16 +96,16 @@ def test_boundary_work_is_bounded_by_the_delta_not_by_derived_facts(
     monkeypatch.setattr(units, "compile_rule_plan", compile_rule_plan)
     stratum = recorded(seminaive.evaluate_stratum, lambda rules: rules)
     monkeypatch.setattr(seminaive, "evaluate_stratum", stratum)
-    monkeypatch.setattr(units, "evaluate_stratum", stratum)
-    # the fixpoint node's other body: a round that continues
+    # the fixpoint node recomputes, or continues: the same loop seeded
+    # with its inputs' Δ
     continued = []
-    real_insert = recorded(units._insert_stratum, lambda st: st.rules)
 
-    def insert_stratum(st, *args):
-        continued.append(st)
-        return real_insert(st, *args)
+    def unit_stratum(rules, *args, **kwargs):
+        if kwargs.get("delta") is not None:
+            continued.append(rules)
+        return stratum(rules, *args, **kwargs)
 
-    monkeypatch.setattr(units, "_insert_stratum", insert_stratum)
+    monkeypatch.setattr(units, "evaluate_stratum", unit_stratum)
 
     wl = live_workload(name, seed=9)
     n_program_facts = len(wl.program.facts)

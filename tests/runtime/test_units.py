@@ -75,7 +75,7 @@ def test_value_store_falls_back_to_old_values(compiled_workloads):
     values, _ = plan.execute_serial()
     committed = [values[n] for n in range(len(plan.units))]
     baseline = plan.ctx.baseline
-    ProgramSkeleton.stamp(plan, plan.compiled, baseline, committed, baseline)
+    ProgramSkeleton.stamp(plan, plan.compiled, baseline, committed)
     store = plan.new_store()
     assert not store.computed(0)
     assert store[0] is plan.old_values[0] is committed[0]
