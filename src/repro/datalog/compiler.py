@@ -67,8 +67,14 @@ from ..tasks.trace import JobTrace
 from .ast import Program
 from .database import Database
 from .depgraph import DependencyGraph
-from .seminaive import EvaluationTrace, _ensure_relations, seminaive_evaluate
-from .zset import Delta, ZSetDelta, apply_zdelta, effective_zdelta
+from .seminaive import EvaluationTrace, seminaive_evaluate
+from .zset import (
+    Delta,
+    ZSetDelta,
+    apply_zdelta,
+    check_update,
+    effective_zdelta,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..verify.program import ProgramAnalysis
@@ -76,60 +82,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "compile_update",
     "prepare_update",
-    "without_rules",
     "RoundStructure",
     "build_round_structure",
     "stage_update",
     "CompiledUpdate",
-    "live_edb_predicates",
-    "with_program_schema",
 ]
-
-
-def live_edb_predicates(edb_old: Database, edb_new: Database) -> set[str]:
-    """Predicates holding at least one fact on either side of the round.
-
-    The input to :meth:`ProgramAnalysis.prunable_rules` — a rule is only
-    prunable when it cannot fire against *both* EDB snapshots, since the
-    compiled round materializes both sides.
-    """
-    return {
-        p
-        for db in (edb_old, edb_new)
-        for p, rel in db.relations.items()
-        if len(rel)
-    }
-
-
-def with_program_schema(db: Database, program: Program) -> Database:
-    """``db`` with an (empty) relation for every program predicate.
-
-    Pruned compiles evaluate a program that no longer mentions some
-    predicates; mirroring the evaluator's ``_ensure_relations`` against
-    the *full* program on the EDB keeps the materialization's relation
-    keys — and the plan cache's schema fingerprint — byte-identical to
-    the unpruned path. Returns ``db`` itself when nothing is missing,
-    so steady-state rounds keep EDB identity (and the cache's fast
-    equality path)."""
-    mentioned = program.predicates()
-    if mentioned <= set(db.relations):
-        return db
-    out = db.copy()
-    _ensure_relations(program, out)
-    return out
-
-
-def _usable_analysis(
-    program: Program, analysis: "ProgramAnalysis | None"
-) -> "ProgramAnalysis | None":
-    """Guard against an analysis computed for a different program."""
-    if analysis is None:
-        return None
-    if analysis.program is program or repr(analysis.program) == repr(
-        program
-    ):
-        return analysis
-    return None
 
 
 @dataclass
@@ -195,53 +152,29 @@ def prepare_update(
     program: Program,
     edb_old: Database,
     delta: "Delta | ZSetDelta",
-    analysis: "ProgramAnalysis | None",
     apply: Callable[[Database, ZSetDelta], Database] = apply_zdelta,
-) -> tuple[ZSetDelta, Database, Database, frozenset[int]]:
+) -> tuple[ZSetDelta, Database, Database]:
     """What :func:`compile_update` and the plan cache's ``compile`` do
-    before anything runs: ``(zdelta, edb_old, edb_new, dead)``.
+    before anything runs: ``(zdelta, edb_old, edb_new)``.
 
-    An update to a derived predicate is refused. A :class:`Delta` is
-    clamped to its effective weights — redundant ops (inserting a
+    The update is refused by :func:`~repro.datalog.zset.check_update`:
+    a fact of a derived predicate, or one whose length is not its
+    predicate's arity in ``program``, else in ``edb_old``. A
+    :class:`Delta` is clamped to its effective weights — redundant ops (inserting a
     present fact, deleting an absent one) and coalesced insert/retract
     pairs cancel here, so a self-cancelling delta compiles exactly like
-    an empty one: same touched set, same live predicates, same prune
-    set; a :class:`ZSetDelta` is taken as already clamped against
-    ``edb_old``. ``apply`` produces ``edb_new`` from it.
-    ``dead`` holds the indices of the rules ``analysis`` proves cannot
-    fire against either EDB snapshot; when there are any, both
-    snapshots get the full program's schema, so the materializations of
-    the pruned program (:func:`without_rules`) stay byte-identical to
-    the unpruned compile.
+    an empty one; a :class:`ZSetDelta` is taken as already clamped
+    against ``edb_old``. ``apply`` produces ``edb_new`` from it.
     """
-    idb = program.idb_predicates()
-    for pred in delta.touched_predicates():
-        if pred in idb:
-            raise ValueError(f"update targets derived predicate {pred!r}")
+    arities = {p: rel.arity for p, rel in edb_old.relations.items()}
+    arities.update(program.arities())
+    check_update(delta, program.idb_predicates(), arities.get)
     zdelta = (
         delta
         if isinstance(delta, ZSetDelta)
         else effective_zdelta(edb_old, delta)
     )
-    edb_new = apply(edb_old, zdelta)
-    dead: frozenset[int] = frozenset()
-    if analysis is not None:
-        dead = analysis.prunable_rules(
-            live_edb_predicates(edb_old, edb_new)
-        )
-    if dead:
-        edb_old = with_program_schema(edb_old, program)
-        edb_new = with_program_schema(edb_new, program)
-    return zdelta, edb_old, edb_new, dead
-
-
-def without_rules(program: Program, dead: frozenset[int]) -> Program:
-    """``program`` minus the rules at indices ``dead``."""
-    if not dead:
-        return program
-    return Program(
-        tuple(r for i, r in enumerate(program.rules) if i not in dead)
-    )
+    return zdelta, edb_old, apply(edb_old, zdelta)
 
 
 _NO_FACTS: frozenset = frozenset()
@@ -261,20 +194,15 @@ def compile_update(
     the two iteration counts (:func:`build_round_structure`) and stamps
     what differs between them onto that ``G``: per-node change flags
     (hence per-edge flags), task work, and the touched EDB nodes as the
-    initial tasks. Touched predicates ``G`` has no EDB node for — read
-    only by pruned dead rules, or mentioned by no rule at all — activate
-    nothing (the EDB still carries their facts through the
-    materialization).
+    initial tasks. Touched predicates ``G`` has no EDB node for —
+    mentioned by no rule — activate nothing (the EDB still carries their
+    facts through the materialization).
 
-    When ``analysis`` (a :class:`~repro.verify.program.ProgramAnalysis`
-    of ``program``) is supplied, rules the analyzer proves can never
-    fire against either EDB snapshot are pruned before DAG construction
-    (see :func:`prepare_update`).
+    ``analysis`` is accepted and unused: the unrolled ``G`` is the whole
+    program's, whatever the analyzer proves about it (the end-to-end
+    benchmark's layer probes still pass it).
     """
-    zdelta, edb_old, edb_new, dead = prepare_update(
-        program, edb_old, delta, _usable_analysis(program, analysis)
-    )
-    program = without_rules(program, dead)
+    zdelta, edb_old, edb_new = prepare_update(program, edb_old, delta)
     db_old, ev_old = seminaive_evaluate(program, edb_old, record=True)
     db_new, ev_new = seminaive_evaluate(program, edb_new, record=True)
     its_old, its_new = ev_old.iterations, ev_new.iterations

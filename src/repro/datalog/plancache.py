@@ -7,10 +7,10 @@ reveal the active graph ``H`` — a node runs, its output is diffed, an
 unchanged output stops the cascade. :class:`CompiledProgramCache` serves
 rounds that way:
 
-* ``G`` is built **once per program** (per pruned-rule set): EDB
-  sources, the task and predicate nodes of every non-recursive stratum,
-  one fixpoint node per recursive SCC
-  (:func:`~repro.datalog.compiler.build_round_structure`), and with it
+* ``G`` is built **once per program**: EDB sources, the task and
+  predicate nodes of every non-recursive stratum, one fixpoint node per
+  recursive SCC (:func:`~repro.datalog.compiler.build_round_structure`),
+  and with it
   the one bound :class:`~repro.datalog.units.ExecutionPlan`; the
   schedulers' levels and interval lists are kept on that ``Dag``. A
   fixpoint that runs deeper or shallower on today's EDB is the same node.
@@ -76,11 +76,9 @@ from .columnar import InternPool
 from .compiler import (
     CompiledUpdate,
     RoundStructure,
-    _usable_analysis,
     build_round_structure,
     prepare_update,
     stage_update,
-    without_rules,
 )
 from .database import Database, Relation
 from .seminaive import seminaive_evaluate
@@ -106,27 +104,15 @@ class _Side:
     #: predicate → its entry relation, program facts ∪ EDB facts; the
     #: EDB's own object wherever the program states no fact for it
     baseline: dict[str, Relation]
-    #: rule indices the static analyzer pruned — node values only mean
-    #: something to a round running the same pruned program
-    pruned: frozenset[int]
-    #: what the executed round left in every node of that program's
-    #: ``G``; ``None`` until committed with a completed value store
-    #: (while staged: the committed side's, for the round to diff
-    #: against and continue from)
+    #: what the executed round left in every node of ``G``; ``None``
+    #: until committed with a completed value store (while staged: the
+    #: committed side's, for the round to diff against and continue
+    #: from)
     values: list | None = None
     #: the EDB delta that staged this round, clamped against the
     #: committed EDB — what a task maintaining its value reads an EDB
     #: input's Z-set from
     zdelta: ZSetDelta | None = None
-
-
-@dataclass
-class _Served:
-    """One pruned variant of the program and what is built once for it."""
-
-    program: Program
-    structure: RoundStructure | None = None
-    plan: ExecutionPlan | None = None
 
 
 def _edb_schema(edb: Database) -> frozenset:
@@ -153,15 +139,18 @@ class CompiledProgramCache:
         cache.rollback()           # failure: staged round is discarded
 
     ``compile`` is a *hit* when ``edb_old`` matches the committed
-    baseline and the round prunes the same rules: the new EDB is derived
-    from the baseline in the size of what the delta touches, and the
-    plan diffs against the committed node values. Otherwise it is a
-    *miss*: all of ``G`` runs. Neither evaluates anything — see the
-    module docstring.
+    baseline: the new EDB is derived from the baseline in the size of
+    what the delta touches, and the plan diffs against the committed
+    node values. Otherwise it is a *miss*: all of ``G`` runs. Neither
+    evaluates anything — see the module docstring.
 
     A program whose structural fingerprint differs from the cached one,
     or an ``edb_old`` whose schema (predicate → arity) differs from the
     committed baseline's, invalidates everything.
+
+    ``analysis`` (a :class:`~repro.verify.program.ProgramAnalysis` of
+    ``program``) reaches the plan only as join-order hints; ``G`` is
+    always the whole program's.
     """
 
     def __init__(
@@ -177,10 +166,12 @@ class CompiledProgramCache:
         self.pool = InternPool()
         self._program = program
         self._fingerprint = repr(program)
-        self._analysis = _usable_analysis(program, analysis)
-        #: pruned-rule set → the program actually run, its ``G`` and its
-        #: bound plan
-        self._served: dict[frozenset, _Served] = {}
+        #: join-order hints are keyed by rule value, so they hold for
+        #: any rule set this cache is handed
+        self._analysis = analysis
+        #: the program's ``G`` and its bound plan, built on first use
+        self._structure: RoundStructure | None = None
+        self._plan: ExecutionPlan | None = None
         self._schema: frozenset | None = None
         self._metrics = metrics
         self._sink = sink
@@ -190,7 +181,7 @@ class CompiledProgramCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        #: static DAGs built: one per (program, pruned set)
+        #: static DAGs built: one per program
         self.structure_builds = 0
         self.plan_patches = 0
         self.plan_binds = 0
@@ -205,7 +196,7 @@ class CompiledProgramCache:
             self._sink.add_to_current(f"plancache.{name}", 1)
 
     def _invalidate(self) -> None:
-        self._served.clear()
+        self._structure = self._plan = None
         self._prev = self._staged = self._staged_cu = None
         self._count("invalidations")
 
@@ -216,25 +207,11 @@ class CompiledProgramCache:
                 self._invalidate()
                 self._fingerprint = fingerprint
                 self._schema = None
-                # the analysis was computed for the old rule set
-                self._analysis = None
             self._program = program
         schema = _edb_schema(edb_old)
         if self._schema is not None and schema != self._schema:
             self._invalidate()
         self._schema = schema
-
-    def _serving(self, dead: frozenset[int]) -> _Served:
-        """The pruned program ``dead`` leaves, with its ``G`` built."""
-        served = self._served.get(dead)
-        if served is None:
-            served = self._served[dead] = _Served(
-                without_rules(self._program, dead)
-            )
-        if served.structure is None:
-            served.structure = build_round_structure(served.program)
-            self._count("structure_builds")
-        return served
 
     # ------------------------------------------------------------------
     def compile(
@@ -256,14 +233,15 @@ class CompiledProgramCache:
         self._check_validity(program, edb_old)
         prev = self._prev
         known = prev is not None and _edb_equal(prev.edb, edb_old)
-        zdelta, edb_old, edb_new, dead = prepare_update(
+        zdelta, edb_old, edb_new = prepare_update(
             self._program,
             prev.edb if known else edb_old,
             delta,
-            self._analysis,
             apply=derive_zdelta if known else apply_zdelta,
         )
-        served = self._serving(dead)
+        if self._structure is None:
+            self._structure = build_round_structure(self._program)
+            self._count("structure_builds")
         mentioned = self._program.predicates()
         baseline = dict(prev.baseline) if known else {}
         baseline.update(
@@ -276,12 +254,11 @@ class CompiledProgramCache:
             )
         )
 
-        hit = known and prev.pruned == dead
-        self._count("hits" if hit else "misses")
+        self._count("hits" if known else "misses")
         # without node values to diff against, all of G runs
-        diffable = hit and prev.values is not None
+        diffable = known and prev.values is not None
         cu = stage_update(
-            served.structure,
+            self._structure,
             edb_old,
             edb_new,
             zdelta.touched_predicates() if diffable else None,
@@ -289,7 +266,7 @@ class CompiledProgramCache:
             name=name,
         )
         self._staged = _Side(
-            edb_new, baseline, dead, prev.values if diffable else None, zdelta
+            edb_new, baseline, prev.values if diffable else None, zdelta
         )
         self._staged_cu = cu
         return cu
@@ -309,23 +286,22 @@ class CompiledProgramCache:
         next call; execute it before compiling the next round.
         """
         staged = self._staged_for(cu, "plan")
-        served = self._served[staged.pruned]
-        if served.plan is None:
+        if self._plan is None:
             join_orders = (
                 self._analysis.join_orders_for(cu.program)
                 if self._analysis is not None
                 else None
             )
-            served.plan = ProgramSkeleton(
-                served.structure, self.pool, join_orders
+            self._plan = ProgramSkeleton(
+                cu.structure, self.pool, join_orders
             ).bind(cu)
             self._count("plan_binds")
         else:
             self._count("plan_patches")
         ProgramSkeleton.stamp(
-            served.plan, cu, staged.baseline, staged.values, staged.zdelta
+            self._plan, cu, staged.baseline, staged.values, staged.zdelta
         )
-        return served.plan
+        return self._plan
 
     def evaluate(self, cu: CompiledUpdate) -> Database:
         """From-scratch materialization of ``cu``'s new EDB — the check.
@@ -363,7 +339,7 @@ class CompiledProgramCache:
         """
         staged = self._staged_for(cu, "commit")
         staged.values = None
-        plan = self._served[staged.pruned].plan
+        plan = self._plan
         if values is not None and plan is not None:
             left = [values[node] for node in range(len(plan.units))]
             if all(v is not None for v in left):

@@ -362,8 +362,8 @@ class UpdateStreamService:
         self.max_round_retries = max_round_retries
         self.sink = sink
         self.metrics = MetricsLog()
-        #: whole-program static analysis — feeds dead-rule pruning and
-        #: join-order hints to the compiler and plan cache
+        #: whole-program static analysis — feeds join-order hints to
+        #: the plan cache
         self.analysis: ProgramAnalysis | None = (
             analyze_program(program) if analyze else None
         )

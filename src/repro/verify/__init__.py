@@ -8,8 +8,7 @@ Three legs, all wired into CI and the ``repro verify`` CLI:
 * :mod:`repro.verify.program` — a whole-program static analyzer for
   Datalog sources: safety, stratification cycles, arity/schema
   consistency, dead rules, duplicate/subsumed rules, cartesian joins —
-  plus the dead-rule prunings and join-order hints the compiler and
-  plan cache consume at runtime;
+  plus the join-order hints the plan cache consumes at runtime;
 * :mod:`repro.verify.invariants` — an offline checker that re-derives
   ground truth from a :class:`~repro.tasks.JobTrace` and verifies a
   recorded :class:`~repro.sim.SimulationResult` end to end, including

@@ -45,11 +45,12 @@ undefined-predicate and declaration-mismatch checks and grounding the
 dead-rule analysis); ``% output:`` names the predicates the program is
 *for* (enabling unreachable-rule detection).
 
-:class:`ProgramAnalysis` also exposes the two runtime hooks:
-:meth:`~ProgramAnalysis.prunable_rules` (rules provably unable to fire
-against a concrete EDB — the compiler drops them before DAG
-construction) and :meth:`~ProgramAnalysis.join_orders_for` (the
-cartesian-repair body orders, keyed for a possibly-pruned program).
+:class:`ProgramAnalysis` also exposes one runtime hook:
+:meth:`~ProgramAnalysis.join_orders_for` (the cartesian-repair body
+orders, keyed by rule for any program that holds the rule), which the
+plan cache hands to its rule plans. A dead rule is not removed from
+what runs: it stays in the program's static DAG, and a round that
+activates it joins against an empty relation.
 """
 
 from __future__ import annotations
@@ -140,22 +141,19 @@ class ProgramAnalysis:
         """The error-severity findings."""
         return [f for f in self.findings if f.severity == "error"]
 
-    # -- runtime hooks --------------------------------------------------
-    def _never_firing(
-        self, base_predicates: Iterable[str]
-    ) -> tuple[set[int], set[str]]:
-        """Least-fixpoint possibly-nonempty analysis.
+    def _never_firing(self) -> tuple[set[int], set[str]]:
+        """Least-fixpoint possibly-nonempty analysis (the ``dead-rule``
+        finding).
 
-        ``base_predicates`` (plus the program's own facts and any
-        declared EDB) are assumed possibly non-empty; a proper rule
-        *fires* once every positive body predicate is possibly
-        non-empty, which makes its head possibly non-empty. Returns
-        ``(indices of rules that never fire, possibly-nonempty preds)``.
-        Negated atoms are ignored (an empty predicate only makes a
-        negation more permissive), so removing a never-firing rule
-        cannot change any materialization.
+        The program's own facts and any declared EDB are assumed
+        possibly non-empty; a proper rule *fires* once every positive
+        body predicate is possibly non-empty, which makes its head
+        possibly non-empty. Returns ``(indices of rules that never
+        fire, possibly-nonempty preds)``. Negated atoms are ignored (an
+        empty predicate only makes a negation more permissive), so a
+        rule reported here cannot contribute to any materialization.
         """
-        nonempty = set(base_predicates) | set(self.declared_edb)
+        nonempty = set(self.declared_edb)
         nonempty.update(r.head.predicate for r in self.program.facts)
         rules = list(enumerate(self.program.rules))
         fires: set[int] = set()
@@ -176,27 +174,11 @@ class ProgramAnalysis:
         dead = {i for i, r in rules if not r.is_fact and i not in fires}
         return dead, nonempty
 
-    def prunable_rules(self, edb_predicates: Iterable[str]) -> frozenset[int]:
-        """Indices into ``program.rules`` of rules that can never fire
-        given facts only for ``edb_predicates``. Pruning them is
-        materialization-preserving (see :meth:`_never_firing`)."""
-        dead, _ = self._never_firing(edb_predicates)
-        return frozenset(dead)
-
-    def pruned_program(self, edb_predicates: Iterable[str]) -> Program:
-        """The program minus its never-firing rules (identity when
-        nothing is prunable)."""
-        dead = self.prunable_rules(edb_predicates)
-        if not dead:
-            return self.program
-        return Program(
-            [r for i, r in enumerate(self.program.rules) if i not in dead]
-        )
-
+    # -- runtime hook ---------------------------------------------------
     def join_orders_for(self, program: Program) -> dict[int, tuple[int, ...]]:
-        """Re-key :attr:`join_orders` for ``program`` — typically a
-        pruned copy of the analyzed program, where proper-rule indices
-        have shifted. Matches rules by structural value."""
+        """Re-key :attr:`join_orders` for ``program``, whose proper-rule
+        indices may differ from the analyzed program's (a sub-program, a
+        reordered copy). Matches rules by structural value."""
         if not self.join_orders:
             return {}
         proper = self.program.proper_rules
@@ -661,7 +643,7 @@ def _analyze(
                     "or define it with rules",
                     severity="warning",
                 )
-        never, nonempty = analysis._never_firing(())
+        never, nonempty = analysis._never_firing()
         for i in sorted(never):
             rule = program.rules[i]
             empty = next(
@@ -684,8 +666,9 @@ def _analyze(
                 _lit_pos(empty, rule) if empty is not None
                 else _rule_pos(rule),
                 f"{rule_ids[i]}: rule can never fire — {why}",
-                "the compiler prunes never-firing rules; delete the "
-                "rule or feed the predicate",
+                "the rule stays in the program's DAG and is only ever "
+                "joined against an empty relation; delete the rule or "
+                "feed the predicate",
                 severity="warning",
             )
     if outputs is not None:
@@ -811,7 +794,7 @@ def analyze_program(program: Program, path: str = "<program>") -> (
     No source text means no pragmas and no suppressions: every
     head-less predicate counts as EDB input and reachability is not
     checked. This is the runtime entry point — the update-stream
-    service uses the result for dead-rule pruning and join-order hints.
+    service hands the result's join-order hints to its plan cache.
     """
     return _analyze(program, path)
 

@@ -1,10 +1,13 @@
 """Tests for the Datalog-update → computation-DAG compiler."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.datalog import Database, Delta, parse_program, seminaive_evaluate
 from repro.datalog.compiler import compile_update
+from repro.datalog.plancache import CompiledProgramCache
 from repro.schedulers import LevelBasedScheduler
 from repro.sim import simulate
 
@@ -26,6 +29,21 @@ def test_updates_to_idb_rejected():
         compile_update(
             parse_program(TC), chain_edb(3), Delta().insert("path", (0, 2))
         )
+
+
+@pytest.mark.parametrize("entry", ["compile_update", "plan_cache"])
+def test_a_wrong_length_fact_is_refused_at_compile_time(entry):
+    """Even when the EDB holds no relation for the predicate yet, the
+    program's arity refuses the fact before anything is evaluated."""
+    program = parse_program(TC)
+    delta = Delta().insert("edge", (2, 3, 4))
+    compile = (
+        partial(compile_update, program)
+        if entry == "compile_update"
+        else partial(CompiledProgramCache(program).compile, program)
+    )
+    with pytest.raises(ValueError, match="has arity 3, expected 2"):
+        compile(Database(), delta)
 
 
 def test_dag_is_valid_and_deep():

@@ -169,8 +169,8 @@ class TestDeltaNormalization:
 
 class TestSelfCancellingCompile:
     """Satellite: a delete+reinsert delta must round-trip to a no-op —
-    same materialization, same activation set, same prune decisions as
-    compiling the empty delta (regression: `touched` used to be read
+    same materialization and the same activation set as compiling the
+    empty delta (regression: `touched` used to be read
     off the raw delta, so cancelled predicates still invalidated
     caches and woke their dependency cones)."""
 

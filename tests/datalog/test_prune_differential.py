@@ -1,11 +1,13 @@
-"""Differential guard: analyzer-pruned compilation is a pure optimization.
+"""Differential guard: the static analyzer only hints join orders.
 
-Dead-rule pruning and join-order hints from
-:mod:`repro.verify.program` must never change what a maintenance round
-produces: for any stream, round by round, the pruned pipeline's
-materializations must be byte-identical to the unpruned ones — cold
-and cached, serial and under every registered scheduler — including
-streams that flip a rule between dead and live mid-stream.
+A :class:`~repro.verify.program.ProgramAnalysis` handed to the compiler
+or the plan cache changes nothing a round produces and nothing the
+cache keeps: the program's one ``G`` holds every rule, including one
+that reads a predicate with no facts, and a plan cache fed the analysis
+stays a hit while such a predicate flips between empty and live. Its
+materializations equal the cold, analysis-free compile round for round
+under every registered scheduler; join-order hints change the order of
+a rule's joins, never its result.
 """
 
 import random
@@ -27,8 +29,8 @@ from repro.verify.program import analyze_program
 
 pytestmark = pytest.mark.timeout(300)
 
-# `trail` reads `barrier`, which starts empty: the analyzer prunes the
-# rule until a barrier fact arrives
+# `trail` reads `barrier`, which starts empty: the rule cannot fire
+# until a barrier fact arrives, and it stays in `G` all along
 DEAD_RULES = """
 path(X, Y) :- edge(X, Y).
 path(X, Z) :- path(X, Y), edge(Y, Z).
@@ -76,82 +78,77 @@ def _edge_stream(rng, rounds):
 
 
 def test_cold_pruned_compile_is_byte_identical():
+    """``compile_update`` ignores the analysis: the never-firing
+    `trail` rule stays in the unrolled ``G``."""
     program = parse_program(DEAD_RULES)
     analysis = analyze_program(program)
     edb = _edb({(0, 1), (1, 2)})
     delta = Delta().insert("edge", (2, 3))
 
     plain = compile_update(program, edb, delta)
-    pruned = compile_update(program, edb, delta, analysis=analysis)
-    # pruning actually happened
-    assert len(pruned.program.rules) == 2 < len(plain.program.rules)
-    assert plain.db_old.as_dict() == pruned.db_old.as_dict()
-    assert plain.db_new.as_dict() == pruned.db_new.as_dict()
+    fed = compile_update(program, edb, delta, analysis=analysis)
+    assert fed.program is program
+    assert plain.node_keys == fed.node_keys
+    assert plain.db_old.as_dict() == fed.db_old.as_dict()
+    assert plain.db_new.as_dict() == fed.db_new.as_dict()
 
 
 def test_pruning_stops_when_the_dead_predicate_goes_live():
+    """A round on which `barrier` goes live compiles the same program."""
     program = parse_program(DEAD_RULES)
     analysis = analyze_program(program)
     edb = _edb({(0, 1), (1, 2)})
     delta = Delta().insert("barrier", (0,))
     cu = compile_update(program, edb, delta, analysis=analysis)
-    assert len(cu.program.rules) == 4  # barrier is live on the new side
+    assert cu.program is program
     ref = compile_update(program, edb, delta)
     assert cu.db_new.as_dict() == ref.db_new.as_dict()
 
 
 @pytest.mark.parametrize("sched_name", sorted(scheduler_registry()))
 def test_every_scheduler_matches_unpruned(sched_name):
-    """The pruned cached pipeline, driven concurrently by each
-    scheduler, matches the unpruned cold pipeline round for round —
-    across a stream that flips `barrier` empty → live → empty."""
+    """The analysis-fed cached pipeline, driven concurrently by each
+    scheduler, matches the cold pipeline round for round across a
+    stream that flips `barrier` between empty and live — and serves it
+    from one ``G`` and one plan, a hit on every round after the first."""
     factory = scheduler_registry()[sched_name]
     program = parse_program(DEAD_RULES)
-    analysis = analyze_program(program)
     rng = random.Random(hash(sched_name) % 997)
     deltas = _edge_stream(rng, rounds=5)
-    # flip rounds: barrier gains a fact, then loses it; a predicate is
-    # only prunable when dead on *both* sides, so round 0 prunes, rounds
-    # 1-3 do not (barrier live on at least one side), round 4 prunes
+    # barrier goes live in round 1 and empty again in round 3
     deltas[1].insert("barrier", (1,))
     deltas[3].delete("barrier", (1,))
 
-    cache = CompiledProgramCache(program, analysis=analysis)
-    edb_plain = _edb({(0, 1), (1, 2)})
-    edb_pruned = edb_plain.copy()
-    pruned_rounds = 0
+    cache = CompiledProgramCache(program, analysis=analyze_program(program))
+    edb_cold = _edb({(0, 1), (1, 2)})
+    edb_cached = edb_cold.copy()
     for i, delta in enumerate(deltas):
-        cu1 = compile_update(program, edb_plain, delta)
+        cu1 = compile_update(program, edb_cold, delta)
         plan1 = build_execution_plan(cu1)
         out1 = RoundExecutor(plan1, factory(), workers=3).run()
 
-        cu2 = cache.compile(program, edb_pruned, delta)
+        cu2 = cache.compile(program, edb_cached, delta)
         plan2 = cache.plan(cu2)
         out2 = RoundExecutor(plan2, factory(), workers=3).run()
-        if len(cu2.program.rules) < len(program.rules):
-            pruned_rounds += 1
 
         label = f"{sched_name} round {i}"
         assert (
             plan1.materialization(out1.values).as_dict()
             == plan2.materialization(out2.values).as_dict()
             == cu1.db_new.as_dict()
+            == cache.evaluate(cu2).as_dict()
         ), f"{label}: materializations differ"
-        # the check the service verifies against evaluates the *pruned*
-        # program from scratch: it must agree with the unpruned one too
-        assert cu1.db_new.as_dict() == cache.evaluate(cu2).as_dict(), (
-            f"{label}: reference materializations differ"
-        )
 
         cache.commit(cu2, out2.values)
-        edb_plain = cu1.edb_new
-        edb_pruned = cu2.edb_new
-    assert pruned_rounds >= 2  # rounds 0 and 4 prune (barrier empty)
+        edb_cold = cu1.edb_new
+        edb_cached = cu2.edb_new
+    assert cache.misses == 1 and cache.hits == len(deltas) - 1
+    assert cache.structure_builds == cache.plan_binds == 1
 
 
 def test_cache_hits_survive_steady_state_pruning():
-    """With a stable dead set, the cache's old-side reuse still works
-    (the augmented EDB keeps identity across rounds)."""
+    """While `barrier` stays empty the cache keeps its old-side reuse
+    (the EDB keeps identity across rounds)."""
     program = parse_program(DEAD_RULES)
     cache = CompiledProgramCache(
         program, analysis=analyze_program(program)
@@ -161,14 +158,12 @@ def test_cache_hits_survive_steady_state_pruning():
     deltas = _edge_stream(rng, rounds=5)
     for delta in deltas:
         cu = cache.compile(program, edb, delta)
-        assert len(cu.program.rules) == 2  # pruning every round
         cache.plan(cu)
         cache.commit(cu)
         edb = cu.edb_new
     assert cache.hits == len(deltas) - 1
-    # one static DAG and one bound plan for the one pruned program,
-    # restamped every round after the first whatever depth the
-    # recursion reaches
+    # one static DAG and one bound plan, restamped every round after
+    # the first whatever depth the recursion reaches
     assert cache.structure_builds == cache.plan_binds == 1
     assert cache.plan_patches == len(deltas) - 1
 

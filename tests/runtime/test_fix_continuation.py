@@ -77,7 +77,7 @@ def _committed(svc) -> list:
 def _fix_nodes(svc) -> list[int]:
     """The fixpoint nodes of the plan the last committed round ran."""
     cache = svc.plan_cache
-    plan = cache._served[cache._prev.pruned].plan
+    plan = cache._plan
     return [u.node for u in plan.units if u.kind == "fix"]
 
 
@@ -111,7 +111,7 @@ def _check_insert_round(svc, program, delta):
     for node in fixes:
         for p, rel in committed[node].items():
             assert set(rel) == want[p]
-    if svc.plan_cache.misses == 1:  # no re-pruned program since round 0
+    if svc.plan_cache.misses == 1:  # no miss since round 0
         ran = {r.node for r in rep.artifacts.result.schedule}
         assert rep.metrics.continued_nodes == len(ran.intersection(fixes))
     return rep

@@ -57,13 +57,13 @@ def _task_values(plan, values) -> dict:
 
 def _committed_tasks(svc) -> dict:
     cache = svc.plan_cache
-    plan = cache._served[cache._prev.pruned].plan
+    plan = cache._plan
     return _task_values(plan, cache._prev.values)
 
 
 def _tasks_as_miss(svc, program, edb_old, delta) -> dict:
     """Rule → task value when the round is staged on a cache that has
-    committed nothing — pruning what the service prunes, in the
+    committed nothing — with the service's join-order hints, in the
     service's id space, so rules and rows compare."""
     cache = CompiledProgramCache(program, analysis=svc.analysis)
     cache.pool = svc.plan_cache.pool
@@ -149,7 +149,7 @@ def test_a_failed_task_rolls_back_and_the_retry_maintains(seed):
     for i in range(ROUNDS):
         if i == 1:
             cache = svc.plan_cache
-            plan = cache._served[cache._prev.pruned].plan
+            plan = cache._plan
             svc.chaos = ChaosInjector(ChaosPlan(
                 fail_units=[u.node for u in plan.units if u.kind == "task"],
                 fail_round=svc._maintain_epoch,
@@ -211,7 +211,7 @@ def _record_modes(svc) -> dict[str, str]:
     plan the service committed last (bound once, so every later round
     runs these units)."""
     cache = svc.plan_cache
-    plan = cache._served[cache._prev.pruned].plan
+    plan = cache._plan
     rules = plan.compiled.structure.program.proper_rules
     modes: dict[str, str] = {}
     for unit in plan.units:

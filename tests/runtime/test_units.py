@@ -87,8 +87,8 @@ def test_value_store_falls_back_to_old_values(compiled_workloads):
 @pytest.mark.parametrize("name", sorted(DATALOG_WORKLOADS))
 def test_build_execution_plan_is_the_served_plan(name):
     """What ``build_execution_plan`` binds for a compiled round is the
-    ``G`` the plan cache serves for the same program and pruned set,
-    staged as the cache stages a first round."""
+    ``G`` the plan cache serves for the same program, staged as the
+    cache stages a first round."""
     program, edb, delta = DATALOG_WORKLOADS[name]()
     analysis = analyze_program(program)
     cu = compile_update(program, edb, delta, analysis=analysis)

@@ -2,15 +2,15 @@
 
 One seeded fixture exercises all five finding classes — safety,
 stratification, arity, dead/unreachable rules, duplicate rules, and
-cartesian joins — and the runtime hooks (dead-rule pruning, join-order
-hints) the compiler and plan cache consume.
+cartesian joins — and the runtime hook (join-order hints) the plan
+cache consumes.
 """
 
 import json
 
 import pytest
 
-from repro.datalog import parse_program
+from repro.datalog import Program, parse_program
 from repro.verify import findings_to_json
 from repro.verify.program import (
     ALL_PROGRAM_RULES,
@@ -121,6 +121,12 @@ def test_rule_ids_are_stable_per_head(bad):
 def test_dead_rule_flags_both_kinds(bad):
     dead = [f for f in bad.findings if f.rule == "dead-rule"]
     assert any("can never fire" in f.message for f in dead)
+    # nothing prunes a dead rule: it stays in G, joined against nothing
+    assert all(
+        "only ever joined against an empty relation" in f.hint
+        for f in dead
+        if "can never fire" in f.message
+    )
     assert any("unreachable from the declared outputs" in f.message
                for f in dead)
     assert sorted(bad.unreachable_rules) == [7, 8]
@@ -208,32 +214,17 @@ def test_analyze_path_reads_the_example(tmp_path):
 # ----------------------------------------------------------------------
 # runtime hooks
 # ----------------------------------------------------------------------
-def test_prunable_rules_tracks_live_predicates():
-    prog = parse_program(
-        "path(X, Y) :- edge(X, Y).\n"
-        "path(X, Z) :- path(X, Y), edge(Y, Z).\n"
-        "trail(X, Y) :- path(X, Y), barrier(X).\n"
-    )
-    an = analyze_program(prog)
-    assert sorted(an.prunable_rules({"edge"})) == [2]
-    assert an.prunable_rules({"edge", "barrier"}) == frozenset()
-    # no live EDB at all: nothing fires
-    assert sorted(an.prunable_rules(())) == [0, 1, 2]
-
-
-def test_pruned_program_is_identity_when_nothing_dies():
-    prog = parse_program("p(X) :- q(X).\n")
-    an = analyze_program(prog)
-    assert an.pruned_program({"q"}) is prog
-    assert len(an.pruned_program(()).rules) == 0
-
-
 def test_negation_is_ignored_conservatively():
     # r reads !s; s empty makes the negation *more* permissive, so the
-    # rule must not be considered dead
-    prog = parse_program("r(X) :- q(X), !s(X).\ns(X) :- t(X).\n")
-    an = analyze_program(prog)
-    assert 0 not in an.prunable_rules({"q"})
+    # rule must not be considered dead — only s's own rule is
+    an = analyze_source(
+        "% edb: q/1\nr(X) :- q(X), !s(X).\ns(X) :- t(X).\n"
+    )
+    dead = [
+        f.message for f in an.findings
+        if f.rule == "dead-rule" and "can never fire" in f.message
+    ]
+    assert len(dead) == 1 and dead[0].startswith("s#1:")
 
 
 def test_join_orders_rekeyed_for_pruned_program():
@@ -243,7 +234,6 @@ def test_join_orders_rekeyed_for_pruned_program():
     )
     an = analyze_program(prog)
     assert an.join_orders == {1: (0, 2, 1)}
-    pruned = an.pruned_program({"edge", "label"})
-    assert len(pruned.rules) == 1
-    assert an.join_orders_for(pruned) == {0: (0, 2, 1)}
+    sub = Program([prog.rules[1]])
+    assert an.join_orders_for(sub) == {0: (0, 2, 1)}
     assert an.join_orders_for(prog) == {1: (0, 2, 1)}
