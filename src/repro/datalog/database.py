@@ -101,10 +101,11 @@ class Relation:
     def __eq__(self, other: object) -> bool:
         """Same predicate, same tuples — indexes and mirrors aside.
 
-        What a work unit's changed/unchanged signal is computed with: a
-        set comparison on the relations' own storage — id-rows when a
-        side has no value tuples yet and both mirror into one pool —
-        no copy, and a size mismatch answers without looking at a tuple.
+        What a round's check compares materializations with (a work
+        unit's change signal is its Z-set): a set comparison on the
+        relations' own storage — id-rows when a side has no value tuples
+        yet and both mirror into one pool — no copy, and a size mismatch
+        answers without looking at a tuple.
         """
         if not isinstance(other, Relation):
             return NotImplemented

@@ -11,26 +11,20 @@ static DAG ``G`` (:mod:`repro.datalog.units`) executed over the node
 values the previous update committed (:mod:`repro.datalog.plancache`).
 The engine runs it serially on the calling thread, with no scheduler.
 An update activates the EDB nodes it touches; a node runs iff it is one
-of them or an input's value changed, and any other node's committed
-value stands — the paper's activation rule. A node that runs executes
-its unit body, the same body a served round calls:
+of them or an input changed — its Z-set is non-empty — and any other
+node's committed value stands, the paper's activation rule. A node that
+runs executes its unit body, the same body a served round calls: a task
+counts, a fixpoint node continues or recomputes its SCC — a delete is
+maintained one way in this package.
 
-* a non-recursive ``task`` node applies its inputs' Z-sets to its
-  derivation counts — a retraction whose count reaches 0 is the delete;
-* a recursive SCC's ``fix`` node runs the one semi-naive loop,
-  :func:`~repro.datalog.seminaive.evaluate_stratum`: seeded with Δ⁺ it
-  continues the committed fixpoint when everything the SCC reads only
-  grew, and from iteration 0 it recomputes the SCC otherwise.
-
-So a delete is maintained one way in this package: by counting below
-recursion, by recomputing the SCC within it. The engine owns its plan
-cache's :class:`~repro.datalog.columnar.InternPool` (``engine.pool``);
-inside :meth:`IncrementalEngine.apply` only the rows of
-:class:`MaintenanceTrace`'s ``net`` leave id space, diffed off the node
-values like any Z-set a unit reads (``units._mirror_diff``). An update
-is refused by the check every entry point shares
-(:func:`~repro.datalog.zset.check_update`). Row
-``seminaive_evaluate`` is the oracle the engine is tested against.
+The engine owns its plan cache's
+:class:`~repro.datalog.columnar.InternPool` (``engine.pool``); inside
+:meth:`IncrementalEngine.apply` only the rows of
+:class:`MaintenanceTrace`'s ``net`` leave id space: the final nodes'
+Z-sets, summed (:meth:`~repro.datalog.units.ExecutionPlan.net`). An
+update is refused by the check every entry point shares
+(:func:`~repro.datalog.zset.check_update`). Row ``seminaive_evaluate``
+is the oracle the engine is tested against.
 
 :class:`Delta`, :func:`apply_delta` and :func:`merge_deltas` live in
 :mod:`repro.datalog.zset` and are re-exported here.
@@ -45,7 +39,7 @@ import numpy as np
 from .ast import Program
 from .database import Database
 from .plancache import CompiledProgramCache
-from .units import ExecutionPlan, ValueStore, _mirror_diff
+from .units import ExecutionPlan, ValueStore
 from .zset import (
     Delta,
     ZSetDelta,
@@ -103,9 +97,6 @@ class IncrementalEngine:
         #: what :meth:`apply` refuses, and checks a fact's length against
         self._derived = program.idb_predicates()
         self._arity = program.arities()
-        #: predicates a program fact states: their entry relation is
-        #: not the EDB's own
-        self._stated = {f.head.predicate for f in program.facts}
         self._edb = Database() if edb is None else edb
         # a miss: every source of G is initial, so all of it runs
         self._round(ZSetDelta())
@@ -136,12 +127,30 @@ class IncrementalEngine:
             return MaintenanceTrace()
         prev = self.db
         plan, values = self._round(zdelta)
+        # the update's whole change: the final nodes' Z-sets, externed,
+        # and the update itself where no node carries the predicate
+        net = ZSetDelta()
+        for pred, facts in zdelta.weights.items():
+            if facts and pred not in plan.final_nodes:
+                net.weights[pred] = dict(facts)
+        for pred, moved in plan.net(values).items():
+            weights = net.weights[pred] = {}
+            for sign, rows in zip((1, -1), moved):
+                weights.update(
+                    dict.fromkeys(self.pool.extern_rows(rows), sign)
+                )
+        if not plan.old_values or plan.old_values[0] is None:
+            # a miss: every Z-set is against nothing, so what the nodes
+            # held before is taken away
+            for pred in plan.final_nodes:
+                for fact in prev.relations.get(pred, ()):
+                    net.delete(pred, fact)
         return MaintenanceTrace(
             [
                 (plan.units[node].label, said["mode"], said["delta_rows"])
                 for node, said in values.notes.items()
             ],
-            self._net(prev, plan, values, zdelta),
+            net,
         )
 
     def _round(self, zdelta: ZSetDelta) -> tuple[ExecutionPlan, ValueStore]:
@@ -153,38 +162,6 @@ class IncrementalEngine:
         self._edb = cu.edb_new
         self.db = plan.materialization(values)
         return plan, values
-
-    def _net(
-        self,
-        prev: Database,
-        plan: ExecutionPlan,
-        values: ValueStore,
-        zdelta: ZSetDelta,
-    ) -> ZSetDelta:
-        """The update's whole change against ``prev``, the
-        materialization before it: the update itself on every predicate
-        whose relation is the EDB's own — no program fact joins it — and
-        every other final node whose value is a new object diffed
-        against ``prev``'s relation, in id-rows, only the difference
-        externed. A node whose Z-set the round already took is not
-        diffed again."""
-        net = ZSetDelta()
-        for pred, facts in zdelta.weights.items():
-            if facts and pred not in self._stated:
-                net.weights[pred] = dict(facts)
-        for pred, node in plan.final_nodes.items():
-            now, was = values[node], prev.relations.get(pred)
-            if now is was or pred in net.weights:
-                continue
-            zset = plan.ctx.zsets.get(node)
-            if zset is None or plan.old_values[node] is not was:
-                zset = _mirror_diff(was, now, self.pool)
-            for sign, rows in zip((1, -1), zset):
-                if rows:
-                    net.weights.setdefault(pred, {}).update(
-                        dict.fromkeys(self.pool.extern_rows(rows), sign)
-                    )
-        return net
 
     def _arity_of(self, pred: str) -> int | None:
         """``pred``'s arity: the program's, else the held relation's."""
@@ -198,9 +175,9 @@ class IncrementalEngine:
 def _execute_activated(plan: ExecutionPlan) -> ValueStore:
     """Run ``plan``'s activated units in level order on this thread.
 
-    A node runs iff it is an initial task or an input's value changed
-    (``!=`` its committed value); any other node's committed value
-    stands, through the store's fallback. Unlike
+    A node runs iff it is an initial task or an input changed (a
+    non-empty Z-set, or no committed value); any other node's committed
+    value stands, through the store's fallback. Unlike
     :meth:`ExecutionPlan.execute_serial`, which runs every node and
     reads no committed value, this is the served round's activation
     rule without a scheduler.
@@ -214,9 +191,8 @@ def _execute_activated(plan: ExecutionPlan) -> ValueStore:
     for node in np.argsort(trace.levels, kind="stable").tolist():
         if not active[node]:
             continue
-        value = plan.units[node].execute(values)
-        values.set(node, value)
-        if value != plan.old_values[node]:
+        values.set(node, *plan.units[node].run(values))
+        if values.changed(node):
             for child in targets[offsets[node]:offsets[node + 1]]:
                 active[child] = True
     return values

@@ -3,8 +3,8 @@
 The maintenance loop in :mod:`repro.runtime.service` is a sequence of
 rounds over one program: round ``N+1`` starts from exactly what round
 ``N`` left. The paper schedules a *static* DAG ``G`` and lets execution
-reveal the active graph ``H`` — a node runs, its output is diffed, an
-unchanged output stops the cascade. :class:`CompiledProgramCache` serves
+reveal the active graph ``H`` — a node runs, emits its Z-set, an empty
+one stops the cascade. :class:`CompiledProgramCache` serves
 rounds that way:
 
 * ``G`` is built **once per program**: EDB sources, the task and
@@ -110,8 +110,7 @@ class _Side:
     #: from)
     values: list | None = None
     #: the EDB delta that staged this round, clamped against the
-    #: committed EDB — what a task maintaining its value reads an EDB
-    #: input's Z-set from
+    #: committed EDB — what the EDB nodes emit as their Z-sets
     zdelta: ZSetDelta | None = None
 
 

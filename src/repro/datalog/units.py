@@ -5,13 +5,9 @@ iteration counts) has a source per EDB predicate, the rule-instance
 task and predicate-state nodes of every non-recursive stratum, and one
 fixpoint node per recursive SCC. This module turns it into an
 :class:`ExecutionPlan`: every node becomes a :class:`WorkUnit` whose
-``execute`` *actually applies* the node's rule (or state merge, or whole
+``run`` *actually applies* the node's rule (or state merge, or whole
 stratum fixpoint) to the values produced by its DAG inputs, through the
 compiled rule kernels the evaluator uses.
-
-The diff between a unit's output and the node's old value is the paper's
-changed/unchanged signal, computed from real data —
-:mod:`repro.runtime.executor` uses it to decide child activation.
 
 One plan
 --------
@@ -21,23 +17,31 @@ indexes, columnar mirror and all — except a task's, a
 :class:`CountedRows`: the set of interned id-rows its rule derives (ids
 are stable for the plan's one pool, so two rounds' values compare as
 sets) carrying per row its derivation count, or for an aggregate head
-per group the multiset of aggregated ids it folds. Both stateful node
-kinds *maintain* their value:
+per group the multiset of aggregated ids it folds. A unit returns its
+node's value with its *Z-set* — predicate → ``(Δ⁺, Δ⁻)`` id-rows
+against the committed value, only predicates whose rows moved — the one
+change signal every layer reads (:meth:`ValueStore.changed`,
+:meth:`ExecutionPlan.net`), emitted from what the body did:
 
+* an EDB node's is the round's clamped delta;
 * a task node applies its inputs' Z-sets since the committed round
   through counted Δ-plans — Σₖ new₁…newₖ₋₁ ⋈ ΔAₖ ⋈ oldₖ₊₁…, once for Δ⁺
-  (+1) and once for Δ⁻ (−1); a row whose count reaches 0 is the delete,
-  an aggregate re-folds the groups the Δ touched. With no committed
-  value, a changed negated input or a Δ on a predicate its body repeats
-  it recomputes its whole rule, counted;
+  (+1) and once for Δ⁻ (−1); its Z-set is the rows whose count crossed
+  zero, for an aggregate the folds of the groups the Δ touched;
+* a predicate node applies its writers' Z-sets, summed, to its value;
 * a fixpoint node runs the evaluator's one semi-naive loop,
   :func:`~repro.datalog.seminaive.evaluate_stratum`, for its SCC. When
-  its inputs only grew since the committed round (their Z-sets, the
-  ones a task reads, hold no Δ⁻) the loop continues the committed
-  fixpoint seeded with their Δ⁺, a head that gains rows on a clone of
-  its committed mirror; after any retraction, a change under negation
-  or an aggregate, or with no committed value, it recomputes from the
-  SCC's entry relations.
+  its inputs only grew (their Z-sets hold no Δ⁻) the loop continues the
+  committed fixpoint seeded with their Δ⁺, a head that gains rows on a
+  clone of its committed mirror, and what each head gained is its
+  Z-set.
+
+With no committed value — or for a task a changed negated input or a
+Δ on a predicate its body repeats, for a fixpoint node any retraction
+or a change under negation or an aggregate — a body recomputes (a task
+its whole rule, counted; a fixpoint node from the SCC's entry
+relations) and diffs its value against the committed one, once
+(:func:`_mirror_diff`).
 
 That is the package's one maintenance procedure — a delete is counted
 below recursion and recomputed within it — and every caller runs these
@@ -105,16 +109,12 @@ __all__ = [
     "build_execution_plan",
 ]
 
-#: an input's Z-set when its value is the committed one
-_NO_CHANGE: tuple[frozenset, frozenset] = (frozenset(), frozenset())
-
-
 class CountedRows(set):
     """A task node's value: the id-rows its rule derives, with counts.
 
-    As a set it is the rows — the support, which is what ``==`` compares,
-    so a task's changed/unchanged signal is its row set and a change of
-    counts alone activates nothing. ``counts`` maps each row to its
+    As a set it is the rows — the support, which is what a task's Z-set
+    moves: a row enters or leaves when its count crosses zero, so a
+    change of counts alone activates nothing. ``counts`` maps each row to its
     derivation count (the bindings of the body that yield it) or, for an
     aggregate head, each group's id-row (the head minus the aggregate) to
     the multiset its row folds: ``{aggregated column's id:
@@ -136,6 +136,7 @@ class _Task:
         final_nodes: dict[str, int],
     ) -> None:
         self.whole = compile_rule_plan(rule, order, None, counted=True)
+        self.head = rule.head.predicate
         #: predicate → node, of everything the body reads
         self.sources = tuple(
             (q, final_nodes[q]) for q in sorted(self.whole.reads)
@@ -205,22 +206,22 @@ class _Task:
         return out
 
     def changes(
-        self, values: "ValueStore", zset: Callable[[int, str], tuple]
+        self, values: "ValueStore"
     ) -> list[tuple[int, Any, Any]] | None:
         """``(occurrence, Δ⁺, Δ⁻)`` of every positive occurrence whose
-        input changed since the committed round — or ``None``, recompute:
-        a negated input changed, or a repeated predicate did."""
+        input changed since the committed round, off the inputs' Z-sets
+        — or ``None``, recompute: a negated input changed, or a repeated
+        predicate did."""
         for q, src in self.negated:
-            plus, minus = zset(src, q)
-            if plus or minus:
+            if q in values.zset(src):
                 return None
         out = []
         for k, (q, _arity, src, plan) in enumerate(self.occurrences):
-            plus, minus = zset(src, q)
-            if plus or minus:
+            got = values.zset(src).get(q)
+            if got:
                 if plan is None:
                     return None
-                out.append((k, plus, minus))
+                out.append((k, *got))
         return out
 
     def maintain(
@@ -229,13 +230,15 @@ class _Task:
         old: CountedRows,
         changes: list[tuple[int, Any, Any]],
         pool: InternPool,
-    ) -> CountedRows:
+    ) -> tuple[CountedRows, dict]:
         """``old`` moved by the bilinear expansion of the body's change:
         per changed occurrence k, its Δ⁺ (+1) and Δ⁻ (−1) joined with the
         occurrences before k as they are now and those after k as they
         were. A row whose count reaches 0 is gone; an aggregate's touched
-        groups are re-folded. ``old`` is never written: what changed is
-        copied, and with no net change ``old`` itself comes back."""
+        groups are re-folded. Returns the new value and its Z-set: the
+        rows whose count crossed zero, for an aggregate the folds it
+        re-added and discarded. ``old`` is never written: what changed
+        is copied, and with no net change ``old`` itself comes back."""
         net: defaultdict = defaultdict(int)
         for k, plus, minus in changes:
             q, arity, _src, plan = self.occurrences[k]
@@ -254,52 +257,67 @@ class _Task:
                     ).items():
                         net[key] += sign * m
         moved = {key: n for key, n in net.items() if n}
+        plus: set = set()
+        minus: set = set()
         if not moved:
-            return old
-        out = CountedRows(old)
+            return old, {}
         counts = dict(old.counts)
-        out.counts = counts
         if self.agg_op is None:
             for row, n in moved.items():
-                c = counts.get(row, 0) + n
+                was = counts.pop(row, 0)
+                if was + n:
+                    counts[row] = was + n
+                if not was:
+                    plus.add(row)
+                elif not was + n:
+                    minus.add(row)
+        else:
+            touched: dict[tuple, dict] = {}
+            for (group, v), n in moved.items():
+                ms = touched.get(group)
+                if ms is None:
+                    ms = touched[group] = dict(counts.get(group, ()))
+                c = ms.get(v, 0) + n
                 if c:
-                    counts[row] = c
-                    out.add(row)
+                    ms[v] = c
                 else:
-                    del counts[row]
-                    out.discard(row)
-            return out
-        touched: dict[tuple, dict] = {}
-        for (group, v), n in moved.items():
-            ms = touched.get(group)
-            if ms is None:
-                ms = touched[group] = dict(counts.get(group, ()))
-            c = ms.get(v, 0) + n
-            if c:
-                ms[v] = c
-            else:
-                del ms[v]
-        for group, ms in touched.items():
-            was = counts.pop(group, None)
-            if was is not None:
-                out.discard(self.fold(group, was, pool))
-            if ms:
-                counts[group] = ms
-                out.add(self.fold(group, ms, pool))
-        return out
+                    del ms[v]
+            for group, ms in touched.items():
+                was = counts.pop(group, None)
+                if was is not None:
+                    minus.add(self.fold(group, was, pool))
+                if ms:
+                    counts[group] = ms
+                    plus.add(self.fold(group, ms, pool))
+            # a group folding to the row it folded to before is unmoved
+            same = plus & minus
+            plus -= same
+            minus -= same
+        out = CountedRows(old)
+        out.difference_update(minus)
+        out.update(plus)
+        out.counts = counts
+        return out, _change(self.head, plus, minus)
 
 
-def _mirror_diff(
-    was: Relation | None, now: Relation, pool: InternPool
-) -> tuple[set, set]:
-    """``(Δ⁺, Δ⁻)`` of ``was`` → ``now`` (``None``: empty): the id-rows of
-    the two mirrors in one and not the other."""
-    new = now.columnar(pool).rows
-    old = set() if was is None else was.columnar(pool).rows
+def _change(pred: str, plus: set, minus: set) -> dict:
+    """The Z-set of a node whose ``pred`` rows moved by ``plus`` and
+    ``minus``: empty when neither holds a row."""
+    return {pred: (plus, minus)} if plus or minus else {}
+
+
+def _mirror_diff(pred: str, was: Any, now: Any, pool: InternPool) -> dict:
+    """The Z-set of ``was`` → ``now`` — relations, or a task's id-rows;
+    ``None``: empty — a recomputing body's one diff, of the id-rows in
+    one and not the other."""
+    new = now if isinstance(now, set) else now.columnar(pool).rows
+    if was is None:
+        return _change(pred, new, set())
+    old = was if isinstance(was, set) else was.columnar(pool).rows
     gained = new - old
     # a relation that only grew has lost nothing
     lost = old - new if len(old) + len(gained) != len(new) else set()
-    return gained, lost
+    return _change(pred, gained, lost)
 
 
 def _entry_relations(
@@ -336,18 +354,16 @@ class WorkUnit:
     node: int
     kind: str  #: ``"edb"`` | ``"pred"`` | ``"task"`` | ``"fix"``
     label: str
-    run: Callable[["ValueStore"], Any]
-
-    def execute(self, values: "ValueStore") -> Any:
-        """Compute this node's output from its inputs' values."""
-        return self.run(values)
+    #: this node's value and Z-set, from its inputs' values
+    run: Callable[["ValueStore"], tuple[Any, dict]]
 
 
 class ValueStore:
-    """Per-round node values, falling back to old values when skipped.
+    """Per-round node values and Z-sets, falling back to old values when
+    skipped.
 
     A deactivated node is never executed — incremental maintenance
-    reuses its old value — so readers fall back to
+    reuses its old value, its Z-set is empty — so readers fall back to
     ``plan.old_values[node]`` for any node without a computed value.
     The executor guarantees a unit only reads nodes that are already
     *resolved* (executed or deactivated), so the fallback is sound.
@@ -361,22 +377,38 @@ class ValueStore:
     """
 
     def __init__(self, plan: "ExecutionPlan") -> None:
-        self._old = plan.old_values
+        #: what every Z-set is against
+        self.old = plan.old_values
+        #: what a skipped node falls back to and a unit continues from
+        self._committed = plan.old_values
         self._values: dict[int, Any] = {}
+        self._zsets: dict[int, dict] = {}
         self.notes: dict[int, dict[str, Any]] = {}
 
     def __getitem__(self, node: int) -> Any:
         got = self._values.get(node)
-        return self._old[node] if got is None else got
+        return self._committed[node] if got is None else got
 
     def committed(self, node: int) -> Any:
         """What the previous committed round left in ``node``, or
         ``None``. Read-only: a round that fails is retried from it."""
-        return self._old[node]
+        return self._committed[node]
 
-    def set(self, node: int, value: Any) -> None:
-        """Record a computed value (coordinator thread only)."""
+    def zset(self, node: int) -> dict:
+        """``node``'s Z-set against ``old[node]`` (read-only): empty
+        unless it ran and changed."""
+        return self._zsets.get(node, {})
+
+    def set(self, node: int, value: Any, zset: dict) -> None:
+        """Record an executed node's value and Z-set (coordinator only)."""
         self._values[node] = value
+        self._zsets[node] = zset
+
+    def changed(self, node: int) -> bool:
+        """The changed/unchanged signal of an executed node: its Z-set is
+        non-empty, or it has no committed value — on a miss even an
+        empty relation activates its readers."""
+        return bool(self._zsets[node]) or self.old[node] is None
 
     def computed(self, node: int) -> bool:
         """Whether ``node`` was actually executed this round."""
@@ -387,14 +419,10 @@ class RoundCtx:
     """The per-round data every unit closure reads.
 
     Mutated only between rounds (the plan is restamped), never while it
-    is executing, so worker threads read it without locks — except
-    ``zsets``, a per-round cache the task and fixpoint units fill: two
-    units that take one input's Z-set at once compute the same value,
-    and a fixpoint node fills its heads' entries before any reader of
-    them runs.
+    is executing, so worker threads read it without locks.
     """
 
-    __slots__ = ("baseline", "pool", "zdelta", "zsets")
+    __slots__ = ("baseline", "pool", "zdelta")
 
     def __init__(self, pool: InternPool) -> None:
         #: predicate → program facts ∪ its facts in the round's new EDB
@@ -404,13 +432,8 @@ class RoundCtx:
         #: the id space every unit's joins run in
         self.pool = pool
         #: the round's EDB delta, clamped against the committed EDB —
-        #: with the committed side only
+        #: with the committed side only: what an EDB node's Z-set is
         self.zdelta: ZSetDelta | None = None
-        #: node → its value's ``(Δ⁺, Δ⁻)`` id-rows since the committed
-        #: round, taken once per round by the first task or fixpoint
-        #: node that reads it — or, for a continued SCC's heads, left by
-        #: their fixpoint node
-        self.zsets: dict[int, tuple] = {}
 
 
 @dataclass
@@ -425,11 +448,11 @@ class ExecutionPlan:
     compiled: CompiledUpdate
     units: list[WorkUnit]
     #: node → its value under the *old* materialization, what the
-    #: previous committed round left in it — diffing against it (``!=``)
-    #: yields the real changed/unchanged signal. A :class:`Relation`, an
-    #: id-row ``set`` for a task, a predicate → relation dict for a
-    #: fixpoint node, or ``None`` — unequal to every value — when no
-    #: committed round left one.
+    #: previous committed round left in it — what every unit's Z-set is
+    #: against, and so the real changed/unchanged signal. A
+    #: :class:`Relation`, a :class:`CountedRows` for a task, a
+    #: predicate → relation dict for a fixpoint node, or ``None`` when
+    #: no committed round left one: the node then changed.
     old_values: list
     #: predicate → node id carrying its final value
     final_nodes: dict[str, int]
@@ -453,6 +476,15 @@ class ExecutionPlan:
             out.relations[pred] = values[node]
         return out
 
+    def net(self, values: ValueStore) -> dict[str, tuple[set, set]]:
+        """The executed round's change to the materialization: the sum
+        of the final nodes' Z-sets. A predicate no node carries is not
+        in it — it changes by the round's delta."""
+        out: dict[str, tuple[set, set]] = {}
+        for node in set(self.final_nodes.values()):
+            out.update(values.zset(node))
+        return out
+
     def execute_serial(self) -> tuple[ValueStore, dict[int, bool]]:
         """Run every unit in level order on the calling thread.
 
@@ -465,14 +497,12 @@ class ExecutionPlan:
         """
         values = self.new_store()
         # nothing committed to fall back on, or to continue from
-        values._old = [None] * len(self.units)
+        values._committed = [None] * len(self.units)
         diffs: dict[int, bool] = {}
         levels = self.compiled.trace.levels
-        for node in np.argsort(levels, kind="stable"):
-            unit = self.units[int(node)]
-            value = unit.execute(values)
-            values.set(unit.node, value)
-            diffs[unit.node] = value != self.old_values[unit.node]
+        for node in np.argsort(levels, kind="stable").tolist():
+            values.set(node, *self.units[node].run(values))
+            diffs[node] = values.changed(node)
         return values, diffs
 
 
@@ -482,19 +512,10 @@ class ProgramSkeleton:
     Derived from ``structure`` alone — the program it was built from and
     its node keys: the strata, the node carrying each predicate's final
     value, the tasks writing each predicate node, and per task its
-    counted rule plans and the nodes its read set comes from. Units
-    exchange :class:`Relation` objects: an EDB node publishes the
-    round's baseline relation, a task the counted id-rows its rule
-    derives (maintained from its inputs' Z-sets, or recomputed), a
-    predicate node the relation those rows (and the predicate's
-    baseline) add up to, still in id space, and a fixpoint node the
-    relations of its SCC under
-    :func:`~repro.datalog.seminaive.evaluate_stratum` — the evaluator's
-    own loop, columnar — continued from the committed round's seeded
-    with its inputs' Δ⁺ when they only grew, else grown from the entry
-    relations. Which body a node runs is decided by its input
-    Z-sets — their sign for a fixpoint node, which inputs changed for a
-    task — before any join runs.
+    counted rule plans and the nodes its read set comes from. The unit
+    bodies are the module docstring's; which one a node runs is decided
+    by its inputs' Z-sets — their sign for a fixpoint node, which inputs
+    changed for a task — before any join runs.
     """
 
     def __init__(
@@ -530,36 +551,6 @@ class ProgramSkeleton:
             if key[0] == "task":
                 head = self.rules[key[3]].head.predicate
                 self.writers.setdefault(head, []).append(nid)
-        #: EDB predicates whose node publishes the EDB relation as is (no
-        #: program fact joins it): their Z-set is the round's delta
-        self.clamped = edb - {f.head.predicate for f in program.facts}
-
-    def _zset(
-        self, ctx: RoundCtx, values: ValueStore, node: int, pred: str
-    ) -> tuple:
-        """``(Δ⁺, Δ⁻)`` id-rows of ``node``'s value since the committed
-        round, taken once per round — what a task maintains from and a
-        fixpoint node decides and continues on: empty when the value is
-        the committed object, the round's clamped delta interned for an
-        EDB relation, else the id-row differences of the two mirrors
-        (:func:`_mirror_diff`)."""
-        got = ctx.zsets.get(node)
-        if got is None:
-            was, now = values.committed(node), values[node]
-            if now is was:
-                got = _NO_CHANGE
-            elif ctx.zdelta is not None and pred in self.clamped:
-                ops = ctx.zdelta.ops_for(pred)
-                got = tuple(
-                    ctx.pool.intern_facts(
-                        pred, [f for f, w in ops if (w > 0) == grew]
-                    )
-                    for grew in (True, False)
-                )
-            else:
-                got = _mirror_diff(was, now, ctx.pool)
-            ctx.zsets[node] = got
-        return got
 
     # ------------------------------------------------------------------
     # unit construction (closures read ctx, never per-round captures)
@@ -569,8 +560,18 @@ class ProgramSkeleton:
         if kind == "edb":
             p = key[1]
 
-            def run(_values: ValueStore) -> Relation:
-                return ctx.baseline[p]
+            def run(values: ValueStore) -> tuple[Relation, dict]:
+                rel, was = ctx.baseline[p], values.old[nid]
+                if ctx.zdelta is None:
+                    # no delta to go by: recompute, diff the mirrors
+                    return rel, _mirror_diff(p, was, rel, ctx.pool)
+                # the round's clamped delta, bar the facts the program
+                # states: the baseline holds those either way
+                ops = ctx.zdelta.ops_for(p)
+                plus = [f for f, w in ops if w > 0 and f not in was]
+                minus = [f for f, w in ops if w < 0 and f not in rel]
+                intern = ctx.pool.intern_facts
+                return rel, _change(p, intern(p, plus), intern(p, minus))
 
         elif kind == "fix":
             si = key[1]
@@ -599,26 +600,24 @@ class ProgramSkeleton:
 
             def seed(values: ValueStore) -> dict[str, set] | None:
                 """Δ⁺ of what the SCC reads since the committed round,
-                predicate → id-rows — or ``None``, recompute: no
-                committed value, a retraction anywhere, or a change
-                under negation or an aggregate. Decided on the sign of
-                the inputs' Z-sets, the ones a task reads, before any
-                join runs. The SCC's own entry relations need no look:
-                every update entry point refuses a derived predicate,
-                so on a round with committed values they are the
-                committed round's objects."""
+                predicate → id-rows, off the inputs' Z-sets — or
+                ``None``, recompute: no committed value, a retraction
+                anywhere, or a change under negation or an aggregate.
+                The SCC's own entry relations need no look (see
+                :meth:`ProgramSkeleton.stamp`)."""
                 if values.committed(nid) is None:
                     return None
                 delta: dict[str, set] = {}
                 for q, src, sensitive in inputs:
-                    plus, minus = self._zset(ctx, values, src, q)
-                    if minus or (plus and sensitive):
-                        return None
-                    if plus:
+                    got = values.zset(src).get(q)
+                    if got:
+                        plus, minus = got
+                        if minus or sensitive:
+                            return None
                         delta[q] = plus
                 return delta
 
-            def run(values: ValueStore) -> dict[str, Relation]:
+            def run(values: ValueStore) -> tuple[dict[str, Relation], dict]:
                 db = Database({q: values[src] for q, src, _s in inputs})
                 delta = seed(values)
                 if delta is None:
@@ -636,14 +635,15 @@ class ProgramSkeleton:
                     rules, db, ctx.pool, orders=self.join_orders,
                     delta=delta, plans=plans,
                 )
-                if delta is not None:
-                    # what a head gained is its whole Z-set: no reader
-                    # diffs its two mirrors again
-                    for p, waves in gained.items():
-                        ctx.zsets[self.final_nodes[p]] = (
-                            set().union(*waves), frozenset()
-                        )
-                return {p: db.relations[p] for p in scc}
+                value = {p: db.relations[p] for p in scc}
+                was = values.old[nid] or dict.fromkeys(scc)
+                zset: dict = {}
+                for p in scc:
+                    if delta is None:
+                        zset.update(_mirror_diff(p, was[p], value[p], ctx.pool))
+                    elif p in gained:  # a continuation only adds
+                        zset[p] = (set().union(*gained[p]), set())
+                return value, zset
 
         elif kind == "pred":
             _, p, si, _k = key
@@ -651,20 +651,47 @@ class ProgramSkeleton:
             task_ids = tuple(self.writers.get(p, ()))
             if fix is not None:
 
-                def run(values: ValueStore) -> Relation:
-                    return values[fix][p]
+                def run(values: ValueStore) -> tuple[Relation, dict]:
+                    got = values.zset(fix).get(p)
+                    return values[fix][p], {p: got} if got else {}
 
             else:
 
-                def run(values: ValueStore) -> Relation:
-                    # the non-recursive stratum's one merge, as the
-                    # fixpoint loop does it: in id space
-                    rel = ctx.baseline[p].copy()
-                    mirror = rel.columnar(ctx.pool)
-                    for tid in task_ids:
-                        mirror.extend(values[tid])
+                def run(values: ValueStore) -> tuple[Relation, dict]:
+                    was = values.committed(nid)
+                    if was is None:
+                        # recompute: the non-recursive stratum's one
+                        # merge, as the fixpoint loop does it, in id space
+                        rel = ctx.baseline[p].copy()
+                        mirror = rel.columnar(ctx.pool)
+                        for tid in task_ids:
+                            mirror.extend(values[tid])
+                        rel.adopt(mirror)
+                        return rel, _mirror_diff(
+                            p, values.old[nid], rel, ctx.pool
+                        )
+                    # the writers' Z-sets summed: a row one gained is new
+                    # unless the value held it, a row one lost goes unless
+                    # the baseline or a writer still holds it
+                    moved = [values.zset(t)[p] for t in task_ids
+                             if p in values.zset(t)]
+                    old = was.columnar(ctx.pool)
+                    plus = set().union(*(z[0] for z in moved)) - old.rows
+                    held = ctx.baseline[p].columnar(ctx.pool).rows
+                    minus = {
+                        row for z in moved for row in z[1]
+                        if row not in held
+                        and not any(row in values[t] for t in task_ids)
+                    }
+                    if not plus and not minus:
+                        return was, {}
+                    mirror = old.clone()
+                    mirror.extend(plus)
+                    for row in minus:
+                        mirror.discard_row(row)
+                    rel = Relation(p, was.arity)
                     rel.adopt(mirror)
-                    return rel
+                    return rel, {p: (plus, minus)}
 
         else:
             # a task of a non-recursive stratum: it reads only earlier
@@ -674,16 +701,17 @@ class ProgramSkeleton:
                 self.rules[ri], self.join_orders.get(ri), self.final_nodes
             )
 
-            def run(values: ValueStore) -> CountedRows:
+            def run(values: ValueStore) -> tuple[CountedRows, dict]:
                 old = values.committed(nid)
                 changes = None
                 if isinstance(old, CountedRows):
-                    changes = task.changes(
-                        values, lambda n, q: self._zset(ctx, values, n, q)
-                    )
+                    changes = task.changes(values)
                 if changes is None:
                     values.notes[nid] = {"mode": "recompute", "delta_rows": 0}
-                    return task.recompute(values, ctx.pool)
+                    out = task.recompute(values, ctx.pool)
+                    return out, _mirror_diff(
+                        task.head, values.old[nid], out, ctx.pool
+                    )
                 values.notes[nid] = {
                     "mode": "maintain",
                     "delta_rows": sum(
@@ -722,19 +750,18 @@ class ProgramSkeleton:
         ``baseline`` maps every program predicate to its entry relation
         (program facts ∪ the round's new EDB); ``old_values`` are the
         node values the previous committed round left, ``None`` when
-        there are none — every node then diffs as changed, and
+        there are none — every node then reads as changed, and
         ``cu`` was staged with every source of ``G`` initial. With old
         values comes the round's EDB delta clamped against the EDB of
-        the round that left them: what a task or fixpoint node takes an
-        EDB input's Z-set from (without it, from the two mirrors). An
-        SCC head's entry relation needs no committed twin — no update
-        reaches a derived predicate, so on a round with old values it is
-        the committed round's object. Deterministic: stamping the same round twice (a failed round is
-        retried) yields identical state.
+        the round that left them: what an EDB node emits as its Z-set
+        (without it, it diffs the two mirrors). An SCC head's entry
+        relation needs no committed twin — no update reaches a derived
+        predicate, so on a round with old values it is the committed
+        round's object. Deterministic: stamping the same round twice (a
+        failed round is retried) yields identical state.
         """
         plan.ctx.baseline = baseline
         plan.ctx.zdelta = zdelta if old_values else None
-        plan.ctx.zsets = {}
         # rebind in place: ValueStore holds a reference to this list
         plan.old_values[:] = old_values or [None] * len(plan.units)
         plan.compiled = cu
@@ -751,7 +778,7 @@ def build_execution_plan(
     The plan the plan cache serves for that program, staged with no
     committed values (:func:`~repro.datalog.compiler.stage_update`,
     ``touched=None``): every source of ``G`` is initial, so every node
-    runs, diffs as changed, and a fixpoint node recomputes from the
+    runs, reads as changed, and a fixpoint node recomputes from the
     entry relations of ``cu.edb_new``. Of ``cu`` — a round
     :func:`~repro.datalog.compiler.compile_update` unrolled, or one
     staged — only the program, the two EDB snapshots and the trace's

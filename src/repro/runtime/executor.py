@@ -6,8 +6,8 @@ the same scheduler ABC, the same hook order (bootstrap → ``on_activate``
 same dispatch validation — but "executing a task" means a thread
 actually runs the node's :class:`~repro.datalog.units.WorkUnit` against
 the shared value store, and the changed/unchanged signal that decides
-child activation is the *real* diff between the unit's output and its
-value under the old materialization.
+child activation is the Z-set the unit emits with its output — the
+*real* change against its value under the old materialization.
 
 Threading model
 ---------------
@@ -180,8 +180,8 @@ class LiveActivationState(ActivationState):
 
     :class:`~repro.tasks.activation.ActivationState` delivers change
     signals from a precompiled per-edge array; in a real run the signal
-    only exists once the node has executed and its output has been
-    diffed. Completion therefore stamps the observed flag onto all of
+    only exists once the node has executed and emitted its Z-set.
+    Completion therefore stamps the observed flag onto all of
     the node's out-edges first — the compiler derives its per-edge
     flags the same way (``changed[source]`` broadcast over out-edges),
     so when real diffs match the compiled ones the cascades are
@@ -447,12 +447,12 @@ class RoundExecutor:
             try:
                 if injected:
                     raise InjectedUnitFault(unit.node, attempt)
-                value, err = unit.execute(values), None
+                out, err = unit.run(values), None
             except Exception as exc:  # handled by the coordinator; an
                 # interrupt is no unit's failure and ends the round
-                value, err = None, exc
+                out, err = None, exc
             completions.put(
-                ("done", unit.node, attempt, value, t0, perf_counter(), err)
+                ("done", unit.node, attempt, out, t0, perf_counter(), err)
             )
 
         if tracing:
@@ -682,9 +682,9 @@ class RoundExecutor:
                         _, node, attempt, t1, err = msg
                         lanes.live -= 1
                         outcome.lane_deaths += 1
-                        value, t0 = None, t1
+                        out, t0 = None, t1
                     else:
-                        _, node, attempt, value, t0, t1, err = msg
+                        _, node, attempt, out, t0, t1, err = msg
 
                     inflight -= 1
                     if watchdog is not None:
@@ -727,9 +727,8 @@ class RoundExecutor:
                             node, err, attempts, completions, lanes
                         ) from err
 
-                    values.set(node, value)
-                    changed = value != plan.old_values[node]
-                    outcome.diffs[node] = changed
+                    values.set(node, *out)
+                    outcome.diffs[node] = changed = values.changed(node)
                     outcome.records[node] = (t0 - origin, t1 - origin)
 
                     t = clock()

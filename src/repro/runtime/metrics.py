@@ -66,7 +66,8 @@ class RoundMetrics:
     #: their inputs' Z-sets through counted Δ-plans — instead of
     #: re-running their whole rule (``mode: "maintain"`` in the notes)
     maintained_tasks: int = 0
-    #: net facts inserted + deleted across the materialization
+    #: net facts inserted + deleted across the published
+    #: materialization: the final nodes' Z-sets, summed
     changed_facts: int = 0
     #: wall-clock end-to-end round latency (compile + execute + verify);
     #: starts when the drain returns (= the ``merge`` + ``round`` trace

@@ -180,40 +180,19 @@ class RoundReport:
     materialization_ok: bool = True
 
 
-def _round_diffs(
-    got: Database, old: Database | None, reference: Database | None
-) -> tuple[int, int]:
-    """``(diverging, changed)`` fact counts of one executed round.
-
-    ``diverging`` — counted only with a ``reference`` — is how many
-    facts the executed materialization ``got`` differs by from the
-    from-scratch one: 0 iff they are the same database. ``changed`` is
-    facts inserted plus deleted since ``old``, the materialization the
-    previous round left (everything, when there is none). One pass,
-    relation by relation, on the relations' own storage; a relation
-    object carried over by identity — an untouched node's value, an EDB
-    relation the evaluation shares — costs nothing.
-    """
-    diverging = changed = 0
-    for pred, rel in got.relations.items():
-        if reference is not None:
-            ref = reference.relations.get(pred)
-            if ref is None:
-                diverging += len(rel)
-            elif ref is not rel and ref != rel:
-                diverging += ref.diff_count(rel)
-        before = old.relations.get(pred) if old is not None else None
-        if before is None:
-            changed += len(rel)
-        elif before is not rel:
-            changed += rel.diff_count(before)
-    if reference is not None:
-        diverging += sum(
-            len(ref)
-            for pred, ref in reference.relations.items()
-            if pred not in got.relations
-        )
-    return diverging, changed
+def _differing_facts(a: Database, b: Database | None) -> int:
+    """How many facts are in exactly one of ``a`` and ``b`` (``None``:
+    the empty database). Relation by relation, on the relations' own
+    storage; a relation both hold by identity costs nothing."""
+    theirs = {} if b is None else b.relations
+    n = 0
+    for pred in a.relations.keys() | theirs.keys():
+        x, y = a.relations.get(pred), theirs.get(pred)
+        if x is None or y is None:
+            n += len(y if x is None else x)
+        elif x is not y and x != y:
+            n += x.diff_count(y)
+    return n
 
 
 class UpdateStreamService:
@@ -368,8 +347,8 @@ class UpdateStreamService:
             analyze_program(program) if analyze else None
         )
         #: every round compiles and plans through it (the program's
-        #: static DAG and bound plan are restamped, this round's outputs
-        #: are diffed against the previous round's verified node values,
+        #: static DAG and bound plan are restamped, this round's Z-sets
+        #: are against the previous round's verified node values,
         #: untouched relations keep their hash indexes); committed only
         #: after verification succeeds and rolled back on a failed
         #: round. Its ``plancache.*`` counters land in
@@ -802,7 +781,7 @@ class UpdateStreamService:
             cu, plan, compiled = self._compile_phase(zdelta)
             values, outcome, executed = self._execute_phase(plan, degraded)
             mat, artifacts, report, mat_ok, verified = self._verify_phase(
-                plan, values, outcome, degraded
+                plan, values, outcome, degraded, zdelta
             )
             # the round is verified: only now may the staged compile
             # become the baseline the next round's compile reuses —
@@ -923,6 +902,7 @@ class UpdateStreamService:
         values: ValueStore,
         outcome: RoundOutcome | None,
         degraded: bool,
+        zdelta: ZSetDelta,
     ) -> tuple[
         Database, RoundArtifacts | None, VerificationReport | None, bool, dict
     ]:
@@ -934,6 +914,10 @@ class UpdateStreamService:
         With ``verify`` the executed materialization is compared with a
         from-scratch one, evaluated here, and where they differ the
         from-scratch one is what the (non-strict) service adopts.
+        ``changed_facts`` is the final nodes' Z-sets plus ``zdelta``, the
+        clamped delta, where no node carries the predicate — or, for a
+        publish no Z-set describes (no committed node values, an adopted
+        reference), a relation diff.
         """
         t0 = perf_counter()
         if self.chaos is not None and self.chaos.phase_fails("verify"):
@@ -963,8 +947,9 @@ class UpdateStreamService:
                     reference = self.plan_cache.evaluate(cu)
             with sink.span("verify.compare", "phase"):
                 mat = plan.materialization(values)
-                diverging, changed_facts = _round_diffs(
-                    mat, self._materialization, reference
+                diverging = (
+                    0 if reference is None
+                    else _differing_facts(mat, reference)
                 )
             if diverging:
                 if self.strict:
@@ -972,6 +957,16 @@ class UpdateStreamService:
                         self._rounds_run, f"{diverging} facts differ"
                     )
                 mat = reference
+            if diverging or not plan.old_values or plan.old_values[0] is None:
+                changed_facts = _differing_facts(mat, self._materialization)
+            else:
+                changed_facts = sum(
+                    len(plus) + len(minus)
+                    for plus, minus in plan.net(values).values()
+                ) + sum(
+                    len(facts) for pred, facts in zdelta.weights.items()
+                    if pred not in plan.final_nodes
+                )
         return mat, artifacts, report, diverging == 0, {
             "verify_s": perf_counter() - t0,
             "changed_facts": changed_facts,

@@ -311,10 +311,10 @@ def test_an_untouched_round_continues_from_nothing_and_keeps_identity():
     cu, plan, committed, fix = _facts_plan()
     ProgramSkeleton.stamp(plan, cu, dict(plan.ctx.baseline), committed)
     store = plan.new_store()
-    value = fix.execute(store)
+    value, zset = fix.run(store)
     assert store.notes[fix.node] == {"mode": "continue", "delta_rows": 0}
     assert value["p"] is committed[fix.node]["p"]
-    assert value == plan.old_values[fix.node]
+    assert value == plan.old_values[fix.node] and zset == {}
 
 
 @pytest.mark.parametrize("name", ["facts", "tc", "sg", "pt"])

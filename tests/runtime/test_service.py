@@ -19,6 +19,8 @@ from repro.runtime import (
     make_stream,
 )
 from repro.schedulers import scheduler_registry
+from repro.workloads.datalog_workloads import DATALOG_WORKLOADS
+from repro.workloads.generated import UpdateStream, stratified_program
 
 REGISTRY = scheduler_registry()
 
@@ -260,22 +262,44 @@ def test_metrics_json_shape():
     assert round0["tasks_executed"] >= 0
 
 
-def test_changed_facts_is_the_old_to_new_materialization_diff():
-    """``changed_facts`` — read off the executed final values — is
+def _changed_facts_source(name):
+    """``(program, edb, ticks)``: a shipped program on its ``mixed``
+    stream, or a generated one (``gen-<seed>``) under its seeded
+    update stream — six ticks of batches either way."""
+    if name.startswith("gen-"):
+        seed = int(name[len("gen-"):])
+        gen = stratified_program(seed)
+        stream = UpdateStream(gen, seed)
+        ticks = [[stream.batch(), stream.batch()] for _ in range(6)]
+        return gen.program, gen.edb, ticks
+    wl = live_workload(name, seed=11)
+    return wl.program, wl.edb, list(make_stream(wl, "mixed", rounds=6))
+
+
+@pytest.mark.parametrize(
+    "name", [*sorted(DATALOG_WORKLOADS), "gen-5", "gen-23"]
+)
+def test_changed_facts_is_the_old_to_new_materialization_diff(name):
+    """``changed_facts`` — the sum of the final nodes' Z-sets — is
     |db_old Δ db_new| of the two from-scratch materializations, on
     rounds that change facts and on rounds that leave whole relations
-    alone; the first round, with no materialization before it, changes
-    every fact it holds."""
-    wl, svc = make_service("retail")
+    alone, on rounds whose fixpoint nodes continue and on every third
+    one, forced degraded and run serially; the first round, with no
+    materialization before it, changes every fact it holds."""
+    program, edb, ticks = _changed_facts_source(name)
+    svc = UpdateStreamService(program, edb, REGISTRY["hybrid"](), workers=4)
     seen = 0
     old = {}
-    for batches in make_stream(wl, "mixed", rounds=6):
+    for i, batches in enumerate(ticks):
+        forced = i % 3 == 1
+        svc.health.plan_round = lambda: forced
         for delta in batches:
             svc.submit(delta)
         rep = svc.run_round()
         if rep is None or rep.compiled is None:
             continue
-        new = seminaive_evaluate(wl.program, rep.compiled.edb_new)[0].as_dict()
+        assert rep.metrics.degraded is forced
+        new = seminaive_evaluate(program, rep.compiled.edb_new)[0].as_dict()
         expected = sum(
             len(old.get(p, set()) ^ new.get(p, set()))
             for p in old.keys() | new.keys()
@@ -301,9 +325,10 @@ def test_diverging_unit_output_is_caught_relation_by_relation(strict):
         run = unit.run
 
         def lossy(values):
-            rel = run(values).copy()
+            rel, zset = run(values)
+            rel = rel.copy()
             rel.discard(min(rel))
-            return rel
+            return rel, zset
 
         unit.run = lossy
         return plan
@@ -318,3 +343,8 @@ def test_diverging_unit_output_is_caught_relation_by_relation(strict):
     else:
         rep = svc.run_round()
         assert rep is not None and not rep.materialization_ok
+        # counted against what the round publishes: the from-scratch
+        # materialization it adopted, over no materialization before it
+        assert rep.metrics.changed_facts == sum(
+            map(len, svc.materialization().relations.values())
+        )

@@ -335,16 +335,16 @@ def _install_liar(svc, kind):
             honest = unit.run
 
             def run(values):
-                value = honest(values)
+                value, zset = honest(values)
                 facts = (
                     sum(map(len, value.values()))
                     if isinstance(value, dict)
                     else len(value)
                 )
                 if state["lied"] or not facts:
-                    return value
+                    return value, zset
                 state["lied"] = True
-                return _lossy(value)
+                return _lossy(value), zset
 
             unit.run = run
         return bound

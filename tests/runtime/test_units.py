@@ -79,9 +79,11 @@ def test_value_store_falls_back_to_old_values(compiled_workloads):
     store = plan.new_store()
     assert not store.computed(0)
     assert store[0] is plan.old_values[0] is committed[0]
-    store.set(0, frozenset({("x",)}))
-    assert store.computed(0)
+    assert store.zset(0) == {}
+    store.set(0, frozenset({("x",)}), {"x": ({("x",)}, set())})
+    assert store.computed(0) and store.changed(0)
     assert store[0] == frozenset({("x",)})
+    assert store.zset(0) == {"x": ({("x",)}, set())}
 
 
 @pytest.mark.parametrize("name", sorted(DATALOG_WORKLOADS))
