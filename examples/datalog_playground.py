@@ -2,10 +2,10 @@
 """Datalog engine playground — parse, evaluate, update, inspect.
 
 Shows the engine features the other examples use implicitly: parsing,
-stratification (including a rejection), semi-naive evaluation traces,
+stratification (including a rejection), semi-naive evaluation,
 transitive closure with deletions (the fixpoint recomputed, a fact with
-another derivation kept), and exporting a compiled computation DAG to
-Graphviz DOT.
+another derivation kept), and exporting a compiled computation DAG —
+the engine's round on the program's static DAG — to Graphviz DOT.
 
 Run:  python examples/datalog_playground.py
 """
@@ -43,13 +43,9 @@ def main() -> None:
     for i, s in enumerate(strata):
         print(f"  {i}: {s}")
 
-    db, trace = seminaive_evaluate(program, record=True)
+    db, _ = seminaive_evaluate(program)
     print(f"\nreach: {sorted(db.relations['reach'])}")
     print(f"isolated: {sorted(db.relations['isolated'])}")
-    print(
-        "semi-naive iterations per stratum:",
-        [len(it) for it in trace.iterations],
-    )
 
     # --- unstratifiable programs are rejected -------------------------
     try:
@@ -85,6 +81,10 @@ def main() -> None:
         f"\ncompiled computation DAG: {t.dag.n_nodes} nodes, "
         f"{t.dag.n_edges} edges, {t.n_levels} levels, "
         f"{t.n_active_jobs} activated task(s)"
+    )
+    print(
+        "nodes the round ran:",
+        [t.dag.name_of(int(v)) for v in t.active_nodes],
     )
     print("DOT preview (first lines):")
     for line in to_dot(t.dag, max_nodes=8).splitlines()[:8]:

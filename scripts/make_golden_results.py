@@ -89,9 +89,11 @@ def dlog_deltas():
 
 
 def datalog_trace() -> JobTrace:
-    """A real compiled-update trace: the stream's second round,
-    unrolled from its answer by ``compile_update`` — the same trace
-    tests/sim/test_faults.py checks the goldens against."""
+    """A real compiled-update trace: the stream's second round as
+    ``compile_update`` returns it — the engine's round on the static
+    DAG (``edb:edge → fix@1 → path@1.0``) with the change flags its
+    execution observed — the same trace tests/sim/test_faults.py checks
+    the goldens against."""
     from repro.datalog import Database, compile_update, parse_program
 
     program = parse_program(DLOG_PROGRAM)

@@ -7,55 +7,47 @@ and an update to the base data activates some of them.
 
 Construction
 ------------
-Two from-scratch semi-naive materializations are recorded — one on the
-old EDB, one on the updated EDB. Their union unrolls the program's
-dataflow into the static DAG ``G``:
+There is one DAG model. :func:`build_round_structure` builds the
+program's *static* DAG ``G`` from the program alone, whatever the
+facts:
 
 * ``("edb", p)`` — a source node per base predicate;
-* ``("task", si, k, ri, pos)`` — the rule instance evaluated at
-  iteration ``k`` of stratum ``si`` (``pos`` is the Δ-restricted body
-  position, None at iteration 0);
-* ``("pred", p, si, k)`` — the accumulated state of predicate ``p``
-  after iteration ``k`` — the "predicate nodes used to collect inputs
-  and outputs" of Figure 1 (zero work, ``is_task=False``).
+* ``("task", si, ri)`` — rule ``ri`` of the non-recursive stratum
+  ``si``;
+* ``("pred", p, si)`` — the value of predicate ``p`` once its stratum
+  is done — the "predicate nodes used to collect inputs and outputs" of
+  Figure 1 (zero work, ``is_task=False``);
+* ``("fix", si)`` — the recursive SCC ``si`` as one node, its whole
+  semi-naive fixpoint, between the predicates it reads and its own
+  predicates' nodes.
 
-Edges wire each task to the predicate states it reads and writes, with
-pass-through edges chaining successive states of the same predicate.
+:func:`stage_update` stamps a round onto ``G`` without evaluating
+anything: the touched EDB nodes are the initial tasks, every task is
+charged one unit of work, and the change flags are left for execution
+to observe. That staged round is what the plan cache serves and
+:mod:`repro.datalog.units` runs.
 
 Activation
 ----------
-A node's realized output *changed* iff the recorded value differs
-between the two materializations: for an EDB node, the update touches
-it; for a task, its join produced a different fact set (the recorded
-output is a pure function of the task's inputs); for a predicate-state
-node, the accumulated relation differs. Every out-edge of a changed
-node carries a change flag, and the updated EDB nodes are the initial
-tasks — :func:`repro.tasks.activation.propagate_changes` then reveals
-exactly the re-execution the paper's model prescribes, including
-activated tasks whose output turns out unchanged (they run but stop
-the cascade).
+A compiled trace is the engine's round with its observed flags.
+:func:`compile_update` runs the update through the library engine
+(:class:`~repro.datalog.incremental.IncrementalEngine`): a node runs iff
+it is an initial task or an input's Z-set was non-empty, and a node
+whose Z-set comes out empty stops the cascade. What the round observed
+is stamped onto its trace — every out-edge of a node that ran and
+changed carries a change flag — so
+:func:`repro.tasks.activation.propagate_changes` reveals exactly the
+nodes the round ran, including activated tasks whose output turned out
+unchanged (they run but stop the cascade).
 
-Task work is ``work_per_derivation × (1 + |join output|)``, so heavy
-joins dominate the schedule the way they dominate real maintenance.
-
-The static ``G``
-----------------
-The construction above derives the graph from the answer — fine for a
-simulator input, backwards for a server, and nothing executes it: it is
-a trace, the input of the simulator benches that reproduce the paper's
-tables. :func:`build_round_structure` without iteration counts builds
-the graph that runs instead, from the program alone: the same EDB, task
-and predicate-state nodes for every non-recursive stratum, and one
-``("fix", si)`` node per recursive SCC that runs the stratum's
-semi-naive loop to fixpoint (:mod:`repro.datalog.units`).
-:func:`stage_update` stamps a round onto it without evaluating anything:
-the touched EDB nodes are the initial tasks and the change flags are
-left for execution to observe (see :mod:`repro.datalog.plancache`).
+Task work is ``work_per_derivation × (1 + rows of its value)``, so heavy
+joins and deep fixpoints dominate the schedule the way they dominate
+real maintenance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -67,7 +59,6 @@ from ..tasks.trace import JobTrace
 from .ast import Program
 from .database import Database
 from .depgraph import DependencyGraph
-from .seminaive import EvaluationTrace, seminaive_evaluate
 from .zset import (
     Delta,
     ZSetDelta,
@@ -91,17 +82,16 @@ __all__ = [
 
 @dataclass
 class CompiledUpdate:
-    """The job trace plus the evaluation artifacts behind it.
+    """One round staged onto the static ``G``: its job trace, the program
+    and the two EDB snapshots.
 
     ``node_keys[i]`` is the builder key of DAG node ``i`` — an
-    ``("edb", p)``, ``("task", si, k, ri, pos)``, ``("pred", p, si, k)``
-    or ``("fix", si)`` tuple. ``structure`` is the static half ``trace``
-    was stamped onto. A round staged onto the static ``G``
-    (:func:`stage_update`) is what :mod:`repro.datalog.units` runs.
-
-    The two materializations exist only for a round
-    :func:`compile_update` unrolled from them; a staged round evaluated
-    nothing and leaves them ``None``.
+    ``("edb", p)``, ``("task", si, ri)``, ``("pred", p, si)`` or
+    ``("fix", si)`` tuple. ``structure`` is the static half ``trace``
+    was stamped onto, what :mod:`repro.datalog.units` runs. Nothing here
+    holds a materialization: a staged round evaluated nothing, and
+    :func:`compile_update` returns the engine's round with only its
+    observed flags and work stamped on.
     """
 
     trace: JobTrace
@@ -109,43 +99,10 @@ class CompiledUpdate:
     edb_old: Database
     edb_new: Database
     structure: "RoundStructure"
-    db_old: Database | None = None
-    db_new: Database | None = None
 
     @property
     def node_keys(self) -> list:
         return self.structure.node_keys
-
-
-def _cumulative_states(
-    program: Program,
-    ev: EvaluationTrace,
-    edb: Database,
-) -> dict[tuple, frozenset]:
-    """State of each predicate after each (stratum, iteration).
-
-    Key ``(p, si, k)`` → frozen set of facts. Iteration −1 denotes the
-    state a stratum starts from (facts from earlier strata / EDB).
-    """
-    rules = program.proper_rules
-    current: dict[str, set] = {
-        p: set(rel) for p, rel in edb.relations.items()
-    }
-    for fact_rule in program.facts:
-        current.setdefault(fact_rule.head.predicate, set()).add(
-            tuple(t.value for t in fact_rule.head.terms)  # type: ignore[union-attr]
-        )
-    states: dict[tuple, frozenset] = {}
-    for si, stratum in enumerate(ev.strata):
-        for p in stratum:
-            states[(p, si, -1)] = frozenset(current.get(p, set()))
-        for k, rec in enumerate(ev.iterations[si]):
-            for (ri, _pos), produced in rec.items():
-                head = rules[ri].head.predicate
-                current.setdefault(head, set()).update(produced)
-            for p in stratum:
-                states[(p, si, k)] = frozenset(current.get(p, set()))
-    return states
 
 
 def prepare_update(
@@ -154,8 +111,9 @@ def prepare_update(
     delta: "Delta | ZSetDelta",
     apply: Callable[[Database, ZSetDelta], Database] = apply_zdelta,
 ) -> tuple[ZSetDelta, Database, Database]:
-    """What :func:`compile_update` and the plan cache's ``compile`` do
-    before anything runs: ``(zdelta, edb_old, edb_new)``.
+    """What the plan cache's ``compile`` — every round, hence
+    :func:`compile_update`'s too — does before anything runs:
+    ``(zdelta, edb_old, edb_new)``.
 
     The update is refused by :func:`~repro.datalog.zset.check_update`:
     a fact of a derived predicate, or one whose length is not its
@@ -177,9 +135,6 @@ def prepare_update(
     return zdelta, edb_old, apply(edb_old, zdelta)
 
 
-_NO_FACTS: frozenset = frozenset()
-
-
 def compile_update(
     program: Program,
     edb_old: Database,
@@ -188,88 +143,50 @@ def compile_update(
     name: str = "datalog-update",
     analysis: "ProgramAnalysis | None" = None,
 ) -> CompiledUpdate:
-    """Compile ``(program, edb_old, delta)`` into a schedulable trace.
+    """Compile ``(program, edb_old, delta)`` into a schedulable trace:
+    the library engine's round on the static ``G``.
 
-    Records both materializations, unrolls each stratum to the larger of
-    the two iteration counts (:func:`build_round_structure`) and stamps
-    what differs between them onto that ``G``: per-node change flags
-    (hence per-edge flags), task work, and the touched EDB nodes as the
-    initial tasks. Touched predicates ``G`` has no EDB node for —
-    mentioned by no rule — activate nothing (the EDB still carries their
-    facts through the materialization).
+    ``edb_old`` is materialized as a miss, then ``delta`` runs through
+    :class:`~repro.datalog.incremental.IncrementalEngine`'s one round.
+    The result is that round as staged, with what its execution observed
+    stamped onto the trace: each node that ran and emitted a non-empty
+    Z-set flags its out-edges changed, and a task or fixpoint node costs
+    ``work_per_derivation × (1 + rows of its value)``. The trace's
+    propagation therefore executes exactly the nodes the round ran.
+    Touched predicates ``G`` has no EDB node for — mentioned by no rule
+    — activate nothing.
 
-    ``analysis`` is accepted and unused: the unrolled ``G`` is the whole
-    program's, whatever the analyzer proves about it (the end-to-end
-    benchmark's layer probes still pass it).
+    ``analysis`` is accepted and unused: ``G`` is the whole program's,
+    whatever the analyzer proves about it (the end-to-end benchmark's
+    layer probes still pass it).
     """
-    zdelta, edb_old, edb_new = prepare_update(program, edb_old, delta)
-    db_old, ev_old = seminaive_evaluate(program, edb_old, record=True)
-    db_new, ev_new = seminaive_evaluate(program, edb_new, record=True)
-    its_old, its_new = ev_old.iterations, ev_new.iterations
-    # The rule instances of an iteration follow from the program — every
-    # rule of the stratum at iteration 0, one instance per positive
-    # occurrence of a recursive stratum predicate afterwards — so the
-    # iteration counts alone decide the structure; the evaluator records
-    # no other instance (a Δ predicate is always a stratum-local head,
-    # and a stratum is one SCC), which the coverage count below checks.
-    structure = build_round_structure(
-        program,
-        tuple(max(len(a), len(b)) for a, b in zip(its_old, its_new)),
-    )
-    states_old = _cumulative_states(program, ev_old, edb_old)
-    states_new = _cumulative_states(program, ev_new, edb_new)
+    # incremental → plancache → this module: import at call time
+    from .incremental import IncrementalEngine
 
-    n = len(structure.node_keys)
-    changed = np.zeros(n, dtype=bool)
-    work = np.zeros(n, dtype=np.float64)
-    covered = 0
-    for nid, key in enumerate(structure.node_keys):
-        kind = key[0]
-        if kind == "task":
-            _, si, k, ri, pos = key
-            rec_old = its_old[si][k] if k < len(its_old[si]) else {}
-            rec_new = its_new[si][k] if k < len(its_new[si]) else {}
-            out_old = rec_old.get((ri, pos), _NO_FACTS)
-            out_new = rec_new.get((ri, pos), _NO_FACTS)
-            covered += ((ri, pos) in rec_old) + ((ri, pos) in rec_new)
-            changed[nid] = out_old != out_new
-            work[nid] = work_per_derivation * (
-                1 + max(len(out_old), len(out_new))
+    plan, values = IncrementalEngine(program, edb_old)._round(delta)
+    cu = plan.compiled
+    structure = cu.structure
+    changed = np.zeros(len(plan.units), dtype=bool)
+    work = np.zeros(len(plan.units), dtype=np.float64)
+    for node in range(len(plan.units)):
+        changed[node] = values.computed(node) and values.changed(node)
+        if structure.is_task[node]:
+            value = values[node]
+            rows = (
+                len(value) if isinstance(value, set)
+                else sum(map(len, value.values()))
             )
-        elif kind == "pred":
-            _, p, si, k = key
-            # past a materialization's fixpoint, state stays at its last
-            ko = min(k, len(its_old[si]) - 1)
-            kn = min(k, len(its_new[si]) - 1)
-            old = states_old.get((p, si, ko), states_old.get((p, si, -1)))
-            new = states_new.get((p, si, kn), states_new.get((p, si, -1)))
-            changed[nid] = old != new
-        else:
-            # an EDB node changes iff its relation actually changed
-            # (deleting an absent fact, or re-inserting a present one,
-            # changes nothing)
-            changed[nid] = _relation_changed(edb_old, edb_new, key[1])
-
-    if covered != ev_old.total_tasks() + ev_new.total_tasks():
-        raise ValueError(
-            "an evaluation trace records a rule instance the unrolled "
-            "structure has no task node for"
-        )
-    return CompiledUpdate(
+            work[node] = work_per_derivation * (1 + rows)
+    return replace(
+        cu,
         trace=_round_trace(
             structure,
             work,
-            _edb_nodes(structure, zdelta.touched_predicates()),
+            cu.trace.initial_tasks.tolist(),
             changed[structure.edge_sources],
             work_per_derivation,
             name,
         ),
-        program=program,
-        edb_old=edb_old,
-        edb_new=edb_new,
-        structure=structure,
-        db_old=db_old,
-        db_new=db_new,
     )
 
 
@@ -277,11 +194,11 @@ def compile_update(
 class RoundStructure:
     """The static half of a compiled round: ``G`` and what follows from it.
 
-    A function of the program and, for an unrolled graph, of how many
-    iterations each stratum unrolls to — never of the facts.
-    :func:`compile_update` / :func:`stage_update` write one round's
-    initial tasks, work and change flags onto it; the plan cache keeps
-    the one static structure of each program it runs.
+    A function of the program alone — never of the facts: one DAG model
+    for every round. :func:`stage_update` writes one round's initial
+    tasks, work and change flags onto it (and :func:`compile_update`
+    the flags its execution observed); the plan cache keeps the one
+    structure of each program it runs.
     """
 
     program: Program
@@ -296,25 +213,21 @@ class RoundStructure:
     n_strata: int
 
 
-def build_round_structure(
-    program: Program, n_iters: tuple[int, ...] | None = None
-) -> RoundStructure:
-    """The program's dataflow as the DAG ``G``.
+def build_round_structure(program: Program) -> RoundStructure:
+    """The program's dataflow as the static DAG ``G``.
 
-    With ``n_iters`` — iterations per stratum, in stratification order,
-    as :func:`compile_update` records them — every recursive stratum is
-    unrolled that many times. Without, ``G`` is *static*: one iteration
-    per stratum, and a recursive stratum is a single ``("fix", si)``
-    node between its inputs and its predicates' ``("pred", p, si, 0)``
-    nodes, whatever depth its fixpoint reaches on a given EDB.
+    A source per EDB predicate; per non-recursive stratum a task per
+    rule, reading the nodes that carry its body predicates' final
+    values and writing its head's predicate node; per recursive SCC one
+    ``("fix", si)`` node between the predicates its rules read outside
+    the SCC and the SCC's predicate nodes, whatever depth its fixpoint
+    reaches on a given EDB. Labels read ``edb:p``, ``r{ri}@{si}.0``,
+    ``p@{si}.0`` and ``fix@{si}``.
     """
     depgraph = DependencyGraph(program)
     strata = depgraph.stratify()
     rules = program.proper_rules
     recursive = depgraph.recursive_predicates()
-    static = n_iters is None
-    if n_iters is None:
-        n_iters = (1,) * len(strata)
 
     stratum_of: dict[str, int] = {}
     for si, comp in enumerate(strata):
@@ -330,10 +243,9 @@ def build_round_structure(
     def out_node(p: str) -> int:
         """The node carrying ``p``'s final value for later strata."""
         if p in edb_set:
-            return b.node(("edb", p), f"edb:{p}")
+            return b.node(("edb", p))
         si = stratum_of[p]
-        last = n_iters[si] - 1
-        return b.node(("pred", p, si, last), f"{p}@{si}.{last}")
+        return b.node(("pred", p, si), f"{p}@{si}.0")
 
     for si, stratum in enumerate(strata):
         stratum_set = set(stratum)
@@ -341,7 +253,7 @@ def build_round_structure(
             (ri, r) for ri, r in enumerate(rules)
             if r.head.predicate in stratum_set
         ]
-        if static and stratum_set & recursive:
+        if stratum_set & recursive:
             # the whole fixpoint is one node: it reads every predicate
             # the SCC's rules mention outside the SCC, writes the SCC
             fnode = b.node(("fix", si), f"fix@{si}")
@@ -350,54 +262,18 @@ def build_round_structure(
                     if q not in stratum_set:
                         b.add_edge(out_node(q), fnode)
             for p in stratum:
-                b.add_edge(fnode, b.node(("pred", p, si, 0), f"{p}@{si}.0"))
+                b.add_edge(fnode, out_node(p))
             continue
-        for k in range(n_iters[si]):
-            # predicate-state nodes after iteration k, with pass-through
-            # (EDB predicates keep their single source node instead)
-            for p in stratum:
-                if p in edb_set:
-                    continue
-                node = b.node(("pred", p, si, k), f"{p}@{si}.{k}")
-                if k > 0:
-                    b.add_edge(b.node(("pred", p, si, k - 1)), node)
-
-            # task nodes: every rule of the stratum at iteration 0, then
-            # one instance per Δ-restricted recursive occurrence
-            if k == 0:
-                keys: list[tuple[int, int | None]] = [
-                    (ri, None) for ri, _ in stratum_rules
-                ]
-            else:
-                keys = [
-                    (ri, pos)
-                    for ri, rule in stratum_rules
-                    for pos, lit in enumerate(rule.body)
-                    if lit.atom is not None
-                    and not lit.negated
-                    and lit.atom.predicate in stratum_set
-                    and lit.atom.predicate in recursive
-                ]
-            for ri, pos in keys:
-                rule = rules[ri]
-                tnode = b.node(
-                    ("task", si, k, ri, pos), f"r{ri}@{si}.{k}" +
-                    (f".d{pos}" if pos is not None else ""),
-                )
-                # inputs
-                for lit in rule.body:
-                    if lit.atom is None:
-                        continue
-                    q = lit.atom.predicate
-                    if q in stratum_set and q not in edb_set:
-                        if k > 0:
-                            b.add_edge(b.node(("pred", q, si, k - 1)), tnode)
-                        # at k == 0 a stratum-local predicate holds only
-                        # program facts — no dataflow node feeds it
-                    else:
-                        b.add_edge(out_node(q), tnode)
-                # output
-                b.add_edge(tnode, b.node(("pred", rule.head.predicate, si, k)))
+        # a non-recursive stratum is one predicate its rules do not read
+        for p in stratum:
+            if p not in edb_set:
+                out_node(p)
+        for ri, rule in stratum_rules:
+            tnode = b.node(("task", si, ri), f"r{ri}@{si}.0")
+            for lit in rule.body:
+                if lit.atom is not None:
+                    b.add_edge(out_node(lit.atom.predicate), tnode)
+            b.add_edge(tnode, out_node(rule.head.predicate))
 
     dag = b.build()
     node_keys = b.keys()
@@ -414,15 +290,6 @@ def build_round_structure(
         edge_sources=np.ascontiguousarray(dag.edge_array()[:, 0]),
         n_strata=len(strata),
     )
-
-
-def _relation_changed(old: Database, new: Database, pred: str) -> bool:
-    """Whether ``pred`` holds different facts in the two databases."""
-    old_rel = old.relations.get(pred)
-    new_rel = new.relations.get(pred)
-    old_facts = set(old_rel) if old_rel is not None else set()
-    new_facts = set(new_rel) if new_rel is not None else set()
-    return old_facts != new_facts
 
 
 def _edb_nodes(structure: RoundStructure, touched: set[str]) -> list[int]:

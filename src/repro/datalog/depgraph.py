@@ -5,10 +5,10 @@ The *predicate dependency graph* has one node per predicate and an edge
 (marked negative when the occurrence is negated). Strongly connected
 components (Tarjan, iterative) identify mutually recursive predicate
 groups; a program is *stratifiable* iff no negative edge lies inside an
-SCC. Strata are the SCCs in topological order — the evaluation and
-incremental-maintenance engines process them bottom-up, and the DAG
-compiler unrolls each recursive SCC's fixpoint iterations into levels
-of the computation DAG.
+SCC. Strata are the SCCs in topological order — the evaluator
+processes them bottom-up, and the one computation DAG
+(:func:`~repro.datalog.compiler.build_round_structure`) makes each
+recursive SCC's whole fixpoint one node.
 """
 
 from __future__ import annotations

@@ -153,9 +153,11 @@ class IncrementalEngine:
             net,
         )
 
-    def _round(self, zdelta: ZSetDelta) -> tuple[ExecutionPlan, ValueStore]:
-        """Stage ``zdelta`` onto ``G``, run it, commit it."""
-        cu = self.cache.compile(self.program, self._edb, zdelta)
+    def _round(
+        self, delta: "Delta | ZSetDelta"
+    ) -> tuple[ExecutionPlan, ValueStore]:
+        """Stage ``delta`` onto ``G``, run it, commit it."""
+        cu = self.cache.compile(self.program, self._edb, delta)
         plan = self.cache.plan(cu)
         values = _execute_activated(plan)
         self.cache.commit(cu, values)

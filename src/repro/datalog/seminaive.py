@@ -1,23 +1,24 @@
 """Stratified bottom-up evaluation: naive and semi-naive.
 
-Semi-naive evaluation is the workhorse of Datalog materialization and
-the source of the computation DAGs this paper schedules: each stratum's
-fixpoint is computed iteratively, and at iteration ``k`` each recursive
-rule is evaluated once per body occurrence of a recursive predicate,
-with that occurrence restricted to Δ\\ :sub:`k-1` (the facts newly
-derived in the previous iteration). The (rule, Δ-position, iteration)
-instances are exactly the *tasks* the DAG compiler emits.
+Semi-naive evaluation is the workhorse of Datalog materialization:
+each stratum's fixpoint is computed iteratively, and at iteration ``k``
+each recursive rule is evaluated once per body occurrence of a
+recursive predicate, with that occurrence restricted to
+Δ\\ :sub:`k-1` (the facts newly derived in the previous iteration). In
+the computation DAG this paper schedules, a recursive stratum's whole
+loop is one fixpoint node: there is one DAG, the static one
+(:func:`~repro.datalog.compiler.build_round_structure`), and a compiled
+trace is the engine's round on it with its observed flags.
 
 :func:`naive_evaluate` re-derives everything every iteration and serves
 as the test oracle for :func:`seminaive_evaluate`.
 
 :func:`evaluate_stratum` is the package's one semi-naive loop. Every
 fixpoint anything computes runs through it: :func:`seminaive_evaluate`
-(the verify check, the row oracle, the traces
-:func:`~repro.datalog.compiler.compile_update` records) and the static
-DAG's fixpoint node (:mod:`repro.datalog.units`), which recomputes its
-SCC with it from iteration 0 or continues the committed fixpoint with
-it, seeded with what its inputs gained — insertion maintenance is the
+(the verify check, the row oracle) and the static DAG's fixpoint node
+(:mod:`repro.datalog.units`), which recomputes its SCC with it from
+iteration 0 or continues the committed fixpoint with it, seeded with
+what its inputs gained — insertion maintenance is the
 same loop started from Δ. Nothing else here maintains a
 materialization: that is the static DAG, run by the served round and by
 :class:`~repro.datalog.incremental.IncrementalEngine` alike.
@@ -49,33 +50,13 @@ __all__ = [
 
 @dataclass
 class EvaluationTrace:
-    """What semi-naive evaluation did — consumed by the DAG compiler.
+    """The strata :func:`seminaive_evaluate` ran, in evaluation order.
 
-    ``iterations[stratum_idx]`` is a list of iteration records; each
-    record maps ``(rule_idx, delta_pos)`` to the set of *all* facts the
-    rule instance's join produced in that iteration. ``rule_idx``
-    indexes ``program.proper_rules`` (global, not stratum-local);
-    ``delta_pos`` is None for non-recursive rules, evaluated once in
-    iteration 0.
-    Recording the full join output — not only the facts that were new —
-    makes each record a pure function of the rule's input relations,
-    which the DAG compiler relies on to decide whether a task's output
-    *changed* between two materializations. Evaluation uses snapshot
-    (two-phase) iteration semantics — every rule instance of iteration
-    ``k`` joins against the state *after iteration k−1*, and the facts
-    it derives only become visible at iteration ``k+1`` — so each
-    record is a pure function of the predicate states the compiled DAG
-    wires into the task, and re-executing the instances in any
-    precedence-respecting order (in particular concurrently, in
-    :mod:`repro.runtime`) reproduces the recorded outputs exactly.
-    """
+    Nothing per iteration: there is one DAG, and a compiled trace is
+    the engine's round on it with its observed flags, not a record of
+    an evaluation."""
 
     strata: list[list[str]] = field(default_factory=list)
-    iterations: list[list[dict]] = field(default_factory=list)
-
-    def total_tasks(self) -> int:
-        """Total (rule, Δ-position, iteration) instances recorded."""
-        return sum(len(it) for stratum in self.iterations for it in stratum)
 
 
 def _seed_facts(program: Program, db: Database) -> None:
@@ -139,22 +120,20 @@ def evaluate_stratum(
     rules: list[tuple[int, Rule]],
     db: Database,
     pool: InternPool | None = None,
-    record: bool = False,
     max_iterations: int | None = None,
     orders: dict[int, tuple[int, ...]] | None = None,
     delta: dict[str, set] | None = None,
     plans: dict[tuple[int, int | None], RulePlan] | None = None,
-) -> tuple[list[dict], dict[str, list[set]]]:
+) -> dict[str, list[set]]:
     """Run one stratum's semi-naive loop to fixpoint over ``db``.
 
     ``rules`` are the stratum's ``(proper-rule index, rule)`` pairs;
     ``db`` holds every relation they read (a missing head is created
     empty); ``orders`` maps rule indices to body evaluation orders (the
-    analyzer's join hints). Returns the iteration records of
-    :class:`EvaluationTrace` (fact sets only with ``record``) and, for a
-    run seeded with ``delta``, per head that gained rows each
-    iteration's Δ of it in order: disjoint row sets whose union is what
-    the loop added (empty for an unseeded run).
+    analyzer's join hints). Returns, for a run seeded with ``delta``, per
+    head that gained rows each iteration's Δ of it in order: disjoint
+    row sets whose union is what the loop added (empty for an unseeded
+    run).
 
     With ``delta=None`` the heads hold the stratum's entry state:
     iteration 0 runs every rule in full, every later one each positive
@@ -232,7 +211,6 @@ def evaluate_stratum(
     seeded = delta is not None
     if delta is not None:
         delta = {p: wrap(p, rows) for p, rows in delta.items() if rows}
-    iteration_records: list[dict] = []
     copied: set[str] = set()
     gained: dict[str, list[set]] = {}
     rounds = 0
@@ -241,19 +219,11 @@ def evaluate_stratum(
         # the state the previous iteration left, and the outputs merge
         # only after all have run — no rule sees a fact derived earlier
         # in the same iteration
-        staged: list[tuple[str, set]] = []
-        rec: dict = {}
-        for p in (None,) if delta is None else delta:
-            for ri, rule, pos in instances.get(p, ()):
-                produced = derive(ri, rule, pos, delta)
-                if record and (produced or delta is None):
-                    rec[(ri, pos)] = (
-                        produced if pool is None
-                        else set(pool.extern_rows(produced))
-                    )
-                staged.append((rule.head.predicate, produced))
-        if rec or delta is None:
-            iteration_records.append(rec)
+        staged: list[tuple[str, set]] = [
+            (rule.head.predicate, derive(ri, rule, pos, delta))
+            for p in ((None,) if delta is None else delta)
+            for ri, rule, pos in instances.get(p, ())
+        ]
         delta = {}
         for pred, produced in staged:
             rel = grown[pred]
@@ -286,21 +256,19 @@ def evaluate_stratum(
         for pred in copied:
             rel = db.relations[pred] = Relation(pred, heads[pred].arity)
             rel.adopt(grown[pred])
-    return iteration_records, gained
+    return gained
 
 
 def seminaive_evaluate(
     program: Program,
     db: Database | None = None,
-    record: bool = False,
     max_iterations: int | None = None,
     shared_relations: dict[str, Relation] | None = None,
     pool: InternPool | None = None,
 ) -> tuple[Database, EvaluationTrace]:
     """Stratified semi-naive fixpoint.
 
-    Returns the materialized database and (when ``record``) the
-    per-iteration derivation trace used by the DAG compiler.
+    Returns the materialized database and its :class:`EvaluationTrace`.
     ``max_iterations`` bounds each stratum's Δ rounds (see
     :func:`naive_evaluate`).
 
@@ -350,7 +318,5 @@ def seminaive_evaluate(
             if r.head.predicate in stratum_set
         ]
         trace.strata.append(stratum)
-        trace.iterations.append(
-            evaluate_stratum(rules, db, pool, record, max_iterations)[0]
-        )
+        evaluate_stratum(rules, db, pool, max_iterations)
     return db, trace

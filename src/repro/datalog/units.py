@@ -1,13 +1,12 @@
 """Runnable units of work behind a program's static DAG ``G``.
 
-``G`` (:func:`~repro.datalog.compiler.build_round_structure` without
-iteration counts) has a source per EDB predicate, the rule-instance
-task and predicate-state nodes of every non-recursive stratum, and one
-fixpoint node per recursive SCC. This module turns it into an
-:class:`ExecutionPlan`: every node becomes a :class:`WorkUnit` whose
-``run`` *actually applies* the node's rule (or state merge, or whole
-stratum fixpoint) to the values produced by its DAG inputs, through the
-compiled rule kernels the evaluator uses.
+``G`` (:func:`~repro.datalog.compiler.build_round_structure`) has a
+source per EDB predicate, the rule task and predicate nodes of every
+non-recursive stratum, and one fixpoint node per recursive SCC. This
+module turns it into an :class:`ExecutionPlan`: every node becomes a
+:class:`WorkUnit` whose ``run`` *actually applies* the node's rule (or
+state merge, or whole stratum fixpoint) to the values produced by its
+DAG inputs, through the compiled rule kernels the evaluator uses.
 
 One plan
 --------
@@ -58,9 +57,9 @@ that (:class:`Relation`).
 :meth:`ProgramSkeleton.stamp` restamps the one bound plan per round;
 :func:`build_execution_plan` binds one for a single round, as a miss.
 
-The DAG :func:`~repro.datalog.compiler.compile_update` unrolls — one
-task per (rule, Δ-position, iteration) — is a trace for the simulator,
-not a plan: nothing executes it.
+There is one DAG: a trace
+:func:`~repro.datalog.compiler.compile_update` returns is the engine's
+round on this ``G``, with the change flags its execution observed.
 
 Unit closures read per-round data through the plan's :class:`RoundCtx`,
 never through captured constants, which is what makes restamping sound.
@@ -541,7 +540,7 @@ class ProgramSkeleton:
         edb = program.edb_predicates()
         #: predicate → node carrying its final value
         self.final_nodes = {
-            p: self.key_to_id[("edb", p) if p in edb else ("pred", p, si, 0)]
+            p: self.key_to_id[("edb", p) if p in edb else ("pred", p, si)]
             for si, comp in enumerate(self.strata)
             for p in comp
         }
@@ -549,7 +548,7 @@ class ProgramSkeleton:
         self.writers: dict[str, list[int]] = {}
         for nid, key in enumerate(self.node_keys):
             if key[0] == "task":
-                head = self.rules[key[3]].head.predicate
+                head = self.rules[key[2]].head.predicate
                 self.writers.setdefault(head, []).append(nid)
 
     # ------------------------------------------------------------------
@@ -631,7 +630,7 @@ class ProgramSkeleton:
                     db.relations.update(values.committed(nid))
                 # the relations handed in are read, never written: a
                 # head that gains rows is a new relation in db
-                _records, gained = evaluate_stratum(
+                gained = evaluate_stratum(
                     rules, db, ctx.pool, orders=self.join_orders,
                     delta=delta, plans=plans,
                 )
@@ -646,7 +645,7 @@ class ProgramSkeleton:
                 return value, zset
 
         elif kind == "pred":
-            _, p, si, _k = key
+            _, p, si = key
             fix = self.key_to_id.get(("fix", si))
             task_ids = tuple(self.writers.get(p, ()))
             if fix is not None:
@@ -696,7 +695,7 @@ class ProgramSkeleton:
         else:
             # a task of a non-recursive stratum: it reads only earlier
             # strata, each at the node carrying its final value
-            ri = key[3]
+            ri = key[2]
             task = _Task(
                 self.rules[ri], self.join_orders.get(ri), self.final_nodes
             )
@@ -780,8 +779,8 @@ def build_execution_plan(
     ``touched=None``): every source of ``G`` is initial, so every node
     runs, reads as changed, and a fixpoint node recomputes from the
     entry relations of ``cu.edb_new``. Of ``cu`` — a round
-    :func:`~repro.datalog.compiler.compile_update` unrolled, or one
-    staged — only the program, the two EDB snapshots and the trace's
+    :func:`~repro.datalog.compiler.compile_update` ran, or one staged —
+    only the program, the two EDB snapshots and the trace's
     name and work unit are read. ``join_orders`` maps proper-rule
     indexes of ``cu.program`` to body evaluation orders (the static
     analyzer's cartesian-join hints); ``pool`` is the id space the units

@@ -1,4 +1,11 @@
-"""Tests for the Datalog-update → computation-DAG compiler."""
+"""Tests for the Datalog-update → computation-DAG compiler.
+
+A compiled trace is the engine's round on the static ``G`` with the
+change flags its execution observed. The oracles here are independent
+of the engine, the plan cache and :func:`compile_update`: row
+:func:`seminaive_evaluate`, and the round replayed node by node over
+the committed values a miss leaves (``replay_executed``).
+"""
 
 from functools import partial
 
@@ -8,8 +15,18 @@ import pytest
 from repro.datalog import Database, Delta, parse_program, seminaive_evaluate
 from repro.datalog.compiler import compile_update
 from repro.datalog.plancache import CompiledProgramCache
-from repro.schedulers import LevelBasedScheduler
+from repro.runtime.workloads_live import live_workload
+from repro.schedulers import LevelBasedScheduler, scheduler_registry
 from repro.sim import simulate
+from repro.workloads.datalog_workloads import DATALOG_WORKLOADS
+from repro.workloads.generated import UpdateStream, stratified_program
+
+from ..runtime.conftest import (
+    READ_SET_SHAPES,
+    read_set_edb,
+    read_set_stream,
+    replay_executed,
+)
 
 TC = """
 path(X, Y) :- edge(X, Y).
@@ -51,21 +68,16 @@ def test_dag_is_valid_and_deep():
         parse_program(TC), chain_edb(8), Delta().insert("edge", (7, 8))
     )
     t = cu.trace
-    assert t.dag.n_nodes > 10
-    # fixpoint unrolling makes the DAG at least as deep as the chain
-    assert t.n_levels >= 7
-    # EDB sources exist and the touched one is the initial task
-    assert t.initial_tasks.size == 1
-    assert t.dag.name_of(int(t.initial_tasks[0])) == "edb:edge"
-
-
-def test_activation_reaches_every_affected_iteration():
-    cu = compile_update(
-        parse_program(TC), chain_edb(6), Delta().insert("edge", (0, 99))
-    )
-    t = cu.trace
-    # inserting at the head cascades through every unrolled iteration
-    assert t.n_active_jobs >= 4
+    # the static G: however deep the chain, the fixpoint is one node
+    assert [t.dag.name_of(v) for v in range(t.dag.n_nodes)] == [
+        "edb:edge", "fix@1", "path@1.0",
+    ]
+    # the touched EDB source is the initial task, and the grown
+    # fixpoint carries the change to its predicate node
+    assert t.initial_tasks.tolist() == [0]
+    assert t.propagation.executed.tolist() == [True, True, True]
+    # the fixpoint's work is its value's rows: 28 paths before, 36 after
+    assert t.work.tolist() == [0.0, pytest.approx(1e-3 * 37), 0.0]
 
 
 def test_no_change_update_activates_nothing_downstream():
@@ -104,14 +116,6 @@ def test_task_outputs_respect_function_of_inputs():
     assert not any(n.startswith("b@") for n in names)
 
 
-def test_eval_artifacts_exposed():
-    cu = compile_update(
-        parse_program(TC), chain_edb(4), Delta().insert("edge", (3, 4))
-    )
-    assert cu.db_old.count("path") == 6
-    assert cu.db_new.count("path") == 10
-
-
 def test_schedulable_by_all(diamond=None):
     from repro.schedulers import (
         HybridScheduler,
@@ -130,3 +134,55 @@ def test_schedulable_by_all(diamond=None):
         res = simulate(t, S(), processors=4)
         counts.add(res.tasks_executed)
     assert len(counts) == 1
+
+
+# ----------------------------------------------------------------------
+# a compiled trace is the engine's round
+# ----------------------------------------------------------------------
+SOURCES = [
+    *sorted(DATALOG_WORKLOADS),
+    *(f"shape-{s}" for s in sorted(READ_SET_SHAPES)),
+    "gen-5",
+    "gen-23",
+]
+
+
+def _updates(name):
+    """``(program, edb, deltas)``: six chained updates of ``name``."""
+    if name.startswith("gen-"):
+        seed = int(name[len("gen-"):])
+        gen = stratified_program(seed)
+        stream = UpdateStream(gen, seed)
+        return gen.program, gen.edb, [stream.batch() for _ in range(6)]
+    if name.startswith("shape-"):
+        program = parse_program(READ_SET_SHAPES[name[len("shape-"):]])
+        return program, read_set_edb(), read_set_stream(program)
+    wl = live_workload(name, seed=42)
+    return wl.program, wl.edb, [wl.random_batch(2) for _ in range(6)]
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_compiled_trace_is_the_engines_round(name):
+    """Per chained update: (a) the trace's propagation executes exactly
+    what the round's execution activates — the initial tasks and the
+    children of every node that ran and changed; (b) every registered
+    scheduler simulates exactly ``n_active`` nodes; (c) running only
+    the executed nodes over committed values lands on row
+    ``seminaive_evaluate`` of the new EDB."""
+    program, edb, deltas = _updates(name)
+    registry = scheduler_registry()
+    for i, delta in enumerate(deltas):
+        cu = compile_update(program, edb, delta)
+        trace = cu.trace
+        plan, values, observed = replay_executed(cu)
+        ran = set(np.flatnonzero(trace.propagation.executed).tolist())
+        assert ran == observed, f"{name} update {i}: (a)"
+        for sched, factory in registry.items():
+            res = simulate(trace, factory(), processors=2)
+            assert res.tasks_executed == trace.n_active, (
+                f"{name} update {i}: (b) {sched}"
+            )
+        assert plan.materialization(values).as_dict() == (
+            seminaive_evaluate(program, cu.edb_new)[0].as_dict()
+        ), f"{name} update {i}: (c)"
+        edb = cu.edb_new

@@ -3,13 +3,14 @@
 The plan cache (:mod:`repro.datalog.plancache`) restamps one static
 DAG — one fixpoint node per recursive SCC — round over round, diffing
 against and continuing from what the committed round left. The cold
-side compiles each round from nothing (:func:`compile_update`, which
-records the from-scratch answer) and runs it as a miss on a freshly
-bound plan (:func:`build_execution_plan`). For any program and any
-update stream, round by round, the cached plan must leave exactly the
-materialization cold compilation records, its change flags must say
-exactly which relations changed, and its own check (``cache.evaluate``)
-must agree — under every registered scheduler.
+side compiles each round from nothing (:func:`compile_update`) and runs
+it as a miss on a freshly bound plan (:func:`build_execution_plan`).
+For any program and any update stream, round by round, both must leave
+exactly the row from-scratch materialization
+(:func:`~repro.datalog.seminaive_evaluate`, the oracle), the cached
+plan's change flags must say exactly which relations changed, and its
+own check (``cache.evaluate``) must agree — under every registered
+scheduler.
 
 Two layers of evidence:
 
@@ -34,6 +35,7 @@ from repro.datalog import (
     Delta,
     compile_update,
     parse_program,
+    seminaive_evaluate,
 )
 from repro.datalog.units import build_execution_plan
 from repro.runtime.executor import RoundExecutor
@@ -123,17 +125,18 @@ def _assert_round_identical(cache, cold, cached, label):
     cu1, _p1, mat1, _diffs1 = cold
     cu2, plan2, mat2, diffs2, _values = cached
     assert mat1 == mat2, f"{label}: materializations differ"
-    assert mat1 == cu1.db_new.as_dict(), f"{label}: cold diverges"
+    expected = seminaive_evaluate(cu1.program, cu1.edb_new)[0].as_dict()
+    assert mat1 == expected, f"{label}: cold diverges"
     assert cache.evaluate(cu2).as_dict() == mat1, (
         f"{label}: the cache's from-scratch check differs"
     )
-    assert cu2.db_old is None and cu2.db_new is None, (
-        f"{label}: a cached compile evaluated something"
+    assert not cu2.trace.changed_edges.any(), (
+        f"{label}: a cached compile stamped an outcome"
     )
     # the serial oracle's flag on a predicate's final node says whether
     # the relation changed between the two from-scratch materializations
     # (a node with no committed old value always reads as changed)
-    old = cu1.db_old.as_dict()
+    old = seminaive_evaluate(cu1.program, cu1.edb_old)[0].as_dict()
     for pred, node in plan2.final_nodes.items():
         if plan2.old_values[node] is None:
             assert diffs2[node], f"{label}: {pred} has no old value"
@@ -200,7 +203,7 @@ def test_every_scheduler_matches_cold_concurrently(sched_name):
         assert (
             plan1.materialization(out1.values).as_dict()
             == plan2.materialization(out2.values).as_dict()
-            == cu1.db_new.as_dict()
+            == seminaive_evaluate(program, cu1.edb_new)[0].as_dict()
         ), f"{label}: materializations differ"
         # the concurrent outcome must also match the serial oracle
         _v, oracle_diffs = plan2.execute_serial()
@@ -235,10 +238,9 @@ def test_rule_edit_mid_stream_invalidates_and_recovers():
     assert cache.invalidations == 1
     assert cache.misses == 2  # no stale old-side reuse across programs
     values, _ = plan2.execute_serial()
-    ref = compile_update(prog_b, cu.edb_new, Delta().insert("edge", (3, 4)))
-    assert (
-        plan2.materialization(values).as_dict() == ref.db_new.as_dict()
-    )
+    assert plan2.materialization(values).as_dict() == seminaive_evaluate(
+        prog_b, cu2.edb_new
+    )[0].as_dict()
 
 
 def test_edb_schema_change_invalidates():

@@ -20,6 +20,7 @@ from repro.datalog import (
     Delta,
     compile_update,
     parse_program,
+    seminaive_evaluate,
 )
 from repro.datalog.units import build_execution_plan
 from repro.runtime.executor import RoundExecutor
@@ -79,7 +80,7 @@ def _edge_stream(rng, rounds):
 
 def test_cold_pruned_compile_is_byte_identical():
     """``compile_update`` ignores the analysis: the never-firing
-    `trail` rule stays in the unrolled ``G``."""
+    `trail` rule stays in ``G``, and the round's trace is the same."""
     program = parse_program(DEAD_RULES)
     analysis = analyze_program(program)
     edb = _edb({(0, 1), (1, 2)})
@@ -89,8 +90,9 @@ def test_cold_pruned_compile_is_byte_identical():
     fed = compile_update(program, edb, delta, analysis=analysis)
     assert fed.program is program
     assert plain.node_keys == fed.node_keys
-    assert plain.db_old.as_dict() == fed.db_old.as_dict()
-    assert plain.db_new.as_dict() == fed.db_new.as_dict()
+    assert (plain.trace.changed_edges == fed.trace.changed_edges).all()
+    assert (plain.trace.work == fed.trace.work).all()
+    assert plain.edb_new.as_dict() == fed.edb_new.as_dict()
 
 
 def test_pruning_stops_when_the_dead_predicate_goes_live():
@@ -102,7 +104,13 @@ def test_pruning_stops_when_the_dead_predicate_goes_live():
     cu = compile_update(program, edb, delta, analysis=analysis)
     assert cu.program is program
     ref = compile_update(program, edb, delta)
-    assert cu.db_new.as_dict() == ref.db_new.as_dict()
+    assert (cu.trace.changed_edges == ref.trace.changed_edges).all()
+    assert cu.edb_new.as_dict() == ref.edb_new.as_dict()
+    plan = build_execution_plan(cu, analysis.join_orders_for(program))
+    values, _ = plan.execute_serial()
+    assert plan.materialization(values).as_dict() == (
+        seminaive_evaluate(program, cu.edb_new)[0].as_dict()
+    )
 
 
 @pytest.mark.parametrize("sched_name", sorted(scheduler_registry()))
@@ -135,7 +143,7 @@ def test_every_scheduler_matches_unpruned(sched_name):
         assert (
             plan1.materialization(out1.values).as_dict()
             == plan2.materialization(out2.values).as_dict()
-            == cu1.db_new.as_dict()
+            == seminaive_evaluate(program, cu1.edb_new)[0].as_dict()
             == cache.evaluate(cu2).as_dict()
         ), f"{label}: materializations differ"
 
@@ -184,7 +192,7 @@ def test_join_order_hints_do_not_change_results():
     v2, d2 = hinted.execute_serial()
     assert plain.materialization(v1).as_dict() == (
         hinted.materialization(v2).as_dict()
-    ) == cu.db_new.as_dict()
+    ) == seminaive_evaluate(program, cu.edb_new)[0].as_dict()
     assert d1 == d2
 
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
-from repro.datalog import Database, Delta
+from repro.datalog import Database, Delta, seminaive_evaluate
+from repro.datalog.columnar import InternPool
+from repro.datalog.units import ProgramSkeleton, build_execution_plan
 from repro.runtime import UpdateStreamService
 from repro.schedulers import scheduler_registry
 from repro.workloads.datalog_workloads import compile_workload
@@ -77,6 +81,56 @@ def edb_is_mirror(wl, edb: Database) -> bool:
 def compiled_workloads():
     """One compiled update per workload, shared across the suite."""
     return {name: compile_workload(name) for name in WORKLOADS}
+
+
+@pytest.fixture(scope="session")
+def expected_new(compiled_workloads):
+    """Per workload, row ``seminaive_evaluate`` of the compiled round's
+    new EDB: the oracle, independent of the engine that compiled it."""
+    return {
+        name: seminaive_evaluate(cu.program, cu.edb_new)[0].as_dict()
+        for name, cu in compiled_workloads.items()
+    }
+
+
+def miss_values(cu, edb: Database, pool: InternPool) -> list:
+    """Every node's value of ``cu.program``'s ``G`` run as a miss over
+    ``edb`` in ``pool``: what a committed round over ``edb`` leaves in
+    each node, computed without any committed state."""
+    plan = build_execution_plan(
+        dataclasses.replace(cu, edb_new=edb), pool=pool
+    )
+    values, _ = plan.execute_serial()
+    return [values[node] for node in range(len(plan.units))]
+
+
+def replay_executed(cu):
+    """Run only the nodes ``cu.trace`` executes, over committed values.
+
+    The committed values are :func:`miss_values` of ``cu.edb_old``; the
+    round runs, in level order, exactly the nodes
+    ``cu.trace.propagation`` executes, every other node keeping its
+    committed value, and the EDB nodes diff their two relations rather
+    than read a delta. Returns ``(plan, values, observed)``:
+    ``observed`` is the set the activation rule picks from what this
+    replay saw — the initial tasks and every child of a node that ran
+    and emitted a non-empty Z-set.
+    """
+    pool = InternPool()
+    committed = miss_values(cu, cu.edb_old, pool)
+    plan = build_execution_plan(cu, pool=pool)
+    ProgramSkeleton.stamp(plan, plan.compiled, plan.ctx.baseline, committed)
+    trace = cu.trace
+    offsets, targets = (a.tolist() for a in trace.dag.out_csr())
+    executed = trace.propagation.executed.tolist()
+    observed = set(trace.initial_tasks.tolist())
+    values = plan.new_store()
+    for node in np.argsort(trace.levels, kind="stable").tolist():
+        if executed[node]:
+            values.set(node, *plan.units[node].run(values))
+            if values.changed(node):
+                observed.update(targets[offsets[node]:offsets[node + 1]])
+    return plan, values, observed
 
 
 #: Rule shapes that stress a task unit's *read set* — the predicates it

@@ -32,7 +32,7 @@ REGISTRY = scheduler_registry()
 )
 class TestAllSchedulers:
     def test_round_is_correct_and_verified(
-        self, compiled_workloads, wl_name, sched_name
+        self, compiled_workloads, expected_new, wl_name, sched_name
     ):
         cu = compiled_workloads[wl_name]
         plan = build_execution_plan(cu)
@@ -40,27 +40,27 @@ class TestAllSchedulers:
             plan, REGISTRY[sched_name](), workers=4
         ).run()
         mat = plan.materialization(outcome.values)
-        assert mat.as_dict() == cu.db_new.as_dict()
+        assert mat.as_dict() == expected_new[wl_name]
         report = record_round(outcome, plan.compiled.trace).check()
         assert report.ok, "\n".join(v.format() for v in report.violations)
 
 
 @pytest.mark.parametrize("workers", (1, 2, 8))
-def test_worker_counts(compiled_workloads, workers):
+def test_worker_counts(compiled_workloads, expected_new, workers):
     cu = compiled_workloads["same_generation"]
     plan = build_execution_plan(cu)
     outcome = RoundExecutor(
         plan, REGISTRY["hybrid"](), workers=workers
     ).run()
     assert plan.materialization(outcome.values).as_dict() == (
-        cu.db_new.as_dict()
+        expected_new["same_generation"]
     )
     report = record_round(outcome, plan.compiled.trace).check()
     assert report.ok
 
 
 def test_waits_on_the_callers_own_unit_pass_the_strict_check(
-    compiled_workloads,
+    compiled_workloads, expected_new,
 ):
     """The calling thread is one of the processors: while it is inside
     a slow unit a lane's completion waits for it. The round is still
@@ -78,7 +78,7 @@ def test_waits_on_the_callers_own_unit_pass_the_strict_check(
         unit.run = slow
     outcome = RoundExecutor(plan, REGISTRY["hybrid"](), workers=2).run()
     assert plan.materialization(outcome.values).as_dict() == (
-        cu.db_new.as_dict()
+        expected_new["points_to"]
     )
     report = record_round(outcome, plan.compiled.trace).check()
     assert report.ok, "\n".join(v.format() for v in report.violations)

@@ -68,7 +68,9 @@ def test_retry_policy_validation():
         RetryPolicy(backoff_base=-1.0)
 
 
-def test_transient_failure_is_retried_to_success(compiled_workloads):
+def test_transient_failure_is_retried_to_success(
+    compiled_workloads, expected_new
+):
     cu = compiled_workloads["retail_rollup"]
     plan = build_execution_plan(cu)
     victim = int(plan.compiled.trace.initial_tasks[0])
@@ -94,7 +96,7 @@ def test_transient_failure_is_retried_to_success(compiled_workloads):
         assert handed - began >= FAST_RETRY.backoff_delay(k)
         assert handed <= outcome.records[victim][0]
     assert plan.materialization(outcome.values).as_dict() == (
-        cu.db_new.as_dict()
+        expected_new["retail_rollup"]
     )
 
 
@@ -171,7 +173,7 @@ def test_deadline_returns_promptly_without_leaked_threads(
 # ----------------------------------------------------------------------
 # soft watchdog
 # ----------------------------------------------------------------------
-def test_watchdog_marks_stragglers_softly(compiled_workloads):
+def test_watchdog_marks_stragglers_softly(compiled_workloads, expected_new):
     cu = compiled_workloads["retail_rollup"]
     plan = build_execution_plan(cu)
     victim = int(plan.compiled.trace.initial_tasks[0])
@@ -188,7 +190,7 @@ def test_watchdog_marks_stragglers_softly(compiled_workloads):
     assert victim in outcome.stragglers
     # soft: the unit still completed and the round is correct
     assert plan.materialization(outcome.values).as_dict() == (
-        cu.db_new.as_dict()
+        expected_new["retail_rollup"]
     )
 
 
@@ -202,7 +204,7 @@ def test_watchdog_validation(compiled_workloads):
 # chaos at the executor level
 # ----------------------------------------------------------------------
 def test_injected_unit_failures_retry_to_identical_result(
-    compiled_workloads,
+    compiled_workloads, expected_new,
 ):
     cu = compiled_workloads["retail_analytics"]
     plan = build_execution_plan(cu)
@@ -214,11 +216,11 @@ def test_injected_unit_failures_retry_to_identical_result(
     assert outcome.injected_faults > 0
     assert outcome.unit_retries >= len(injector.log.select("unit-fail"))
     assert plan.materialization(outcome.values).as_dict() == (
-        cu.db_new.as_dict()
+        expected_new["retail_analytics"]
     )
 
 
-def test_worker_kills_are_supervised(compiled_workloads):
+def test_worker_kills_are_supervised(compiled_workloads, expected_new):
     cu = compiled_workloads["retail_rollup"]
     plan = build_execution_plan(cu)
     injector = ChaosInjector(
@@ -235,12 +237,12 @@ def test_worker_kills_are_supervised(compiled_workloads):
     assert len(outcome.retry_intervals) == outcome.lane_deaths
     assert all(began <= handed for began, handed in outcome.retry_intervals)
     assert plan.materialization(outcome.values).as_dict() == (
-        cu.db_new.as_dict()
+        expected_new["retail_rollup"]
     )
     assert not _runtime_threads()
 
 
-def test_targeted_fail_units_fire_once(compiled_workloads):
+def test_targeted_fail_units_fire_once(compiled_workloads, expected_new):
     cu = compiled_workloads["retail_rollup"]
     plan = build_execution_plan(cu)
     victim = int(plan.compiled.trace.initial_tasks[0])
@@ -256,7 +258,7 @@ def test_targeted_fail_units_fire_once(compiled_workloads):
         plan2, REGISTRY["hybrid"](), workers=2, chaos=injector
     ).run()
     assert plan2.materialization(outcome.values).as_dict() == (
-        cu.db_new.as_dict()
+        expected_new["retail_rollup"]
     )
 
 
@@ -355,14 +357,14 @@ def thread_starts(monkeypatch) -> list[str]:
     "wl_name", ("transitive_closure", "retail_rollup", "points_to")
 )
 def test_one_worker_starts_no_thread(
-    compiled_workloads, thread_starts, wl_name
+    compiled_workloads, expected_new, thread_starts, wl_name
 ):
     cu = compiled_workloads[wl_name]
     plan = build_execution_plan(cu)
     outcome = RoundExecutor(plan, REGISTRY["hybrid"](), workers=1).run()
     assert thread_starts == []
     assert plan.materialization(outcome.values).as_dict() == (
-        cu.db_new.as_dict()
+        expected_new[wl_name]
     )
 
 
@@ -409,7 +411,7 @@ def test_width_spawns_at_most_workers_minus_one_lanes(
 
 
 def test_kill_on_processor_zero_replaces_no_thread(
-    compiled_workloads, thread_starts
+    compiled_workloads, expected_new, thread_starts
 ):
     """A kill drawn for the caller's own unit is the same capacity-loss
     event as a lane's — re-dispatch, a dead-time window, no retry
@@ -427,7 +429,7 @@ def test_kill_on_processor_zero_replaces_no_thread(
     assert len(outcome.retry_intervals) == outcome.lane_deaths
     assert thread_starts == []
     assert plan.materialization(outcome.values).as_dict() == (
-        cu.db_new.as_dict()
+        expected_new["retail_rollup"]
     )
 
 

@@ -592,7 +592,7 @@ def _strata_over(program, db, pool, delta=None) -> dict[str, set]:
         ]
         handed, before = dict(db.relations), _faces(db)
         seed = None if delta is None else {**delta, **gained}
-        _records, got = evaluate_stratum(rules, db, pool, delta=seed)
+        got = evaluate_stratum(rules, db, pool, delta=seed)
         for rel, tuples, mirror, rows in before:
             assert tuples is None or rel._tuples == tuples
             assert mirror is None or (

@@ -91,7 +91,7 @@ def _assert_exact(plan, values, pool) -> int:
             preds = {p: (value[p], None if old is None else old[p])
                      for p in value}
         else:
-            pred = rules[key[3]].head.predicate if key[0] == "task" else key[1]
+            pred = rules[key[2]].head.predicate if key[0] == "task" else key[1]
             preds = {pred: (value, old)}
         assert set(zset) <= set(preds), (key, set(zset))
         for pred, (now, was) in preds.items():

@@ -261,7 +261,8 @@ def test_miss_hit_degraded_probe_miss_hit():
     while svc.health.plan_round():               # the breaker's verdict
         degraded = serve()
         assert degraded.artifacts is None
-        assert degraded.compiled.db_new is None  # staged, not evaluated
+        # staged, not evaluated: no change flag is stamped on its trace
+        assert not degraded.compiled.trace.changed_edges.any()
         assert degraded.metrics.tasks_executed == 3  # serially: all of G
     probe = serve()                              # probes the fast path
     assert probe.metrics.tasks_executed == 3     # probe-hit: path grew

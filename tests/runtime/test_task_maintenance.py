@@ -49,7 +49,7 @@ def _task_values(plan, values) -> dict:
     """Rule → the value its task node holds in ``values``."""
     program = plan.compiled.structure.program
     return {
-        program.proper_rules[plan.compiled.node_keys[u.node][3]]:
+        program.proper_rules[plan.compiled.node_keys[u.node][2]]:
             values[u.node]
         for u in plan.units if u.kind == "task"
     }
@@ -217,7 +217,7 @@ def _record_modes(svc) -> dict[str, str]:
     for unit in plan.units:
         if unit.kind != "task":
             continue
-        head = rules[plan.compiled.node_keys[unit.node][3]].head.predicate
+        head = rules[plan.compiled.node_keys[unit.node][2]].head.predicate
 
         def run(values, run=unit.run, node=unit.node, head=head):
             out = run(values)

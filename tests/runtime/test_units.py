@@ -1,11 +1,11 @@
-"""Execution plans reproduce the compiler's ground truth.
+"""Execution plans reproduce the row evaluator's materialization.
 
 The central purity claim of the runtime: executing every unit of the
 static plan in any precedence-respecting order rebuilds the new
-materialization exactly. The compiler's own activation flags — those of
-the DAG :func:`compile_update` unrolls for the simulator — are checked
-against that DAG replayed on both sides of the round
-(:mod:`tests.datalog.unrolled_replay`).
+materialization exactly — row :func:`seminaive_evaluate` of the new EDB,
+the oracle. A round :func:`compile_update` returns is the engine's
+round on that plan; its change flags are checked against each node's
+value on both sides of the round, each side run as a miss.
 """
 
 from __future__ import annotations
@@ -18,55 +18,59 @@ from repro.datalog import (
     parse_program,
     seminaive_evaluate,
 )
+from repro.datalog.columnar import InternPool
 from repro.datalog.units import ProgramSkeleton, build_execution_plan
 from repro.verify.program import analyze_program
 from repro.workloads.datalog_workloads import DATALOG_WORKLOADS
 
-from ..datalog.unrolled_replay import UnrolledReplay
 from .conftest import (
     READ_SET_SHAPES,
     WORKLOADS,
+    miss_values,
     read_set_edb,
     read_set_stream,
+    replay_executed,
 )
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 class TestSerialReference:
-    def test_materialization_matches_db_new(self, compiled_workloads, name):
+    def test_materialization_matches_db_new(
+        self, compiled_workloads, expected_new, name
+    ):
         cu = compiled_workloads[name]
         plan = build_execution_plan(cu)
         values, diffs = plan.execute_serial()
-        assert plan.materialization(values).as_dict() == cu.db_new.as_dict()
+        assert plan.materialization(values).as_dict() == expected_new[name]
         # a miss: nothing to diff against, every node reads as changed
         assert len(diffs) == len(plan.units) and all(diffs.values())
 
     def test_diffs_match_compiled_flags(self, compiled_workloads, name):
-        """Real per-node change flags == the compiler's precomputed ones."""
+        """The compiled flag of every node == whether its value differs
+        between the round's two sides, each run as a miss in one id
+        space."""
         cu = compiled_workloads[name]
-        flags = UnrolledReplay(cu).change_flags()
+        pool = InternPool()
+        old = miss_values(cu, cu.edb_old, pool)
+        new = miss_values(cu, cu.edb_new, pool)
         dag = cu.trace.dag
         mismatches = []
-        for node, changed in enumerate(flags):
+        for node in range(dag.n_nodes):
             lo, hi = dag.out_edge_range(node)
             if hi == lo:
                 continue  # sink: the compiled flag is not observable
-            if bool(cu.trace.changed_edges[lo]) != changed:
+            if bool(cu.trace.changed_edges[lo]) != (old[node] != new[node]):
                 mismatches.append(node)
         assert mismatches == []
 
-    def test_executed_set_is_sufficient(self, compiled_workloads, name):
-        """Running only ``W`` (skipped nodes keep their old values)
-        still lands exactly on the new materialization — the soundness
-        property incremental maintenance rests on."""
-        cu = compiled_workloads[name]
-        replay = UnrolledReplay(cu)
-        sparse = replay.values(
-            cu.edb_new,
-            executed=cu.trace.propagation.executed,
-            skipped=replay.values(cu.edb_old),
-        )
-        assert replay.materialization(sparse) == cu.db_new.as_dict()
+    def test_executed_set_is_sufficient(
+        self, compiled_workloads, expected_new, name
+    ):
+        """Running only ``W`` (skipped nodes keep their committed
+        values) still lands exactly on the new materialization — the
+        soundness property incremental maintenance rests on."""
+        plan, values, _observed = replay_executed(compiled_workloads[name])
+        assert plan.materialization(values).as_dict() == expected_new[name]
 
 
 def test_value_store_falls_back_to_old_values(compiled_workloads):
@@ -111,7 +115,9 @@ def test_build_execution_plan_is_the_served_plan(name):
         == served.compiled.trace.initial_tasks.tolist()
     )
     values, _ = plan.execute_serial()
-    assert plan.materialization(values).as_dict() == cu.db_new.as_dict()
+    assert plan.materialization(values).as_dict() == (
+        seminaive_evaluate(program, cu.edb_new)[0].as_dict()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +126,7 @@ def test_build_execution_plan_is_the_served_plan(name):
 @pytest.mark.parametrize("shape", sorted(READ_SET_SHAPES))
 def test_read_set_shapes_match_seminaive_under_both_storages(shape):
     """Insert and delete rounds over each adversarial shape land on the
-    row from-scratch materialization twice over: on the static plan,
-    columnar, and on the unrolled DAG replayed row by row."""
+    row from-scratch materialization on the static plan, columnar."""
     program = parse_program(READ_SET_SHAPES[shape])
     edb = read_set_edb()
     for i, delta in enumerate(read_set_stream(program)):
@@ -131,7 +136,4 @@ def test_read_set_shapes_match_seminaive_under_both_storages(shape):
         values, _ = plan.execute_serial()
         got = plan.materialization(values).as_dict()
         assert got == expected, f"{shape} round {i}, static plan"
-        replay = UnrolledReplay(cu)
-        got = replay.materialization(replay.values(cu.edb_new))
-        assert got == expected, f"{shape} round {i}, unrolled replay"
         edb = cu.edb_new

@@ -164,7 +164,8 @@ def _datalog_stream():
 
 def _datalog_trace() -> JobTrace:
     """Mirrors scripts/make_golden_results.py::datalog_trace: the second
-    round of the stream, compiled cold (unrolled from its answer)."""
+    round of the stream, compiled — the engine's round on the static
+    DAG with its observed flags."""
     from repro.datalog import compile_update
 
     program, edb, deltas = _datalog_stream()
