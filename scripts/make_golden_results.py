@@ -20,28 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.dag import Dag
-from repro.schedulers import (
-    HybridScheduler,
-    LevelBasedScheduler,
-    LogicBloxScheduler,
-    LookaheadScheduler,
-    OracleScheduler,
-    SignalPropagationScheduler,
-)
+from repro.schedulers import scheduler_registry
 from repro.sim import simulate
 from repro.tasks import JobTrace
 
 OUT_DIR = Path(__file__).parents[1] / "tests" / "sim" / "golden"
 
-FACTORIES = {
-    "levelbased": LevelBasedScheduler,
-    "lbl3": lambda: LookaheadScheduler(3),
-    "logicblox": lambda: LogicBloxScheduler("fresh"),
-    "logicblox-cached": lambda: LogicBloxScheduler("cached"),
-    "signalprop": SignalPropagationScheduler,
-    "hybrid": HybridScheduler,
-    "oracle": OracleScheduler,
-}
+FACTORIES = scheduler_registry()
 
 
 def diamond_trace() -> JobTrace:
@@ -68,6 +53,28 @@ def random_trace(seed: int) -> JobTrace:
         initial_tasks=dag.sources()[:n_init],
         changed_edges=rng.random(dag.n_edges) < 0.6,
         name=f"rand{seed}",
+    )
+
+
+def mixed_trace(seed: int = 11) -> JobTrace:
+    """A random trace whose nodes draw UNIT, SEQUENTIAL and MALLEABLE
+    models, with ``span <= work``: the engine's malleable allotment and
+    idle re-allotment run on it."""
+    from repro.dag import layered_dag
+
+    rng = np.random.default_rng(seed)
+    dag = layered_dag([3, 5, 8, 8, 5, 3], edge_prob=0.3, rng=rng,
+                      skip_prob=0.3)
+    work = rng.uniform(0.5, 3.0, dag.n_nodes)
+    n_init = 1 + int(rng.integers(0, min(3, dag.sources().size)))
+    return JobTrace(
+        dag=dag,
+        work=work,
+        span=work * rng.uniform(0.1, 1.0, dag.n_nodes),
+        models=rng.integers(0, 3, dag.n_nodes).astype(np.int8),
+        initial_tasks=dag.sources()[:n_init],
+        changed_edges=rng.random(dag.n_edges) < 0.6,
+        name="mixed",
     )
 
 
@@ -116,6 +123,7 @@ def main() -> None:
         random_trace(7),
         random_trace(23),
         datalog_trace(),
+        mixed_trace(),
     ]
     for trace in traces:
         for label, factory in FACTORIES.items():

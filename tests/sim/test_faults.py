@@ -176,6 +176,28 @@ def _datalog_trace() -> JobTrace:
     return cu.trace
 
 
+def _mixed_trace() -> JobTrace:
+    """Mirrors scripts/make_golden_results.py::mixed_trace: UNIT,
+    SEQUENTIAL and MALLEABLE nodes with ``span <= work``, so the goldens
+    pin the malleable allotment and idle re-allotment."""
+    from repro.dag import layered_dag
+
+    rng = np.random.default_rng(11)
+    dag = layered_dag([3, 5, 8, 8, 5, 3], edge_prob=0.3, rng=rng,
+                      skip_prob=0.3)
+    work = rng.uniform(0.5, 3.0, dag.n_nodes)
+    n_init = 1 + int(rng.integers(0, min(3, dag.sources().size)))
+    return JobTrace(
+        dag=dag,
+        work=work,
+        span=work * rng.uniform(0.1, 1.0, dag.n_nodes),
+        models=rng.integers(0, 3, dag.n_nodes).astype(np.int8),
+        initial_tasks=dag.sources()[:n_init],
+        changed_edges=rng.random(dag.n_edges) < 0.6,
+        name="mixed",
+    )
+
+
 TRACES = {
     "diamond": lambda: JobTrace(
         dag=Dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
@@ -187,6 +209,7 @@ TRACES = {
     "rand7": lambda: random_job_trace(7),
     "rand23": lambda: random_job_trace(23),
     "dlog": _datalog_trace,
+    "mixed": _mixed_trace,
 }
 
 
