@@ -14,43 +14,51 @@ divided by 512) Table-I-shaped trace from the statistics in
   make them;
 * ``ru_maxrss`` after each stage.
 
+With ``--against DIR`` only the cells are measured, each tree in its
+own interpreter: ``--reps`` times this checkout's ``src/`` and
+``DIR/src`` run the whole row back to back, alternating which goes
+first, and the table gives per cell the median ``sim_ms`` over the reps
+of both trees and their ratio (this ÷ against), then the same for the
+row. The script exits 1 if any cell's ``ops``, ``precompute_ops``,
+memory cells or ``repr(makespan)`` differs between the trees.
+
 It uses nothing that is not public API, so the same file runs on the
 parent commit and on a change: the tables in CHANGES.md / DESIGN.md
 that quote it can be reproduced from the repository.
 
 Usage:
     python scripts/size_sim_row.py [--seed S] [--runs N]
+        [--against DIR] [--reps R]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import resource
+import subprocess
 import sys
 from pathlib import Path
 from statistics import median
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-import repro.schedulers.logicblox as logicblox  # noqa: E402
-import repro.tasks.trace as trace_mod  # noqa: E402
-from repro.dag import Dag, IntervalIndex, compute_levels  # noqa: E402
-from repro.schedulers import scheduler_registry  # noqa: E402
-from repro.sim import simulate  # noqa: E402
-from repro.tasks import JobTrace  # noqa: E402
-from repro.workloads.synthetic import make_synthetic_trace  # noqa: E402
-from repro.workloads.tables import TRACE_CONFIGS  # noqa: E402
-
+HERE = Path(__file__).resolve()
 SCHEDULERS = ("logicblox", "levelbased", "lbl3", "hybrid")
+SHAPES = ("deep", "wide")
 PROCESSORS = 8
 #: a deep trace is redrawn until its update reaches this many jobs
 DEEP_MIN_ACTIVE = 250
 WIDE_DIVISOR = 512
+#: what must not differ between two trees, per cell
+MODELLED = ("ops", "precompute_ops", "precompute_cells", "peak_cells",
+            "makespan")
 
 
-def build_trace(shape: str, seed: int) -> JobTrace:
+def build_trace(shape: str, seed: int):
     """One trace of ``shape``, sized from Table I's row #5 or #6."""
+    from repro.workloads.synthetic import make_synthetic_trace
+    from repro.workloads.tables import TRACE_CONFIGS
+
     if shape == "deep":
         cfg, div = TRACE_CONFIGS[5], 1
     else:
@@ -98,15 +106,145 @@ def rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def warm_up(traces) -> None:
+    """One row, unmeasured: what a warm-up row would leave behind."""
+    from repro.schedulers import scheduler_registry
+    from repro.sim import simulate
+
+    registry = scheduler_registry()
+    for trace in traces.values():
+        for name in SCHEDULERS:
+            simulate(trace, registry[name](), processors=PROCESSORS)
+
+
+def measure_cells(traces, runs: int) -> list[dict]:
+    """Per cell: the median ms of ``runs`` ``simulate`` calls and the
+    modelled counts of the last one."""
+    from repro.schedulers import scheduler_registry
+    from repro.sim import simulate
+
+    registry = scheduler_registry()
+    cells = []
+    for shape, trace in traces.items():
+        for name in SCHEDULERS:
+            took, result = [], None
+            for _ in range(runs):
+                t0 = perf_counter()
+                result = simulate(
+                    trace, registry[name](), processors=PROCESSORS
+                )
+                took.append((perf_counter() - t0) * 1e3)
+            assert result is not None
+            cells.append({
+                "shape": shape,
+                "scheduler": name,
+                "sim_ms": median(took),
+                "ops": result.scheduling_ops,
+                "precompute_ops": result.precompute_ops,
+                "precompute_cells": result.precompute_memory_cells,
+                "peak_cells": result.runtime_peak_memory_cells,
+                "makespan": repr(result.makespan),
+            })
+    return cells
+
+
+def worker(args) -> int:
+    """The cells of one row on ``args.worker``'s tree, as one JSON line."""
+    sys.path.insert(0, args.worker)
+    traces = {s: build_trace(s, args.seed) for s in SHAPES}
+    warm_up(traces)
+    print(json.dumps(measure_cells(traces, args.runs)))
+    return 0
+
+
+def against(args) -> int:
+    """Alternate this tree and ``args.against`` over ``args.reps`` rows."""
+    trees = [
+        ("against", str(Path(args.against).resolve() / "src")),
+        ("this", str(HERE.parents[1] / "src")),
+    ]
+    rows: dict[str, list[list[dict]]] = {name: [] for name, _ in trees}
+    for rep in range(args.reps):
+        for name, src in trees if rep % 2 == 0 else trees[::-1]:
+            done = subprocess.run(
+                [
+                    sys.executable, str(HERE), "--worker", src,
+                    "--seed", str(args.seed), "--runs", str(args.runs),
+                ],
+                capture_output=True, text=True,
+            )
+            if done.returncode or not done.stdout.strip():
+                print(f"{name} rep {rep}: worker failed")
+                print(done.stderr)
+                return 2
+            rows[name].append(json.loads(done.stdout.splitlines()[-1]))
+        print(
+            f"rep {rep}: "
+            + "; ".join(
+                f"{name} {sum(c['sim_ms'] for c in rows[name][-1]):.1f} ms"
+                for name, _ in trees
+            ),
+            flush=True,
+        )
+
+    print(
+        f"\nsim_ms per cell (seed {args.seed}, P={PROCESSORS}): median "
+        f"over {args.reps} rep(s), each the median of {args.runs} "
+        "simulate calls"
+    )
+    print("| shape | scheduler | against | this | this ÷ against "
+          "| modelled counts |")
+    print("|---|---|---|---|---|---|")
+    failed = False
+    totals = {"against": 0.0, "this": 0.0}
+    for i, cell in enumerate(rows["this"][0]):
+        ms = {}
+        for name in totals:
+            ms[name] = median(row[i]["sim_ms"] for row in rows[name])
+            totals[name] += ms[name]
+        differs = [
+            key for key in MODELLED
+            if any(
+                row[i][key] != cell[key]
+                for name in totals for row in rows[name]
+            )
+        ]
+        failed |= bool(differs)
+        print(
+            f"| {cell['shape']} | {cell['scheduler']} "
+            f"| {ms['against']:.2f} | {ms['this']:.2f} "
+            f"| {ms['this'] / ms['against']:.2f} "
+            f"| {'DIFFER: ' + ', '.join(differs) if differs else 'same'} |"
+        )
+    print(
+        f"| row | eight cells | {totals['against']:.2f} "
+        f"| {totals['this']:.2f} "
+        f"| {totals['this'] / totals['against']:.2f} | |"
+    )
+    return 1 if failed else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--runs", type=int, default=9)
+    ap.add_argument("--against", help="another checkout to compare with")
+    ap.add_argument("--reps", type=int, default=3)
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.worker:
+        return worker(args)
+    if args.against:
+        return against(args)
+
+    sys.path.insert(0, str(HERE.parents[1] / "src"))
+    import repro.schedulers.logicblox as logicblox
+    import repro.tasks.trace as trace_mod
+    from repro.dag import Dag, IntervalIndex, compute_levels
 
     print(f"seed {args.seed}, {args.runs} runs a cell, P={PROCESSORS}")
     print(f"rss after import            {rss_mb():8.2f} MB")
-    traces = {s: build_trace(s, args.seed) for s in ("deep", "wide")}
+    traces = {s: build_trace(s, args.seed) for s in SHAPES}
     print(f"rss after trace build       {rss_mb():8.2f} MB")
 
     print("\ncold builds (ms, median of 5; fresh Dag objects)")
@@ -116,24 +254,20 @@ def main() -> int:
         edges = trace.dag.edge_array()
         fwd = [Dag(trace.dag.n_nodes, edges) for _ in range(5)]
         rev = [Dag(trace.dag.n_nodes, edges[:, ::-1]) for _ in range(5)]
-        cells = [
+        cold = [
             median(timed_ms(fn, d) for d in dags)
             for fn in (compute_levels, IntervalIndex)
             for dags in (fwd, rev)
         ]
         mass = IntervalIndex(rev[0]).total_intervals
         print(f"{shape:6} {trace.dag.n_nodes:6d} {trace.dag.n_edges:6d}"
-              f" {cells[0]:8.2f} {cells[1]:11.2f} {cells[2]:10.2f}"
-              f" {cells[3]:14.2f} {mass:10d}")
+              f" {cold[0]:8.2f} {cold[1]:11.2f} {cold[2]:10.2f}"
+              f" {cold[3]:14.2f} {mass:10d}")
     print(f"rss after cold builds       {rss_mb():8.2f} MB")
 
     levels_clock = BuildClock(trace_mod, "compute_levels")
     index_clock = BuildClock(logicblox, "IntervalIndex")
-    registry = scheduler_registry()
-    # one row first, unmeasured: what a warm-up row would leave behind
-    for trace in traces.values():
-        for name in SCHEDULERS:
-            simulate(trace, registry[name](), processors=PROCESSORS)
+    warm_up(traces)
     warm_builds = levels_clock.calls + index_clock.calls
     levels_clock.ms = index_clock.ms = 0.0
     levels_clock.calls = index_clock.calls = 0
@@ -143,20 +277,13 @@ def main() -> int:
     print(f"{'shape':6} {'scheduler':11} {'sim_ms':>8} {'ops':>9}"
           f" {'precompute':>11} {'cells':>8} {'makespan_s':>12}")
     row_ms = 0.0
-    for shape, trace in traces.items():
-        for name in SCHEDULERS:
-            took, result = [], None
-            for _ in range(args.runs):
-                t0 = perf_counter()
-                result = simulate(
-                    trace, registry[name](), processors=PROCESSORS
-                )
-                took.append((perf_counter() - t0) * 1e3)
-            row_ms += median(took)
-            print(f"{shape:6} {name:11} {median(took):8.2f}"
-                  f" {result.scheduling_ops:9d} {result.precompute_ops:11d}"
-                  f" {result.precompute_memory_cells:8d}"
-                  f" {result.makespan:12.6f}")
+    for cell in measure_cells(traces, args.runs):
+        row_ms += cell["sim_ms"]
+        print(f"{cell['shape']:6} {cell['scheduler']:11}"
+              f" {cell['sim_ms']:8.2f} {cell['ops']:9d}"
+              f" {cell['precompute_ops']:11d}"
+              f" {cell['precompute_cells']:8d}"
+              f" {float(cell['makespan']):12.6f}")
     build_ms = (levels_clock.ms + index_clock.ms) / args.runs
     print(f"\nrow (eight cells)           {row_ms:8.2f} ms")
     print(f"  of which builds           {build_ms:8.2f} ms"

@@ -250,10 +250,43 @@ class Dag:
 
         ``targets[offsets[u]:offsets[u + 1]]`` are ``u``'s children, and
         the positions in ``targets`` are the dense edge indices. A whole
-        graph walk takes ``.tolist()`` of both once and indexes plain
-        lists instead of calling :meth:`out_neighbors` per node.
+        graph walk indexes :meth:`out_lists` instead of calling
+        :meth:`out_neighbors` per node.
         """
         return self._out_offsets, self._out_adj
+
+    def out_lists(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """:meth:`out_csr` as two tuples of ints, built once per graph.
+
+        What a per-node walk indexes: a tuple item is a plain ``int``,
+        where reading a numpy scalar boxes a new one every time. Kept
+        under :meth:`derived`, so every run over this object shares one
+        build, and tuples cannot be written through.
+        """
+        return self.derived(
+            "out_lists",
+            lambda d: (tuple(d._out_offsets.tolist()),
+                       tuple(d._out_adj.tolist())),
+        )
+
+    def in_lists(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The reverse CSR as tuples of ints ``(offsets, sources)``.
+
+        ``sources[offsets[v]:offsets[v + 1]]`` are ``v``'s parents,
+        sorted — :meth:`in_neighbors` without a numpy scalar per
+        parent. Built once per graph, like :meth:`out_lists`.
+        """
+        return self.derived(
+            "in_lists",
+            lambda d: (tuple(d._in_offsets.tolist()),
+                       tuple(d._in_adj.tolist())),
+        )
+
+    def in_degree_list(self) -> tuple[int, ...]:
+        """:meth:`in_degrees` as a tuple of ints, built once per graph."""
+        return self.derived(
+            "in_degree_list", lambda d: tuple(d.in_degrees().tolist())
+        )
 
     # ------------------------------------------------------------------
     # pre-computation

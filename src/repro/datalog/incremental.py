@@ -185,7 +185,7 @@ def _execute_activated(plan: ExecutionPlan) -> ValueStore:
     rule without a scheduler.
     """
     trace = plan.compiled.trace
-    offsets, targets = (a.tolist() for a in trace.dag.out_csr())
+    offsets, targets = trace.dag.out_lists()
     active = [False] * len(plan.units)
     for node in trace.initial_tasks.tolist():
         active[node] = True

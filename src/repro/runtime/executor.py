@@ -179,7 +179,7 @@ class LiveActivationState(ActivationState):
     """Activation bookkeeping driven by *observed* diffs.
 
     :class:`~repro.tasks.activation.ActivationState` delivers change
-    signals from a precompiled per-edge array; in a real run the signal
+    signals from precompiled per-edge flags; in a real run the signal
     only exists once the node has executed and emitted its Z-set.
     Completion therefore stamps the observed flag onto all of
     the node's out-edges first — the compiler derives its per-edge
@@ -189,11 +189,13 @@ class LiveActivationState(ActivationState):
     unchanged.
     """
 
+    __slots__ = ()
+
     def __init__(self, plan: ExecutionPlan) -> None:
         trace = plan.compiled.trace
         super().__init__(
             dag=trace.dag,
-            initial=np.asarray(trace.initial_tasks, dtype=np.int64),
+            initial=trace.initial_tasks,
             changed_edges=np.zeros(trace.dag.n_edges, dtype=bool),
         )
 
@@ -201,8 +203,8 @@ class LiveActivationState(ActivationState):
         self, u: int, changed: bool
     ) -> tuple[list[int], list[int]]:
         """Record ``u``'s completion with its observed change flag."""
-        lo, hi = self.dag.out_edge_range(u)
-        self.changed_edges[lo:hi] = changed
+        lo, hi = self._offsets[u], self._offsets[u + 1]
+        self.changed_edges[lo:hi] = [changed] * (hi - lo)
         return self.complete(u)
 
 

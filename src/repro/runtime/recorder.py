@@ -180,7 +180,7 @@ def record_round(
     dag = trace.dag
     n = dag.n_nodes
     # plain lists, turned into the trace's arrays once at the end
-    offsets = dag.out_csr()[0].tolist()
+    offsets = dag.out_lists()[0]
     durations = [0.0] * n
     for node, (s, f) in records.items():
         durations[node] = f - s

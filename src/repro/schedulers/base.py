@@ -40,8 +40,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from ..obs.trace import NULL_SINK, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,8 +110,12 @@ class SchedulerContext:
         return self.trace.dag
 
     @property
-    def levels(self) -> np.ndarray:
-        return self.trace.levels
+    def levels(self) -> tuple[int, ...]:
+        """The trace's levels as a tuple of ints, built once per ``Dag``
+        — what a hook reads per node without boxing a numpy scalar."""
+        return self.dag.derived(
+            "level_list", lambda _: tuple(self.trace.levels.tolist())
+        )
 
 
 class Scheduler(ABC):

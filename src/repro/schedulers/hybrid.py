@@ -31,8 +31,6 @@ work, as the paper's "scheduling overhead" column does.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from .base import Scheduler, SchedulerContext
@@ -58,10 +56,12 @@ class HybridScheduler(Scheduler):
         # LevelBased side
         self._levels = ctx.levels
         dag = ctx.dag
-        self._buckets: defaultdict[int, list[int]] = defaultdict(list)
-        self._pending_at: defaultdict[int, int] = defaultdict(int)
         self._cursor = 0
-        self._max_level = int(self._levels.max()) if self._levels.size else 0
+        self._max_level = max(self._levels, default=0)
+        self._buckets: list[list[int]] = [
+            [] for _ in range(self._max_level + 1)
+        ]
+        self._pending_at = [0] * (self._max_level + 1)
         self._undispatched = 0
         self._lb_ops = 0
         self._n_queued = 0
@@ -80,7 +80,7 @@ class HybridScheduler(Scheduler):
         self.ops += self._lbx.ops - before
 
     def on_activate(self, v: int, t: float) -> None:
-        lvl = int(self._levels[v])
+        lvl = self._levels[v]
         self._buckets[lvl].append(v)
         self._pending_at[lvl] += 1
         self._undispatched += 1
@@ -95,7 +95,7 @@ class HybridScheduler(Scheduler):
         )
 
     def on_complete(self, v: int, t: float) -> None:
-        self._pending_at[int(self._levels[v])] -= 1
+        self._pending_at[self._levels[v]] -= 1
         self.ops += 1
         self._lb_ops += 1
         before = self._lbx.ops
@@ -109,8 +109,7 @@ class HybridScheduler(Scheduler):
         # active on the LogicBlox side. Drop it from the shared
         # dispatched set first, or neither component could release it.
         self._dispatched.discard(v)
-        lvl = int(self._levels[v])
-        self._buckets[lvl].append(v)
+        self._buckets[self._levels[v]].append(v)
         self._undispatched += 1
         self._n_queued += 1
         self.charge_ops(1, "requeue_events")
@@ -127,7 +126,7 @@ class HybridScheduler(Scheduler):
         """The LevelBased component's contribution (O(1) per task)."""
         out: list[int] = []
         while len(out) < max_tasks:
-            bucket = self._buckets.get(self._cursor)
+            bucket = self._buckets[self._cursor]
             if bucket:
                 v = bucket.pop()
                 self.ops += 1
@@ -139,7 +138,7 @@ class HybridScheduler(Scheduler):
                     continue
                 out.append(v)
                 continue
-            if self._pending_at.get(self._cursor, 0) > 0:
+            if self._pending_at[self._cursor] > 0:
                 break  # level barrier: stragglers still running
             if self._cursor >= self._max_level or self._undispatched == 0:
                 break

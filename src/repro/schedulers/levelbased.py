@@ -16,13 +16,14 @@ coincide for LevelBased because it never dispatches above ℓ).
 Runtime cost: one operation per activation (bucket push), one per
 dispatch (bucket pop), one per cursor advance — O(n + L) total
 (Theorem 2). Runtime memory: the buckets, O(n).
+
+The hooks read levels from the ``Dag``'s derived tuple
+(:attr:`SchedulerContext.levels`), and the buckets and pending
+counters are lists indexed by level: no numpy scalar on the per-task
+path.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
-
-import numpy as np
 
 from .base import Scheduler, SchedulerContext
 
@@ -36,9 +37,11 @@ class LevelBasedScheduler(Scheduler):
 
     def __init__(self) -> None:
         super().__init__()
-        self._levels: np.ndarray = np.empty(0, dtype=np.int64)
-        self._buckets: defaultdict[int, list[int]] = defaultdict(list)
-        self._pending_at: defaultdict[int, int] = defaultdict(int)
+        self._levels: tuple[int, ...] = ()
+        #: activated, undispatched tasks per level
+        self._buckets: list[list[int]] = [[]]
+        #: activated, unfinished tasks per level
+        self._pending_at: list[int] = [0]
         self._cursor: int = 0
         self._max_level: int = 0
         self._n_queued: int = 0
@@ -46,21 +49,21 @@ class LevelBasedScheduler(Scheduler):
 
     # ------------------------------------------------------------------
     def prepare(self, ctx: SchedulerContext) -> None:
-        # trace.levels is cached on the trace; the modeled cost is the
+        # the levels are built once per Dag; the modeled cost is the
         # DFS/Kahn sweep either way: O(V + E) ops, O(V) memory.
         self._levels = ctx.levels
         dag = ctx.dag
         self.precompute_ops = dag.n_nodes + dag.n_edges
         self.precompute_memory_cells = dag.n_nodes  # one level per node
-        self._buckets = defaultdict(list)
-        self._pending_at = defaultdict(int)
         self._cursor = 0
-        self._max_level = int(self._levels.max()) if self._levels.size else 0
+        self._max_level = max(self._levels, default=0)
+        self._buckets = [[] for _ in range(self._max_level + 1)]
+        self._pending_at = [0] * (self._max_level + 1)
         self._n_queued = 0
         self._undispatched = 0
 
     def on_activate(self, v: int, t: float) -> None:
-        lvl = int(self._levels[v])
+        lvl = self._levels[v]
         self._buckets[lvl].append(v)
         self._pending_at[lvl] += 1
         self._undispatched += 1
@@ -69,7 +72,7 @@ class LevelBasedScheduler(Scheduler):
         self.note_runtime_memory(self._n_queued)
 
     def on_complete(self, v: int, t: float) -> None:
-        self._pending_at[int(self._levels[v])] -= 1
+        self._pending_at[self._levels[v]] -= 1
         self.ops += 1
 
     def on_failure(self, v: int, t: float) -> None:
@@ -78,8 +81,7 @@ class LevelBasedScheduler(Scheduler):
         # holds the cursor at (or below) level(v) must not be bumped
         # again, or the cursor would deadlock waiting for a second
         # completion that never comes.
-        lvl = int(self._levels[v])
-        self._buckets[lvl].append(v)
+        self._buckets[self._levels[v]].append(v)
         self._undispatched += 1
         self._n_queued += 1
         self.charge_ops(1, "requeue_events")
@@ -88,7 +90,7 @@ class LevelBasedScheduler(Scheduler):
     def select(self, max_tasks: int, t: float) -> list[int]:
         out: list[int] = []
         while len(out) < max_tasks:
-            bucket = self._buckets.get(self._cursor)
+            bucket = self._buckets[self._cursor]
             if bucket:
                 v = bucket.pop()
                 out.append(v)
@@ -98,7 +100,7 @@ class LevelBasedScheduler(Scheduler):
                 continue
             # level ℓ bucket is empty: advance only once every activated
             # task at ℓ has also *finished* (the all-idle rule).
-            if self._pending_at.get(self._cursor, 0) > 0:
+            if self._pending_at[self._cursor] > 0:
                 break  # level-ℓ stragglers still running — wait
             if self._cursor >= self._max_level or self._undispatched == 0:
                 break

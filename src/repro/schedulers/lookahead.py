@@ -15,18 +15,14 @@ below ℓ has already completed (LevelBased invariant), so ancestors at
 levels < ℓ can never block and the search prunes there. Each visited
 node/edge costs one operation — worst case O(n²) over a run, but cheap
 when levels are narrow, which is exactly when LevelBased needs the help
-(Section VI-B's observation).
+(Section VI-B's observation). The search reads parents from the
+``Dag``'s derived in-CSR tuples (:meth:`~repro.dag.graph.Dag.in_lists`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .base import SchedulerContext
 from .levelbased import LevelBasedScheduler
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..dag.graph import Dag
 
 __all__ = ["LookaheadScheduler"]
 
@@ -34,7 +30,9 @@ __all__ = ["LookaheadScheduler"]
 class LookaheadScheduler(LevelBasedScheduler):
     """LBL(k): LevelBased plus a k-level look-ahead readiness probe."""
 
-    _dag: "Dag"  # bound in prepare(); hooks never run before it
+    #: the in-CSR ``(offsets, parents)``, bound in prepare()
+    _in_offsets: tuple[int, ...] = ()
+    _in_parents: tuple[int, ...] = ()
 
     def __init__(self, k: int = 10) -> None:
         super().__init__()
@@ -48,7 +46,7 @@ class LookaheadScheduler(LevelBasedScheduler):
     # ------------------------------------------------------------------
     def prepare(self, ctx: SchedulerContext) -> None:
         super().prepare(ctx)
-        self._dag = ctx.dag
+        self._in_offsets, self._in_parents = ctx.dag.in_lists()
         self._activated = set()
         self._completed = set()
 
@@ -66,18 +64,19 @@ class LookaheadScheduler(LevelBasedScheduler):
         exist? Prunes below the cursor (those levels are complete)."""
         cursor = self._cursor
         levels = self._levels
-        dag = self._dag
+        offsets, parents = self._in_offsets, self._in_parents
+        activated, completed = self._activated, self._completed
         visited = {candidate}
         frontier = [candidate]
         while frontier:
             u = frontier.pop()
-            for p in dag.in_neighbors(u):
-                p = int(p)
+            for i in range(offsets[u], offsets[u + 1]):
+                p = parents[i]
                 self.ops += 1  # one edge traversed
                 if p in visited or levels[p] < cursor:
                     continue
                 visited.add(p)
-                if p in self._activated and p not in self._completed:
+                if p in activated and p not in completed:
                     return True
                 frontier.append(p)
         self.note_runtime_memory(self._n_queued + len(visited))
@@ -90,7 +89,7 @@ class LookaheadScheduler(LevelBasedScheduler):
         # Processors would idle: probe the next k levels for safe work.
         hi = min(self._cursor + self.k, self._max_level)
         for lvl in range(self._cursor + 1, hi + 1):
-            bucket = self._buckets.get(lvl)
+            bucket = self._buckets[lvl]
             if not bucket:
                 continue
             kept: list[int] = []

@@ -94,7 +94,7 @@ _EV_PROC_RECOVER = 4
 _HEAP_COMPACT_MIN = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class _Running:
     node: int
     model: int
@@ -211,9 +211,7 @@ def simulate(
     )
     scheduler.prepare(ctx)
 
-    work = trace.work
-    span = trace.span
-    models = trace.models
+    work, span, models = trace.node_lists
 
     t = 0.0
     charged_overhead = 0.0
@@ -312,15 +310,15 @@ def simulate(
                 fault_log.record(
                     "straggler", now, node, att, factor=inflation
                 )
-        m = int(models[node])
+        m = models[node]
         if m == _MALLEABLE:
-            total_w = float(work[node]) * inflation
+            total_w = work[node] * inflation
             rec = _Running(
                 node=node,
                 model=m,
                 alloc=alloc,
                 start=now,
-                span_end=now + float(span[node]) * inflation,
+                span_end=now + span[node] * inflation,
                 work_remaining=total_w,
                 last_update=now,
                 version=ver_base.get(node, 0),
@@ -333,7 +331,7 @@ def simulate(
                 push_event(rec.finish_estimate(now), _EV_COMPLETE, node,
                            rec.version)
         else:
-            dur = 1.0 if m == _UNIT else float(work[node])
+            dur = 1.0 if m == _UNIT else work[node]
             dur *= inflation
             rec = _Running(
                 node=node,
@@ -529,9 +527,7 @@ def simulate(
                 for v in mall:
                     if spare <= 0:
                         break
-                    cap = max_useful_processors(
-                        float(work[v]), float(span[v]), int(models[v])
-                    )
+                    cap = max_useful_processors(work[v], span[v], models[v])
                     if allocs[v] < cap:
                         allocs[v] += 1
                         spare -= 1
@@ -588,7 +584,7 @@ def simulate(
             duration = t - rec.start
             busy_proc_seconds += duration * rec.alloc
             tasks_executed += 1
-            total_work_done += float(work[node])
+            total_work_done += work[node]
             if tracing:
                 sink.record_span(
                     f"task:{node}", "sim-task", rec.start, t,
@@ -718,7 +714,8 @@ def simulate(
         # *later*, when a normal completion resolves a node whose only
         # change signal would have arrived through the quarantined task.
         suppressed_all = np.flatnonzero(
-            trace.propagation.executed & ~state.executed
+            trace.propagation.executed
+            & ~np.array(state.executed, dtype=bool)
         )
         extras["quarantined_nodes"] = [int(v) for v in suppressed_all]
     result = SimulationResult(

@@ -17,13 +17,22 @@ module derives the ground truth:
 * :func:`propagate_changes` — the executed set ``W`` (the paper's
   active-node set) and the realized active-edge set ``F``.
 * :class:`ActivationState` — the incremental, event-driven form used by
-  the simulator: resolution counters per node, yielding dispatchable
-  tasks and deactivation cascades as executions complete.
+  the simulator and by every served round: resolution counters per
+  node, yielding dispatchable tasks and deactivation cascades as
+  executions complete.
+
+Both walk plain Python lists, never numpy scalars: the graph is read
+through the ``Dag``'s derived int tuples (the out-CSR
+:meth:`~repro.dag.graph.Dag.out_lists`, built once per graph), and the
+tracker's per-node and per-edge state are lists of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -58,11 +67,11 @@ def propagate_changes(
     ``initial`` is an array of node ids that execute unconditionally
     (the updated base predicates / redefined rules). ``changed_edges``
     is boolean over dense edge indices (see :meth:`Dag.edge_index`).
-    O(V + E): one sweep of plain lists in the ``Dag``'s derived
-    topological order.
+    O(V + E): one sweep of the ``Dag``'s derived out-CSR tuples in its
+    derived topological order.
     """
     n = dag.n_nodes
-    offsets, targets = (a.tolist() for a in dag.out_csr())
+    offsets, targets = dag.out_lists()
     changed = np.asarray(changed_edges, dtype=bool).tolist()
     executed = [False] * n
     for u in np.asarray(initial, dtype=np.int64).tolist():
@@ -85,7 +94,6 @@ def propagate_changes(
     )
 
 
-@dataclass
 class ActivationState:
     """Event-driven ground truth used by the simulation engine.
 
@@ -93,37 +101,64 @@ class ActivationState:
     resolved when it has executed, or when all its parents resolved
     without delivering it a change (deactivation). Newly dispatchable
     tasks (resolved-parents + activated) surface via the lists returned
-    from :meth:`complete` / :meth:`start`.
+    from :meth:`bootstrap` / :meth:`complete`.
 
     The state is pure bookkeeping — O(1) amortized per edge over the
     whole run — and is *not* charged to any scheduler's overhead. Each
     scheduler must rediscover readiness with its own machinery; this
     class exists so the simulator can validate those discoveries.
+
+    Every per-node and per-edge field is a plain Python list, written in
+    place one item at a time; the graph is read through the ``Dag``'s
+    derived tuples — :meth:`~repro.dag.graph.Dag.out_lists` for the
+    out-CSR and :meth:`~repro.dag.graph.Dag.in_degree_list` for the
+    starting counters, which each state copies. The tracker counts the
+    tasks still to run, so :meth:`all_done` and :meth:`pending_count`
+    are O(1).
     """
 
-    dag: Dag
-    initial: np.ndarray
-    changed_edges: np.ndarray
-    unresolved_parents: np.ndarray = field(init=False)
-    activated: np.ndarray = field(init=False)
-    will_execute: np.ndarray = field(init=False)
-    executed: np.ndarray = field(init=False)
-    resolved: np.ndarray = field(init=False)
-    dispatched: np.ndarray = field(init=False)
-    quarantined: np.ndarray = field(init=False)
+    __slots__ = (
+        "dag",
+        "initial",
+        "changed_edges",
+        "unresolved_parents",
+        "activated",
+        "will_execute",
+        "executed",
+        "resolved",
+        "dispatched",
+        "quarantined",
+        "_offsets",
+        "_targets",
+        "_pending",
+    )
 
-    def __post_init__(self) -> None:
-        n = self.dag.n_nodes
-        self.unresolved_parents = self.dag.in_degrees().copy()
-        self.activated = np.zeros(n, dtype=bool)
-        self.will_execute = np.zeros(n, dtype=bool)
-        self.executed = np.zeros(n, dtype=bool)
-        self.resolved = np.zeros(n, dtype=bool)
-        self.dispatched = np.zeros(n, dtype=bool)
-        self.quarantined = np.zeros(n, dtype=bool)
-        init = np.asarray(self.initial, dtype=np.int64)
-        self.activated[init] = True
-        self.will_execute[init] = True
+    def __init__(
+        self,
+        dag: Dag,
+        initial: np.ndarray | Sequence[int],
+        changed_edges: np.ndarray | Sequence[bool],
+    ) -> None:
+        n = dag.n_nodes
+        self.dag = dag
+        self.initial = initial
+        #: does edge ``e`` deliver a change once its source executes
+        self.changed_edges: list[bool] = np.asarray(
+            changed_edges, dtype=bool
+        ).tolist()
+        self._offsets, self._targets = dag.out_lists()
+        self.unresolved_parents: list[int] = list(dag.in_degree_list())
+        self.activated = [False] * n
+        self.will_execute = [False] * n
+        self.executed = [False] * n
+        self.resolved = [False] * n
+        self.dispatched = [False] * n
+        self.quarantined = [False] * n
+        for u in np.asarray(initial, dtype=np.int64).tolist():
+            self.activated[u] = True
+            self.will_execute[u] = True
+        #: will_execute and neither executed nor quarantined
+        self._pending = self.will_execute.count(True)
 
     # ------------------------------------------------------------------
     def bootstrap(self) -> tuple[list[int], list[int]]:
@@ -135,10 +170,11 @@ class ActivationState:
         any :meth:`complete`.
         """
         dispatchable: list[int] = []
-        newly_activated = [int(u) for u in np.flatnonzero(self.activated)]
-        cascade = [
-            int(u) for u in np.flatnonzero(self.unresolved_parents == 0)
-        ]
+        nodes = range(self.dag.n_nodes)
+        newly_activated = list(compress(nodes, self.activated))
+        cascade = list(
+            compress(nodes, map(operator.not_, self.unresolved_parents))
+        )
         self._drain(cascade, dispatchable, newly_activated)
         return dispatchable, newly_activated
 
@@ -156,22 +192,32 @@ class ActivationState:
             raise RuntimeError(f"task {u} completed twice")
         self.executed[u] = True
         self.resolved[u] = True
+        if not self.quarantined[u]:
+            self._pending -= 1
 
         dispatchable: list[int] = []
         newly_activated: list[int] = []
-        lo, hi = self.dag.out_edge_range(u)
         cascade: list[int] = []
-        for ei in range(lo, hi):
-            v = int(self.dag._out_adj[ei])  # noqa: SLF001
-            if self.changed_edges[ei]:
-                if not self.activated[v]:
-                    self.activated[v] = True
+        changed = self.changed_edges
+        activated = self.activated
+        will_execute = self.will_execute
+        unresolved = self.unresolved_parents
+        targets = self._targets
+        for ei in range(self._offsets[u], self._offsets[u + 1]):
+            v = targets[ei]
+            if changed[ei]:
+                if not activated[v]:
+                    activated[v] = True
                     newly_activated.append(v)
-                self.will_execute[v] = True
-            self.unresolved_parents[v] -= 1
-            if self.unresolved_parents[v] == 0:
+                if not will_execute[v]:
+                    will_execute[v] = True
+                    self._pending += 1
+            left = unresolved[v] - 1
+            unresolved[v] = left
+            if not left:
                 cascade.append(v)
-        self._drain(cascade, dispatchable, newly_activated)
+        if cascade:
+            self._drain(cascade, dispatchable, newly_activated)
         return dispatchable, newly_activated
 
     def _drain(
@@ -181,20 +227,26 @@ class ActivationState:
         newly_activated: list[int],
     ) -> None:
         """Process nodes whose parents have all resolved."""
+        resolved = self.resolved
+        dispatched = self.dispatched
+        will_execute = self.will_execute
+        unresolved = self.unresolved_parents
+        offsets = self._offsets
+        targets = self._targets
         while cascade:
             v = cascade.pop()
-            if self.resolved[v] or self.dispatched[v]:
+            if resolved[v] or dispatched[v]:
                 continue
-            if self.will_execute[v]:
+            if will_execute[v]:
                 dispatchable.append(v)  # ready to run; resolves on completion
                 continue
             # deactivation: all inputs settled, none changed
-            self.resolved[v] = True
-            lo, hi = self.dag.out_edge_range(v)
-            for ei in range(lo, hi):
-                w = int(self.dag._out_adj[ei])  # noqa: SLF001
-                self.unresolved_parents[w] -= 1
-                if self.unresolved_parents[w] == 0:
+            resolved[v] = True
+            for ei in range(offsets[v], offsets[v + 1]):
+                w = targets[ei]
+                left = unresolved[w] - 1
+                unresolved[w] = left
+                if not left:
                     cascade.append(w)
 
     # ------------------------------------------------------------------
@@ -226,31 +278,32 @@ class ActivationState:
         Returns ``(dispatchable, suppressed)``: tasks that just became
         ground-truth ready, and nodes newly resolved without execution
         by the cascade (candidates for quarantine reporting; ``u``
-        itself is *not* included).
+        itself is *not* included), in ascending order.
         """
         if not self.dispatched[u]:
             raise RuntimeError(f"fail_permanently({u}) without a dispatch")
         if self.executed[u]:
             raise RuntimeError(f"fail_permanently({u}) after completion")
+        if not self.quarantined[u]:
+            self._pending -= 1
         self.quarantined[u] = True
         self.resolved[u] = True
 
-        before = self.resolved.copy()
+        before = self.resolved[:]
         dispatchable: list[int] = []
         cascade: list[int] = []
-        lo, hi = self.dag.out_edge_range(u)
-        for ei in range(lo, hi):
-            v = int(self.dag._out_adj[ei])  # noqa: SLF001
-            self.unresolved_parents[v] -= 1
-            if self.unresolved_parents[v] == 0:
+        unresolved = self.unresolved_parents
+        for v in self._targets[self._offsets[u]:self._offsets[u + 1]]:
+            unresolved[v] -= 1
+            if unresolved[v] == 0:
                 cascade.append(v)
         self._drain(cascade, dispatchable, [])
         suppressed = [
-            int(v)
-            for v in np.flatnonzero(
-                self.resolved & ~before & ~self.executed & ~self.dispatched
+            v
+            for v, (now, was, ran, out) in enumerate(
+                zip(self.resolved, before, self.executed, self.dispatched)
             )
-            if v != u
+            if now and not (was or ran or out) and v != u
         ]
         return dispatchable, suppressed
 
@@ -279,7 +332,7 @@ class ActivationState:
     def is_ready(self, u: int) -> bool:
         """Ground-truth readiness (without dispatching)."""
         return (
-            bool(self.will_execute[u])
+            self.will_execute[u]
             and not self.dispatched[u]
             and self.unresolved_parents[u] == 0
         )
@@ -290,12 +343,8 @@ class ActivationState:
         Quarantined nodes (degrade-mode permanent failures) count as
         settled: they will never run, by design.
         """
-        return bool(
-            np.all(~self.will_execute | self.executed | self.quarantined)
-        )
+        return self._pending == 0
 
     def pending_count(self) -> int:
         """Number of tasks that must still execute."""
-        return int(
-            np.sum(self.will_execute & ~self.executed & ~self.quarantined)
-        )
+        return self._pending

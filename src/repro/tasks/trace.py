@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Any
+from typing import IO, Any, NamedTuple
 
 import numpy as np
 
@@ -35,6 +35,15 @@ from .model import ExecutionModel
 __all__ = ["JobTrace"]
 
 _SCHEMA_VERSION = 1
+
+
+class NodeLists(NamedTuple):
+    """A trace's per-node task data as int and float tuples (see
+    :attr:`JobTrace.node_lists`)."""
+
+    work: tuple[float, ...]
+    span: tuple[float, ...]
+    models: tuple[int, ...]
 
 
 @dataclass
@@ -117,6 +126,7 @@ class JobTrace:
             raise ValueError("initial task id out of range")
 
         self._propagation: PropagationResult | None = None
+        self._node_lists: NodeLists | None = None
 
     # ------------------------------------------------------------------
     # derived, cached views
@@ -159,6 +169,22 @@ class JobTrace:
     def total_active_work(self) -> float:
         """``w``: total work over all nodes that execute."""
         return float(self.work[self.propagation.executed].sum())
+
+    @property
+    def node_lists(self) -> NodeLists:
+        """``work``, ``span`` and ``models`` as tuples (cached).
+
+        What the simulator reads once per task: a tuple item is a plain
+        ``float`` / ``int``, where a numpy scalar read boxes a new one.
+        Built on first use; the arrays stay the trace's data.
+        """
+        if self._node_lists is None:
+            self._node_lists = NodeLists(
+                tuple(self.work.tolist()),
+                tuple(self.span.tolist()),
+                tuple(self.models.tolist()),
+            )
+        return self._node_lists
 
     def fresh_activation_state(self) -> ActivationState:
         """A new event-driven ground-truth tracker for one simulation."""

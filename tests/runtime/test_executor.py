@@ -59,6 +59,32 @@ def test_worker_counts(compiled_workloads, expected_new, workers):
     assert report.ok
 
 
+def test_consecutive_rounds_over_one_plan_share_no_state(
+    compiled_workloads, expected_new,
+):
+    """Each round's activation tracker copies its counters from the
+    Dag's derived tuples and writes only its own lists: a second round
+    over the same plan runs the same units, reports the same diffs and
+    leaves the derived tuples as the first found them."""
+    cu = compiled_workloads["transitive_closure"]
+    plan = build_execution_plan(cu)
+    dag = plan.compiled.trace.dag
+    offsets, targets = dag.out_csr()
+    scheduler = REGISTRY["levelbased"]()
+    first = RoundExecutor(plan, scheduler, workers=2).run()
+    second = RoundExecutor(plan, scheduler, workers=2).run()
+    assert second.diffs == first.diffs
+    assert sorted(second.records) == sorted(first.records)
+    for outcome in (first, second):
+        assert plan.materialization(outcome.values).as_dict() == (
+            expected_new["transitive_closure"]
+        )
+    assert dag.out_lists() == (
+        tuple(offsets.tolist()), tuple(targets.tolist())
+    )
+    assert dag.in_degree_list() == tuple(dag.in_degrees().tolist())
+
+
 def test_waits_on_the_callers_own_unit_pass_the_strict_check(
     compiled_workloads, expected_new,
 ):

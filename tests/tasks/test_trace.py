@@ -82,6 +82,27 @@ class TestDerived:
         s2.bootstrap()
         assert s2.is_ready(0)  # unaffected by s1
 
+        # a state run to completion leaves nothing behind on the Dag: the
+        # next one copies untouched counters and bootstraps the same way
+        dag = t.dag
+        offsets, targets = dag.out_csr()
+        done = t.fresh_activation_state()
+        first = done.bootstrap()
+        ready = list(first[0])
+        while ready:
+            v = ready.pop()
+            done.mark_dispatched(v)
+            ready.extend(done.complete(v)[0])
+        assert done.all_done()
+        assert done.unresolved_parents == [0, 0, 0, 0]
+        again = t.fresh_activation_state()
+        assert again.bootstrap() == first
+        assert again.unresolved_parents == [0, 1, 1, 2]
+        assert dag.in_degree_list() == (0, 1, 1, 2)
+        assert dag.out_lists() == (
+            tuple(offsets.tolist()), tuple(targets.tolist())
+        )
+
 
 class TestSerialization:
     def test_json_roundtrip(self):
