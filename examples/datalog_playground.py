@@ -13,7 +13,6 @@ Run:  python examples/datalog_playground.py
 from repro.datalog import (
     Database,
     Delta,
-    DependencyGraph,
     IncrementalEngine,
     StratificationError,
     compile_update,
@@ -38,7 +37,7 @@ def main() -> None:
         connected(Y) :- reach(X, Y).
         """
     )
-    strata = DependencyGraph(program).stratify()
+    strata = program.depgraph.stratify()
     print("strata (evaluated bottom-up):")
     for i, s in enumerate(strata):
         print(f"  {i}: {s}")
@@ -49,9 +48,7 @@ def main() -> None:
 
     # --- unstratifiable programs are rejected -------------------------
     try:
-        DependencyGraph(
-            parse_program("win(X) :- move(X, Y), !win(Y).")
-        ).stratify()
+        parse_program("win(X) :- move(X, Y), !win(Y).").depgraph.stratify()
     except StratificationError as exc:
         print(f"\nrejected as expected: {exc}")
 

@@ -15,7 +15,12 @@ These classes are deliberately tiny immutable values: the evaluator
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Iterator, Union
+from functools import cached_property, partial
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterator, Mapping, Union
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .depgraph import DependencyGraph
 
 __all__ = [
     "Variable",
@@ -371,71 +376,111 @@ class Rule:
         return f"{self.head!r} :- {', '.join(map(repr, self.body))}."
 
 
-@dataclass
+#: a value :class:`Program` derives from its rules at construction
+_derived = partial(field, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
 class Program:
-    """An ordered collection of rules and facts.
+    """An ordered, immutable collection of rules and facts: a value.
+
+    ``rules`` is a tuple (any iterable is frozen into one); programs
+    with equal rules are equal. What follows from the rules alone is
+    derived once, on the program, read-only: arities (in the pass that
+    checks them), predicate sets, :attr:`facts` and :attr:`proper_rules`
+    at construction; :attr:`stated_facts`, :attr:`depgraph` and
+    :attr:`strata` on first use. Every consumer reads these objects.
 
     ``check=False`` skips the cross-rule arity validation — used by the
     lenient parser so the static analyzer can diagnose inconsistent
-    programs instead of refusing to build them.
+    programs instead of refusing to build them; :meth:`arities` then
+    keeps the last use of each predicate.
     """
 
-    rules: list[Rule] = field(default_factory=list)
+    rules: tuple[Rule, ...] = ()
     check: InitVar[bool] = True
+    #: ground facts (empty-body rules)
+    facts: tuple[Rule, ...] = _derived()
+    #: rules with a non-empty body
+    proper_rules: tuple[Rule, ...] = _derived()
+    _arities: Mapping[str, int] = _derived()
+    _predicates: frozenset[str] = _derived()
+    _idb: frozenset[str] = _derived()
+    _edb: frozenset[str] = _derived()
 
     def __post_init__(self, check: bool) -> None:
-        if check:
-            self._check_consistent_arity()
-
-    def _check_consistent_arity(self) -> None:
-        arity: dict[str, int] = {}
-        for r in self.rules:
-            atoms = [r.head] + [l.atom for l in r.body if l.atom is not None]
-            for a in atoms:
-                prev = arity.setdefault(a.predicate, a.arity)
-                if prev != a.arity:
+        rules = tuple(self.rules)
+        arities: dict[str, int] = {}
+        for r in rules:
+            for a in (r.head, *(l.atom for l in r.body if l.atom is not None)):
+                prev = arities.get(a.predicate)
+                if check and prev is not None and prev != a.arity:
                     raise ValueError(
                         f"predicate {a.predicate} used with arities "
                         f"{prev} and {a.arity}"
                     )
+                arities[a.predicate] = a.arity
+        proper = tuple(r for r in rules if not r.is_fact)
+        idb = frozenset(r.head.predicate for r in proper)
+        for name, value in (
+            ("rules", rules),
+            ("facts", tuple(r for r in rules if r.is_fact)),
+            ("proper_rules", proper),
+            ("_arities", MappingProxyType(arities)),
+            ("_predicates", frozenset(arities)),
+            ("_idb", idb),
+            ("_edb", frozenset(arities) - idb),
+        ):
+            object.__setattr__(self, name, value)
 
-    @property
-    def facts(self) -> list[Rule]:
-        """Ground facts (empty-body rules)."""
-        return [r for r in self.rules if r.is_fact]
+    def __reduce__(self) -> tuple:  # rebuilt: a mapping proxy won't pickle
+        return type(self), (self.rules, False)
 
-    @property
-    def proper_rules(self) -> list[Rule]:
-        """Rules with a non-empty body."""
-        return [r for r in self.rules if not r.is_fact]
-
-    def predicates(self) -> set[str]:
-        """Every predicate mentioned in a head or body."""
-        out: set[str] = set()
-        for r in self.rules:
-            out.add(r.head.predicate)
-            for p, _ in r.body_predicates():
-                out.add(p)
-        return out
-
-    def arities(self) -> dict[str, int]:
-        """Arity of every predicate mentioned in a head or body."""
-        return {
-            atom.predicate: atom.arity
-            for r in self.rules
-            for atom in (
-                r.head,
-                *(lit.atom for lit in r.body if lit.atom is not None),
+    @cached_property
+    def stated_facts(self) -> Mapping[str, tuple[tuple, ...]]:
+        """Predicate → the value tuples the program's facts state for
+        it, in program order: what every evaluation seeds it with."""
+        stated: dict[str, list[tuple]] = {}
+        for r in self.facts:
+            stated.setdefault(r.head.predicate, []).append(
+                tuple(t.value for t in r.head.terms)  # type: ignore[union-attr]
             )
-        }
+        return MappingProxyType({p: tuple(f) for p, f in stated.items()})
 
-    def idb_predicates(self) -> set[str]:
+    @cached_property
+    def depgraph(self) -> "DependencyGraph":
+        """The program's one dependency graph; it keeps its SCCs."""
+        from .depgraph import DependencyGraph
+
+        return DependencyGraph(self)
+
+    @cached_property
+    def strata(self) -> tuple[tuple[tuple[int, Rule], ...], ...]:
+        """Per stratum of ``depgraph.stratify()``, in that order, its
+        proper rules as ``(index into proper_rules, rule)`` pairs.
+        Raises :class:`~repro.datalog.depgraph.StratificationError`."""
+        comps = self.depgraph.stratify()
+        stratum_of = {p: si for si, comp in enumerate(comps) for p in comp}
+        out: list[list[tuple[int, Rule]]] = [[] for _ in comps]
+        for ri, r in enumerate(self.proper_rules):
+            out[stratum_of[r.head.predicate]].append((ri, r))
+        return tuple(map(tuple, out))
+
+    def predicates(self) -> frozenset[str]:
+        """Every predicate mentioned in a head or body."""
+        return self._predicates
+
+    def arities(self) -> Mapping[str, int]:
+        """Arity of every predicate mentioned in a head or body."""
+        return self._arities
+
+    def idb_predicates(self) -> frozenset[str]:
         """Predicates defined by at least one proper rule."""
-        return {r.head.predicate for r in self.proper_rules}
+        return self._idb
 
-    def edb_predicates(self) -> set[str]:
+    def edb_predicates(self) -> frozenset[str]:
         """Predicates appearing only as facts / inputs."""
-        return self.predicates() - self.idb_predicates()
+        return self._edb
 
     def rules_for(self, predicate: str) -> list[Rule]:
         """Proper rules whose head is ``predicate``."""

@@ -58,12 +58,11 @@ from ..tasks.model import ExecutionModel
 from ..tasks.trace import JobTrace
 from .ast import Program
 from .database import Database
-from .depgraph import DependencyGraph
 from .zset import (
     Delta,
     ZSetDelta,
     apply_zdelta,
-    check_update,
+    check_program_update,
     effective_zdelta,
 )
 
@@ -115,18 +114,17 @@ def prepare_update(
     :func:`compile_update`'s too — does before anything runs:
     ``(zdelta, edb_old, edb_new)``.
 
-    The update is refused by :func:`~repro.datalog.zset.check_update`:
-    a fact of a derived predicate, or one whose length is not its
-    predicate's arity in ``program``, else in ``edb_old``. A
+    The update is refused by
+    :func:`~repro.datalog.zset.check_program_update`: a fact of a
+    derived predicate, or one whose length is not its predicate's
+    arity in ``program``, else in ``edb_old``. A
     :class:`Delta` is clamped to its effective weights — redundant ops (inserting a
     present fact, deleting an absent one) and coalesced insert/retract
     pairs cancel here, so a self-cancelling delta compiles exactly like
     an empty one; a :class:`ZSetDelta` is taken as already clamped
     against ``edb_old``. ``apply`` produces ``edb_new`` from it.
     """
-    arities = {p: rel.arity for p, rel in edb_old.relations.items()}
-    arities.update(program.arities())
-    check_update(delta, program.idb_predicates(), arities.get)
+    check_program_update(program, edb_old, delta)
     zdelta = (
         delta
         if isinstance(delta, ZSetDelta)
@@ -210,7 +208,6 @@ class RoundStructure:
     models: np.ndarray
     #: source node of every dense edge index
     edge_sources: np.ndarray
-    n_strata: int
 
 
 def build_round_structure(program: Program) -> RoundStructure:
@@ -224,21 +221,15 @@ def build_round_structure(program: Program) -> RoundStructure:
     reaches on a given EDB. Labels read ``edb:p``, ``r{ri}@{si}.0``,
     ``p@{si}.0`` and ``fix@{si}``.
     """
-    depgraph = DependencyGraph(program)
-    strata = depgraph.stratify()
-    rules = program.proper_rules
-    recursive = depgraph.recursive_predicates()
+    strata = program.depgraph.stratify()
+    recursive = program.depgraph.recursive_predicates()
 
-    stratum_of: dict[str, int] = {}
-    for si, comp in enumerate(strata):
-        for p in comp:
-            stratum_of[p] = si
+    stratum_of = {p: si for si, comp in enumerate(strata) for p in comp}
 
     b = DagBuilder()
-    edb_preds = sorted(program.edb_predicates())
-    for p in edb_preds:
+    edb_set = program.edb_predicates()
+    for p in sorted(edb_set):
         b.node(("edb", p), f"edb:{p}")
-    edb_set = set(edb_preds)
 
     def out_node(p: str) -> int:
         """The node carrying ``p``'s final value for later strata."""
@@ -247,12 +238,8 @@ def build_round_structure(program: Program) -> RoundStructure:
         si = stratum_of[p]
         return b.node(("pred", p, si), f"{p}@{si}.0")
 
-    for si, stratum in enumerate(strata):
-        stratum_set = set(stratum)
-        stratum_rules = [
-            (ri, r) for ri, r in enumerate(rules)
-            if r.head.predicate in stratum_set
-        ]
+    for si, stratum_rules in enumerate(program.strata):
+        stratum, stratum_set = strata[si], set(strata[si])
         if stratum_set & recursive:
             # the whole fixpoint is one node: it reads every predicate
             # the SCC's rules mention outside the SCC, writes the SCC
@@ -288,7 +275,6 @@ def build_round_structure(program: Program) -> RoundStructure:
         is_task=is_task,
         models=np.full(dag.n_nodes, ExecutionModel.SEQUENTIAL, dtype=np.int8),
         edge_sources=np.ascontiguousarray(dag.edge_array()[:, 0]),
-        n_strata=len(strata),
     )
 
 
@@ -322,7 +308,7 @@ def _round_trace(
         metadata={
             "generator": "datalog.compile_update",
             "n_rules": len(structure.program.proper_rules),
-            "n_strata": structure.n_strata,
+            "n_strata": len(structure.program.strata),
             "work_per_derivation": work_per_derivation,
         },
     )

@@ -86,7 +86,13 @@ def condensation_sccs(
 
 @dataclass
 class DependencyGraph:
-    """Dependency structure of a :class:`~repro.datalog.ast.Program`."""
+    """Dependency structure of a :class:`~repro.datalog.ast.Program`.
+
+    A program keeps one (:attr:`~repro.datalog.ast.Program.depgraph`),
+    and the static DAG, the evaluators and the analyzer all read it. Its
+    SCCs (one Tarjan run), recursive predicates and negation cycles are
+    derived at construction and shared, read-only.
+    """
 
     program: Program
     #: body-pred → set of head-preds it feeds (positive or negative)
@@ -114,30 +120,36 @@ class DependencyGraph:
                     self.negative_edges.add(edge)
                     self.negative_edge_kinds.setdefault(edge, "aggregation")
         self.edges = dict(deps)
+        # one Tarjan run; every view below reads it, none writes it
+        self._sccs = condensation_sccs(
+            sorted(self.program.predicates()), self.edges
+        )
+        self._comp_of = {p: i for i, c in enumerate(self._sccs) for p in c}
+        self._recursive = frozenset(
+            [p for comp in self._sccs if len(comp) > 1 for p in comp]
+            + [p for p, targets in self.edges.items() if p in targets]
+        )
+        self._cycles = [
+            (
+                self._witness_path(dst, src, set(self._component(src)))
+                + [dst],
+                self.negative_edge_kinds[(src, dst)],
+            )
+            for src, dst in sorted(self.negative_edges)
+            if self._comp_of[src] == self._comp_of[dst]
+        ]
 
     # ------------------------------------------------------------------
-    def predicates(self) -> list[str]:
-        """All predicates, sorted (the SCC computation's node set)."""
-        return sorted(self.program.predicates())
+    def _component(self, pred: str) -> list[str]:
+        return self._sccs[self._comp_of[pred]]
 
     def sccs(self) -> list[list[str]]:
         """SCCs in dependency order (a predicate's inputs come first)."""
-        return condensation_sccs(self.predicates(), self.edges)
+        return self._sccs
 
-    def recursive_predicates(self) -> set[str]:
+    def recursive_predicates(self) -> frozenset[str]:
         """Predicates in a multi-node SCC or with a self-loop."""
-        out: set[str] = set()
-        for comp in self.sccs():
-            if len(comp) > 1:
-                out.update(comp)
-            else:
-                p = comp[0]
-                if p in self.edges.get(p, ()):  # pragma: no cover - guarded
-                    out.add(p)
-        for p, targets in self.edges.items():
-            if p in targets:
-                out.add(p)
-        return out
+        return self._recursive
 
     def _witness_path(
         self, start: str, goal: str, comp: set[str]
@@ -173,22 +185,9 @@ class DependencyGraph:
         ``[dst, …, src, dst]`` — the positive dependency chain from the
         rule's head back to the offending body predicate, closed by the
         negative edge — and ``kind`` is ``"negation"`` or
-        ``"aggregation"``. Empty iff the program stratifies. Computed
-        on demand so :meth:`stratify`'s happy path stays cheap.
+        ``"aggregation"``. Empty iff the program stratifies.
         """
-        comps = self.sccs()
-        comp_of: dict[str, int] = {}
-        for i, comp in enumerate(comps):
-            for p in comp:
-                comp_of[p] = i
-        out: list[tuple[list[str], str]] = []
-        for src, dst in sorted(self.negative_edges):
-            if comp_of.get(src) != comp_of.get(dst):
-                continue
-            comp = set(comps[comp_of[src]])
-            path = self._witness_path(dst, src, comp)
-            out.append((path + [dst], self.negative_edge_kinds[(src, dst)]))
-        return out
+        return self._cycles
 
     def stratify(self) -> list[list[str]]:
         """Strata (SCCs in dependency order); raises on negation in a cycle.
@@ -198,26 +197,15 @@ class DependencyGraph:
         materialized before their consumers run — the standard
         stratified-negation semantics.
         """
-        comps = self.sccs()
-        comp_of: dict[str, int] = {}
-        for i, comp in enumerate(comps):
-            for p in comp:
-                comp_of[p] = i
-        for src, dst in self.negative_edges:
-            if comp_of.get(src) == comp_of.get(dst):
-                cycle, kind = self.negation_cycles()[0]
-                raise StratificationError(
-                    f"{kind} of {cycle[-2]!r} inside its own recursive "
-                    f"component {comps[comp_of[cycle[-2]]]!r}: "
-                    "dependency cycle "
-                    + " -> ".join(map(repr, cycle))
-                )
-        return comps
+        if self._cycles:
+            cycle, kind = self._cycles[0]
+            raise StratificationError(
+                f"{kind} of {cycle[-2]!r} inside its own recursive "
+                f"component {self._component(cycle[-2])!r}: dependency "
+                "cycle " + " -> ".join(map(repr, cycle))
+            )
+        return self._sccs
 
     def is_stratifiable(self) -> bool:
         """Whether :meth:`stratify` succeeds."""
-        try:
-            self.stratify()
-            return True
-        except StratificationError:
-            return False
+        return not self._cycles

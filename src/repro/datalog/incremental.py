@@ -45,7 +45,7 @@ from .zset import (
     ZSetDelta,
     apply_delta,
     apply_zdelta,
-    check_update,
+    check_program_update,
     effective_zdelta,
     merge_deltas,
 )
@@ -94,9 +94,6 @@ class IncrementalEngine:
         self.cache = CompiledProgramCache(program)
         #: the one id space of every node value
         self.pool = self.cache.pool
-        #: what :meth:`apply` refuses, and checks a fact's length against
-        self._derived = program.idb_predicates()
-        self._arity = program.arities()
         self._edb = Database() if edb is None else edb
         # a miss: every source of G is initial, so all of it runs
         self._round(ZSetDelta())
@@ -117,7 +114,7 @@ class IncrementalEngine:
         ``ValueError`` before anything is written; one that changes
         nothing returns an empty trace before anything is compiled.
         """
-        check_update(delta, self._derived, self._arity_of)
+        check_program_update(self.program, self._edb, delta)
         zdelta = (
             delta
             if isinstance(delta, ZSetDelta)
@@ -164,14 +161,6 @@ class IncrementalEngine:
         self._edb = cu.edb_new
         self.db = plan.materialization(values)
         return plan, values
-
-    def _arity_of(self, pred: str) -> int | None:
-        """``pred``'s arity: the program's, else the held relation's."""
-        arity = self._arity.get(pred)
-        if arity is None:
-            held = self._edb.relations.get(pred)
-            arity = None if held is None else held.arity
-        return arity
 
 
 def _execute_activated(plan: ExecutionPlan) -> ValueStore:

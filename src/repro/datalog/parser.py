@@ -238,7 +238,7 @@ class _Parser:
         while self.peek() is not None:
             rules.append(self.parse_clause())
         try:
-            return Program(rules)
+            return Program(tuple(rules))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
@@ -263,7 +263,7 @@ def parse_program_lenient(text: str) -> tuple[Program, list[ParseError]]:
     try:
         p = _Parser(text)
     except ParseError as exc:
-        return Program([], check=False), [exc]
+        return Program((), check=False), [exc]
     rules: list[Rule] = []
     while p.peek() is not None:
         start = p.pos
@@ -277,7 +277,7 @@ def parse_program_lenient(text: str) -> tuple[Program, list[ParseError]]:
                 p.pos += 1
             if p.peek() is not None:
                 p.pos += 1  # consume the clause terminator
-    return Program(rules, check=False), errors
+    return Program(tuple(rules), check=False), errors
 
 
 def parse_rule(text: str) -> Rule:

@@ -125,11 +125,8 @@ def _explain(
         for ri, r in enumerate(program.proper_rules)
         if r.head.predicate == predicate
     ]
-    is_base = predicate in program.edb_predicates() or any(
-        f.head.predicate == predicate
-        and tuple(t.value for t in f.head.terms) == fact  # type: ignore[union-attr]
-        for f in program.facts
-    )
+    stated = program.stated_facts.get(predicate, ())
+    is_base = predicate in program.edb_predicates() or fact in stated
     if is_base or not rules:
         return Derivation(predicate, fact)
     if key in in_progress:

@@ -27,6 +27,7 @@ materialization: that is the static DAG, run by the served round and by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .ast import Program, Rule
 from .columnar import (
@@ -37,7 +38,6 @@ from .columnar import (
     run_rule_plan,
 )
 from .database import Database, Relation
-from .depgraph import DependencyGraph
 from .unify import eval_rule
 
 __all__ = [
@@ -59,22 +59,20 @@ class EvaluationTrace:
     strata: list[list[str]] = field(default_factory=list)
 
 
-def _seed_facts(program: Program, db: Database) -> None:
-    for fact in program.facts:
-        db.add_fact(
-            fact.head.predicate,
-            tuple(t.value for t in fact.head.terms),  # type: ignore[union-attr]
-        )
+def _seed(program: Program, db: Database) -> None:
+    """Give ``db`` a relation for every predicate ``program`` mentions
+    and add the facts it states — a stratum's entry state."""
+    for pred, arity in program.arities().items():
+        db.relation(pred, arity)
+    for pred, facts in program.stated_facts.items():
+        for fact in facts:
+            db.add_fact(pred, fact)
 
 
-def _ensure_relations(program: Program, db: Database) -> None:
-    """Create empty relations for every predicate mentioned anywhere."""
-    for rule in program.rules:
-        atoms = [rule.head] + [
-            l.atom for l in rule.body if l.atom is not None
-        ]
-        for a in atoms:
-            db.relation(a.predicate, a.arity)
+def _writes(program: Program, pred: str) -> bool:
+    """Whether evaluating ``program`` writes ``pred``: an IDB predicate
+    or one the program states facts for."""
+    return pred in program.idb_predicates() or pred in program.stated_facts
 
 
 def naive_evaluate(
@@ -90,13 +88,8 @@ def naive_evaluate(
     infinite loop into a :class:`RuntimeError`.
     """
     db = db.copy() if db is not None else Database()
-    _ensure_relations(program, db)
-    _seed_facts(program, db)
-    strata = DependencyGraph(program).stratify()
-    for stratum in strata:
-        rules = [
-            r for r in program.proper_rules if r.head.predicate in stratum
-        ]
+    _seed(program, db)
+    for stratum, rules in zip(program.depgraph.stratify(), program.strata):
         changed = True
         passes = 0
         while changed:
@@ -107,7 +100,7 @@ def naive_evaluate(
                     f"{max_iterations} iterations (divergent arithmetic?)"
                 )
             changed = False
-            for rule in rules:
+            for _ri, rule in rules:
                 # two-phase: never mutate a relation while joining over it
                 derived = eval_rule(rule, db)
                 for fact in derived:
@@ -117,7 +110,7 @@ def naive_evaluate(
 
 
 def evaluate_stratum(
-    rules: list[tuple[int, Rule]],
+    rules: Sequence[tuple[int, Rule]],
     db: Database,
     pool: InternPool | None = None,
     max_iterations: int | None = None,
@@ -292,11 +285,15 @@ def seminaive_evaluate(
     across rounds. It is how a served round's verify check evaluates.
     ``None`` keeps the per-tuple row evaluator: the independent oracle
     the differential suites and ``benchmarks/e2e`` compare against.
+
+    The arities, stated facts and strata are the program's own, the
+    objects the served path reads too: the oracle shares the
+    stratification's one result, as it always shared its code; what it
+    does not share is any node value, plan or Z-set of a round.
     """
     shared = shared_relations or {}
-    writable = {r.head.predicate for r in program.rules}
     for pred in shared:
-        if pred in writable:
+        if _writes(program, pred):
             raise ValueError(
                 f"cannot share relation {pred!r}: the evaluation "
                 "writes it (IDB or fact-rule head)"
@@ -306,17 +303,7 @@ def seminaive_evaluate(
         n: shared[n] if n in shared else r.copy() for n, r in given.items()
     })
     db.relations.update(shared)
-    _ensure_relations(program, db)
-    _seed_facts(program, db)
-    depgraph = DependencyGraph(program)
-    trace = EvaluationTrace()
-    for stratum in depgraph.stratify():
-        stratum_set = set(stratum)
-        rules = [
-            (ri, r)
-            for ri, r in enumerate(program.proper_rules)
-            if r.head.predicate in stratum_set
-        ]
-        trace.strata.append(stratum)
+    _seed(program, db)
+    for rules in program.strata:
         evaluate_stratum(rules, db, pool, max_iterations)
-    return db, trace
+    return db, EvaluationTrace(list(map(list, program.depgraph.stratify())))

@@ -94,7 +94,6 @@ from .compiler import (
     stage_update,
 )
 from .database import Database, Relation
-from .depgraph import DependencyGraph
 from .seminaive import evaluate_stratum
 from .zset import ZSetDelta
 
@@ -324,12 +323,10 @@ def _entry_relations(
 ) -> dict[str, Relation]:
     """What each of ``preds`` holds when its stratum (or EDB node)
     starts: the program's facts for it ∪ its facts in ``edb`` — the
-    EDB's own relation object wherever the program states none."""
-    stated: dict[str, list[tuple]] = {}
-    for rule in program.facts:
-        stated.setdefault(rule.head.predicate, []).append(
-            tuple(t.value for t in rule.head.terms)  # type: ignore[union-attr]
-        )
+    EDB's own relation object wherever the program states none. It
+    reads the program's stated facts and arities, derived once: a call
+    costs what ``preds`` holds, not the program's size."""
+    stated = program.stated_facts
     arities = program.arities()
     out: dict[str, Relation] = {}
     for pred in preds:
@@ -508,10 +505,11 @@ class ExecutionPlan:
 class ProgramSkeleton:
     """Wiring of a program's static ``G``: built once, restamped per round.
 
-    Derived from ``structure`` alone — the program it was built from and
-    its node keys: the strata, the node carrying each predicate's final
-    value, the tasks writing each predicate node, and per task its
-    counted rule plans and the nodes its read set comes from. The unit
+    Derived from ``structure`` alone — the program it was built from,
+    whose strata and predicate sets it reads, and its node keys: the
+    node carrying each predicate's final value, the tasks writing each
+    predicate node, and per task its counted rule plans and the nodes
+    its read set comes from. The unit
     bodies are the module docstring's; which one a node runs is decided
     by its inputs' Z-sets — their sign for a fixpoint node, which inputs
     changed for a task — before any join runs.
@@ -535,20 +533,18 @@ class ProgramSkeleton:
         self.node_keys = structure.node_keys
         self.key_to_id = structure.key_to_id
         self.labels = structure.dag.node_names
-        self.rules = program.proper_rules
-        self.strata = DependencyGraph(program).stratify()
         edb = program.edb_predicates()
         #: predicate → node carrying its final value
         self.final_nodes = {
             p: self.key_to_id[("edb", p) if p in edb else ("pred", p, si)]
-            for si, comp in enumerate(self.strata)
+            for si, comp in enumerate(program.depgraph.stratify())
             for p in comp
         }
         #: predicate → the task nodes writing its predicate node
         self.writers: dict[str, list[int]] = {}
         for nid, key in enumerate(self.node_keys):
             if key[0] == "task":
-                head = self.rules[key[2]].head.predicate
+                head = program.proper_rules[key[2]].head.predicate
                 self.writers.setdefault(head, []).append(nid)
 
     # ------------------------------------------------------------------
@@ -574,12 +570,9 @@ class ProgramSkeleton:
 
         elif kind == "fix":
             si = key[1]
-            scc = tuple(self.strata[si])
             # every SCC predicate is recursive: one SCC, one stratum
-            rules = [
-                (ri, r) for ri, r in enumerate(self.rules)
-                if r.head.predicate in scc
-            ]
+            scc = tuple(self.program.depgraph.stratify()[si])
+            rules = self.program.strata[si]
             atoms = [
                 (lit.atom.predicate, lit.negated or r.has_aggregate)
                 for _ri, r in rules
@@ -697,7 +690,9 @@ class ProgramSkeleton:
             # strata, each at the node carrying its final value
             ri = key[2]
             task = _Task(
-                self.rules[ri], self.join_orders.get(ri), self.final_nodes
+                self.program.proper_rules[ri],
+                self.join_orders.get(ri),
+                self.final_nodes,
             )
 
             def run(values: ValueStore) -> tuple[CountedRows, dict]:

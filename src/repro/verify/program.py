@@ -70,7 +70,6 @@ from ..datalog.ast import (
     Rule,
     Variable,
 )
-from ..datalog.depgraph import DependencyGraph
 from ..datalog.parser import ParseError, parse_program_lenient
 from .diagnostics import Finding, apply_suppressions
 
@@ -595,8 +594,7 @@ def _analyze(
                 )
 
     # -- pass 3: stratification -----------------------------------------
-    dg = DependencyGraph(program)
-    for cycle, kind in dg.negation_cycles():
+    for cycle, kind in program.depgraph.negation_cycles():
         src, dst = cycle[-2], cycle[0]
         pos, rid = None, None
         for i, rule in enumerate(program.rules):

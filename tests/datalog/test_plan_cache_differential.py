@@ -232,8 +232,18 @@ def test_rule_edit_mid_stream_invalidates_and_recovers():
     cache.commit(cu)
     assert cache.misses == 1 and cache.invalidations == 0
 
+    # the same rules parsed again: an equal program is the same value,
+    # so the round is a hit on the cached structure and plan
+    reparsed = parse_program(TC)
+    assert reparsed is not prog_a and reparsed == prog_a
+    cu = cache.compile(reparsed, cu.edb_new, Delta().insert("edge", (3, 4)))
+    cache.plan(cu)
+    cache.commit(cu)
+    assert cache.hits == 1 and cache.misses == 1
+    assert cache.invalidations == 0 and cache.structure_builds == 1
+
     # same EDB, different rules: everything cached is invalid
-    cu2 = cache.compile(prog_b, cu.edb_new, Delta().insert("edge", (3, 4)))
+    cu2 = cache.compile(prog_b, cu.edb_new, Delta().insert("edge", (4, 5)))
     plan2 = cache.plan(cu2)
     assert cache.invalidations == 1
     assert cache.misses == 2  # no stale old-side reuse across programs
