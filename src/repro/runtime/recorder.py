@@ -49,7 +49,7 @@ import numpy as np
 from ..sim.result import DispatchRecord, SimulationResult
 from ..tasks.model import ExecutionModel
 from ..tasks.trace import JobTrace
-from .executor import RoundOutcome, union_intervals
+from .executor import RoundOutcome
 
 __all__ = [
     "RoundArtifacts",
@@ -74,6 +74,23 @@ class RoundArtifacts:
         return check_invariants(
             self.trace, self.result, reallot=False, atol=atol
         )
+
+
+def union_intervals(
+    intervals: list[tuple[float, float]],
+) -> list[tuple[float, float]]:
+    """The maximal disjoint intervals covering ``intervals``, sorted —
+    on a real-valued timeline: touching intervals join, nearby ones do
+    not (:func:`repro.dag.intervals.merge_intervals` is the integer
+    one)."""
+    merged: list[tuple[float, float]] = []
+    for a, b in sorted(intervals):
+        if merged and a <= merged[-1][1]:
+            if b > merged[-1][1]:
+                merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    return merged
 
 
 def compress_idle_gaps(

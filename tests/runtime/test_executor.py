@@ -64,8 +64,9 @@ def test_consecutive_rounds_over_one_plan_share_no_state(
 ):
     """Each round's activation tracker copies its counters from the
     Dag's derived tuples and writes only its own lists: a second round
-    over the same plan runs the same units, reports the same diffs and
-    leaves the derived tuples as the first found them."""
+    over the same plan — by a new executor or by the same one again —
+    runs the same units, reports the same diffs and leaves the derived
+    tuples as the first found them."""
     cu = compiled_workloads["transitive_closure"]
     plan = build_execution_plan(cu)
     dag = plan.compiled.trace.dag
@@ -73,9 +74,12 @@ def test_consecutive_rounds_over_one_plan_share_no_state(
     scheduler = REGISTRY["levelbased"]()
     first = RoundExecutor(plan, scheduler, workers=2).run()
     second = RoundExecutor(plan, scheduler, workers=2).run()
-    assert second.diffs == first.diffs
-    assert sorted(second.records) == sorted(first.records)
-    for outcome in (first, second):
+    again = RoundExecutor(plan, scheduler, workers=2)
+    third, fourth = again.run(), again.run()
+    for later in (second, third, fourth):
+        assert later.diffs == first.diffs
+        assert sorted(later.records) == sorted(first.records)
+    for outcome in (first, second, third, fourth):
         assert plan.materialization(outcome.values).as_dict() == (
             expected_new["transitive_closure"]
         )
