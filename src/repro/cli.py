@@ -280,16 +280,19 @@ def _serve_stream(
         chaos = ChaosPlan.from_seed(args.chaos_seed)
     if unit_retries is None:
         unit_retries = 3 if chaos is not None else 0
-    service = UpdateStreamService(
-        wl.program,
-        wl.edb,
-        scheduler,
-        workers=args.workers,
-        name=f"{tag}:{wl.name}",
-        unit_retries=unit_retries,
-        chaos=chaos,
-        **service_kw,
-    )
+    try:
+        service = UpdateStreamService(
+            wl.program,
+            wl.edb,
+            scheduler,
+            workers=args.workers,
+            name=f"{tag}:{wl.name}",
+            unit_retries=unit_retries,
+            chaos=chaos,
+            **service_kw,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"{cmd}: {exc}") from None
     print(
         f"{banner} {wl.name} ({kind} stream) under {scheduler.name}, "
         f"{args.workers} workers"

@@ -88,6 +88,27 @@ class TestQueueing:
                 wl.program, wl.edb, REGISTRY["hybrid"](), capacity=0
             )
 
+    @pytest.mark.parametrize(
+        "arg, value, named",
+        [
+            ("workers", 0, "workers"),
+            ("workers", -2, "workers"),
+            ("unit_timeout_s", 0.0, "unit_timeout_s"),
+            ("unit_timeout_s", -1.0, "unit_timeout_s"),
+            ("deadline_s", -1.0, "deadline"),
+        ],
+    )
+    def test_unrunnable_round_limits_are_refused(self, arg, value, named):
+        """A service no healthy round can run used to construct: every
+        round then raised ``ValueError`` (or, for the deadline,
+        ``DeadlineExceededError``), was re-queued, tripped the breaker
+        and was served degraded forever. Construction refuses it."""
+        wl = live_workload("tc", seed=0)
+        with pytest.raises(ValueError, match=named):
+            UpdateStreamService(
+                wl.program, wl.edb, REGISTRY["hybrid"](), **{arg: value}
+            )
+
     def test_removed_backend_and_layout_are_refused(self):
         """``executor``/``storage`` accept only the one surviving cell."""
         wl = live_workload("retail", seed=1)

@@ -229,3 +229,8 @@ def test_serve_no_chaos_unchanged(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "chaos" not in out
+
+
+def test_serve_refuses_a_round_no_worker_can_run():
+    with pytest.raises(SystemExit, match=r"^serve: workers must be positive"):
+        main(["serve", "--program", "tc", "--rounds", "2", "-w", "0"])
