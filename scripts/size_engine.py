@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 from statistics import median
+
+from _against import run_once, trees
 
 PROGRAMS = ("flat", "retail", "analytics", "tc", "pt", "sg")
 STREAMS = ("deletions", "mixed", "steady")
@@ -46,7 +47,7 @@ HERE = Path(__file__).resolve()
 def replay(args) -> int:
     """One replay of the cell ``args.cell`` on ``args.worker``'s tree:
     prints one JSON object — the total ``apply`` ms and the rounds that
-    differed from the oracle — and returns the exit code."""
+    differed from the oracle, which the caller reports."""
     sys.path.insert(0, args.worker)
     import gc
     from time import perf_counter
@@ -86,7 +87,7 @@ def replay(args) -> int:
                 if engine.snapshot() != want:
                     wrong.append(i)
     print(json.dumps({"ms": total * 1e3, "wrong": wrong}))
-    return 1 if wrong else 0
+    return 0
 
 
 def main() -> int:
@@ -101,46 +102,34 @@ def main() -> int:
     if args.worker:
         return replay(args)
 
-    trees = [("this", str(HERE.parents[1] / "src"))]
-    if args.against:
-        other = Path(args.against).resolve() / "src"
-        trees.insert(0, ("against", str(other)))
+    pair = trees(args.against)
     cells = [f"{program}/{kind}" for program in PROGRAMS for kind in STREAMS]
-    runs: dict[str, dict[str, list[float]]] = {name: {} for name, _ in trees}
+    runs: dict[str, dict[str, list[float]]] = {name: {} for name, _ in pair}
     failed = False
     for rep in range(args.reps):
         for cell in cells:
-            for name, src in trees if rep % 2 == 0 else trees[::-1]:
-                done = subprocess.run(
-                    [
-                        sys.executable, str(HERE), "--worker", src,
-                        "--cell", cell, "--rounds", str(args.rounds),
-                        "--seed", str(args.seed),
-                    ],
-                    capture_output=True, text=True,
-                )
-                if not done.stdout.strip():
-                    print(f"{name} {cell} replay {rep}: no output")
-                    print(done.stderr)
-                    return 2
-                got = json.loads(done.stdout.splitlines()[-1])
-                if got["wrong"]:
-                    print(f"MISMATCH ({name}): {cell} rounds {got['wrong']}")
+            got = run_once(HERE, pair, rep, [
+                "--cell", cell, "--rounds", str(args.rounds),
+                "--seed", str(args.seed),
+            ])
+            for name, run in got.items():
+                if run["wrong"]:
+                    print(f"MISMATCH ({name}): {cell} rounds {run['wrong']}")
                     failed = True
-                runs[name].setdefault(cell, []).append(got["ms"])
+                runs[name].setdefault(cell, []).append(run["ms"])
         print(
             f"replay {rep}: "
             + "; ".join(
                 name + " " + " ".join(
                     f"{ms[-1]:.1f}" for ms in runs[name].values()
                 )
-                for name, _ in trees
+                for name, _ in pair
             ),
             flush=True,
         )
 
-    header = ["program", "stream"] + [name for name, _ in trees]
-    if len(trees) == 2:
+    header = ["program", "stream"] + [name for name, _ in pair]
+    if len(pair) == 2:
         header.append("this ÷ against")
     print(
         f"\napply ms per replay of {args.rounds} rounds (batch "
@@ -152,10 +141,10 @@ def main() -> int:
     for cell in runs["this"]:
         program, kind = cell.split("/")
         row = [program, kind]
-        for name, _ in trees:
+        for name, _ in pair:
             ms = runs[name][cell]
             row.append(f"{median(ms):.1f} [{min(ms):.1f}–{max(ms):.1f}]")
-        if len(trees) == 2:
+        if len(pair) == 2:
             ratio = median(runs["this"][cell]) / median(runs["against"][cell])
             row.append(f"{ratio:.2f}")
         print("| " + " | ".join(row) + " |")

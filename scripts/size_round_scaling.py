@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 from statistics import median
+
+from _against import alternate, compare
 
 HERE = Path(__file__).resolve()
 #: nodes of G → (k, L): stratified_program(5, n_edb=k, levels=L,
@@ -114,28 +115,10 @@ def worker(args) -> int:
 
 def against(args) -> int:
     """Alternate this tree and ``args.against`` over ``args.reps`` runs."""
-    trees = [
-        ("against", str(Path(args.against).resolve() / "src")),
-        ("this", str(HERE.parents[1] / "src")),
-    ]
-    runs: dict[str, list[list[dict]]] = {name: [] for name, _ in trees}
-    for rep in range(args.reps):
-        for name, src in trees if rep % 2 == 0 else trees[::-1]:
-            done = subprocess.run(
-                [
-                    sys.executable, str(HERE), "--worker", src,
-                    "--rounds", str(args.rounds), "--seed", str(args.seed),
-                    "--shapes", *map(str, args.shapes),
-                ],
-                capture_output=True, text=True,
-            )
-            if done.returncode or not done.stdout.strip():
-                print(f"{name} rep {rep}: worker failed")
-                print(done.stderr)
-                return 2
-            runs[name].append(json.loads(done.stdout.splitlines()[-1]))
-        print(f"rep {rep} done", flush=True)
-
+    runs = alternate(HERE, args.against, args.reps, [
+        "--rounds", str(args.rounds), "--seed", str(args.seed),
+        "--shapes", *map(str, args.shapes),
+    ])
     print(
         f"\nmedian over {args.reps} rep(s) of each tree, {args.rounds} "
         f"rounds a service, the first {WARMUP} and no-op rounds dropped; "
@@ -144,16 +127,7 @@ def against(args) -> int:
     print("| nodes | " + " | ".join(COLUMNS[1:]) + " |")
     print("|---" * len(COLUMNS) + "|")
     for i, shape in enumerate(args.shapes):
-        cells = []
-        for col in COLUMNS[1:]:
-            a, t = (
-                median(run[i][col] for run in runs[name])
-                for name in ("against", "this")
-            )
-            cells.append(
-                f"{cell(a)} / {cell(t)} / "
-                + (f"{t / a:.2f}" if a else "–")
-            )
+        cells = [compare(runs, i, col, cell) for col in COLUMNS[1:]]
         print(f"| {shape} | " + " | ".join(cells) + " |")
     return 0
 

@@ -36,11 +36,12 @@ from __future__ import annotations
 import argparse
 import json
 import resource
-import subprocess
 import sys
 from pathlib import Path
 from statistics import median
 from time import perf_counter
+
+from _against import alternate, medians
 
 HERE = Path(__file__).resolve()
 SCHEDULERS = ("logicblox", "levelbased", "lbl3", "hybrid")
@@ -159,34 +160,9 @@ def worker(args) -> int:
 
 def against(args) -> int:
     """Alternate this tree and ``args.against`` over ``args.reps`` rows."""
-    trees = [
-        ("against", str(Path(args.against).resolve() / "src")),
-        ("this", str(HERE.parents[1] / "src")),
-    ]
-    rows: dict[str, list[list[dict]]] = {name: [] for name, _ in trees}
-    for rep in range(args.reps):
-        for name, src in trees if rep % 2 == 0 else trees[::-1]:
-            done = subprocess.run(
-                [
-                    sys.executable, str(HERE), "--worker", src,
-                    "--seed", str(args.seed), "--runs", str(args.runs),
-                ],
-                capture_output=True, text=True,
-            )
-            if done.returncode or not done.stdout.strip():
-                print(f"{name} rep {rep}: worker failed")
-                print(done.stderr)
-                return 2
-            rows[name].append(json.loads(done.stdout.splitlines()[-1]))
-        print(
-            f"rep {rep}: "
-            + "; ".join(
-                f"{name} {sum(c['sim_ms'] for c in rows[name][-1]):.1f} ms"
-                for name, _ in trees
-            ),
-            flush=True,
-        )
-
+    rows = alternate(HERE, args.against, args.reps, [
+        "--seed", str(args.seed), "--runs", str(args.runs),
+    ])
     print(
         f"\nsim_ms per cell (seed {args.seed}, P={PROCESSORS}): median "
         f"over {args.reps} rep(s), each the median of {args.runs} "
@@ -198,9 +174,8 @@ def against(args) -> int:
     failed = False
     totals = {"against": 0.0, "this": 0.0}
     for i, cell in enumerate(rows["this"][0]):
-        ms = {}
+        ms = dict(zip(totals, medians(rows, i, "sim_ms")))
         for name in totals:
-            ms[name] = median(row[i]["sim_ms"] for row in rows[name])
             totals[name] += ms[name]
         differs = [
             key for key in MODELLED
