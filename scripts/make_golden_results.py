@@ -1,10 +1,13 @@
-"""Regenerate the no-fault golden results under tests/sim/golden/.
+"""Regenerate the golden results under tests/sim/golden/.
 
 The goldens pin the engine's exact numeric output (makespan, schedule,
 op counts) for a fixed set of (trace, scheduler) pairs. The fault layer
 must be a strict superset of the original engine: simulating with an
 empty :class:`~repro.sim.faults.FaultPlan` — or none at all — must
-reproduce these files byte for byte. Regenerate only when an
+reproduce these files byte for byte. The ``faulted/`` set pins the
+fault path the same way: ``rand23`` and ``mixed`` under every
+scheduler and one :data:`FAULTED_PLAN` that injects every fault kind,
+serialized with its ``fault_log``. Regenerate only when an
 *intentional* engine behavior change lands, and say so in the commit.
 
 Usage::
@@ -21,10 +24,25 @@ import numpy as np
 
 from repro.dag import Dag
 from repro.schedulers import scheduler_registry
-from repro.sim import simulate
+from repro.sim import FaultPlan, simulate
 from repro.tasks import JobTrace
 
 OUT_DIR = Path(__file__).parents[1] / "tests" / "sim" / "golden"
+
+#: task failures with a one-retry budget that degrades on exhaustion,
+#: stragglers and processor churn: over the faulted set the log holds
+#: every kind (straggler, task-fail, task-retry, quarantine, proc-fail,
+#: proc-kill, proc-recover)
+FAULTED_PLAN = FaultPlan(
+    seed=1,
+    task_fail_prob=0.2,
+    max_retries=1,
+    backoff_base=0.25,
+    on_exhaustion="degrade",
+    proc_fail_rate=0.4,
+    proc_downtime=(0.5, 2.0),
+    straggler_prob=0.15,
+)
 
 FACTORIES = scheduler_registry()
 
@@ -116,25 +134,32 @@ def datalog_trace() -> JobTrace:
     return cu.trace
 
 
+def write_set(out_dir: Path, traces, faults: FaultPlan | None) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for trace in traces:
+        for label, factory in FACTORIES.items():
+            res = simulate(
+                trace, factory(), processors=4, record_schedule=True,
+                faults=faults,
+            )
+            path = out_dir / f"{trace.name}__{label}.json"
+            path.write_text(
+                json.dumps(res.to_json_dict(), sort_keys=True) + "\n"
+            )
+            print(f"wrote {path}")
+
+
 def main() -> None:
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-    traces = [
+    write_set(OUT_DIR, [
         diamond_trace(),
         random_trace(7),
         random_trace(23),
         datalog_trace(),
         mixed_trace(),
-    ]
-    for trace in traces:
-        for label, factory in FACTORIES.items():
-            res = simulate(
-                trace, factory(), processors=4, record_schedule=True
-            )
-            path = OUT_DIR / f"{trace.name}__{label}.json"
-            path.write_text(
-                json.dumps(res.to_json_dict(), sort_keys=True) + "\n"
-            )
-            print(f"wrote {path}")
+    ], None)
+    write_set(
+        OUT_DIR / "faulted", [random_trace(23), mixed_trace()], FAULTED_PLAN
+    )
 
 
 if __name__ == "__main__":
