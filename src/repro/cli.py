@@ -143,8 +143,15 @@ def cmd_simulate(args) -> int:
         SchedulerStallError,
         TaskFailedPermanentlyError,
     )
+    from .sim.faults import check_round_limits
     from .verify import InvariantViolationError
 
+    try:
+        check_round_limits(
+            "processors", args.processors, deadline=args.deadline
+        )
+    except ValueError as exc:
+        raise SystemExit(f"simulate: {exc}") from None
     trace = _load_trace(args)
     scheduler = _resolve_scheduler(args.scheduler)
     try:

@@ -86,8 +86,12 @@ import numpy as np
 from ..datalog.units import ExecutionPlan, ValueStore, WorkUnit
 from ..obs.trace import NULL_SINK, TraceSink
 from ..schedulers.base import ReadinessOracle, Scheduler, SchedulerContext
-from ..sim.engine import InvalidDispatchError, SchedulerStallError
-from ..sim.faults import DeadlineExceededError, capped_backoff
+from ..sim.engine import all_done_or_stall, mark_selected
+from ..sim.faults import (
+    DeadlineExceededError,
+    capped_backoff,
+    check_round_limits,
+)
 from ..tasks.activation import ActivationState
 from .chaos import ChaosInjector, InjectedUnitFault
 
@@ -98,7 +102,6 @@ __all__ = [
     "RoundOutcome",
     "UnitExecutionError",
     "UnitFailure",
-    "check_round_limits",
 ]
 
 
@@ -195,21 +198,6 @@ class RetryPolicy:
     def allows(self, failures: int) -> bool:
         """May a unit with ``failures`` recorded failures retry?"""
         return failures <= self.max_retries
-
-
-def check_round_limits(
-    workers: int, unit_timeout_s: float | None, deadline: float | None
-) -> None:
-    """Refuse limits no round can run under: ``ValueError`` unless
-    ``workers >= 1`` and the watchdog and the deadline are each off
-    (``None``) or positive."""
-    if workers <= 0:
-        raise ValueError(f"workers must be positive, got {workers}")
-    for name, limit in (
-        ("unit_timeout_s", unit_timeout_s), ("deadline", deadline)
-    ):
-        if limit is not None and limit <= 0:
-            raise ValueError(f"{name} must be positive, got {limit}")
 
 
 class LiveActivationState(ActivationState):
@@ -477,7 +465,8 @@ class RoundExecutor:
         unit_timeout_s: float | None = None,
         chaos: ChaosInjector | None = None,
     ) -> None:
-        check_round_limits(workers, unit_timeout_s, deadline)
+        check_round_limits("workers", workers,
+                           unit_timeout_s=unit_timeout_s, deadline=deadline)
         self.plan = plan
         self.scheduler = scheduler
         self.workers = workers
@@ -636,19 +625,8 @@ class _Round:
             outcome.select_calls += 1
             if not chosen:
                 return
-            if len(chosen) > idle:
-                raise InvalidDispatchError(
-                    f"{scheduler.name} returned {len(chosen)} tasks "
-                    f"for {idle} idle workers"
-                )
+            mark_selected(state, scheduler, chosen, idle)
             for v in chosen:
-                try:
-                    state.mark_dispatched(v)
-                except RuntimeError as exc:
-                    raise InvalidDispatchError(
-                        f"{scheduler.name} dispatched task {v} "
-                        f"illegally: {exc}"
-                    ) from exc
                 self.inflight += 1
                 self._submit(v)
 
@@ -692,15 +670,11 @@ class _Round:
 
     def _done(self) -> bool:
         """Nothing runs or waits to: the round is over, or stalled."""
-        if self.inflight or self.retry_heap:
+        if self.inflight:
             return False
-        if self.state.all_done():
-            return True
-        raise SchedulerStallError(
-            f"{self.scheduler.name} stalled on "
-            f"{self.plan.compiled.trace.name}: "
-            f"{self.state.pending_count()} task(s) pending, none "
-            "running, none selected"
+        return all_done_or_stall(
+            self.state, self.scheduler, self.plan.compiled.trace.name,
+            bool(self.retry_heap),
         )
 
     def _await(self):

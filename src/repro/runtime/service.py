@@ -84,6 +84,7 @@ from ..datalog.zset import (
 from ..datalog.units import ExecutionPlan, ValueStore
 from ..obs import NULL_SINK, TraceSink
 from ..schedulers.base import Scheduler
+from ..sim.faults import check_round_limits
 from ..verify.invariants import VerificationReport
 from ..verify.program import ProgramAnalysis, analyze_program
 from .chaos import ChaosInjector, ChaosPlan, InjectedPhaseFault
@@ -92,7 +93,6 @@ from .executor import (
     RoundExecutor,
     RoundOutcome,
     UnitExecutionError,
-    check_round_limits,
 )
 from .health import (
     HealthMonitor,
@@ -319,7 +319,10 @@ class UpdateStreamService:
                 f"shed_policy must be one of {SHED_POLICIES}, "
                 f"got {shed_policy!r}"
             )
-        check_round_limits(workers, unit_timeout_s, deadline_s)
+        check_round_limits(
+            "workers", workers, unit_timeout_s=unit_timeout_s,
+            deadline=deadline_s,
+        )
         # accept-one-value arguments, neither stored nor forwarded:
         # benchmarks/e2e/measure.py still passes them; the next
         # `benchmark` issue drops all three

@@ -48,6 +48,7 @@ __all__ = [
     "NoProgressError",
     "DeadlineExceededError",
     "capped_backoff",
+    "check_round_limits",
 ]
 
 
@@ -120,6 +121,19 @@ class DeadlineExceededError(FaultError):
         self.deadline = deadline
         self.t = t
         self.pending = pending
+
+
+def check_round_limits(
+    name: str, count: int, **limits: float | None
+) -> None:
+    """Refuse limits no run can honour: ``ValueError`` unless the
+    ``name`` count (processors, workers) is at least 1 and each keyword
+    limit (a watchdog, a deadline) is off (``None``) or positive."""
+    if count <= 0:
+        raise ValueError(f"{name} must be positive, got {count}")
+    for limit_name, limit in limits.items():
+        if limit is not None and limit <= 0:
+            raise ValueError(f"{limit_name} must be positive, got {limit}")
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,9 @@ from repro.schedulers import scheduler_registry
 from repro.sim import simulate
 from repro.workloads import make_trace
 
+from ..sim.test_faults import FAULTED_PLAN
+from ..sim.test_faults import TRACES as GOLDEN_TRACES
+
 REGISTRY = scheduler_registry()
 
 
@@ -347,6 +350,36 @@ class TestSimulatorTracing:
         records = rec.records()
         assert any(r.cat == "sim-fault" for r in records)
         assert any(r.name == "retry" for r in records)
+
+    @pytest.mark.parametrize("plan", ["no-plan", "faulted"])
+    @pytest.mark.parametrize("trace_name", sorted(GOLDEN_TRACES))
+    def test_hook_counters_sum_to_scheduler_ops(self, trace_name, plan):
+        """The simulator charges every scheduler hook to one of the three
+        counters the live ``execute`` span carries: on the ``sim-run``
+        span they add up to ``scheduler_ops`` — on the golden traces,
+        with and without faults — and recording leaves the result
+        byte-identical to a run on the no-op sink."""
+        faults = FAULTED_PLAN if plan == "faulted" else None
+        for sched_name, factory in sorted(REGISTRY.items()):
+            rec = TraceRecorder()
+            traced = simulate(
+                GOLDEN_TRACES[trace_name](), factory(), processors=4,
+                record_schedule=True, faults=faults, sink=rec,
+            )
+            base = simulate(
+                GOLDEN_TRACES[trace_name](), factory(), processors=4,
+                record_schedule=True, faults=faults,
+            )
+            assert json.dumps(traced.to_json_dict(), sort_keys=True) == (
+                json.dumps(base.to_json_dict(), sort_keys=True)
+            ), sched_name
+            (run,) = [r for r in rec.records() if r.cat == "sim-run"]
+            charged = sum(
+                run.args[c]
+                for c in ("activate_ops", "ready_scan_ops", "complete_ops")
+            )
+            assert charged == run.args["scheduler_ops"], sched_name
+            assert charged == base.scheduling_ops, sched_name
 
 
 class TestTraceCli:

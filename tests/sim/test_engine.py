@@ -248,6 +248,25 @@ class TestValidation:
         with pytest.raises(SchedulerStallError, match="pending"):
             simulate(diamond_trace, _Lazy())
 
+    @pytest.mark.parametrize(
+        "limit",
+        [
+            dict(processors=0),
+            dict(deadline=0),
+            dict(deadline=-1),
+            dict(watchdog=0),
+            dict(watchdog=-5),
+        ],
+        ids=lambda d: "{}={}".format(*next(iter(d.items()))),
+    )
+    def test_limits_no_run_can_honour_are_refused(self, diamond_trace, limit):
+        """Refused before the run starts: a deadline of 0 used to run and
+        then report itself exceeded, a watchdog of 0 to call a fault-free
+        run an unbounded retry loop."""
+        (name, value), = limit.items()
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            simulate(diamond_trace, LevelBasedScheduler(), **limit)
+
 
 class TestOverheadCharging:
     def test_inline_overhead_extends_makespan(self, diamond_trace):

@@ -234,3 +234,18 @@ def test_serve_no_chaos_unchanged(capsys):
 def test_serve_refuses_a_round_no_worker_can_run():
     with pytest.raises(SystemExit, match=r"^serve: workers must be positive"):
         main(["serve", "--program", "tc", "--rounds", "2", "-w", "0"])
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["-P", "0"], "processors must be positive, got 0"),
+        (["--deadline", "0"], "deadline must be positive, got 0.0"),
+    ],
+)
+def test_simulate_refuses_limits_no_run_can_honour(flags, message):
+    """One line and exit 1, before the run: ``-P 0`` used to print a
+    traceback, ``--deadline 0`` to run and then report the deadline
+    exceeded."""
+    with pytest.raises(SystemExit, match=rf"^simulate: {message}$"):
+        main(["simulate", "--trace", "5", "--scale", "0.2", *flags])
