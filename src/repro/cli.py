@@ -230,12 +230,32 @@ def cmd_generate(args) -> int:
 
 
 def cmd_datalog(args) -> int:
-    """``repro datalog``: evaluate a program file, print relations."""
-    from .datalog import InternPool, parse_program, seminaive_evaluate
+    """``repro datalog``: evaluate a program file, print relations.
 
-    text = Path(args.program).read_text()
-    program = parse_program(text)
-    db, _ = seminaive_evaluate(program, pool=InternPool())
+    A program that cannot be read, parsed or stratified exits 1 with
+    one ``datalog: ...`` line — ``file:line:col:`` first where the
+    error has a position — not a traceback.
+    """
+    from .datalog import InternPool, parse_program, seminaive_evaluate
+    from .datalog.depgraph import StratificationError
+    from .datalog.parser import ParseError
+
+    try:
+        text = Path(args.program).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit(f"datalog: {exc}") from None
+    try:
+        program = parse_program(text)
+    except ParseError as exc:
+        # an arity clash is a whole-program check: no position
+        where = "" if exc.line is None else (
+            f"{args.program}:{exc.line}:{exc.col}: "
+        )
+        raise SystemExit(f"datalog: {where}{exc}") from None
+    try:
+        db, _ = seminaive_evaluate(program, pool=InternPool())
+    except StratificationError as exc:
+        raise SystemExit(f"datalog: {exc}") from None
     for name in sorted(db.relations):
         rel = db.relations[name]
         print(f"{name}/{rel.arity} ({len(rel)} facts)")

@@ -91,7 +91,8 @@ __all__ = [
     "ColumnarRelation",
     "RulePlan",
     "compile_rule_plan",
-    "delta_first",
+    "body_order",
+    "full_seed",
     "run_rule_plan",
     "eval_rule_columnar",
 ]
@@ -478,13 +479,41 @@ class _Body:
         self.depth = 0
 
 
-def delta_first(rule: Rule, at: int) -> tuple[int, ...]:
-    """The body order of a Δ-plan: the Δ occurrence ``at`` first, then
-    every filter, assignment and negation (each waits, as always, until
-    its variables are bound), then the remaining atoms bound-first —
-    each time the one with the most variables already bound, then the
-    most constants, then the textual first. A Δ of one row then probes
-    the other relations instead of scanning them."""
+def _close(assigns: list, bound: set[str]) -> None:
+    """Add to ``bound`` what ``assigns`` bind once their inputs are: a
+    kernel fires an assignment as soon as it can."""
+    grew = True
+    while grew:
+        grew = False
+        for a in assigns:
+            if a.target.name not in bound and all(
+                v.name in bound for v in a.inputs()
+            ):
+                bound.add(a.target.name)
+                grew = True
+
+
+def _fixed(atom, bound: set[str]) -> tuple[int, int]:
+    """How much of ``atom`` a scan finds fixed: its variables in
+    ``bound``, its constants."""
+    variables = constants = 0
+    for t in atom.terms:
+        if isinstance(t, Constant):
+            constants += 1
+        elif isinstance(t, Variable) and t.name in bound:
+            variables += 1
+    return variables, constants
+
+
+def body_order(rule: Rule, at: int) -> tuple[int, ...]:
+    """The body order of a plan seeded at the positive occurrence
+    ``at``: ``at`` first, then every filter, assignment and negation
+    (each waits, as always, until its variables are bound), then the
+    remaining atoms bound-first — each time the one with the most
+    variables already bound, then the most constants, then the textual
+    first. A Δ-plan is seeded at its Δ, so a Δ of one row probes the
+    other relations instead of scanning them; a full plan at
+    :func:`full_seed`'s pick."""
     body = rule.body
     atoms = {
         i: lit.atom for i, lit in enumerate(body)
@@ -495,35 +524,56 @@ def delta_first(rule: Rule, at: int) -> tuple[int, ...]:
         i for i, lit in enumerate(body) if lit.atom is None or lit.negated
     ]
     assigns = [lit.assignment for lit in body if lit.assignment is not None]
-
-    def close() -> None:
-        grew = True
-        while grew:
-            grew = False
-            for a in assigns:
-                if a.target.name not in bound and all(
-                    v.name in bound for v in a.inputs()
-                ):
-                    bound.add(a.target.name)
-                    grew = True
-
-    def rank(i: int) -> tuple[int, int, int]:
-        terms = atoms[i].terms
-        return (
-            sum(isinstance(t, Variable) and t.name in bound for t in terms),
-            sum(isinstance(t, Constant) for t in terms),
-            -i,
-        )
-
-    close()
+    _close(assigns, bound)
     while atoms:
-        best = max(atoms, key=rank)
+        best = max(atoms, key=lambda i: (*_fixed(atoms[i], bound), -i))
         seq.append(best)
         bound.update(
             t.name for t in atoms.pop(best).terms if isinstance(t, Variable)
         )
-        close()
+        _close(assigns, bound)
     return tuple(seq)
+
+
+def full_seed(rule: Rule, relations) -> int | None:
+    """The positive occurrence a full (non-Δ) plan of ``rule`` scans
+    first, over ``relations`` (predicate → relation; a missing one has
+    no rows) — ``None`` for the textual first, whose plan is textual
+    order's (``order=None``); any other seeds :func:`body_order`.
+
+    The pick is the top of (variables the ground assignments bind,
+    constants, −rows, −textual index), where rows count only for an
+    occurrence that fixes neither: the outer loop of a nested-loop
+    kernel is its cost, so of the occurrences read whole the smallest
+    goes outside. One that fixes something is read through an index
+    bucket, and the text keeps deciding among those — a seed is scanned
+    before any assignment runs, so seeding ``f`` in ``p(X) :- X = 3,
+    e(X), f(X)`` would read all of ``f`` where textual order probes one
+    row. At most one ``len`` per occurrence, once per full plan run.
+    """
+    body = rule.body
+    positive = [
+        (i, lit.atom) for i, lit in enumerate(body)
+        if lit.atom is not None and not lit.negated
+    ]
+    if len(positive) < 2:
+        return None
+    bound: set[str] = set()
+    _close(
+        [lit.assignment for lit in body if lit.assignment is not None],
+        bound,
+    )
+    best = seed = None
+    for i, atom in positive:
+        fixed = _fixed(atom, bound)
+        rows = 0
+        if not any(fixed):
+            rel = relations.get(atom.predicate)
+            rows = 0 if rel is None else len(rel)
+        rank = (*fixed, -rows, -i)
+        if best is None or rank > best:
+            best, seed = rank, i
+    return None if seed == positive[0][0] else seed
 
 
 def _compile_rule(

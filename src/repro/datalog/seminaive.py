@@ -34,7 +34,9 @@ from .columnar import (
     ColumnarRelation,
     InternPool,
     RulePlan,
+    body_order,
     compile_rule_plan,
+    full_seed,
     run_rule_plan,
 )
 from .database import Database, Relation
@@ -116,17 +118,20 @@ def evaluate_stratum(
     max_iterations: int | None = None,
     orders: dict[int, tuple[int, ...]] | None = None,
     delta: dict[str, set] | None = None,
-    plans: dict[tuple[int, int | None], RulePlan] | None = None,
+    plans: dict[tuple[int, int | None, int | None], RulePlan] | None = None,
 ) -> dict[str, list[set]]:
     """Run one stratum's semi-naive loop to fixpoint over ``db``.
 
     ``rules`` are the stratum's ``(proper-rule index, rule)`` pairs;
     ``db`` holds every relation they read (a missing head is created
     empty); ``orders`` maps rule indices to body evaluation orders (the
-    analyzer's join hints). Returns, for a run seeded with ``delta``, per
-    head that gained rows each iteration's Δ of it in order: disjoint
-    row sets whose union is what the loop added (empty for an unseeded
-    run).
+    analyzer's join hints). A rule without one runs in textual order,
+    except in id space on iteration 0: its full plan is seeded at
+    :func:`~repro.datalog.columnar.full_seed`'s pick over the relations
+    as they are then — the smallest one it scans whole. Returns, for a
+    run seeded with ``delta``, per head that gained rows each
+    iteration's Δ of it in order: disjoint row sets whose union is what
+    the loop added (empty for an unseeded run).
 
     With ``delta=None`` the heads hold the stratum's entry state:
     iteration 0 runs every rule in full, every later one each positive
@@ -147,11 +152,12 @@ def evaluate_stratum(
     through the per-tuple evaluator; with one it stays in id space —
     ``produced - known`` is one set difference, Δ is the fresh rows as
     they are, each rule plan is compiled on first use into ``plans``
-    (``(rule index, Δ-position)`` → plan, a dict a caller may keep) —
-    and a head that gained rows is published as a :class:`Relation`
-    adopting the mirror it grew (:meth:`Relation.adopt`), externed by
-    its first reader. The one semi-naive loop: :func:`seminaive_evaluate`
-    runs each stratum through it, a fixpoint node of the static DAG
+    (``(rule index, Δ-position, seed)`` → plan, a dict a caller may
+    keep) — and a head that gained rows is published as a
+    :class:`Relation` adopting the mirror it grew
+    (:meth:`Relation.adopt`), externed by its first reader. The one
+    semi-naive loop: :func:`seminaive_evaluate` runs each stratum
+    through it, a fixpoint node of the static DAG
     (:mod:`repro.datalog.units`) its SCC.
     """
     orders = orders or {}
@@ -188,10 +194,19 @@ def evaluate_stratum(
         view = Database({**db.relations, **grown})
 
         def derive(ri: int, rule: Rule, pos: int | None, delta) -> set:
-            plan = plans.get((ri, pos))
+            # a full plan (iteration 0) is seeded where the relations
+            # are now: at the smallest one it scans whole, unless a hint
+            # orders the rule; a Δ-plan keeps the rule's order
+            seed = None
+            if pos is None and ri not in orders:
+                seed = full_seed(rule, view.relations)
+            plan = plans.get((ri, pos, seed))
             if plan is None:
-                plan = plans[ri, pos] = compile_rule_plan(
-                    rule, orders.get(ri), pos
+                order = orders.get(ri) if seed is None else body_order(
+                    rule, seed
+                )
+                plan = plans[ri, pos, seed] = compile_rule_plan(
+                    rule, order, pos
                 )
             return run_rule_plan(plan, view, pool, delta)
 

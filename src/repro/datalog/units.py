@@ -84,8 +84,9 @@ from .columnar import (
     ColumnarRelation,
     InternPool,
     RulePlan,
+    body_order,
     compile_rule_plan,
-    delta_first,
+    full_seed,
 )
 from .compiler import (
     CompiledUpdate,
@@ -126,18 +127,26 @@ class CountedRows(set):
 
 class _Task:
     """The rule of a non-recursive task node and the counted plans that
-    compute its value: the whole body, and per positive occurrence the
-    Δ-plan that scans that occurrence first."""
+    compute its value: the whole body, seeded by size per recompute,
+    and per positive occurrence the Δ-plan that scans that occurrence
+    first."""
 
     def __init__(
         self, rule: Rule, order: tuple[int, ...] | None,
         final_nodes: dict[str, int],
     ) -> None:
-        self.whole = compile_rule_plan(rule, order, None, counted=True)
+        self.rule = rule
+        #: an analyzer hint orders every whole plan; without one each
+        #: recompute seeds it by size (:func:`full_seed`)
+        self.hinted = order is not None
+        #: seed → whole counted plan (``None``: textual order or the hint)
+        self.wholes = {
+            None: compile_rule_plan(rule, order, None, counted=True)
+        }
         self.head = rule.head.predicate
         #: predicate → node, of everything the body reads
         self.sources = tuple(
-            (q, final_nodes[q]) for q in sorted(self.whole.reads)
+            (q, final_nodes[q]) for q in sorted(self.wholes[None].reads)
         )
         positive = [
             (i, lit.atom) for i, lit in enumerate(rule.body)
@@ -150,7 +159,7 @@ class _Task:
             (
                 atom.predicate, len(atom.terms), final_nodes[atom.predicate],
                 None if seen[atom.predicate] > 1
-                else compile_rule_plan(rule, delta_first(rule, i), i, True),
+                else compile_rule_plan(rule, body_order(rule, i), i, True),
             )
             for i, atom in positive
         )
@@ -186,10 +195,16 @@ class _Task:
         return group[:at] + (pool.intern(result),) + group[at:]
 
     def recompute(self, values: "ValueStore", pool: InternPool) -> CountedRows:
-        """The whole body, counted, over the inputs' values."""
-        got = self.whole.kernel(
-            {q: values[src] for q, src in self.sources}, None, pool
-        )
+        """The whole body, counted, over the inputs' values — seeded at
+        the smallest relation it scans whole."""
+        relations = {q: values[src] for q, src in self.sources}
+        seed = None if self.hinted else full_seed(self.rule, relations)
+        whole = self.wholes.get(seed)
+        if whole is None:
+            whole = self.wholes[seed] = compile_rule_plan(
+                self.rule, body_order(self.rule, seed), None, counted=True
+            )
+        got = whole.kernel(relations, None, pool)
         if self.agg_op is None:
             out = CountedRows(got)
             out.counts = got
@@ -586,9 +601,9 @@ class ProgramSkeleton:
                 (q, self.final_nodes[q], q in sensitive)
                 for q in sorted({q for q, _under in atoms} - set(scc))
             )
-            #: (rule index, Δ-position) → compiled plan, from its first
-            #: use on, for every round
-            plans: dict[tuple[int, int | None], RulePlan] = {}
+            #: (rule index, Δ-position, seed) → compiled plan, from its
+            #: first use on, for every round
+            plans: dict[tuple[int, int | None, int | None], RulePlan] = {}
 
             def seed(values: ValueStore) -> dict[str, set] | None:
                 """Δ⁺ of what the SCC reads since the committed round,

@@ -446,7 +446,7 @@ def test_counted_multiplicities_are_the_bindings_join_body_enumerates(
     for at, lit in enumerate(rule.body):
         if lit.atom is None or lit.negated:
             continue
-        order = columnar.delta_first(rule, at)
+        order = columnar.body_order(rule, at)
         assert order[0] == at and sorted(order) == list(range(len(rule.body)))
         delta = {lit.atom.predicate: database(d=d_facts).relations["d"]}
         plan = compile_rule_plan(rule, order, at, counted=True)

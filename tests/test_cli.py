@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.datalog import parse_program, seminaive_evaluate
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 def test_stats_generated_trace(capsys):
@@ -174,6 +179,47 @@ def test_datalog_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "path/2 (3 facts)" in out
     assert "path(1, 3)" in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a lexing error: it used to print a two-exception traceback
+        ("p(X) :- q(X), W = X / 0.", r"PROG:1:21: unexpected character '/'"),
+        ("p(X :- q(X).", r"PROG:1:5: expected PUNCT"),
+        ("p(1).\np(1, 2).", r"predicate p used with arities 1 and 2$"),
+        ("q(1).\np(X) :- q(X), !p(X).", r"negation of 'p' inside its own"),
+    ],
+    ids=["lex", "parse", "arity", "stratification"],
+)
+def test_datalog_user_errors_are_one_line(tmp_path, text, message):
+    prog = tmp_path / "bad.dlog"
+    prog.write_text(text)
+    expected = "^datalog: " + message.replace("PROG", re.escape(str(prog)))
+    with pytest.raises(SystemExit, match=expected):
+        main(["datalog", str(prog)])
+
+
+def test_datalog_missing_file_is_one_line(tmp_path):
+    with pytest.raises(SystemExit, match=r"^datalog: .*No such file"):
+        main(["datalog", str(tmp_path / "nope.dlog")])
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXAMPLES.glob("*.dlog")), ids=lambda p: p.name
+)
+def test_datalog_prints_the_row_evaluators_answer(path, capsys):
+    """``repro datalog`` evaluates in id space with the planner's join
+    orders; what it prints is the row evaluator's answer, byte for
+    byte."""
+    db, _ = seminaive_evaluate(parse_program(path.read_text()))
+    expected = "".join(
+        f"{name}/{rel.arity} ({len(rel)} facts)\n"
+        + "".join(f"  {name}{t}\n" for t in sorted(rel))
+        for name, rel in sorted(db.relations.items())
+    )
+    assert main(["datalog", str(path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_serve_with_chaos_seed(capsys):
