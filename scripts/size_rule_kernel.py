@@ -36,8 +36,8 @@ for the whole evaluation.
 
 It uses nothing that is not public API, so the same file runs on the
 parent commit and on a change (a tree without ``full_seed`` plans
-textually): the tables in CHANGES.md / DESIGN.md
-that quote it can be reproduced from the repository.
+textually): the tables in CHANGES.md / DESIGN.md that quote it can be
+reproduced from the repository.
 
 Usage:
     python scripts/size_rule_kernel.py [--seed S] [--runs N]
