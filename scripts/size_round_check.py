@@ -22,40 +22,42 @@ over ``--rounds`` warm rounds that recorded a schedule:
 five back-to-back calls after that (the code's own cost, stable from
 run to run); ``cold_us`` swings with whatever else the box runs. All of
 them run on the outcome the service itself recorded, captured by
-wrapping the ``record_round`` the service calls. It uses nothing that
-is not public API, so the same file runs on the parent commit and on a
-change: copy it into the other checkout's ``scripts/`` (it puts its own
-checkout's ``src/`` on the path).
+wrapping the ``record_round`` the service calls.
+
+With ``--against DIR`` each tree runs in its own interpreter: ``--reps``
+times this checkout's ``src/`` and ``DIR/src`` serve every program and
+seed back to back, alternating which goes first, and the table gives
+per program and seed the median over the reps of ``verify_ms``,
+``round_ms`` and ``check_us`` of both trees and their ratio
+(this ÷ against).
+
+It uses nothing that is not public API, so the same file runs on the
+parent commit and on a change: the tables in CHANGES.md / DESIGN.md
+that quote it can be reproduced from the repository.
 
 Usage:
     python scripts/size_round_check.py [--seeds S ...] [--rounds N]
-        [--stream KIND] [--programs tc sg ...]
+        [--stream KIND] [--programs tc sg ...] [--against DIR] [--reps R]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from statistics import median
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from _against import alternate, compare
 
-import repro.runtime.service as service_module  # noqa: E402
-from repro.runtime import (  # noqa: E402
-    STREAM_KINDS,
-    UpdateStreamService,
-    live_workload,
-    make_stream,
-    record_round,
-)
-from repro.schedulers import scheduler_registry  # noqa: E402
-from repro.tasks import propagate_changes  # noqa: E402
-
+HERE = Path(__file__).resolve()
 PROGRAMS = ("tc", "sg", "flat", "retail", "analytics", "pt")
 WARMUP = 20
 REPEAT = 5
+#: per program and seed, in print order
+COLUMNS = ("record_us", "prop_us", "check_us", "cold_us", "verify_ms",
+           "round_ms")
 
 
 def fastest(call) -> float:
@@ -67,7 +69,17 @@ def fastest(call) -> float:
     return best
 
 
-def size(program: str, seed: int, args, captured: list) -> str:
+def size(program: str, seed: int, args, captured: list) -> dict:
+    """One program and seed: the p50s of the kept rounds."""
+    from repro.runtime import (
+        UpdateStreamService,
+        live_workload,
+        make_stream,
+        record_round,
+    )
+    from repro.schedulers import scheduler_registry
+    from repro.tasks import propagate_changes
+
     wl = live_workload(program, seed=seed)
     svc = UpdateStreamService(
         wl.program,
@@ -98,33 +110,29 @@ def size(program: str, seed: int, args, captured: list) -> str:
         vtrace = artifacts.trace
         m = report.metrics
         rows.append((
-            fastest(lambda: record_round(outcome, trace)),
+            fastest(lambda: record_round(outcome, trace)) * 1e6,
             fastest(lambda: propagate_changes(
                 vtrace.dag, vtrace.initial_tasks, vtrace.changed_edges
-            )),
-            fastest(artifacts.check),
-            cold,
-            m.verify_s,
-            m.latency_s,
+            )) * 1e6,
+            fastest(artifacts.check) * 1e6,
+            cold * 1e6,
+            m.verify_s * 1e3,
+            m.latency_s * 1e3,
         ))
-    if not rows:
-        return f"{wl.name:20} {seed:5d} {0:6d}"
-    record, prop, check, cold, verify, latency = zip(*rows)
-    return (
-        f"{wl.name:20} {seed:5d} {len(rows):6d}"
-        f" {median(record) * 1e6:9.1f} {median(prop) * 1e6:8.1f}"
-        f" {median(check) * 1e6:9.1f} {median(cold) * 1e6:8.1f}"
-        f" {median(verify) * 1e3:10.3f} {median(latency) * 1e3:9.3f}"
-    )
+    # no round kept: every column nan
+    columns = zip(*rows) if rows else [[float("nan")]] * len(COLUMNS)
+    return {
+        "program": wl.name,
+        "seed": seed,
+        "rounds": len(rows),
+        **{col: median(c) for col, c in zip(COLUMNS, columns)},
+    }
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--programs", nargs="+", default=list(PROGRAMS))
-    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
-    ap.add_argument("--rounds", type=int, default=200)
-    ap.add_argument("--stream", default="mixed", choices=STREAM_KINDS)
-    args = ap.parse_args()
+def size_all(args):
+    """Every program and seed's row, the service's ``record_round``
+    wrapped meanwhile to capture what it recorded."""
+    import repro.runtime.service as service_module
 
     captured: list = []
     real = service_module.record_round
@@ -135,16 +143,74 @@ def main() -> int:
 
     service_module.record_round = capturing
     try:
-        print(f"stream={args.stream}, {args.rounds} warm rounds after "
-              f"{WARMUP}, verify=True strict=True, p50 per round")
-        print(f"{'program':20} {'seed':>5} {'rounds':>6} {'record_us':>9}"
-              f" {'prop_us':>8} {'check_us':>9} {'cold_us':>8}"
-              f" {'verify_ms':>10} {'round_ms':>9}")
         for program in args.programs:
             for seed in args.seeds:
-                print(size(program, seed, args, captured), flush=True)
+                yield size(program, seed, args, captured)
     finally:
         service_module.record_round = real
+
+
+def worker(args) -> int:
+    """Every program and seed on ``args.worker``'s tree, as one JSON line."""
+    sys.path.insert(0, args.worker)
+    print(json.dumps(list(size_all(args))))
+    return 0
+
+
+def against(args) -> int:
+    """Alternate this tree and ``args.against`` over ``args.reps`` runs."""
+    runs = alternate(HERE, args.against, args.reps, [
+        "--rounds", str(args.rounds),
+        "--stream", args.stream,
+        "--programs", *args.programs,
+        "--seeds", *map(str, args.seeds),
+    ])
+    print(
+        f"\nstream={args.stream}, {args.rounds} warm rounds after "
+        f"{WARMUP}, verify=True strict=True; median over {args.reps} "
+        "rep(s) of each tree of the per-round p50; against / this / "
+        "this ÷ against"
+    )
+    cols = ("verify_ms", "round_ms", "check_us")
+    print("| program | seed | " + " | ".join(cols) + " |")
+    print("|---" * (2 + len(cols)) + "|")
+    for i, row in enumerate(runs["this"][0]):
+        cells = [compare(runs, i, col) for col in cols]
+        print(f"| {row['program']} | {row['seed']} | " + " | ".join(cells)
+              + " |")
+    return 0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--programs", nargs="+", default=list(PROGRAMS))
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
+    ap.add_argument("--rounds", type=int, default=200)
+    ap.add_argument("--stream", default="mixed",
+                    help="a repro.runtime.STREAM_KINDS name")
+    ap.add_argument("--against", help="another checkout to compare with")
+    ap.add_argument("--reps", type=int, default=3)
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.worker:
+        return worker(args)
+    if args.against:
+        return against(args)
+
+    sys.path.insert(0, str(HERE.parents[1] / "src"))
+    print(f"stream={args.stream}, {args.rounds} warm rounds after "
+          f"{WARMUP}, verify=True strict=True, p50 per round")
+    print(f"{'program':20} {'seed':>5} {'rounds':>6} {'record_us':>9}"
+          f" {'prop_us':>8} {'check_us':>9} {'cold_us':>8}"
+          f" {'verify_ms':>10} {'round_ms':>9}")
+    for row in size_all(args):
+        print(
+            f"{row['program']:20} {row['seed']:5d} {row['rounds']:6d}"
+            f" {row['record_us']:9.1f} {row['prop_us']:8.1f}"
+            f" {row['check_us']:9.1f} {row['cold_us']:8.1f}"
+            f" {row['verify_ms']:10.3f} {row['round_ms']:9.3f}",
+            flush=True,
+        )
     return 0
 
 

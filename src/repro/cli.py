@@ -232,7 +232,8 @@ def cmd_generate(args) -> int:
 def cmd_datalog(args) -> int:
     """``repro datalog``: evaluate a program file, print relations.
 
-    A program that cannot be read, parsed or stratified exits 1 with
+    A program that cannot be read, parsed, stratified or evaluated (a
+    rule comparing or adding values of different types) exits 1 with
     one ``datalog: ...`` line — ``file:line:col:`` first where the
     error has a position — not a traceback.
     """
@@ -251,11 +252,13 @@ def cmd_datalog(args) -> int:
         where = "" if exc.line is None else (
             f"{args.program}:{exc.line}:{exc.col}: "
         )
-        raise SystemExit(f"datalog: {where}{exc}") from None
+        raise SystemExit(f"datalog: {where}{exc.reason}") from None
     try:
         db, _ = seminaive_evaluate(program, pool=InternPool())
     except StratificationError as exc:
         raise SystemExit(f"datalog: {exc}") from None
+    except TypeError as exc:  # e.g. "a" < 3, "a" + 1: the facts' types
+        raise SystemExit(f"datalog: TypeError: {exc}") from None
     for name in sorted(db.relations):
         rel = db.relations[name]
         print(f"{name}/{rel.arity} ({len(rel)} facts)")

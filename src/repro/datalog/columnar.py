@@ -235,10 +235,12 @@ class ColumnarRelation:
     indexes map a bound-position pattern to buckets of rows, built on
     first probe and maintained by :meth:`add_row`/:meth:`discard_row`
     and, in bulk, :meth:`extend`. Single-position patterns key buckets
-    by the bare id (no tuple allocation on the probe path).
+    by the bare id (no tuple allocation on the probe path). A
+    :meth:`clone` borrows its donor's buckets and copies one on its
+    first write to it.
     """
 
-    __slots__ = ("name", "arity", "pool", "rows", "_indexes")
+    __slots__ = ("name", "arity", "pool", "rows", "_indexes", "_lent")
 
     def __init__(self, name: str, arity: int, pool: InternPool) -> None:
         self.name = name
@@ -246,6 +248,8 @@ class ColumnarRelation:
         self.pool = pool
         self.rows: set[tuple] = set()
         self._indexes: dict[tuple[int, ...], dict[object, set[tuple]]] = {}
+        #: pattern → the donor's index a clone shares buckets with
+        self._lent: dict[tuple[int, ...], dict[object, set[tuple]]] = {}
 
     @classmethod
     def from_facts(
@@ -292,20 +296,17 @@ class ColumnarRelation:
         """Bulk :meth:`add_row`: one ``set.update``, and every built
         index takes in ``rows`` only (present rows are harmless)."""
         self.rows.update(rows)
+        lent = self._lent
         for positions, index in self._indexes.items():
-            _index_rows(index, positions, rows)
+            _index_rows(index, positions, rows, lent.get(positions))
 
     def discard_row(self, row: tuple) -> bool:
         if row not in self.rows:
             return False
         self.rows.remove(row)
+        lent = self._lent
         for positions, index in self._indexes.items():
-            key = itemgetter(*positions)(row)
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(row)
-                if not bucket:
-                    del index[key]
+            _unfile(index, positions, row, lent.get(positions))
         return True
 
     def add_fact(self, fact: tuple) -> bool:
@@ -332,13 +333,21 @@ class ColumnarRelation:
         return tuple(sorted(self._indexes))
 
     def clone(self) -> "ColumnarRelation":
-        """Copy rows *and* built indexes (for ``copy_indexed``)."""
+        """A copy of the rows that *lends* the built indexes.
+
+        The clone takes a shallow copy of each built index — every
+        bucket shared with this relation — and copies a bucket on its
+        own first write to it, so a successor patched by a Δ costs its
+        row-set copy plus O(|Δ|), not a pass over the buckets. The
+        donor contract: this relation is never written again (lazy index
+        builds aside) — a write to a bucket it still lends would show in
+        the clone. :func:`~repro.datalog.zset.derive_zdelta`'s
+        predecessors and the committed mirrors a fixpoint or a ``pred``
+        node grows a successor from keep it.
+        """
         out = ColumnarRelation(self.name, self.arity, self.pool)
         out.rows = set(self.rows)
-        for positions, index in list(self._indexes.items()):
-            out._indexes[positions] = {
-                key: set(bucket) for key, bucket in index.items()
-            }
+        out._indexes, out._lent = _lend(self._indexes)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -351,12 +360,18 @@ class ColumnarRelation:
 def _index_rows(
     index: dict[object, set[tuple]],
     positions: tuple[int, ...],
-    rows: Iterable[tuple],
+    rows: Collection[tuple],
+    lent: dict[object, set[tuple]] | None = None,
 ) -> None:
-    """File ``rows`` into ``index`` under their key at ``positions``."""
-    # itemgetter of one position is the bare id, of several the tuple
-    # of ids: exactly the two key shapes
+    """File ``rows`` into ``index`` under their key at ``positions``,
+    first copying each bucket they land in that still *is* the one
+    ``lent`` (a donor's index) holds. :class:`~repro.datalog.database
+    .Relation` files its value tuples the same way."""
+    # itemgetter of one position is the bare value, of several the
+    # tuple of values: exactly the two key shapes
     key_of = itemgetter(*positions)
+    if lent:
+        _unshare(index, lent, map(key_of, rows))
     get = index.get
     for row in rows:
         key = key_of(row)
@@ -365,6 +380,47 @@ def _index_rows(
             index[key] = {row}
         else:
             bucket.add(row)
+
+
+def _unfile(
+    index: dict[object, set[tuple]],
+    positions: tuple[int, ...],
+    row: tuple,
+    lent: dict[object, set[tuple]] | None = None,
+) -> None:
+    """Take ``row`` out of its bucket in ``index`` (a bucket it empties
+    goes; one still lent is copied first, as in :func:`_index_rows`)."""
+    key = itemgetter(*positions)(row)
+    if lent:
+        _unshare(index, lent, (key,))
+    bucket = index.get(key)
+    if bucket is not None:
+        bucket.discard(row)
+        if not bucket:
+            del index[key]
+
+
+def _unshare(
+    index: dict[object, set[tuple]],
+    lent: dict[object, set[tuple]],
+    keys: Iterable[object],
+) -> None:
+    """Give ``index`` its own copy of each bucket under ``keys`` that is
+    still the one ``lent`` holds: a lent bucket's first write goes to a
+    copy, never to the donor."""
+    for key in keys:
+        bucket = index.get(key)
+        if bucket is not None and bucket is lent.get(key):
+            index[key] = set(bucket)
+
+
+def _lend(indexes: dict) -> tuple[dict, dict]:
+    """A clone's indexes and what it borrowed: a shallow copy of each of
+    ``indexes`` (every bucket shared), and the donor's own index per
+    pattern, to tell a bucket still shared by."""
+    # snapshot: a concurrent probe may publish a new lazy index
+    lent = dict(indexes)
+    return {p: dict(index) for p, index in lent.items()}, lent
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +479,12 @@ def _intern_stmt(k: str) -> str:
 
 def _tuple(items: list[str]) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _key(items: list[str]) -> str:
+    """A hash key of ``items``: one is the bare id, like a one-position
+    index key; none or several a tuple."""
+    return items[0] if len(items) == 1 else _tuple(items)
 
 
 class _Body:
@@ -736,7 +798,7 @@ def _compile_rule(
             # nothing bound: cross join against the whole relation
             found, probe = ".rows", f"for {_tuple(targets)} in {scan}:"
         else:
-            lookup = key[0] if len(key) == 1 else _tuple(key)
+            lookup = _key(key)
             found = f".index({tuple(pattern)!r}).get"
             if len(interned) == len(key):
                 # all constants: one bucket for every binding
@@ -788,9 +850,10 @@ def _compile_rule(
         elif not rule.head.has_aggregate():
             w.emit(f"add({_tuple(plain)})")
         else:
-            # group on id columns; only the folded column is externed
+            # group on id columns (one column on its bare id); only the
+            # folded column is externed
             agg = next(t for t in head if isinstance(t, Aggregate))
-            w.emit(f"groups[{_tuple(plain)}].append({var[agg.var.name]})")
+            w.emit(f"groups[{_key(plain)}].append({var[agg.var.name]})")
             folded = "len(ids)" if agg.op == "count" else (
                 f"{_op(agg.op, ('sum', 'min', 'max'))}(map(value_of, ids))"
             )
@@ -802,7 +865,7 @@ def _compile_rule(
                 for t in head
             ])
             fold = [
-                f"        for {_tuple(cols)}, ids in groups.items():",
+                f"        for {_key(cols)}, ids in groups.items():",
                 f"            add({row})",
             ]
 

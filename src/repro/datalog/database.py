@@ -15,11 +15,11 @@ them.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
-from .columnar import ColumnarRelation
+from .columnar import ColumnarRelation, _index_rows, _lend, _unfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .columnar import InternPool
@@ -33,8 +33,10 @@ class Relation:
     """A named set of ground tuples with lazy hash indexes.
 
     Indexes map a tuple of bound positions, e.g. ``(0,)`` or ``(0, 2)``,
-    to buckets keyed by the values at those positions. They are built on
-    first use and maintained incrementally on insert/discard.
+    to buckets keyed by the values at those positions (one position by
+    the bare value, as a mirror's). They are built on first use and
+    maintained incrementally on insert/discard; :meth:`copy_indexed`
+    lends them, as :meth:`ColumnarRelation.clone` does.
 
     ``rows`` / :meth:`extend` / :meth:`wrap` are the bulk face a
     semi-naive loop grows a relation through — the same three names
@@ -55,7 +57,9 @@ class Relation:
         #: value face; ``None`` until first read for a relation born
         #: from a mirror (:meth:`adopt`)
         self._tuples: set[Tuple_] | None = set()
-        self._indexes: dict[tuple[int, ...], dict[tuple, set[Tuple_]]] = {}
+        self._indexes: dict[tuple[int, ...], dict[object, set[Tuple_]]] = {}
+        #: pattern → the donor's index a copy shares buckets with
+        self._lent: dict[tuple[int, ...], dict[object, set[Tuple_]]] = {}
         #: columnar mirror (interned id-rows + indexes), built on first
         #: columnar() call and maintained incrementally by add/discard
         self._columnar: ColumnarRelation | None = None
@@ -132,8 +136,9 @@ class Relation:
         if t in tuples:
             return False
         tuples.add(t)
+        lent = self._lent
         for positions, index in self._indexes.items():
-            index[tuple(t[p] for p in positions)].add(t)
+            _index_rows(index, positions, (t,), lent.get(positions))
         c = self._columnar
         if c is not None:
             c.add_fact(t)
@@ -155,9 +160,9 @@ class Relation:
                 f"{self.name}: expected tuples of arity {self.arity}"
             )
         self.rows.update(facts)
+        lent = self._lent
         for positions, index in self._indexes.items():
-            for t in facts:
-                index[tuple(t[p] for p in positions)].add(t)
+            _index_rows(index, positions, facts, lent.get(positions))
 
     def wrap(self, facts: set[Tuple_]) -> "Relation":
         """An index-less relation of this predicate around ``facts``,
@@ -176,7 +181,7 @@ class Relation:
         first reader to rebuild.
         """
         self._columnar = mirror
-        self._indexes = {}
+        self._indexes, self._lent = {}, {}
         self._tuples = None
 
     def discard(self, t: Tuple_) -> bool:
@@ -185,13 +190,9 @@ class Relation:
         if t not in tuples:
             return False
         tuples.remove(t)
+        lent = self._lent
         for positions, index in self._indexes.items():
-            key = tuple(t[p] for p in positions)
-            bucket = index.get(key)
-            if bucket is not None:
-                bucket.discard(t)
-                if not bucket:
-                    del index[key]
+            _unfile(index, positions, t, lent.get(positions))
         c = self._columnar
         if c is not None:
             c.discard_fact(t)
@@ -199,12 +200,11 @@ class Relation:
 
     def _ensure_index(
         self, positions: tuple[int, ...]
-    ) -> dict[tuple, set[Tuple_]]:
+    ) -> dict[object, set[Tuple_]]:
         index = self._indexes.get(positions)
         if index is None:
-            index = defaultdict(set)
-            for t in self.rows:
-                index[tuple(t[p] for p in positions)].add(t)
+            index = {}
+            _index_rows(index, positions, self.rows)
             self._indexes[positions] = index
         return index
 
@@ -225,7 +225,7 @@ class Relation:
             return (probe,) if probe in self.rows else ()
         positions = tuple(sorted(bound))
         index = self._ensure_index(positions)
-        return index.get(tuple(bound[p] for p in positions), ())
+        return index.get(itemgetter(*positions)(bound), ())
 
     def columnar(self, pool: "InternPool") -> ColumnarRelation:
         """Get-or-build this relation's columnar mirror under ``pool``.
@@ -249,25 +249,25 @@ class Relation:
         return self.wrap(set(self.rows))
 
     def copy_indexed(self) -> "Relation":
-        """Copy that also clones the built hash indexes.
+        """Copy that *lends* the built hash indexes.
 
         ``copy()`` drops indexes (cheap, lazily rebuilt on demand); the
         plan cache instead derives a changed relation's successor from
-        its predecessor — clone indexes once, then apply the round's
-        delta through :meth:`add`/:meth:`discard`, which maintain every
-        cloned index incrementally in O(|delta|). The columnar mirror
-        (with its own indexes) is cloned the same way.
+        its predecessor — copy the tuples, lend the indexes, then apply
+        the round's delta through :meth:`add`/:meth:`discard`. The copy
+        shares every bucket of every built index with this relation and
+        copies a bucket on its first write to it, so the successor
+        costs its tuple-set copy plus O(|delta|). The columnar mirror
+        lends its indexes the same way (:meth:`ColumnarRelation.clone`).
+
+        The donor contract: this relation is never written again (lazy
+        index growth aside) — a write to a bucket it still lends would
+        show in the copy.
         """
         r = self.copy()
         if self._columnar is not None:
             r._columnar = self._columnar.clone()
-        # snapshot: concurrent match() calls may publish new lazy
-        # indexes while we iterate
-        for positions, index in list(self._indexes.items()):
-            clone: dict[tuple, set[Tuple_]] = defaultdict(set)
-            for key, bucket in index.items():
-                clone[key] = set(bucket)
-            r._indexes[positions] = clone
+        r._indexes, r._lent = _lend(self._indexes)
         return r
 
     def index_patterns(self) -> tuple[tuple[int, ...], ...]:

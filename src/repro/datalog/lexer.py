@@ -17,13 +17,13 @@ class LexError(ValueError):
     """Raised on unrecognized input, with line/column context.
 
     ``line``/``col`` expose the 1-based position machine-readably (the
-    message embeds the same position for humans).
+    message ends in the same position for humans); ``reason`` is the
+    message without it.
     """
 
-    def __init__(
-        self, message: str, line: int | None = None, col: int | None = None
-    ) -> None:
-        super().__init__(message)
+    def __init__(self, reason: str, line: int, col: int) -> None:
+        super().__init__(f"{reason} at {line}:{col}")
+        self.reason = reason
         self.line = line
         self.col = col
 
@@ -38,7 +38,8 @@ class Token:
     col: int
 
     def __repr__(self) -> str:
-        return f"{self.kind}({self.text!r})@{self.line}:{self.col}"
+        # the position is the error's to report (ParseError.line/.col)
+        return f"{self.kind}({self.text!r})"
 
 
 _PUNCT = {"(", ")", ",", "."}
@@ -105,14 +106,10 @@ def tokenize(text: str) -> Iterator[Token]:
             j = i + 1
             while j < n and text[j] != '"':
                 if text[j] == "\n":
-                    raise LexError(
-                        f"unterminated string at {line}:{col}", line, col
-                    )
+                    raise LexError("unterminated string", line, col)
                 j += 1
             if j >= n:
-                raise LexError(
-                    f"unterminated string at {line}:{col}", line, col
-                )
+                raise LexError("unterminated string", line, col)
             yield Token("STRING", text[i + 1 : j], line, col)
             col += j + 1 - i
             i = j + 1
@@ -135,6 +132,4 @@ def tokenize(text: str) -> Iterator[Token]:
             col += j - i
             i = j
             continue
-        raise LexError(
-            f"unexpected character {c!r} at {line}:{col}", line, col
-        )
+        raise LexError(f"unexpected character {c!r}", line, col)

@@ -19,7 +19,9 @@ the right side of an assignment, spaced (``D2 = D + 1`` — ``-5`` is a
 negative literal, ``D - 5`` a subtraction).
 
 Every :class:`ParseError` carries the 1-based source position of the
-offending token (``.line``/``.col``, also embedded in the message), and
+offending token (``.line``/``.col``, also appended to the message; its
+``.reason`` is the message without it, for callers that print their own
+``FILE:LINE:COL:`` prefix), and
 parsed atoms/comparisons/assignments are stamped with their positions
 so downstream diagnostics (:mod:`repro.verify.program`) point at real
 source spans. :func:`parse_program_lenient` recovers at clause
@@ -56,15 +58,19 @@ class ParseError(ValueError):
     """Raised on syntactically invalid input, with token context.
 
     ``line``/``col`` hold the 1-based position of the offending token
-    (``None`` when no position is known, e.g. whole-program checks).
+    (``None`` when no position is known, e.g. whole-program checks);
+    ``str()`` ends in "at line L, column C" when they are known, and
+    ``reason`` is the message without any position.
     """
 
     def __init__(
-        self, message: str, line: int | None = None, col: int | None = None
+        self, reason: str, line: int | None = None, col: int | None = None
     ) -> None:
+        message = reason
         if line is not None:
-            message = f"{message} at line {line}, column {col}"
+            message = f"{reason} at line {line}, column {col}"
         super().__init__(message)
+        self.reason = reason
         self.line = line
         self.col = col
 
@@ -74,10 +80,7 @@ class _Parser:
         try:
             self.tokens = list(tokenize(text))
         except LexError as exc:
-            err = ParseError(str(exc))
-            err.line = exc.line
-            err.col = exc.col
-            raise err from exc
+            raise ParseError(exc.reason, exc.line, exc.col) from exc
         self.pos = 0
 
     # ------------------------------------------------------------------
@@ -284,6 +287,9 @@ def parse_rule(text: str) -> Rule:
     """Parse a single clause; raises if there is trailing input."""
     p = _Parser(text)
     rule = p.parse_clause()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input after clause: {p.peek()!r}")
+    tok = p.peek()
+    if tok is not None:
+        raise ParseError(
+            f"trailing input after clause: {tok!r}", tok.line, tok.col
+        )
     return rule

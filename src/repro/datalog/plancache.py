@@ -16,8 +16,8 @@ rounds that way:
   fixpoint that runs deeper or shallower on today's EDB is the same node.
 * ``compile()`` evaluates nothing. On a *hit* — ``edb_old`` is the
   committed baseline — it derives the touched EDB relations from their
-  predecessors (:func:`~repro.datalog.zset.derive_zdelta`: indexes and
-  columnar mirror cloned, the weighted ops applied) and carries every
+  predecessors (:func:`~repro.datalog.zset.derive_zdelta`: rows copied,
+  index buckets lent, the weighted ops applied) and carries every
   other relation by identity, so the round costs what the delta touches;
   the touched EDB nodes are the initial tasks and the old node values
   are the committed previous round's. A *miss* (first round, an
@@ -42,6 +42,9 @@ Relations are immutable by convention once a node or a baseline holds
 them: the only mutation they see is lazy index growth, which is
 idempotent and invisible to readers — a fixpoint node that continues
 from a committed value grows clones of its mirrors, never the value.
+That is also what makes lending sound: a successor or a clone shares
+every index bucket it has not written with the relation it came from,
+which nobody writes again.
 ``compile()`` stages its results; nothing the staged round produced
 becomes the committed baseline until ``commit()``. A failed round therefore needs no undo — the service
 simply never commits it, calls :meth:`CompiledProgramCache.rollback`,

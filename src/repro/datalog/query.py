@@ -33,8 +33,11 @@ def parse_goal(text: str) -> tuple[Literal, ...]:
     while p.at("PUNCT", ","):
         p.next()
         literals.append(p.parse_literal())
-    if p.peek() is not None:
-        raise ParseError(f"trailing input after goal: {p.peek()!r}")
+    tok = p.peek()
+    if tok is not None:
+        raise ParseError(
+            f"trailing input after goal: {tok!r}", tok.line, tok.col
+        )
     goal = tuple(literals)
     _check_goal_safety(goal)
     return goal

@@ -146,8 +146,9 @@ def evaluate_stratum(
     every instance joins against the state the previous one left.
 
     No relation handed in ``db`` is written: a head's first gain goes to
-    a copy (in id space a clone of its mirror, rows and indexes) that
-    takes its place in ``db``, so a head that gains nothing is still
+    a copy (in id space a clone of its mirror: rows copied, index
+    buckets lent by the mirror handed in) that takes its place in
+    ``db``, so a head that gains nothing is still
     the object handed in. Without a pool the loop grows value tuples
     through the per-tuple evaluator; with one it stays in id space —
     ``produced - known`` is one set difference, Δ is the fresh rows as

@@ -14,8 +14,9 @@ update queue speaks this representation:
   insert/retract pairs coalesced by :func:`merge_deltas` cancel
   **before** any compilation or index maintenance happens;
 * the plan cache (:mod:`repro.datalog.plancache`) stages a round from
-  one: :func:`derive_zdelta` patches each touched EDB relation in
-  O(|delta|) through :meth:`ZSetDelta.apply_to`, and a task node reads
+  one: :func:`derive_zdelta` patches a copy of each touched EDB
+  relation, lent its predecessor's index buckets, in O(|delta|) through
+  :meth:`ZSetDelta.apply_to`, and a task node reads
   an EDB input's Z-set off it (:mod:`repro.datalog.units`);
 * :func:`check_update` is the one refusal at every entry point — a
   service's ``submit`` and the engine's ``apply``: a derived predicate,
@@ -348,10 +349,13 @@ def derive_zdelta(edb: Database, zdelta: ZSetDelta) -> Database:
 
     Same fact sets as :func:`apply_zdelta`, but only the touched
     relations are new objects — each a :meth:`Relation.copy_indexed` of
-    its predecessor (hash indexes and columnar mirror included) patched
-    in O(|delta|) — and every other relation is carried over *by
-    identity*. Sound when both databases' relations are treated as
-    immutable from here on (the plan cache's committed baseline is).
+    its predecessor, which lends it every index bucket (value-space and
+    the columnar mirror's), patched in O(|delta|): a successor costs its
+    row-set copies plus what the delta writes — and every other relation
+    is carried over *by identity*. The donor contract: ``edb``'s
+    relations are never written again (the plan cache's committed
+    baseline is not), since a successor still shares every bucket its
+    delta did not touch with its predecessor.
     """
     out = Database(dict(edb.relations))
     for pred, facts in zdelta.weights.items():

@@ -498,7 +498,7 @@ def _analyze(
     for exc in parse_errors:
         findings.append(
             Finding(
-                path, exc.line or 1, exc.col or 1, SYNTAX, str(exc),
+                path, exc.line or 1, exc.col or 1, SYNTAX, exc.reason,
                 "fix the syntax; this clause was skipped and the rest "
                 "of the file analyzed without it",
             )

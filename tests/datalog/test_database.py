@@ -110,6 +110,36 @@ def born_lazy(pool, facts, name="p", arity=2):
     return rel
 
 
+def held(rel: Relation) -> tuple:
+    """What ``rel`` holds, read without writing it: its facts, its
+    mirror's rows, and every bucket of every built index of both faces
+    (frozen copies, so a later write to a bucket shows)."""
+
+    def buckets(indexes: dict) -> dict:
+        return {
+            pattern: {key: frozenset(b) for key, b in index.items()}
+            for pattern, index in indexes.items()
+        }
+
+    c = rel._columnar
+    return (
+        frozenset(rel.rows),
+        None if c is None else (frozenset(c.rows), buckets(c._indexes)),
+        buckets(rel._indexes),
+    )
+
+
+def assert_intact(rel: Relation, then: tuple) -> None:
+    """``rel`` holds what :func:`held` read off it earlier. Lazy growth
+    is no write: a mirror or an index built since is allowed."""
+    facts, mirror, indexes = held(rel)
+    assert facts == then[0]
+    assert {p: indexes[p] for p in then[2]} == then[2]
+    if then[1] is not None:
+        assert mirror[0] == then[1][0]
+        assert {p: mirror[1][p] for p in then[1][1]} == then[1][1]
+
+
 def two_pools():
     """Two pools that give the same values opposite ids, so a comparison
     of id-rows across them answers wrongly."""
@@ -125,7 +155,12 @@ class TwoFaces(RuleBasedStateMachine):
     tuples, driven through the same calls: every observation agrees with
     a plain ``set``. Only ``len`` is checked after every step — it reads
     whichever face exists — so the lazy one stays lazy between the rules
-    that read facts."""
+    that read facts.
+
+    A relation replaced by its ``copy_indexed`` is a donor: the copy
+    shares its index buckets, and the rules that follow write the copy.
+    Every donor must keep holding exactly what it held when it was
+    copied — facts, mirror rows and every bucket of both faces."""
 
     def __init__(self):
         super().__init__()
@@ -133,6 +168,7 @@ class TwoFaces(RuleBasedStateMachine):
         self.model: set = set()
         self.lazy = born_lazy(self.pool, ())
         self.eager = Relation("p", 2)
+        self.donors: list = []
 
     @rule(t=FACTS)
     def add(self, t):
@@ -189,7 +225,21 @@ class TwoFaces(RuleBasedStateMachine):
             assert dup.index_patterns() == (
                 rel.index_patterns() if indexed else ()
             )
+            if indexed:
+                self.donors.append((rel, held(rel)))
             setattr(self, side, dup)
+
+    @rule(
+        side=st.sampled_from(["lazy", "eager"]),
+        pattern=st.sampled_from([(0,), (1,), (0, 1)]),
+    )
+    def index_mirror(self, side, pattern):
+        """Build (or read) a mirror index a later copy lends."""
+        mirror = getattr(self, side).columnar(self.pool)
+        index = mirror.index(pattern)
+        filed = {row for bucket in index.values() for row in bucket}
+        assert filed == mirror.rows
+        assert set(self.pool.extern_rows(mirror.rows)) == self.model
 
     @rule(
         side=st.sampled_from(["lazy", "eager"]),
@@ -228,6 +278,11 @@ class TwoFaces(RuleBasedStateMachine):
     @invariant()
     def sizes_agree(self):
         assert len(self.lazy) == len(self.eager) == len(self.model)
+
+    @invariant()
+    def donors_are_intact(self):
+        for donor, then in self.donors:
+            assert_intact(donor, then)
 
 
 TwoFaces.TestCase.settings = settings(

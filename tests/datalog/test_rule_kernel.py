@@ -465,6 +465,27 @@ def test_the_counted_mode_leaves_the_plain_source_alone():
     assert "counted" in counted.filename and "counted" not in plain.filename
 
 
+@pytest.mark.parametrize(
+    "head, key, fold",
+    [
+        ("h(count(Y))", "()", "()"),
+        ("h(X, count(Y))", "v0", "g0"),
+        ("h(sum(Y), X)", "v0", "g0"),
+        ("h(X, Y, max(Y))", "(v0, v1)", "(g0, g1)"),
+    ],
+    ids=["none", "one", "one-after", "two"],
+)
+def test_a_one_column_group_keys_on_the_bare_id(head, key, fold):
+    """A plain aggregate kernel groups on its plain head columns' ids —
+    one column on the bare id, as a one-position index is keyed, so no
+    1-tuple is built per binding; none or several on a tuple."""
+    source = compile_rule_plan(
+        parse_rule(f"{head} :- e(X, Y)."), None, None
+    ).source
+    assert f"groups[{key}].append(" in source
+    assert f"for {fold}, ids in groups.items():" in source
+
+
 def _record_counted(monkeypatch) -> list:
     """Every plan compiled from here on, as ``counted`` flags."""
     asked: list = []

@@ -144,6 +144,18 @@ def test_verify_program_reports_findings(tmp_path, capsys):
     assert "[safety]" in out and "1:1" in out
 
 
+def test_verify_program_states_a_syntax_errors_position_once(
+    tmp_path, capsys
+):
+    prog = tmp_path / "bad.dlog"
+    prog.write_text("p(X :- q(X).\n")
+    assert main(["verify", "--program", str(prog)]) == 1
+    out = capsys.readouterr().out
+    assert (
+        f"{prog}:1:5: [syntax] expected PUNCT ')', got ARROW(':-')\n" in out
+    )
+
+
 def test_verify_program_json_format(tmp_path, capsys):
     prog = tmp_path / "bad.dlog"
     prog.write_text("p(X, Y) :- q(X).\n")
@@ -185,12 +197,20 @@ def test_datalog_command(tmp_path, capsys):
     "text, message",
     [
         # a lexing error: it used to print a two-exception traceback
-        ("p(X) :- q(X), W = X / 0.", r"PROG:1:21: unexpected character '/'"),
-        ("p(X :- q(X).", r"PROG:1:5: expected PUNCT"),
+        ("p(X) :- q(X), W = X / 0.", r"PROG:1:21: unexpected character '/'$"),
+        # the position once, in the prefix
+        ("p(X :- q(X).", r"PROG:1:5: expected PUNCT '\)', got ARROW\(':-'\)$"),
         ("p(1).\np(1, 2).", r"predicate p used with arities 1 and 2$"),
         ("q(1).\np(X) :- q(X), !p(X).", r"negation of 'p' inside its own"),
+        # a rule comparing values of different types: it used to print a
+        # traceback through the rule's kernel
+        (
+            'q("a"). q(1). p(X) :- q(X), X < 3.',
+            r"TypeError: '<' not supported between instances of 'str' and "
+            r"'int'$",
+        ),
     ],
-    ids=["lex", "parse", "arity", "stratification"],
+    ids=["lex", "parse", "arity", "stratification", "type"],
 )
 def test_datalog_user_errors_are_one_line(tmp_path, text, message):
     prog = tmp_path / "bad.dlog"
