@@ -11,6 +11,8 @@ seed, medians over ``--rounds`` warm rounds that executed something:
   gaps compressed out);
 * ``gap_ms`` — the per-round difference: time inside `execute` in which
   *no* unit ran — scheduler hooks, hand-offs, thread spawn and join;
+* ``hooks_ms`` — the scheduler hooks' wall time, the part of ``gap_ms``
+  the scheduler spends (``report.artifacts.result.scheduling_overhead``);
 * ``tasks`` — units executed per round;
 * ``threads`` — threads started per round, counted at
   ``threading.Thread.start``.
@@ -18,8 +20,9 @@ seed, medians over ``--rounds`` warm rounds that executed something:
 With ``--against DIR`` each tree runs in its own interpreter: ``--reps``
 times this checkout's ``src/`` and ``DIR/src`` serve every program and
 seed back to back, alternating which goes first, and the table gives
-per program and seed the median ``execute_ms`` and ``gap_ms`` over the
-reps of both trees and their ratio (this ÷ against).
+per program and seed the median ``execute_ms``, ``gap_ms``,
+``hooks_ms`` and ``threads`` over the reps of both trees and their
+ratio (this ÷ against).
 
 It uses nothing that is not public API, so the same file runs on the
 parent commit and on a change: the tables in CHANGES.md / DESIGN.md
@@ -72,10 +75,12 @@ def size(program: str, seed: int, args, started: list[str]) -> dict:
             raise SystemExit(f"{program} seed {seed}: round {i} diverged")
         m = report.metrics
         if i >= WARMUP and m.tasks_executed:
-            rows.append(
-                (m.execute_s, m.makespan_s, m.tasks_executed, len(started))
-            )
-    execute, makespan, tasks, threads = zip(*rows)
+            rows.append((
+                m.execute_s, m.makespan_s,
+                report.artifacts.result.scheduling_overhead,
+                m.tasks_executed, len(started),
+            ))
+    execute, makespan, hooks, tasks, threads = zip(*rows)
     gap = [e - k for e, k in zip(execute, makespan)]
     return {
         "program": wl.name,
@@ -84,6 +89,7 @@ def size(program: str, seed: int, args, started: list[str]) -> dict:
         "execute_ms": median(execute) * 1e3,
         "makespan_ms": median(makespan) * 1e3,
         "gap_ms": median(gap) * 1e3,
+        "hooks_ms": median(hooks) * 1e3,
         "tasks": mean(tasks),
         "threads": mean(threads),
     }
@@ -128,10 +134,11 @@ def against(args) -> int:
         f"warm rounds after {WARMUP}; median over {args.reps} rep(s) of "
         "each tree of the per-round p50; against / this / this ÷ against"
     )
-    print("| program | seed | execute_ms | gap_ms |")
-    print("|---|---|---|---|")
+    cols = ("execute_ms", "gap_ms", "hooks_ms", "threads")
+    print("| program | seed | " + " | ".join(cols) + " |")
+    print("|---|---|" + "---|" * len(cols))
     for i, row in enumerate(runs["this"][0]):
-        cells = [compare(runs, i, col) for col in ("execute_ms", "gap_ms")]
+        cells = [compare(runs, i, col) for col in cols]
         print(f"| {row['program']} | {row['seed']} | " + " | ".join(cells)
               + " |")
     return 0
@@ -158,13 +165,14 @@ def main() -> int:
     print(f"workers={args.workers}, stream={args.stream}, "
           f"{args.rounds} warm rounds after {WARMUP}, p50 per round")
     print(f"{'program':20} {'seed':>5} {'rounds':>6} {'execute_ms':>10}"
-          f" {'makespan_ms':>11} {'gap_ms':>8} {'tasks':>6}"
-          f" {'threads':>8}")
+          f" {'makespan_ms':>11} {'gap_ms':>8} {'hooks_ms':>8}"
+          f" {'tasks':>6} {'threads':>8}")
     for row in size_all(args):
         print(
             f"{row['program']:20} {row['seed']:5d} {row['rounds']:6d}"
             f" {row['execute_ms']:10.3f} {row['makespan_ms']:11.3f}"
-            f" {row['gap_ms']:8.3f} {row['tasks']:6.1f}"
+            f" {row['gap_ms']:8.3f} {row['hooks_ms']:8.3f}"
+            f" {row['tasks']:6.1f}"
             f" {row['threads']:8.2f}",
             flush=True,
         )

@@ -337,21 +337,24 @@ def _serve_stream(
         DeadlineExceededError,
     ) if chaos is not None else ()
     failed_rounds = 0
-    for batches in make_stream(
-        wl, kind, rounds=args.rounds, batch_size=args.batch_size
-    ):
-        for delta in batches:
-            service.submit(delta)
-        try:
-            rep = service.run_round()
-        except expected as exc:
-            on_failed(exc)
-            if isinstance(exc, ServiceUnavailableError):
-                break
-            failed_rounds += 1
-        else:
-            if rep is not None:
-                on_round(rep)
+    try:
+        for batches in make_stream(
+            wl, kind, rounds=args.rounds, batch_size=args.batch_size
+        ):
+            for delta in batches:
+                service.submit(delta)
+            try:
+                rep = service.run_round()
+            except expected as exc:
+                on_failed(exc)
+                if isinstance(exc, ServiceUnavailableError):
+                    break
+                failed_rounds += 1
+            else:
+                if rep is not None:
+                    on_round(rep)
+    finally:
+        service.close()
     return service, failed_rounds
 
 
@@ -518,7 +521,7 @@ def cmd_trace(args) -> int:
                  "execute", "verify", "other", "tasks"],
                 rows,
                 title=f"slowest {min(args.top, len(rounds))} rounds "
-                      f"of {len(rounds)}",
+                      f"of {service.metrics.n_rounds}",
             )
         )
         # the verify column split by its child spans, over every round
@@ -662,6 +665,19 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def _count(least: int):
+    """An argparse type: an int no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in its error
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree for ``python -m repro``."""
     parser = argparse.ArgumentParser(
@@ -736,15 +752,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--scheduler", default="hybrid",
                    help=f"one of {sorted(SCHEDULERS)} or lbl:<k>")
-    p.add_argument("--rounds", type=int, default=20,
+    p.add_argument("--rounds", type=_count(0), default=20,
                    help="number of stream ticks to serve")
     p.add_argument("-w", "--workers", type=int, default=4,
                    help="executor worker-pool width")
-    p.add_argument("--batch-size", type=int, default=2,
+    p.add_argument("--batch-size", type=_count(1), default=2,
                    help="update operations per generated batch")
     p.add_argument("--capacity", type=int, default=64,
                    help="update queue bound (backpressure threshold)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_count(0), default=0,
                    help="stream generator seed")
     p.add_argument(
         "--no-verify", action="store_true",
@@ -793,13 +809,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--scheduler", default="levelbased",
                    help=f"one of {sorted(SCHEDULERS)} or lbl:<k>")
-    p.add_argument("--rounds", type=int, default=12,
+    p.add_argument("--rounds", type=_count(0), default=12,
                    help="number of stream ticks to trace")
     p.add_argument("-w", "--workers", type=int, default=4,
                    help="executor thread-pool width")
-    p.add_argument("--batch-size", type=int, default=2,
+    p.add_argument("--batch-size", type=_count(1), default=2,
                    help="update operations per generated batch")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_count(0), default=0,
                    help="stream generator seed")
     p.add_argument("--top", type=int, default=5,
                    help="how many slowest rounds to tabulate")

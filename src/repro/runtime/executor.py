@@ -39,7 +39,15 @@ runs the last itself, then handles whatever completions are queued.
 The others are at most P−1 lane threads, each started by the first
 hand-off that finds every live lane taken, so a round whose stages
 never select two units (a chain-shaped ``G``, or ``workers=1``) starts
-no thread. The coordinator owns all scheduler and activation state;
+no thread. Lanes belong to the owner of their :class:`Lanes`: an
+:class:`~repro.runtime.service.UpdateStreamService` keeps one for its
+lifetime — its lanes park between rounds, and its ``close()`` stops
+and joins them — while a :class:`RoundExecutor` run on its own starts
+its lanes and joins them before ``run`` returns. Nothing of a round
+rides on a thread: each job carries the round's :class:`_Crew` (its
+``ValueStore``, completion queue, cancel flag, chaos and sink), and a
+lane lets go of it before it parks. The coordinator owns all scheduler
+and activation state;
 lanes only run units and timestamp themselves, and every attempt,
 wherever it ran, reports over one queue, so every scheduler hook and
 every ``ValueStore.set`` happens on the coordinator — schedulers need
@@ -66,7 +74,8 @@ the same ``min(cap, base·factor^(k-1))`` law as the simulator's
 at which point the unit is quarantined: the round aborts with a
 structured :class:`UnitExecutionError` aggregating every permanent
 failure, cancellation stops lanes from draining the rest of the plan,
-and all lane threads are joined (no leaks) with late completions
+and the round waits until every lane has let go of its jobs — parked,
+or joined if the round started them (no leaks) — with late completions
 explicitly discarded. A soft per-unit watchdog marks in-flight
 stragglers on :attr:`RoundOutcome.stragglers` without killing them;
 the hard round ``deadline`` still aborts via
@@ -78,6 +87,7 @@ from __future__ import annotations
 import heapq
 import queue
 import threading
+import weakref
 from dataclasses import dataclass, field
 from time import perf_counter, sleep
 
@@ -96,6 +106,7 @@ from ..tasks.activation import ActivationState
 from .chaos import ChaosInjector, InjectedUnitFault
 
 __all__ = [
+    "Lanes",
     "LiveActivationState",
     "RetryPolicy",
     "RoundExecutor",
@@ -294,21 +305,29 @@ def _queued(first, messages: queue.SimpleQueue):
             return
 
 
-class _WorkerLanes:
-    """The round's processors: runs attempts and reports each one.
+def _lanes_lost(msg) -> int:
+    """How many lanes a worker message reports dead (0 for a completion,
+    or for a kill on processor 0, which has no lane to lose)."""
+    if msg[0] == "lane-died":
+        return msg[4]
+    return 1 if msg[0] == "lane-crashed" else 0
 
-    :meth:`run` executes an attempt on the calling thread — the
-    coordinator's own unit, or a lane's — and puts its completion on
-    ``completions``. Lanes are supervised worker threads over one
-    dispatch queue, started by the :meth:`hand` that finds every live
-    one taken. Unlike an opaque pool they are individually
-    replaceable: the coordinator decrements :attr:`live` when a lane
-    reports its death mid-attempt and a later hand-off restores it, so
-    a chaos kill (or a harness bug that escapes a unit) costs one
-    re-dispatch instead of the round. ``cancel`` makes lanes drop
-    queued work instead of draining it — cooperative cancellation for
-    aborted rounds.
+
+class _Crew:
+    """One round's side of its processors: runs attempts, reports each.
+
+    Everything a lane needs of the round it works for travels with each
+    job as this object, never with the thread: the round's
+    :class:`~repro.datalog.units.ValueStore`, its completion queue, its
+    cancel flag, chaos and the trace sink. :meth:`run` executes an
+    attempt on the calling thread — the coordinator's own unit, or a
+    lane's — and puts its completion on ``completions``. ``cancel``
+    makes lanes drop this round's queued work instead of draining it —
+    cooperative cancellation for aborted rounds.
     """
+
+    __slots__ = ("values", "completions", "cancel", "chaos", "sink",
+                 "tracing")
 
     def __init__(
         self,
@@ -319,14 +338,10 @@ class _WorkerLanes:
     ) -> None:
         self.values = values
         self.completions = completions
+        self.cancel = threading.Event()
         self.chaos = chaos
         self.sink = sink
         self.tracing = sink.enabled
-        self.tasks: queue.SimpleQueue = queue.SimpleQueue()
-        self.cancel = threading.Event()
-        self._threads: list[threading.Thread] = []
-        #: lanes started and not reported dead (coordinator-owned)
-        self.live = 0
 
     def run(self, unit: WorkUnit, attempt: int) -> None:
         """Run one attempt here; raises :class:`_LaneKilled` on a kill."""
@@ -367,65 +382,120 @@ class _WorkerLanes:
             ("done", unit.node, attempt, out, t0, perf_counter(), err)
         )
 
-    def _loop(self) -> None:
-        self.sink.set_thread_name(threading.current_thread().name)
-        tasks, cancel, completions = self.tasks, self.cancel, self.completions
-        while True:
-            item = tasks.get()
-            if item is _STOP:
-                return
-            if cancel.is_set():
-                # aborted round: drop queued work instead of draining
-                # the plan
-                continue
-            unit, attempt = item
-            try:
-                self.run(unit, attempt)
-            except _LaneKilled:
-                completions.put(
-                    ("lane-died", unit.node, attempt, perf_counter(), 1)
-                )
-                return
-            except BaseException as exc:  # pragma: no cover
-                # a bug in the lane machinery itself: surface it as the
-                # unit's failure so the round aborts typed
-                completions.put(
-                    ("lane-crashed", unit.node, attempt, perf_counter(), exc)
-                )
-                return
 
-    def hand(self, item, on_lanes: int) -> None:
-        """Queue ``item``; start a lane if fewer than ``on_lanes`` live."""
-        self.tasks.put(item)
+def _lane(tasks: queue.SimpleQueue, parked: queue.SimpleQueue) -> None:
+    """One lane thread: take a job, run it for its round, let go, park.
+
+    A job is ``(crew, unit, attempt)``. Whatever happens to it, the lane
+    drops every reference to the job's round and only then puts one
+    token on ``parked`` — so a round that has collected a token per job
+    it handed knows no lane holds anything of it (a parked lane blocks
+    in ``tasks.get()`` holding nothing but the two queues). A lane
+    killed mid-attempt reports its death to the round and exits.
+    """
+    name = threading.current_thread().name
+    while True:
+        job = tasks.get()
+        if job is _STOP:
+            return
+        crew, unit, attempt = job
+        job = died = None
+        try:
+            # an aborted round's queued work is dropped, not drained
+            if not crew.cancel.is_set():
+                if crew.tracing:
+                    crew.sink.set_thread_name(name)
+                crew.run(unit, attempt)
+        except _LaneKilled:
+            died = ("lane-died", unit.node, attempt, perf_counter(), 1)
+        except BaseException as exc:  # pragma: no cover
+            # a bug in the lane machinery itself: surface it as the
+            # unit's failure so the round aborts typed
+            died = ("lane-crashed", unit.node, attempt, perf_counter(), exc)
+        dead = died is not None
+        if dead:
+            crew.completions.put(died)
+        crew = unit = died = None
+        parked.put(None)
+        if dead:
+            return
+
+
+def _stop(tasks: queue.SimpleQueue, threads: list[threading.Thread]) -> None:
+    """Wake every lane thread in ``threads`` with a sentinel."""
+    for _ in threads:
+        tasks.put(_STOP)
+
+
+class Lanes:
+    """The processors besides the coordinator: supervised lane threads.
+
+    Lanes park on one job queue and are started on demand: the
+    :meth:`hand` that finds every live lane taken starts one, so work
+    with no width starts none. Unlike an opaque pool they are
+    individually replaceable: the coordinator decrements :attr:`live`
+    when a lane reports its death mid-attempt and a later hand-off
+    restores it, so a chaos kill (or a harness bug that escapes a unit)
+    costs one re-dispatch instead of the round.
+
+    Who makes a ``Lanes`` owns its threads. A :class:`RoundExecutor`
+    run on its own makes one per round and closes it before returning;
+    :class:`~repro.runtime.service.UpdateStreamService` keeps one for
+    its lifetime, so its lanes park between rounds, and its ``close()``
+    closes them. They are daemon threads, and an owner that is freed
+    without closing them still stops them (never joins them: the
+    collector may run on any thread).
+    """
+
+    def __init__(self) -> None:
+        self.tasks: queue.SimpleQueue = queue.SimpleQueue()
+        #: one token per job a lane has let go of (see :func:`_lane`)
+        self.parked: queue.SimpleQueue = queue.SimpleQueue()
+        self._threads: list[threading.Thread] = []
+        self._started = 0
+        #: lanes started and not reported dead (coordinator-owned)
+        self.live = 0
+        weakref.finalize(self, _stop, self.tasks, self._threads)
+
+    def hand(self, job, on_lanes: int) -> None:
+        """Queue ``job``; start a lane if fewer than ``on_lanes`` live."""
+        self.tasks.put(job)
         if self.live < on_lanes:
             t = threading.Thread(
-                target=self._loop,
-                name=f"repro-runtime-{len(self._threads)}",
+                target=_lane,
+                args=(self.tasks, self.parked),
+                name=f"repro-runtime-{self._started}",
                 daemon=True,
             )
+            self._started += 1
             self.live += 1
+            self._threads[:] = [x for x in self._threads if x.is_alive()]
             self._threads.append(t)
             t.start()
 
-    def shutdown(self) -> None:
-        """Cancel, wake every lane with a sentinel, and join them all.
+    def settle(self, handed: int) -> None:
+        """Wait until lanes have let go of ``handed`` jobs — every job a
+        round handed them, run, dropped or orphaned by a death."""
+        for _ in range(handed):
+            self.parked.get()
 
-        One sentinel is enqueued per thread ever spawned; dead lanes
-        leave theirs unconsumed, so every surviving lane is guaranteed
-        to see one. After this returns no lane thread is alive — the
-        no-leak guarantee the deadline regression test pins — and every
-        completion that landed after an abort (deadline, chaos,
-        quarantine) is drained and discarded: it belongs to a dead
-        round.
+    def close(self) -> None:
+        """Stop and join every lane; idempotent.
+
+        One sentinel is enqueued per thread started and not yet joined;
+        dead lanes leave theirs unconsumed, and those are discarded, so
+        lanes a later hand-off starts begin from an empty queue. After
+        this returns no lane thread is alive — the no-leak guarantee the
+        deadline regression test pins.
         """
-        self.cancel.set()
-        for _ in self._threads:
-            self.tasks.put(_STOP)
+        _stop(self.tasks, self._threads)
         for t in self._threads:
             t.join()
+        self._threads.clear()
+        self.live = 0
         while True:
             try:
-                self.completions.get_nowait()
+                self.tasks.get_nowait()
             except queue.Empty:
                 return
 
@@ -452,6 +522,11 @@ class RoundExecutor:
         Optional :class:`~repro.runtime.chaos.ChaosInjector` consulted
         on every dispatched attempt. ``None`` keeps the hot path
         byte-identical to a chaos-free build.
+    lanes:
+        The :class:`Lanes` whose threads run the handed-off units, owned
+        by the caller, who closes them — a service keeps one for its
+        lifetime. ``None`` (the default): each :meth:`run` starts its
+        own and closes them before returning.
     """
 
     def __init__(
@@ -464,6 +539,7 @@ class RoundExecutor:
         retry: RetryPolicy | None = None,
         unit_timeout_s: float | None = None,
         chaos: ChaosInjector | None = None,
+        lanes: Lanes | None = None,
     ) -> None:
         check_round_limits("workers", workers,
                            unit_timeout_s=unit_timeout_s, deadline=deadline)
@@ -475,6 +551,7 @@ class RoundExecutor:
         self.retry = RetryPolicy(max_retries=0) if retry is None else retry
         self.unit_timeout_s = unit_timeout_s
         self.chaos = chaos
+        self.lanes = lanes
 
     # ------------------------------------------------------------------
     def run(self) -> RoundOutcome:
@@ -485,10 +562,12 @@ class RoundExecutor:
         misbehavior (validated against the live activation state, like
         the simulator validates against ground truth) and
         :class:`UnitExecutionError` when a unit exhausts its retry
-        budget. However it exits, every lane thread is joined and late
+        budget. However it exits, every lane has let go of the round —
+        parked, or joined if the round started them — and late
         completions are discarded before control returns.
         """
-        r = _Round(self)
+        lanes = Lanes() if self.lanes is None else self.lanes
+        r = _Round(self, lanes)
         r._prepare()
         try:
             r._bootstrap()
@@ -510,7 +589,9 @@ class RoundExecutor:
                 for msg in _queued(first, r.completions):
                     r._settle(msg)
         finally:
-            r.lanes.shutdown()
+            r._release()
+            if lanes is not self.lanes:
+                lanes.close()
         return r._finish()
 
 
@@ -518,10 +599,10 @@ class _Round:
     """One :meth:`RoundExecutor.run`: its state and its phases.
 
     Built fresh by every ``run``; the coordinator is the only thread
-    that touches it (lanes see only :class:`_WorkerLanes`).
+    that touches it (lanes see only its :class:`_Crew`).
     """
 
-    def __init__(self, ex: RoundExecutor) -> None:
+    def __init__(self, ex: RoundExecutor, lanes: Lanes) -> None:
         self.plan = ex.plan
         self.scheduler = ex.scheduler
         self.workers = ex.workers
@@ -541,9 +622,10 @@ class _Round:
             values=self.values,
         )
         self.completions: queue.SimpleQueue = queue.SimpleQueue()
-        self.lanes = _WorkerLanes(
-            self.values, self.completions, ex.chaos, ex.sink
-        )
+        self.crew = _Crew(self.values, self.completions, ex.chaos, ex.sink)
+        self.lanes = lanes
+        #: jobs handed to lanes, each owed a token on ``lanes.parked``
+        self.handed = 0
         self.origin = 0.0
         self.faults0 = 0
         self.inflight = 0
@@ -661,7 +743,7 @@ class _Round:
             return
         (unit, a), self.held = self.held, None
         try:
-            self.lanes.run(unit, a)
+            self.crew.run(unit, a)
         except _LaneKilled:
             # the same capacity loss, no thread to replace
             self.completions.put(
@@ -792,6 +874,20 @@ class _Round:
             )
         return outcome
 
+    def _release(self) -> None:
+        """However the round ends: wait until the lanes have let go of
+        every job it handed them, then discard the completions that
+        landed after an abort (deadline, chaos, quarantine) — they
+        belong to a dead round — counting the lanes they report dead."""
+        self.crew.cancel.set()
+        self.lanes.settle(self.handed)
+        while True:
+            try:
+                msg = self.completions.get_nowait()
+            except queue.Empty:
+                return
+            self.lanes.live -= _lanes_lost(msg)
+
     # -- what the phases share --
     def _charge(self, counter: str, h0: float, ops0: int) -> None:
         """Book the scheduler hooks run since ``h0`` / ``ops0``: their
@@ -811,7 +907,8 @@ class _Round:
         if self.watchdog is not None:
             self.dispatched_at[node] = perf_counter()
         if self.held is not None:
-            self.lanes.hand(self.held, self.inflight - 1)
+            self.lanes.hand((self.crew, *self.held), self.inflight - 1)
+            self.handed += 1
         self.held = (self.plan.units[node], a)
         self.just_submitted.append(node)
 
@@ -848,13 +945,14 @@ class _Round:
         the round is over — and hiding them helps nobody).
         """
         units = self.plan.units
-        self.lanes.cancel.set()
+        self.crew.cancel.set()
         failed = [(node, err)]
         while True:
             try:
                 msg = self.completions.get_nowait()
             except queue.Empty:
                 break
+            self.lanes.live -= _lanes_lost(msg)
             if msg[0] == "done" and msg[6] is not None:
                 failed.append((msg[1], msg[6]))
         failures = [

@@ -11,7 +11,10 @@ each appended round feeds the per-phase latency histograms
 (``latency_s`` / ``compile_s`` / ``execute_s`` / ``verify_s`` /
 ``queue_wait_s``) and the task/batch counters, and the summary
 percentiles read straight from them. The raw per-round records are
-still kept for the JSON log.
+kept for the JSON log and for readers of the last rounds, but only the
+last :data:`ROUND_WINDOW` or so: a long-lived service's log is bounded,
+and every whole-run total (the round count included) is a registry
+counter or histogram.
 """
 
 from __future__ import annotations
@@ -24,7 +27,11 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["RoundMetrics", "MetricsLog"]
+__all__ = ["RoundMetrics", "MetricsLog", "ROUND_WINDOW"]
+
+#: the fewest last rounds :attr:`MetricsLog.rounds` keeps once that many
+#: were served; it holds fewer than twice as many, trimmed in chunks
+ROUND_WINDOW = 1024
 
 #: RoundMetrics field → histogram name fed on append
 _PHASE_HISTOGRAMS = (
@@ -41,9 +48,10 @@ class RoundMetrics:
     """What one maintenance round cost and touched.
 
     The defaults from ``n_nodes`` on are those of a round that did
-    nothing — what a no-op round records. Slotted: the log keeps every
-    round's record, and past 29 attributes CPython 3.11 stops sharing
-    instance-dict keys, which made each record ≈ 5× larger.
+    nothing — what a no-op round records. Slotted: the log keeps up to
+    2 × :data:`ROUND_WINDOW` records, and past 29 attributes CPython
+    3.11 stops sharing instance-dict keys, which made each record ≈ 5×
+    larger.
     """
 
     index: int
@@ -125,14 +133,27 @@ class RoundMetrics:
 
 @dataclass
 class MetricsLog:
-    """Append-only log of round metrics plus summary statistics."""
+    """Round metrics: the last rounds' records, whole-run statistics.
+
+    :attr:`rounds` is a list of the last records, in arrival order:
+    every round until :data:`ROUND_WINDOW` of them, and from then on
+    between ``ROUND_WINDOW`` and ``2 × ROUND_WINDOW`` — an append that
+    fills twice the window drops the older half, so trimming costs
+    O(1) amortised per round. Totals over the whole run come from the
+    :attr:`registry`: :attr:`n_rounds`, the task and batch counters and
+    the phase histograms.
+    """
 
     rounds: list[RoundMetrics] = field(default_factory=list)
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     def append(self, m: RoundMetrics) -> None:
         """Record one finished round (and feed the histograms)."""
-        self.rounds.append(m)
+        rounds = self.rounds
+        rounds.append(m)
+        if len(rounds) >= 2 * ROUND_WINDOW:
+            del rounds[:-ROUND_WINDOW]
+        self.registry.counter("rounds").inc(1)
         for name in _PHASE_HISTOGRAMS:
             self.registry.histogram(name).observe(getattr(m, name))
         self.registry.counter("tasks_executed").inc(m.tasks_executed)
@@ -152,9 +173,15 @@ class MetricsLog:
         if m.noop:
             self.registry.counter("noop_rounds").inc(1)
 
+    @property
+    def n_rounds(self) -> int:
+        """Rounds recorded over the whole run (:attr:`rounds` keeps only
+        the last of them)."""
+        return int(self.registry.counter("rounds").value)
+
     # ------------------------------------------------------------------
     def latencies(self) -> np.ndarray:
-        """Round latencies in seconds, in arrival order."""
+        """The kept rounds' latencies in seconds, in arrival order."""
         return np.array([m.latency_s for m in self.rounds], dtype=np.float64)
 
     def latency_percentiles(
@@ -179,10 +206,10 @@ class MetricsLog:
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict[str, Any]:
-        """Full log plus summary, ready for ``json.dump``."""
+        """Summary plus the kept rounds, ready for ``json.dump``."""
         return {
             "schema": 1,
-            "n_rounds": len(self.rounds),
+            "n_rounds": self.n_rounds,
             "rounds_per_sec": self.rounds_per_second(),
             "latency": self.latency_percentiles((50.0, 90.0, 99.0)),
             "total_tasks_executed": int(
@@ -207,7 +234,7 @@ class MetricsLog:
         """One-line human-readable summary."""
         pct = self.latency_percentiles((50.0, 99.0))
         return (
-            f"{len(self.rounds)} rounds, "
+            f"{self.n_rounds} rounds, "
             f"{self.rounds_per_second():.1f} rounds/s, "
             f"p50={pct['p50'] * 1e3:.2f}ms p99={pct['p99'] * 1e3:.2f}ms"
         )

@@ -89,6 +89,7 @@ from ..verify.invariants import VerificationReport
 from ..verify.program import ProgramAnalysis, analyze_program
 from .chaos import ChaosInjector, ChaosPlan, InjectedPhaseFault
 from .executor import (
+    Lanes,
     RetryPolicy,
     RoundExecutor,
     RoundOutcome,
@@ -211,7 +212,10 @@ class UpdateStreamService:
     scheduler:
         The one scheduler instance reused across all rounds.
     workers:
-        Processors per round: the serving thread and ≤ ``workers − 1`` lanes.
+        Processors per round: the serving thread and ≤ ``workers − 1``
+        lanes. The lanes are the service's: each is started by the
+        first hand-off that needs it, parks between rounds, and runs
+        until :meth:`close`.
     executor, storage, plan_cache:
         Accept only ``"thread"``, ``"columnar"`` and ``True``: the
         process executor backend, the row storage layout and cold
@@ -408,6 +412,18 @@ class UpdateStreamService:
         #: retried round draws fresh decisions
         self._maintain_epoch = 0
         self._materialization: Database | None = None
+        #: the lane threads every healthy round hands units to
+        self._lanes = Lanes()
+
+    def close(self) -> None:
+        """Stop and join the service's lane threads; idempotent.
+
+        Call it between rounds. A round served after it starts lanes
+        again on demand. The lanes are daemon threads, so a service
+        nobody closes does not hold the interpreter, and one that is
+        freed stops them.
+        """
+        self._lanes.close()
 
     # ------------------------------------------------------------------
     # producer side
@@ -882,6 +898,7 @@ class UpdateStreamService:
                 retry=self.unit_retry,
                 unit_timeout_s=self.unit_timeout_s,
                 chaos=self.chaos,
+                lanes=self._lanes,
             ).run()
         tasks_executed = len(outcome.records)
         modes = [said.get("mode") for said in outcome.values.notes.values()]

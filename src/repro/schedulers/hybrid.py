@@ -31,8 +31,6 @@ work, as the paper's "scheduling overhead" column does.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .base import Scheduler, SchedulerContext
 from .logicblox import LogicBloxScheduler
 
@@ -155,19 +153,8 @@ class HybridScheduler(Scheduler):
         # purge entries the LevelBased side already dispatched, so the
         # scan doesn't recheck them (shared-queue removal is O(1)
         # amortized in the real implementation; not charged)
-        if not lbx._ready and (lbx._queue.size or lbx._incoming):
-            if self._dispatched:
-                if lbx._incoming:
-                    lbx._incoming = [
-                        v for v in lbx._incoming if v not in self._dispatched
-                    ]
-                if lbx._queue.size:
-                    keep = np.fromiter(
-                        (v not in self._dispatched for v in lbx._queue),
-                        dtype=bool,
-                        count=lbx._queue.size,
-                    )
-                    lbx._queue = lbx._queue[keep]
+        if not lbx._ready and lbx._queue and self._dispatched:
+            lbx._queue = [v for v in lbx._queue if v not in self._dispatched]
         while len(out) < max_tasks:
             got = lbx.select(1, t)
             if not got:

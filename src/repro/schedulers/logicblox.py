@@ -42,15 +42,24 @@ while charging the full modeled scan — queue entries examined plus one
 probe per interval of each candidate's ancestor list. (For a blocked
 fragmented candidate the modeled scan could stop at its first hitting
 interval; charging the full list is a documented upper bound.) The
-*cached* policy performs its scans for real, vectorized — active keys
-live in a prefix-summed occupancy array, single-interval candidates are
-probed with batched gathers — with identical charging rules.
+*cached* policy performs its scans for real, with identical charging
+rules, in one of two passes picked by the queue's mass — the interval
+count of its candidates' lists together. Up to
+:data:`SCALAR_SCAN_MAX` intervals (every served round of a shipped
+program) it walks the candidates in Python over zero-copy memoryviews
+of the index's columns, bisecting the sorted active keys, and stops at
+each candidate's first hit; above it (the deep Table-I traces) one
+vectorized pass gathers every interval at once and counts active keys
+with ``np.searchsorted``. Both return the same ready order, blocked
+queue and ops.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +67,18 @@ from ..dag.graph import Dag
 from ..dag.intervals import IntervalIndex
 from .base import Scheduler, SchedulerContext
 
-__all__ = ["LogicBloxScheduler"]
+__all__ = ["LogicBloxScheduler", "SCALAR_SCAN_MAX"]
+
+#: the largest queue mass (Σ interval-list length over the candidates)
+#: a cached scan walks in Python; a heavier queue takes the vectorized
+#: pass. Set just below the measured crossover:
+#: ``scripts/size_scan_passes.py`` times both passes on every state
+#: Hybrid scans on ``sim_sched``'s deep trace (job trace #5's shape):
+#: the walk costs ≈ 2 µs at mass 4 and ≈ 0.35 µs more per interval, the
+#: vectorized pass 45–70 µs at any mass up to 512, and they cross at a
+#: mass of ≈ 210 (table in DESIGN §18). Served rounds scan a mass of
+#: at most 7; the deep trace a median of ≈ 126, up to ≈ 1 000.
+SCALAR_SCAN_MAX = 192
 
 
 def _ancestor_index(dag: Dag) -> IntervalIndex:
@@ -76,6 +96,34 @@ def _ancestor_index(dag: Dag) -> IntervalIndex:
             Dag(d.n_nodes, d.edge_array()[:, ::-1], validate=False)
         ),
     )
+
+
+class _Columns(NamedTuple):
+    """What the scans read of :func:`_ancestor_index`, kept on the Dag.
+
+    ``lengths`` is the interval count per node (read-only); the four
+    memoryviews are zero-copy views of the index's read-only columns,
+    which the scalar walk indexes for a plain ``int`` per read.
+    """
+
+    lengths: np.ndarray
+    offsets: memoryview
+    lo: memoryview
+    hi: memoryview
+    key: memoryview
+
+
+def _columns(dag: Dag) -> _Columns:
+    def build(d: Dag) -> _Columns:
+        ivl = _ancestor_index(d)
+        lengths = ivl.list_lengths()
+        lengths.flags.writeable = False
+        return _Columns(
+            lengths, memoryview(ivl.offsets), memoryview(ivl.lo),
+            memoryview(ivl.hi), memoryview(ivl.postorders()),
+        )
+
+    return dag.derived("logicblox.scan_columns", build)
 
 
 class LogicBloxScheduler(Scheduler):
@@ -101,20 +149,16 @@ class LogicBloxScheduler(Scheduler):
     def prepare(self, ctx: SchedulerContext) -> None:
         dag = ctx.dag
         ivl = _ancestor_index(dag)
-        n = dag.n_nodes
         # node → its slice offsets[u]:offsets[u + 1] of lo/hi, its
         # postorder key in the reversed DAG, its interval-list length
-        self._ivl_offsets = ivl.offsets
-        self._ivl_lo = ivl.lo
-        self._ivl_hi = ivl.hi
-        self._key_of = ivl.postorders()
-        self._n_ivl = ivl.list_lengths()
+        self._ivl = ivl
+        self._cols = cols = _columns(dag)
+        self._n_ivl = cols.lengths
 
         # the modelled cost of building the lists, whoever built them
-        self.precompute_ops = n + dag.n_edges + ivl.total_intervals
+        self.precompute_ops = dag.n_nodes + dag.n_edges + ivl.total_intervals
         self.precompute_memory_cells = ivl.memory_cells
 
-        self._n = n
         self._oracle = ctx.oracle
         if self.policy == "fresh":
             self._seq = 0
@@ -122,12 +166,12 @@ class LogicBloxScheduler(Scheduler):
             self._ready_heap: list[tuple[int, int]] = []  # (seq, node)
             self._queue_probes = 0  # Σ interval-list length over the queue
         else:
-            self._queue = np.empty(0, dtype=np.int64)
-            self._incoming: list[int] = []
+            #: activated (or requeued) tasks not yet found ready, in
+            #: arrival order
+            self._queue: list[int] = []
             self._ready: deque[int] = deque()
-            self._key_active = np.zeros(n, dtype=np.int64)
-            self._prefix: np.ndarray | None = None
-            self._n_active_keys = 0
+            #: postorder keys of the activated, uncompleted tasks, sorted
+            self._active: list[int] = []
             # event-driven invalidation: a scan that found nothing is not
             # repeated until a completion or activation changes the state
             self._dirty = True
@@ -145,22 +189,23 @@ class LogicBloxScheduler(Scheduler):
                 2 * len(self._in_queue) + len(self._ready_heap)
             )
         else:
-            self._incoming.append(v)
-            self._key_active[self._key_of[v]] = 1
-            self._n_active_keys += 1
-            self._prefix = None
+            self._queue.append(v)
+            active, key = self._active, self._cols.key[v]
+            i = bisect_left(active, key)
+            if i == len(active) or active[i] != key:
+                active.insert(i, key)
             self._dirty = True
             self.note_runtime_memory(
-                self._queue.size + len(self._incoming)
-                + self._n_active_keys + len(self._ready)
+                len(self._queue) + len(active) + len(self._ready)
             )
 
     def on_complete(self, v: int, t: float) -> None:
         self.ops += 1
         if self.policy == "cached":
-            self._key_active[self._key_of[v]] = 0
-            self._n_active_keys -= 1
-            self._prefix = None
+            active, key = self._active, self._cols.key[v]
+            i = bisect_left(active, key)
+            if i < len(active) and active[i] == key:
+                del active[i]
             self._dirty = True
 
     def on_failure(self, v: int, t: float) -> None:
@@ -177,85 +222,97 @@ class LogicBloxScheduler(Scheduler):
                 2 * len(self._in_queue) + len(self._ready_heap)
             )
         else:
-            self._incoming.append(v)
+            self._queue.append(v)
             self._dirty = True
             self.note_runtime_memory(
-                self._queue.size + len(self._incoming)
-                + self._n_active_keys + len(self._ready)
+                len(self._queue) + len(self._active) + len(self._ready)
             )
 
     # ------------------------------------------------------------------
-    # cached-policy scan machinery (vectorized, also used by Hybrid)
+    # cached-policy scan (also used by Hybrid)
     # ------------------------------------------------------------------
-    def _consolidate(self) -> None:
-        if self._incoming:
-            self._queue = np.concatenate(
-                (self._queue, np.asarray(self._incoming, dtype=np.int64))
-            )
-            self._incoming.clear()
-        if self._prefix is None:
-            self._prefix = np.zeros(self._n + 1, dtype=np.int64)
-            np.cumsum(self._key_active, out=self._prefix[1:])
+    # The modeled scan probes each candidate's ancestor intervals in
+    # order and stops at the first one holding an active key other than
+    # the candidate's own; its probes are the intervals examined. Both
+    # passes return (ready, blocked, probes): the candidates in queue
+    # order, split, and the probes summed.
+    def _walk(self, queue: list[int]) -> tuple[list[int], list[int], int]:
+        """The scan in Python: bisect the sorted active keys per interval."""
+        offsets, los, his, key_of = self._cols[1:]
+        active = self._active
+        n_active = len(active)
+        ready: list[int] = []
+        blocked: list[int] = []
+        probes = 0
+        for v in queue:
+            own = key_of[v]
+            first, end = offsets[v], offsets[v + 1]
+            for j in range(first, end):
+                i = bisect_left(active, los[j])
+                if i < n_active and active[i] == own:
+                    i += 1  # the candidate's own key blocks nothing
+                if i < n_active and active[i] <= his[j]:
+                    probes += j - first + 1
+                    blocked.append(v)
+                    break
+            else:
+                probes += end - first
+                ready.append(v)
+        return ready, blocked, probes
 
-    def _blocked_and_probes(
-        self, cand: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Blocked flag and modeled probe count per candidate.
-
-        The modeled scan probes a candidate's ancestor intervals in
-        order, stopping at the first interval holding an active key
-        other than the candidate itself; ``probes`` is the number of
-        intervals examined. Computed fully vectorized over the ragged
-        interval segments (one ``reduceat`` per scan, no Python loop).
-        """
-        prefix = self._prefix
-        if prefix is None:  # _consolidate() always runs first
-            raise RuntimeError("scan attempted before _consolidate()")
+    def _sweep(self, queue: list[int]) -> tuple[list[int], list[int], int]:
+        """The scan as one vectorized pass over the ragged interval
+        segments: a batched gather, ``np.searchsorted`` counts of the
+        active keys per interval, one ``reduceat`` for the first hits."""
+        ivl = self._ivl
+        cand = np.array(queue, dtype=np.int64)
         lens = self._n_ivl[cand]
-        starts = self._ivl_offsets[cand]
-        total = int(lens.sum())
-        if total == 0:  # pragma: no cover - every node covers itself
-            return np.zeros(cand.size, dtype=bool), np.ones(
-                cand.size, dtype=np.int64
-            )
         seg_first = np.zeros(cand.size, dtype=np.int64)
         np.cumsum(lens[:-1], out=seg_first[1:])
+        total = int(seg_first[-1] + lens[-1])
         # ragged arange: flat[j] walks each candidate's interval slice
         flat = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - seg_first, lens
+            ivl.offsets[cand] - seg_first, lens
         )
-        lo = self._ivl_lo[flat]
-        hi = self._ivl_hi[flat]
-        cnt = prefix[np.minimum(hi + 1, self._n)] - prefix[lo]
-        self_key = np.repeat(self._key_of[cand], lens)
-        cnt -= ((lo <= self_key) & (self_key <= hi)).astype(np.int64)
-        hit = cnt > 0
+        lo = ivl.lo[flat]
+        hi = ivl.hi[flat]
+        keys = np.array(self._active, dtype=np.int64)
+        cnt = np.searchsorted(keys, hi, side="right") - np.searchsorted(
+            keys, lo, side="left"
+        )
+        # a candidate is activated and not completed: its own key is
+        # active, and blocks nothing
+        own = np.repeat(ivl.postorders()[cand], lens)
+        cnt -= (lo <= own) & (own <= hi)
         # first hit position within each segment (or len when no hit)
         pos_in_seg = np.arange(total, dtype=np.int64) - np.repeat(
             seg_first, lens
         )
         big = np.iinfo(np.int64).max
-        hit_pos = np.where(hit, pos_in_seg, big)
-        first_hit = np.minimum.reduceat(hit_pos, seg_first)
-        blocked = first_hit != big
-        probes = np.where(blocked, first_hit + 1, lens)
-        return blocked, probes.astype(np.int64)
+        first_hit = np.minimum.reduceat(
+            np.where(cnt > 0, pos_in_seg, big), seg_first
+        )
+        hit = first_hit != big
+        probes = int(np.where(hit, first_hit + 1, lens).sum())
+        return cand[~hit].tolist(), cand[hit].tolist(), probes
 
-    # ------------------------------------------------------------------
+    def _scan(self) -> None:
+        """Examine the whole queue once, by the pass its mass picks."""
+        queue, offsets = self._queue, self._cols.offsets
+        mass = 0
+        for v in queue:
+            mass += offsets[v + 1] - offsets[v]
+            if mass > SCALAR_SCAN_MAX:
+                break
+        scan = self._walk if mass <= SCALAR_SCAN_MAX else self._sweep
+        ready, self._queue, probes = scan(queue)
+        self.ops += len(queue) + probes
+        self._ready.extend(ready)
+
     def _select_cached(self, max_tasks: int) -> list[int]:
-        if (
-            not self._ready
-            and self._dirty
-            and (self._queue.size or self._incoming)
-        ):
+        if not self._ready and self._dirty and self._queue:
             self._dirty = False
-            self._consolidate()
-            if self._queue.size:
-                blocked, probes = self._blocked_and_probes(self._queue)
-                self.ops += int(self._queue.size) + int(probes.sum())
-                for v in self._queue[~blocked]:
-                    self._ready.append(int(v))
-                self._queue = self._queue[blocked]
+            self._scan()
         out: list[int] = []
         while self._ready and len(out) < max_tasks:
             out.append(self._ready.popleft())

@@ -9,12 +9,14 @@ invariant checker.
 from __future__ import annotations
 
 import gc
+import threading
 import time
 import weakref
 
 import pytest
 
 from repro.datalog.units import build_execution_plan
+from repro.runtime import UpdateStreamService, live_workload, make_stream
 from repro.runtime.executor import RoundExecutor, UnitExecutionError
 from repro.runtime.recorder import record_round
 from repro.schedulers import scheduler_registry
@@ -136,6 +138,42 @@ def test_round_state_is_freed_without_the_collector(
         assert values() is None
     finally:
         gc.enable()
+
+
+def test_served_round_state_is_freed_without_the_collector(monkeypatch):
+    """The same for a served round, whose lanes outlive it: a lane
+    parks holding nothing of the round it ran units for, so each
+    round's store is gone once its report is."""
+    stores = []
+    real_run = RoundExecutor.run
+
+    def run(self):
+        outcome = real_run(self)
+        stores.append(weakref.ref(outcome.values))
+        return outcome
+
+    monkeypatch.setattr(RoundExecutor, "run", run)
+    wl = live_workload("pt", seed=5)
+    svc = UpdateStreamService(
+        wl.program, wl.edb, REGISTRY["hybrid"](), workers=2
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for batches in make_stream(wl, "steady", rounds=8, batch_size=2):
+            for delta in batches:
+                svc.submit(delta)
+            report = svc.run_round()
+            assert report.materialization_ok
+            del report
+            assert stores[-1]() is None
+        assert any(
+            t.name.startswith("repro-runtime") for t in threading.enumerate()
+        )
+    finally:
+        gc.enable()
+        svc.close()
+    assert len(stores) == 8
 
 
 def test_executes_only_active_nodes(compiled_workloads):

@@ -407,7 +407,9 @@ def test_served_chain_rounds_start_no_thread(thread_starts):
 def test_width_spawns_at_most_workers_minus_one_lanes(
     thread_starts, workers
 ):
-    """A lane is started by the hand-off that needs it, per round."""
+    """A lane is started by the hand-off that needs it, and the service
+    keeps it: over the whole stream at most P − 1 lanes start, they
+    park between rounds, and ``close`` joins them."""
     wl = live_workload("retail", seed=5)
     svc = UpdateStreamService(
         wl.program, wl.edb, REGISTRY["hybrid"](), workers=workers
@@ -416,15 +418,17 @@ def test_width_spawns_at_most_workers_minus_one_lanes(
     for batches in make_stream(wl, "steady", rounds=5, batch_size=2):
         for delta in batches:
             svc.submit(delta)
-        del thread_starts[:]
+        before = len(thread_starts)
         assert svc.run_round().materialization_ok
-        assert all(n.startswith("repro-runtime") for n in thread_starts)
-        assert not _runtime_threads()
-        per_round.append(len(thread_starts))
+        per_round.append(len(thread_starts) - before)
+        assert len(_runtime_threads()) == sum(per_round)
+    assert all(n.startswith("repro-runtime") for n in thread_starts)
     # the first round runs all of G, whose sources are independent: its
     # first stage selects several units and keeps one
     assert 1 <= per_round[0]
-    assert max(per_round) <= workers - 1
+    assert sum(per_round) <= workers - 1
+    svc.close()
+    assert not _runtime_threads()
 
 
 def test_kill_on_processor_zero_replaces_no_thread(
@@ -476,6 +480,7 @@ def test_chaos_log_does_not_depend_on_who_ran_the_unit():
             for delta in batches:
                 svc.submit(delta)
             svc.run_round()
+        svc.close()
         assert not _runtime_threads()
         return svc.chaos.canonical()
 

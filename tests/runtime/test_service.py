@@ -17,6 +17,7 @@ from repro.runtime import (
     UpdateStreamService,
     live_workload,
     make_stream,
+    metrics,
 )
 from repro.schedulers import scheduler_registry
 from repro.workloads.datalog_workloads import DATALOG_WORKLOADS
@@ -267,6 +268,31 @@ def test_run_drains_rounds_with_callback():
     assert len(reports) == 1
     assert seen == reports
     assert reports[0].metrics.batches_coalesced == 4
+
+
+def test_the_metrics_log_keeps_a_window_and_counts_every_round(monkeypatch):
+    """A long-lived service's log is bounded: it keeps the last rounds,
+    trimmed in chunks, while every whole-run total comes from the
+    registry."""
+    monkeypatch.setattr(metrics, "ROUND_WINDOW", 8)
+    wl = live_workload("tc", seed=11)
+    svc = UpdateStreamService(
+        wl.program, wl.edb, REGISTRY["hybrid"](), workers=2, verify=False
+    )
+    indexes = []
+    for batches in make_stream(wl, "mixed", rounds=40, batch_size=2):
+        for delta in batches:
+            svc.submit(delta)
+        indexes.append(svc.run_round().metrics.index)
+        assert len(svc.metrics.rounds) <= 16
+    log = svc.metrics
+    assert [m.index for m in log.rounds] == indexes[-len(log.rounds):]
+    assert len(log.rounds) >= 8
+    assert log.n_rounds == 40
+    assert log.summary().startswith("40 rounds, ")
+    payload = log.to_json_dict()
+    assert payload["n_rounds"] == 40
+    assert len(payload["rounds"]) == len(log.rounds)
 
 
 def test_metrics_json_shape():

@@ -315,3 +315,27 @@ def test_simulate_refuses_limits_no_run_can_honour(flags, message):
     exceeded."""
     with pytest.raises(SystemExit, match=rf"^simulate: {message}$"):
         main(["simulate", "--trace", "5", "--scale", "0.2", *flags])
+
+
+@pytest.mark.parametrize("cmd", ["serve", "trace"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        (["--rounds", "-3"], "argument --rounds: must be >= 0, got -3"),
+        (["--batch-size", "0"], "argument --batch-size: must be >= 1, got 0"),
+        (["--batch-size", "-1"],
+         "argument --batch-size: must be >= 1, got -1"),
+    ],
+)
+def test_serving_refuses_counts_out_of_range(cmd, flags, message, capsys):
+    """argparse's one line and exit 2, before anything is served: a
+    negative seed used to print a numpy traceback, negative rounds to
+    serve nothing and a batch of 0 or fewer operations no-op rounds,
+    both exiting 0."""
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--program" if cmd == "serve" else "--stream", "tc",
+              *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"repro {cmd}: error: {message}"
