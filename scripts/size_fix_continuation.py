@@ -18,33 +18,40 @@ the EDB keeps its size — ``--ops`` facts inserted, then as many present
 facts deleted; a ``replace`` round does both at once. An insert round's
 fixpoint inputs only grow; the other two hold retractions.
 
+With ``--against DIR`` each tree runs in its own interpreter
+(``scripts/_against.py``): ``--reps`` times this checkout's ``src/``
+and ``DIR/src`` serve every program, seed and kind back to back,
+alternating which goes first, and the table gives per row the median
+over the reps of ``fix_ms`` and ``probes`` of both trees and their
+ratio (this ÷ against).
+
 It uses nothing that is not public API, so the same file runs on the
 parent commit and on a change: the engine-vs-recompute rows of DESIGN
 §18 can be reproduced from the repository.
 
 Usage:
     python scripts/size_fix_continuation.py [--seeds S ...] [--rounds N]
-        [--ops K] [--programs tc sg pt]
+        [--ops K] [--programs tc sg pt] [--against DIR] [--reps R]
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from statistics import mean, median
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from _against import alternate, compare
 
-from repro.datalog import Delta, merge_deltas  # noqa: E402
-from repro.runtime import UpdateStreamService, live_workload  # noqa: E402
-from repro.schedulers import scheduler_registry  # noqa: E402
-
+HERE = Path(__file__).resolve()
 PROGRAMS = ("tc", "sg", "pt")
 WARMUP = 20
 
 
-def batch(wl, kind: str, ops: int) -> Delta:
+def batch(wl, kind: str, ops: int):
+    from repro.datalog import merge_deltas
+
     if kind == "insert":
         return wl.random_batch(ops, delete_frac=0.0)
     if kind == "delete":
@@ -52,7 +59,11 @@ def batch(wl, kind: str, ops: int) -> Delta:
     return merge_deltas([batch(wl, "delete", ops), batch(wl, "insert", ops)])
 
 
-def size(program: str, seed: int, kinds: tuple[str, ...], args) -> list[str]:
+def size(program: str, seed: int, kinds: tuple[str, ...], args) -> list[dict]:
+    """One program and seed over ``kinds``: a row per kind."""
+    from repro.runtime import UpdateStreamService, live_workload
+    from repro.schedulers import scheduler_registry
+
     wl = live_workload(program, seed=seed)
     svc = UpdateStreamService(
         wl.program,
@@ -86,12 +97,50 @@ def size(program: str, seed: int, kinds: tuple[str, ...], args) -> list[str]:
     out = []
     for kind in kinds:
         fix, probes, builds, continued = zip(*rows[kind])
-        out.append(
-            f"{wl.name:20} {seed:5d} {kind:8} {len(fix):6d}"
-            f" {median(fix) * 1e3:8.3f} {mean(probes):9.1f}"
-            f" {mean(builds):7.2f} {mean(continued):10.2f}"
-        )
+        out.append({
+            "program": wl.name, "seed": seed, "kind": kind,
+            "rounds": len(fix), "fix_ms": median(fix) * 1e3,
+            "probes": mean(probes), "builds": mean(builds),
+            "continued": mean(continued),
+        })
     return out
+
+
+def size_all(args):
+    """Every program, seed and kind's row."""
+    for program in args.programs:
+        for seed in args.seeds:
+            for kinds in (("insert", "delete"), ("replace",)):
+                yield from size(program, seed, kinds, args)
+
+
+def worker(args) -> int:
+    """Every row on ``args.worker``'s tree, as one JSON line."""
+    sys.path.insert(0, args.worker)
+    print(json.dumps(list(size_all(args))))
+    return 0
+
+
+def against(args) -> int:
+    """Alternate this tree and ``args.against`` over ``args.reps`` runs."""
+    runs = alternate(HERE, args.against, args.reps, [
+        "--rounds", str(args.rounds),
+        "--ops", str(args.ops),
+        "--programs", *args.programs,
+        "--seeds", *map(str, args.seeds),
+    ])
+    print(
+        f"\n{args.ops} op(s) a side, {args.rounds} warm rounds per kind; "
+        f"median over {args.reps} rep(s) of each tree; against / this / "
+        "this ÷ against"
+    )
+    print("| program | seed | kind | fix_ms | probes |")
+    print("|---|---|---|---|---|")
+    for i, row in enumerate(runs["this"][0]):
+        cells = [compare(runs, i, col) for col in ("fix_ms", "probes")]
+        print(f"| {row['program']} | {row['seed']} | {row['kind']} | "
+              + " | ".join(cells) + " |")
+    return 0
 
 
 def main() -> int:
@@ -102,16 +151,28 @@ def main() -> int:
                     help="warm rounds per kind")
     ap.add_argument("--ops", type=int, default=2,
                     help="facts inserted (deleted) per round")
+    ap.add_argument("--against", help="another checkout to compare with")
+    ap.add_argument("--reps", type=int, default=3)
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.worker:
+        return worker(args)
+    if args.against:
+        return against(args)
+
+    sys.path.insert(0, str(HERE.parents[1] / "src"))
     print(f"{args.ops} op(s) a side, {args.rounds} warm rounds per kind "
           f"after {WARMUP}, verify=True strict=True")
     print(f"{'program':20} {'seed':>5} {'kind':8} {'rounds':>6} {'fix_ms':>8}"
           f" {'probes':>9} {'builds':>7} {'continued':>10}")
-    for program in args.programs:
-        for seed in args.seeds:
-            for kinds in (("insert", "delete"), ("replace",)):
-                for line in size(program, seed, kinds, args):
-                    print(line, flush=True)
+    for row in size_all(args):
+        print(
+            f"{row['program']:20} {row['seed']:5d} {row['kind']:8}"
+            f" {row['rounds']:6d} {row['fix_ms']:8.3f}"
+            f" {row['probes']:9.1f} {row['builds']:7.2f}"
+            f" {row['continued']:10.2f}",
+            flush=True,
+        )
     return 0
 
 

@@ -15,7 +15,8 @@ it with ``seminaive_evaluate(pool=…)`` and prints
   relation, so every plan of a rule derives the same rows and only
   where it reads differs;
 * for a full plan, the occurrence the planner seeds it at over those
-  relations (``seed``: its predicate, ``-`` for the textual first) and,
+  relations (``seed``: its predicate; ``-`` where the tree plans the
+  textual order, as an older tree does for the textual first) and,
   timed in the same process, the textual order's run µs and probes next
   to it (``text_us``, ``text_pr``) — what ``seminaive_evaluate(pool=…)``
   picks for the verify check, as far as a rule's stratum reads relations
@@ -88,14 +89,15 @@ def load(workload: str, seed: int):
 
 
 def seeded_order(rule, relations):
-    """The order the planner gives a full plan of ``rule`` over
-    ``relations`` — ``None``: textual, as on a tree whose planner has no
-    seed (``columnar.full_seed``)."""
+    """``(seed, order)`` the planner gives a full plan of ``rule`` over
+    ``relations`` — ``(None, None)``: textual, as on a tree whose
+    planner has no seed (``columnar.full_seed``) or seeds only away from
+    the textual first."""
     import repro.datalog.columnar as columnar
 
     pick = getattr(columnar, "full_seed", None)
     seed = None if pick is None else pick(rule, relations)
-    return None if seed is None else columnar.body_order(rule, seed)
+    return seed, None if seed is None else columnar.body_order(rule, seed)
 
 
 def timed(plan, final, pool, delta, runs: int) -> tuple[float, int, int]:
@@ -146,13 +148,13 @@ def size(args) -> dict:
         row["text_us"], row["rows"], row["text_probes"] = timed(
             plan, final, pool, delta, args.runs
         )
-        order = None if pos is not None else seeded_order(
+        seed, order = (None, None) if pos is not None else seeded_order(
             rule, final.relations
         )
         row["seed"] = "-"
         row["run_us"], row["probes"] = row["text_us"], row["text_probes"]
         if order is not None:
-            row["seed"] = rule.body[order[0]].atom.predicate
+            row["seed"] = rule.body[seed].atom.predicate
             seeded = compile_rule_plan(rule, order, None)
             row["run_us"], _rows, row["probes"] = timed(
                 seeded, final, pool, None, args.runs

@@ -49,6 +49,7 @@ from .schedulers import LookaheadScheduler, scheduler_registry
 from .sim import simulate
 from .tasks import JobTrace, trace_stats
 from .workloads import make_trace
+from .workloads.tables import TRACE_CONFIGS
 
 SCHEDULERS = scheduler_registry()
 
@@ -64,7 +65,7 @@ def _load_trace(args) -> JobTrace:
 
 def _add_trace_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--trace", type=int, default=None,
+        "--trace", type=_TRACE, default=None,
         help="job-trace analogue index (1..11)",
     )
     p.add_argument(
@@ -72,8 +73,9 @@ def _add_trace_args(p: argparse.ArgumentParser) -> None:
         help="path to a trace JSON file",
     )
     p.add_argument(
-        "--scale", type=float, default=1.0,
-        help="shrink factor for generated traces (default 1.0)",
+        "--scale", type=_scale, default=1.0,
+        help="shrink factor for generated traces, in (0, 1] "
+             "(default 1.0)",
     )
 
 
@@ -665,17 +667,35 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _count(least: int):
-    """An argparse type: an int no smaller than ``least``."""
+def _count(least: int, most: int | None = None):
+    """An argparse type: an int no smaller than ``least`` (and no
+    larger than ``most``)."""
 
     def parse(text: str) -> int:
         n = int(text)
+        if most is not None and not least <= n <= most:
+            raise argparse.ArgumentTypeError(
+                f"must be in {least}..{most}, got {n}"
+            )
         if n < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
         return n
 
     parse.__name__ = "int"  # argparse names the type in its error
     return parse
+
+
+def _scale(text: str) -> float:
+    """An argparse type: a trace shrink factor in (0, 1]."""
+    x = float(text)
+    if not 0 < x <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {x:g}")
+    return x
+
+
+_scale.__name__ = "float"  # argparse names the type in its error
+#: a Table-I job-trace index
+_TRACE = _count(min(TRACE_CONFIGS), max(TRACE_CONFIGS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -724,12 +744,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run the Table-III trio")
     _add_trace_args(p)
-    p.add_argument("-P", "--processors", type=int, default=8)
+    p.add_argument("-P", "--processors", type=_count(1), default=8)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("generate", help="write a trace JSON file")
-    p.add_argument("--trace", type=int, required=True)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--trace", type=_TRACE, required=True)
+    p.add_argument("--scale", type=_scale, default=1.0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_generate)
 

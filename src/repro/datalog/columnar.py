@@ -569,22 +569,25 @@ def _fixed(atom, bound: set[str]) -> tuple[int, int]:
 
 def body_order(rule: Rule, at: int) -> tuple[int, ...]:
     """The body order of a plan seeded at the positive occurrence
-    ``at``: ``at`` first, then every filter, assignment and negation
-    (each waits, as always, until its variables are bound), then the
-    remaining atoms bound-first — each time the one with the most
+    ``at``: every filter, assignment and negation (each waits, as
+    always, until its variables are bound, so only a ground one runs
+    ahead of the seed), then ``at``, then the remaining atoms
+    bound-first — each time the one with the most
     variables already bound, then the most constants, then the textual
     first. A Δ-plan is seeded at its Δ, so a Δ of one row probes the
     other relations instead of scanning them; a full plan at
-    :func:`full_seed`'s pick."""
+    :func:`full_seed`'s pick. The one order function: every id-space
+    plan but the semi-naive loop's Δ-plans (textual, DESIGN §16), and
+    the static analyzer's ``cartesian-join`` hint, are ordered here."""
     body = rule.body
     atoms = {
         i: lit.atom for i, lit in enumerate(body)
         if lit.atom is not None and not lit.negated
     }
     bound = {t.name for t in atoms.pop(at).terms if isinstance(t, Variable)}
-    seq = [at] + [
+    seq = [
         i for i, lit in enumerate(body) if lit.atom is None or lit.negated
-    ]
+    ] + [at]
     assigns = [lit.assignment for lit in body if lit.assignment is not None]
     _close(assigns, bound)
     while atoms:
@@ -600,18 +603,17 @@ def body_order(rule: Rule, at: int) -> tuple[int, ...]:
 def full_seed(rule: Rule, relations) -> int | None:
     """The positive occurrence a full (non-Δ) plan of ``rule`` scans
     first, over ``relations`` (predicate → relation; a missing one has
-    no rows) — ``None`` for the textual first, whose plan is textual
-    order's (``order=None``); any other seeds :func:`body_order`.
+    no rows), which seeds :func:`body_order` — ``None`` only for a body
+    with no positive atom, whose plan is textual order's
+    (``order=None``); a body with one is seeded there, sizes unread.
 
     The pick is the top of (variables the ground assignments bind,
     constants, −rows, −textual index), where rows count only for an
     occurrence that fixes neither: the outer loop of a nested-loop
     kernel is its cost, so of the occurrences read whole the smallest
     goes outside. One that fixes something is read through an index
-    bucket, and the text keeps deciding among those — a seed is scanned
-    before any assignment runs, so seeding ``f`` in ``p(X) :- X = 3,
-    e(X), f(X)`` would read all of ``f`` where textual order probes one
-    row. At most one ``len`` per occurrence, once per full plan run.
+    bucket, and the text keeps deciding among those. At most one
+    ``len`` per occurrence, once per full plan run.
     """
     body = rule.body
     positive = [
@@ -619,7 +621,7 @@ def full_seed(rule: Rule, relations) -> int | None:
         if lit.atom is not None and not lit.negated
     ]
     if len(positive) < 2:
-        return None
+        return positive[0][0] if positive else None
     bound: set[str] = set()
     _close(
         [lit.assignment for lit in body if lit.assignment is not None],
@@ -635,7 +637,7 @@ def full_seed(rule: Rule, relations) -> int | None:
         rank = (*fixed, -rows, -i)
         if best is None or rank > best:
             best, seed = rank, i
-    return None if seed == positive[0][0] else seed
+    return seed
 
 
 def _compile_rule(
@@ -957,7 +959,6 @@ def eval_rule_columnar(
     pool: InternPool,
     delta_overrides=None,
     delta_at: int | None = None,
-    order: tuple[int, ...] | None = None,
 ) -> set:
     """All facts one rule derives — columnar twin of ``eval_rule``.
 
@@ -970,7 +971,7 @@ def eval_rule_columnar(
     ``pool``.
     """
     plan = compile_rule_plan(
-        rule, order, delta_at if delta_overrides is not None else None
+        rule, None, delta_at if delta_overrides is not None else None
     )
     return set(
         pool.extern_rows(run_rule_plan(plan, db, pool, delta_overrides))

@@ -139,6 +139,7 @@ def compile_update(
     delta: Delta,
     work_per_derivation: float = 1e-3,
     name: str = "datalog-update",
+    # accepted and unused: only benchmarks/e2e/layers.py passes it
     analysis: "ProgramAnalysis | None" = None,
 ) -> CompiledUpdate:
     """Compile ``(program, edb_old, delta)`` into a schedulable trace:
@@ -153,10 +154,6 @@ def compile_update(
     propagation therefore executes exactly the nodes the round ran.
     Touched predicates ``G`` has no EDB node for — mentioned by no rule
     — activate nothing.
-
-    ``analysis`` is accepted and unused: ``G`` is the whole program's,
-    whatever the analyzer proves about it (the end-to-end benchmark's
-    layer probes still pass it).
     """
     # incremental → plancache → this module: import at call time
     from .incremental import IncrementalEngine

@@ -152,10 +152,6 @@ class CompiledProgramCache:
     A program unequal to the cached one, or an ``edb_old`` whose schema
     (predicate → arity) differs from the committed baseline's,
     invalidates everything.
-
-    ``analysis`` (a :class:`~repro.verify.program.ProgramAnalysis` of
-    ``program``) reaches the plan only as join-order hints; ``G`` is
-    always the whole program's.
     """
 
     def __init__(
@@ -163,6 +159,7 @@ class CompiledProgramCache:
         program: Program,
         metrics: MetricsRegistry | None = None,
         sink: TraceSink = NULL_SINK,
+        # accepted and unused: only benchmarks/e2e/layers.py passes it
         analysis: "ProgramAnalysis | None" = None,
     ) -> None:
         #: shared intern pool; survives invalidation — interned values
@@ -170,9 +167,6 @@ class CompiledProgramCache:
         #: them are dropped
         self.pool = InternPool()
         self._program = program
-        #: join-order hints are keyed by rule value, so they hold for
-        #: any rule set this cache is handed
-        self._analysis = analysis
         #: the program's ``G`` and its bound plan, built on first use
         self._structure: RoundStructure | None = None
         self._plan: ExecutionPlan | None = None
@@ -290,14 +284,7 @@ class CompiledProgramCache:
         """
         staged = self._staged_for(cu, "plan")
         if self._plan is None:
-            join_orders = (
-                self._analysis.join_orders_for(cu.program)
-                if self._analysis is not None
-                else None
-            )
-            self._plan = ProgramSkeleton(
-                cu.structure, self.pool, join_orders
-            ).bind(cu)
+            self._plan = ProgramSkeleton(cu.structure, self.pool).bind(cu)
             self._count("plan_binds")
         else:
             self._count("plan_patches")

@@ -116,7 +116,6 @@ def evaluate_stratum(
     db: Database,
     pool: InternPool | None = None,
     max_iterations: int | None = None,
-    orders: dict[int, tuple[int, ...]] | None = None,
     delta: dict[str, set] | None = None,
     plans: dict[tuple[int, int | None, int | None], RulePlan] | None = None,
 ) -> dict[str, list[set]]:
@@ -124,11 +123,12 @@ def evaluate_stratum(
 
     ``rules`` are the stratum's ``(proper-rule index, rule)`` pairs;
     ``db`` holds every relation they read (a missing head is created
-    empty); ``orders`` maps rule indices to body evaluation orders (the
-    analyzer's join hints). A rule without one runs in textual order,
-    except in id space on iteration 0: its full plan is seeded at
+    empty). In id space a rule's full plan (iteration 0) runs
+    :func:`~repro.datalog.columnar.body_order` from
     :func:`~repro.datalog.columnar.full_seed`'s pick over the relations
-    as they are then — the smallest one it scans whole. Returns, for a
+    as they are then — the smallest one it scans whole — and its
+    Δ-plans run in textual order, as the row evaluator runs every plan
+    (DESIGN §16). Returns, for a
     run seeded with ``delta``, per head that gained rows each
     iteration's Δ of it in order: disjoint row sets whose union is what
     the loop added (empty for an unseeded run).
@@ -161,7 +161,6 @@ def evaluate_stratum(
     through it, a fixpoint node of the static DAG
     (:mod:`repro.datalog.units`) its SCC.
     """
-    orders = orders or {}
     plans = {} if plans is None else plans
     heads = {
         rule.head.predicate: db.relation(rule.head.predicate, rule.head.arity)
@@ -185,7 +184,7 @@ def evaluate_stratum(
         view = db
 
         def derive(ri: int, rule: Rule, pos: int | None, delta) -> set:
-            return eval_rule(rule, db, delta, pos, orders.get(ri))
+            return eval_rule(rule, db, delta, pos)
 
         def wrap(pred: str, rows: set):
             return db.relations[pred].wrap(rows)
@@ -196,16 +195,14 @@ def evaluate_stratum(
 
         def derive(ri: int, rule: Rule, pos: int | None, delta) -> set:
             # a full plan (iteration 0) is seeded where the relations
-            # are now: at the smallest one it scans whole, unless a hint
-            # orders the rule; a Δ-plan keeps the rule's order
-            seed = None
-            if pos is None and ri not in orders:
-                seed = full_seed(rule, view.relations)
+            # are now: at the smallest one it scans whole; a Δ-plan
+            # keeps the rule's order
+            seed = None if pos is not None else full_seed(
+                rule, view.relations
+            )
             plan = plans.get((ri, pos, seed))
             if plan is None:
-                order = orders.get(ri) if seed is None else body_order(
-                    rule, seed
-                )
+                order = None if seed is None else body_order(rule, seed)
                 plan = plans[ri, pos, seed] = compile_rule_plan(
                     rule, order, pos
                 )
@@ -298,7 +295,11 @@ def seminaive_evaluate(
     columnar mirrors, each head published as the mirror its fixpoint
     grew and externed by whoever first reads its facts — semantics are
     identical, and shared relations additionally carry their mirrors
-    across rounds. It is how a served round's verify check evaluates.
+    across rounds. It is how a served round's verify check evaluates,
+    its full plans ordered by the one planner the served plan's tasks
+    use (:func:`~repro.datalog.columnar.body_order` at
+    :func:`~repro.datalog.columnar.full_seed`'s pick); no caller
+    passes an order.
     ``None`` keeps the per-tuple row evaluator: the independent oracle
     the differential suites and ``benchmarks/e2e`` compare against.
 

@@ -122,7 +122,6 @@ def join_body(
     subst: Subst | None = None,
     delta_overrides: Mapping[str, Relation] | None = None,
     delta_at: int | None = None,
-    order: tuple[int, ...] | None = None,
 ) -> Iterator[Subst]:
     """Enumerate substitutions satisfying ``body`` left to right.
 
@@ -132,22 +131,8 @@ def join_body(
     Negated atoms and comparisons filter; both are guaranteed ground by
     rule safety once the positive atoms to their left and right are
     processed — we defer them until all their variables are bound.
-
-    ``order`` is an optional permutation of body indices to evaluate in
-    instead of textual order (a join-order hint from the static
-    analyzer). It is semantics-preserving: filters and assignments are
-    deferred until evaluable regardless of position, and ``delta_at``
-    still names the *original* index of the Δ-restricted literal.
     """
     subst = dict(subst or {})
-    if order is None:
-        seq: tuple[int, ...] = tuple(range(len(body)))
-    else:
-        if sorted(order) != list(range(len(body))):
-            raise ValueError(
-                f"order {order!r} is not a permutation of body indices"
-            )
-        seq = tuple(order)
 
     def rec(i: int, s: Subst, deferred: list[Literal]) -> Iterator[Subst]:
         # fire any deferred filters/assignments that became evaluable;
@@ -189,13 +174,12 @@ def join_body(
                 raise RuntimeError(f"unresolved filters {still!r}")
             yield s
             return
-        idx = seq[i]
-        lit = body[idx]
+        lit = body[i]
         if lit.is_comparison or lit.is_assignment or lit.negated:
             yield from rec(i + 1, s, still + [lit])
             return
         atom = lit.atom
-        if delta_overrides is not None and idx == delta_at:
+        if delta_overrides is not None and i == delta_at:
             rel: Relation | None = delta_overrides.get(atom.predicate)
         else:
             rel = db.relations.get(atom.predicate)
@@ -220,7 +204,6 @@ def eval_rule(
     db: Database,
     delta_overrides: Mapping[str, Relation] | None = None,
     delta_at: int | None = None,
-    order: tuple[int, ...] | None = None,
 ) -> set:
     """All facts one rule derives from ``db`` (aggregate-aware).
 
@@ -240,7 +223,6 @@ def eval_rule(
             for s in join_body(
                 rule.body, db,
                 delta_overrides=delta_overrides, delta_at=delta_at,
-                order=order,
             )
         }
 
@@ -249,7 +231,6 @@ def eval_rule(
     groups: dict[tuple, list] = {}
     for s in join_body(
         rule.body, db, delta_overrides=delta_overrides, delta_at=delta_at,
-        order=order,
     ):
         key = tuple(
             t.value if isinstance(t, Constant) else s[t.name]

@@ -131,22 +131,17 @@ class _Task:
     and per positive occurrence the Δ-plan that scans that occurrence
     first."""
 
-    def __init__(
-        self, rule: Rule, order: tuple[int, ...] | None,
-        final_nodes: dict[str, int],
-    ) -> None:
+    def __init__(self, rule: Rule, final_nodes: dict[str, int]) -> None:
         self.rule = rule
-        #: an analyzer hint orders every whole plan; without one each
-        #: recompute seeds it by size (:func:`full_seed`)
-        self.hinted = order is not None
-        #: seed → whole counted plan (``None``: textual order or the hint)
-        self.wholes = {
-            None: compile_rule_plan(rule, order, None, counted=True)
-        }
+        #: seed → whole counted plan, compiled on the seed's first use
+        self.wholes: dict[int | None, RulePlan] = {}
         self.head = rule.head.predicate
         #: predicate → node, of everything the body reads
         self.sources = tuple(
-            (q, final_nodes[q]) for q in sorted(self.wholes[None].reads)
+            (q, final_nodes[q]) for q in sorted({
+                lit.atom.predicate for lit in rule.body
+                if lit.atom is not None
+            })
         )
         positive = [
             (i, lit.atom) for i, lit in enumerate(rule.body)
@@ -198,11 +193,12 @@ class _Task:
         """The whole body, counted, over the inputs' values — seeded at
         the smallest relation it scans whole."""
         relations = {q: values[src] for q, src in self.sources}
-        seed = None if self.hinted else full_seed(self.rule, relations)
+        seed = full_seed(self.rule, relations)
         whole = self.wholes.get(seed)
         if whole is None:
+            order = None if seed is None else body_order(self.rule, seed)
             whole = self.wholes[seed] = compile_rule_plan(
-                self.rule, body_order(self.rule, seed), None, counted=True
+                self.rule, order, None, counted=True
             )
         got = whole.kernel(relations, None, pool)
         if self.agg_op is None:
@@ -530,21 +526,11 @@ class ProgramSkeleton:
     changed for a task — before any join runs.
     """
 
-    def __init__(
-        self,
-        structure: RoundStructure,
-        pool: InternPool,
-        join_orders: dict[int, tuple[int, ...]] | None = None,
-    ) -> None:
+    def __init__(self, structure: RoundStructure, pool: InternPool) -> None:
         program = structure.program
         self.program = program
         #: the id space stamped into the bound plan's RoundCtx
         self.pool = pool
-        #: proper-rule index → body evaluation order (analyzer hint);
-        #: rules without an entry evaluate in textual order
-        self.join_orders: dict[int, tuple[int, ...]] = dict(
-            join_orders or {}
-        )
         self.node_keys = structure.node_keys
         self.key_to_id = structure.key_to_id
         self.labels = structure.dag.node_names
@@ -639,8 +625,7 @@ class ProgramSkeleton:
                 # the relations handed in are read, never written: a
                 # head that gains rows is a new relation in db
                 gained = evaluate_stratum(
-                    rules, db, ctx.pool, orders=self.join_orders,
-                    delta=delta, plans=plans,
+                    rules, db, ctx.pool, delta=delta, plans=plans
                 )
                 value = {p: db.relations[p] for p in scc}
                 was = values.old[nid] or dict.fromkeys(scc)
@@ -703,12 +688,7 @@ class ProgramSkeleton:
         else:
             # a task of a non-recursive stratum: it reads only earlier
             # strata, each at the node carrying its final value
-            ri = key[2]
-            task = _Task(
-                self.program.proper_rules[ri],
-                self.join_orders.get(ri),
-                self.final_nodes,
-            )
+            task = _Task(self.program.proper_rules[key[2]], self.final_nodes)
 
             def run(values: ValueStore) -> tuple[CountedRows, dict]:
                 old = values.committed(nid)
@@ -778,6 +758,7 @@ class ProgramSkeleton:
 
 def build_execution_plan(
     cu: CompiledUpdate,
+    # accepted and unused: only benchmarks/e2e/layers.py passes it
     join_orders: dict[int, tuple[int, ...]] | None = None,
     pool: InternPool | None = None,
 ) -> ExecutionPlan:
@@ -791,10 +772,10 @@ def build_execution_plan(
     entry relations of ``cu.edb_new``. Of ``cu`` — a round
     :func:`~repro.datalog.compiler.compile_update` ran, or one staged —
     only the program, the two EDB snapshots and the trace's
-    name and work unit are read. ``join_orders`` maps proper-rule
-    indexes of ``cu.program`` to body evaluation orders (the static
-    analyzer's cartesian-join hints); ``pool`` is the id space the units
-    intern into, a fresh one when ``None``.
+    name and work unit are read. ``pool`` is the id space the units
+    intern into, a fresh one when ``None``. Every rule plan is ordered
+    by the planner (:func:`~repro.datalog.columnar.body_order`), as in
+    the served plan and the from-scratch check.
     """
     program = cu.program
     structure = build_round_structure(program)
@@ -807,7 +788,7 @@ def build_execution_plan(
         name=cu.trace.name,
     )
     plan = ProgramSkeleton(
-        structure, InternPool() if pool is None else pool, join_orders
+        structure, InternPool() if pool is None else pool
     ).bind(staged)
     ProgramSkeleton.stamp(
         plan,

@@ -66,6 +66,7 @@ import queue
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 from typing import Callable
 
@@ -86,7 +87,7 @@ from ..obs import NULL_SINK, TraceSink
 from ..schedulers.base import Scheduler
 from ..sim.faults import check_round_limits
 from ..verify.invariants import VerificationReport
-from ..verify.program import ProgramAnalysis, analyze_program
+from ..verify.program import ProgramAnalysis
 from .chaos import ChaosInjector, ChaosPlan, InjectedPhaseFault
 from .executor import (
     Lanes,
@@ -329,7 +330,7 @@ class UpdateStreamService:
         )
         # accept-one-value arguments, neither stored nor forwarded:
         # benchmarks/e2e/measure.py still passes them; the next
-        # `benchmark` issue drops all three
+        # `benchmark` issue drops all four
         for arg, got, only, gone in (
             ("executor", executor, "thread",
              "the process executor backend was removed; units run on "
@@ -340,6 +341,9 @@ class UpdateStreamService:
             ("plan_cache", plan_cache, True,
              "cold compilation was removed; every round compiles "
              "through the plan cache"),
+            ("analyze", analyze, True,
+             "the analyzer is off the serving path; the rule planner "
+             "orders every join"),
         ):
             if got != only:
                 raise ValueError(f"{arg}={got!r}: {gone}")
@@ -354,11 +358,6 @@ class UpdateStreamService:
         self.max_round_retries = max_round_retries
         self.sink = sink
         self.metrics = MetricsLog()
-        #: whole-program static analysis — feeds join-order hints to
-        #: the plan cache
-        self.analysis: ProgramAnalysis | None = (
-            analyze_program(program) if analyze else None
-        )
         #: every round compiles and plans through it (the program's
         #: static DAG and bound plan are restamped, this round's Z-sets
         #: are against the previous round's verified node values,
@@ -370,7 +369,6 @@ class UpdateStreamService:
             program,
             metrics=self.metrics.registry,
             sink=sink,
-            analysis=self.analysis,
         )
         #: what :meth:`submit` checks a fact's length against (a
         #: derived predicate it refuses outright): the arity fixed by
@@ -424,6 +422,15 @@ class UpdateStreamService:
         freed stops them.
         """
         self._lanes.close()
+
+    @cached_property
+    def analysis(self) -> ProgramAnalysis:
+        """The program's whole-program static analysis, computed on its
+        first read. No round reads it: the rule planner orders every
+        join. Kept only for benchmarks/e2e/layers.py, which reads it."""
+        from ..verify.program import analyze_program
+
+        return analyze_program(self.program)
 
     # ------------------------------------------------------------------
     # producer side

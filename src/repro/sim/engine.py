@@ -193,7 +193,6 @@ def simulate(
     faults: FaultPlan | None = None,
     deadline: float | None = None,
     watchdog: int | None = None,
-    debug_stats: dict | None = None,
     sink: TraceSink = NULL_SINK,
 ) -> SimulationResult:
     """Run ``scheduler`` on ``trace`` with ``processors`` cores.
@@ -220,15 +219,13 @@ def simulate(
     it raises :class:`~repro.sim.faults.NoProgressError` instead of
     looping forever on an unbounded retry chain.
 
-    ``debug_stats``, when a dict, receives engine internals after the
-    run (currently ``peak_event_heap``) — used by regression tests.
-
     ``sink`` — a recording :class:`~repro.obs.TraceSink` captures the
     run on the *simulation* clock (Chrome-trace pid
     :data:`~repro.obs.PID_SIM`): one lane per processor with a span per
     task attempt, fault spans for failed attempts, instant markers for
     retries, quarantines, and processor churn, and a ``sim-run`` span
-    with the run's totals and per-hook ops. All instrumentation is
+    with the run's totals, per-hook ops and the event heap's peak
+    length (``peak_event_heap``). All instrumentation is
     gated on ``sink.enabled``, so the default no-op sink leaves the
     engine's behavior — including event ordering and float arithmetic —
     byte-identical.
@@ -248,8 +245,6 @@ def simulate(
             break
         run._settle(run._await())
     result = run._finish()
-    if debug_stats is not None:
-        debug_stats["peak_event_heap"] = run.peak_heap
     if strict:
         # imported here: verify sits above sim in the layering
         from ..verify.invariants import (
@@ -486,6 +481,7 @@ class _SimRun:
                     "precompute_ops": scheduler.precompute_ops,
                     "select_calls": self.select_calls,
                     "charged_overhead": charged,
+                    "peak_event_heap": self.peak_heap,
                 },
             )
         exec_makespan = max(

@@ -31,8 +31,9 @@ syntax — as the scheduler contract linter:
 ``cartesian-join``
     A body atom joined with no shared variables and no constants — a
     cross product under the left-to-right join — with a reordering
-    hint when one exists. The computed orders feed the runtime: the
-    plan cache hands them to :class:`~repro.datalog.units.ProgramSkeleton`.
+    hint when one exists: the order the rule planner
+    (:func:`~repro.datalog.columnar.body_order`) gives the rule's full
+    plan, which the runtime computes itself.
 
 Source files may declare their schema with pragmas (ordinary ``%``
 comments the lexer already skips)::
@@ -45,11 +46,11 @@ undefined-predicate and declaration-mismatch checks and grounding the
 dead-rule analysis); ``% output:`` names the predicates the program is
 *for* (enabling unreachable-rule detection).
 
-:class:`ProgramAnalysis` also exposes one runtime hook:
-:meth:`~ProgramAnalysis.join_orders_for` (the cartesian-repair body
-orders, keyed by rule for any program that holds the rule), which the
-plan cache hands to its rule plans. A dead rule is not removed from
-what runs: it stays in the program's static DAG, and a round that
+The analysis is a report for ``repro verify --program`` and
+``scripts/lint_programs.py``; nothing that serves a round reads it.
+:meth:`~ProgramAnalysis.join_orders_for` re-keys the cartesian-repair
+orders for any program that holds the rule. A dead rule is not removed
+from what runs: it stays in the program's static DAG, and a round that
 activates it joins against an empty relation.
 """
 
@@ -70,6 +71,7 @@ from ..datalog.ast import (
     Rule,
     Variable,
 )
+from ..datalog.columnar import _close, body_order, full_seed
 from ..datalog.parser import ParseError, parse_program_lenient
 from .diagnostics import Finding, apply_suppressions
 
@@ -173,7 +175,7 @@ class ProgramAnalysis:
         dead = {i for i, r in rules if not r.is_fact and i not in fires}
         return dead, nonempty
 
-    # -- runtime hook ---------------------------------------------------
+    # nothing in src/repro calls it: benchmarks/e2e/layers.py does
     def join_orders_for(self, program: Program) -> dict[int, tuple[int, ...]]:
         """Re-key :attr:`join_orders` for ``program``, whose proper-rule
         indices may differ from the analyzed program's (a sub-program, a
@@ -337,12 +339,14 @@ def _subsumes(a: Rule, b: Rule) -> bool:
     return search(0, theta0)
 
 
-# -- cartesian joins and greedy body orders -----------------------------
+# -- cartesian joins ----------------------------------------------------
 def _disconnected_atoms(rule: Rule, order: Iterable[int]) -> list[int]:
     """Body indices (among ``order``) where a positive atom joins with
     no shared bound variable and no constant — a cross product under
-    the left-to-right nested-loop join."""
+    the left-to-right nested-loop join, which binds an assignment's
+    target once it has passed the assignment and bound its inputs."""
     bound: set[str] = set()
+    passed: list[Assignment] = []
     out: list[int] = []
     first = True
     for i in order:
@@ -357,68 +361,9 @@ def _disconnected_atoms(rule: Rule, order: Iterable[int]) -> list[int]:
             bound |= names
             first = False
         elif lit.assignment is not None:
-            a = lit.assignment
-            if all(v.name in bound for v in a.inputs()):
-                bound.add(a.target.name)
+            passed.append(lit.assignment)
+        _close(passed, bound)
     return out
-
-
-def _greedy_order(rule: Rule) -> tuple[int, ...]:
-    """A connectivity-first body order: positive atoms chosen greedily
-    by (connected, shared variables, constants bound), with filters and
-    assignments placed as soon as they become evaluable — the same
-    eligibility the deferred-filter join uses, so the order is
-    semantics-preserving."""
-    remaining: dict[int, Atom] = {}
-    pending: dict[int, Literal] = {}
-    for i, lit in enumerate(rule.body):
-        if lit.atom is not None and not lit.negated:
-            remaining[i] = lit.atom
-        else:
-            pending[i] = lit
-    order: list[int] = []
-    bound: set[str] = set()
-
-    def flush() -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for i in sorted(pending):
-                lit = pending[i]
-                if lit.assignment is not None:
-                    a = lit.assignment
-                    if all(v.name in bound for v in a.inputs()):
-                        order.append(i)
-                        bound.add(a.target.name)
-                        del pending[i]
-                        progressed = True
-                elif all(v.name in bound for v in lit.variables()):
-                    order.append(i)
-                    del pending[i]
-                    progressed = True
-
-    while remaining:
-        best_key: tuple | None = None
-        best_i = -1
-        for i in sorted(remaining):
-            atom = remaining[i]
-            names = {v.name for v in atom.variables()}
-            shared = len(names & bound)
-            consts = sum(isinstance(t, Constant) for t in atom.terms)
-            key = (
-                1 if (shared or not order) else 0,
-                shared,
-                consts,
-                -i,
-            )
-            if best_key is None or key > best_key:
-                best_key, best_i = key, i
-        atom = remaining.pop(best_i)
-        order.append(best_i)
-        bound |= {v.name for v in atom.variables()}
-        flush()
-    order.extend(sorted(pending))  # unsatisfiable leftovers: unsafe rule
-    return tuple(order)
 
 
 # ----------------------------------------------------------------------
@@ -753,7 +698,9 @@ def _analyze(
         original = _disconnected_atoms(rule, range(len(rule.body)))
         if not original:
             continue
-        order = _greedy_order(rule)
+        seed = full_seed(rule, {})
+        assert seed is not None  # a cross product joins two atoms
+        order = body_order(rule, seed)
         repaired = _disconnected_atoms(rule, order)
         hint = (
             "reorder the body so every atom shares a variable with an "

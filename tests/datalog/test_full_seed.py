@@ -7,10 +7,13 @@ textual first — unless none has any, and then the one over the fewest
 rows. These tests hold that whatever the planner picks, the answer is
 the row evaluator's (plain and aggregate heads, negation, comparisons,
 ground assignments) and the counts are ``join_body``'s bindings; that
-the pick is the one the rule says; that the shapes it must not touch
-keep textual order; and, on the end-to-end benchmark's retail EDB, that
-the every-round check scans ``product_cat`` (200 rows) instead of
-``sale`` (1 500) and probes less for the same bytes.
+the pick is the one the rule says; that a plan seeded at the textual
+first compiles the textual kernel; that a cross-product body is
+repaired in the served plan and the check alike, in the order the
+analyzer's hint names; and, on the end-to-end
+benchmark's retail EDB, that the every-round check scans
+``product_cat`` (200 rows) instead of ``sale`` (1 500) and probes less
+for the same bytes.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ from repro.datalog.columnar import (
     run_rule_plan,
 )
 from repro.datalog.plancache import CompiledProgramCache
+from repro.datalog.units import build_execution_plan
+from repro.runtime.service import UpdateStreamService
+from repro.schedulers import HybridScheduler
+from repro.verify.program import analyze_program
 from repro.workloads.datalog_workloads import retail_analytics
 
 from .test_rule_kernel import binding_counts, externed
@@ -102,11 +109,10 @@ def edb(**facts: list) -> Database:
     return db
 
 
-def expected_seed(rule: Rule, db: Database) -> int | None:
+def expected_seed(rule: Rule, db: Database) -> int:
     """What the rule says, written out: the occurrences that fix the
     most (ground-bound variables, then constants); if they fix nothing,
-    the smallest of them, else the textual first — ``None`` when that
-    is the textual first positive occurrence."""
+    the smallest of them, else the textual first."""
     ground = {
         lit.assignment.target.name for lit in rule.body
         if lit.assignment is not None
@@ -129,7 +135,7 @@ def expected_seed(rule: Rule, db: Database) -> int | None:
         ))
     else:
         pick = tied[0]
-    return None if pick == min(fixed) else pick
+    return pick
 
 
 @given(
@@ -147,9 +153,8 @@ def test_the_planners_order_is_an_order_not_a_semantics(rule, a, b, c, n):
     row, _ = seminaive_evaluate(program, db)
     assert columnar.as_dict() == row.as_dict()
     # the counted plan at the chosen order: join_body's bindings
-    order = None if seed is None else body_order(rule, seed)
     pool = InternPool()
-    counted = compile_rule_plan(rule, order, None, counted=True)
+    counted = compile_rule_plan(rule, body_order(rule, seed), None, True)
     assert externed(rule, run_rule_plan(counted, db, pool), pool) == (
         binding_counts(rule, db)
     )
@@ -158,12 +163,12 @@ def test_the_planners_order_is_an_order_not_a_semantics(rule, a, b, c, n):
 def test_every_occurrence_can_be_the_seed():
     rule = parse_rule("h(X, W) :- a(X, Y), b(Y, Z), c(Z, W).")
     small, big = [(0, 1)], [(i, j) for i in range(3) for j in range(3)]
-    assert full_seed(rule, edb(a=small, b=big, c=big).relations) is None
+    assert full_seed(rule, edb(a=small, b=big, c=big).relations) == 0
     assert full_seed(rule, edb(a=big, b=small, c=big).relations) == 1
     assert full_seed(rule, edb(a=big, b=big, c=small).relations) == 2
     # equal sizes: the text decides, as it did; a missing relation has
     # no rows
-    assert full_seed(rule, edb(a=big, b=big, c=big).relations) is None
+    assert full_seed(rule, edb(a=big, b=big, c=big).relations) == 0
     assert full_seed(rule, edb(a=big, b=big).relations) == 2
     assert body_order(rule, 2) == (2, 1, 0)
 
@@ -172,32 +177,14 @@ def test_every_occurrence_can_be_the_seed():
 @settings(max_examples=50, deadline=None)
 def test_bound_variables_and_constants_rank_before_size(x, y):
     # a ground-bound variable: both atoms are probed, neither scanned,
-    # and seeding f would scan it ahead of the assignment
+    # and the assignment runs ahead of the seed
     probed = parse_rule("p(X) :- X = 3, e(X), f(X).")
     rels = edb(e=x, f=y).relations
-    assert full_seed(probed, rels) is None
+    assert full_seed(probed, rels) == 1
+    assert body_order(probed, 1) == (0, 1, 2)
     # a constant: big is read through one index bucket
     keyed = parse_rule("q(X, Y) :- big(X, 3), small(X, Y).")
-    assert full_seed(keyed, edb(big=x, small=y).relations) is None
-
-
-def test_a_hint_still_orders_the_full_plan(monkeypatch):
-    picked = []
-    real = seminaive.full_seed
-    monkeypatch.setattr(
-        seminaive, "full_seed",
-        lambda rule, relations: picked.append(rule) or real(rule, relations),
-    )
-    program = parse_program("h(X, Z) :- a(X, Y), b(Y, Z).")
-    db = edb(a=[(i, i) for i in range(9)], b=[(0, 1)])
-    (rules,) = [rules for rules in program.strata if rules]
-    seminaive.evaluate_stratum(
-        rules, db.copy(), InternPool(), orders={0: (0, 1)}
-    )
-    assert picked == []
-    plans: dict = {}
-    seminaive.evaluate_stratum(rules, db.copy(), InternPool(), plans=plans)
-    assert picked == [rules[0][1]] and list(plans) == [(0, None, 1)]
+    assert full_seed(keyed, edb(big=x, small=y).relations) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +216,24 @@ def test_the_check_scans_product_cat_not_sale(retail, monkeypatch):
 
     def spy(rule, order, delta_at, *args, **kwargs):
         plan = real(rule, order, delta_at, *args, **kwargs)
-        compiled.append((rule.head.predicate, order, delta_at, plan))
+        compiled.append((rule, order, delta_at, plan))
         return plan
 
     monkeypatch.setattr(seminaive, "compile_rule_plan", spy)
     _check(program, db, InternPool())
-    full = {head: (order, plan) for head, order, at, plan in compiled
-            if at is None}
+    full = {rule.head.predicate: (rule, order, plan)
+            for rule, order, at, plan in compiled if at is None}
     for head in ("total_qty", "best_sale"):
-        order, plan = full[head]
+        _rule, order, plan = full[head]
         assert order == (1, 0)
         src = plan.source
         assert src.index("'product_cat'") < src.index("'sale'")
-    # one relation in the body: nothing to choose
-    assert all(
-        full[head][0] is None
-        for head in ("store_lines", "hot", "quiet_store", "busy")
-    )
+    # one relation in the body: nothing to choose, and the seeded plan
+    # is the textual kernel
+    for head in ("store_lines", "hot", "quiet_store", "busy"):
+        rule, order, plan = full[head]
+        assert order is not None
+        assert plan.source == real(rule, None, None).source
 
 
 def test_the_check_probes_less_for_the_same_bytes(retail, monkeypatch):
@@ -290,3 +278,139 @@ def test_a_task_recompute_is_seeded_too(retail, monkeypatch):
     for pred in ("total_qty", "best_sale"):
         got = values[plan.final_nodes[pred]]
         assert set(got) == set(oracle.relations[pred])
+
+
+# ---------------------------------------------------------------------------
+# a cross-product body, served and checked
+# ---------------------------------------------------------------------------
+
+#: textual order joins a × b, then probes c; `a` is the smallest
+#: relation, so the planner scans it, probes `c` on its first column
+#: and then `b`
+CROSS = "p(X, Z) :- a(X), b(Z), c(X, Z)."
+
+
+def _cross_edb() -> Database:
+    db = edb(c=[(x, z) for x in range(6) for z in range(0, 40, 5)])
+    for pred, rows in (("a", range(3)), ("b", range(40))):
+        db.relation(pred, 1)
+        for v in rows:
+            db.add_fact(pred, (v,))
+    return db
+
+
+#: rounds that move every relation and keep `a` the smallest
+CROSS_STREAM = (
+    Delta().insert("c", (1, 7)),
+    Delta().insert("b", (40,)).insert("c", (2, 40)),
+    Delta().delete("a", (0,)).insert("a", (4,)),
+    Delta().delete("c", (1, 5)).delete("b", (10,)),
+    Delta().insert("a", (5,)),
+)
+
+
+def _serve(program: Program, db: Database, stream) -> None:
+    """Serve ``stream`` round by round: every round passes its check
+    and lands on the row oracle's materialization."""
+    svc = UpdateStreamService(program, db, HybridScheduler(), workers=2)
+    try:
+        for delta in stream:
+            svc.submit(delta)
+            assert svc.run_round().materialization_ok
+            assert svc.materialization().as_dict() == (
+                seminaive_evaluate(program, svc.database())[0].as_dict()
+            )
+    finally:
+        svc.close()
+
+
+def test_a_cross_product_body_is_served_and_checked_in_one_order(
+    monkeypatch,
+):
+    program = parse_program(CROSS)
+    (rule,) = program.proper_rules
+    full: dict[str, set] = {"task": set(), "check": set()}
+    for side, module in (("task", units), ("check", seminaive)):
+        def spy(rule, order, delta_at, *args, _real=module.compile_rule_plan,
+                _side=side, **kwargs):
+            if delta_at is None:
+                full[_side].add(order)
+            return _real(rule, order, delta_at, *args, **kwargs)
+
+        monkeypatch.setattr(module, "compile_rule_plan", spy)
+    checks = []
+    real_evaluate = CompiledProgramCache.evaluate
+
+    def evaluate(cache, cu):
+        before = cache.pool.probes
+        got = real_evaluate(cache, cu)
+        rels = cu.edb_new.relations
+        checks.append(
+            (cache.pool.probes - before, len(rels["a"]) + len(rels["c"]))
+        )
+        return got
+
+    monkeypatch.setattr(CompiledProgramCache, "evaluate", evaluate)
+    _serve(program, _cross_edb(), CROSS_STREAM)
+    # the served task's recompute and the check: one seeded order
+    assert full == {"task": {(0, 2, 1)}, "check": {(0, 2, 1)}}
+    assert body_order(rule, full_seed(rule, _cross_edb().relations)) == (
+        0, 2, 1
+    )
+    # each check scans a, probes c per row of a, b per row of c found:
+    # never the |a| · |b| textual order probes c with
+    assert len(checks) == len(CROSS_STREAM)
+    assert all(probes <= bound for probes, bound in checks), checks
+    # the plan build_execution_plan binds lands on the row oracle too
+    cu = CompiledProgramCache(program).compile(
+        program, _cross_edb(), CROSS_STREAM[0]
+    )
+    plan = build_execution_plan(cu)
+    values, _ = plan.execute_serial()
+    assert plan.materialization(values).as_dict() == (
+        seminaive_evaluate(program, cu.edb_new)[0].as_dict()
+    )
+
+
+def test_a_hint_still_orders_the_full_plan(monkeypatch):
+    """The analyzer's cartesian-join hint is the planner's own order: on
+    an EDB whose smallest relation is the hint's first atom, the check
+    compiles its one full plan in the hint's order, keyed at its seed."""
+    program = parse_program(CROSS)
+    (hint,) = analyze_program(program).join_orders_for(program).values()
+    assert hint == (0, 2, 1)
+    compiled = []
+    real = seminaive.compile_rule_plan
+
+    def spy(rule, order, delta_at, *args, **kwargs):
+        compiled.append((order, delta_at))
+        return real(rule, order, delta_at, *args, **kwargs)
+
+    monkeypatch.setattr(seminaive, "compile_rule_plan", spy)
+    plans: dict = {}
+    seminaive.evaluate_stratum(
+        program.strata[-1], _cross_edb(), InternPool(), plans=plans
+    )
+    assert compiled == [(hint, None)]
+    assert list(plans) == [(0, None, hint[0])]
+
+
+def test_a_body_with_zero_or_one_positive_atom_still_plans():
+    program = parse_program("""
+        z(X) :- X = 3, !n(X).
+        o(X, Y) :- a(X), Y = X + 1.
+    """)
+    zero, one = program.proper_rules
+    db = Database()
+    db.relation("n", 1)
+    db.relation("a", 1)
+    db.add_fact("a", (1,))
+    assert full_seed(zero, db.relations) is None
+    assert full_seed(one, db.relations) == 0
+    columnar, _ = seminaive_evaluate(program, db, pool=InternPool())
+    assert columnar.as_dict() == seminaive_evaluate(program, db)[0].as_dict()
+    _serve(program, db, (
+        Delta().insert("a", (2,)),
+        Delta().insert("n", (3,)),
+        Delta().delete("n", (3,)).delete("a", (1,)),
+    ))

@@ -1,13 +1,13 @@
-"""Differential guard: the static analyzer only hints join orders.
+"""Differential guard: a rule that cannot fire yet stays in ``G``.
 
-A :class:`~repro.verify.program.ProgramAnalysis` handed to the compiler
-or the plan cache changes nothing a round produces and nothing the
-cache keeps: the program's one ``G`` holds every rule, including one
-that reads a predicate with no facts, and a plan cache fed the analysis
-stays a hit while such a predicate flips between empty and live. Its
-materializations equal the cold, analysis-free compile round for round
-under every registered scheduler; join-order hints change the order of
-a rule's joins, never its result.
+The program's one ``G`` holds every rule, including one that reads a
+predicate with no facts, and the plan cache stays a hit while such a
+predicate flips between empty and live. Its materializations equal the
+cold compile round for round under every registered scheduler. A
+:class:`~repro.verify.program.ProgramAnalysis` handed to the compiler
+or the plan builder changes nothing, and a service serves the same
+rounds whether or not its analysis was ever computed: nothing a round
+runs reads it.
 """
 
 import random
@@ -40,7 +40,7 @@ trail(X, Y) :- path(X, Y), blocked(X).
 """
 
 # `wide` contains a repairable cross product: the analyzer emits a
-# join-order hint that the execution plan applies
+# join-order hint, the order the rule planner picks itself
 HINTED = """
 hop(X, Y) :- edge(X, Y).
 wide(X, W) :- edge(X, Y), label(Z, W), edge(Y, Z).
@@ -98,15 +98,11 @@ def test_cold_pruned_compile_is_byte_identical():
 def test_pruning_stops_when_the_dead_predicate_goes_live():
     """A round on which `barrier` goes live compiles the same program."""
     program = parse_program(DEAD_RULES)
-    analysis = analyze_program(program)
     edb = _edb({(0, 1), (1, 2)})
     delta = Delta().insert("barrier", (0,))
-    cu = compile_update(program, edb, delta, analysis=analysis)
+    cu = compile_update(program, edb, delta)
     assert cu.program is program
-    ref = compile_update(program, edb, delta)
-    assert (cu.trace.changed_edges == ref.trace.changed_edges).all()
-    assert cu.edb_new.as_dict() == ref.edb_new.as_dict()
-    plan = build_execution_plan(cu, analysis.join_orders_for(program))
+    plan = build_execution_plan(cu)
     values, _ = plan.execute_serial()
     assert plan.materialization(values).as_dict() == (
         seminaive_evaluate(program, cu.edb_new)[0].as_dict()
@@ -115,7 +111,7 @@ def test_pruning_stops_when_the_dead_predicate_goes_live():
 
 @pytest.mark.parametrize("sched_name", sorted(scheduler_registry()))
 def test_every_scheduler_matches_unpruned(sched_name):
-    """The analysis-fed cached pipeline, driven concurrently by each
+    """The cached pipeline, driven concurrently by each
     scheduler, matches the cold pipeline round for round across a
     stream that flips `barrier` between empty and live — and serves it
     from one ``G`` and one plan, a hit on every round after the first."""
@@ -127,7 +123,7 @@ def test_every_scheduler_matches_unpruned(sched_name):
     deltas[1].insert("barrier", (1,))
     deltas[3].delete("barrier", (1,))
 
-    cache = CompiledProgramCache(program, analysis=analyze_program(program))
+    cache = CompiledProgramCache(program)
     edb_cold = _edb({(0, 1), (1, 2)})
     edb_cached = edb_cold.copy()
     for i, delta in enumerate(deltas):
@@ -158,9 +154,7 @@ def test_cache_hits_survive_steady_state_pruning():
     """While `barrier` stays empty the cache keeps its old-side reuse
     (the EDB keeps identity across rounds)."""
     program = parse_program(DEAD_RULES)
-    cache = CompiledProgramCache(
-        program, analysis=analyze_program(program)
-    )
+    cache = CompiledProgramCache(program)
     edb = _edb({(0, 1)})
     rng = random.Random(11)
     deltas = _edge_stream(rng, rounds=5)
@@ -197,8 +191,9 @@ def test_join_order_hints_do_not_change_results():
 
 
 def test_service_with_and_without_analysis_agree():
-    """End to end: two services over the same stream — analyzer on and
-    off — commit identical materializations every round."""
+    """End to end: two services over the same stream — one whose
+    analysis is computed before it serves, one that never computes it —
+    commit identical materializations every round."""
     program = parse_program(DEAD_RULES)
     rng = random.Random(23)
     deltas = _edge_stream(rng, rounds=4)
@@ -211,13 +206,19 @@ def test_service_with_and_without_analysis_agree():
             _edb({(0, 1), (1, 2)}),
             scheduler_registry()["hybrid"](),
             workers=2,
-            analyze=analyze,
         )
-        mats = []
-        for delta in deltas:
-            svc.submit(delta)
-            report = svc.run_round()
-            assert report.materialization_ok
-            mats.append(svc.materialization().as_dict())
+        try:
+            if analyze:
+                assert svc.analysis.program is program
+            mats = []
+            for delta in deltas:
+                svc.submit(delta)
+                report = svc.run_round()
+                assert report.materialization_ok
+                mats.append(svc.materialization().as_dict())
+            # a served round never runs the analyzer
+            assert ("analysis" in vars(svc)) is analyze
+        finally:
+            svc.close()
         results[analyze] = mats
     assert results[False] == results[True]

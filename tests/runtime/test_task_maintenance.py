@@ -63,9 +63,9 @@ def _committed_tasks(svc) -> dict:
 
 def _tasks_as_miss(svc, program, edb_old, delta) -> dict:
     """Rule → task value when the round is staged on a cache that has
-    committed nothing — with the service's join-order hints, in the
-    service's id space, so rules and rows compare."""
-    cache = CompiledProgramCache(program, analysis=svc.analysis)
+    committed nothing — in the service's id space, so rules and rows
+    compare."""
+    cache = CompiledProgramCache(program)
     cache.pool = svc.plan_cache.pool
     plan = cache.plan(cache.compile(program, edb_old, delta))
     values, _ = plan.execute_serial()

@@ -20,7 +20,6 @@ from repro.datalog import (
 )
 from repro.datalog.columnar import InternPool
 from repro.datalog.units import ProgramSkeleton, build_execution_plan
-from repro.verify.program import analyze_program
 from repro.workloads.datalog_workloads import DATALOG_WORKLOADS
 
 from .conftest import (
@@ -96,12 +95,9 @@ def test_build_execution_plan_is_the_served_plan(name):
     ``G`` the plan cache serves for the same program, staged as the
     cache stages a first round."""
     program, edb, delta = DATALOG_WORKLOADS[name]()
-    analysis = analyze_program(program)
-    cu = compile_update(program, edb, delta, analysis=analysis)
-    plan = build_execution_plan(
-        cu, join_orders=analysis.join_orders_for(cu.program)
-    )
-    cache = CompiledProgramCache(program, analysis=analysis)
+    cu = compile_update(program, edb, delta)
+    plan = build_execution_plan(cu)
+    cache = CompiledProgramCache(program)
     served = cache.plan(cache.compile(program, edb, delta))
     assert served.compiled.program.rules == cu.program.rules
     assert (

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.dag import Dag
+from repro.obs import TraceRecorder
 from repro.schedulers import scheduler_registry
 from repro.sim import (
     DeadlineExceededError,
@@ -455,6 +456,12 @@ class TestSerialization:
 # ----------------------------------------------------------------------
 # event-heap compaction (reallot_idle growth regression)
 # ----------------------------------------------------------------------
+def peak_event_heap(sink: TraceRecorder) -> int:
+    """The event heap's peak length, off the run's ``sim-run`` span."""
+    (run,) = [r for r in sink.records() if r.cat == "sim-run"]
+    return run.args["peak_event_heap"]
+
+
 class TestHeapCompaction:
     def test_churned_malleable_task_keeps_heap_bounded(self):
         # One divisible task, heavy churn: every kill shrinks the
@@ -462,22 +469,22 @@ class TestHeapCompaction:
         # superseding the task's pending completion event each time.
         # Before eager compaction the heap accumulated one stale entry
         # per version bump — O(churn events) for a single running task.
-        stats: dict = {}
+        sink = TraceRecorder()
         res = simulate(
             single_malleable_trace(400.0),
             scheduler_registry()["oracle"](),
             processors=8,
             faults=FaultPlan(seed=2, proc_fail_rate=2.0,
                              proc_downtime=(0.1, 0.5)),
-            debug_stats=stats,
+            sink=sink,
         )
         churn = [e for e in res.fault_log
                  if e.kind == "proc-fail" and e.data["applied"]]
         assert len(churn) > 60, "scenario must actually churn"
-        assert stats["peak_event_heap"] <= 80
+        assert peak_event_heap(sink) <= 80
 
     def test_no_fault_run_reports_heap_stats(self, diamond_trace):
-        stats: dict = {}
+        sink = TraceRecorder()
         simulate(diamond_trace, scheduler_registry()["levelbased"](),
-                 debug_stats=stats)
-        assert 0 < stats["peak_event_heap"] <= 4
+                 sink=sink)
+        assert 0 < peak_event_heap(sink) <= 4

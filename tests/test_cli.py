@@ -339,3 +339,38 @@ def test_serving_refuses_counts_out_of_range(cmd, flags, message, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == f"repro {cmd}: error: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stats", "--trace", "99"],
+         "repro stats: error: argument --trace: must be in 1..11, got 99"),
+        (["simulate", "--trace", "0"],
+         "repro simulate: error: argument --trace: must be in 1..11, got 0"),
+        (["compare", "--trace", "12"],
+         "repro compare: error: argument --trace: must be in 1..11, got 12"),
+        (["generate", "--trace", "99", "-o", "t.json"],
+         "repro generate: error: argument --trace: must be in 1..11, "
+         "got 99"),
+        (["generate", "--trace", "5", "--scale", "0", "-o", "t.json"],
+         "repro generate: error: argument --scale: must be in (0, 1], "
+         "got 0"),
+        (["generate", "--trace", "5", "--scale", "-1", "-o", "t.json"],
+         "repro generate: error: argument --scale: must be in (0, 1], "
+         "got -1"),
+        (["stats", "--trace", "5", "--scale", "1.5"],
+         "repro stats: error: argument --scale: must be in (0, 1], got 1.5"),
+        (["compare", "--trace", "5", "--scale", "0.2", "-P", "0"],
+         "repro compare: error: argument -P/--processors: must be >= 1, "
+         "got 0"),
+    ],
+)
+def test_trace_commands_refuse_arguments_out_of_range(argv, message, capsys):
+    """argparse's one line and exit 2: an unknown trace index used to
+    print a ``KeyError`` traceback, a scale outside (0, 1] and
+    ``compare -P 0`` a ``ValueError`` one, each exiting 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
