@@ -11,7 +11,10 @@ and kind, over the warm rounds that ran a fixpoint node:
   ``columnar_builds`` per round (the round's check included);
 * ``continued`` — mean ``RoundMetrics.continued_nodes`` per round: how
   many of those nodes continued from Δ⁺ instead of recomputing (read as
-  0 on a commit that has no such field).
+  0 on a commit that has no such field);
+* ``retracted`` — mean ``RoundMetrics.retracted_nodes`` per round: how
+  many retracted — took out only the rows that lost their support —
+  instead of recomputing (read as 0 on a commit that has no such field).
 
 The kinds: ``insert`` and ``delete`` rounds alternate in one stream, so
 the EDB keeps its size — ``--ops`` facts inserted, then as many present
@@ -93,15 +96,16 @@ def size(program: str, seed: int, kinds: tuple[str, ...], args) -> list[dict]:
             rows[kind].append((
                 sum(fix_s), m.columnar_probes, m.columnar_builds,
                 getattr(m, "continued_nodes", 0),
+                getattr(m, "retracted_nodes", 0),
             ))
     out = []
     for kind in kinds:
-        fix, probes, builds, continued = zip(*rows[kind])
+        fix, probes, builds, continued, retracted = zip(*rows[kind])
         out.append({
             "program": wl.name, "seed": seed, "kind": kind,
             "rounds": len(fix), "fix_ms": median(fix) * 1e3,
             "probes": mean(probes), "builds": mean(builds),
-            "continued": mean(continued),
+            "continued": mean(continued), "retracted": mean(retracted),
         })
     return out
 
@@ -134,10 +138,12 @@ def against(args) -> int:
         f"median over {args.reps} rep(s) of each tree; against / this / "
         "this ÷ against"
     )
-    print("| program | seed | kind | fix_ms | probes |")
-    print("|---|---|---|---|---|")
+    print("| program | seed | kind | fix_ms | probes | retracted |")
+    print("|---|---|---|---|---|---|")
     for i, row in enumerate(runs["this"][0]):
-        cells = [compare(runs, i, col) for col in ("fix_ms", "probes")]
+        cells = [
+            compare(runs, i, col) for col in ("fix_ms", "probes", "retracted")
+        ]
         print(f"| {row['program']} | {row['seed']} | {row['kind']} | "
               + " | ".join(cells) + " |")
     return 0
@@ -164,13 +170,13 @@ def main() -> int:
     print(f"{args.ops} op(s) a side, {args.rounds} warm rounds per kind "
           f"after {WARMUP}, verify=True strict=True")
     print(f"{'program':20} {'seed':>5} {'kind':8} {'rounds':>6} {'fix_ms':>8}"
-          f" {'probes':>9} {'builds':>7} {'continued':>10}")
+          f" {'probes':>9} {'builds':>7} {'continued':>10} {'retracted':>10}")
     for row in size_all(args):
         print(
             f"{row['program']:20} {row['seed']:5d} {row['kind']:8}"
             f" {row['rounds']:6d} {row['fix_ms']:8.3f}"
             f" {row['probes']:9.1f} {row['builds']:7.2f}"
-            f" {row['continued']:10.2f}",
+            f" {row['continued']:10.2f} {row['retracted']:10.2f}",
             flush=True,
         )
     return 0

@@ -383,6 +383,8 @@ def cmd_serve(args) -> int:
             flag += f"  ({m.cancelled_ops} op(s) cancelled)"
         if m.continued_nodes:
             flag += f"  ({m.continued_nodes} fixpoint(s) continued)"
+        if m.retracted_nodes:
+            flag += f"  ({m.retracted_nodes} fixpoint(s) retracted)"
         if m.maintained_tasks:
             flag += f"  ({m.maintained_tasks} task(s) maintained)"
         print(
@@ -717,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_args(p)
     p.add_argument("--scheduler", default="hybrid",
                    help=f"one of {sorted(SCHEDULERS)}")
-    p.add_argument("-P", "--processors", type=int, default=8)
+    p.add_argument("-P", "--processors", type=_count(1), default=8)
     p.add_argument(
         "--strict", action="store_true",
         help="verify every invariant of the finished run (repro.verify)",

@@ -309,6 +309,15 @@ class ColumnarRelation:
             _unfile(index, positions, row, lent.get(positions))
         return True
 
+    def discard_rows(self, rows: Collection[tuple]) -> None:
+        """Bulk :meth:`discard_row`: one ``set.difference_update``, and
+        every built index lets go of ``rows`` only (absent rows are
+        harmless)."""
+        self.rows.difference_update(rows)
+        lent = self._lent
+        for positions, index in self._indexes.items():
+            _unfile_rows(index, positions, rows, lent.get(positions))
+
     def add_fact(self, fact: tuple) -> bool:
         return self.add_row(self.pool.intern_fact(self.name, fact))
 
@@ -349,6 +358,21 @@ class ColumnarRelation:
         out.rows = set(self.rows)
         out._indexes, out._lent = _lend(self._indexes)
         return out
+
+    def view(self) -> "ColumnarRelation":
+        """A read-only face of this relation: its rows and built indexes
+        shared, an index built through the view kept on the view until
+        :meth:`keep_indexes` hands it over."""
+        out = ColumnarRelation(self.name, self.arity, self.pool)
+        out.rows = self.rows
+        out._indexes = dict(self._indexes)
+        return out
+
+    def keep_indexes(self, view: "ColumnarRelation") -> None:
+        """Take the indexes built on ``view`` — a :meth:`view` of this
+        relation, its rows unchanged since — that this one lacks."""
+        for positions, index in view._indexes.items():
+            self._indexes.setdefault(positions, index)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -398,6 +422,26 @@ def _unfile(
         bucket.discard(row)
         if not bucket:
             del index[key]
+
+
+def _unfile_rows(
+    index: dict[object, set[tuple]],
+    positions: tuple[int, ...],
+    rows: Collection[tuple],
+    lent: dict[object, set[tuple]] | None = None,
+) -> None:
+    """Bulk :func:`_unfile`: one key function for all of ``rows``."""
+    key_of = itemgetter(*positions)
+    if lent:
+        _unshare(index, lent, map(key_of, rows))
+    get = index.get
+    for row in rows:
+        key = key_of(row)
+        bucket = get(key)
+        if bucket is not None:
+            bucket.discard(row)
+            if not bucket:
+                del index[key]
 
 
 def _unshare(
@@ -496,12 +540,16 @@ class _Body:
     kernel's own body, the others the nested ``def``s it continues in.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, support: bool = False) -> None:
         self.funcs: list[list[str]] = [[]]
         self.depth = 0
+        #: a head-bound kernel's: the outermost loop is over the
+        #: candidates, and a nested ``def`` returns whether the candidate
+        #: has a derivation
+        self.support = support
 
-    def emit(self, *lines: str) -> None:
-        pad = "    " * (2 + self.depth)
+    def emit(self, *lines: str, depth: int | None = None) -> None:
+        pad = "    " * (2 + (self.depth if depth is None else depth))
         self.funcs[-1] += [pad + line for line in lines]
 
     def loop(self, header: str) -> None:
@@ -523,8 +571,11 @@ class _Body:
     @property
     def dead(self) -> str:
         """Leave the kernel: a scanned relation is empty, so nothing
-        was or will be derived (a nested ``def`` tells its caller)."""
-        return "return True" if self.nested else "return out"
+        was or will be derived (a nested ``def`` tells its caller, or in
+        a head-bound kernel gives up on its candidate)."""
+        if self.nested:
+            return "return" if self.support else "return True"
+        return "return out"
 
     @property
     def skip(self) -> str:
@@ -533,10 +584,29 @@ class _Body:
             return "continue"
         return "return" if self.nested else "return out"
 
+    def found(self) -> None:
+        """A head-bound kernel's candidate has a derivation: a nested
+        ``def`` says so; the kernel keeps the candidate and leaves every
+        loop it opened inside the candidates' — ``break`` out of the
+        innermost, and after each loop ``else: continue`` (it ran out)
+        then ``break``."""
+        if self.nested:
+            self.emit("return True")
+            return
+        self.emit("add(head)")
+        if self.depth > 1:
+            self.emit("break")
+        for depth in range(self.depth - 1, 1, -1):
+            self.emit("else:", "    continue", "break", depth=depth)
+
     def continue_in_def(self, bound: Iterable[str]) -> None:
         args = ", ".join(bound)
         name = f"part{len(self.funcs)}"
-        self.emit(f"if {name}({args}): {self.dead}")
+        if not self.support:
+            self.emit(f"if {name}({args}): {self.dead}")
+        else:  # the part says whether it found a derivation
+            self.emit(f"if not {name}({args}): {self.skip}")
+            self.found()
         self.funcs.append([f"    def {name}({args}):"])
         self.depth = 0
 
@@ -567,31 +637,46 @@ def _fixed(atom, bound: set[str]) -> tuple[int, int]:
     return variables, constants
 
 
-def body_order(rule: Rule, at: int) -> tuple[int, ...]:
+def body_order(
+    rule: Rule,
+    at: int | None,
+    bound: Iterable[str] = (),
+    late: Collection[str] = (),
+) -> tuple[int, ...]:
     """The body order of a plan seeded at the positive occurrence
     ``at``: every filter, assignment and negation (each waits, as
     always, until its variables are bound, so only a ground one runs
     ahead of the seed), then ``at``, then the remaining atoms
-    bound-first — each time the one with the most
-    variables already bound, then the most constants, then the textual
-    first. A Δ-plan is seeded at its Δ, so a Δ of one row probes the
-    other relations instead of scanning them; a full plan at
-    :func:`full_seed`'s pick. The one order function: every id-space
-    plan but the semi-naive loop's Δ-plans (textual, DESIGN §16), and
+    bound-first — each time the one with the most variables already
+    bound, then the most constants, then one whose predicate is not in
+    ``late``, then the textual first. A Δ-plan is seeded at its Δ, so a
+    Δ of one row probes the other relations instead of scanning them; a
+    full plan at :func:`full_seed`'s pick; a head-bound plan
+    (``at=None``) starts from the head's variables, ``bound``, and puts
+    the SCC's own occurrences, ``late``, behind an input that fixes as
+    much. The one order function: every id-space plan but the
+    semi-naive loop's Δ-plans over SCC heads (textual, DESIGN §16), and
     the static analyzer's ``cartesian-join`` hint, are ordered here."""
     body = rule.body
     atoms = {
         i: lit.atom for i, lit in enumerate(body)
         if lit.atom is not None and not lit.negated
     }
-    bound = {t.name for t in atoms.pop(at).terms if isinstance(t, Variable)}
+    bound = set(bound)
     seq = [
         i for i, lit in enumerate(body) if lit.atom is None or lit.negated
-    ] + [at]
+    ]
+    if at is not None:
+        bound.update(
+            t.name for t in atoms.pop(at).terms if isinstance(t, Variable)
+        )
+        seq.append(at)
     assigns = [lit.assignment for lit in body if lit.assignment is not None]
     _close(assigns, bound)
     while atoms:
-        best = max(atoms, key=lambda i: (*_fixed(atoms[i], bound), -i))
+        best = max(atoms, key=lambda i: (
+            *_fixed(atoms[i], bound), atoms[i].predicate not in late, -i,
+        ))
         seq.append(best)
         bound.update(
             t.name for t in atoms.pop(best).terms if isinstance(t, Variable)
@@ -645,6 +730,7 @@ def _compile_rule(
     order: tuple[int, ...] | None,
     delta_at: int | None,
     counted: bool = False,
+    stamped: frozenset[str] | None = None,
 ) -> RulePlan:
     """Generate the nested-loop join ``join_body`` runs dynamically.
 
@@ -662,6 +748,19 @@ def _compile_rule(
     unfolded — instead of the set of heads (folded groups). The source
     of the plain mode does not depend on it.
 
+    ``stamped`` (the predicates of a recursive SCC) generates the
+    *head-bound existence* mode a fixpoint node's retraction checks
+    support with: ``kernel(relations, heads, pool, stamps)`` takes
+    candidate head id-rows, each mapped to a stamp bound, binds the
+    head's variables from each before the body's first scan (a head
+    constant or repeated variable the row does not match skips it),
+    reads an occurrence of a ``stamped`` predicate only at rows whose
+    stamp — ``stamps[predicate][row]``, the iteration the row first
+    appeared in — is below the bound, and returns the candidates one
+    binding reaches the head for, the body left at the first. Plain
+    heads and whole bodies only; neither other mode's source depends on
+    it.
+
     The source is made of invented names, integer positions, operator
     tokens of the closed tables and ``repr`` of predicate names; program
     constants live in the kernel's globals (``K0``, ``K1``, …) and are
@@ -677,13 +776,19 @@ def _compile_rule(
             )
         seq = tuple(order)
 
+    support = stamped is not None
+    if support and (delta_at is not None or counted or rule.has_aggregate):
+        raise ValueError(
+            "a head-bound plan is a whole-body plan of a plain head"
+        )
     env: dict[str, object] = {"mirror": _mirror, "defaultdict": defaultdict}
     var: dict[str, str] = {}  # Datalog variable → local holding its id
     lazy: list[str] = []  # locals that are None until first needed
     counters: list[str] = []
     reads: set[str] = set()
     pending: list = []
-    w = _Body()
+    stamp_of: dict[str, str] = {}  # stamped predicate → its stamps' local
+    w = _Body(support)
     numbers = count()
 
     def value(term) -> str:
@@ -758,6 +863,26 @@ def _compile_rule(
                 progressed = True
             pending[:] = still
 
+    # a head-bound kernel passes each candidate's stamp bound down
+    extra = ["bound"] if support else []
+    if support:
+        # the candidates are the outermost loop: a row binds the head's
+        # variables, and the body's loops leave at the first binding
+        # that reaches the head
+        w.loop("for head, bound in heads.items():")
+        cols = [f"h{i}" for i in range(len(rule.head.terms))]
+        w.emit(f"{_tuple(cols) if cols else '()'} = head")
+        for col, t in zip(cols, rule.head.terms):
+            if isinstance(t, Variable) and t.name not in var:
+                var[t.name] = col
+                continue
+            interned = []
+            x = ident(t, interned)
+            for k in interned:
+                w.first_time(k, _intern_stmt(k))
+            w.emit(f"if {col} != {x}: continue")
+        flush()
+
     for idx in seq:
         lit = body[idx]
         if lit.is_comparison or lit.is_assignment or lit.negated:
@@ -766,7 +891,7 @@ def _compile_rule(
             continue
         atom = lit.atom
         if w.depth == _MAX_LOOPS:
-            w.continue_in_def(var.values())
+            w.continue_in_def([*var.values(), *extra])
         scan, n = f"S{len(counters)}", f"n{len(counters)}"
         lazy.append(scan)
         counters.append(n)
@@ -792,22 +917,35 @@ def _compile_rule(
             else:
                 new[t.name] = f"v{next(numbers)}"
                 targets.append(new[t.name])
+        # a stamped occurrence reads a row only below the bound: the
+        # loop takes the row whole, then checks its stamp
+        stamp = None
+        if support and atom.predicate in stamped:
+            stamp = stamp_of.setdefault(atom.predicate, f"T{len(stamp_of)}")
+        row = f"r{next(numbers)}" if stamp else _tuple(targets)
         if not new:
             # fully bound: membership probe, no index (as Relation.match)
             found = ".rows"
-            probe = f"if {_tuple(key)} not in {scan}: {w.skip}"
+            if stamp:
+                w.emit(f"{row} = {_tuple(key)}")
+                probe = (
+                    f"if {row} not in {scan} or {stamp}[{row}] >= bound: "
+                    f"{w.skip}"
+                )
+            else:
+                probe = f"if {_tuple(key)} not in {scan}: {w.skip}"
         elif not pattern:
             # nothing bound: cross join against the whole relation
-            found, probe = ".rows", f"for {_tuple(targets)} in {scan}:"
+            found, probe = ".rows", f"for {row} in {scan}:"
         else:
             lookup = _key(key)
             found = f".index({tuple(pattern)!r}).get"
             if len(interned) == len(key):
                 # all constants: one bucket for every binding
                 found += f"({lookup}, ())"
-                probe = f"for {_tuple(targets)} in {scan}:"
+                probe = f"for {row} in {scan}:"
             else:
-                probe = f"for {_tuple(targets)} in {scan}({lookup}) or ():"
+                probe = f"for {row} in {scan}({lookup}) or ():"
         # resolved by the first binding that gets here: no mirror or
         # index is built behind an empty relation or a dead branch
         w.first_time(
@@ -820,6 +958,11 @@ def _compile_rule(
         w.emit(f"{n} += 1")
         if new:
             w.loop(probe)
+            if stamp:
+                w.emit(
+                    f"if {stamp}[{row}] >= bound: continue",
+                    f"{_tuple(targets)} = {row}",
+                )
             w.emit(*repeats)
             var.update(new)
         else:
@@ -832,6 +975,9 @@ def _compile_rule(
     if pending:
         env["UNRESOLVED"] = f"unresolved filters {pending!r}"
         w.emit("raise RuntimeError(UNRESOLVED)")
+    elif support:
+        # a binding reached the head: the candidate holds
+        w.found()
     else:
         interned = []
         plain = [
@@ -873,7 +1019,8 @@ def _compile_rule(
 
     state = ", ".join(lazy + counters)
     lines = [
-        "def kernel(relations, deltas, pool):",
+        "def kernel(relations, heads, pool, stamps):" if support
+        else "def kernel(relations, deltas, pool):",
         "    intern = pool.table.intern",
         "    values = pool.table.values",
         *(
@@ -884,6 +1031,7 @@ def _compile_rule(
             ["    value_of = values.__getitem__",
              "    groups = defaultdict(list)"] if fold else []
         ),
+        *(f"    {t} = stamps[{p!r}]" for p, t in stamp_of.items()),
         *([f"    {' = '.join(lazy)} = None"] if lazy else []),
         *([f"    {' = '.join(counters)} = 0"] if counters else []),
     ]
@@ -900,7 +1048,9 @@ def _compile_rule(
     source = "\n".join(lines) + "\n"
     filename = (
         f"<rule kernel: {rule!r} order={order} delta={delta_at}"
-        + (" counted>" if counted else ">")
+        + (" counted" if counted else "")
+        + (f" stamped={sorted(stamped)}" if support else "")
+        + ">"
     )
     exec(compile(source, filename, "exec"), env)
     linecache.cache[filename] = (
@@ -926,22 +1076,25 @@ def compile_rule_plan(
     order: tuple[int, ...] | None,
     delta_at: int | None,
     counted: bool = False,
+    stamped: frozenset[str] | None = None,
 ) -> RulePlan:
     """The memoised kernel of ``(rule, order, Δ-position)`` — in counted
     mode with ``counted`` (see :func:`_compile_rule`), which only the
-    non-recursive task units of a served plan request.
+    non-recursive task units of a served plan request, and head-bound
+    over the SCC ``stamped``, which only a fixpoint node's retraction
+    does.
 
     Past the cap the least recently used plan is evicted (its source
     leaves ``linecache`` with it) — never the whole memo, so a plan in
     steady use is not recompiled because other programs passed through.
     """
-    key = (rule, order, delta_at, counted)
+    key = (rule, order, delta_at, counted, stamped)
     with _RULE_PLANS_LOCK:
         plan = _RULE_PLANS.get(key)
         if plan is not None:
             _RULE_PLANS.move_to_end(key)
             return plan
-    plan = _compile_rule(rule, order, delta_at, counted)
+    plan = _compile_rule(rule, order, delta_at, counted, stamped)
     with _RULE_PLANS_LOCK:
         plan = _RULE_PLANS.setdefault(key, plan)
         while len(_RULE_PLANS) > _RULE_PLAN_CAP:

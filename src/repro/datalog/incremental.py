@@ -14,8 +14,8 @@ An update activates the EDB nodes it touches; a node runs iff it is one
 of them or an input changed — its Z-set is non-empty — and any other
 node's committed value stands, the paper's activation rule. A node that
 runs executes its unit body, the same body a served round calls: a task
-counts, a fixpoint node continues or recomputes its SCC — a delete is
-maintained one way in this package.
+counts, a fixpoint node continues, retracts or recomputes its SCC — a
+delete is maintained one way in this package.
 
 The engine owns its plan cache's
 :class:`~repro.datalog.columnar.InternPool` (``engine.pool``); inside
@@ -70,8 +70,8 @@ class MaintenanceTrace:
     task or fixpoint node, in execution order: what its unit left in
     :attr:`~repro.datalog.units.ValueStore.notes`, the vocabulary of a
     served round's unit spans — ``mode`` is ``"maintain"`` or
-    ``"recompute"`` for a task, ``"continue"`` or ``"recompute"`` for a
-    fixpoint node.
+    ``"recompute"`` for a task, ``"continue"``, ``"retract"`` or
+    ``"recompute"`` for a fixpoint node.
     """
 
     events: list[tuple[str, str, int]] = field(default_factory=list)

@@ -118,6 +118,7 @@ def evaluate_stratum(
     max_iterations: int | None = None,
     delta: dict[str, set] | None = None,
     plans: dict[tuple[int, int | None, int | None], RulePlan] | None = None,
+    waves: bool = False,
 ) -> dict[str, list[set]]:
     """Run one stratum's semi-naive loop to fixpoint over ``db``.
 
@@ -127,11 +128,17 @@ def evaluate_stratum(
     :func:`~repro.datalog.columnar.body_order` from
     :func:`~repro.datalog.columnar.full_seed`'s pick over the relations
     as they are then — the smallest one it scans whole — and its
-    Δ-plans run in textual order, as the row evaluator runs every plan
-    (DESIGN §16). Returns, for a
-    run seeded with ``delta``, per head that gained rows each
-    iteration's Δ of it in order: disjoint row sets whose union is what
-    the loop added (empty for an unseeded run).
+    Δ-plans over the stratum's own heads run in textual order, as the
+    row evaluator runs every plan (DESIGN §16); a seeded run's Δ-plan
+    over an input (a predicate the stratum does not derive) scans its
+    Δ first (``body_order(rule, pos)``), so a Δ of a few rows probes the
+    heads through an index instead of scanning them. Returns, for a
+    run seeded with ``delta`` or asked for its ``waves``, per head that
+    gained rows each iteration's Δ of it, position ``i`` what iteration
+    ``i`` added (an empty set where it added nothing): disjoint row sets
+    whose union is what the loop added (empty for an unseeded run not
+    asked — the check never asks). A fixpoint node stamps its rows with
+    them (:mod:`repro.datalog.units`).
 
     With ``delta=None`` the heads hold the stratum's entry state:
     iteration 0 runs every rule in full, every later one each positive
@@ -168,22 +175,24 @@ def evaluate_stratum(
     }
     # the rule instances an iteration runs: iteration 0 every rule in
     # full (key None), a later one per predicate in its Δ each positive
-    # body occurrence of it, restricted to the Δ
-    instances: dict[str | None, list[tuple[int, Rule, int | None]]] = {
-        None: [(ri, rule, None) for ri, rule in rules]
-    }
+    # body occurrence of it, restricted to the Δ — over a head in the
+    # rule's order (seed None), over an input seeded at its Δ
+    instances: dict[
+        str | None, list[tuple[int, Rule, int | None, int | None]]
+    ] = {None: [(ri, rule, None, None) for ri, rule in rules]}
     for ri, rule in rules:
         for pos, lit in enumerate(rule.body):
             if lit.atom is not None and not lit.negated:
-                instances.setdefault(lit.atom.predicate, []).append(
-                    (ri, rule, pos)
+                q = lit.atom.predicate
+                instances.setdefault(q, []).append(
+                    (ri, rule, pos, None if q in heads else pos)
                 )
 
     if pool is None:
         grown: dict = dict(heads)
         view = db
 
-        def derive(ri: int, rule: Rule, pos: int | None, delta) -> set:
+        def derive(ri: int, rule: Rule, pos: int | None, seed, delta) -> set:
             return eval_rule(rule, db, delta, pos)
 
         def wrap(pred: str, rows: set):
@@ -193,13 +202,11 @@ def evaluate_stratum(
         grown = {p: rel.columnar(pool) for p, rel in heads.items()}
         view = Database({**db.relations, **grown})
 
-        def derive(ri: int, rule: Rule, pos: int | None, delta) -> set:
+        def derive(ri: int, rule: Rule, pos: int | None, seed, delta) -> set:
             # a full plan (iteration 0) is seeded where the relations
-            # are now: at the smallest one it scans whole; a Δ-plan
-            # keeps the rule's order
-            seed = None if pos is not None else full_seed(
-                rule, view.relations
-            )
+            # are now: at the smallest one it scans whole
+            if pos is None:
+                seed = full_seed(rule, view.relations)
             plan = plans.get((ri, pos, seed))
             if plan is None:
                 order = None if seed is None else body_order(rule, seed)
@@ -214,7 +221,7 @@ def evaluate_stratum(
             out.rows = rows
             return out
 
-    seeded = delta is not None
+    keep = waves or delta is not None
     if delta is not None:
         delta = {p: wrap(p, rows) for p, rows in delta.items() if rows}
     copied: set[str] = set()
@@ -226,9 +233,9 @@ def evaluate_stratum(
         # only after all have run — no rule sees a fact derived earlier
         # in the same iteration
         staged: list[tuple[str, set]] = [
-            (rule.head.predicate, derive(ri, rule, pos, delta))
+            (rule.head.predicate, derive(ri, rule, pos, seed, delta))
             for p in ((None,) if delta is None else delta)
-            for ri, rule, pos in instances.get(p, ())
+            for ri, rule, pos, seed in instances.get(p, ())
         ]
         delta = {}
         for pred, produced in staged:
@@ -248,8 +255,10 @@ def evaluate_stratum(
                 # the Δ wraps this set as is, so what another rule of
                 # the head adds to the Δ lands in it too
                 delta[pred] = rel.wrap(fresh)
-                if seeded:  # kept alive only for a caller that reads it
-                    gained.setdefault(pred, []).append(fresh)
+                if keep:  # kept alive only for a caller that reads it
+                    got = gained.setdefault(pred, [])
+                    got += [set() for _ in range(rounds - len(got))]
+                    got.append(fresh)
         if delta:
             rounds += 1
             if max_iterations is not None and rounds > max_iterations:

@@ -33,17 +33,20 @@ change signal every layer reads (:meth:`ValueStore.changed`,
   its inputs only grew (their Z-sets hold no Δ⁻) the loop continues the
   committed fixpoint seeded with their Δ⁺, a head that gains rows on a
   clone of its committed mirror, and what each head gained is its
-  Z-set.
+  Z-set. When they lost rows, a removal pass first takes out of a clone
+  the rows left with no derivation from rows of lower *stamps* (the
+  iteration a row first appeared in, kept with the value), and the loop
+  continues from those of them that still have one (:class:`_Fix`).
 
 With no committed value — or for a task a changed negated input or a
-Δ on a predicate its body repeats, for a fixpoint node any retraction
-or a change under negation or an aggregate — a body recomputes (a task
-its whole rule, counted; a fixpoint node from the SCC's entry
-relations) and diffs its value against the committed one, once
-(:func:`_mirror_diff`).
+Δ on a predicate its body repeats, for a fixpoint node a change under
+negation or an aggregate, or a removal pass its guard stops — a body
+recomputes (a task its whole rule, counted; a fixpoint node from the
+SCC's entry relations) and diffs its value against the committed one,
+once (:func:`_mirror_diff`).
 
 That is the package's one maintenance procedure — a delete is counted
-below recursion and recomputed within it — and every caller runs these
+below recursion and retracted within it — and every caller runs these
 unit bodies: a served round under the scheduler
 (:mod:`repro.runtime`), a degraded round and the test oracle through
 :meth:`ExecutionPlan.execute_serial`, and
@@ -64,11 +67,13 @@ round on this ``G``, with the change flags its execution observed.
 Unit closures read per-round data through the plan's :class:`RoundCtx`,
 never through captured constants, which is what makes restamping sound.
 Each unit is a pure function of its inputs' final values — a task's
-maintenance and a fixpoint node's continuation included, which start
-from a committed value that is itself that function of the committed
-inputs, and never write to it — so running the units in any
-precedence-respecting order, serial or concurrent, lands on the same
-materialization.
+maintenance and a fixpoint node's continuation and retraction
+included, which start from a committed value that is itself that
+function of the committed inputs, and never write to it — so running
+the units in any precedence-respecting order, serial or concurrent,
+lands on the same materialization. (A fixpoint value's stamps, and
+whether it has any, depend on the rounds that made it; its rows do
+not.)
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .ast import Aggregate, Program, Rule
+from .ast import Aggregate, Program, Rule, Variable
 from .columnar import (
     ColumnarRelation,
     InternPool,
@@ -105,6 +110,7 @@ __all__ = [
     "ProgramSkeleton",
     "RoundCtx",
     "CountedRows",
+    "FixpointValue",
     "build_execution_plan",
 ]
 
@@ -307,6 +313,449 @@ class _Task:
         out.update(plus)
         out.counts = counts
         return out, _change(self.head, plus, minus)
+
+
+#: a retraction's removal pass gives up — and the node recomputes —
+#: once it has made this many times the probes of the node's last
+#: recompute; a retraction whose pass and continuation together reach
+#: it counts as a loss for the back-off. Measured on the benchmark's
+#: streams (seed 17): a ``tc_deep`` pass makes 0.20 / 0.39 / 0.91× a
+#: recompute's probes (p10 / p50 / p90) and 8 % of them are cut; an
+#: uncut ``pt_join`` pass would make 0.97 / 2.04 / 3.40×, so nearly all
+#: of those are.
+RETRACT_PROBE_CAP = 1.0
+#: after a cut pass (or a loss) the node recomputes its next 2ᵏ
+#: retractions without trying, k going up by one each time up to this
+#: cap and back to 0 after a retraction that stays under the cap.
+#: Measured: on ``pt_join`` k reaches 8 within 260 rounds and then one
+#: try in 257 retractions (13 tries in 1 500 rounds, each costing about
+#: one recompute more); on ``tc_deep`` the largest k is 2.
+RETRACT_BACKOFF_MAX = 8
+#: the stamp bound of a support check that takes any derivation
+_UNBOUNDED = float("inf")
+
+
+class FixpointValue(dict):
+    """A fixpoint node's value: SCC predicate → :class:`Relation`, and
+    the row *stamps* a retraction checks support with.
+
+    ``stamps[p]`` maps each id-row of ``p`` to the iteration it first
+    appeared in — 0 for a row of the SCC's entry relation — such that
+    every row with a stamp above 0 has a derivation from present inputs
+    and SCC rows of lower stamps; ``top`` is the largest stamp.
+    ``stamps`` is ``None`` while the node will not try a retraction (an
+    SCC with an aggregate rule, a back-off): a recompute then keeps
+    none. A unit never writes the dicts of a value it did not make: a
+    successor that moves a predicate's rows copies its stamps, one that
+    does not shares them.
+    """
+
+    __slots__ = ("stamps", "top")
+
+    stamps: dict[str, dict[tuple, int]] | None
+    top: int
+
+
+class _Fix:
+    """The rules of a recursive SCC and the body of its fixpoint node:
+    recompute, continue or retract, decided by its inputs' Z-sets.
+
+    * *recompute*: the semi-naive loop from the SCC's entry relations,
+      stamping each row with the iteration that added it;
+    * *continue* (inputs only grew): the loop seeded with their Δ⁺ over
+      the committed heads, what it adds stamped above the committed top;
+    * *retract* (an input lost rows): the removal pass takes out the
+      rows left with no derivation from lower-stamped rows, then the
+      loop continues from the removed rows that still have a derivation
+      and the inputs' Δ⁺.
+
+    A change to an input read under negation or by an aggregate rule
+    recomputes; so does a retraction in an SCC with an aggregate rule
+    (an aggregate head has no support check) and one the guard stops
+    (:data:`RETRACT_PROBE_CAP`, :data:`RETRACT_BACKOFF_MAX`).
+    """
+
+    def __init__(
+        self, program: Program, si: int, final_nodes: dict[str, int]
+    ) -> None:
+        # every SCC predicate is recursive: one SCC, one stratum
+        self.scc = tuple(program.depgraph.stratify()[si])
+        self.rules = program.strata[si]
+        atoms = [
+            (lit.atom.predicate, lit.negated or r.has_aggregate)
+            for _ri, r in self.rules
+            for lit in r.body
+            if lit.atom is not None
+        ]
+        # read under negation or by an aggregate rule: no Δ form, so a
+        # change to one recomputes the SCC
+        sensitive = {q for q, under in atoms if under}
+        self.inputs = tuple(
+            (q, final_nodes[q], q in sensitive)
+            for q in sorted({q for q, _under in atoms} - set(self.scc))
+        )
+        #: (rule index, Δ-position, seed) → compiled plan, from its first
+        #: use on, for every round — the loop's and the removal pass's
+        self.plans: dict[tuple[int, int | None, int | None], RulePlan] = {}
+        #: predicate → ``(rule index, rule, position)`` of each positive
+        #: body occurrence of it
+        self.occurrences: dict[str, list[tuple[int, Rule, int]]] = {}
+        for ri, rule in self.rules:
+            for pos, lit in enumerate(rule.body):
+                if lit.atom is not None and not lit.negated:
+                    self.occurrences.setdefault(lit.atom.predicate, []).append(
+                        (ri, rule, pos)
+                    )
+        self.retracts = not any(r.has_aggregate for _ri, r in self.rules)
+        #: head predicate → its rules' head-bound plans, on first use
+        self.supports: dict[str, list[RulePlan]] = {}
+        #: the guard: the last recompute's probes, k, and the
+        #: retractions still to recompute without trying
+        self.budget: int | None = None
+        self.backoff = 0
+        self.wait = 0
+
+    # ------------------------------------------------------------------
+    def changes(self, values: "ValueStore") -> tuple[dict, dict] | None:
+        """``(Δ⁺, Δ⁻)`` of what the SCC reads since the committed round,
+        predicate → id-rows, off the inputs' Z-sets — or ``None``: an
+        input read under negation or by an aggregate changed. The SCC's
+        own entry relations need no look (see
+        :meth:`ProgramSkeleton.stamp`)."""
+        plus: dict[str, set] = {}
+        minus: dict[str, set] = {}
+        for q, src, sensitive in self.inputs:
+            got = values.zset(src).get(q)
+            if got:
+                if sensitive:
+                    return None
+                if got[0]:
+                    plus[q] = got[0]
+                if got[1]:
+                    minus[q] = got[1]
+        return plus, minus
+
+    def run(
+        self, values: "ValueStore", nid: int, ctx: "RoundCtx"
+    ) -> tuple[FixpointValue, dict]:
+        committed = values.committed(nid)
+        changes = None
+        if isinstance(committed, FixpointValue):  # stamped
+            changes = self.changes(values)
+        if changes is None:
+            values.notes[nid] = {"mode": "recompute", "delta_rows": 0}
+            return self.recompute(values, nid, ctx)
+        plus, minus = changes
+        rows = sum(map(len, plus.values())) + sum(map(len, minus.values()))
+        if not minus:
+            values.notes[nid] = {"mode": "continue", "delta_rows": rows}
+            return self.resume(values, committed, plus, ctx.pool)
+        note: dict[str, Any] = {"mode": "recompute", "delta_rows": 0}
+        if committed.stamps is None or self.budget is None:
+            # no retraction to try: the node waits out a back-off
+            self.wait = max(self.wait - 1, 0)
+        else:
+            start = ctx.pool.probes
+            limit = RETRACT_PROBE_CAP * max(self.budget, 1)
+            got = self.retract(values, committed, plus, minus, limit, ctx.pool)
+            if got is not None:
+                note = values.notes[nid] = {
+                    "mode": "retract",
+                    "delta_rows": rows,
+                    "removed_rows": sum(map(len, got.removed.values())),
+                    "rederived_rows": 0,
+                    "abandoned": False,
+                }
+                out = self.resume(values, committed, plus, ctx.pool, got, note)
+                # a retraction that, continuation included, stayed under
+                # the limit resets the back-off; one that did not served
+                # its value, and counts as a loss
+                if ctx.pool.probes - start < limit:
+                    self.backoff = 0
+                else:
+                    self.back_off()
+                return out
+            self.back_off()
+            note["abandoned"] = True
+        values.notes[nid] = note
+        return self.recompute(values, nid, ctx)
+
+    def back_off(self) -> None:
+        """Recompute the next 2ᵏ retractions without trying; k + 1."""
+        self.wait = 2 ** self.backoff
+        self.backoff = min(self.backoff + 1, RETRACT_BACKOFF_MAX)
+
+    def recompute(
+        self, values: "ValueStore", nid: int, ctx: "RoundCtx"
+    ) -> tuple[FixpointValue, dict]:
+        """The SCC from its entry relations; while the node may try a
+        retraction next, every row stamped with the iteration that added
+        it, an entry row with 0. Its probes are the guard's budget."""
+        pool = ctx.pool
+        db = Database({q: values[src] for q, src, _s in self.inputs})
+        db.relations.update((p, ctx.baseline[p]) for p in self.scc)
+        stamped = self.retracts and not self.wait
+        start = pool.probes
+        waves = evaluate_stratum(
+            self.rules, db, pool, plans=self.plans, waves=stamped
+        )
+        self.budget = pool.probes - start
+        value = FixpointValue((p, db.relations[p]) for p in self.scc)
+        value.stamps = {} if stamped else None
+        value.top = max(map(len, waves.values()), default=0)
+        for p in self.scc if stamped else ():
+            stamps = dict.fromkeys(ctx.baseline[p].columnar(pool).rows, 0)
+            for i, rows in enumerate(waves.get(p, ())):
+                stamps.update(dict.fromkeys(rows, i + 1))
+            value.stamps[p] = stamps
+        was = values.old[nid] or dict.fromkeys(self.scc)
+        zset: dict = {}
+        for p in self.scc:
+            zset.update(_mirror_diff(p, was[p], value[p], pool))
+        return value, zset
+
+    def resume(
+        self,
+        values: "ValueStore",
+        committed: FixpointValue,
+        plus: dict[str, set],
+        pool: InternPool,
+        cut: "_Retraction | None" = None,
+        note: dict | None = None,
+    ) -> tuple[FixpointValue, dict]:
+        """Continue ``committed`` — or, after a removal pass, what ``cut``
+        left of it — from the inputs' Δ⁺ and the rows the pass
+        re-derived (its seed), through the one semi-naive loop. Stamps:
+        the seed's ``top + 1``, iteration ``i``'s ``top + 2 + i``
+        (without a seed, ``top + 1 + i``). The Z-set is what was gained
+        less what was removed, and what was removed less what came
+        back."""
+        removed, seed = (cut.removed, cut.seed) if cut else ({}, {})
+        db = Database({q: values[src] for q, src, _s in self.inputs})
+        db.relations.update(committed)
+        for p, mirror in cut.heads.items() if cut else ():
+            rel = db.relations[p] = Relation(p, committed[p].arity)
+            rel.adopt(mirror)
+        gained = evaluate_stratum(
+            self.rules, db, pool,
+            delta={**plus, **seed}, plans=self.plans,
+        )
+        value = FixpointValue((p, db.relations[p]) for p in self.scc)
+        value.stamps = committed.stamps and dict(committed.stamps)
+        top = committed.top + bool(seed)
+        value.top = top + max(map(len, gained.values()), default=0)
+        zset: dict = {}
+        back = 0
+        for p in self.scc:
+            gone = removed.get(p)
+            waves = gained.get(p, ())
+            if not gone and not waves:
+                continue
+            got = set(seed.get(p, ())).union(*waves)
+            if value.stamps is not None:
+                stamps = value.stamps[p] = dict(committed.stamps[p])
+                for row in gone or ():
+                    del stamps[row]
+                stamps.update(dict.fromkeys(seed.get(p, ()), top))
+                for i, rows in enumerate(waves):
+                    stamps.update(dict.fromkeys(rows, top + 1 + i))
+            if not gone:  # a continuation only adds
+                zset[p] = (got, set())
+                continue
+            back += len(got & gone)
+            change = _change(p, got - gone, gone - got)
+            if change:
+                zset.update(change)
+            else:  # every row removed came back, and only those
+                value[p] = committed[p]
+        if note is not None:
+            note["rederived_rows"] = back
+        return value, zset
+
+    # ------------------------------------------------------------------
+    def _delta_plan(self, ri: int, rule: Rule, pos: int) -> RulePlan:
+        """The rule's Δ-plan at ``pos``, seeded at its Δ."""
+        plan = self.plans.get((ri, pos, pos))
+        if plan is None:
+            plan = self.plans[ri, pos, pos] = compile_rule_plan(
+                rule, body_order(rule, pos), pos
+            )
+        return plan
+
+    def _support(self, p: str) -> list[RulePlan]:
+        """The head-bound plans of ``p``'s rules."""
+        plans = self.supports.get(p)
+        if plans is None:
+            stamped = frozenset(self.scc)
+            # a rule that reads the SCC first: a candidate a recursive
+            # rule keeps is not checked again by the others
+            mine = sorted(
+                (rule for _ri, rule in self.rules if rule.head.predicate == p),
+                key=lambda rule: not any(
+                    lit.atom is not None and lit.atom.predicate in stamped
+                    for lit in rule.body
+                ),
+            )
+            plans = self.supports[p] = [
+                compile_rule_plan(
+                    rule,
+                    body_order(
+                        rule, None,
+                        [t.name for t in rule.head.terms
+                         if isinstance(t, Variable)],
+                        stamped,
+                    ),
+                    None,
+                    stamped=stamped,
+                )
+                for rule in mine
+            ]
+        return plans
+
+    def _held(
+        self, p: str, relations: dict, heads: dict, stamps: dict,
+        pool: InternPool,
+    ) -> set:
+        """The candidate rows of ``p`` (row → stamp bound) one of its
+        rules derives over ``relations`` within the bound."""
+        held: set = set()
+        for plan in self._support(p):
+            if not heads:
+                break
+            got = plan.kernel(relations, heads, pool, stamps)
+            if got:
+                held |= got
+                heads = {r: b for r, b in heads.items() if r not in held}
+        return held
+
+    def _derived(
+        self, q: str, rows: set, relations: dict, pool: InternPool
+    ) -> dict[str, set]:
+        """Head predicate → the rows the rules derive with one
+        occurrence of ``q`` restricted to ``rows`` and every other
+        reading ``relations``."""
+        delta = {q: ColumnarRelation(q, len(next(iter(rows))), pool)}
+        delta[q].rows = rows
+        out: dict[str, set] = {}
+        for ri, rule, pos in self.occurrences.get(q, ()):
+            plan = self._delta_plan(ri, rule, pos)
+            got = plan.kernel(relations, delta, pool)
+            if got:
+                out.setdefault(rule.head.predicate, set()).update(got)
+        return out
+
+    def retract(
+        self,
+        values: "ValueStore",
+        committed: FixpointValue,
+        plus: dict[str, set],
+        minus: dict[str, set],
+        limit: float,
+        pool: InternPool,
+    ) -> "_Retraction | None":
+        """The removal pass, or ``None`` once it has made ``limit``
+        probes.
+
+        Candidates are the heads the rules derive over each removed
+        input row, the other occurrences reading the committed state. A
+        candidate at stamp s stays if one of its derivations reads only
+        present inputs and alive SCC rows below s, and goes otherwise;
+        what the rows that went derive — with the present inputs and the
+        committed heads: every derivation a stamp or a check stood on —
+        at a stamp above the lowest of theirs, are candidates again. A
+        check against more rows than survive can only keep too much,
+        never remove too much, and everything a removal could unsupport
+        is checked again after it: when no candidate is left, every
+        alive row has a derivation from alive rows of lower stamps — the
+        one state that says so, by induction on the stamps (DESIGN
+        §18)."""
+        start = pool.probes
+        stamps = committed.stamps
+        # the inputs, read through views: an index the pass builds on a
+        # committed one is dropped (an input the round did not touch is
+        # its own successor), on a present one kept only if the pass
+        # completes
+        old = {
+            q: values.committed(src).columnar(pool).view()
+            for q, src, _s in self.inputs
+        }
+        old.update(committed)
+        mirrors = {
+            q: values[src].columnar(pool) for q, src, _s in self.inputs
+        }
+        views = {q: mirror.view() for q, mirror in mirrors.items()}
+        now = {**views, **committed}
+        # a kept row may stand on an inserted input row: what a removed
+        # row derives is read over the present inputs
+        present = dict(now)
+        alive = {p: committed[p].columnar(pool).rows for p in self.scc}
+        cut = _Retraction({}, {}, {})
+        pending: dict[str, dict] = {}
+
+        def enqueue(derived: dict[str, set], above: int) -> None:
+            for p, rows in derived.items():
+                st, rows_now = stamps[p], alive[p]
+                heads = pending.setdefault(p, {})
+                for row in rows:
+                    s = st.get(row, 0)
+                    if s > above and row in rows_now:
+                        heads[row] = s
+
+        for q, rows in minus.items():
+            enqueue(self._derived(q, rows, old, pool), 0)
+        while pending and pool.probes - start < limit:
+            batch, pending = pending, {}
+            gone_now: dict[str, set] = {}
+            for p, heads in batch.items():
+                if not heads:
+                    continue
+                gone = heads.keys() - self._held(p, now, heads, stamps, pool)
+                if not gone:
+                    continue
+                if p not in cut.heads:
+                    now[p] = cut.heads[p] = committed[p].columnar(pool).clone()
+                    alive[p] = cut.heads[p].rows
+                    cut.removed[p] = set()
+                cut.heads[p].discard_rows(gone)
+                cut.removed[p] |= gone
+                gone_now[p] = gone
+            for p, gone in gone_now.items():
+                st = stamps[p]
+                enqueue(
+                    self._derived(p, gone, present, pool),
+                    min(map(st.__getitem__, gone)),
+                )
+        if pending or pool.probes - start >= limit:
+            return None
+        for p, rows in cut.removed.items():
+            got = self._held(
+                p, now, dict.fromkeys(rows, _UNBOUNDED), stamps, pool
+            )
+            if got:
+                cut.seed[p] = got
+        if pool.probes - start >= limit:
+            return None
+        # back in only once every head's seed is found: a seed row is
+        # derived from alive rows, so its stamp, top + 1, holds
+        for p, rows in cut.seed.items():
+            cut.heads[p].extend(rows)
+        for q, view in views.items():
+            mirrors[q].keep_indexes(view)
+        return cut
+
+
+@dataclass
+class _Retraction:
+    """What a completed removal pass hands the continuation, per head
+    it took rows out of."""
+
+    #: the rows it took out
+    removed: dict[str, set]
+    #: those of them that still have a derivation
+    seed: dict[str, set]
+    #: the clone of the committed mirror it took them out of, the seed
+    #: back in
+    heads: dict[str, ColumnarRelation]
 
 
 def _change(pred: str, plus: set, minus: set) -> dict:
@@ -570,72 +1019,10 @@ class ProgramSkeleton:
                 return rel, _change(p, intern(p, plus), intern(p, minus))
 
         elif kind == "fix":
-            si = key[1]
-            # every SCC predicate is recursive: one SCC, one stratum
-            scc = tuple(self.program.depgraph.stratify()[si])
-            rules = self.program.strata[si]
-            atoms = [
-                (lit.atom.predicate, lit.negated or r.has_aggregate)
-                for _ri, r in rules
-                for lit in r.body
-                if lit.atom is not None
-            ]
-            # read under negation or by an aggregate rule: no Δ form, so
-            # a change to one recomputes the SCC
-            sensitive = {q for q, under in atoms if under}
-            inputs = tuple(
-                (q, self.final_nodes[q], q in sensitive)
-                for q in sorted({q for q, _under in atoms} - set(scc))
-            )
-            #: (rule index, Δ-position, seed) → compiled plan, from its
-            #: first use on, for every round
-            plans: dict[tuple[int, int | None, int | None], RulePlan] = {}
+            fix = _Fix(self.program, key[1], self.final_nodes)
 
-            def seed(values: ValueStore) -> dict[str, set] | None:
-                """Δ⁺ of what the SCC reads since the committed round,
-                predicate → id-rows, off the inputs' Z-sets — or
-                ``None``, recompute: no committed value, a retraction
-                anywhere, or a change under negation or an aggregate.
-                The SCC's own entry relations need no look (see
-                :meth:`ProgramSkeleton.stamp`)."""
-                if values.committed(nid) is None:
-                    return None
-                delta: dict[str, set] = {}
-                for q, src, sensitive in inputs:
-                    got = values.zset(src).get(q)
-                    if got:
-                        plus, minus = got
-                        if minus or sensitive:
-                            return None
-                        delta[q] = plus
-                return delta
-
-            def run(values: ValueStore) -> tuple[dict[str, Relation], dict]:
-                db = Database({q: values[src] for q, src, _s in inputs})
-                delta = seed(values)
-                if delta is None:
-                    values.notes[nid] = {"mode": "recompute", "delta_rows": 0}
-                    db.relations.update((p, ctx.baseline[p]) for p in scc)
-                else:
-                    values.notes[nid] = {
-                        "mode": "continue",
-                        "delta_rows": sum(map(len, delta.values())),
-                    }
-                    db.relations.update(values.committed(nid))
-                # the relations handed in are read, never written: a
-                # head that gains rows is a new relation in db
-                gained = evaluate_stratum(
-                    rules, db, ctx.pool, delta=delta, plans=plans
-                )
-                value = {p: db.relations[p] for p in scc}
-                was = values.old[nid] or dict.fromkeys(scc)
-                zset: dict = {}
-                for p in scc:
-                    if delta is None:
-                        zset.update(_mirror_diff(p, was[p], value[p], ctx.pool))
-                    elif p in gained:  # a continuation only adds
-                        zset[p] = (set().union(*gained[p]), set())
-                return value, zset
+            def run(values: ValueStore) -> tuple[FixpointValue, dict]:
+                return fix.run(values, nid, ctx)
 
         elif kind == "pred":
             _, p, si = key
@@ -679,8 +1066,7 @@ class ProgramSkeleton:
                         return was, {}
                     mirror = old.clone()
                     mirror.extend(plus)
-                    for row in minus:
-                        mirror.discard_row(row)
+                    mirror.discard_rows(minus)
                     rel = Relation(p, was.arity)
                     rel.adopt(mirror)
                     return rel, {p: (plus, minus)}

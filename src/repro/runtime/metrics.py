@@ -70,6 +70,11 @@ class RoundMetrics:
     #: of recomputing their SCC (``ValueStore.notes``); a unit span's
     #: ``mode`` / ``delta_rows`` args say which node, from how many rows
     continued_nodes: int = 0
+    #: fixpoint nodes among them that *retracted* — took out of their
+    #: committed fixpoint only the rows that lost their support, then
+    #: continued from what came back (``mode: "retract"``; a unit span
+    #: adds ``removed_rows`` / ``rederived_rows`` / ``abandoned``)
+    retracted_nodes: int = 0
     #: task nodes among them that *maintained* their value — applied
     #: their inputs' Z-sets through counted Δ-plans — instead of
     #: re-running their whole rule (``mode: "maintain"`` in the notes)
@@ -160,6 +165,8 @@ class MetricsLog:
         self.registry.counter("batches_coalesced").inc(m.batches_coalesced)
         if m.continued_nodes:
             self.registry.counter("continued_nodes").inc(m.continued_nodes)
+        if m.retracted_nodes:
+            self.registry.counter("retracted_nodes").inc(m.retracted_nodes)
         if m.maintained_tasks:
             self.registry.counter("maintained_tasks").inc(m.maintained_tasks)
         if m.unit_retries:

@@ -909,7 +909,10 @@ class UpdateStreamService:
             ).run()
         tasks_executed = len(outcome.records)
         modes = [said.get("mode") for said in outcome.values.notes.values()]
+        continued, retracted = modes.count("continue"), modes.count("retract")
         if sink.enabled:
+            sp_exec.set("continued_nodes", continued)
+            sp_exec.set("retracted_nodes", retracted)
             sp_exec.set("scheduler_ops", outcome.scheduler_ops)
             sp_exec.set("tasks_executed", tasks_executed)
             sp_exec.set("unit_retries", outcome.unit_retries)
@@ -918,7 +921,8 @@ class UpdateStreamService:
             "execute_s": perf_counter() - t0,
             "workers": self.workers,
             "tasks_executed": tasks_executed,
-            "continued_nodes": modes.count("continue"),
+            "continued_nodes": continued,
+            "retracted_nodes": retracted,
             "maintained_tasks": modes.count("maintain"),
             "scheduler_ops": outcome.scheduler_ops,
             "precompute_ops": outcome.precompute_ops,

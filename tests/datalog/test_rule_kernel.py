@@ -459,6 +459,86 @@ def test_counted_multiplicities_are_the_bindings_join_body_enumerates(
         )
 
 
+def held_below(rule: Rule, db: Database, heads: dict, stamps: dict) -> set:
+    """The candidate head facts (fact → bound) ``join_body`` derives
+    with ``e`` read only at rows stamped below the candidate's bound."""
+    out = set()
+    for bound in set(heads.values()):
+        below = Database(dict(db.relations))
+        below.relations["e"] = db.relations["e"].wrap(
+            {t for t in db.relations["e"] if stamps[t] < bound}
+        )
+        out |= {h for h in eval_rule(rule, below) if heads.get(h) == bound}
+    return out
+
+
+@given(
+    rule=counted_rules(),
+    e_facts=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10),
+    f_facts=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_head_bound_plan_finds_a_derivation_below_each_bound(
+    rule, e_facts, f_facts, data
+):
+    """The existence mode a fixpoint node's retraction checks support
+    with: per candidate head row, whether one binding reaches it with
+    ``e`` (the stamped predicate) read only below the candidate's bound
+    — from the head's variables, ``e`` behind ``f`` where both fix as
+    much."""
+    if rule.has_aggregate:
+        with pytest.raises(ValueError, match="head-bound"):
+            compile_rule_plan(rule, None, None, stamped=frozenset("e"))
+        return
+    db = database(e=e_facts, f=f_facts)
+    db.relation("e", 2)
+    db.relation("f", 2)
+    stamps = {t: data.draw(st.integers(0, 3)) for t in e_facts}
+    derived = sorted(eval_rule(rule, db))
+    arity = len(rule.head.terms)
+    strays = st.tuples(*[st.integers(0, 4)] * arity)
+    facts = data.draw(st.sets(
+        st.sampled_from(derived) | strays if derived else strays,
+        max_size=6,
+    ))
+    heads = {h: data.draw(st.sampled_from([1, 2, 4, float("inf")]))
+             for h in facts}
+    variables = [t.name for t in rule.head.terms if isinstance(t, Variable)]
+    order = columnar.body_order(rule, None, variables, {"e"})
+    plan = compile_rule_plan(rule, order, None, stamped=frozenset({"e"}))
+    pool = InternPool()
+    got = plan.kernel(
+        {p: r.columnar(pool) for p, r in db.relations.items()},
+        {pool.intern_fact("h", h): b for h, b in heads.items()},
+        pool,
+        {"e": {pool.intern_fact("e", t): s for t, s in stamps.items()}},
+    )
+    assert set(pool.extern_rows(got)) == held_below(rule, db, heads, stamps)
+
+
+@pytest.mark.parametrize("n", [3, 17, 25])
+def test_a_head_bound_plan_of_any_length(n):
+    """A long body continues in nested ``def``s, each saying whether it
+    reached the head; the candidates stay the outermost loop."""
+    rule = chain(n)
+    db = database(e={(0, 1), (1, 2), (2, 0)})  # one walk of n from each
+    pool = InternPool()
+    want = eval_rule(rule, db)
+    plan = compile_rule_plan(
+        rule, columnar.body_order(rule, None, ["X0", f"X{n}"]), None,
+        stamped=frozenset(),
+    )
+    assert ("def part1(" in plan.source) == (n + 1 > columnar._MAX_LOOPS)
+    heads = {(a, b): 1 for a in range(3) for b in range(3)}
+    got = plan.kernel(
+        {"e": db.relations["e"].columnar(pool)},
+        {pool.intern_fact("p", h): b for h, b in heads.items()},
+        pool, {},
+    )
+    assert set(pool.extern_rows(got)) == want and len(want) == 3
+
+
 def test_the_counted_mode_leaves_the_plain_source_alone():
     rule = parse_rule("h(X, sum(Y)) :- e(X, Y), f(Y, Z), Z < 3.")
     plain = compile_rule_plan(rule, None, None)
@@ -495,9 +575,9 @@ def _record_counted(monkeypatch) -> list:
     asked: list = []
     real = columnar._compile_rule
 
-    def compile_rule(rule, order, delta_at, counted=False):
+    def compile_rule(rule, order, delta_at, counted=False, stamped=None):
         asked.append(counted)
-        return real(rule, order, delta_at, counted)
+        return real(rule, order, delta_at, counted, stamped)
 
     monkeypatch.setattr(columnar, "_compile_rule", compile_rule)
     monkeypatch.setattr(columnar, "_RULE_PLANS", type(columnar._RULE_PLANS)())

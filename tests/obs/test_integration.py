@@ -187,7 +187,9 @@ class TestServiceReconciliation:
     def test_fix_unit_spans_say_whether_the_round_maintained(self):
         """A fixpoint node's span carries ``mode`` and ``delta_rows``;
         per round, the spans that read ``continue`` are the round's
-        ``continued_nodes`` — and both kinds of round occur."""
+        ``continued_nodes``, those that read ``retract`` its
+        ``retracted_nodes`` — and all three kinds of round occur (the
+        miss recomputes)."""
         rec, svc = traced_service(rounds=10, program="tc")
         records = rec.records()
         rounds = sorted(
@@ -196,7 +198,9 @@ class TestServiceReconciliation:
         )
         fix = [r for r in records if r.cat == "unit" and "mode" in r.args]
         assert {r.args["label"] for r in fix} == {"fix@1"}
-        assert {r.args["mode"] for r in fix} == {"continue", "recompute"}
+        assert {r.args["mode"] for r in fix} == {
+            "continue", "recompute", "retract",
+        }
         served = [m for m in svc.metrics.rounds if not m.noop]
         assert len(served) == len(rounds)
         for m, span in zip(served, rounds):
@@ -204,9 +208,16 @@ class TestServiceReconciliation:
             assert m.continued_nodes == sum(
                 r.args["mode"] == "continue" for r in mine
             )
+            assert m.retracted_nodes == sum(
+                r.args["mode"] == "retract" for r in mine
+            )
             for r in mine:
                 if r.args["mode"] == "continue":
                     assert 0 < r.args["delta_rows"] <= 2  # the batch's inserts
+                elif r.args["mode"] == "retract":
+                    assert 0 < r.args["delta_rows"] <= 4  # ... and deletes
+                    assert r.args["abandoned"] is False
+                    assert r.args["rederived_rows"] <= r.args["removed_rows"]
                 else:
                     assert r.args["delta_rows"] == 0
         assert served[0].continued_nodes == 0  # the miss

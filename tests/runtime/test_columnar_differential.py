@@ -155,19 +155,15 @@ def test_builds_do_not_scale_with_fixpoint_depth(depth):
     probes exactly as often as it did when every Δ was re-interned: the
     pin as it stood before a round could continue.
 
-    A continued round's probes (issue 24: "``probes_per_round`` barely
-    moves (the seed plan still scans ``path`` to probe the 4-row Δ)"):
-    the check is the from-scratch evaluation, half of what the
-    recomputing round probes; the body continues, ``1`` for Δ``edge``
-    through the base rule, ``1 + |path|`` for the seed plan (it scans
-    the committed ``path`` to probe the Δ) and ``1 + n`` for the
-    iteration after it, over the chain's ``n`` edges — a little under
-    the recompute's ``1 + n + |path'|``. The continuation is the
-    evaluator's loop seeded with Δ``edge``, so it has snapshot semantics:
-    the base rule's new row joins the next iteration's Δ and is not yet
-    in the ``path`` the seed plan scans, which is why ``|path|`` here is
-    the committed one — one row fewer than when the continuation was a
-    separate loop that merged each rule's output at once.
+    A continued round's probes: the check is the from-scratch
+    evaluation, half of what the recomputing round probes; the body
+    continues, ``1`` for Δ``edge`` through the base rule, ``2`` for the
+    seed plan — it scans the one-row Δ first and probes the committed
+    ``path`` through its index, where it used to scan all ``|path|``
+    rows to probe the Δ (``1 + |path|``) — and ``1 + n`` for the
+    iteration after it, over the chain's ``n`` edges. The continuation
+    is the evaluator's loop seeded with Δ``edge``, so it has snapshot
+    semantics: the base rule's new row joins the next iteration's Δ.
     """
     program, svc, warm = _chain_rounds(depth)
     builds = [m.columnar_builds for m in warm]
@@ -182,7 +178,7 @@ def test_builds_do_not_scale_with_fixpoint_depth(depth):
     assert [m.continued_nodes for m in recomputed] == [0] * 4
     n = [depth + k + 1 for k in range(1, 5)]  # edges after each warm round
     assert [m.columnar_probes for m in warm] == [
-        parent // 2 + 3 + edges * (edges - 1) // 2 + edges
+        parent // 2 + 1 + 2 + 1 + edges
         for parent, edges in zip(PARENT_PROBES[depth], n)
     ]
     assert [m.continued_nodes for m in warm] == [1] * 4

@@ -1,16 +1,19 @@
-"""A served insert round maintains: the fixpoint node continues.
+"""A served round maintains a fixpoint: the node continues or retracts.
 
 A ``("fix", si)`` unit whose inputs only grew since the committed round
 continues the committed fixpoint: the evaluator's one semi-naive loop,
 ``evaluate_stratum``, seeded with the inputs' Δ⁺, a head that gains
-rows on a clone of its committed mirror; every other case — a
-retraction, a change under negation or an aggregate, no committed
-value to start from, a degraded round — runs the loop unseeded and
-recomputes the SCC from its entry relations. These tests pin that a
-continued value is the recomputed one, which rounds continue and which
-do not, that the committed values a round continues from are never
-written to, and that the loop itself, seeded or not, writes no relation
-handed to it.
+rows on a clone of its committed mirror. One whose inputs lost rows
+retracts: the removal pass takes out of a clone the rows left with no
+derivation from lower-stamped rows, and the loop continues from those
+of them that still have one. A change under negation or an aggregate,
+no committed value to start from, a degraded round, or a removal pass
+the guard stops runs the loop unseeded and recomputes the SCC from its
+entry relations. These tests pin that a continued or retracted value
+is the recomputed one and keeps the stamp invariant, which rounds
+continue, retract or recompute, that the committed values and stamps a
+round starts from are never written to, and that the loop itself,
+seeded or not, writes no relation handed to it.
 """
 
 from __future__ import annotations
@@ -21,12 +24,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalog import Database, Delta, parse_program, seminaive_evaluate
+from repro.datalog import (
+    Database,
+    Delta,
+    parse_program,
+    seminaive_evaluate,
+    units,
+)
 from repro.datalog.columnar import InternPool
+from repro.datalog.database import Relation
+from repro.datalog.unify import eval_rule
 from repro.datalog.depgraph import DependencyGraph
 from repro.datalog.seminaive import evaluate_stratum
 from repro.datalog.plancache import CompiledProgramCache
-from repro.datalog.units import ProgramSkeleton
+from repro.datalog.units import FixpointValue, ProgramSkeleton
 from repro.runtime import (
     ChaosError,
     ChaosInjector,
@@ -94,6 +105,81 @@ def _as_miss(program, edb_old, delta) -> dict[str, set]:
             assert values.notes[unit.node]["mode"] == "recompute"
             out.update({p: set(r) for p, r in values[unit.node].items()})
     return out
+
+
+def _fix_notes(svc) -> list:
+    """A list that, after each served round, holds the notes the
+    round's fixpoint units left (white box: wraps the cache's plan)."""
+    cache, out, wrapped = svc.plan_cache, [], set()
+    real_plan = cache.plan
+
+    def plan(cu):
+        bound = real_plan(cu)  # the one bound plan, restamped
+        for unit in bound.units:
+            if unit.kind != "fix" or id(unit) in wrapped:
+                continue
+            wrapped.add(id(unit))
+            honest = unit.run
+
+            def run(values, _honest=honest, _node=unit.node):
+                got = _honest(values)
+                out.append(values.notes[_node])
+                return got
+
+            unit.run = run
+        out.clear()
+        return bound
+
+    cache.plan = plan
+    return out
+
+
+def assert_stamps_hold(svc, program) -> None:
+    """Every committed fixpoint value keeps the stamp invariant: its
+    stamps cover exactly its rows, a row at stamp 0 is an entry fact,
+    and a row at stamp s > 0 has a derivation — by the row evaluator —
+    from the round's inputs and the SCC's rows of lower stamps."""
+    cache = svc.plan_cache
+    pool = cache.pool
+    values = _committed(svc)
+    keys = cache._plan.compiled.structure.node_keys
+    db = svc.materialization()
+    edb = svc.database()
+    for node in _fix_nodes(svc):
+        value = values[node]
+        assert isinstance(value, FixpointValue) and value.stamps is not None
+        rules = program.strata[keys[node][1]]
+        facts: dict[int, dict[str, set]] = {}
+        for p, rel in value.items():
+            stamps = value.stamps[p]
+            assert set(stamps) == rel.columnar(pool).rows, p
+            for row, s in stamps.items():
+                assert 0 <= s <= value.top
+                facts.setdefault(s, {}).setdefault(p, set()).add(
+                    pool.extern_row(row)
+                )
+        for p, rows in facts.get(0, {}).items():
+            entry = set(program.stated_facts.get(p, ()))
+            if p in edb.relations:
+                entry |= set(edb.relations[p])
+            assert rows <= entry, p
+        for s in sorted(facts):
+            if not s:
+                continue
+            below = Database(dict(db.relations))
+            for p in value:
+                below.relations[p] = Relation(p, value[p].arity)
+                for lower, got in facts.items():
+                    if lower < s:
+                        for fact in got.get(p, ()):
+                            below.relations[p].add(fact)
+            derived: dict[str, set] = {}
+            for _ri, rule in rules:
+                derived.setdefault(rule.head.predicate, set()).update(
+                    eval_rule(rule, below)
+                )
+            for p, rows in facts[s].items():
+                assert rows <= derived.get(p, set()), (p, s)
 
 
 def _check_insert_round(svc, program, delta):
@@ -189,6 +275,82 @@ def test_generated_mutual_recursion_continues_to_the_recomputed_value(
             assert_tasks_match_a_miss(svc, program, edb_old, delta)
 
 
+pair = st.tuples(st.integers(0, 5), st.integers(0, 5))
+#: per tick: the stream it comes from, and per EDB relation the facts it
+#: deletes (where present) and those it inserts
+change_ticks = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "replace", "mixed"]),
+        st.sets(pair, max_size=3),
+        st.sets(pair, max_size=3),
+        st.sets(pair, max_size=3),
+        st.sets(pair, max_size=3),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _change(edb: Database, kind: str, e_out, f_out, e_in, f_in) -> Delta:
+    """A delete tick deletes only, a replace tick deletes as many facts
+    of each relation as it inserts, a mixed one does both at will."""
+    delta = Delta()
+    for pred, out, into in (("e", e_out, e_in), ("f", f_out, f_in)):
+        present = sorted(set(out) & set(edb.relations[pred]))
+        if kind == "replace":
+            present = present[:len(into)]
+        for t in present:
+            delta.delete(pred, t)
+        if kind != "delete":
+            for t in sorted(into)[:len(present) if kind == "replace" else None]:
+                delta.insert(pred, t)
+    return delta
+
+
+@given(
+    recursive=st.sets(st.sampled_from(SCC_RECURSIVE), min_size=1),
+    above=st.sets(st.sampled_from(SCC_ABOVE), max_size=2),
+    e_facts=edges,
+    f_facts=edges,
+    ticks=change_ticks,
+)
+@settings(max_examples=100, deadline=None)
+def test_generated_mutual_recursion_retracts_to_the_recomputed_value(
+    recursive, above, e_facts, f_facts, ticks
+):
+    """Random programs with ``a`` and ``b`` in one SCC (linear, mutual,
+    nonlinear), strata above them, random EDBs and delete, replace and
+    mixed ticks, the guard off so every retraction retracts: each served
+    round's fixpoint values are what the round staged as a miss
+    recomputes, the materialization is row ``seminaive_evaluate``'s, and
+    the committed stamps keep their invariant."""
+    program = parse_program(
+        "\n".join(SCC_BASE + sorted(recursive) + sorted(above))
+    )
+    edb = Database()
+    for pred, facts in (("e", e_facts), ("f", f_facts)):
+        edb.relation(pred, 2)
+        for t in facts:
+            edb.add_fact(pred, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(units, "RETRACT_PROBE_CAP", float("inf"))
+        svc = _service(program, edb)
+        _serve(svc, Delta().insert("e", (6, 6)))
+        for tick in ticks:
+            edb_old = svc.database()
+            delta = _change(edb_old, *tick)
+            rep = _serve(svc, delta)
+            if rep.metrics.noop:
+                continue
+            assert rep.metrics.retracted_nodes <= len(_fix_nodes(svc))
+            _assert_from_scratch(svc, program)
+            want = _as_miss(program, edb_old, delta)
+            for node in _fix_nodes(svc):
+                for p, rel in _committed(svc)[node].items():
+                    assert set(rel) == want[p]
+            assert_stamps_hold(svc, program)
+
+
 # ----------------------------------------------------------------------
 # (b) the sign and the read decide, before any join runs
 # ----------------------------------------------------------------------
@@ -205,16 +367,156 @@ def _chain(n: int) -> Database:
     return edb
 
 
-def test_any_retraction_recomputes():
+@pytest.fixture
+def never_abandon(monkeypatch):
+    """No guard: every retraction that may retract does — the removal
+    pass is the subject, not whether it pays on a small EDB."""
+    monkeypatch.setattr(units, "RETRACT_PROBE_CAP", float("inf"))
+
+
+def test_a_retraction_retracts(never_abandon):
+    """A deleted edge takes out of the committed ``path`` only what lost
+    its support, and what still has a derivation comes back: the rows
+    the served round reports moved are the fixpoints' difference."""
     program = parse_program(TC)
-    svc = _service(program, _chain(6))
+    edb = _chain(6)
+    edb.add_fact("edge", (1, 3))
+    svc = _service(program, edb)
     _serve(svc, Delta().insert("edge", (6, 7)))
     assert _serve(svc, Delta().insert("edge", (7, 8))).metrics.continued_nodes == 1
-    mixed = Delta().insert("edge", (8, 9)).delete("edge", (0, 1))
-    assert _serve(svc, mixed).metrics.continued_nodes == 0
+    before = set(svc.materialization().relations["path"])
+    notes = _fix_notes(svc)
+    rep = _serve(svc, Delta().delete("edge", (2, 3)))
+    m = rep.metrics
+    assert (m.retracted_nodes, m.continued_nodes) == (1, 0)
+    (note,) = notes
+    assert note["mode"] == "retract" and note["abandoned"] is False
+    assert note["delta_rows"] == 1
+    after = set(svc.materialization().relations["path"])
+    # (1, 3) keeps every path through 3 from 0 and 1; only 2 loses them
+    assert before - after == {(2, y) for y in range(3, 9)}
+    assert note["removed_rows"] >= len(before - after)
+    assert note["removed_rows"] - note["rederived_rows"] == len(before - after)
+    assert rep.metrics.changed_facts == 1 + len(before - after)
     _assert_from_scratch(svc, program)
+    assert_stamps_hold(svc, program)
+    # a replace retracts as well
+    mixed = Delta().insert("edge", (8, 9)).delete("edge", (0, 1))
+    assert _serve(svc, mixed).metrics.retracted_nodes == 1
+    _assert_from_scratch(svc, program)
+    assert_stamps_hold(svc, program)
     assert _serve(svc, Delta().insert("edge", (0, 1))).metrics.continued_nodes == 1
     _assert_from_scratch(svc, program)
+    assert_stamps_hold(svc, program)
+    assert svc.metrics.registry.counter("retracted_nodes").value == 2
+
+
+def test_a_row_kept_on_an_inserted_edge_is_checked_again(never_abandon):
+    """``path(0, 4)`` loses its derivation through the deleted ``3 → 4``
+    (``path(0, 3)`` stays, through 5) and is kept on the inserted
+    ``2 → 4`` with ``path(0, 2)`` — which goes next, with ``0 → 1``.
+    What a removed row derives is read over the present inputs, the
+    inserted edge included, so ``path(0, 4)`` is checked again and goes
+    too; over the committed inputs nothing leaves 2 and it would stay."""
+    program = parse_program(TC)
+    edb = Database()
+    for t in [(0, 1), (1, 2), (0, 5), (5, 3), (3, 4)]:
+        edb.add_fact("edge", t)
+    svc = _service(program, edb)
+    _serve(svc, Delta().insert("edge", (7, 8)))
+    delta = (
+        Delta().delete("edge", (0, 1)).delete("edge", (3, 4))
+        .insert("edge", (2, 4))
+    )
+    assert _serve(svc, delta).metrics.retracted_nodes == 1
+    path = set(svc.materialization().relations["path"])
+    assert {(0, 5), (0, 3)} <= path and (0, 4) not in path
+    _assert_from_scratch(svc, program)
+    assert_stamps_hold(svc, program)
+
+
+def test_a_served_stream_retracts_under_the_guard():
+    """With the guard as shipped, ``tc``'s delete rounds retract: the
+    removal pass costs a fraction of a recompute's probes there."""
+    wl = live_workload("tc", seed=3)
+    svc = _service(wl.program, wl.edb)
+    retracted = 0
+    for i in range(12):
+        rep = _serve(svc, wl.random_batch(2, delete_frac=float(i % 2)))
+        retracted += rep.metrics.retracted_nodes
+    assert retracted > 0
+    _assert_from_scratch(svc, wl.program)
+    assert_stamps_hold(svc, wl.program)
+
+
+def test_a_retraction_under_an_unchanged_negation_retracts(never_abandon):
+    """The SCC reads ``blocked`` under negation: a retraction elsewhere
+    retracts (the negation probe reads the present ``blocked``), a grown
+    ``blocked`` still recomputes."""
+    program = parse_program(READ_SET_SHAPES["negation"])
+    svc = _service(program, read_set_edb())
+    _serve(svc, Delta().insert("e", (5, 6)))
+    gone = next(iter(sorted(svc.database().relations["e"])))
+    rep = _serve(svc, Delta().delete("e", gone))
+    assert rep.metrics.retracted_nodes == 1
+    _assert_from_scratch(svc, program)
+    assert_stamps_hold(svc, program)
+    rep = _serve(svc, Delta().insert("blocked", (2,)).delete("e", (5, 6)))
+    assert (rep.metrics.retracted_nodes, rep.metrics.continued_nodes) == (0, 0)
+    _assert_from_scratch(svc, program)
+
+
+def test_a_miss_and_a_degraded_round_recompute_a_retraction(never_abandon):
+    program = parse_program(TC)
+    svc = _service(program, _chain(6))
+    # the miss: nothing committed to retract from
+    rep = _serve(svc, Delta().delete("edge", (5, 6)))
+    assert (rep.metrics.retracted_nodes, rep.metrics.continued_nodes) == (0, 0)
+    assert _serve(svc, Delta().delete("edge", (4, 5))).metrics.retracted_nodes == 1
+    _poison(_committed(svc))
+    svc.health.plan_round = lambda: True
+    rep = _serve(svc, Delta().delete("edge", (0, 1)))  # strict: verified
+    assert rep.metrics.degraded and rep.metrics.retracted_nodes == 0
+    _assert_from_scratch(svc, program)
+    # what the degraded round committed is retracted from by the probe
+    svc.health.plan_round = lambda: False
+    assert _serve(svc, Delta().delete("edge", (2, 3))).metrics.retracted_nodes == 1
+    _assert_from_scratch(svc, program)
+    assert_stamps_hold(svc, program)
+
+
+def test_the_guard_recomputes_and_backs_off(monkeypatch):
+    """A removal pass that probes past the cap (here 0: every pass) is
+    abandoned — the node recomputes, ``abandoned`` in its note — and the
+    node then recomputes its next 2ᵏ retractions without trying, k
+    growing by one per abandoned pass up to the cap. What it serves is
+    what a recompute serves."""
+    monkeypatch.setattr(units, "RETRACT_PROBE_CAP", 0)
+    monkeypatch.setattr(units, "RETRACT_BACKOFF_MAX", 2)
+    wl = live_workload("tc", seed=3)
+    svc = _service(wl.program, wl.edb)
+    _serve(svc, wl.random_batch(2, delete_frac=0.0))
+    notes = _fix_notes(svc)
+    seen = []
+    for _ in range(14):
+        edb_old = svc.database()
+        delta = wl.random_batch(2, delete_frac=1.0)
+        rep = _serve(svc, delta)
+        if rep.metrics.noop:
+            continue
+        assert rep.metrics.retracted_nodes == 0
+        (note,) = notes
+        assert note["mode"] == "recompute"
+        seen.append(note.get("abandoned", False))
+        want = _as_miss(wl.program, edb_old, delta)
+        for node in _fix_nodes(svc):
+            for p, rel in _committed(svc)[node].items():
+                assert set(rel) == want[p]
+        _assert_from_scratch(svc, wl.program)
+    # tries after waiting 1, 2, 4, 4, … retractions
+    assert seen[:11] == [
+        True, False, True, False, False, True, *[False] * 4, True,
+    ]
 
 
 def test_a_grown_negated_read_recomputes():
@@ -230,7 +532,7 @@ def test_a_grown_negated_read_recomputes():
     _assert_from_scratch(svc, program)
     before = set(svc.materialization().relations["r"])
     rep = _serve(svc, Delta().insert("blocked", (2,)).insert("e", (6, 0)))
-    assert rep.metrics.continued_nodes == 0
+    assert (rep.metrics.continued_nodes, rep.metrics.retracted_nodes) == (0, 0)
     assert set(svc.materialization().relations["r"]) < before
     _assert_from_scratch(svc, program)
 
@@ -256,10 +558,10 @@ def test_a_grown_aggregated_read_recomputes():
     _serve(svc, Delta().insert("e", (0, 1)))
     assert _serve(svc, Delta().insert("e", (8, 5))).metrics.continued_nodes == 1
     assert (5,) in svc.materialization().relations["r"]
-    rep = _serve(svc, Delta().insert("big", (12,)))
-    assert rep.metrics.continued_nodes == 0
+    rep = _serve(svc, Delta().insert("big", (12,)).delete("e", (3, 9)))
+    assert (rep.metrics.continued_nodes, rep.metrics.retracted_nodes) == (0, 0)
     r = set(svc.materialization().relations["r"])
-    assert (3,) in r and (9,) in r and (2,) not in r and (7,) not in r
+    assert (3,) in r and (9,) not in r and (2,) not in r and (7,) not in r
     _assert_from_scratch(svc, program)
 
 
@@ -361,9 +663,20 @@ def test_a_warm_hit_hands_each_scc_head_its_committed_entry_relation(name):
 # ----------------------------------------------------------------------
 # (d) the committed values are never written to
 # ----------------------------------------------------------------------
+def _indexes(face) -> dict:
+    """Pattern → buckets of every index built on a relation face."""
+    if face is None:
+        return {}
+    return {
+        pattern: {key: frozenset(b) for key, b in index.items()}
+        for pattern, index in face._indexes.items()
+    }
+
+
 def _snapshot(values: list) -> list:
     """Identity and content of every relation the node values hold:
-    the objects, their mirrors' row sets and both faces' index patterns."""
+    the objects, their mirrors' row sets, both faces' indexes and, of a
+    fixpoint node's value, its stamps."""
     out = []
     for value in values:
         rels = (
@@ -375,12 +688,31 @@ def _snapshot(values: list) -> list:
             out.append((
                 id(value), id(rel), id(mirror),
                 None if mirror is None else frozenset(mirror.rows),
-                None if mirror is None else mirror.index_patterns(),
-                rel.index_patterns(),
+                _indexes(mirror), _indexes(rel),
+            ))
+        if isinstance(value, FixpointValue):
+            out.append((
+                id(value.stamps), value.top,
+                {p: (id(st), dict(st)) for p, st in (value.stamps or {}).items()},
             ))
         if isinstance(value, set):
             out.append((id(value), frozenset(value)))
     return out
+
+
+def _assert_untouched(values: list, before: list) -> None:
+    """``values`` hold what :func:`_snapshot` saw: no row, bucket or
+    stamp written. An index may have been built since — a lazy build is
+    the one thing the donor contract lets a reader add."""
+    now = _snapshot(values)
+    assert len(now) == len(before)
+    for got, was in zip(now, before):
+        if len(was) != 6:
+            assert got == was
+            continue
+        assert got[:4] == was[:4]
+        for built, had in zip(got[4:], was[4:]):
+            assert {p: built[p] for p in had} == had
 
 
 def _warm_pt(**kwargs):
@@ -408,11 +740,11 @@ def test_a_lying_continuation_rolls_back_to_untouched_committed_values():
     assert svc.plan_cache.stats()["rollbacks"] == 1
     # the failed round continued on clones: what it grew is gone with it
     assert _committed(svc) is values
-    assert _snapshot(values) == before
+    _assert_untouched(values, before)
     rep = svc.run_round()  # the retry, honest
     assert rep.materialization_ok and rep.metrics.continued_nodes == 1
     assert rep.metrics.changed_facts > 4  # pt grew: the clones were written
-    assert _snapshot(values) == before
+    _assert_untouched(values, before)
     # ... and commits what a service that never failed commits
     _serve(twin, delta)
     assert _committed(svc) == _committed(twin)
@@ -429,13 +761,78 @@ def test_an_injected_verify_fault_rolls_back_to_untouched_committed_values():
     with pytest.raises(ChaosError) as ei:
         svc.run_round()  # the units ran — and continued — before verify
     assert ei.value.delta_requeued
-    assert _committed(svc) is values and _snapshot(values) == before
+    assert _committed(svc) is values
+    _assert_untouched(values, before)
     svc.chaos = None
     rep = svc.run_round()
     assert rep.materialization_ok and rep.metrics.continued_nodes == 1
     assert rep.metrics.changed_facts > 4
-    assert _snapshot(values) == before
+    _assert_untouched(values, before)
     _assert_from_scratch(svc, wl.program)
+
+
+def _warm_tc():
+    """``tc`` on a graph with two ways into most nodes, after a miss and a
+    round that retracted, and a delete that makes it retract again."""
+    program = parse_program(TC)
+    edb = _chain(8)
+    for i in range(0, 7, 2):
+        edb.add_fact("edge", (i, i + 2))
+    svc = _service(program, edb)
+    _serve(svc, Delta().insert("edge", (8, 9)))
+    assert _serve(
+        svc, Delta().delete("edge", (7, 8))
+    ).metrics.retracted_nodes == 1
+    return program, svc, Delta().delete("edge", (2, 4)).delete("edge", (1, 2))
+
+
+def test_a_lying_retraction_rolls_back_to_untouched_committed_values(
+    never_abandon,
+):
+    program, svc, delta = _warm_tc()
+    _program, twin, _delta = _warm_tc()
+    values = _committed(svc)
+    before = _snapshot(values)
+    liar = _install_liar(svc, "fix")
+    svc.submit(delta)
+    with pytest.raises(MaterializationDivergenceError) as ei:
+        svc.run_round()
+    assert liar["lied"] and ei.value.delta_requeued
+    assert svc.plan_cache.stats()["rollbacks"] == 1
+    # the failed round removed rows from clones and stamped copies
+    assert _committed(svc) is values
+    _assert_untouched(values, before)
+    rep = svc.run_round()  # the retry, honest
+    assert rep.materialization_ok and rep.metrics.retracted_nodes == 1
+    assert rep.metrics.changed_facts > 2  # path lost rows: clones written
+    _assert_untouched(values, before)
+    # ... and commits what a service that never failed commits
+    _serve(twin, delta)
+    assert _committed(svc) == _committed(twin)
+    (fix,) = _fix_nodes(svc)
+    assert _committed(svc)[fix].stamps == _committed(twin)[fix].stamps
+    assert svc.materialization().as_dict() == twin.materialization().as_dict()
+    _assert_from_scratch(svc, program)
+    assert_stamps_hold(svc, program)
+
+
+def test_an_injected_verify_fault_rolls_back_a_retraction(never_abandon):
+    program, svc, delta = _warm_tc()
+    values = _committed(svc)
+    before = _snapshot(values)
+    svc.chaos = ChaosInjector(ChaosPlan(verify_fail_prob=1.0))
+    svc.submit(delta)
+    with pytest.raises(ChaosError) as ei:
+        svc.run_round()  # the units ran — and retracted — before verify
+    assert ei.value.delta_requeued
+    assert _committed(svc) is values
+    _assert_untouched(values, before)
+    svc.chaos = None
+    rep = svc.run_round()
+    assert rep.materialization_ok and rep.metrics.retracted_nodes == 1
+    _assert_untouched(values, before)
+    _assert_from_scratch(svc, program)
+    assert_stamps_hold(svc, program)
 
 
 MUTUAL = """
@@ -472,7 +869,7 @@ def test_a_head_that_gains_nothing_is_the_committed_relation():
     assert (5, 6) in _committed(svc)[fix]["b"] and (5, 6) not in now["b"]
     assert _committed(svc)[fix]["a"] is now["a"]
     _assert_from_scratch(svc, program)
-    assert _snapshot(first) == before
+    _assert_untouched(first, before)
 
 
 TWO_SCCS = TC + """

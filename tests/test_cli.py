@@ -305,14 +305,13 @@ def test_serve_refuses_a_round_no_worker_can_run():
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["-P", "0"], "processors must be positive, got 0"),
         (["--deadline", "0"], "deadline must be positive, got 0.0"),
     ],
 )
 def test_simulate_refuses_limits_no_run_can_honour(flags, message):
-    """One line and exit 1, before the run: ``-P 0`` used to print a
-    traceback, ``--deadline 0`` to run and then report the deadline
-    exceeded."""
+    """One line and exit 1, before the run: ``--deadline 0`` used to run
+    and then report the deadline exceeded. (``-P 0`` is argparse's to
+    refuse, as for ``compare``: see the test below.)"""
     with pytest.raises(SystemExit, match=rf"^simulate: {message}$"):
         main(["simulate", "--trace", "5", "--scale", "0.2", *flags])
 
@@ -364,12 +363,16 @@ def test_serving_refuses_counts_out_of_range(cmd, flags, message, capsys):
         (["compare", "--trace", "5", "--scale", "0.2", "-P", "0"],
          "repro compare: error: argument -P/--processors: must be >= 1, "
          "got 0"),
+        (["simulate", "--trace", "5", "--scale", "0.2", "-P", "0"],
+         "repro simulate: error: argument -P/--processors: must be >= 1, "
+         "got 0"),
     ],
 )
 def test_trace_commands_refuse_arguments_out_of_range(argv, message, capsys):
     """argparse's one line and exit 2: an unknown trace index used to
     print a ``KeyError`` traceback, a scale outside (0, 1] and
-    ``compare -P 0`` a ``ValueError`` one, each exiting 1."""
+    ``compare -P 0`` a ``ValueError`` one, each exiting 1; ``simulate
+    -P 0`` printed its own one line and exited 1."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
