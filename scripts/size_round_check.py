@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Size the strict round check's bookkeeping: what does `verify` spend
-besides the from-scratch evaluation?
+"""Size the strict round check: its bookkeeping and its from-scratch
+evaluation.
 
 Serves each shipped program as ``repro serve`` does (hybrid scheduler,
 ``verify=True, strict=True``) and prints, per program and seed, p50s
@@ -15,21 +15,29 @@ over ``--rounds`` warm rounds that recorded a schedule:
   checker, with the propagation cached as in the service;
 * ``cold_us`` — the three run once, in the service's order, right after
   the round: what the round pays with its caches full of the round;
+* ``eval_us`` — the from-scratch evaluation the round is checked
+  against: the service's own ``plan_cache.evaluate(cu)`` on the round's
+  staged ``cu``;
 * ``verify_ms`` / ``round_ms`` — ``RoundMetrics.verify_s`` and
-  ``latency_s`` of the same rounds.
+  ``latency_s`` of the same rounds;
 
-``record_us``, ``prop_us`` and ``check_us`` are each the fastest of
-five back-to-back calls after that (the code's own cost, stable from
-run to run); ``cold_us`` swings with whatever else the box runs. All of
-them run on the outcome the service itself recorded, captured by
-wrapping the ``record_round`` the service calls.
+and once per program and seed, after the rounds, ``fixed_us``: the same
+``plan_cache.evaluate`` over an EDB of the same schema with no facts —
+the program over its stated facts only, the check's fixed cost.
+
+``record_us``, ``prop_us``, ``check_us``, ``eval_us`` and ``fixed_us``
+are each the fastest of five back-to-back calls after that (the code's
+own cost, stable from run to run); ``cold_us`` swings with whatever else
+the box runs. All of them run on what the service itself recorded and
+evaluated, captured by wrapping the ``record_round`` the service calls
+and its plan cache's ``evaluate``.
 
 With ``--against DIR`` each tree runs in its own interpreter: ``--reps``
 times this checkout's ``src/`` and ``DIR/src`` serve every program and
 seed back to back, alternating which goes first, and the table gives
 per program and seed the median over the reps of ``verify_ms``,
-``round_ms`` and ``check_us`` of both trees and their ratio
-(this ÷ against).
+``round_ms``, ``check_us``, ``eval_us`` and ``fixed_us`` of both trees
+and their ratio (this ÷ against).
 
 It uses nothing that is not public API, so the same file runs on the
 parent commit and on a change: the tables in CHANGES.md / DESIGN.md
@@ -56,8 +64,8 @@ PROGRAMS = ("tc", "sg", "flat", "retail", "analytics", "pt")
 WARMUP = 20
 REPEAT = 5
 #: per program and seed, in print order
-COLUMNS = ("record_us", "prop_us", "check_us", "cold_us", "verify_ms",
-           "round_ms")
+COLUMNS = ("record_us", "prop_us", "check_us", "cold_us", "eval_us",
+           "verify_ms", "round_ms")
 
 
 def fastest(call) -> float:
@@ -70,7 +78,11 @@ def fastest(call) -> float:
 
 
 def size(program: str, seed: int, args, captured: list) -> dict:
-    """One program and seed: the p50s of the kept rounds."""
+    """One program and seed: the p50s of the kept rounds, and the
+    check's fixed cost."""
+    from dataclasses import replace
+
+    from repro.datalog import Database
     from repro.runtime import (
         UpdateStreamService,
         live_workload,
@@ -89,18 +101,27 @@ def size(program: str, seed: int, args, captured: list) -> dict:
         verify=True,
         strict=True,
     )
+    evaluate = svc.plan_cache.evaluate
+    checked: list = []
+
+    def capturing(cu):
+        checked.append(cu)
+        return evaluate(cu)
+
+    svc.plan_cache.evaluate = capturing
     rows = []
     stream = make_stream(wl, args.stream, rounds=WARMUP + args.rounds)
     for i, batches in enumerate(stream):
         for delta in batches:
             svc.submit(delta)
-        del captured[:]
+        del captured[:], checked[:]
         report = svc.run_round()
         if not report.materialization_ok:
             raise SystemExit(f"{program} seed {seed}: round {i} diverged")
-        if i < WARMUP or not captured:
+        if i < WARMUP or not captured or not checked:
             continue
         outcome, trace = captured[-1]
+        cu = checked[-1]
         t0 = perf_counter()
         artifacts = record_round(outcome, trace)
         artifacts.trace.propagation
@@ -116,16 +137,26 @@ def size(program: str, seed: int, args, captured: list) -> dict:
             )) * 1e6,
             fastest(artifacts.check) * 1e6,
             cold * 1e6,
+            fastest(lambda: evaluate(cu)) * 1e6,
             m.verify_s * 1e3,
             m.latency_s * 1e3,
         ))
     # no round kept: every column nan
     columns = zip(*rows) if rows else [[float("nan")]] * len(COLUMNS)
+    fixed = float("nan")
+    if rows:
+        empty = Database()
+        for pred, rel in svc.database().relations.items():
+            empty.relation(pred, rel.arity)
+        bare = replace(cu, edb_new=empty)
+        evaluate(bare)  # plans for the empty relations' seeds
+        fixed = fastest(lambda: evaluate(bare)) * 1e6
     return {
         "program": wl.name,
         "seed": seed,
         "rounds": len(rows),
         **{col: median(c) for col, c in zip(COLUMNS, columns)},
+        "fixed_us": fixed,
     }
 
 
@@ -171,7 +202,7 @@ def against(args) -> int:
         "rep(s) of each tree of the per-round p50; against / this / "
         "this ÷ against"
     )
-    cols = ("verify_ms", "round_ms", "check_us")
+    cols = ("verify_ms", "round_ms", "check_us", "eval_us", "fixed_us")
     print("| program | seed | " + " | ".join(cols) + " |")
     print("|---" * (2 + len(cols)) + "|")
     for i, row in enumerate(runs["this"][0]):
@@ -202,12 +233,14 @@ def main() -> int:
           f"{WARMUP}, verify=True strict=True, p50 per round")
     print(f"{'program':20} {'seed':>5} {'rounds':>6} {'record_us':>9}"
           f" {'prop_us':>8} {'check_us':>9} {'cold_us':>8}"
+          f" {'eval_us':>8} {'fixed_us':>8}"
           f" {'verify_ms':>10} {'round_ms':>9}")
     for row in size_all(args):
         print(
             f"{row['program']:20} {row['seed']:5d} {row['rounds']:6d}"
             f" {row['record_us']:9.1f} {row['prop_us']:8.1f}"
             f" {row['check_us']:9.1f} {row['cold_us']:8.1f}"
+            f" {row['eval_us']:8.1f} {row['fixed_us']:8.1f}"
             f" {row['verify_ms']:10.3f} {row['round_ms']:9.3f}",
             flush=True,
         )

@@ -725,6 +725,27 @@ def full_seed(rule: Rule, relations) -> int | None:
     return seed
 
 
+def _one_relation_group(rule: Rule) -> dict[str, int] | None:
+    """Variable → position in the body's one atom, when ``rule``'s
+    groups are its relation's index buckets: the body is one positive
+    atom of distinct variables, and every head term — plain or
+    aggregated — is one of them. A bucket's rows are then exactly its
+    group's bindings, one per row."""
+    atom = rule.body[0].atom if len(rule.body) == 1 else None
+    if atom is None or rule.body[0].negated:
+        return None
+    at: dict[str, int] = {}
+    for pos, t in enumerate(atom.terms):
+        if not isinstance(t, Variable) or t.name in at:
+            return None
+        at[t.name] = pos
+    for t in rule.head.terms:
+        v = t.var if isinstance(t, Aggregate) else t
+        if not isinstance(v, Variable) or v.name not in at:
+            return None
+    return at
+
+
 def _compile_rule(
     rule: Rule,
     order: tuple[int, ...] | None,
@@ -761,6 +782,13 @@ def _compile_rule(
     heads and whole bodies only; neither other mode's source depends on
     it.
 
+    A plain aggregate whose full plan reads one relation
+    (:func:`_one_relation_group`) folds its groups straight from that
+    relation's index on the group columns (the whole row set when there
+    are none): per bucket, ``len`` for ``count``, one ``sum`` / ``min``
+    / ``max`` over the aggregated column's values — a C call per group
+    instead of a Python step per binding.
+
     The source is made of invented names, integer positions, operator
     tokens of the closed tables and ``repr`` of predicate names; program
     constants live in the kernel's globals (``K0``, ``K1``, …) and are
@@ -781,7 +809,14 @@ def _compile_rule(
         raise ValueError(
             "a head-bound plan is a whole-body plan of a plain head"
         )
-    env: dict[str, object] = {"mirror": _mirror, "defaultdict": defaultdict}
+    by = None
+    if not counted and delta_at is None and rule.head.has_aggregate():
+        by = _one_relation_group(rule)
+        if by is not None:
+            seq = ()  # the fold below reads the atom
+    env: dict[str, object] = {
+        "mirror": _mirror, "defaultdict": defaultdict, "itemgetter": itemgetter,
+    }
     var: dict[str, str] = {}  # Datalog variable → local holding its id
     lazy: list[str] = []  # locals that are None until first needed
     counters: list[str] = []
@@ -927,7 +962,6 @@ def _compile_rule(
             # fully bound: membership probe, no index (as Relation.match)
             found = ".rows"
             if stamp:
-                w.emit(f"{row} = {_tuple(key)}")
                 probe = (
                     f"if {row} not in {scan} or {stamp}[{row}] >= bound: "
                     f"{w.skip}"
@@ -966,18 +1000,59 @@ def _compile_rule(
             w.emit(*repeats)
             var.update(new)
         else:
+            if stamp:  # after the key's constants are interned above
+                w.emit(f"{row} = {_tuple(key)}")
             w.emit(probe)
         flush()
 
     flush()
     head = rule.head.terms
     fold: list[str] = []
+    prelude: list[str] = []
     if pending:
         env["UNRESOLVED"] = f"unresolved filters {pending!r}"
         w.emit("raise RuntimeError(UNRESOLVED)")
     elif support:
         # a binding reached the head: the candidate holds
         w.found()
+    elif by is not None:
+        # GROUP BY over one relation: a bucket of its index on the group
+        # columns (ascending positions, one on the bare id) is a group
+        atom = body[0].atom
+        reads.add(atom.predicate)
+        lazy.append("S0")
+        counters.append("n0")
+        agg = next(t for t in head if isinstance(t, Aggregate))
+        group = sorted({by[t.name] for t in head if isinstance(t, Variable)})
+        if agg.op == "count":
+            folded = "len(rows)"
+        else:
+            prelude = [
+                "    value_of = values.__getitem__",
+                f"    column = itemgetter({by[agg.var.name]})",
+            ]
+            folded = (
+                f"{_op(agg.op, ('sum', 'min', 'max'))}"
+                "(map(value_of, map(column, rows)))"
+            )
+        row = _tuple([
+            f"intern({folded})" if isinstance(t, Aggregate)
+            else f"v{by[t.name]}"
+            for t in head
+        ])
+        w.emit(
+            f"S0 = mirror(relations.get({atom.predicate!r}), pool)",
+            f"if S0 is None: {w.dead}",
+            "n0 += 1",
+        )
+        if group:
+            w.emit(
+                f"for {_key([f'v{i}' for i in group])}, rows in "
+                f"S0.index({tuple(group)!r}).items():",
+                f"    add({row})",
+            )
+        else:  # one group: every row
+            w.emit("rows = S0.rows", f"add({row})")
     else:
         interned = []
         plain = [
@@ -1029,7 +1104,7 @@ def _compile_rule(
         ),
         *(
             ["    value_of = values.__getitem__",
-             "    groups = defaultdict(list)"] if fold else []
+             "    groups = defaultdict(list)"] if fold else prelude
         ),
         *(f"    {t} = stamps[{p!r}]" for p, t in stamp_of.items()),
         *([f"    {' = '.join(lazy)} = None"] if lazy else []),

@@ -176,6 +176,10 @@ class CompiledProgramCache:
         self._prev: _Side | None = None
         self._staged: _Side | None = None
         self._staged_cu: CompiledUpdate | None = None
+        #: what the check keeps of the program from round to round:
+        #: its strata's compiled plans and instance tables
+        #: (``seminaive_evaluate(plans=…)``), dropped with the program
+        self._check: dict[int, dict] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -203,6 +207,7 @@ class CompiledProgramCache:
             self._invalidate()
             self._program = program
             self._schema = None
+            self._check = {}
         schema = _edb_schema(edb_old)
         if self._schema is not None and schema != self._schema:
             self._invalidate()
@@ -301,7 +306,11 @@ class CompiledProgramCache:
         :func:`~repro.datalog.seminaive.seminaive_evaluate`. It shares
         with the round only what no evaluation writes — the EDB's
         relation objects (so their indexes are probed, not rebuilt) and
-        the intern pool.
+        the intern pool. From round to round it keeps only what depends
+        on the rules alone: each stratum's compiled plans and instance
+        table, prepared by the program's first check and dropped when
+        the program changes — no node value, Z-set or relation a round
+        writes, and nothing keyed by EDB content.
         """
         return seminaive_evaluate(
             cu.program,
@@ -312,6 +321,8 @@ class CompiledProgramCache:
                 if not _writes(cu.program, p)
             },
             pool=self.pool,
+            # a round staged by this cache is of its program
+            plans=self._check if cu.program is self._program else None,
         )[0]
 
     def commit(

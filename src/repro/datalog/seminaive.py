@@ -33,7 +33,6 @@ from .ast import Program, Rule
 from .columnar import (
     ColumnarRelation,
     InternPool,
-    RulePlan,
     body_order,
     compile_rule_plan,
     full_seed,
@@ -111,13 +110,35 @@ def naive_evaluate(
     return db
 
 
+def _instances(
+    rules: Sequence[tuple[int, Rule]],
+) -> dict[str | None, list[tuple[int, Rule, int | None, int | None]]]:
+    """The rule instances an iteration of ``rules``' loop runs:
+    iteration 0 every rule in full (key ``None``), a later one per
+    predicate in its Δ each positive body occurrence of it, restricted
+    to the Δ — over a head in the rule's order (seed ``None``), over an
+    input seeded at its Δ."""
+    heads = {rule.head.predicate for _ri, rule in rules}
+    instances: dict[
+        str | None, list[tuple[int, Rule, int | None, int | None]]
+    ] = {None: [(ri, rule, None, None) for ri, rule in rules]}
+    for ri, rule in rules:
+        for pos, lit in enumerate(rule.body):
+            if lit.atom is not None and not lit.negated:
+                q = lit.atom.predicate
+                instances.setdefault(q, []).append(
+                    (ri, rule, pos, None if q in heads else pos)
+                )
+    return instances
+
+
 def evaluate_stratum(
     rules: Sequence[tuple[int, Rule]],
     db: Database,
     pool: InternPool | None = None,
     max_iterations: int | None = None,
     delta: dict[str, set] | None = None,
-    plans: dict[tuple[int, int | None, int | None], RulePlan] | None = None,
+    plans: dict | None = None,
     waves: bool = False,
 ) -> dict[str, list[set]]:
     """Run one stratum's semi-naive loop to fixpoint over ``db``.
@@ -160,33 +181,26 @@ def evaluate_stratum(
     through the per-tuple evaluator; with one it stays in id space —
     ``produced - known`` is one set difference, Δ is the fresh rows as
     they are, each rule plan is compiled on first use into ``plans``
-    (``(rule index, Δ-position, seed)`` → plan, a dict a caller may
-    keep) — and a head that gained rows is published as a
+    — and a head that gained rows is published as a
     :class:`Relation` adopting the mirror it grew
     (:meth:`Relation.adopt`), externed by its first reader. The one
     semi-naive loop: :func:`seminaive_evaluate` runs each stratum
     through it, a fixpoint node of the static DAG
     (:mod:`repro.datalog.units`) its SCC.
+
+    ``plans`` is what the loop keeps of ``rules`` from one run to the
+    next, a dict a caller may keep for them: ``(rule index, Δ-position,
+    seed)`` → compiled plan, and under ``None`` the instance table — so
+    a run with a kept dict compiles and orders nothing it ran before.
     """
     plans = {} if plans is None else plans
     heads = {
         rule.head.predicate: db.relation(rule.head.predicate, rule.head.arity)
         for _ri, rule in rules
     }
-    # the rule instances an iteration runs: iteration 0 every rule in
-    # full (key None), a later one per predicate in its Δ each positive
-    # body occurrence of it, restricted to the Δ — over a head in the
-    # rule's order (seed None), over an input seeded at its Δ
-    instances: dict[
-        str | None, list[tuple[int, Rule, int | None, int | None]]
-    ] = {None: [(ri, rule, None, None) for ri, rule in rules]}
-    for ri, rule in rules:
-        for pos, lit in enumerate(rule.body):
-            if lit.atom is not None and not lit.negated:
-                q = lit.atom.predicate
-                instances.setdefault(q, []).append(
-                    (ri, rule, pos, None if q in heads else pos)
-                )
+    instances = plans.get(None)
+    if instances is None:
+        instances = plans[None] = _instances(rules)
 
     if pool is None:
         grown: dict = dict(heads)
@@ -280,6 +294,7 @@ def seminaive_evaluate(
     max_iterations: int | None = None,
     shared_relations: dict[str, Relation] | None = None,
     pool: InternPool | None = None,
+    plans: dict[int, dict] | None = None,
 ) -> tuple[Database, EvaluationTrace]:
     """Stratified semi-naive fixpoint.
 
@@ -312,6 +327,16 @@ def seminaive_evaluate(
     ``None`` keeps the per-tuple row evaluator: the independent oracle
     the differential suites and ``benchmarks/e2e`` compare against.
 
+    ``plans`` is a dict a caller keeps for ``program`` — and for no
+    other: its keys are stratum and rule indexes — of what each
+    stratum's loop keeps from run to run (stratum index → the
+    :func:`evaluate_stratum` ``plans`` of its rules), so an evaluation
+    of the program after the first compiles and orders nothing; only
+    :func:`~repro.datalog.columnar.full_seed` still picks each full
+    plan's seed from the relations' sizes. The plan cache keeps one for
+    the check (:meth:`~repro.datalog.plancache.CompiledProgramCache
+    .evaluate`). A stratum without rules is skipped.
+
     The arities, stated facts and strata are the program's own, the
     objects the served path reads too: the oracle shares the
     stratification's one result, as it always shared its code; what it
@@ -330,6 +355,10 @@ def seminaive_evaluate(
     })
     db.relations.update(shared)
     _seed(program, db)
-    for rules in program.strata:
-        evaluate_stratum(rules, db, pool, max_iterations)
+    for si, rules in enumerate(program.strata):
+        if rules:
+            evaluate_stratum(
+                rules, db, pool, max_iterations,
+                plans=None if plans is None else plans.setdefault(si, {}),
+            )
     return db, EvaluationTrace(list(map(list, program.depgraph.stratify())))

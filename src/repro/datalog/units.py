@@ -395,8 +395,9 @@ class _Fix:
             for q in sorted({q for q, _under in atoms} - set(self.scc))
         )
         #: (rule index, Δ-position, seed) → compiled plan, from its first
-        #: use on, for every round — the loop's and the removal pass's
-        self.plans: dict[tuple[int, int | None, int | None], RulePlan] = {}
+        #: use on, for every round — the loop's and the removal pass's —
+        #: and the loop's instance table (``evaluate_stratum``)
+        self.plans: dict = {}
         #: predicate → ``(rule index, rule, position)`` of each positive
         #: body occurrence of it
         self.occurrences: dict[str, list[tuple[int, Rule, int]]] = {}
@@ -614,13 +615,15 @@ class _Fix:
 
     def _held(
         self, p: str, relations: dict, heads: dict, stamps: dict,
-        pool: InternPool,
+        pool: InternPool, stop: float,
     ) -> set:
         """The candidate rows of ``p`` (row → stamp bound) one of its
-        rules derives over ``relations`` within the bound."""
+        rules derives over ``relations`` within the bound — a part of
+        them once ``pool.probes`` has reached ``stop``: no further
+        kernel runs."""
         held: set = set()
         for plan in self._support(p):
-            if not heads:
+            if not heads or pool.probes >= stop:
                 break
             got = plan.kernel(relations, heads, pool, stamps)
             if got:
@@ -629,15 +632,19 @@ class _Fix:
         return held
 
     def _derived(
-        self, q: str, rows: set, relations: dict, pool: InternPool
+        self, q: str, rows: set, relations: dict, pool: InternPool,
+        stop: float,
     ) -> dict[str, set]:
         """Head predicate → the rows the rules derive with one
         occurrence of ``q`` restricted to ``rows`` and every other
-        reading ``relations``."""
+        reading ``relations`` — a part of them once ``pool.probes`` has
+        reached ``stop``: no further kernel runs."""
         delta = {q: ColumnarRelation(q, len(next(iter(rows))), pool)}
         delta[q].rows = rows
         out: dict[str, set] = {}
         for ri, rule, pos in self.occurrences.get(q, ()):
+            if pool.probes >= stop:
+                break
             plan = self._delta_plan(ri, rule, pos)
             got = plan.kernel(relations, delta, pool)
             if got:
@@ -654,7 +661,7 @@ class _Fix:
         pool: InternPool,
     ) -> "_Retraction | None":
         """The removal pass, or ``None`` once it has made ``limit``
-        probes.
+        probes: it stops at the first kernel run that reaches them.
 
         Candidates are the heads the rules derive over each removed
         input row, the other occurrences reading the committed state. A
@@ -669,7 +676,7 @@ class _Fix:
         alive row has a derivation from alive rows of lower stamps — the
         one state that says so, by induction on the stamps (DESIGN
         §18)."""
-        start = pool.probes
+        stop = pool.probes + limit
         stamps = committed.stamps
         # the inputs, read through views: an index the pass builds on a
         # committed one is dropped (an input the round did not touch is
@@ -702,14 +709,20 @@ class _Fix:
                         heads[row] = s
 
         for q, rows in minus.items():
-            enqueue(self._derived(q, rows, old, pool), 0)
-        while pending and pool.probes - start < limit:
+            derived = self._derived(q, rows, old, pool, stop)
+            if pool.probes >= stop:
+                return None
+            enqueue(derived, 0)
+        while pending:
             batch, pending = pending, {}
             gone_now: dict[str, set] = {}
             for p, heads in batch.items():
                 if not heads:
                     continue
-                gone = heads.keys() - self._held(p, now, heads, stamps, pool)
+                held = self._held(p, now, heads, stamps, pool, stop)
+                if pool.probes >= stop:
+                    return None
+                gone = heads.keys() - held
                 if not gone:
                     continue
                 if p not in cut.heads:
@@ -720,21 +733,18 @@ class _Fix:
                 cut.removed[p] |= gone
                 gone_now[p] = gone
             for p, gone in gone_now.items():
-                st = stamps[p]
-                enqueue(
-                    self._derived(p, gone, present, pool),
-                    min(map(st.__getitem__, gone)),
-                )
-        if pending or pool.probes - start >= limit:
-            return None
+                derived = self._derived(p, gone, present, pool, stop)
+                if pool.probes >= stop:
+                    return None
+                enqueue(derived, min(map(stamps[p].__getitem__, gone)))
         for p, rows in cut.removed.items():
             got = self._held(
-                p, now, dict.fromkeys(rows, _UNBOUNDED), stamps, pool
+                p, now, dict.fromkeys(rows, _UNBOUNDED), stamps, pool, stop
             )
+            if pool.probes >= stop:
+                return None
             if got:
                 cut.seed[p] = got
-        if pool.probes - start >= limit:
-            return None
         # back in only once every head's seed is found: a seed row is
         # derived from alive rows, so its stamp, top + 1, holds
         for p, rows in cut.seed.items():

@@ -392,7 +392,8 @@ def test_a_hint_still_orders_the_full_plan(monkeypatch):
         program.strata[-1], _cross_edb(), InternPool(), plans=plans
     )
     assert compiled == [(hint, None)]
-    assert list(plans) == [(0, None, hint[0])]
+    # the kept dict: the one plan, and the loop's instance table
+    assert list(plans) == [None, (0, None, hint[0])]
 
 
 def test_a_body_with_zero_or_one_positive_atom_still_plans():

@@ -22,6 +22,7 @@ import threading
 import traceback
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -461,10 +462,20 @@ def test_counted_multiplicities_are_the_bindings_join_body_enumerates(
 
 def held_below(rule: Rule, db: Database, heads: dict, stamps: dict) -> set:
     """The candidate head facts (fact → bound) ``join_body`` derives
-    with ``e`` read only at rows stamped below the candidate's bound."""
+    with ``e`` read only at rows stamped below the candidate's bound —
+    at its positive occurrences: a negation of ``e`` reads all of it, as
+    the kernel's probe of the mirror does (stratification keeps an
+    SCC's own predicates out of its negations, so a retraction never
+    asks for a bound there)."""
+    rule = replace(rule, body=tuple(
+        replace(lit, atom=replace(lit.atom, predicate="e_all"))
+        if lit.negated and lit.atom.predicate == "e" else lit
+        for lit in rule.body
+    ))
     out = set()
     for bound in set(heads.values()):
         below = Database(dict(db.relations))
+        below.relations["e_all"] = db.relations["e"]
         below.relations["e"] = db.relations["e"].wrap(
             {t for t in db.relations["e"] if stamps[t] < bound}
         )
@@ -517,6 +528,23 @@ def test_a_head_bound_plan_finds_a_derivation_below_each_bound(
     assert set(pool.extern_rows(got)) == held_below(rule, db, heads, stamps)
 
 
+def test_a_head_bound_probe_of_constants_holds_for_the_first_candidate():
+    """A stamped occurrence the head leaves fully bound by constants is
+    probed with their ids: the row is built after the first candidate's
+    binding interned them, not from the locals still unset."""
+    rule = parse_rule("h :- e(0, 0).")
+    plan = compile_rule_plan(
+        rule, columnar.body_order(rule, None, [], {"e"}), None,
+        stamped=frozenset({"e"}),
+    )
+    pool = InternPool()
+    e = database(e={(0, 0)}).relations["e"].columnar(pool)
+    stamps = {"e": {pool.intern_fact("e", (0, 0)): 1}}
+    for bound, held in [(2, {()}), (1, set())]:
+        got = plan.kernel({"e": e}, {(): bound}, pool, stamps)
+        assert set(pool.extern_rows(got)) == held
+
+
 @pytest.mark.parametrize("n", [3, 17, 25])
 def test_a_head_bound_plan_of_any_length(n):
     """A long body continues in nested ``def``s, each saying whether it
@@ -550,24 +578,31 @@ def test_the_counted_mode_leaves_the_plain_source_alone():
 
 
 @pytest.mark.parametrize(
-    "head, key, fold",
+    "head, key, fold, bucket",
     [
-        ("h(count(Y))", "()", "()"),
-        ("h(X, count(Y))", "v0", "g0"),
-        ("h(sum(Y), X)", "v0", "g0"),
-        ("h(X, Y, max(Y))", "(v0, v1)", "(g0, g1)"),
+        ("h(count(Y))", "()", "()", "rows = S0.rows"),
+        ("h(X, count(Y))", "v0", "g0", "for v0, rows in S0.index((0,))"),
+        ("h(sum(Y), X)", "v0", "g0", "for v0, rows in S0.index((0,))"),
+        ("h(X, Y, max(Y))", "(v0, v1)", "(g0, g1)",
+         "for (v0, v1), rows in S0.index((0, 1))"),
     ],
     ids=["none", "one", "one-after", "two"],
 )
-def test_a_one_column_group_keys_on_the_bare_id(head, key, fold):
+def test_a_one_column_group_keys_on_the_bare_id(head, key, fold, bucket):
     """A plain aggregate kernel groups on its plain head columns' ids —
     one column on the bare id, as a one-position index is keyed, so no
-    1-tuple is built per binding; none or several on a tuple."""
-    source = compile_rule_plan(
+    1-tuple is built per binding; none or several on a tuple. Over one
+    relation its groups are the buckets of that relation's index on
+    those columns, keyed the same way (none: the whole row set)."""
+    joined = compile_rule_plan(
+        parse_rule(f"{head} :- e(X, Y), f(Y)."), None, None
+    ).source
+    assert f"groups[{key}].append(" in joined
+    assert f"for {fold}, ids in groups.items():" in joined
+    one = compile_rule_plan(
         parse_rule(f"{head} :- e(X, Y)."), None, None
     ).source
-    assert f"groups[{key}].append(" in source
-    assert f"for {fold}, ids in groups.items():" in source
+    assert bucket in one and "groups" not in one
 
 
 def _record_counted(monkeypatch) -> list:

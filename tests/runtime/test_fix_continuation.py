@@ -519,6 +519,69 @@ def test_the_guard_recomputes_and_backs_off(monkeypatch):
     ]
 
 
+class _Recorded:
+    """A plan whose kernel runs append ``pool.probes`` after them to
+    ``runs``."""
+
+    def __init__(self, plan, runs: list) -> None:
+        self.plan, self.runs = plan, runs
+
+    def kernel(self, relations, rows, pool, *rest):
+        got = self.plan.kernel(relations, rows, pool, *rest)
+        self.runs.append(pool.probes)
+        return got
+
+
+def test_a_cut_pass_stops_at_the_kernel_that_reaches_its_limit(monkeypatch):
+    """A removal pass whose limit falls inside its first wave stops at
+    the kernel run that reaches it: it makes at most that one run's
+    probes past the limit, and a pass that completes stays under it.
+    What the node serves is what a recompute serves."""
+    monkeypatch.setattr(units, "RETRACT_PROBE_CAP", 0.05)
+    runs: list = []
+    passes: list = []
+    for name in ("_support", "_delta_plan"):
+        real = getattr(units._Fix, name)
+
+        def recorded(self, *args, _real=real):
+            got = _real(self, *args)
+            if isinstance(got, list):
+                return [_Recorded(plan, runs) for plan in got]
+            return _Recorded(got, runs)
+
+        monkeypatch.setattr(units._Fix, name, recorded)
+    real_retract = units._Fix.retract
+
+    def retract(self, values, committed, plus, minus, limit, pool):
+        runs.clear()
+        start = pool.probes
+        got = real_retract(self, values, committed, plus, minus, limit, pool)
+        passes.append((start + limit, list(runs), got is None))
+        return got
+
+    monkeypatch.setattr(units._Fix, "retract", retract)
+    monkeypatch.setattr(units, "RETRACT_BACKOFF_MAX", 0)
+    wl = live_workload("pt", seed=1)
+    svc = _service(wl.program, wl.edb)
+    _serve(svc, wl.random_batch(2, delete_frac=0.0))
+    for _ in range(10):
+        edb_old = svc.database()
+        delta = wl.random_batch(3, delete_frac=1.0)
+        rep = _serve(svc, delta)
+        want = _as_miss(wl.program, edb_old, delta)
+        for node in _fix_nodes(svc):
+            for p, rel in _committed(svc)[node].items():
+                assert set(rel) == want[p]
+        _assert_from_scratch(svc, wl.program)
+    cut = [(stop, done) for stop, done, abandoned in passes if abandoned]
+    assert cut, "no pass reached its limit"
+    for stop, done, abandoned in passes:
+        # every kernel run but the last starts under the limit, and the
+        # last one reaches it exactly when the pass is cut
+        assert all(probes < stop for probes in done[:-1])
+        assert abandoned == (bool(done) and done[-1] >= stop)
+
+
 def test_a_grown_negated_read_recomputes():
     """``r(Y) :- r(X), e(X, Y), !blocked(Y)``: a *grown* ``blocked``
     retracts ``r`` facts — continuing from the committed ``r`` keeps
