@@ -91,11 +91,16 @@ class CompiledUpdate:
     holds a materialization: a staged round evaluated nothing, and
     :func:`compile_update` returns the engine's round with only its
     observed flags and work stamped on.
+
+    ``edb_old`` is ``None`` once a served round has committed: the
+    service releases it there, so the previous EDB generation is freed
+    inside the round rather than whenever the caller drops the round's
+    report.
     """
 
     trace: JobTrace
     program: Program
-    edb_old: Database
+    edb_old: Database | None
     edb_new: Database
     structure: "RoundStructure"
 
@@ -313,7 +318,7 @@ def _round_trace(
 
 def stage_update(
     structure: RoundStructure,
-    edb_old: Database,
+    edb_old: Database | None,
     edb_new: Database,
     touched: set[str] | None,
     work_per_derivation: float = 1e-3,

@@ -335,6 +335,10 @@ RETRACT_BACKOFF_MAX = 8
 _UNBOUNDED = float("inf")
 
 
+class _ProbeLimit(Exception):
+    """A removal pass's kernel run reached the pass's probe limit."""
+
+
 class FixpointValue(dict):
     """A fixpoint node's value: SCC predicate → :class:`Relation`, and
     the row *stamps* a retraction checks support with.
@@ -618,14 +622,16 @@ class _Fix:
         pool: InternPool, stop: float,
     ) -> set:
         """The candidate rows of ``p`` (row → stamp bound) one of its
-        rules derives over ``relations`` within the bound — a part of
-        them once ``pool.probes`` has reached ``stop``: no further
-        kernel runs."""
+        rules derives over ``relations`` within the bound. Raises
+        :class:`_ProbeLimit` after the kernel run that makes
+        ``pool.probes`` reach ``stop``."""
         held: set = set()
         for plan in self._support(p):
-            if not heads or pool.probes >= stop:
+            if not heads:
                 break
             got = plan.kernel(relations, heads, pool, stamps)
+            if pool.probes >= stop:
+                raise _ProbeLimit
             if got:
                 held |= got
                 heads = {r: b for r, b in heads.items() if r not in held}
@@ -637,16 +643,16 @@ class _Fix:
     ) -> dict[str, set]:
         """Head predicate → the rows the rules derive with one
         occurrence of ``q`` restricted to ``rows`` and every other
-        reading ``relations`` — a part of them once ``pool.probes`` has
-        reached ``stop``: no further kernel runs."""
+        reading ``relations``. Raises :class:`_ProbeLimit` after the
+        kernel run that makes ``pool.probes`` reach ``stop``."""
         delta = {q: ColumnarRelation(q, len(next(iter(rows))), pool)}
         delta[q].rows = rows
         out: dict[str, set] = {}
         for ri, rule, pos in self.occurrences.get(q, ()):
-            if pool.probes >= stop:
-                break
             plan = self._delta_plan(ri, rule, pos)
             got = plan.kernel(relations, delta, pool)
+            if pool.probes >= stop:
+                raise _ProbeLimit
             if got:
                 out.setdefault(rule.head.predicate, set()).update(got)
         return out
@@ -676,7 +682,23 @@ class _Fix:
         alive row has a derivation from alive rows of lower stamps — the
         one state that says so, by induction on the stamps (DESIGN
         §18)."""
-        stop = pool.probes + limit
+        try:
+            return self._remove(
+                values, committed, minus, pool.probes + limit, pool
+            )
+        except _ProbeLimit:
+            return None
+
+    def _remove(
+        self,
+        values: "ValueStore",
+        committed: FixpointValue,
+        minus: dict[str, set],
+        stop: float,
+        pool: InternPool,
+    ) -> "_Retraction":
+        """The removal pass :meth:`retract` runs, until ``pool.probes``
+        reaches ``stop``."""
         stamps = committed.stamps
         # the inputs, read through views: an index the pass builds on a
         # committed one is dropped (an input the round did not touch is
@@ -709,10 +731,7 @@ class _Fix:
                         heads[row] = s
 
         for q, rows in minus.items():
-            derived = self._derived(q, rows, old, pool, stop)
-            if pool.probes >= stop:
-                return None
-            enqueue(derived, 0)
+            enqueue(self._derived(q, rows, old, pool, stop), 0)
         while pending:
             batch, pending = pending, {}
             gone_now: dict[str, set] = {}
@@ -720,8 +739,6 @@ class _Fix:
                 if not heads:
                     continue
                 held = self._held(p, now, heads, stamps, pool, stop)
-                if pool.probes >= stop:
-                    return None
                 gone = heads.keys() - held
                 if not gone:
                     continue
@@ -734,15 +751,11 @@ class _Fix:
                 gone_now[p] = gone
             for p, gone in gone_now.items():
                 derived = self._derived(p, gone, present, pool, stop)
-                if pool.probes >= stop:
-                    return None
                 enqueue(derived, min(map(stamps[p].__getitem__, gone)))
         for p, rows in cut.removed.items():
             got = self._held(
                 p, now, dict.fromkeys(rows, _UNBOUNDED), stamps, pool, stop
             )
-            if pool.probes >= stop:
-                return None
             if got:
                 cut.seed[p] = got
         # back in only once every head's seed is found: a seed row is

@@ -818,6 +818,9 @@ class UpdateStreamService:
             self.plan_cache.commit(cu, values if mat_ok else None)
             self._edb = cu.edb_new
             self._materialization = mat
+            # the report keeps no hold on the previous EDB generation:
+            # it is freed here, inside the round's latency
+            cu.edb_old = None
 
             metrics = RoundMetrics(
                 index=self._rounds_run,

@@ -7,6 +7,8 @@ from-scratch semi-naive evaluation of the accumulated database.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.datalog import CompiledProgramCache, Delta, seminaive_evaluate
@@ -355,6 +357,25 @@ def test_changed_facts_is_the_old_to_new_materialization_diff(name):
         seen += expected
         old = new
     assert seen > 0
+
+
+def test_a_committed_round_frees_the_previous_edb_generation():
+    """The report a round returns holds its new EDB, not the one it
+    replaced: the replaced generation is freed when the round commits,
+    inside its ``latency_s``, not whenever the caller drops the
+    report."""
+    wl, svc = make_service()
+    svc.submit(wl.random_batch(2))
+    first = svc.run_round()
+    assert first is not None and first.compiled is not None
+    replaced = weakref.ref(first.compiled.edb_new)
+    del first
+    assert replaced() is not None
+    svc.submit(wl.random_batch(2, delete_frac=0.0))
+    rep = svc.run_round()
+    assert rep is not None and rep.compiled is not None
+    assert rep.compiled.edb_old is None
+    assert replaced() is None
 
 
 @pytest.mark.parametrize("strict", [True, False])
