@@ -306,8 +306,13 @@ def _serve_stream(
     scheduler = _resolve_scheduler(args.scheduler)
     chaos = None
     if chaos_spec is not None:
-        with open(chaos_spec) as fh:
-            chaos = ChaosPlan.from_json_dict(json.load(fh))
+        try:
+            with open(chaos_spec) as fh:
+                chaos = ChaosPlan.from_json_dict(json.load(fh))
+        except (OSError, ValueError, TypeError) as exc:
+            raise SystemExit(
+                f"{cmd}: cannot load chaos plan {chaos_spec}: {exc}"
+            ) from exc
     elif args.chaos_seed is not None:
         chaos = ChaosPlan.from_seed(args.chaos_seed)
     if unit_retries is None:
@@ -374,9 +379,7 @@ def cmd_serve(args) -> int:
 
     def print_round(rep) -> None:
         m = rep.metrics
-        flag = "" if rep.materialization_ok else "  DIVERGED"
-        if m.degraded:
-            flag += "  DEGRADED"
+        flag = "  DEGRADED" if m.degraded else ""
         if m.noop:
             flag += "  NOOP"
         if m.cancelled_ops:
@@ -730,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
              "failure injection, processor churn, and stragglers",
     )
     p.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_count(0), default=None,
         help="override the fault plan's RNG seed (implies an empty "
              "plan when --faults is not given)",
     )
@@ -793,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the per-round metrics log to this file",
     )
     p.add_argument(
-        "--chaos-seed", type=int, default=None, metavar="SEED",
+        "--chaos-seed", type=_count(0), default=None, metavar="SEED",
         help="inject deterministic runtime chaos (unit failures, "
              "latency, worker kills, phase failures) from this seed",
     )
@@ -839,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="update operations per generated batch")
     p.add_argument("--seed", type=_count(0), default=0,
                    help="stream generator seed")
-    p.add_argument("--top", type=int, default=5,
+    p.add_argument("--top", type=_count(1), default=5,
                    help="how many slowest rounds to tabulate")
     p.add_argument(
         "-o", "--output", default="trace.json",
@@ -850,7 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the flat JSONL span log to this file",
     )
     p.add_argument(
-        "--chaos-seed", type=int, default=None, metavar="SEED",
+        "--chaos-seed", type=_count(0), default=None, metavar="SEED",
         help="inject deterministic runtime chaos and trace every "
              "injection as a chaos:* instant",
     )

@@ -147,6 +147,8 @@ class ChaosPlan:
     fail_round: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in (
             "unit_fail_prob",
             "unit_latency_prob",

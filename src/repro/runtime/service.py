@@ -181,6 +181,7 @@ class RoundReport:
     artifacts: RoundArtifacts | None = None
     verification: VerificationReport | None = None
     #: did the runtime materialization match from-scratch evaluation?
+    #: Always, on a returned report: a round that diverges raises
     materialization_ok: bool = True
 
 
@@ -234,9 +235,10 @@ class UpdateStreamService:
         evaluation a round contains, inside its ``verify`` phase.
         ``False`` serves rounds with no evaluation in them.
     strict:
-        Raise (:class:`RoundVerificationError` /
-        :class:`MaterializationDivergenceError`) on verification
-        failure instead of recording it in the report.
+        Accepts only ``True``: a round whose check fails always raises
+        (:class:`RoundVerificationError` /
+        :class:`MaterializationDivergenceError`), rolls back and is
+        retried under the failed-round policy.
     deadline_s:
         Optional per-round wall-clock deadline handed to the executor.
     max_round_retries:
@@ -329,8 +331,8 @@ class UpdateStreamService:
             deadline=deadline_s,
         )
         # accept-one-value arguments, neither stored nor forwarded:
-        # benchmarks/e2e/measure.py still passes them; the next
-        # `benchmark` issue drops all four
+        # benchmarks/e2e/measure.py still passes them; the benchmark's
+        # next change drops all five
         for arg, got, only, gone in (
             ("executor", executor, "thread",
              "the process executor backend was removed; units run on "
@@ -344,6 +346,9 @@ class UpdateStreamService:
             ("analyze", analyze, True,
              "the analyzer is off the serving path; the rule planner "
              "orders every join"),
+            ("strict", strict, True,
+             "lenient mode was removed; a round whose check fails "
+             "raises, rolls back and is retried"),
         ):
             if got != only:
                 raise ValueError(f"{arg}={got!r}: {gone}")
@@ -352,7 +357,6 @@ class UpdateStreamService:
         self.scheduler = scheduler
         self.workers = workers
         self.verify = verify
-        self.strict = strict
         self.deadline_s = deadline_s
         self.name = name
         self.max_round_retries = max_round_retries
@@ -808,14 +812,13 @@ class UpdateStreamService:
                 )
             cu, plan, compiled = self._compile_phase(zdelta)
             values, outcome, executed = self._execute_phase(plan, degraded)
-            mat, artifacts, report, mat_ok, verified = self._verify_phase(
+            mat, artifacts, report, verified = self._verify_phase(
                 plan, values, outcome, degraded, zdelta
             )
             # the round is verified: only now may the staged compile
-            # become the baseline the next round's compile reuses —
-            # node values included, unless the (non-strict) check found
-            # them wrong
-            self.plan_cache.commit(cu, values if mat_ok else None)
+            # become the baseline the next round's compile reuses,
+            # node values included
+            self.plan_cache.commit(cu, values)
             self._edb = cu.edb_new
             self._materialization = mat
             # the report keeps no hold on the previous EDB generation:
@@ -852,7 +855,6 @@ class UpdateStreamService:
             compiled=cu,
             artifacts=artifacts,
             verification=report,
-            materialization_ok=mat_ok,
         )
 
     def _compile_phase(
@@ -940,20 +942,20 @@ class UpdateStreamService:
         degraded: bool,
         zdelta: ZSetDelta,
     ) -> tuple[
-        Database, RoundArtifacts | None, VerificationReport | None, bool, dict
+        Database, RoundArtifacts | None, VerificationReport | None, dict
     ]:
         """The ``verify`` span: ``(materialization, artifacts, report,
-        materialization_ok, fields)``; fills ``verify_s``,
-        ``changed_facts`` and, from a healthy round's recorded schedule,
-        ``n_active``, ``makespan_s`` and ``utilization``.
+        fields)``; fills ``verify_s``, ``changed_facts`` and, from a
+        healthy round's recorded schedule, ``n_active``, ``makespan_s``
+        and ``utilization``.
 
-        With ``verify`` the executed materialization is compared with a
-        from-scratch one, evaluated here, and where they differ the
-        from-scratch one is what the (non-strict) service adopts.
+        With ``verify`` the recorded schedule is invariant-checked and
+        the executed materialization compared with a from-scratch one,
+        evaluated here; either failing raises.
         ``changed_facts`` is the final nodes' Z-sets plus ``zdelta``, the
         clamped delta, where no node carries the predicate — or, for a
-        publish no Z-set describes (no committed node values, an adopted
-        reference), a relation diff.
+        publish no Z-set describes (no committed node values), a
+        relation diff.
         """
         t0 = perf_counter()
         if self.chaos is not None and self.chaos.phase_fails("verify"):
@@ -973,7 +975,7 @@ class UpdateStreamService:
                     }
                     if self.verify:
                         report = artifacts.check()
-                        if self.strict and not report.ok:
+                        if not report.ok:
                             raise RoundVerificationError(
                                 self._rounds_run, report
                             )
@@ -988,12 +990,10 @@ class UpdateStreamService:
                     else _differing_facts(mat, reference)
                 )
             if diverging:
-                if self.strict:
-                    raise MaterializationDivergenceError(
-                        self._rounds_run, f"{diverging} facts differ"
-                    )
-                mat = reference
-            if diverging or not plan.old_values or plan.old_values[0] is None:
+                raise MaterializationDivergenceError(
+                    self._rounds_run, f"{diverging} facts differ"
+                )
+            if not plan.old_values or plan.old_values[0] is None:
                 changed_facts = _differing_facts(mat, self._materialization)
             else:
                 changed_facts = sum(
@@ -1003,7 +1003,7 @@ class UpdateStreamService:
                     len(facts) for pred, facts in zdelta.weights.items()
                     if pred not in plan.final_nodes
                 )
-        return mat, artifacts, report, diverging == 0, {
+        return mat, artifacts, report, {
             "verify_s": perf_counter() - t0,
             "changed_facts": changed_facts,
             **schedule,

@@ -197,6 +197,8 @@ class FaultPlan:
     straggler_factor: tuple[float, float] = (1.5, 4.0)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.task_fail_prob <= 1.0:
             raise ValueError(
                 f"task_fail_prob must be in [0, 1], got {self.task_fail_prob}"

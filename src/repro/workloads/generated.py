@@ -15,7 +15,11 @@ draws them, seeded:
   negation of a lower level, ``count`` / ``sum`` / ``min`` / ``max``
   heads with and without group columns, and 0-ary heads. Some
   predicates get two rules, so a merge node unions several writers.
-  Recursive SCCs (the other half) are not drawn here.
+* :func:`recursive_program` — the *recursive* half: :data:`SCC_BASE`
+  (heads ``a`` and ``b`` over ``e`` and ``f``), rules of
+  :data:`SCC_RECURSIVE` (linear, mutual, same-generation, nonlinear),
+  of :data:`SCC_ABOVE` (a count, a max, a negation, joins) and
+  :func:`stratified_rules` levels over the SCC's heads and the EDB.
 * :class:`UpdateStream` — weighted update batches over the program's
   EDB: ``delete_frac`` weighs deletions of present facts against
   insertions (``0.0`` insert-only, ``1.0`` delete-only, anything
@@ -36,9 +40,36 @@ from ..datalog import Database, Delta, Program, parse_program
 
 __all__ = [
     "GeneratedProgram",
+    "SCC_ABOVE",
+    "SCC_BASE",
+    "SCC_RECURSIVE",
     "UpdateStream",
+    "recursive_program",
     "stratified_program",
     "stratified_rules",
+]
+
+#: two heads, ``a`` and ``b``, seeded from the two EDB relations …
+SCC_BASE = ["a(X, Y) :- e(X, Y).", "b(X, Y) :- f(X, Y)."]
+#: … recursive rules over them: any non-empty subset is drawn, so
+#: linear, mutual (``pt`` shape), same-generation (``sg`` shape) and
+#: nonlinear strata with both heads in one SCC all occur
+SCC_RECURSIVE = [
+    "a(X, Z) :- b(X, Y), e(Y, Z).",
+    "b(X, Z) :- a(X, Y), f(Y, Z).",
+    "a(X, Z) :- a(X, Y), b(Y, Z).",
+    "b(X, Y) :- e(P, X), a(P, Q), e(Q, Y).",
+    "a(X, Y) :- f(P, X), b(P, Q), f(Q, Y).",
+    "b(X, Z) :- b(X, Y), b(Y, Z).",
+    "a(X, X) :- b(X, Y), a(Y, X).",
+]
+#: … and strata above that read the SCC's heads
+SCC_ABOVE = [
+    "fan(X, count(Y)) :- a(X, Y).",
+    "top(max(Y)) :- b(X, Y).",
+    "miss(X, Y) :- e(X, Y), !b(X, Y).",
+    "meet(X) :- a(X, Y), b(Y, X).",
+    "some :- a(X, Y), b(X, Y).",
 ]
 
 #: rule shapes over binary inputs ``A`` / ``B``: (head arity, whether
@@ -123,6 +154,25 @@ def stratified_rules(
     return lines
 
 
+def _edb_arities(names) -> dict[str, int]:
+    """EDB predicate → arity: every third one unary, the rest binary."""
+    return {name: 1 if i % 3 == 2 else 2 for i, name in enumerate(names)}
+
+
+def _random_edb(
+    rng: random.Random, arities: dict[str, int], domain: int, n: int
+) -> Database:
+    """Up to ``n`` random facts per predicate over ``0 .. domain-1``."""
+    edb = Database()
+    for pred, arity in arities.items():
+        edb.relation(pred, arity)
+        for _ in range(n):
+            edb.add_fact(
+                pred, tuple(rng.randrange(domain) for _ in range(arity))
+            )
+    return edb
+
+
 def stratified_program(
     seed: int,
     n_edb: int = 3,
@@ -135,15 +185,45 @@ def stratified_program(
     ``e0 … e<n_edb-1>`` (every third one unary, the rest binary) and an
     EDB of up to ``facts_per_edb`` facts each over ``0 .. domain-1``."""
     rng = random.Random(seed)
-    arities = {f"e{i}": 1 if i % 3 == 2 else 2 for i in range(n_edb)}
+    arities = _edb_arities(f"e{i}" for i in range(n_edb))
     lines = stratified_rules(rng, arities, levels, preds_per_level, domain)
-    edb = Database()
-    for pred, arity in arities.items():
-        edb.relation(pred, arity)
-        for _ in range(facts_per_edb):
-            edb.add_fact(
-                pred, tuple(rng.randrange(domain) for _ in range(arity))
-            )
+    edb = _random_edb(rng, arities, domain, facts_per_edb)
+    return GeneratedProgram(parse_program("\n".join(lines)), edb, arities)
+
+
+def recursive_program(
+    seed: int,
+    n_edb: int = 3,
+    levels: int = 3,
+    preds_per_level: int = 3,
+    domain: int = 6,
+    facts_per_edb: int = 12,
+) -> GeneratedProgram:
+    """A random stratified program with a recursive SCC, over the EDB
+    predicates ``e``, ``f`` and ``e2 … e<n_edb-1>`` (``n_edb`` ≥ 2),
+    its EDB drawn as :func:`stratified_program` draws one: :data:`SCC_BASE`,
+    a subset of :data:`SCC_RECURSIVE` in which ``a`` or ``b`` is
+    recursive, a subset of :data:`SCC_ABOVE` and ``levels`` levels of
+    :func:`stratified_rules` over ``a``, ``b`` and the EDB."""
+    if n_edb < 2:
+        raise ValueError(f"n_edb must be >= 2 (e and f), got {n_edb}")
+    rng = random.Random(seed)
+    arities = _edb_arities(["e", "f", *(f"e{i}" for i in range(2, n_edb))])
+    while True:
+        recursive = [r for r in SCC_RECURSIVE if rng.random() < 0.5]
+        scc = parse_program("\n".join(SCC_BASE + recursive))
+        if scc.depgraph.recursive_predicates():
+            break
+    lines = [
+        *SCC_BASE,
+        *recursive,
+        *(r for r in SCC_ABOVE if rng.random() < 0.5),
+        *stratified_rules(
+            rng, {**arities, "a": 2, "b": 2}, levels, preds_per_level,
+            domain,
+        ),
+    ]
+    edb = _random_edb(rng, arities, domain, facts_per_edb)
     return GeneratedProgram(parse_program("\n".join(lines)), edb, arities)
 
 

@@ -36,6 +36,7 @@ from repro.datalog import (
 import repro.datalog.columnar as columnar
 from repro.datalog.database import Relation
 from repro.datalog.unify import eval_rule
+from repro.workloads.generated import SCC_ABOVE, SCC_BASE, SCC_RECURSIVE
 
 # ---------------------------------------------------------------------------
 # interning
@@ -310,30 +311,6 @@ def test_interning_from_many_threads_allots_each_id_once():
         sys.setswitchinterval(interval)
 
 
-#: two heads, ``a`` and ``b``, seeded from the two EDB relations …
-SCC_BASE = ["a(X, Y) :- e(X, Y).", "b(X, Y) :- f(X, Y)."]
-#: … recursive rules over them: any non-empty subset is drawn, so
-#: linear, mutual (``pt`` shape), same-generation (``sg`` shape) and
-#: nonlinear strata with both heads in one SCC all occur
-SCC_RECURSIVE = [
-    "a(X, Z) :- b(X, Y), e(Y, Z).",
-    "b(X, Z) :- a(X, Y), f(Y, Z).",
-    "a(X, Z) :- a(X, Y), b(Y, Z).",
-    "b(X, Y) :- e(P, X), a(P, Q), e(Q, Y).",
-    "a(X, Y) :- f(P, X), b(P, Q), f(Q, Y).",
-    "b(X, Z) :- b(X, Y), b(Y, Z).",
-    "a(X, X) :- b(X, Y), a(Y, X).",
-]
-#: … and strata above that read the SCC's heads
-SCC_ABOVE = [
-    "fan(X, count(Y)) :- a(X, Y).",
-    "top(max(Y)) :- b(X, Y).",
-    "miss(X, Y) :- e(X, Y), !b(X, Y).",
-    "meet(X) :- a(X, Y), b(Y, X).",
-    "some :- a(X, Y), b(X, Y).",
-]
-
-
 @given(
     recursive=st.sets(st.sampled_from(SCC_RECURSIVE), min_size=1),
     above=st.sets(st.sampled_from(SCC_ABOVE)),
@@ -345,6 +322,7 @@ def test_id_space_fixpoint_matches_row_and_naive(
     recursive, above, e_facts, f_facts
 ):
     """Random programs whose recursive stratum has up to two heads in
-    one SCC, under random EDBs: three evaluators, one materialization."""
+    one SCC (the rule pools of :mod:`repro.workloads.generated`), under
+    random EDBs: three evaluators, one materialization."""
     src = "\n".join(SCC_BASE + sorted(recursive) + sorted(above))
     three_ways(src, {"e": e_facts, "f": f_facts})

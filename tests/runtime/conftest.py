@@ -25,32 +25,19 @@ WORKLOADS = (
 
 
 def serve_rounds(
-    program, edb, ticks, scheduler="hybrid", workers=2, cold=False,
-    degraded=None,
+    program, edb, ticks, scheduler="hybrid", workers=2, degraded=None,
 ):
     """Serve each tick's batches as one verified round; yields the
     service after every round.
-
-    ``cold=True`` restarts the service from its own database before
-    every tick, so no round finds a committed baseline, a bound plan or
-    an indexed relation: each is a first round — a plan-cache miss that
-    copies the EDB, binds a fresh plan and runs all of the static DAG
-    instead of deriving and diffing.
 
     ``degraded`` — tick index → bool — is the breaker's verdict for
     that tick's round in place of the health monitor's: ``True`` runs
     it serially on the service thread.
     """
-    registry = scheduler_registry()
-    svc = None
+    svc = UpdateStreamService(
+        program, edb, scheduler_registry()[scheduler](), workers=workers
+    )
     for i, batches in enumerate(ticks):
-        if svc is None or cold:
-            svc = UpdateStreamService(
-                program,
-                edb if svc is None else svc.database(),
-                registry[scheduler](),
-                workers=workers,
-            )
         forced = degraded is not None and degraded(i)
         if degraded is not None:
             svc.health.plan_round = lambda: forced

@@ -1,17 +1,9 @@
-"""Differential harness: the columnar service vs row evaluation.
+"""Pins on what a served round builds and probes, on the chain ``tc``.
 
-The service has one runtime cell — columnar batch joins on worker
-threads — and the row evaluator (:func:`seminaive_evaluate` with no
-intern pool, the per-tuple joins of :mod:`repro.datalog.unify`) stays as
-the reference. Whatever scheduler, cache temperature and stream shape
-serves an update stream, the final materialization must be
-**byte-identical** to a from-scratch row evaluation of the accumulated
-EDB — same relations, same tuples, same canonical serialization.
-
-``cold`` cases restart the service before every round
-(:func:`~tests.runtime.conftest.serve_ticks`), so each round is a
-plan-cache miss; ``cache`` cases keep one service, whose rounds hit the
-committed baseline.
+The differential half of this file — every scheduler, stream kind, cache
+temperature and read-set shape served and compared with row evaluation —
+is ``test_differential.py``'s contract a; what stays here are two pins
+on how a continued fixpoint round is built and scheduled.
 """
 
 from __future__ import annotations
@@ -21,17 +13,8 @@ import functools
 import pytest
 
 from repro.datalog import Database, Delta, parse_program, seminaive_evaluate
-from repro.runtime import live_workload, make_stream
-from repro.schedulers import scheduler_registry
 
-from .conftest import (
-    READ_SET_SHAPES,
-    read_set_edb,
-    read_set_stream,
-    serve_ticks,
-)
-
-ALL_SCHEDULERS = sorted(scheduler_registry())
+from .conftest import serve_ticks
 
 
 def canonical_bytes(db) -> bytes:
@@ -47,70 +30,6 @@ def row_bytes(program, svc) -> bytes:
     """The row evaluator's from-scratch answer for ``svc``'s EDB."""
     scratch, _ = seminaive_evaluate(program, svc.database())
     return canonical_bytes(scratch)
-
-
-def serve(name, kind, *, rounds=3, seed=5, scheduler="hybrid", cold=False,
-          **wl_kwargs):
-    """Serve ``rounds`` ticks; canonical (columnar, row) materializations."""
-    wl = live_workload(name, seed=seed, **wl_kwargs)
-    svc = serve_ticks(
-        wl.program,
-        wl.edb,
-        make_stream(wl, kind, rounds=rounds, batch_size=2),
-        scheduler=scheduler,
-        workers=3,
-        cold=cold,
-    )
-    assert (svc.plan_cache.stats()["hits"] == 0) is cold
-    return canonical_bytes(svc.materialization()), row_bytes(
-        wl.program, svc
-    )
-
-
-@pytest.mark.parametrize("sched", ALL_SCHEDULERS)
-def test_columnar_matches_row_all_schedulers(sched):
-    """Columnar storage is invisible to every registered scheduler."""
-    col, row = serve("tc", "steady", scheduler=sched)
-    assert col == row
-
-
-@pytest.mark.parametrize("kind", ["steady", "bursty", "deletions", "mixed"])
-def test_stream_kinds_columnar_vs_row(kind):
-    """Byte-identity holds across the seeded stream shapes."""
-    col, row = serve("sg", kind, depth=4, fanout=2)
-    assert col == row
-
-
-def test_points_to_columnar_vs_row():
-    """Recursive three-way joins land on the row evaluator's bytes."""
-    col, row = serve("pt", "steady", n_vars=12, n_stmts=24)
-    assert col == row
-
-
-def test_cache_on_off_columnar_agree():
-    """A warm plan cache changes cost, never bytes: rounds that hit it
-    and rounds that never can serve the same stream identically."""
-    cold = serve("tc", "bursty", cold=True)
-    warm = serve("tc", "bursty")
-    assert cold == warm
-    assert cold[0] == cold[1]
-
-
-@pytest.mark.parametrize("cold", [False, True], ids=["cache", "cold"])
-@pytest.mark.parametrize("shape", sorted(READ_SET_SHAPES))
-def test_read_set_shapes_columnar_vs_row(shape, cold):
-    """Units that materialise only their read set serve every
-    adversarial shape to the row evaluator's from-scratch bytes, whether
-    relations are derived from the cross-round cache or built afresh."""
-    program = parse_program(READ_SET_SHAPES[shape])
-    svc = serve_ticks(
-        program,
-        read_set_edb(),
-        ([delta] for delta in read_set_stream(program)),
-        workers=3,
-        cold=cold,
-    )
-    assert canonical_bytes(svc.materialization()) == row_bytes(program, svc)
 
 
 #: ``columnar_probes`` of rounds 2–5 below, read off the commit before

@@ -1,20 +1,17 @@
 """Deletion-heavy and mixed streams through the full service stack.
 
-The weighted-delta core's safety net: retraction-skewed and
-churn-heavy streams must land on the from-scratch materialization with
-the plan cache warm or never warm, with chaos on or off, under every
-registered scheduler — while the coalescing machinery (cancelled ops,
-no-op rounds, weighted index application) demonstrably engages. The
-library engine of :mod:`repro.datalog` — the served round's procedure
-run serially, no scheduler — is replayed over the same streams, and
-held to decide what a served round decides.
+That such streams land on the from-scratch materialization — warm or
+cold cache, chaos on or off, every scheduler, the library engine
+replayed beside them — is ``test_differential.py``'s contract table.
+What stays here: the coalescing machinery (cancelled ops, no-op
+rounds) demonstrably engages, and the library engine of
+:mod:`repro.datalog` — the served round's procedure run serially, no
+scheduler — decides what a served round decides.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.datalog import (
     Delta,
@@ -22,18 +19,11 @@ from repro.datalog import (
     apply_zdelta,
     effective_zdelta,
     merge_deltas,
-    seminaive_evaluate,
 )
-from repro.runtime import (
-    ChaosPlan,
-    HealthPolicy,
-    UpdateStreamService,
-    live_workload,
-    make_stream,
-)
+from repro.runtime import UpdateStreamService, live_workload, make_stream
 from repro.schedulers import scheduler_registry
 
-from .conftest import edb_is_mirror, serve_ticks
+from .conftest import serve_ticks
 
 REGISTRY = scheduler_registry()
 ROUNDS = 6
@@ -54,92 +44,8 @@ def _materialized_stream(program: str, kind: str, seed: int, **kw):
     return wl, rounds
 
 
-def _serve(wl, rounds, scheduler, cold=False):
-    return serve_ticks(
-        wl.program, wl.edb, rounds, scheduler=scheduler, cold=cold
-    )
-
-
-def _assert_served(wl, svc):
-    """The service's answer is the from-scratch one, and its EDB the
-    stream's mirror."""
-    mat = svc.materialization()
-    assert mat is not None
-    oracle, _ = seminaive_evaluate(wl.program, svc.database())
-    assert mat.as_dict() == oracle.as_dict()
-    assert edb_is_mirror(wl, svc.database())
-
-
-class TestCacheDifferential:
-    """Plan cache warm vs never warm: the hit path (touched relations
-    derived from the committed baseline, the bound plan restamped and
-    diffed against committed node values) and the miss path (EDB
-    copied, plan bound, all of the static DAG run) serve retraction
-    streams to the same from-scratch answer. The differential against
-    ``compile_update`` itself is
-    ``tests/datalog/test_plan_cache_differential.py``."""
-
-    @pytest.mark.parametrize("sched_name", sorted(REGISTRY))
-    @pytest.mark.parametrize("kind", ("deletions", "mixed"))
-    def test_cache_on_off_identical(self, sched_name, kind):
-        wl, rounds = _materialized_stream("flat", kind, seed=11,
-                                          batch_size=3)
-        warm = _serve(wl, rounds, scheduler=sched_name)
-        cold = _serve(wl, rounds, scheduler=sched_name, cold=True)
-        _assert_served(wl, warm)
-        _assert_served(wl, cold)
-        assert warm.plan_cache.stats()["hits"] > 0
-        assert cold.plan_cache.stats()["hits"] == 0
-
-    def test_recursive_program_deletion_stream(self):
-        # deletion-heavy streams over the recursive TC workload too
-        wl, rounds = _materialized_stream("tc", "deletions", seed=7,
-                                          batch_size=2)
-        svc = _serve(wl, rounds, scheduler="hybrid")
-        _assert_served(wl, svc)
-
-
-class TestChaosDifferential:
-    """Chaos on vs off: deletion streams still converge byte-identical
-    (the retried rounds replay the same weighted deltas)."""
-
-    @pytest.mark.parametrize("kind", ("deletions", "mixed"))
-    def test_chaos_on_off_identical(self, kind):
-        wl, rounds = _materialized_stream("flat", kind, seed=13,
-                                          batch_size=3)
-        base = _serve(wl, rounds, scheduler="hybrid")
-        chaos = ChaosPlan(
-            seed=5,
-            unit_fail_prob=0.2,
-            unit_latency_prob=0.1,
-            unit_latency_s=(0.0003, 0.001),
-        )
-        svc = UpdateStreamService(
-            wl.program,
-            wl.edb,
-            REGISTRY["hybrid"](),
-            workers=2,
-            chaos=chaos,
-            unit_retries=5,
-            unit_backoff_s=0.0005,
-            max_round_retries=8,
-            health=HealthPolicy(degrade_after=4, fail_after=16,
-                                probe_after=1),
-        )
-        for batches in rounds:
-            for delta in batches:
-                svc.submit(delta)
-            while svc.pending_batches() > 0:
-                try:
-                    svc.run_round()
-                except Exception as exc:  # typed, re-queued, retried
-                    assert getattr(exc, "delta_requeued", False), exc
-        assert svc.materialization() is not None
-        assert (
-            svc.materialization().as_dict()
-            == base.materialization().as_dict()
-        )
-        assert svc.database().as_dict() == base.database().as_dict()
+def _serve(wl, rounds, scheduler):
+    return serve_ticks(wl.program, wl.edb, rounds, scheduler=scheduler)
 
 
 class TestCoalescing:
@@ -222,42 +128,6 @@ class TestCoalescing:
         assert svc.materialization() is not None
 
 
-class TestEngineOracle:
-    """:class:`~repro.datalog.IncrementalEngine` — the static DAG run
-    serially over committed node values — is replayed here over the
-    streams the service is tested on — the 18 cells DESIGN §15 measures
-    (``scripts/size_engine.py`` times them) — and must equal
-    from-scratch evaluation after every round: non-recursive, negation,
-    aggregates, recursion. It is Z-set in, Z-set out: the round's
-    ``net`` is the whole change, EDB and derived."""
-
-    @pytest.mark.parametrize(
-        "program", ("flat", "retail", "analytics", "tc", "pt", "sg")
-    )
-    @pytest.mark.parametrize("kind", ("deletions", "mixed", "steady"))
-    def test_tracks_from_scratch(self, program, kind):
-        wl, rounds = _materialized_stream(program, kind, seed=19,
-                                          batch_size=3)
-        engine = IncrementalEngine(wl.program, wl.edb)
-        edb = wl.edb
-        before = engine.db.copy()
-        for batches in rounds:
-            zdelta = effective_zdelta(edb, merge_deltas(batches))
-            trace = engine.apply(zdelta)
-            edb = apply_zdelta(edb, zdelta)
-            oracle, _ = seminaive_evaluate(wl.program, edb)
-            assert engine.snapshot() == oracle.as_dict()
-            for pred, fact, w in zdelta.items():
-                assert trace.net.weight(pred, fact) == w
-            # what a fixpoint node needs of its body: the previous
-            # materialization plus ``net`` is the new one, over every
-            # predicate, and ``net`` is set-normal
-            assert {w for _p, _f, w in trace.net.items()} <= {-1, 1}
-            before = apply_zdelta(before, trace.net)
-            assert before.as_dict() == engine.snapshot()
-        assert edb_is_mirror(wl, edb)
-
-
 class TestOneDecisionRule:
     """The library engine and a healthy served round run one procedure:
     over the same stream, the ``(node, mode)`` pairs each
@@ -308,17 +178,3 @@ class TestOneDecisionRule:
             modes.update(mode for _label, mode, _rows in trace.events)
         assert engine.snapshot() == svc.materialization().as_dict()
         assert modes  # stateful nodes ran: the comparison compared
-
-
-class TestRandomizedStreams:
-    @given(
-        seed=st.integers(0, 2**16),
-        kind=st.sampled_from(("deletions", "mixed")),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_stream_matches_from_scratch(self, seed, kind):
-        wl, rounds = _materialized_stream("flat", kind, seed=seed,
-                                          batch_size=3)
-        svc = _serve(wl, rounds, scheduler="levelbased")
-        if svc.materialization() is not None:
-            _assert_served(wl, svc)

@@ -314,6 +314,15 @@ def test_chaos_plan_json_round_trip():
     assert not ChaosPlan.from_seed(9).is_empty()
 
 
+@pytest.mark.parametrize("plan", [FaultPlan, ChaosPlan])
+def test_a_spec_with_a_negative_seed_is_refused(plan):
+    """A spec holding ``"seed": -3`` is refused where it is read — the
+    seed roots ``default_rng``, which raises on a negative entropy only
+    once the first fault is drawn, a traceback mid-run."""
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        plan.from_json_dict({"seed": -3})
+
+
 def test_chaos_from_fault_plan_adapter():
     fp = FaultPlan(seed=7, task_fail_prob=0.25, straggler_prob=0.1)
     cp = ChaosPlan.from_fault_plan(fp)

@@ -47,14 +47,14 @@ from repro.runtime import (
     live_workload,
 )
 from repro.schedulers import scheduler_registry
-from repro.workloads.generated import stratified_rules
-
-from ..datalog.test_columnar_properties import (
+from repro.workloads.generated import (
     SCC_ABOVE,
     SCC_BASE,
     SCC_RECURSIVE,
-    edges,
+    stratified_rules,
 )
+
+from ..datalog.test_columnar_properties import edges
 from .conftest import READ_SET_SHAPES, read_set_edb, read_set_stream
 from .test_static_dag import _install_liar
 from .test_task_maintenance import assert_tasks_match_a_miss
@@ -996,25 +996,11 @@ def test_a_degraded_round_reads_no_committed_value():
 
 
 def test_a_round_after_a_commit_without_values_recomputes():
-    """A commit that hands over no node values — here a lenient round
-    that failed its check — leaves nothing to continue from."""
+    """A commit that hands over no node values leaves nothing to
+    continue from: no committed side of any kind."""
     wl = live_workload("tc", seed=12)
-    svc = _service(wl.program, wl.edb, strict=False)
-    _serve(svc, wl.random_batch(2, delete_frac=0.0))
-    _serve(svc, wl.random_batch(2, delete_frac=0.0))
-    stale = _committed(svc)
-    _install_liar(svc, "fix")
-    svc.submit(wl.random_batch(3, delete_frac=0.0))
-    assert not svc.run_round().materialization_ok
-    assert _committed(svc) is None
-    _poison(stale)
-    rep = _serve(svc, wl.random_batch(3, delete_frac=0.0))
-    assert rep.metrics.continued_nodes == 0
-    assert rep.metrics.tasks_executed == rep.metrics.n_nodes
-    _assert_from_scratch(svc, wl.program)
-    # at the cache: no values, no committed side of any kind
     cache = CompiledProgramCache(wl.program)
-    edb = svc.database()
+    edb = wl.edb
     cache.commit(cache.compile(wl.program, edb, Delta()))
     grow = wl.random_batch(2, delete_frac=0.0)
     plan = cache.plan(cache.compile(wl.program, edb, grow))

@@ -122,6 +122,16 @@ class TestQueueing:
             UpdateStreamService(*args, storage="row")
         UpdateStreamService(*args, executor="thread", storage="columnar")
 
+    def test_lenient_mode_is_not_a_choice(self):
+        """``strict`` accepts only ``True``: a round whose check fails
+        raises, rolls back and is retried; nothing adopts the
+        reference."""
+        wl = live_workload("retail", seed=1)
+        args = (wl.program, wl.edb, REGISTRY["hybrid"]())
+        with pytest.raises(ValueError, match="lenient mode was removed"):
+            UpdateStreamService(*args, strict=False)
+        UpdateStreamService(*args, strict=True)
+
     def test_cold_compile_and_maintenance_are_not_choices(self):
         """``plan_cache`` accepts only ``True`` — the cache is there
         from construction — and ``maintenance`` went with its engine."""
@@ -378,12 +388,11 @@ def test_a_committed_round_frees_the_previous_edb_generation():
     assert replaced() is None
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_diverging_unit_output_is_caught_relation_by_relation(strict):
+def test_diverging_unit_output_is_caught_relation_by_relation():
     """A unit that drops a fact makes the round's final values differ
-    from from-scratch evaluation: strict raises with the fact count,
-    non-strict reports ``materialization_ok=False``."""
-    wl, svc = make_service("tc", scheduler="levelbased", strict=strict)
+    from from-scratch evaluation: the round raises with the fact
+    count."""
+    wl, svc = make_service("tc", scheduler="levelbased")
     real_plan = svc.plan_cache.plan
 
     def lossy_plan(cu):
@@ -403,16 +412,5 @@ def test_diverging_unit_output_is_caught_relation_by_relation(strict):
 
     svc.plan_cache.plan = lossy_plan
     svc.submit(wl.random_batch(2))
-    if strict:
-        with pytest.raises(
-            MaterializationDivergenceError, match="1 facts differ"
-        ):
-            svc.run_round()
-    else:
-        rep = svc.run_round()
-        assert rep is not None and not rep.materialization_ok
-        # counted against what the round publishes: the from-scratch
-        # materialization it adopted, over no materialization before it
-        assert rep.metrics.changed_facts == sum(
-            map(len, svc.materialization().relations.values())
-        )
+    with pytest.raises(MaterializationDivergenceError, match="1 facts differ"):
+        svc.run_round()

@@ -77,6 +77,7 @@ class TestFaultPlan:
             dict(min_processors=0),
             dict(straggler_prob=2.0),
             dict(straggler_factor=(0.5, 2.0)),
+            dict(seed=-1),
         ],
     )
     def test_validation_rejects(self, kwargs):

@@ -325,19 +325,53 @@ def test_simulate_refuses_limits_no_run_can_honour(flags, message):
         (["--batch-size", "0"], "argument --batch-size: must be >= 1, got 0"),
         (["--batch-size", "-1"],
          "argument --batch-size: must be >= 1, got -1"),
+        (["--chaos-seed", "-1"],
+         "argument --chaos-seed: must be >= 0, got -1"),
     ],
 )
 def test_serving_refuses_counts_out_of_range(cmd, flags, message, capsys):
     """argparse's one line and exit 2, before anything is served: a
-    negative seed used to print a numpy traceback, negative rounds to
-    serve nothing and a batch of 0 or fewer operations no-op rounds,
-    both exiting 0."""
+    negative seed or chaos seed used to print a numpy traceback,
+    negative rounds to serve nothing and a batch of 0 or fewer
+    operations no-op rounds, both exiting 0."""
     with pytest.raises(SystemExit) as exc:
         main([cmd, "--program" if cmd == "serve" else "--stream", "tc",
               *flags])
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == f"repro {cmd}: error: {message}"
+
+
+@pytest.mark.parametrize("top", ["-1", "0"])
+def test_trace_refuses_a_top_out_of_range(top, capsys):
+    """The same for ``trace --top``, which ``serve`` does not have: it
+    printed "slowest -1 rounds" and dropped a row."""
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--stream", "tc", "--top", top])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"repro trace: error: argument --top: must be >= 1, got {top}"
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        (None, "No such file or directory"),
+        ('{"bogus": 1}', "unknown ChaosPlan field"),
+        ('{"seed": -3}', "seed must be >= 0, got -3"),
+    ],
+)
+def test_serve_refuses_a_chaos_plan_it_cannot_load(tmp_path, spec, reason):
+    """One line and exit 1, as ``simulate --faults`` does: a missing
+    file or a bad spec used to print a traceback."""
+    path = tmp_path / "nope.json"
+    if spec is not None:
+        path.write_text(spec)
+    with pytest.raises(SystemExit, match=(
+        rf"^serve: cannot load chaos plan {path}: .*{reason}[^\n]*$"
+    )):
+        main(["serve", "--program", "tc", "--chaos-spec", str(path)])
 
 
 @pytest.mark.parametrize(
@@ -366,13 +400,16 @@ def test_serving_refuses_counts_out_of_range(cmd, flags, message, capsys):
         (["simulate", "--trace", "5", "--scale", "0.2", "-P", "0"],
          "repro simulate: error: argument -P/--processors: must be >= 1, "
          "got 0"),
+        (["simulate", "--trace", "1", "--faults", "f.json", "--seed", "-1"],
+         "repro simulate: error: argument --seed: must be >= 0, got -1"),
     ],
 )
 def test_trace_commands_refuse_arguments_out_of_range(argv, message, capsys):
     """argparse's one line and exit 2: an unknown trace index used to
     print a ``KeyError`` traceback, a scale outside (0, 1] and
     ``compare -P 0`` a ``ValueError`` one, each exiting 1; ``simulate
-    -P 0`` printed its own one line and exited 1."""
+    -P 0`` printed its own one line and exited 1, and ``simulate --seed
+    -1`` a numpy traceback."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
