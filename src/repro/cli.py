@@ -283,8 +283,12 @@ def _serve_stream(
     ``on_round``. Under chaos a failed round is an expected event — the
     failed-round policy re-queues its delta — so ``on_failed`` gets the
     exception and serving goes on, unless the breaker tripped, which
-    ends the stream with the queue intact. Returns the service and the
-    number of failed rounds.
+    ends the stream with the queue intact. Once the stream ends, rounds
+    go on until nothing is queued, so a re-queued delta is served. A
+    delta the service hands back (its retry budget spent) is submitted
+    once more; handed back again, it is lost.
+    Returns the service, the number of failed rounds, the workload —
+    whose mirror is the EDB the stream leads to — and the lost deltas.
     """
     from .runtime import (
         ChaosError,
@@ -344,25 +348,90 @@ def _serve_stream(
         DeadlineExceededError,
     ) if chaos is not None else ()
     failed_rounds = 0
+    lost: list = []
+    resubmitted = False  # the last delta handed back went back in
+
+    def serve_round() -> bool:
+        """One round; ``False`` once the breaker ends the stream."""
+        nonlocal failed_rounds, resubmitted
+        try:
+            rep = service.run_round()
+        except expected as exc:
+            on_failed(exc)
+            if isinstance(exc, ServiceUnavailableError):
+                return False
+            failed_rounds += 1
+            if not exc.delta_requeued:
+                # its retry budget is spent: it goes back in once, ahead
+                # of the next tick (the round drained the queue); handed
+                # back again, it is lost
+                if resubmitted:
+                    lost.append(exc.failed_delta)
+                    resubmitted = False
+                else:
+                    service.submit(exc.failed_delta)
+                    resubmitted = True
+        else:
+            resubmitted = False
+            if rep is not None:
+                on_round(rep)
+        return True
+
     try:
         for batches in make_stream(
             wl, kind, rounds=args.rounds, batch_size=args.batch_size
         ):
             for delta in batches:
                 service.submit(delta)
-            try:
-                rep = service.run_round()
-            except expected as exc:
-                on_failed(exc)
-                if isinstance(exc, ServiceUnavailableError):
-                    break
-                failed_rounds += 1
-            else:
-                if rep is not None:
-                    on_round(rep)
+            if not serve_round():
+                break
+        else:
+            # a failed last round re-queued its delta: serve it
+            while service.pending_batches() and serve_round():
+                pass
     finally:
         service.close()
-    return service, failed_rounds
+    return service, failed_rounds, wl, lost
+
+
+def _ops(delta) -> list[str]:
+    """``delta``'s operations, ``+p(…)`` / ``-p(…)``, sorted."""
+    return sorted(
+        f"{sign}{pred}({', '.join(map(repr, fact))})"
+        for sign, side in (("+", delta.insertions), ("-", delta.deletions))
+        for pred, facts in side.items()
+        for fact in facts
+    )
+
+
+def _final_check(service, wl, lost: list) -> bool:
+    """Whether the run served its whole stream: the final
+    materialization equals from-scratch evaluation of the EDB the
+    stream leads to (its own mirror, not the service's EDB), and no
+    delta was handed back. Prints one line for each."""
+    from .datalog import seminaive_evaluate
+
+    ok = True
+    if lost:
+        ops = [op for delta in lost for op in _ops(delta)]
+        print(
+            f"LOST {len(ops)} op(s) of {len(lost)} round(s) the service "
+            f"handed back: {' '.join(ops)}"
+        )
+        ok = False
+    mat = service.materialization()
+    if mat is None and not lost and not service.pending_batches():
+        print("no rounds served — nothing to compare")
+        return ok
+    want, _ = seminaive_evaluate(service.program, wl.database())
+    if mat is not None and want.as_dict() == mat.as_dict():
+        print("final materialization matches from-scratch evaluation")
+        return ok
+    print(
+        "final materialization DIVERGES from from-scratch evaluation "
+        "of the stream's EDB"
+    )
+    return False
 
 
 def cmd_serve(args) -> int:
@@ -372,9 +441,10 @@ def cmd_serve(args) -> int:
     chosen stream, and drives every tick through one verified
     maintenance round: compile → concurrent execute → record → strict
     invariant check → materialization comparison against from-scratch
-    evaluation.
+    evaluation. The run ends by comparing the final materialization with
+    from-scratch evaluation of the stream's own EDB; a divergence or an
+    update the service handed back exits 1.
     """
-    from .datalog import seminaive_evaluate
     from .runtime import ServiceUnavailableError
 
     def print_round(rep) -> None:
@@ -407,7 +477,7 @@ def cmd_serve(args) -> int:
                 f"(requeued={getattr(exc, 'delta_requeued', False)})"
             )
 
-    service, failed_rounds = _serve_stream(
+    service, failed_rounds, wl, lost = _serve_stream(
         args,
         cmd="serve",
         banner="serving",
@@ -446,20 +516,7 @@ def cmd_serve(args) -> int:
         f"{s['plan_patches']} plans patched, "
         f"{s['invalidations']} invalidations"
     )
-    mat = service.materialization()
-    if mat is None:
-        print("no rounds served — nothing to compare")
-        consistent = True
-    else:
-        db_final, _ = seminaive_evaluate(
-            service.program, service.database()
-        )
-        consistent = db_final.as_dict() == mat.as_dict()
-        print(
-            "final materialization matches from-scratch evaluation"
-            if consistent
-            else "final materialization DIVERGES from from-scratch evaluation"
-        )
+    consistent = _final_check(service, wl, lost)
     if args.metrics:
         out = Path(args.metrics)
         with out.open("w") as fh:
@@ -477,7 +534,9 @@ def cmd_trace(args) -> int:
     verify) plus scheduler decision counters. Writes the timeline as
     Chrome ``trace_event`` JSON — load it at ``chrome://tracing`` or
     https://ui.perfetto.dev — and prints the top-``--top`` slowest
-    rounds with their per-phase breakdown.
+    rounds with their per-phase breakdown. Like ``repro serve`` it ends
+    with the final comparison against the stream's own EDB, and exits 1
+    on a divergence or a lost update.
     """
     from .obs import TraceRecorder, validate_chrome_trace, write_chrome_trace
     from .runtime import ServiceUnavailableError
@@ -491,7 +550,7 @@ def cmd_trace(args) -> int:
         if not isinstance(exc, ServiceUnavailableError):
             print(f"round failed: {type(exc).__name__}")
 
-    service, _ = _serve_stream(
+    service, _, wl, lost = _serve_stream(
         args,
         cmd="trace",
         banner="tracing",
@@ -503,6 +562,7 @@ def cmd_trace(args) -> int:
     )
     if service.chaos is not None:
         print(f"chaos: {service.chaos.summary() or 'no injections'}")
+    consistent = _final_check(service, wl, lost)
 
     rounds = service.metrics.rounds
     if rounds:
@@ -561,7 +621,7 @@ def cmd_trace(args) -> int:
         with jl.open("w") as fh:
             n_lines = write_jsonl(recorder, fh)
         print(f"wrote {jl} ({n_lines} records)")
-    return 0
+    return 0 if consistent else 1
 
 
 def cmd_verify(args) -> int:

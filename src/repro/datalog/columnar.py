@@ -69,7 +69,7 @@ from __future__ import annotations
 import linecache
 import threading
 from collections import OrderedDict, defaultdict
-from itertools import count
+from itertools import count, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator
 
@@ -77,6 +77,7 @@ from .ast import (
     ARITH_OPS,
     COMPARISON_OPS,
     Aggregate,
+    Atom,
     Constant,
     Rule,
     Variable,
@@ -95,6 +96,8 @@ __all__ = [
     "full_seed",
     "run_rule_plan",
     "eval_rule_columnar",
+    "fold_groups",
+    "share_key",
 ]
 
 
@@ -479,15 +482,20 @@ _MAX_LOOPS = 16
 class RulePlan:
     """A compiled (rule, order, Δ-position): one generated function."""
 
-    __slots__ = ("kernel", "source", "filename", "reads")
+    __slots__ = ("kernel", "source", "filename", "reads", "grouped")
 
     def __init__(
         self, kernel: Callable, source: str, filename: str,
-        reads: frozenset[str],
+        reads: frozenset[str], grouped: Callable | None = None,
     ) -> None:
         #: ``kernel(relations, delta_overrides, pool) -> set of id-rows``
         #: (counted mode: a dict of binding counts, see ``_compile_rule``)
         self.kernel = kernel
+        #: an aggregate plan's join without its fold, same arguments:
+        #: group key → the aggregated column's ids, one per binding —
+        #: what ``kernel`` hands :func:`fold_groups` (``None`` for a plain
+        #: head, a one-relation GROUP BY and the other modes)
+        self.grouped = grouped
         #: the kernel's text, also in ``linecache`` under ``filename``
         #: while the plan is memoised — tracebacks show the failing line
         self.source = source
@@ -746,6 +754,77 @@ def _one_relation_group(rule: Rule) -> dict[str, int] | None:
     return at
 
 
+#: the fold of a group's values, by aggregate (``count`` is ``len``)
+_FOLDS = {"sum": sum, "min": min, "max": max}
+
+
+def fold_groups(head: Atom, groups: dict, pool: InternPool) -> set:
+    """The id-rows the aggregate ``head`` derives from ``groups`` (group
+    key → the aggregated column's ids, one per binding; the key is the
+    head's plain columns, one column on its bare id): per group, ``len``
+    for ``count``, one ``sum`` / ``min`` / ``max`` over the ids' values,
+    interned into the head at the aggregate's place. The fold every
+    per-binding aggregate kernel ends in, and every rule that reads a
+    grouped join another rule of the same body ran."""
+    if not groups:
+        return set()
+    terms = head.terms
+    for at, agg in enumerate(terms):
+        if isinstance(agg, Aggregate):
+            break
+    if agg.op == "count":
+        folded = map(len, groups.values())
+    else:  # per group, one C call over its ids' values
+        values = map(map, repeat(pool.table.values.__getitem__),
+                     groups.values())
+        folded = map(_FOLDS[agg.op], values)
+    keys, results = groups.keys(), map(pool.table.intern, folded)
+    if len(terms) == 2:  # one group column, keyed on its bare id
+        return set(zip(keys, results) if at else zip(results, keys))
+    return {(*g[:at], v, *g[at:]) for g, v in zip(keys, results)}
+
+
+def share_key(rule: Rule) -> tuple | None:
+    """What an aggregate rule's grouped join is, up to a consistent
+    renaming of its variables: the body's literals in order, the head's
+    plain columns (the group key) and the aggregated variable — each
+    variable numbered by its first appearance in the body, a constant
+    kept with its type. Two rules with equal keys group equal bindings
+    under equal keys, whatever their heads' predicates, aggregates and
+    the aggregate's place; :func:`fold_groups` then folds one join's
+    groups for both. ``None`` for a plain head and for a one-relation
+    GROUP BY, which folds index buckets and has no join to share."""
+    if not rule.has_aggregate or _one_relation_group(rule) is not None:
+        return None
+    number: dict[str, int] = {}
+
+    def term(t) -> object:
+        if isinstance(t, Variable):
+            return number.setdefault(t.name, len(number))
+        return (type(t.value).__name__, t.value)
+
+    body = []
+    for lit in rule.body:
+        if lit.atom is not None:
+            body.append((
+                "!" if lit.negated else "", lit.atom.predicate,
+                tuple(map(term, lit.atom.terms)),
+            ))
+        elif lit.comparison is not None:
+            c = lit.comparison
+            body.append(("?", c.op, term(c.left), term(c.right)))
+        else:
+            a = lit.assignment
+            body.append((
+                "=", term(a.target), term(a.left), a.op,
+                None if a.right is None else term(a.right),
+            ))
+    terms = rule.head.terms
+    agg = next(t for t in terms if isinstance(t, Aggregate))
+    plain = tuple(term(t) for t in terms if not isinstance(t, Aggregate))
+    return tuple(body), plain, term(agg.var)
+
+
 def _compile_rule(
     rule: Rule,
     order: tuple[int, ...] | None,
@@ -787,7 +866,12 @@ def _compile_rule(
     relation's index on the group columns (the whole row set when there
     are none): per bucket, ``len`` for ``count``, one ``sum`` / ``min``
     / ``max`` over the aggregated column's values — a C call per group
-    instead of a Python step per binding.
+    instead of a Python step per binding. Any other plain aggregate is
+    two functions: ``grouped``, the join, which appends each binding's
+    aggregated id to its group's list and returns the groups
+    (:attr:`RulePlan.grouped`), and ``kernel``, which folds them through
+    :func:`fold_groups` — the fold a rule sharing that join applies to
+    another rule's groups.
 
     The source is made of invented names, integer positions, operator
     tokens of the closed tables and ``repr`` of predicate names; program
@@ -1007,7 +1091,7 @@ def _compile_rule(
 
     flush()
     head = rule.head.terms
-    fold: list[str] = []
+    fold: list[str] = []  # the kernel around a grouped join
     prelude: list[str] = []
     if pending:
         env["UNRESOLVED"] = f"unresolved filters {pending!r}"
@@ -1073,39 +1157,30 @@ def _compile_rule(
         elif not rule.head.has_aggregate():
             w.emit(f"add({_tuple(plain)})")
         else:
-            # group on id columns (one column on its bare id); only the
-            # folded column is externed
+            # group on id columns (one column on its bare id): the join
+            # returns its groups, and the kernel folds them
             agg = next(t for t in head if isinstance(t, Aggregate))
             w.emit(f"groups[{_key(plain)}].append({var[agg.var.name]})")
-            folded = "len(ids)" if agg.op == "count" else (
-                f"{_op(agg.op, ('sum', 'min', 'max'))}(map(value_of, ids))"
-            )
-            cols = [f"g{i}" for i in range(len(plain))]
-            group = iter(cols)
-            row = _tuple([
-                f"intern({folded})" if isinstance(t, Aggregate)
-                else next(group)
-                for t in head
-            ])
+            env.update(fold_groups=fold_groups, HEAD=rule.head)
             fold = [
-                f"        for {_key(cols)}, ids in groups.items():",
-                f"            add({row})",
+                "def kernel(relations, deltas, pool):",
+                "    groups = grouped(relations, deltas, pool)",
+                "    return fold_groups(HEAD, groups, pool)",
             ]
 
     state = ", ".join(lazy + counters)
     lines = [
         "def kernel(relations, heads, pool, stamps):" if support
+        else "def grouped(relations, deltas, pool):" if fold
         else "def kernel(relations, deltas, pool):",
         "    intern = pool.table.intern",
         "    values = pool.table.values",
         *(
             ["    out = defaultdict(int)"] if counted
+            else ["    out = groups = defaultdict(list)"] if fold
             else ["    out = set()", "    add = out.add"]
         ),
-        *(
-            ["    value_of = values.__getitem__",
-             "    groups = defaultdict(list)"] if fold else prelude
-        ),
+        *prelude,
         *(f"    {t} = stamps[{p!r}]" for p, t in stamp_of.items()),
         *([f"    {' = '.join(lazy)} = None"] if lazy else []),
         *([f"    {' = '.join(counters)} = 0"] if counters else []),
@@ -1115,10 +1190,10 @@ def _compile_rule(
     lines += [
         "    try:",
         *w.funcs[0],
-        *fold,
         "        return out",
         "    finally:",
         f"        pool.probes += {' + '.join(counters) or 0}",
+        *fold,
     ]
     source = "\n".join(lines) + "\n"
     filename = (
@@ -1131,7 +1206,9 @@ def _compile_rule(
     linecache.cache[filename] = (
         len(source), None, source.splitlines(True), filename
     )
-    return RulePlan(env["kernel"], source, filename, frozenset(reads))
+    return RulePlan(
+        env["kernel"], source, filename, frozenset(reads), env.get("grouped")
+    )
 
 
 #: (rule, order, Δ-position) → compiled plan, least recently used

@@ -177,9 +177,10 @@ class CompiledProgramCache:
         self._staged: _Side | None = None
         self._staged_cu: CompiledUpdate | None = None
         #: what the check keeps of the program from round to round:
-        #: its strata's compiled plans and instance tables
+        #: its strata's compiled plans and instance tables, and under
+        #: ``None`` which aggregate rules share a grouped join
         #: (``seminaive_evaluate(plans=…)``), dropped with the program
-        self._check: dict[int, dict] = {}
+        self._check: dict = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -308,9 +309,11 @@ class CompiledProgramCache:
         relation objects (so their indexes are probed, not rebuilt) and
         the intern pool. From round to round it keeps only what depends
         on the rules alone: each stratum's compiled plans and instance
-        table, prepared by the program's first check and dropped when
-        the program changes — no node value, Z-set or relation a round
-        writes, and nothing keyed by EDB content.
+        table and which aggregate rules share a grouped join, prepared
+        by the program's first check and dropped when the program
+        changes — no node value, Z-set or relation a round writes, and
+        nothing keyed by EDB content: the shared groups live for one
+        check.
         """
         return seminaive_evaluate(
             cu.program,

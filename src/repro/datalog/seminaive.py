@@ -26,6 +26,7 @@ materialization: that is the static DAG, run by the served round and by
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,8 +36,10 @@ from .columnar import (
     InternPool,
     body_order,
     compile_rule_plan,
+    fold_groups,
     full_seed,
     run_rule_plan,
+    share_key,
 )
 from .database import Database, Relation
 from .unify import eval_rule
@@ -140,6 +143,8 @@ def evaluate_stratum(
     delta: dict[str, set] | None = None,
     plans: dict | None = None,
     waves: bool = False,
+    shares: dict[int, tuple] | None = None,
+    groups: dict[tuple, dict] | None = None,
 ) -> dict[str, list[set]]:
     """Run one stratum's semi-naive loop to fixpoint over ``db``.
 
@@ -192,6 +197,17 @@ def evaluate_stratum(
     next, a dict a caller may keep for them: ``(rule index, Δ-position,
     seed)`` → compiled plan, and under ``None`` the instance table — so
     a run with a kept dict compiles and orders nothing it ran before.
+
+    ``shares`` (rule index → :func:`~repro.datalog.columnar.share_key`)
+    names the aggregate rules whose full plans run one grouped join
+    between them, and ``groups`` (share key → that join's groups) is
+    where the first of them leaves it for the others: in id space such a
+    rule's full plan looks its key up, runs its plan's
+    :attr:`~repro.datalog.columnar.RulePlan.grouped` join on a miss, and
+    folds the groups with its own aggregate
+    (:func:`~repro.datalog.columnar.fold_groups`). Only
+    :func:`seminaive_evaluate` passes them — both or neither — with
+    ``groups`` fresh per call.
     """
     plans = {} if plans is None else plans
     heads = {
@@ -217,17 +233,26 @@ def evaluate_stratum(
         view = Database({**db.relations, **grown})
 
         def derive(ri: int, rule: Rule, pos: int | None, seed, delta) -> set:
-            # a full plan (iteration 0) is seeded where the relations
-            # are now: at the smallest one it scans whole
+            key = None
             if pos is None:
+                # a full plan (iteration 0) is seeded where the relations
+                # are now: at the smallest one it scans whole
                 seed = full_seed(rule, view.relations)
+                key = shares.get(ri) if shares else None
+                if key is not None and key in groups:
+                    # another rule of its share set joined the body
+                    return fold_groups(rule.head, groups[key], pool)
             plan = plans.get((ri, pos, seed))
             if plan is None:
                 order = None if seed is None else body_order(rule, seed)
                 plan = plans[ri, pos, seed] = compile_rule_plan(
                     rule, order, pos
                 )
-            return run_rule_plan(plan, view, pool, delta)
+            if key is None:
+                return run_rule_plan(plan, view, pool, delta)
+            # the first rule of a share set joins the body for them all
+            got = groups[key] = plan.grouped(view.relations, None, pool)
+            return fold_groups(rule.head, got, pool)
 
         def wrap(pred: str, rows: set):
             # id-rows as they are: no intern, no build
@@ -330,12 +355,21 @@ def seminaive_evaluate(
     ``plans`` is a dict a caller keeps for ``program`` — and for no
     other: its keys are stratum and rule indexes — of what each
     stratum's loop keeps from run to run (stratum index → the
-    :func:`evaluate_stratum` ``plans`` of its rules), so an evaluation
+    :func:`evaluate_stratum` ``plans`` of its rules, and under ``None``
+    which aggregate rules share a grouped join), so an evaluation
     of the program after the first compiles and orders nothing; only
     :func:`~repro.datalog.columnar.full_seed` still picks each full
     plan's seed from the relations' sizes. The plan cache keeps one for
     the check (:meth:`~repro.datalog.plancache.CompiledProgramCache
     .evaluate`). A stratum without rules is skipped.
+
+    In id space, aggregate rules that join the same body under the same
+    group key and aggregated variable (equal up to a renaming of their
+    variables, :func:`~repro.datalog.columnar.share_key`) run that join
+    once per call: the first of them runs its full plan's grouped join,
+    and each folds those groups with its own aggregate. The groups live
+    for this call only; what is kept in ``plans`` is which rules share,
+    which the rules alone decide. The row evaluator shares nothing.
 
     The arities, stated facts and strata are the program's own, the
     objects the served path reads too: the oracle shares the
@@ -355,10 +389,33 @@ def seminaive_evaluate(
     })
     db.relations.update(shared)
     _seed(program, db)
+    shares = groups = None
+    if pool is not None:
+        shares = None if plans is None else plans.get(None)
+        if shares is None:
+            shares = _share_keys(program)
+            if plans is not None:
+                plans[None] = shares
+        groups = {}  # this evaluation's grouped joins: one call only
     for si, rules in enumerate(program.strata):
         if rules:
             evaluate_stratum(
                 rules, db, pool, max_iterations,
                 plans=None if plans is None else plans.setdefault(si, {}),
+                shares=shares, groups=groups,
             )
     return db, EvaluationTrace(list(map(list, program.depgraph.stratify())))
+
+
+def _share_keys(program: Program) -> dict[int, tuple]:
+    """Rule index → :func:`~repro.datalog.columnar.share_key`, for the
+    aggregate rules whose key another rule of ``program`` has too.
+    Depends on the rules alone. Aggregation is stratified (the program
+    is refused otherwise), so each such body reads only strata below
+    its rule's, complete before either rule of a key runs."""
+    keys = {
+        ri: key for ri, rule in enumerate(program.proper_rules)
+        if (key := share_key(rule)) is not None
+    }
+    seen = Counter(keys.values())
+    return {ri: key for ri, key in keys.items() if seen[key] > 1}

@@ -89,6 +89,16 @@ class LiveWorkload:
             vals = [f[0] for f in self._mirror[pred]]
             self.hot_key = (pred, max(set(vals), key=vals.count))
 
+    def database(self) -> Database:
+        """The EDB the batches generated so far lead to: the mirror's
+        facts, and every relation no batch updates as it was built."""
+        out = Database()
+        for pred, rel in self.edb.relations.items():
+            out.relation(pred, rel.arity)
+            for fact in self._mirror.get(pred, rel):
+                out.add_fact(pred, fact)
+        return out
+
     # ------------------------------------------------------------------
     def _sample_fact(self, pred: str, hot: bool) -> tuple:
         pools = self._pools[pred]

@@ -4,7 +4,8 @@ A plain-mode aggregate kernel groups the bindings on the head's plain
 columns: none and several on a tuple of ids, one on the bare id (no
 1-tuple per binding). Whatever the width, the fold and the aggregate's
 place in the head, the columnar fixpoint must derive what the row
-evaluator derives.
+evaluator derives — also when aggregate rules over one body, equal up to
+a renaming of their variables, fold the groups of one shared join.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from repro.datalog import (
     parse_rule,
     seminaive_evaluate,
 )
-from repro.datalog.columnar import compile_rule_plan, run_rule_plan
+import repro.datalog.seminaive as seminaive
+from repro.datalog.columnar import compile_rule_plan, run_rule_plan, share_key
 from repro.datalog.database import Relation
+from repro.datalog.seminaive import _share_keys
 from repro.datalog.unify import eval_rule
+from repro.workloads.datalog_workloads import retail_analytics
 
 FACTS = st.sets(
     st.tuples(
@@ -151,3 +155,114 @@ def test_a_one_relation_group_by_folds_its_index_buckets(
             successor.discard(fact)
     check(successor)
     assert check(rel) == before
+
+
+# ---------------------------------------------------------------------------
+# aggregate rules that share a body share one grouped join
+# ---------------------------------------------------------------------------
+
+#: the shared body over ``X, Y, Z, W``: two atoms (no one-relation fold),
+#: a comparison with a constant
+BODY = ["e(X, Y, Z)", "f(X, W)", "W != 2"]
+#: near misses of a rule over ``BODY`` grouped on ``group`` folding
+#: ``Z``, each a ``(body, group, aggregated variable)`` that must not
+#: share its join
+NEAR = {
+    "constant": lambda group: (
+        ["e(X, Y, Z)", "f(X, W)", "W != 3"], group, "Z"
+    ),
+    "comparison": lambda group: ([*BODY, "Z > 0"], group, "Z"),
+    "negation": lambda group: ([*BODY, "!g(Y)"], group, "Z"),
+    "group key": lambda group: (BODY, ["W", "X"][: len(group)], "Z"),
+    "aggregated": lambda group: (BODY, group, "Y"),
+}
+
+
+def _renamed(text: str, names: list[str]) -> str:
+    """``text`` with ``X, Y, Z, W`` renamed to ``names``."""
+    return text.translate(str.maketrans(dict(zip("XYZW", names))))
+
+
+def _agg_rule(head: str, body, group, agg, op, at, names) -> str:
+    terms = [*group]
+    terms.insert(at % (len(terms) + 1), f"{op}({agg})")
+    return _renamed(f"{head}({', '.join(terms)}) :- {', '.join(body)}.", names)
+
+
+@given(
+    ops=st.lists(st.sampled_from(OPS), min_size=2, max_size=3),
+    width=st.integers(1, 2),
+    renames=st.lists(
+        st.permutations(["A", "B", "C", "D", "E"]), min_size=4, max_size=4
+    ),
+    ats=st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    near=st.sampled_from(sorted(NEAR)),
+    near_op=st.sampled_from(OPS),
+    e=st.sets(
+        st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(-5, 5)),
+        max_size=16,
+    ),
+    f=st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8),
+    g=st.sets(st.integers(0, 2)),
+)
+@settings(max_examples=150, deadline=None)
+def test_rules_over_one_body_share_one_grouped_join(
+    ops, width, renames, ats, near, near_op, e, f, g
+):
+    """2–3 aggregate heads over one body, each with its own variable
+    names, aggregate and aggregate place, share one join; a near miss —
+    another constant, an extra comparison or negation, another group key
+    or aggregated variable — does not. Either way id-space evaluation
+    derives the row evaluator's answer, with ``k`` reading a shared
+    aggregate back out."""
+    group = ["X", "W"][:width]
+    text = [
+        _agg_rule(f"h{i}", BODY, group, "Z", op, at, names[:4])
+        for i, (op, at, names) in enumerate(zip(ops, ats, renames))
+    ]
+    body, near_group, agg = NEAR[near](group)
+    text.append(
+        _agg_rule("n", body, near_group, agg, near_op, ats[-1], renames[-1])
+    )
+    text.append(f"k(A) :- h0(A{''.join(f', B{i}' for i in range(width))}).")
+    program = parse_program("\n".join(text))
+    rules = program.proper_rules
+    keys = _share_keys(program)
+    assert sorted(keys) == list(range(len(ops)))
+    assert len(set(keys.values())) == 1
+    assert share_key(rules[len(ops)]) not in keys.values()
+    edb = Database()
+    for pred, facts, arity in (("e", e, 3), ("f", f, 2), ("g", g, 1)):
+        edb.relation(pred, arity)
+        for t in facts:
+            edb.add_fact(pred, t if arity > 1 else (t,))
+    want, _ = seminaive_evaluate(program, edb)
+    got, _ = seminaive_evaluate(program, edb, pool=InternPool())
+    assert got.as_dict() == want.as_dict()
+
+
+def test_one_check_joins_a_shared_body_once(monkeypatch):
+    """On the end-to-end benchmark's retail EDB, ``total_qty`` and
+    ``best_sale`` group ``sale(S, P, Q), product_cat(P, C)`` by ``C``:
+    a warm check joins it once, 201 probes fewer (1 scan of
+    ``product_cat`` plus its 200 rows probing ``sale``) than two joins,
+    for the same answer."""
+    program, db, _delta = retail_analytics(
+        n_products=200, n_stores=24, n_sales=1500
+    )
+    want = seminaive_evaluate(program, db)[0].as_dict()
+
+    def probes_of_one_check() -> int:
+        pool = InternPool()
+        shared = dict(db.relations)
+        seminaive_evaluate(program, db, shared_relations=shared, pool=pool)
+        before = pool.probes
+        got = seminaive_evaluate(
+            program, db, shared_relations=shared, pool=pool
+        )[0]
+        assert got.as_dict() == want
+        return pool.probes - before
+
+    shared = probes_of_one_check()
+    monkeypatch.setattr(seminaive, "_share_keys", lambda program: {})
+    assert probes_of_one_check() - shared == 1 + 200

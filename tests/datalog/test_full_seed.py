@@ -12,8 +12,9 @@ first compiles the textual kernel; that a cross-product body is
 repaired in the served plan and the check alike, in the order the
 analyzer's hint names; and, on the end-to-end
 benchmark's retail EDB, that the every-round check scans
-``product_cat`` (200 rows) instead of ``sale`` (1 500) and probes less
-for the same bytes.
+``product_cat`` (200 rows) instead of ``sale`` (1 500), in the one join
+its two aggregates over that body share, and probes less for the same
+bytes.
 """
 
 from __future__ import annotations
@@ -223,11 +224,12 @@ def test_the_check_scans_product_cat_not_sale(retail, monkeypatch):
     _check(program, db, InternPool())
     full = {rule.head.predicate: (rule, order, plan)
             for rule, order, at, plan in compiled if at is None}
-    for head in ("total_qty", "best_sale"):
-        _rule, order, plan = full[head]
-        assert order == (1, 0)
-        src = plan.source
-        assert src.index("'product_cat'") < src.index("'sale'")
+    # the two joins are one: best_sale folds the groups of total_qty's
+    _rule, order, plan = full["total_qty"]
+    assert order == (1, 0)
+    src = plan.source
+    assert src.index("'product_cat'") < src.index("'sale'")
+    assert "best_sale" not in full
     # one relation in the body: nothing to choose, and the seeded plan
     # is the textual kernel
     for head in ("store_lines", "hot", "quiet_store", "busy"):
@@ -252,8 +254,9 @@ def test_the_check_probes_less_for_the_same_bytes(retail, monkeypatch):
     monkeypatch.setattr(seminaive, "full_seed", lambda rule, relations: None)
     textual, got = probes_of_one_check()
     assert got == row
-    # each of the two joins: 1 + 1 500 probes textually, 1 + 200 seeded
-    assert textual - seeded == 2 * (1500 - 200)
+    # the one join total_qty and best_sale share: 1 + 1 500 probes
+    # textually, 1 + 200 seeded
+    assert textual - seeded == 1500 - 200
 
 
 def test_a_task_recompute_is_seeded_too(retail, monkeypatch):

@@ -578,27 +578,37 @@ def test_the_counted_mode_leaves_the_plain_source_alone():
 
 
 @pytest.mark.parametrize(
-    "head, key, fold, bucket",
+    "head, key, bucket",
     [
-        ("h(count(Y))", "()", "()", "rows = S0.rows"),
-        ("h(X, count(Y))", "v0", "g0", "for v0, rows in S0.index((0,))"),
-        ("h(sum(Y), X)", "v0", "g0", "for v0, rows in S0.index((0,))"),
-        ("h(X, Y, max(Y))", "(v0, v1)", "(g0, g1)",
+        ("h(count(Y))", "()", "rows = S0.rows"),
+        ("h(X, count(Y))", "v0", "for v0, rows in S0.index((0,))"),
+        ("h(sum(Y), X)", "v0", "for v0, rows in S0.index((0,))"),
+        ("h(X, Y, max(Y))", "(v0, v1)",
          "for (v0, v1), rows in S0.index((0, 1))"),
     ],
     ids=["none", "one", "one-after", "two"],
 )
-def test_a_one_column_group_keys_on_the_bare_id(head, key, fold, bucket):
+def test_a_one_column_group_keys_on_the_bare_id(head, key, bucket):
     """A plain aggregate kernel groups on its plain head columns' ids —
     one column on the bare id, as a one-position index is keyed, so no
-    1-tuple is built per binding; none or several on a tuple. Over one
-    relation its groups are the buckets of that relation's index on
-    those columns, keyed the same way (none: the whole row set)."""
-    joined = compile_rule_plan(
-        parse_rule(f"{head} :- e(X, Y), f(Y)."), None, None
-    ).source
-    assert f"groups[{key}].append(" in joined
-    assert f"for {fold}, ids in groups.items():" in joined
+    1-tuple is built per binding; none or several on a tuple — and
+    folds the groups through ``fold_groups``, which reads the key the
+    same way. Over one relation its groups are the buckets of that
+    relation's index on those columns, keyed the same way (none: the
+    whole row set)."""
+    rule = parse_rule(f"{head} :- e(X, Y), f(Y).")
+    plan = compile_rule_plan(rule, None, None)
+    assert f"groups[{key}].append(" in plan.source
+    assert "return fold_groups(HEAD, groups, pool)" in plan.source
+    db = Database()
+    for pred, facts in (("e", [(1, 2), (1, 3), (4, 2)]), ("f", [(2,), (3,)])):
+        db.relation(pred, len(facts[0]))
+        for fact in facts:
+            db.add_fact(pred, fact)
+    pool = InternPool()
+    assert set(pool.extern_rows(run_rule_plan(plan, db, pool))) == (
+        eval_rule(rule, db)
+    )
     one = compile_rule_plan(
         parse_rule(f"{head} :- e(X, Y)."), None, None
     ).source

@@ -242,6 +242,35 @@ def test_datalog_prints_the_row_evaluators_answer(path, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_serve_exits_1_when_an_update_is_lost(monkeypatch, capsys):
+    """Round 1 diverges on every attempt: its delta is re-queued, handed
+    back once its retry budget is spent, submitted once more and handed
+    back again. The service's own EDB then lacks it — and so agrees with
+    its materialization — but the stream's mirror has it: the run names
+    the lost ops and exits 1."""
+    from repro.runtime.service import (
+        MaterializationDivergenceError,
+        UpdateStreamService,
+    )
+
+    real = UpdateStreamService._verify_phase
+
+    def verify(self, *args, **kwargs):
+        if self._rounds_run == 1:
+            raise MaterializationDivergenceError(1, "forced")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(UpdateStreamService, "_verify_phase", verify)
+    rc = main(
+        ["serve", "--program", "tc", "--rounds", "4", "--chaos-seed", "1"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 1, out
+    (lost,) = [line for line in out.splitlines() if line.startswith("LOST")]
+    assert re.search(r"LOST \d+ op\(s\) of 1 round\(s\).*[+-]edge\(", lost)
+    assert "DIVERGES" in out
+
+
 def test_serve_with_chaos_seed(capsys):
     rc = main(
         [
