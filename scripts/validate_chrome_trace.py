@@ -9,8 +9,8 @@ Exit code 0 when every file passes; 1 with one line per violation
 otherwise. The schema is the one ``repro trace`` promises (see
 ``repro.obs.validate_chrome_trace``): a ``traceEvents`` list of
 complete ("X"), instant ("i"), and metadata ("M") events with the
-required per-phase fields. CI runs this over the smoke-test trace
-artifact.
+required per-phase fields. ``tests/runtime/test_serve_command.py``
+runs it over the traces ``repro trace`` writes.
 """
 
 from __future__ import annotations

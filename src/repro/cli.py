@@ -54,6 +54,27 @@ from .workloads.tables import TRACE_CONFIGS
 SCHEDULERS = scheduler_registry()
 
 
+def _writable(cmd: str, path: str | None) -> Path | None:
+    """``path`` as a :class:`Path`, or ``None`` for no path — refused
+    before the run when it cannot be written (a directory, a missing
+    parent, no permission): one ``<cmd>: cannot write <path>: <reason>``
+    line, exit 1. The probe leaves no file where there was none."""
+    if path is None:
+        return None
+    out = Path(path)
+    existed = out.exists()
+    try:
+        with out.open("a"):
+            pass
+    except OSError as exc:
+        raise SystemExit(
+            f"{cmd}: cannot write {out}: {exc.strerror or exc}"
+        ) from None
+    if not existed:
+        out.unlink()
+    return out
+
+
 def _load_trace(args) -> JobTrace:
     if args.trace_file:
         with open(args.trace_file) as fh:
@@ -154,6 +175,7 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"simulate: {exc}") from None
+    out = _writable("simulate", args.output)
     trace = _load_trace(args)
     scheduler = _resolve_scheduler(args.scheduler)
     try:
@@ -161,7 +183,7 @@ def cmd_simulate(args) -> int:
             trace,
             scheduler,
             processors=args.processors,
-            record_schedule=bool(args.output),
+            record_schedule=out is not None,
             strict=args.strict,
             faults=_load_faults(args),
             deadline=args.deadline,
@@ -180,13 +202,12 @@ def cmd_simulate(args) -> int:
             f"simulate: {type(exc).__name__}: {first_line}"
         ) from exc
     print(res.summary())
-    if args.output:
+    if out is not None:
         payload = {
             "schema": 1,
             "trace": trace.to_json_dict(),
             "result": res.to_json_dict(),
         }
-        out = Path(args.output)
         with out.open("w") as fh:
             json.dump(payload, fh)
         print(f"wrote {out} ({len(res.schedule)} dispatch records)")
@@ -219,8 +240,8 @@ def cmd_compare(args) -> int:
 
 def cmd_generate(args) -> int:
     """``repro generate``: write a trace analogue to a JSON file."""
+    out = _writable("generate", args.output)
     trace = make_trace(args.trace, scale=args.scale)
-    out = Path(args.output)
     with out.open("w") as fh:
         trace.dump(fh)
     st = trace_stats(trace)
@@ -447,6 +468,8 @@ def cmd_serve(args) -> int:
     """
     from .runtime import ServiceUnavailableError
 
+    metrics = _writable("serve", args.metrics)
+
     def print_round(rep) -> None:
         m = rep.metrics
         flag = "  DEGRADED" if m.degraded else ""
@@ -517,11 +540,10 @@ def cmd_serve(args) -> int:
         f"{s['invalidations']} invalidations"
     )
     consistent = _final_check(service, wl, lost)
-    if args.metrics:
-        out = Path(args.metrics)
-        with out.open("w") as fh:
+    if metrics is not None:
+        with metrics.open("w") as fh:
             service.metrics.dump(fh)
-        print(f"wrote {out}")
+        print(f"wrote {metrics}")
     return 0 if consistent else 1
 
 
@@ -541,6 +563,8 @@ def cmd_trace(args) -> int:
     from .obs import TraceRecorder, validate_chrome_trace, write_chrome_trace
     from .runtime import ServiceUnavailableError
 
+    out = _writable("trace", args.output)
+    jl = _writable("trace", args.jsonl)
     recorder = TraceRecorder()
     recorder.set_thread_name("service")
 
@@ -603,7 +627,6 @@ def cmd_trace(args) -> int:
             ))
     print(service.metrics.summary())
 
-    out = Path(args.output)
     with out.open("w") as fh:
         n_events = write_chrome_trace(recorder, fh)
     from .obs import chrome_trace
@@ -614,10 +637,9 @@ def cmd_trace(args) -> int:
             print(f"trace: schema error: {e}", file=sys.stderr)
         return 1
     print(f"wrote {out} ({n_events} events) — open at chrome://tracing")
-    if args.jsonl:
+    if jl is not None:
         from .obs import write_jsonl
 
-        jl = Path(args.jsonl)
         with jl.open("w") as fh:
             n_lines = write_jsonl(recorder, fh)
         print(f"wrote {jl} ({n_lines} records)")

@@ -37,8 +37,11 @@ from .test_database import assert_intact, held
 
 
 def _untouched_buckets_are_lent(new: dict, old: dict, rows) -> None:
-    """Per pattern, a bucket of ``new`` is ``old``'s own object exactly
-    when no row of ``rows`` has its key."""
+    """``new`` has ``old``'s index patterns, and per pattern a bucket of
+    ``new`` is ``old``'s own object exactly when no row of ``rows`` has
+    its key: ``new`` holds at most ``len(rows)`` buckets of its own per
+    index."""
+    assert new and set(new) == set(old)
     for pattern, index in new.items():
         keys = set(map(itemgetter(*pattern), rows))
         lent = old[pattern]
@@ -49,9 +52,11 @@ def _untouched_buckets_are_lent(new: dict, old: dict, rows) -> None:
 
 
 def test_a_successor_shares_every_bucket_its_delta_does_not_touch():
-    """``agg_burst``'s ``sale`` under a one-row replace: the successor's
-    buckets are the predecessor's but for the Δ rows' keys, in both
-    faces, and the predecessor holds what it held."""
+    """An EDB successor costs its Δ: ``agg_burst``'s 1 500-row ``sale``
+    under a one-row replace. The successor ``derive_zdelta`` makes
+    shares every index bucket the Δ does not touch with its predecessor,
+    in both faces (mirror and value), and the predecessor holds what it
+    held."""
     _, edb, _ = retail_analytics(n_products=200, n_stores=24, n_sales=1500)
     pool = InternPool()
     sale = edb.relations["sale"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -55,6 +56,20 @@ def serve_ticks(*args, **kwargs) -> UpdateStreamService:
     for svc in serve_rounds(*args, **kwargs):
         pass
     return svc
+
+
+@pytest.fixture
+def started(monkeypatch) -> list[threading.Thread]:
+    """The threads started while the test runs."""
+    threads: list[threading.Thread] = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        threads.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return threads
 
 
 def edb_is_mirror(wl, edb: Database) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import gc
 import sys
-import threading
 import time
 import weakref
 
@@ -26,20 +25,6 @@ from repro.schedulers import scheduler_registry
 from repro.sim.faults import DeadlineExceededError
 
 REGISTRY = scheduler_registry()
-
-
-@pytest.fixture
-def started(monkeypatch) -> list[threading.Thread]:
-    """The threads started while the test runs."""
-    threads: list[threading.Thread] = []
-    real_start = threading.Thread.start
-
-    def start(self):
-        threads.append(self)
-        real_start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    return threads
 
 
 def _serve(program: str, rounds: int, workers: int = 2, **kw):

@@ -2,8 +2,8 @@
 
 Producers push bursty update batches from their own threads while the
 service thread runs verified rounds — per scheduler. Marked with a
-timeout so a deadlock in the executor/service fails fast under the CI
-runtime job (pytest-timeout + faulthandler) instead of hanging it.
+timeout so a deadlock in the executor/service fails fast under CI's
+tier-1 step (pytest-timeout + faulthandler) instead of hanging it.
 """
 
 from __future__ import annotations

@@ -443,3 +443,34 @@ def test_trace_commands_refuse_arguments_out_of_range(argv, message, capsys):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+@pytest.mark.parametrize("where, reason", [
+    ("dir", "Is a directory"),
+    ("missing/out.json", "No such file or directory"),
+])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trace", "5", "--scale", "0.2", "-o", "{out}"],
+    ["generate", "--trace", "5", "--scale", "0.2", "-o", "{out}"],
+    ["serve", "--program", "tc", "--rounds", "2", "--metrics", "{out}"],
+    ["trace", "--stream", "tc", "--rounds", "2", "-o", "{out}"],
+    ["trace", "--stream", "tc", "--rounds", "2", "-o", "{ok}",
+     "--jsonl", "{out}"],
+], ids=["simulate -o", "generate -o", "serve --metrics", "trace -o",
+        "trace --jsonl"])
+def test_an_output_path_that_cannot_be_written_is_refused_first(
+    argv, where, reason, tmp_path, capsys
+):
+    """One ``<cmd>: cannot write <path>: <reason>`` line and exit 1,
+    before anything runs: a directory or a path under a missing
+    directory used to run the command in full and then end in an
+    ``IsADirectoryError`` / ``FileNotFoundError`` traceback."""
+    (tmp_path / "dir").mkdir()
+    out, ok = tmp_path / where, tmp_path / "ok.json"
+    argv = [a.format(out=out, ok=ok) for a in argv]
+    with pytest.raises(SystemExit, match=(
+        rf"^{argv[0]}: cannot write {re.escape(str(out))}: {reason}$"
+    )):
+        main(argv)
+    assert capsys.readouterr().out == ""
+    assert not ok.exists()
