@@ -572,7 +572,10 @@ def cmd_trace(args) -> int:
         # chaos makes failed rounds part of the show: the trace
         # records the injections and the round-failed instant
         if not isinstance(exc, ServiceUnavailableError):
-            print(f"round failed: {type(exc).__name__}")
+            print(
+                f"round failed: {type(exc).__name__} "
+                f"(requeued={getattr(exc, 'delta_requeued', False)})"
+            )
 
     service, _, wl, lost = _serve_stream(
         args,

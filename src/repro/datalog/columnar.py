@@ -239,11 +239,13 @@ class ColumnarRelation:
     first probe and maintained by :meth:`add_row`/:meth:`discard_row`
     and, in bulk, :meth:`extend`. Single-position patterns key buckets
     by the bare id (no tuple allocation on the probe path). A
-    :meth:`clone` borrows its donor's buckets and copies one on its
-    first write to it.
+    :meth:`clone` or a :meth:`successor` borrows its donor's buckets
+    and copies one on its first write to it; a successor takes the row
+    set itself, and the donor reads on as a :class:`_PastColumnar`.
     """
 
-    __slots__ = ("name", "arity", "pool", "rows", "_indexes", "_lent")
+    __slots__ = ("name", "arity", "pool", "rows", "_indexes", "_lent",
+                 "_past")
 
     def __init__(self, name: str, arity: int, pool: InternPool) -> None:
         self.name = name
@@ -253,6 +255,8 @@ class ColumnarRelation:
         self._indexes: dict[tuple[int, ...], dict[object, set[tuple]]] = {}
         #: pattern → the donor's index a clone shares buckets with
         self._lent: dict[tuple[int, ...], dict[object, set[tuple]]] = {}
+        #: once a successor took the rows: it and the Δ that made it
+        self._past: _Past | None = None
 
     @classmethod
     def from_facts(
@@ -353,14 +357,45 @@ class ColumnarRelation:
         row-set copy plus O(|Δ|), not a pass over the buckets. The
         donor contract: this relation is never written again (lazy index
         builds aside) — a write to a bucket it still lends would show in
-        the clone. :func:`~repro.datalog.zset.derive_zdelta`'s
-        predecessors and the committed mirrors a fixpoint or a ``pred``
-        node grows a successor from keep it.
+        the clone. A predecessor :meth:`successor` left behind and the
+        committed mirrors a fixpoint or a ``pred`` node grows a clone
+        from keep it. Unlike :meth:`successor`, the clone copies the
+        row set: its donor may still be live.
         """
         out = ColumnarRelation(self.name, self.arity, self.pool)
         out.rows = set(self.rows)
         out._indexes, out._lent = _lend(self._indexes)
         return out
+
+    def successor(self, plus: set, minus: set) -> "ColumnarRelation":
+        """This relation moved by a clamped Δ — ``plus`` rows it lacks,
+        ``minus`` rows it holds — as a new relation, in O(|Δ|).
+
+        The successor takes the row set object as it is and is lent
+        every built index (as :meth:`clone`'s), then takes in the Δ.
+        This relation becomes a :class:`_PastColumnar` in place: it
+        answers ``len`` and ``in`` from the successor and the Δ, probes
+        its own index buckets — the originals, which the successor
+        copies before writing — and rebuilds its rows on the first read
+        that needs them all. A past relation's successor materializes
+        it first (a round retried after a rollback derives again from
+        the committed generation). The donor contract, as for
+        :meth:`clone`, and one more: the successor is written only
+        through its own successor, or its predecessor reads wrong.
+        """
+        out = ColumnarRelation(self.name, self.arity, self.pool)
+        out.rows = self.rows
+        out._indexes, out._lent = _lend(self._indexes)
+        self._past = _Past(out, plus, minus)
+        self.__class__ = _PastColumnar
+        del self.rows
+        out.extend(plus)
+        out.discard_rows(minus)
+        return out
+
+    def _held_rows(self) -> set | None:
+        """The rows, which a live relation holds itself."""
+        return self.rows
 
     def view(self) -> "ColumnarRelation":
         """A read-only face of this relation: its rows and built indexes
@@ -382,6 +417,91 @@ class ColumnarRelation:
             f"ColumnarRelation({self.name}/{self.arity}, "
             f"{len(self.rows)} rows)"
         )
+
+
+class _PastColumnar(ColumnarRelation):
+    """A relation whose rows its successor took (the class
+    :meth:`ColumnarRelation.successor` gives it in place): the rows
+    slot is empty until a read needs them all, ``len`` and ``in``
+    answer from the successor and the Δ, and a built index is its own.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str) -> set:
+        # only an empty slot gets here: the rows, rebuilt once — built
+        # whole, then published — and the relation is live-shaped again
+        if name != "rows":
+            raise AttributeError(name)
+        rows = _past_rows(self._past)  # type: ignore[arg-type]
+        self.rows = rows
+        self.__class__ = ColumnarRelation
+        return rows
+
+    def __len__(self) -> int:
+        return _past_len(self._past)  # type: ignore[arg-type]
+
+    def __contains__(self, row: tuple) -> bool:
+        return _past_holds(self._past, row)  # type: ignore[arg-type]
+
+    def _held_rows(self) -> None:
+        return None
+
+
+class _Past:
+    """What a generation whose successor took its rows reads through:
+    that successor, and the clamped Δ that made it — the facts (or
+    id-rows) it added, all absent before, and removed, all present.
+    So ``x`` was held iff ``x in minus`` or (``x not in plus`` and the
+    successor holds it), and ``len = len(successor) − |plus| + |minus|``.
+    A successor may be past in turn: every read walks the chain to the
+    first generation that holds its rows, iteratively.
+    :class:`~repro.datalog.database.Relation` and
+    :class:`ColumnarRelation` keep one each."""
+
+    __slots__ = ("succ", "plus", "minus")
+
+    def __init__(self, succ, plus: set, minus: set) -> None:
+        self.succ = succ
+        self.plus = plus
+        self.minus = minus
+
+
+def _past_len(past: _Past) -> int:
+    n = 0
+    while True:
+        n += len(past.minus) - len(past.plus)
+        rows = past.succ._held_rows()
+        if rows is not None:
+            return n + len(rows)
+        past = past.succ._past
+
+
+def _past_holds(past: _Past, x: tuple) -> bool:
+    while True:
+        if x in past.minus:
+            return True
+        if x in past.plus:
+            return False
+        rows = past.succ._held_rows()
+        if rows is not None:
+            return x in rows
+        past = past.succ._past
+
+
+def _past_rows(past: _Past) -> set:
+    """A past generation's rows, built whole: the first later one that
+    holds its rows, every Δ since undone, newest first."""
+    steps = [past]
+    rows = past.succ._held_rows()
+    while rows is None:
+        steps.append(steps[-1].succ._past)
+        rows = steps[-1].succ._held_rows()
+    out = set(rows)
+    for step in reversed(steps):
+        out.difference_update(step.plus)
+        out.update(step.minus)
+    return out
 
 
 def _index_rows(

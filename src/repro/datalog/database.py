@@ -11,6 +11,11 @@ someone needs it: an EDB relation is born with value tuples, a derived
 one from the mirror a fixpoint grew (:meth:`Relation.adopt`), and facts
 cross from id space back to value space only when a reader asks for
 them.
+
+A relation's generations share their storage: its
+:meth:`Relation.successor` under a round's Δ takes both row sets as they
+are, and the predecessor reads on as the successor minus that Δ,
+rebuilding its rows only for a reader that needs them all.
 """
 
 from __future__ import annotations
@@ -19,7 +24,17 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
-from .columnar import ColumnarRelation, _index_rows, _lend, _unfile
+from .columnar import (
+    ColumnarRelation,
+    _index_rows,
+    _lend,
+    _Past,
+    _past_holds,
+    _past_len,
+    _past_rows,
+    _unfile,
+    _unfile_rows,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .columnar import InternPool
@@ -36,7 +51,8 @@ class Relation:
     to buckets keyed by the values at those positions (one position by
     the bare value, as a mirror's). They are built on first use and
     maintained incrementally on insert/discard; :meth:`copy_indexed`
-    lends them, as :meth:`ColumnarRelation.clone` does.
+    and :meth:`successor` lend them, as :meth:`ColumnarRelation.clone`
+    does.
 
     ``rows`` / :meth:`extend` / :meth:`wrap` are the bulk face a
     semi-naive loop grows a relation through — the same three names
@@ -48,7 +64,10 @@ class Relation:
     (iteration, membership, :attr:`rows`, :meth:`match`, :meth:`copy`,
     a mutation) gets the value tuples, externed from the mirror on the
     first such read and kept; ``len``, ``==`` and :meth:`diff_count`
-    answer from whichever face is there.
+    answer from whichever face is there. A relation whose rows its
+    :meth:`successor` took has neither face's rows: ``len`` and ``in``
+    answer from the successor and the Δ, its built indexes from their
+    own buckets, and any other read rebuilds the value tuples once.
     """
 
     def __init__(self, name: str, arity: int) -> None:
@@ -63,19 +82,34 @@ class Relation:
         #: columnar mirror (interned id-rows + indexes), built on first
         #: columnar() call and maintained incrementally by add/discard
         self._columnar: ColumnarRelation | None = None
+        #: once a successor took the rows: it and the Δ that made it
+        self._past: _Past | None = None
 
     # ------------------------------------------------------------------
     @property
     def rows(self) -> set[Tuple_]:
         """The tuple set itself (read-only by convention) — externed
         from the mirror, once, if the relation was born from one and
-        nobody has read its facts yet."""
+        nobody has read its facts yet, or rebuilt, once, from the
+        successor that took it."""
         tuples = self._tuples
         if tuples is None:
             # built whole, then published: a concurrent reader sees no
             # face or all of it
-            tuples = set(self._columnar.facts())  # type: ignore[union-attr]
+            past = self._past
+            tuples = (
+                set(self._columnar.facts())  # type: ignore[union-attr]
+                if past is None
+                else _past_rows(past)
+            )
             self._tuples = tuples
+        return tuples
+
+    def _held_rows(self) -> set | None:
+        """The value tuples, unless a successor took them."""
+        tuples = self._tuples
+        if tuples is None and self._past is None:
+            tuples = self.rows
         return tuples
 
     def _id_rows(self, other: "Relation") -> tuple[set, set] | None:
@@ -94,13 +128,24 @@ class Relation:
 
     def __len__(self) -> int:
         tuples = self._tuples
-        return len(self._columnar if tuples is None else tuples)  # type: ignore[arg-type]
+        if tuples is not None:
+            return len(tuples)
+        past = self._past
+        if past is not None:
+            return _past_len(past)
+        return len(self._columnar)  # type: ignore[arg-type]
 
     def __iter__(self) -> Iterator[Tuple_]:
         return iter(self.rows)
 
     def __contains__(self, t: Tuple_) -> bool:
-        return t in self.rows
+        tuples = self._tuples
+        if tuples is None:
+            past = self._past
+            if past is not None:
+                return _past_holds(past, t)
+            tuples = self.rows
+        return t in tuples
 
     def __eq__(self, other: object) -> bool:
         """Same predicate, same tuples — indexes and mirrors aside.
@@ -251,14 +296,14 @@ class Relation:
     def copy_indexed(self) -> "Relation":
         """Copy that *lends* the built hash indexes.
 
-        ``copy()`` drops indexes (cheap, lazily rebuilt on demand); the
-        plan cache instead derives a changed relation's successor from
-        its predecessor — copy the tuples, lend the indexes, then apply
-        the round's delta through :meth:`add`/:meth:`discard`. The copy
-        shares every bucket of every built index with this relation and
-        copies a bucket on its first write to it, so the successor
-        costs its tuple-set copy plus O(|delta|). The columnar mirror
-        lends its indexes the same way (:meth:`ColumnarRelation.clone`).
+        ``copy()`` drops indexes (cheap, lazily rebuilt on demand); this
+        copy keeps them: it copies both row sets (the value tuples and
+        the mirror's, :meth:`ColumnarRelation.clone`) and shares every
+        bucket of every built index with this relation, copying a
+        bucket on its first write to it. What an entry relation that
+        adds a program's stated facts to a live EDB relation is: that
+        relation is read on, so its rows are copied, not taken — a
+        round's successor takes them instead (:meth:`successor`).
 
         The donor contract: this relation is never written again (lazy
         index growth aside) — a write to a bucket it still lends would
@@ -269,6 +314,56 @@ class Relation:
             r._columnar = self._columnar.clone()
         r._indexes, r._lent = _lend(self._indexes)
         return r
+
+    def successor(
+        self, plus: Iterable[Tuple_], minus: Iterable[Tuple_]
+    ) -> "Relation":
+        """This relation moved by a Δ — ``plus`` facts to add, ``minus``
+        facts to remove — as a new relation, in O(|Δ|).
+
+        The Δ is clamped first (a present ``plus`` fact or an absent
+        ``minus`` one is no change). The successor takes both row sets
+        as they are — the value tuples and the mirror's id-rows
+        (:meth:`ColumnarRelation.successor`) — is lent every built
+        index, and takes in the Δ. This relation reads on as the
+        successor minus the Δ: ``len`` and ``in`` answer from the two,
+        a built index from its own buckets (the successor copies one
+        before writing it), and the first read that needs every fact —
+        iteration, a new index pattern, :meth:`copy`, ``==``, a
+        successor of its own — rebuilds the value tuples once. What
+        :func:`~repro.datalog.zset.derive_zdelta` makes a round's EDB
+        relation of.
+
+        The donor contract, as :meth:`copy_indexed`'s, and one more:
+        the successor is written only through its own successor, or this
+        relation reads wrong.
+        """
+        tuples = self.rows
+        plus = {t for t in plus if t not in tuples}
+        minus = {t for t in minus if t in tuples}
+        if plus and set(map(len, plus)) != {self.arity}:
+            raise ValueError(
+                f"{self.name}: expected tuples of arity {self.arity}"
+            )
+        out = Relation(self.name, self.arity)
+        out._tuples = tuples
+        out._indexes, out._lent = _lend(self._indexes)
+        c = self._columnar
+        if c is not None:
+            intern_fact, name = c.pool.intern_fact, self.name
+            out._columnar = c.successor(
+                {intern_fact(name, t) for t in plus},
+                {intern_fact(name, t) for t in minus},
+            )
+        self._past = _Past(out, plus, minus)
+        self._tuples = None
+        tuples.update(plus)
+        tuples.difference_update(minus)
+        lent = out._lent
+        for positions, index in out._indexes.items():
+            _index_rows(index, positions, plus, lent.get(positions))
+            _unfile_rows(index, positions, minus, lent.get(positions))
+        return out
 
     def index_patterns(self) -> tuple[tuple[int, ...], ...]:
         """The bound-position patterns currently indexed (for tests)."""

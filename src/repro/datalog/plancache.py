@@ -16,9 +16,11 @@ rounds that way:
   fixpoint that runs deeper or shallower on today's EDB is the same node.
 * ``compile()`` evaluates nothing. On a *hit* — ``edb_old`` is the
   committed baseline — it derives the touched EDB relations from their
-  predecessors (:func:`~repro.datalog.zset.derive_zdelta`: rows copied,
-  index buckets lent, the weighted ops applied) and carries every
-  other relation by identity, so the round costs what the delta touches;
+  predecessors (:func:`~repro.datalog.zset.derive_zdelta`: row sets
+  taken over, index buckets lent, the weighted ops applied; the
+  predecessor reads on as its successor minus the delta) and carries
+  every other relation by identity, so the round costs what the delta
+  touches;
   the touched EDB nodes are the initial tasks and the old node values
   are the committed previous round's. A *miss* (first round, an
   out-of-band EDB) is the same plan with no old values and every source
@@ -44,7 +46,11 @@ idempotent and invisible to readers — a fixpoint node that continues
 from a committed value grows clones of its mirrors, never the value.
 That is also what makes lending sound: a successor or a clone shares
 every index bucket it has not written with the relation it came from,
-which nobody writes again.
+which nobody writes again. An EDB successor also holds its
+predecessor's row sets, so the committed generation's facts are read
+off the staged one (:meth:`~repro.datalog.database.Relation.successor`);
+a rollback leaves that generation reading them off a successor nobody
+writes again, and the retry derives anew from it.
 ``compile()`` stages its results; nothing the staged round produced
 becomes the committed baseline until ``commit()``. A failed round therefore needs no undo — the service
 simply never commits it, calls :meth:`CompiledProgramCache.rollback`,

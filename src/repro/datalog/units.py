@@ -815,6 +815,8 @@ def _entry_relations(
     for pred in preds:
         rel = edb.relations.get(pred)
         if pred in stated:
+            # a copy, never a successor: the EDB reads on from ``rel``
+            # and derives the next round's relation from it
             rel = (
                 rel.copy_indexed()
                 if rel is not None
@@ -1034,7 +1036,9 @@ class ProgramSkeleton:
                     # no delta to go by: recompute, diff the mirrors
                     return rel, _mirror_diff(p, was, rel, ctx.pool)
                 # the round's clamped delta, bar the facts the program
-                # states: the baseline holds those either way
+                # states: the baseline holds those either way (``was``,
+                # the committed generation, answers ``in`` off its
+                # successor and the delta)
                 ops = ctx.zdelta.ops_for(p)
                 plus = [f for f, w in ops if w > 0 and f not in was]
                 minus = [f for f, w in ops if w < 0 and f not in rel]

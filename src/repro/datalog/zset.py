@@ -14,10 +14,10 @@ update queue speaks this representation:
   insert/retract pairs coalesced by :func:`merge_deltas` cancel
   **before** any compilation or index maintenance happens;
 * the plan cache (:mod:`repro.datalog.plancache`) stages a round from
-  one: :func:`derive_zdelta` patches a copy of each touched EDB
-  relation, lent its predecessor's index buckets, in O(|delta|) through
-  :meth:`ZSetDelta.apply_to`, and a task node reads
-  an EDB input's Z-set off it (:mod:`repro.datalog.units`);
+  one: :func:`derive_zdelta` makes each touched EDB relation's
+  successor in O(|delta|) — it takes its predecessor's row sets and is
+  lent its index buckets — and an EDB node reads its Z-set off it
+  (:mod:`repro.datalog.units`);
 * :func:`check_update` is the one refusal at every entry point — a
   service's ``submit`` and the engine's ``apply``: a derived predicate,
   or a fact whose length is not its predicate's arity;
@@ -278,21 +278,6 @@ class ZSetDelta:
         """``(fact, weight)`` pairs for one predicate (possibly empty)."""
         return self.weights.get(pred, {}).items()
 
-    def apply_to(self, rel: Relation, pred: str | None = None) -> int:
-        """Patch ``rel`` in place with this delta's ops for its predicate.
-
-        Uses :meth:`Relation.add`/:meth:`Relation.discard`, so every
-        hash index already built on the relation is maintained in
-        O(|delta|). Returns the number of facts that actually changed.
-        """
-        changed = 0
-        for fact, w in self.ops_for(pred if pred is not None else rel.name):
-            if w > 0:
-                changed += rel.add(fact)
-            else:
-                changed += rel.discard(fact)
-        return changed
-
 
 def effective_zdelta(edb: Database, delta: Delta) -> ZSetDelta:
     """Clamp ``delta`` against ``edb`` into exact weights.
@@ -348,27 +333,28 @@ def derive_zdelta(edb: Database, zdelta: ZSetDelta) -> Database:
     """``edb``'s successor under ``zdelta``, sharing what did not change.
 
     Same fact sets as :func:`apply_zdelta`, but only the touched
-    relations are new objects — each a :meth:`Relation.copy_indexed` of
-    its predecessor, which lends it every index bucket (value-space and
-    the columnar mirror's), patched in O(|delta|): a successor costs its
-    row-set copies plus what the delta writes — and every other relation
-    is carried over *by identity*. The donor contract: ``edb``'s
-    relations are never written again (the plan cache's committed
-    baseline is not), since a successor still shares every bucket its
-    delta did not touch with its predecessor.
+    relations are new objects — each the :meth:`Relation.successor` of
+    its predecessor: it takes the predecessor's row sets (value tuples
+    and mirror id-rows) as they are, is lent every index bucket, and
+    takes in the delta, so it costs O(|delta|) — and every other
+    relation is carried over *by identity*. A predecessor reads on as
+    its successor minus the delta: ``in`` and ``len`` from the two, its
+    index probes from its own buckets, and its rows rebuilt once for a
+    reader that needs them all. The donor contract: ``edb``'s relations
+    are never written again (the plan cache's committed baseline is
+    not), and a successor only through its own successor.
     """
     out = Database(dict(edb.relations))
     for pred, facts in zdelta.weights.items():
         if not facts:
             continue
         old = edb.relations.get(pred)
-        rel = (
-            old.copy_indexed()
-            if old is not None
-            else Relation(pred, len(next(iter(facts))))
+        if old is None:
+            old = Relation(pred, len(next(iter(facts))))
+        out.relations[pred] = old.successor(
+            [f for f, w in facts.items() if w > 0],
+            [f for f, w in facts.items() if w < 0],
         )
-        zdelta.apply_to(rel, pred)
-        out.relations[pred] = rel
     return out
 
 

@@ -11,7 +11,9 @@ aggregates. This package provides:
   engine) so both render in one timeline.
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON (loadable in
   ``chrome://tracing`` / Perfetto) and a flat JSONL log, plus the
-  minimal schema validator CI runs over emitted artifacts.
+  minimal schema validator that
+  ``tests/runtime/test_serve_command.py::test_trace_smoke`` runs over a
+  traced stream's trace.
 * :mod:`~repro.obs.metrics` — a log-linear :class:`Histogram` registry
   with bounded relative quantile error; the runtime's round metrics
   aggregate through it instead of keeping ad-hoc lists.

@@ -12,8 +12,9 @@ greppable flat log for ad-hoc analysis (``jq``-friendly), carrying the
 same spans with seconds-resolution floats and the parent-span link the
 Chrome format only encodes positionally.
 
-:func:`validate_chrome_trace` is the minimal schema check CI runs over
-the emitted artifact — it validates exactly the invariants the
+:func:`validate_chrome_trace` is the minimal schema check
+``tests/runtime/test_serve_command.py::test_trace_smoke`` runs over a
+traced stream's trace — it validates exactly the invariants the
 exporters promise, nothing more, so it needs no external JSON-schema
 dependency.
 """
@@ -138,7 +139,7 @@ def write_jsonl(recorder: TraceRecorder, fh: IO[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# minimal schema validation (what CI runs over the artifact)
+# minimal schema validation (what test_trace_smoke runs over a trace)
 # ----------------------------------------------------------------------
 _VALID_PH = {"X", "i", "M"}
 _REQUIRED_KEYS = ("name", "ph", "ts", "pid", "tid")

@@ -1,14 +1,16 @@
 """A copy lends its donor's index buckets; the donor is never written.
 
-``Relation.copy_indexed`` and ``ColumnarRelation.clone`` share every
-bucket of every built index with the relation they copy and copy a
-bucket on its first write, so a successor derived under a Δ costs its
-row-set copies plus O(|Δ|). That is sound only while nobody writes a
-donor again — what ``derive_zdelta`` and ``evaluate_stratum`` promise.
-These tests pin both halves: the buckets a Δ did not touch are the
-predecessor's own objects, over served rounds every relation a round
-published still holds, rounds later, exactly what it held then, and
-clones written on several threads at once leave their donor alone.
+``Relation.copy_indexed``, ``Relation.successor`` and
+``ColumnarRelation.clone`` share every bucket of every built index with
+the relation they come from and copy a bucket on its first write; a
+successor also takes its predecessor's row sets, so one derived under a
+Δ costs O(|Δ|). That is sound only while nobody writes a donor again —
+what ``derive_zdelta`` and ``evaluate_stratum`` promise. These tests pin
+both halves: the buckets a Δ did not touch are the predecessor's own
+objects, the successor's row sets are the ones its predecessor held,
+over served rounds every relation a round published still holds, rounds
+later, exactly what it held then, and clones written on several threads
+at once leave their donor alone.
 """
 
 from __future__ import annotations
@@ -54,9 +56,11 @@ def _untouched_buckets_are_lent(new: dict, old: dict, rows) -> None:
 def test_a_successor_shares_every_bucket_its_delta_does_not_touch():
     """An EDB successor costs its Δ: ``agg_burst``'s 1 500-row ``sale``
     under a one-row replace. The successor ``derive_zdelta`` makes
-    shares every index bucket the Δ does not touch with its predecessor,
-    in both faces (mirror and value), and the predecessor holds what it
-    held."""
+    owns its predecessor's two row sets (the value tuples and the
+    mirror's id-rows, the very objects) and shares every index bucket
+    the Δ does not touch with it, in both faces, and the predecessor
+    reads exactly what it held: ``len`` and ``in`` off the successor and
+    the Δ, then every fact and bucket of both faces."""
     _, edb, _ = retail_analytics(n_products=200, n_stores=24, n_sales=1500)
     pool = InternPool()
     sale = edb.relations["sale"]
@@ -65,6 +69,7 @@ def test_a_successor_shares_every_bucket_its_delta_does_not_touch():
     mirror.index((0,))
     sale.match({1: "p3"})  # a value-space index too
     before = held(sale)
+    tuples, id_rows = sale.rows, mirror.rows
 
     gone = min(sale)
     new = (gone[0], gone[1], gone[2] + 1000)
@@ -74,10 +79,16 @@ def test_a_successor_shares_every_bucket_its_delta_does_not_touch():
     assert zdelta.op_count() == 2
     succ = derive_zdelta(edb, zdelta).relations["sale"]
 
+    assert succ.rows is tuples and succ._columnar.rows is id_rows
+    assert len(sale) == len(mirror) == len(succ) == 1500
+    old_row, new_row = (pool.intern_fact("sale", f) for f in (gone, new))
+    assert gone in sale and new not in sale
+    assert old_row in mirror and new_row not in mirror
+    assert sale._tuples is None  # nothing rebuilt to answer those
     assert held(sale) == before
     assert set(succ) == (set(sale) - {gone}) | {new}
     assert succ.index_patterns() == sale.index_patterns() == ((1,),)
-    rows = [pool.intern_fact("sale", f) for f in (gone, new)]
+    rows = [old_row, new_row]
     _untouched_buckets_are_lent(succ._columnar._indexes, mirror._indexes, rows)
     _untouched_buckets_are_lent(succ._indexes, sale._indexes, (gone, new))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -37,6 +38,21 @@ def _serve(argv: list[str], capsys) -> str:
 
 def _rounds(path: Path) -> list[dict]:
     return json.loads(path.read_text())["rounds"]
+
+
+#: the chaos seeds under which a smoke's rounds fail: it must print a
+#: failed round whose delta was re-queued (seed 7's rounds never fail —
+#: its serve case is the no-failure one)
+FAILING_CHAOS_SEEDS = ("3", "8", "11")
+
+
+def _assert_requeued(argv: str, out: str) -> None:
+    """A smoke under a failing chaos seed printed a re-queued failure:
+    its final comparison then shows the re-queued delta landed."""
+    words = argv.split()
+    if "--chaos-seed" in words and words[-1] in FAILING_CHAOS_SEEDS:
+        assert re.search(r"^round failed: \w+ \(requeued=True\)$", out,
+                         re.MULTILINE), out
 
 
 def test_a_chain_round_starts_no_thread(started, capsys):
@@ -149,8 +165,8 @@ def test_the_analyzer_is_off_the_serving_path(program, monkeypatch, capsys):
     "--program pt --stream mixed --scheduler hybrid --rounds 20 --no-verify",
     "--program flat --stream deletions --scheduler hybrid --rounds 12",
     "--program flat --stream mixed --scheduler hybrid --rounds 12",
-    # seeded chaos: rounds may fail and be re-queued, and the run still
-    # lands on the stream's mirror
+    # seeded chaos: rounds of seeds 3 and 11 fail and are re-queued, and
+    # the run still lands on the stream's mirror; seed 7's never fail
     "--program retail --stream steady --scheduler hybrid --rounds 12"
     " --chaos-seed 3",
     "--program retail --stream steady --scheduler hybrid --rounds 12"
@@ -159,7 +175,7 @@ def test_the_analyzer_is_off_the_serving_path(program, monkeypatch, capsys):
     " --chaos-seed 11",
 ])
 def test_serve_smoke(argv, capsys):
-    _serve(["serve", *argv.split()], capsys)
+    _assert_requeued(argv, _serve(["serve", *argv.split()], capsys))
 
 
 def test_lethal_chaos_serves_degraded_rounds(tmp_path, capsys):
@@ -183,14 +199,18 @@ def _validate_chrome_trace(path: Path) -> int:
 
 
 @pytest.mark.parametrize("argv", [
-    "--stream retail --scheduler hybrid --rounds 8 --chaos-seed 7",
+    # seed 8's rounds fail: the trace records the failed rounds too
+    "--stream retail --scheduler hybrid --rounds 8 --chaos-seed 8",
     "--stream retail --scheduler levelbased --rounds 12 --jsonl {jsonl}",
 ])
 def test_trace_smoke(argv, tmp_path, capsys):
     """A traced stream writes a Chrome trace that the schema validator
     accepts (and, with ``--jsonl``, its records)."""
     trace, jsonl = tmp_path / "trace.json", tmp_path / "trace.jsonl"
-    _serve(["trace", *argv.format(jsonl=jsonl).split(), "-o", str(trace)],
-           capsys)
+    out = _serve(
+        ["trace", *argv.format(jsonl=jsonl).split(), "-o", str(trace)],
+        capsys,
+    )
+    _assert_requeued(argv, out)
     assert _validate_chrome_trace(trace) == 0
     assert "--jsonl" not in argv or jsonl.read_text()
